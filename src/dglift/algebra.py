@@ -123,8 +123,6 @@ class DGAlgebra:
                 for i in range(j + 1, self.nvars):
                     if u[1 + i] and (self.var_degrees[i] % 2 == 1):
                         swaps += u[1 + i]
-            if vj and uj and (self.var_degrees[j] % 2 == 1):
-                return 0, None
             exps.append(uj + vj)
         return (-1) ** swaps, tuple(exps)
 

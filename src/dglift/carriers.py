@@ -189,9 +189,6 @@ class SemifreeCarrier(Carrier):
         d = self.module.degrees[lam]
         return d, {self.index(d, lam, self.algebra.unit_mono()): self.field.one}
 
-    def element_vector(self, cols: dict) -> tuple[int, dict] | None:
-        raise NotImplementedError
-
 
 class ShiftedCarrier(Carrier):
     """Sigma^i X: degrees shifted, differential scaled by (-1)^i, left action

@@ -7,6 +7,8 @@ and the relation-quotient constructions used by the tensor carriers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import DimensionMismatch
 
 
@@ -46,6 +48,12 @@ class Echelon:
     each other, so the stored form is the unique RREF of the row space; all
     derived data (kernel bases, solutions with zero free coordinates) is
     therefore canonical regardless of insertion order.
+
+    Invariant: a stored row vanishes on every pivot column but its own.  So
+    ``reduce`` subtracts only the rows whose pivots occur in the vector, each
+    scaled by the vector's original entry there.  ``rows`` and ``pivots`` stay
+    sorted by pivot; ``_row_of`` maps a pivot to its row, and ``_by_col`` maps
+    each non-pivot column to the pivots of the rows with an entry in it.
     """
 
     def __init__(self, field, ncols: int):
@@ -53,7 +61,8 @@ class Echelon:
         self.ncols = ncols
         self.rows: list[dict] = []
         self.pivots: list[int] = []
-        self._pivot_set: dict[int, int] = {}
+        self._row_of: dict[int, dict] = {}
+        self._by_col: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -62,11 +71,11 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced modulo the row space (a fresh dict)."""
         f = self.field
+        row_of = self._row_of
         out = dict(vec)
-        for r, p in zip(self.rows, self.pivots):
-            c = out.get(p)
-            if c is not None:
-                vec_axpy(f, out, f.neg(c), r)
+        # ascending pivots, so the result's key order matches a full scan
+        for p in sorted(j for j in vec if j in row_of):
+            vec_axpy(f, out, f.neg(vec[p]), row_of[p])
         return out
 
     def add_row(self, vec: dict) -> bool:
@@ -78,19 +87,23 @@ class Echelon:
         p = min(res)
         inv = f.inv(res[p])
         row = {j: f.mul(inv, c) for j, c in res.items()}
-        # keep RREF: clear column p from existing rows
-        for r in self.rows:
-            c = r.get(p)
-            if c is not None:
-                vec_axpy(f, r, f.neg(c), row)
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
+        tail = [j for j in row if j != p]
+        by_col = self._by_col
+        # keep RREF: clear column p from the rows that have an entry there
+        for q in by_col.pop(p, ()):
+            r = self._row_of[q]
+            vec_axpy(f, r, f.neg(r[p]), row)
+            for j in tail:
+                if j in r:
+                    by_col.setdefault(j, set()).add(q)
+                else:
+                    by_col[j].discard(q)
+        k = bisect_left(self.pivots, p)
         self.rows.insert(k, row)
         self.pivots.insert(k, p)
-        self._pivot_set[p] = k
-        for i in range(k, len(self.pivots)):
-            self._pivot_set[self.pivots[i]] = i
+        self._row_of[p] = row
+        for j in tail:
+            by_col.setdefault(j, set()).add(p)
         return True
 
     def add_rows(self, rows) -> None:
@@ -98,8 +111,7 @@ class Echelon:
             self.add_row(r)
 
     def free_columns(self) -> list[int]:
-        piv = set(self.pivots)
-        return [j for j in range(self.ncols) if j not in piv]
+        return [j for j in range(self.ncols) if j not in self._row_of]
 
     def kernel_basis(self) -> list[dict]:
         """Canonical basis of the kernel of the matrix whose rows were inserted.
@@ -110,17 +122,10 @@ class Echelon:
         out = []
         for j in self.free_columns():
             v = {j: f.one}
-            for r, p in zip(self.rows, self.pivots):
-                c = r.get(j)
-                if c is not None:
-                    v[p] = f.neg(c)
+            for p in sorted(self._by_col.get(j, ())):
+                v[p] = f.neg(self._row_of[p][j])
             out.append(v)
         return out
-
-    def coords_on_free(self, vec: dict) -> dict:
-        """Coordinates of a reduced vector on the free columns (quotient coords)."""
-        res = self.reduce(vec)
-        return res
 
 
 class SparseMatrix:
@@ -173,7 +178,7 @@ class SparseMatrix:
         return out
 
     def col(self, j) -> dict:
-        return {i: c for (i, jj), c in self.entries.items() if jj == j}
+        return dict(self._by_col().get(j, ()))
 
     def cols(self) -> list[dict]:
         out = [dict() for _ in range(self.ncols)]

@@ -144,10 +144,6 @@ class ObstructionTower:
         return chi_power(self.N, self.diag, 1)
 
 
-def obstruction_tower(N: SemifreeModule, diag: Diagonal, L: int | None = None) -> ObstructionTower:
-    return ObstructionTower(N, diag, L)
-
-
 # ----- independent enveloping-algebra construction -------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS, is_prime
 
-from dense_oracle import dense_rank, dense_solve
+from dense_oracle import dense_echelon, dense_kernel, dense_rank, dense_solve
 
 
 def mat(field, rows):
@@ -125,6 +125,66 @@ def test_solve_matches_consistency_oracle(data):
     got = mat(field, rows).solve(fb)
     oracle = dense_solve(field, frows, fb)
     assert (got is None) == (oracle is None)
+
+
+def sparse(field, dense_vec):
+    return {j: c for j, c in enumerate(dense_vec) if not field.is_zero(c)}
+
+
+def assert_column_index_consistent(ech):
+    for j in range(ech.ncols):
+        if j in ech.pivots:
+            assert j not in ech._by_col
+        else:
+            holders = {p for p, r in zip(ech.pivots, ech.rows) if j in r}
+            assert ech._by_col.get(j, set()) == holders
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_insertion_order_matches_dense_rref(data):
+    """The stored rows are the oracle's RREF whatever the insertion order.
+
+    Rows are inserted shuffled, by ascending leading column (a new pivot right
+    of earlier ones, so back-substitution clears it from their rows through the
+    column index) and by descending leading column (a new pivot left of
+    earlier ones).
+    """
+    field = data.draw(st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)]))
+    ncols = data.draw(st.integers(1, 8))
+    ints = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(ints, min_size=1, max_size=8))
+    frows = [[field.from_int(c) for c in r] for r in rows]
+    vecs = [sparse(field, r) for r in frows]
+    shuffled = data.draw(st.permutations(vecs))
+    by_lead = sorted((v for v in vecs if v), key=min)
+    want_rows, want_pivots = dense_echelon(field, frows)
+    want_kernel = [sparse(field, v) for v in dense_kernel(field, frows, ncols)]
+    probe = [field.from_int(c) for c in data.draw(ints)]
+    for order in (shuffled, by_lead, by_lead[::-1]):
+        ech = Echelon(field, ncols)
+        for v in order:
+            ech.add_row(v)
+        assert ech.pivots == want_pivots
+        assert ech.rows == [sparse(field, r) for r in want_rows]
+        assert ech.kernel_basis() == want_kernel
+        assert_column_index_consistent(ech)
+        red = ech.reduce(sparse(field, probe))
+        assert not set(red) & set(ech.pivots)
+        # probe - red lies in the row space
+        diff = [field.sub(c, red.get(j, field.zero)) for j, c in enumerate(probe)]
+        assert dense_rank(field, frows + [diff]) == len(want_pivots)
+
+
+def test_echelon_back_substitution_clears_new_pivot_column():
+    field = RATIONALS
+    ech = Echelon(field, 4)
+    ech.add_row({0: Fraction(1), 1: Fraction(2), 3: Fraction(1)})
+    ech.add_row({0: Fraction(2), 2: Fraction(1)})
+    assert ech.pivots == [0, 1]
+    assert ech.rows == [{0: Fraction(1), 2: Fraction(1, 2)},
+                        {1: Fraction(1), 2: Fraction(-1, 4), 3: Fraction(1, 2)}]
+    assert_column_index_consistent(ech)
 
 
 def test_echelon_reduce_idempotent():
