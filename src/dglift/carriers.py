@@ -11,6 +11,8 @@ negates the differential per shift step and twists the left action by
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
 
@@ -286,9 +288,11 @@ class KernelSubCarrier(Carrier):
         free = self._free_cols[d]
         f = self.field
         out = {}
-        for k, col in enumerate(free):
-            c = parent_vec.get(col)
-            if c is not None and not f.is_zero(c):
+        # free columns are sorted: bisect gives a column's position, and
+        # visiting columns in order makes out's keys ascend
+        for col, c in sorted(parent_vec.items()):
+            k = bisect_left(free, col)
+            if k < len(free) and free[k] == col and not f.is_zero(c):
                 out[k] = c
         # verify by substitution
         chk: dict = {}
@@ -451,12 +455,9 @@ class TensorCarrier(Carrier):
         """Quotient coordinates of a free-space vector."""
         ech = self._echelon_at(d)
         red = ech.reduce(free_vec)
+        # a reduced vector lives on the free columns, which are sorted
         cols = self._quot[d]
-        pos = {c: k for k, c in enumerate(cols)}
-        out = {}
-        for j, c in red.items():
-            out[pos[j]] = c
-        return out
+        return {bisect_left(cols, j): c for j, c in red.items()}
 
     def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
         """Quotient coordinates of x (x) y for coordinate vectors in X_p, Y_q."""

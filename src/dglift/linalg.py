@@ -287,7 +287,10 @@ class SparseMatrix:
     def solve(self, b: list | dict) -> list | None:
         """Some x with Mx = b (free coordinates zero), or None if inconsistent.
 
-        The returned solution is verified by substitution.
+        None means a pivot landed in the augmented column, which certifies
+        that no solution exists.  The returned solution is verified by
+        substitution; a failed recheck is an arithmetic fault, not absence,
+        and raises DimensionMismatch.
         """
         f = self.field
         if isinstance(b, dict):
@@ -314,7 +317,7 @@ class SparseMatrix:
         # verify by substitution
         chk = self.mat_vec({j: c for j, c in enumerate(out) if not f.is_zero(c)})
         if chk != {i: c for i, c in bvec.items() if not f.is_zero(c)}:
-            return None
+            raise DimensionMismatch("solution failed the substitution recheck")
         return out
 
     def column_space_echelon(self) -> Echelon:

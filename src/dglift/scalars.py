@@ -3,10 +3,16 @@
 Every homological computation in the engine reduces to linear algebra over one
 of these fields.  Values are plain hashable Python objects (Fraction or int) so
 they can key dictionaries; the field object supplies the arithmetic.
+
+On Q a value is an int when it is integral and a Fraction only otherwise.
+Most coefficients stay integral (relation rows are +-1), and int arithmetic
+skips Fraction's normalisation.  An int and the equal Fraction compare equal,
+hash equal and print the same, so the choice never shows in any output.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -36,30 +42,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _canon(x):
+    """A Fraction as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """The field of exact rational numbers."""
+    """The field of exact rational numbers.
+
+    Invariant: a value is an int when it is integral, and a Fraction (with
+    denominator > 1) otherwise.  On such operands every operation returns
+    such a value; division goes through Fraction, so none becomes a float.
+    """
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def from_fraction(self, num, den):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return Fraction(num, den)
+        return _canon(Fraction(num, den))
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _canon(s)
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if type(s) is int else _canon(s)
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if type(s) is int else _canon(s)
 
     def neg(self, a):
         return -a
@@ -67,12 +86,12 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _canon(Fraction(1, a))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return _canon(Fraction(a, b))
 
     def is_zero(self, a):
         return a == 0

@@ -60,6 +60,32 @@ def test_solve_inconsistent(field):
     assert m.solve([field.zero, field.one]) is None
 
 
+def _corrupt_mat_vec(monkeypatch, field):
+    """Make every product M*x come out one unit off in row 0."""
+    honest = SparseMatrix.mat_vec
+
+    def corrupted(self, v):
+        out = honest(self, v)
+        out[0] = field.add(out.get(0, field.zero), field.one)
+        return out
+
+    monkeypatch.setattr(SparseMatrix, "mat_vec", corrupted)
+
+
+def test_solve_raises_when_substitution_recheck_fails(field, monkeypatch):
+    from dglift.errors import DimensionMismatch
+    _corrupt_mat_vec(monkeypatch, field)
+    with pytest.raises(DimensionMismatch, match="substitution recheck"):
+        SparseMatrix.identity(field, 2).solve([field.one, field.one])
+
+
+def test_solve_inconsistent_is_decided_before_the_recheck(field, monkeypatch):
+    # None comes from a pivot in the augmented column, never from the recheck
+    _corrupt_mat_vec(monkeypatch, field)
+    m = mat(field, [[1], [1]])
+    assert m.solve([field.zero, field.one]) is None
+
+
 def test_kernel_identity(field):
     assert SparseMatrix.identity(field, 3).kernel_basis() == []
 

@@ -1,0 +1,108 @@
+"""The rational backend against plain Fraction arithmetic, and its canonical
+representation: a value is an int when integral and a Fraction otherwise."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dglift.linalg import Echelon
+from dglift.scalars import RATIONALS
+
+Q = RATIONALS
+
+
+def canonical(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def assert_canonical(x):
+    assert type(x) in (int, Fraction), type(x)
+    if type(x) is Fraction:
+        assert x.denominator != 1, x
+
+
+values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=50).map(canonical),
+    # integral results from non-integral operands: k/2 + 1/2, 2 * 1/2, ...
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]),
+)
+nonzero = values.filter(lambda x: x != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, values)
+def test_binary_operations_match_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    for got, want in ((Q.add(a, b), fa + fb), (Q.sub(a, b), fa - fb),
+                      (Q.mul(a, b), fa * fb)):
+        assert got == want
+        assert_canonical(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, nonzero)
+def test_division_matches_fraction_arithmetic(a, b):
+    for got, want in ((Q.div(a, b), Fraction(a) / Fraction(b)),
+                      (Q.inv(b), 1 / Fraction(b))):
+        assert got == want
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_unary_operations_match_fraction_arithmetic(a):
+    fa = Fraction(a)
+    assert Q.neg(a) == -fa
+    assert_canonical(Q.neg(a))
+    assert Q.is_zero(a) == (fa == 0)
+    assert Q.to_str(a) == str(fa)
+    assert hash(a) == hash(fa)
+    assert Q.cost(a) == fa.numerator.bit_length() + fa.denominator.bit_length()
+
+
+@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(bool))
+def test_constructors_are_canonical(n, d):
+    assert Q.from_int(n) == n
+    assert type(Q.from_int(n)) is int
+    got = Q.from_fraction(n, d)
+    assert got == Fraction(n, d)
+    assert_canonical(got)
+
+
+def test_constants_are_ints():
+    assert type(Q.zero) is int and Q.zero == 0
+    assert type(Q.one) is int and Q.one == 1
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        Q.from_fraction(1, 0)
+    for x in (0, 1, -7, Fraction(2, 3)):
+        with pytest.raises(ZeroDivisionError):
+            Q.div(x, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_same_from_int_and_fraction_rows(data):
+    ncols = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), st.integers(-4, 4).filter(bool),
+                        max_size=ncols),
+        max_size=8))
+    as_int, as_frac = Echelon(Q, ncols), Echelon(Q, ncols)
+    for r in rows:
+        as_int.add_row(r)
+        as_frac.add_row({j: Fraction(c) for j, c in r.items()})
+    assert as_int.pivots == as_frac.pivots
+    assert as_int.rows == as_frac.rows
+    assert as_int.kernel_basis() == as_frac.kernel_basis()
+    for ech in (as_int, as_frac):
+        for row in ech.rows + ech.kernel_basis():
+            for c in row.values():
+                assert_canonical(c)
