@@ -71,6 +71,7 @@ class DGAlgebra:
         self._mono_index: dict[int, dict] = {}
         self._nonA_cache: dict[int, tuple] = {}
         self._diff_mono_cache: dict[Monomial, AlgebraElement] = {}
+        self._carrier = None
         if len(set(self.var_names)) != len(self.var_names):
             raise IllFormedPresentation("duplicate variable names")
         if self.base.gen_name in self.var_names:
@@ -257,6 +258,13 @@ class DGAlgebra:
             prefix_deg += e * deg_i
         self._diff_mono_cache[u] = total
         return total
+
+    def carrier(self):
+        """B as a DG bimodule over itself, shared by every carrier over B."""
+        from .carriers import AlgebraCarrier
+        if self._carrier is None:
+            self._carrier = AlgebraCarrier(self)
+        return self._carrier
 
     def describe(self) -> str:
         vs = ", ".join(f"{n}:{d}" for n, d in zip(self.var_names, self.var_degrees))

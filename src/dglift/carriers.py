@@ -2,16 +2,19 @@
 
 A carrier exposes, for each DG degree within the configured cap, an ordered
 k-basis, the differential as a sparse matrix, and (where the structure has
-them) matrices for the left and right actions of algebra monomials.  Tensor
-products over B (or over the subalgebra A) are realized as explicit
-relation-quotients of the degreewise k-tensor spaces; a shifted carrier
-negates the differential per shift step and twists the left action by
-(-1)^{i|b|}, which is the whole sign content of suspension.
+them) matrices for the left and right actions of algebra monomials, each
+built once per (side, monomial, degree).  A tensor product N (x)_B Y with N
+semifree is written down in closed form, one copy of Y per generator of N.
+Every other tensor product (over B with a non-free left factor, as in the
+tensor powers of the diagonal ideal, or over the subalgebra A) is an
+explicit relation-quotient of the degreewise k-tensor space.  A shifted
+carrier negates the differential per shift step and twists the left action
+by (-1)^{i|b|}, which is the whole sign content of suspension.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
@@ -25,6 +28,7 @@ class Carrier:
         self.algebra = algebra
         self.field = algebra.field
         self.config = algebra.config
+        self._actions: dict[tuple, SparseMatrix] = {}
 
     def check_cap(self, d: int):
         if abs(d) > self.config.max_degree:
@@ -48,12 +52,22 @@ class Carrier:
     def left_act(self, mono, d: int) -> SparseMatrix:
         raise NotImplementedError
 
+    def action(self, side: str, mono, d: int) -> SparseMatrix:
+        """The left ("l") or right ("r") action of mono on degree d, built by
+        left_act/right_act on first use and shared afterwards."""
+        key = (side, mono, d)
+        m = self._actions.get(key)
+        if m is None:
+            m = self.left_act(mono, d) if side == "l" else self.right_act(mono, d)
+            self._actions[key] = m
+        return m
+
     def element_act_right(self, el, d: int, vec: dict) -> dict:
         """vec * el for an algebra element, expanding monomial by monomial."""
         f = self.field
         out: dict = {}
         for u, c in el.terms.items():
-            img = self.right_act(u, d).mat_vec(vec)
+            img = self.action("r", u, d).mat_vec(vec)
             vec_axpy(f, out, c, img)
         return out
 
@@ -61,7 +75,7 @@ class Carrier:
         f = self.field
         out: dict = {}
         for u, c in el.terms.items():
-            img = self.left_act(u, d).mat_vec(vec)
+            img = self.action("l", u, d).mat_vec(vec)
             vec_axpy(f, out, c, img)
         return out
 
@@ -114,80 +128,125 @@ class AlgebraCarrier(Carrier):
 
 
 class SemifreeCarrier(Carrier):
-    """Graded pieces of a semifree module; basis = (generator, monomial)."""
+    """N (x)_B Y for a semifree module N, in closed form.
 
-    has_right = True
+    N is free over B on its generators, so (N (x)_B Y)_d is the direct sum of
+    Y_{d-|e_lam|} over the generators e_lam, and no relation quotient is
+    needed.  The basis in degree d is (lam, y) for y a basis vector of
+    Y_{d-|e_lam|}, lam-major.  Y defaults to B itself; then the basis is
+    (generator, monomial) and the carrier is N's own graded pieces.
+    """
 
-    def __init__(self, module):
+    def __init__(self, module, Y: Carrier | None = None):
+        Y = module.algebra.carrier() if Y is None else Y
+        if not Y.has_left:
+            raise DimensionMismatch("right tensor factor needs a left action")
         super().__init__(module.algebra)
         self.module = module
-        self._label_cache: dict[int, list] = {}
-        self._index_cache: dict[int, dict] = {}
+        self.Y = Y
+        self.has_right = Y.has_right
+        self._offsets: dict[int, list] = {}
 
     def min_degree(self) -> int:
-        return self.module.min_degree
+        return self.module.min_degree + self.Y.min_degree()
+
+    def offsets(self, d: int) -> list:
+        """Where each generator's block starts in degree d; the last entry is
+        the dimension."""
+        if d not in self._offsets:
+            self.check_cap(d)
+            offs = [0]
+            for deg in self.module.degrees:
+                offs.append(offs[-1] + self.Y.dim(d - deg))
+            self._offsets[d] = offs
+        return self._offsets[d]
 
     def labels(self, d: int):
-        if d not in self._label_cache:
-            self.check_cap(d)
-            lab = self.module.basis_in_degree(d)
-            self._label_cache[d] = lab
-            self._index_cache[d] = {t: i for i, t in enumerate(lab)}
-        return self._label_cache[d]
+        # empty blocks are skipped, so Y is never asked outside its range
+        offs = self.offsets(d)
+        return [(lam, y) for lam, deg in enumerate(self.module.degrees)
+                if offs[lam + 1] > offs[lam] for y in self.Y.labels(d - deg)]
 
     def dim(self, d: int) -> int:
         if d < self.min_degree():
             return 0
-        return len(self.labels(d))
+        return self.offsets(d)[-1]
+
+    def block(self, d: int, k: int) -> tuple[int, int]:
+        """(lam, j): basis vector k of degree d is e_lam (x) (the j-th basis
+        vector of Y_{d-|e_lam|})."""
+        offs = self.offsets(d)
+        lam = bisect_right(offs, k) - 1
+        return lam, k - offs[lam]
 
     def index(self, d: int, lam: int, mono) -> int:
-        self.labels(d)
-        return self._index_cache[d][(lam, mono)]
+        """Position of e_lam mono in degree d (Y = B)."""
+        return (self.offsets(d)[lam]
+                + self.algebra.mono_index(d - self.module.degrees[lam], mono))
 
     def diff(self, d: int) -> SparseMatrix:
-        alg = self.algebra
-        M = self.module
         f = self.field
+        Y = self.Y
         ent: dict = {}
-        for j, (lam, u) in enumerate(self.labels(d)):
-            # d(e u) = sum_mu e_mu (b_{mu lam} u) + (-1)^{|e_lam|} e_lam d(u)
-            for mu, b in M.diff_column(lam):
-                prod = b * alg.from_mono(u)
-                for w, c in prod.terms.items():
-                    i = self.index(d - 1, mu, w)
-                    cur = ent.get((i, j), f.zero)
-                    s = f.add(cur, c)
-                    if f.is_zero(s):
-                        ent.pop((i, j), None)
-                    else:
-                        ent[(i, j)] = s
-            du = alg.diff_mono(u)
-            if not du.is_zero():
-                sgn = -1 if M.degrees[lam] % 2 else 1
-                for w, c in du.terms.items():
-                    i = self.index(d - 1, lam, w)
-                    cc = c if sgn > 0 else f.neg(c)
-                    cur = ent.get((i, j), f.zero)
-                    s = f.add(cur, cc)
-                    if f.is_zero(s):
-                        ent.pop((i, j), None)
-                    else:
-                        ent[(i, j)] = s
+        if self.dim(d):
+            src, tgt = self.offsets(d), self.offsets(d - 1)
+            dys: dict[int, SparseMatrix] = {}
+            for lam, deg in enumerate(self.module.degrees):
+                o = src[lam]
+                if src[lam + 1] == o:
+                    continue
+                # d(e y) = sum_mu e_mu (b_{mu lam} y) + (-1)^{|e_lam|} e_lam dy
+                q = d - deg
+                if q not in dys:
+                    dys[q] = Y.diff(q)
+                r = tgt[lam]
+                for (i, j), c in dys[q].entries.items():
+                    ent[(r + i, o + j)] = f.neg(c) if deg % 2 else c
+                for mu, b in self.module.diff_column(lam):
+                    r = tgt[mu]
+                    for u, cu in b.terms.items():
+                        for (i, j), c in Y.action("l", u, q).entries.items():
+                            key = (r + i, o + j)
+                            v = f.add(ent.get(key, f.zero), f.mul(cu, c))
+                            if f.is_zero(v):
+                                ent.pop(key, None)
+                            else:
+                                ent[key] = v
         return SparseMatrix(f, self.dim(d - 1), self.dim(d), ent)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        alg = self.algebra
-        e = alg.mono_degree(mono)
+        e = self.algebra.mono_degree(mono)
         ent = {}
-        for j, (lam, u) in enumerate(self.labels(d)):
-            sgn, w = alg.mono_mul(u, mono)
-            if w is None:
-                continue
-            ent[(self.index(d + e, lam, w), j)] = self.field.from_int(sgn)
+        if self.dim(d):
+            src, tgt = self.offsets(d), self.offsets(d + e)
+            for lam, deg in enumerate(self.module.degrees):
+                o, r = src[lam], tgt[lam]
+                if src[lam + 1] == o:
+                    continue
+                for (i, j), c in self.Y.action("r", mono, d - deg).entries.items():
+                    ent[(r + i, o + j)] = c
         return SparseMatrix(self.field, self.dim(d + e), self.dim(d), ent)
 
+    def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
+        """Coordinates of x (x) y for x in N_p (coordinates of N's own
+        carrier) and y in Y_q: e_lam w (x) y goes to e_lam (x) w y."""
+        if not xvec or not yvec:
+            return {}
+        f = self.field
+        alg = self.algebra
+        ncar = self.module.carrier()
+        offs = self.offsets(p + q)
+        out: dict = {}
+        for k, c in xvec.items():
+            lam, j = ncar.block(p, k)
+            w = alg.monomials(p - self.module.degrees[lam])[j]
+            wy = yvec if alg.mono_is_unit(w) else self.Y.action("l", w, q).mat_vec(yvec)
+            o = offs[lam]
+            vec_axpy(f, out, c, {o + i: cy for i, cy in wy.items()})
+        return out
+
     def gen_vector(self, lam: int) -> tuple[int, dict]:
-        """(degree, unit vector) for generator e_lam."""
+        """(degree, unit vector) for generator e_lam (Y = B)."""
         d = self.module.degrees[lam]
         return d, {self.index(d, lam, self.algebra.unit_mono()): self.field.one}
 
@@ -220,10 +279,10 @@ class ShiftedCarrier(Carrier):
         return m if self.i % 2 == 0 else m.scale(self.field.neg(self.field.one))
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        return self.inner.right_act(mono, d - self.i)
+        return self.inner.action("r", mono, d - self.i)
 
     def left_act(self, mono, d: int) -> SparseMatrix:
-        m = self.inner.left_act(mono, d - self.i)
+        m = self.inner.action("l", mono, d - self.i)
         tw = (self.i * self.algebra.mono_degree(mono)) % 2
         return m if tw == 0 else m.scale(self.field.neg(self.field.one))
 
@@ -320,6 +379,8 @@ class KernelSubCarrier(Carrier):
     def diff(self, d: int) -> SparseMatrix:
         return self._push(d, d - 1, self.parent.diff(d))
 
+    # the kernel's own action memo covers repeats, so the parent's matrices
+    # are built afresh rather than kept twice
     def right_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
         return self._push(d, d + e, self.parent.right_act(mono, d))
@@ -414,8 +475,8 @@ class TensorCarrier(Carrier):
                     if nx == 0 or ny == 0:
                         continue
                     for b in monos:
-                        ra = self.X.right_act(b, p)
-                        la = self.Y.left_act(b, q)
+                        ra = self.X.action("r", b, p)
+                        la = self.Y.action("l", b, q)
                         for i in range(nx):
                             xb = ra.col(i)
                             for j in range(ny):
@@ -494,13 +555,10 @@ class TensorCarrier(Carrier):
         e = self.algebra.mono_degree(mono)
         f = self.field
         cols = []
-        act_cache: dict[int, SparseMatrix] = {}
         for k in range(self.dim(d)):
             p, i, j = self.lift(d, k)
             q = d - p
-            if q not in act_cache:
-                act_cache[q] = self.Y.right_act(mono, q)
-            yv = act_cache[q].col(j)
+            yv = self.Y.action("r", mono, q).col(j)
             cols.append(self.pair_project(p, {i: f.one}, q + e, yv) if yv else {})
         return SparseMatrix.from_cols(f, self.dim(d + e), cols)
 
@@ -508,13 +566,10 @@ class TensorCarrier(Carrier):
         e = self.algebra.mono_degree(mono)
         f = self.field
         cols = []
-        act_cache: dict[int, SparseMatrix] = {}
         for k in range(self.dim(d)):
             p, i, j = self.lift(d, k)
             q = d - p
-            if p not in act_cache:
-                act_cache[p] = self.X.left_act(mono, p)
-            xv = act_cache[p].col(i)
+            xv = self.X.action("l", mono, p).col(i)
             cols.append(self.pair_project(p + e, xv, q, {j: f.one}) if xv else {})
         return SparseMatrix.from_cols(f, self.dim(d + e), cols)
 

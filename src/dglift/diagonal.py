@@ -8,12 +8,13 @@ carries the sign (-1)^{|b1'||b2|} on (b1 (x) b2)(b1' (x) b2').
 J is the degreewise kernel of the multiplication map pi; tensor powers of its
 shift are built as explicit relation-quotients (never through a chosen left
 basis of J), and the truncated tensor algebra keeps one carrier per tensor
-degree up to the configured cap.
+degree up to the configured cap.  For a semifree module N, N (x)_B T^n needs
+no quotient: it is one copy of T^n per generator of N.
 """
 
 from __future__ import annotations
 
-from .carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, ShiftedCarrier,
+from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrier,
                        SparseMatrix, TensorCarrier)
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, vec_axpy
@@ -193,7 +194,7 @@ class Diagonal:
         self.env = EnvelopingCarrier(algebra)
         self.J = KernelSubCarrier(self.env, self.env.pi_matrix, name="J")
         self.SJ = ShiftedCarrier(self.J, 1)
-        self.B = AlgebraCarrier(algebra)
+        self.B = algebra.carrier()
         self._T: dict[int, Carrier] = {0: self.B, 1: self.SJ}
         self._NT: dict[tuple, Carrier] = {}
         self._delta_cache: dict = {}
@@ -227,20 +228,19 @@ class Diagonal:
             out: dict = {}
             monos = self.algebra.monomials(tdeg)
             for j, c in tvec.items():
-                img = self.SJ.right_act(monos[j], jdeg).mat_vec(jvec)
+                img = self.SJ.action("r", monos[j], jdeg).mat_vec(jvec)
                 vec_axpy(f, out, c, img)
             return out
         return self.T(n2 + 1).pair_project(jdeg, jvec, tdeg, tvec)
 
-    def NT(self, module, n: int) -> Carrier:
-        """N (x)_B T^n."""
+    def NT(self, module, n: int) -> SemifreeCarrier:
+        """N (x)_B T^n in closed form, one block of T^n per generator of N;
+        for n = 0 it is N's own carrier."""
+        if n == 0:
+            return module.carrier()
         key = (module, n)
         if key not in self._NT:
-            car = module.carrier()
-            if n == 0:
-                self._NT[key] = TensorCarrier(car, self.B)
-            else:
-                self._NT[key] = TensorCarrier(car, self.T(n))
+            self._NT[key] = SemifreeCarrier(module, self.T(n))
         return self._NT[key]
 
     def NT_A(self, module, n: int) -> Carrier:

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .carriers import Carrier, SemifreeCarrier
+from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
 from .modules import ChainMap, SemifreeModule
+
+
+def _is_module_carrier(car: Carrier) -> bool:
+    """Whether car is a semifree module's own carrier, labelled
+    (generator, monomial); N (x)_B T^n carriers are semifree but are not."""
+    return isinstance(car, SemifreeCarrier) and isinstance(car.Y, AlgebraCarrier)
 
 
 def _as_carrier(target) -> Carrier:
@@ -156,7 +162,7 @@ def chain_map_to_carrier(cm: ChainMap) -> CarrierMap:
 def carrier_map_to_chain(cmap: CarrierMap) -> ChainMap:
     """Back to a matrix over B when the target is a semifree carrier."""
     tgt = cmap.target
-    if not isinstance(tgt, SemifreeCarrier):
+    if not _is_module_carrier(tgt):
         raise DimensionMismatch("target is not a semifree module carrier")
     src = cmap.source
     alg = src.algebra
@@ -225,7 +231,7 @@ class HomSpace:
         if not self._strict:
             return None
         tgt = self.target
-        if not isinstance(tgt, SemifreeCarrier) or tgt.module is not self.source:
+        if not _is_module_carrier(tgt) or tgt.module is not self.source:
             raise DimensionMismatch("strict triangular masking needs the identity target")
         allowed = set()
         for lam in range(self.source.n_gens):
@@ -260,7 +266,7 @@ class HomSpace:
             for mu, b in src.diff_column(lam):
                 offm, dm, nm = self.layout.block(mu)
                 for u, cu in b.terms.items():
-                    act = tgt.right_act(u, dm)
+                    act = tgt.action("r", u, dm)
                     for (i, j), c in act.entries.items():
                         key = (ro + i, offm + j)
                         v = f.add(ent.get(key, f.zero), f.neg(f.mul(cu, c)))
@@ -298,7 +304,7 @@ class HomSpace:
             for mu, b in src.diff_column(lam):
                 hoffm, hdm, _ = self.h_layout.block(mu)
                 for u, cu in b.terms.items():
-                    act = tgt.right_act(u, hdm)
+                    act = tgt.action("r", u, hdm)
                     for (i, j), c in act.entries.items():
                         key = (foff + i, hoffm + j)
                         v = f.add(ent.get(key, f.zero), f.mul(cu, c))

@@ -15,7 +15,7 @@ decreasing generator chains must equal the iterated composition.
 
 from __future__ import annotations
 
-from .carriers import Carrier, TensorCarrier
+from .carriers import Carrier, SemifreeCarrier
 from .diagonal import Diagonal
 from .errors import CapExceeded, DimensionMismatch
 from .homotopy import CarrierMap, HomSpace, HomotopyWitness, hom_k_dim
@@ -101,29 +101,17 @@ class ObstructionTower:
     def _build_component(self, i: int) -> DegreewiseMap:
         diag = self.diag
         N = self.N
-        alg = N.algebra
-        f = alg.field
+        f = N.algebra.field
         src = diag.NT(N, i)
         tgt = diag.NT(N, i + 1)
         ncar = N.carrier()
-        Ti = diag.T(i)
 
         def column(d: int, k: int) -> dict:
-            p, ix, j = src.lift(d, k)
-            lam, w = ncar.labels(p)[ix]
-            q = d - p
+            # basis vector k is e_lam (x) t; insert delta of each entry of d(e_lam)
+            lam, j = src.block(d, k)
+            tq = d - N.degrees[lam]
+            tv = {j: f.one}
             out: dict = {}
-            if not N.diff_column(lam):
-                return out
-            # move w across the tensor, then insert delta of each entry
-            if alg.mono_is_unit(w):
-                tv = {j: f.one}
-                tq = q
-            else:
-                tv = Ti.left_act(w, q).col(j)
-                tq = q + alg.mono_degree(w)
-            if not tv:
-                return out
             for mu, b in N.diff_column(lam):
                 bd, dvec = diag.delta(b)
                 if not dvec:
@@ -168,9 +156,8 @@ class EnvelopingRouteTower:
 
     def _carriers(self):
         if self._NBe is None:
-            ncar = self.N.carrier()
-            self._NBe = TensorCarrier(ncar, self.diag.env)
-            self._NJ = TensorCarrier(ncar, self.diag.J)
+            self._NBe = SemifreeCarrier(self.N, self.diag.env)
+            self._NJ = SemifreeCarrier(self.N, self.diag.J)
         return self._NBe, self._NJ
 
     def core_matrix(self, d: int) -> SparseMatrix:
@@ -186,7 +173,8 @@ class EnvelopingRouteTower:
         NBe, NJ = self._carriers()
 
         def rho_col(k):
-            lam, w = ncar.labels(d)[k]
+            lam, j = ncar.block(d, k)
+            w = alg.monomials(d - N.degrees[lam])[j]
             dw, vec = env.pair_vector(alg.unit_mono(), w)
             pl, uv = ncar.gen_vector(lam)
             return NBe.pair_project(pl, uv, dw, vec)
@@ -195,22 +183,15 @@ class EnvelopingRouteTower:
         dmat = NBe.diff(d)
 
         def sigma_col(k):
-            # rep ((lam, w), (u, m)) represents e_lam w (x) (u (x) m)
-            p, ix, j = NBe.lift(d - 1, k)
-            lam, w = ncar.labels(p)[ix]
-            u, m = env.labels(d - 1 - p)[j]
-            s1, wu = alg.mono_mul(w, u)
-            if wu is None:
-                return {}
-            bd = alg.mono_degree(wu) + alg.mono_degree(m)
-            _, v1 = env.pair_vector(wu, m, f.from_int(s1))
-            s2, prod = alg.mono_mul(wu, m)
-            out = dict(v1)
+            # basis vector k is e_lam (x) (u (x) m); subtract 1 (x) um
+            lam, j = NBe.block(d - 1, k)
+            bd = d - 1 - N.degrees[lam]
+            u, m = env.labels(bd)[j]
+            out = {j: f.one}
+            s2, prod = alg.mono_mul(u, m)
             if prod is not None:
                 _, v2 = env.pair_vector(alg.unit_mono(), prod, f.from_int(-s2))
                 vec_axpy(f, out, f.one, v2)
-            if not out:
-                return {}
             jvec = J.coords(bd, out)
             pl, uv = ncar.gen_vector(lam)
             return NJ.pair_project(pl, uv, bd, jvec)
@@ -229,30 +210,29 @@ class EnvelopingRouteTower:
     def _build_component(self, i: int) -> DegreewiseMap:
         diag = self.diag
         N = self.N
-        alg = N.algebra
-        f = alg.field
+        f = N.algebra.field
         src = diag.NT(N, i)
         tgt = diag.NT(N, i + 1)
         ncar = N.carrier()
         NBe, NJ = self._carriers()
 
         def column(d: int, k: int) -> dict:
-            p, ix, j = src.lift(d, k)
-            core = self.core_matrix(p)
-            val = core.col(ix)
+            # basis vector k is e_lam (x) t: apply the core to e_lam
+            lam, j = src.block(d, k)
+            p, gvec = ncar.gen_vector(lam)
+            val = self.core_matrix(p).mat_vec(gvec)
             out: dict = {}
-            if not val:
-                return out
             # reinterpret the J slot as its shift and prepend to the T^i part
             for nj, c in val.items():
-                pp, mx, jj = NJ.lift(p - 1, nj)
+                mu, jj = NJ.block(p - 1, nj)
+                pp, uvec = ncar.gen_vector(mu)
                 # sign of moving the suspension past the module part
                 sgn = f.neg(c) if pp % 2 else c
                 r = p - 1 - pp
                 mid = diag.t_prepend(r + 1, {jj: f.one}, i, d - p, {j: f.one})
                 if not mid:
                     continue
-                res = tgt.pair_project(pp, {mx: f.one}, r + 1 + d - p, mid)
+                res = tgt.pair_project(pp, uvec, r + 1 + d - p, mid)
                 vec_axpy(f, out, sgn, res)
             return out
 
@@ -271,18 +251,11 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     """Closed-form l-fold obstruction power N -> N (x) T^l: the sum over
     strictly decreasing generator chains of the tensor of derivation values,
     signed by the suspension cost of every intermediate generator."""
-    alg = N.algebra
-    f = alg.field
-    if ell == 0:
-        tgt = diag.NT(N, 0)
-        ncar = N.carrier()
-        cols = {}
-        for lam in range(N.n_gens):
-            p, uv = ncar.gen_vector(lam)
-            cols[lam] = tgt.pair_project(p, uv, 0, {alg.mono_index(0, alg.unit_mono()): f.one})
-        return CarrierMap(N, tgt, 0, cols)
-    tgt = diag.NT(N, ell)
+    f = N.algebra.field
     ncar = N.carrier()
+    if ell == 0:
+        return CarrierMap(N, ncar, 0, {lam: ncar.gen_vector(lam)[1] for lam in range(N.n_gens)})
+    tgt = diag.NT(N, ell)
     cols: dict = {}
 
     def chains(lam: int):
@@ -428,60 +401,42 @@ def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int,
 # ----- functoriality and basis change ---------------------------------------
 
 
-def chain_map_operator(cm: ChainMap) -> DegreewiseMap:
-    """A shift-0 chain map between semifree modules as a degreewise operator
-    on their graded-piece carriers."""
-    if cm.shift != 0:
-        raise DimensionMismatch("operator form needs a shift-0 chain map")
-    src = cm.source.carrier()
-    tgt = cm.target.carrier()
-    alg = cm.source.algebra
-    f = alg.field
-
-    def column(d: int, k: int) -> dict:
-        lam, u = src.labels(d)[k]
-        out: dict = {}
-        for (mu, l2), el in cm.entries.items():
-            if l2 != lam:
-                continue
-            img = el * alg.from_mono(u)
-            for v, c in img.terms.items():
-                idx = tgt.index(d, mu, v)
-                s = f.add(out.get(idx, f.zero), c)
-                if f.is_zero(s):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        return out
-
-    return DegreewiseMap(src, tgt, column, name="chain-map", validate=False)
-
-
-def map_tensor_id(fmap: ChainMap, diag: Diagonal, n: int) -> DegreewiseMap:
-    """f (x) id_{T^n} as a degreewise operator N (x) T^n -> N' (x) T^n."""
-    src = diag.NT(fmap.source, n)
-    tgt = diag.NT(fmap.target, n)
-    ncar = fmap.source.carrier()
+def _tensor_id(fmap: ChainMap, src: SemifreeCarrier, tgt: SemifreeCarrier,
+               name: str) -> DegreewiseMap:
+    """f (x) id_Y between closed-form carriers N (x) Y -> N' (x) Y:
+    e_lam (x) y goes to the sum over mu of e_mu f_{mu lam} (x) y."""
     tcar = fmap.target.carrier()
     alg = fmap.source.algebra
     f = alg.field
 
     def column(d: int, k: int) -> dict:
-        p, ix, j = src.lift(d, k)
-        lam, w = ncar.labels(p)[ix]
+        lam, j = src.block(d, k)
+        q = d - fmap.source.degrees[lam]
         out: dict = {}
         for (mu, l2), el in fmap.entries.items():
             if l2 != lam:
                 continue
-            img = el * alg.from_mono(w)
-            for v, c in img.terms.items():
-                pv = tcar.module.degrees[mu] + alg.mono_degree(v)
-                idx = tcar.index(pv, mu, v)
-                res = tgt.pair_project(pv, {idx: f.one}, d - p, {j: f.one})
+            for v, c in el.terms.items():
+                pv = fmap.target.degrees[mu] + alg.mono_degree(v)
+                res = tgt.pair_project(pv, {tcar.index(pv, mu, v): f.one}, q, {j: f.one})
                 vec_axpy(f, out, c, res)
         return out
 
-    return DegreewiseMap(src, tgt, column, name=f"f(x)id[{n}]", validate=False)
+    return DegreewiseMap(src, tgt, column, name=name, validate=False)
+
+
+def chain_map_operator(cm: ChainMap) -> DegreewiseMap:
+    """A shift-0 chain map between semifree modules as a degreewise operator
+    on their graded-piece carriers."""
+    if cm.shift != 0:
+        raise DimensionMismatch("operator form needs a shift-0 chain map")
+    return _tensor_id(cm, cm.source.carrier(), cm.target.carrier(), "chain-map")
+
+
+def map_tensor_id(fmap: ChainMap, diag: Diagonal, n: int) -> DegreewiseMap:
+    """f (x) id_{T^n} as a degreewise operator N (x) T^n -> N' (x) T^n."""
+    return _tensor_id(fmap, diag.NT(fmap.source, n), diag.NT(fmap.target, n),
+                      f"f(x)id[{n}]")
 
 
 def functoriality_defect_is_null(N, Nprime, fmap: ChainMap, diag: Diagonal) -> bool:

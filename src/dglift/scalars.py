@@ -109,7 +109,13 @@ class Rationals:
 
 
 class PrimeField:
-    """F_p for a prime p; values are ints reduced mod p."""
+    """F_p for a prime p.
+
+    Invariant: a value is an int in [0, p).  Values enter only through
+    from_int and from_fraction, which reduce, and every operation returns a
+    reduced value; so is_zero is a plain comparison, and add, sub and neg
+    need at most one correction by p instead of a division.
+    """
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -126,27 +132,29 @@ class PrimeField:
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def add(self, a, b):
-        return (a + b) % self.p
+        s = a + b
+        return s - self.p if s >= self.p else s
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        s = a - b
+        return s + self.p if s < 0 else s
 
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
-        return (-a) % self.p
+        return self.p - a if a else 0
 
     def inv(self, a):
-        if a % self.p == 0:
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        return a % self.p == 0
+        return a == 0
 
     @staticmethod
     def cost(a):

@@ -1,5 +1,6 @@
 """The rational backend against plain Fraction arithmetic, and its canonical
-representation: a value is an int when integral and a Fraction otherwise."""
+representation: a value is an int when integral and a Fraction otherwise.
+The prime-field backend against the `% p` definitions, on canonical residues."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dglift.linalg import Echelon
-from dglift.scalars import RATIONALS
+from dglift.scalars import DEFAULT_PRIME, RATIONALS, PrimeField
 
 Q = RATIONALS
 
@@ -106,3 +107,67 @@ def test_echelon_same_from_int_and_fraction_rows(data):
         for row in ech.rows + ech.kernel_basis():
             for c in row.values():
                 assert_canonical(c)
+
+
+# ----- F_p: values are canonical residues in [0, p) ----------------------------
+
+FIELDS = [PrimeField(p) for p in (2, 3, 101, DEFAULT_PRIME)]
+
+
+@st.composite
+def residues(draw, nonzero_only=False):
+    """(field, a, b) with a, b canonical residues; edge values drawn often."""
+    F = draw(st.sampled_from(FIELDS))
+    lo = 1 if nonzero_only else 0
+    res = st.one_of(st.integers(lo, F.p - 1),
+                    st.sampled_from(sorted({lo, 1, F.p - 1, F.p // 2})))
+    return F, draw(res), draw(res)
+
+
+def assert_residue(F, x):
+    assert type(x) is int and 0 <= x < F.p, (F, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residues())
+def test_prime_field_operations_match_mod_p(case):
+    F, a, b = case
+    p = F.p
+    for got, want in ((F.add(a, b), (a + b) % p), (F.sub(a, b), (a - b) % p),
+                      (F.mul(a, b), (a * b) % p), (F.neg(a), (-a) % p)):
+        assert got == want
+        assert_residue(F, got)
+    assert F.is_zero(a) == (a % p == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residues(nonzero_only=True))
+def test_prime_field_inverse_and_division_match_mod_p(case):
+    F, a, b = case
+    p = F.p
+    assert F.inv(a) == pow(a, p - 2, p)
+    assert F.mul(a, F.inv(a)) == 1
+    assert F.div(b, a) == b * pow(a, p - 2, p) % p
+    for x in (F.inv(a), F.div(b, a)):
+        assert_residue(F, x)
+
+
+@given(st.sampled_from(FIELDS), st.integers(-10**12, 10**12),
+       st.integers(-10**12, 10**12))
+def test_prime_field_constructors_reduce(F, n, d):
+    assert F.from_int(n) == n % F.p
+    assert_residue(F, F.from_int(n))
+    if d % F.p:
+        got = F.from_fraction(n, d)
+        assert_residue(F, got)
+        assert got * (d % F.p) % F.p == n % F.p
+
+
+def test_prime_field_zero_raises():
+    for F in FIELDS:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            F.div(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            F.from_fraction(1, F.p)
