@@ -172,9 +172,10 @@ class EnvelopingRouteTower:
         J = self.diag.J
         NBe, NJ = self._carriers()
 
+        labels = ncar.labels(d)
+
         def rho_col(k):
-            lam, j = ncar.block(d, k)
-            w = alg.monomials(d - N.degrees[lam])[j]
+            lam, w = labels[k]
             dw, vec = env.pair_vector(alg.unit_mono(), w)
             pl, uv = ncar.gen_vector(lam)
             return NBe.pair_project(pl, uv, dw, vec)
