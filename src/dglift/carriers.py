@@ -1,13 +1,14 @@
 """Degreewise carriers: DG modules presented by exact per-degree k-data.
 
 A carrier exposes, for each DG degree within the configured cap, an ordered
-k-basis, the differential as a sparse matrix, and (where the structure has
-them) matrices for the left and right actions of algebra monomials, each
-built once per (side, monomial, degree).  A tensor product N (x)_B Y with N
-semifree is written down in closed form, one copy of Y per generator of N.
-Every other tensor product (over B with a non-free left factor, as in the
-tensor powers of the diagonal ideal, or over the subalgebra A) is an
-explicit relation-quotient of the degreewise k-tensor space.  A shifted
+k-basis, the differential as a sparse matrix, built once per degree, and
+(where the structure has them) matrices for the left and right actions of
+algebra monomials, each built once per (side, monomial, degree).  A tensor
+product N (x)_B Y with N semifree is written down in closed form, one copy
+of Y per generator of N.  Every other tensor product (over B with a non-free
+left factor, as in the tensor powers of the diagonal ideal, or over the
+subalgebra A) is an explicit relation-quotient of the degreewise k-tensor
+space.  A shifted
 carrier negates the differential per shift step and twists the left action
 by (-1)^{i|b|}, which is the whole sign content of suspension.
 """
@@ -15,9 +16,26 @@ by (-1)^{i|b|}, which is the whole sign content of suspension.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import wraps
 
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
+
+
+def per_degree(build):
+    """Memoize a carrier's per-degree matrix: build(self, d) runs on the first
+    call for d, and later calls share its result, as Carrier.action does for
+    action matrices.  The decorated method keeps its name in the class body."""
+    name = build.__name__
+
+    @wraps(build)
+    def memo(self, d: int):
+        key = (name, d)
+        m = self._per_degree.get(key)
+        if m is None:
+            m = self._per_degree[key] = build(self, d)
+        return m
+    return memo
 
 
 class Carrier:
@@ -29,6 +47,7 @@ class Carrier:
         self.field = algebra.field
         self.config = algebra.config
         self._actions: dict[tuple, SparseMatrix] = {}
+        self._per_degree: dict[tuple, SparseMatrix] = {}
 
     def check_cap(self, d: int):
         if abs(d) > self.config.max_degree:
@@ -98,6 +117,7 @@ class AlgebraCarrier(Carrier):
     def labels(self, d: int):
         return self.algebra.monomials(d)
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         alg = self.algebra
         ent = {}
@@ -184,23 +204,21 @@ class SemifreeCarrier(Carrier):
         return (self.offsets(d)[lam]
                 + self.algebra.mono_index(d - self.module.degrees[lam], mono))
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         f = self.field
         Y = self.Y
         ent: dict = {}
         if self.dim(d):
             src, tgt = self.offsets(d), self.offsets(d - 1)
-            dys: dict[int, SparseMatrix] = {}
             for lam, deg in enumerate(self.module.degrees):
                 o = src[lam]
                 if src[lam + 1] == o:
                     continue
                 # d(e y) = sum_mu e_mu (b_{mu lam} y) + (-1)^{|e_lam|} e_lam dy
                 q = d - deg
-                if q not in dys:
-                    dys[q] = Y.diff(q)
                 r = tgt[lam]
-                for (i, j), c in dys[q].entries.items():
+                for (i, j), c in Y.diff(q).entries.items():
                     ent[(r + i, o + j)] = f.neg(c) if deg % 2 else c
                 for mu, b in self.module.diff_column(lam):
                     r = tgt[mu]
@@ -274,6 +292,7 @@ class ShiftedCarrier(Carrier):
     def labels(self, d: int):
         return self.inner.labels(d - self.i)
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         m = self.inner.diff(d - self.i)
         return m if self.i % 2 == 0 else m.scale(self.field.neg(self.field.one))
@@ -376,6 +395,7 @@ class KernelSubCarrier(Carrier):
             cols.append(self.coords(out_deg, img))
         return SparseMatrix.from_cols(self.field, self.dim(out_deg), cols)
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         return self._push(d, d - 1, self.parent.diff(d))
 
@@ -528,23 +548,18 @@ class TensorCarrier(Carrier):
         self._echelon_at(d)
         return self.project_free(d, self._embed(d, p, xvec, yvec))
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         f = self.field
         cols = []
-        dx_cache: dict[int, SparseMatrix] = {}
-        dy_cache: dict[int, SparseMatrix] = {}
         for k in range(self.dim(d)):
             p, i, j = self.lift(d, k)
             q = d - p
-            if p not in dx_cache:
-                dx_cache[p] = self.X.diff(p)
-            if q not in dy_cache:
-                dy_cache[q] = self.Y.diff(q)
             out: dict = {}
-            xv = dx_cache[p].col(i)
+            xv = self.X.diff(p).col(i)
             if xv:
                 vec_axpy(f, out, f.one, self._embed(d - 1, p - 1, xv, {j: f.one}))
-            yv = dy_cache[q].col(j)
+            yv = self.Y.diff(q).col(j)
             if yv:
                 sgn = f.neg(f.one) if p % 2 else f.one
                 vec_axpy(f, out, sgn, self._embed(d - 1, p, {i: f.one}, yv))

@@ -30,7 +30,7 @@ from .algebra import BaseRing, DGAlgebra, build_algebra, parse_element
 from .config import EngineConfig
 from .diagonal import Diagonal
 from .errors import DGLiftError
-from .homotopy import hom_k_dim
+from .homotopy import HomSpace
 from .liftcheck import appendix_battery, naive_lift_battery
 from .modules import SemifreeModule
 from .obstruction import (EnvelopingRouteTower, ObstructionTower, gamma_dim,
@@ -348,8 +348,6 @@ def cmd_hom(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         raise DGLiftError(f"no module named {tname!r}")
     target = inst.modules[tname]
     s = args.shift
-    dim = hom_k_dim(M, target, s)
-    from .homotopy import HomSpace
     hs = HomSpace(M, target, s)
     report = {
         "command": "hom",
@@ -360,7 +358,7 @@ def cmd_hom(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         "shift": s,
         "cycles": hs.cycle_dim,
         "boundaries": hs.boundary_dim,
-        "dim": dim,
+        "dim": hs.dim_K,
     }
     return report, True
 
@@ -396,7 +394,7 @@ def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         "instance": inst.path,
         "backend": config.field.name,
         "module": name,
-        "end_dim": hom_k_dim(M, M, 0),
+        "end_dim": diag.hom(M, M).dim_K,
         "dims": dims,
     }
     return report, True

@@ -15,8 +15,9 @@ no quotient: it is one copy of T^n per generator of N.
 from __future__ import annotations
 
 from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrier,
-                       SparseMatrix, TensorCarrier)
+                       SparseMatrix, TensorCarrier, per_degree)
 from .errors import CapExceeded, DimensionMismatch
+from .homotopy import HomSpace, _as_carrier
 from .linalg import Echelon, vec_axpy
 
 
@@ -122,6 +123,7 @@ class EnvelopingCarrier(Carrier):
                 vec_axpy(f, out, f.one, vec)
         return out
 
+    @per_degree
     def diff(self, d: int) -> SparseMatrix:
         alg = self.algebra
         f = self.field
@@ -185,7 +187,15 @@ class EnvelopingCarrier(Carrier):
 
 class Diagonal:
     """The enveloping algebra, diagonal ideal J, and tensor algebra T of
-    its shift, truncated in tensor degree at the configured cap."""
+    its shift, truncated in tensor degree at the configured cap.
+
+    It also owns the Hom-space memo: hom(N, Y, s) builds each space of maps
+    N -> Sigma^s Y once and shares it with every later query in its scope.
+    The memo lives here rather than on the module because a module and its
+    carrier refer to each other: a module-held memo would keep every
+    N (x) T^n carrier and its T^n alive until a full garbage collection,
+    while nothing refers back to a Diagonal, so its memo is freed with it.
+    """
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -197,6 +207,7 @@ class Diagonal:
         self.B = algebra.carrier()
         self._T: dict[int, Carrier] = {0: self.B, 1: self.SJ}
         self._NT: dict[tuple, Carrier] = {}
+        self._hom: dict[tuple, HomSpace] = {}
         self._delta_cache: dict = {}
 
     # ----- tensor algebra carriers -----
@@ -242,6 +253,16 @@ class Diagonal:
         if key not in self._NT:
             self._NT[key] = SemifreeCarrier(module, self.T(n))
         return self._NT[key]
+
+    def hom(self, module, target, shift: int = 0) -> HomSpace:
+        """The space of maps module -> Sigma^shift target up to homotopy, one
+        per (module, target carrier, shift), built lazily; a module target
+        stands for its own carrier."""
+        key = (module, _as_carrier(target), shift)
+        hs = self._hom.get(key)
+        if hs is None:
+            hs = self._hom[key] = HomSpace(*key)
+        return hs
 
     def NT_A(self, module, n: int) -> Carrier:
         """N (x)_A T^n (relations over the prefix subalgebra only)."""

@@ -189,7 +189,7 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal,
     if G is None or pi is None:
         G, pi = base_change(N)
     hsG = HomSpace(N, G, 0)
-    end = HomSpace(N, N, 0)
+    end = diag.hom(N, N)
     pi_op = chain_map_operator(pi)
     f = N.algebra.field
     ech = Echelon(f, end.dim_K)
@@ -213,7 +213,7 @@ def kernel_sequence_check(N: SemifreeModule, diag: Diagonal, L: int | None = Non
     maps are bijective."""
     L = L if L is not None else diag.config.max_tensor
     via_fact, via_ker, identity_ok = p_ideal_dims(N, diag)
-    end_dim = hom_k_dim(N, N, 0)
+    end_dim = diag.hom(N, N).dim_K
     gamma0 = gamma_dim(N, diag, 0)
     mat0, s0, t0 = omega_action_matrix(N, diag, 0, 0)
     surj0 = mat0.rank() == t0
@@ -303,8 +303,7 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
     nil_power = None
     for ell in range(1, L_bound + 1):
         chi = chi_power(N, diag, ell)
-        hs = HomSpace(N, chi.target, 0)
-        if hs.null_homotopy(chi) is not None:
+        if diag.hom(N, chi.target).null_homotopy(chi) is not None:
             nil_power = ell
             break
     report.verdicts["iii"] = nil_power is not None
@@ -313,7 +312,7 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
 
     gammas = {n: gamma_dim(N, diag, n) for n in range(0, L_bound + 1)}
     report.gamma = gammas
-    end_dim = hom_k_dim(N, N, 0)
+    end_dim = diag.hom(N, N).dim_K
     positive_all_zero = all(gammas[n] == 0 for n in range(1, L_bound + 1))
     positive_any_zero = any(gammas[n] == 0 for n in range(1, L_bound + 1))
     report.verdicts["iv"] = positive_all_zero and gammas[0] == end_dim

@@ -245,32 +245,31 @@ class SparseMatrix:
     def _echelon(self) -> Echelon:
         """Forward elimination with small-pivot preference, finished to RREF.
 
-        Pivot rows are chosen by minimal coefficient cost to limit rational
-        coefficient blowup; the final RREF is unique either way.
+        Rows wait in buckets by leading column.  Column by column, the bucket's
+        row of least coefficient cost (the earliest on ties) becomes a pivot
+        row, which limits rational coefficient blowup; the bucket's other rows
+        are reduced and move to the bucket of their new leading column.  No
+        row outside the bucket has an entry in a pivot column, so no other row
+        changes.  The final RREF is unique either way.
         """
         f = self.field
-        rows = [r for r in self.rows() if r]
         ech = Echelon(f, self.ncols)
-        remaining = rows
+        buckets: dict[int, list] = {}
+        for k, r in enumerate(self.rows()):
+            if r:
+                buckets.setdefault(min(r), []).append((k, r))
         for col in range(self.ncols):
-            cand = [r for r in remaining if min(r) == col]
-            if not cand:
+            if not buckets:
+                break
+            cand = buckets.pop(col, None)
+            if cand is None:
                 continue
-            cand.sort(key=lambda r: f.cost(r[col]))
-            best = cand[0]
-            ech.add_row(best)
-            nxt = []
-            for r in remaining:
-                if r is best:
-                    continue
+            cand.sort(key=lambda kr: (f.cost(kr[1][col]), kr[0]))
+            ech.add_row(cand[0][1])
+            for k, r in cand[1:]:
                 red = ech.reduce(r)
                 if red:
-                    nxt.append(red)
-            remaining = nxt
-            if not remaining:
-                break
-        for r in remaining:
-            ech.add_row(r)
+                    buckets.setdefault(min(red), []).append((k, red))
         return ech
 
     def echelon(self) -> Echelon:

@@ -26,6 +26,10 @@ class SemifreeModule:
         if len(set(self.names)) != len(self.names):
             raise NotTriangular("duplicate basis names")
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
+        columns: dict[int, list] = {}
+        for (mu, lam), el in sorted(self.diff.items()):
+            columns.setdefault(lam, []).append((mu, el))
+        self._columns = {lam: tuple(col) for lam, col in columns.items()}
         if _validate:
             self._validate()
         self._carrier = None
@@ -45,8 +49,8 @@ class SemifreeModule:
         return min(self.degrees, default=0)
 
     def diff_column(self, lam: int):
-        """[(mu, coefficient)] for d(e_lam)."""
-        return [(mu, el) for (mu, l), el in sorted(self.diff.items()) if l == lam]
+        """((mu, coefficient), ...) for d(e_lam), by increasing mu."""
+        return self._columns.get(lam, ())
 
     def _validate(self):
         alg = self.algebra

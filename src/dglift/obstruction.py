@@ -18,7 +18,7 @@ from __future__ import annotations
 from .carriers import Carrier, SemifreeCarrier
 from .diagonal import Diagonal
 from .errors import CapExceeded, DimensionMismatch
-from .homotopy import CarrierMap, HomSpace, HomotopyWitness, hom_k_dim
+from .homotopy import CarrierMap, HomotopyWitness
 from .linalg import SparseMatrix, vec_axpy
 from .modules import ChainMap, SemifreeModule
 
@@ -324,8 +324,7 @@ def omega_is_zero(N: SemifreeModule, diag: Diagonal) -> HomotopyWitness | None:
     Decided on the tensor-degree-0 restriction N -> N (x) Sigma J through the
     tensor-degree adjunction."""
     chi1 = chi_power(N, diag, 1)
-    hs = HomSpace(N, chi1.target, 0)
-    return hs.null_homotopy(chi1)
+    return diag.hom(N, chi1.target).null_homotopy(chi1)
 
 
 def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:
@@ -333,7 +332,7 @@ def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:
     homotopy classes N -> N (x) T^n; zero in negative degrees structurally."""
     if n < 0:
         return 0
-    return hom_k_dim(N, diag.NT(N, n), 0)
+    return diag.hom(N, diag.NT(N, n)).dim_K
 
 
 def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int,
@@ -343,8 +342,8 @@ def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int,
 
     Returns (matrix, dim source, dim target)."""
     tower = tower or ObstructionTower(N, diag)
-    S = HomSpace(N, diag.NT(N, n), m)
-    T = HomSpace(N, diag.NT(N, n + 1), m)
+    S = diag.hom(N, diag.NT(N, n), m)
+    T = diag.hom(N, diag.NT(N, n + 1), m)
     comp = tower.component(n)
     cols = []
     for rep in S.class_reps():
@@ -460,8 +459,7 @@ def functoriality_defect_is_null(N, Nprime, fmap: ChainMap, diag: Diagonal) -> b
         vec_axpy(f, acc, f.one, img)
     rhs = CarrierMap(N, tgt, 0, {k: v for k, v in cols.items() if v})
     delta = lhs.sub(rhs)
-    hs = HomSpace(N, tgt, 0)
-    return hs.null_homotopy(delta) is not None
+    return diag.hom(N, tgt).null_homotopy(delta) is not None
 
 
 def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap,

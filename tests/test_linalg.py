@@ -202,6 +202,24 @@ def test_echelon_insertion_order_matches_dense_rref(data):
         assert dense_rank(field, frows + [diff]) == len(want_pivots)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_matrix_echelon_is_the_dense_rref(data):
+    """SparseMatrix.echelon() (rows bucketed by leading column, cheapest pivot
+    row first) stores the oracle's RREF, rows and pivots alike."""
+    field = data.draw(st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)]))
+    ncols = data.draw(st.integers(1, 8))
+    # zeros are likely, so buckets share leading columns and rows move on
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=9))
+    frows = [[field.from_int(c) for c in r] for r in rows]
+    want_rows, want_pivots = dense_echelon(field, frows)
+    ech = mat(field, rows).echelon()
+    assert ech.pivots == want_pivots
+    assert ech.rows == [sparse(field, r) for r in want_rows]
+
+
 def test_echelon_back_substitution_clears_new_pivot_column():
     field = RATIONALS
     ech = Echelon(field, 4)

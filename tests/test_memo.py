@@ -1,0 +1,116 @@
+"""The Hom-space memo on Diagonal and the per-degree differential memo.
+
+A memoized object must be the same object on a repeated query and equal, in
+canonical coordinates, to one built from nothing.  The Hom-space memo lives
+on the Diagonal so that it goes with it: with the garbage collector off,
+dropping the Diagonal after a battery frees it and its tensor carriers.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from dglift.carriers import AlgebraCarrier, KernelSubCarrier, SemifreeCarrier, TensorCarrier
+from dglift.config import EngineConfig
+from dglift.diagonal import Diagonal, EnvelopingCarrier
+from dglift.homotopy import HomSpace
+from dglift.instances import build_corpus
+from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
+from dglift.obstruction import gamma_dim
+from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
+
+CONFIGS = {"Q": EngineConfig(field=RATIONALS),
+           "Fp": EngineConfig(field=PrimeField(DEFAULT_PRIME))}
+BACKENDS = ["Q", "Fp"]
+
+
+def matrix_data(m):
+    return m.nrows, m.ncols, m.entries
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_hom_returns_one_space_per_key(backend):
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    M = inst.modules["two_step"]
+    diag = Diagonal(inst.algebra)
+    end = diag.hom(M, M)
+    assert diag.hom(M, M, 0) is end
+    # a module target stands for its own carrier
+    assert diag.hom(M, M.carrier()) is end
+    assert diag.hom(M, diag.NT(M, 0)) is end
+    assert diag.hom(M, M, 1) is not end
+    assert diag.hom(M, diag.NT(M, 1)) is not end
+    assert diag.hom(M, diag.NT(M, 1)) is diag.hom(M, diag.NT(M, 1), 0)
+    # another Diagonal keeps its own memo
+    assert Diagonal(inst.algebra).hom(M, M) is not end
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_memoized_hom_spaces_equal_fresh_ones(backend):
+    checked = 0
+    for inst in build_corpus(CONFIGS[backend]).values():
+        diag = inst.diag
+        fresh = Diagonal(inst.algebra)
+        for mname, M in inst.modules.items():
+            for n in range(3):
+                gamma_dim(M, diag, n)   # fill the memo through a real query
+                hs = diag.hom(M, diag.NT(M, n))
+                assert diag.hom(M, diag.NT(M, n)) is hs
+                other = HomSpace(M, SemifreeCarrier(M, fresh.T(n)) if n else
+                                 SemifreeCarrier(M), 0)
+                where = (inst.name, mname, n)
+                assert (hs.cycle_dim, hs.boundary_dim, hs.dim_K) == \
+                    (other.cycle_dim, other.boundary_dim, other.dim_K), where
+                assert [r.cols for r in hs.class_reps()] == \
+                    [r.cols for r in other.class_reps()], where
+                checked += 1
+    assert checked >= 50
+
+
+def _carrier_pairs(inst):
+    """(memoized carrier, the same carrier built afresh) for every kind."""
+    alg = inst.algebra
+    diag = inst.diag
+    fresh = Diagonal(alg)
+    pairs = [(alg.carrier(), AlgebraCarrier(alg)),
+             (diag.env, EnvelopingCarrier(alg)),
+             (diag.J, KernelSubCarrier(fresh.env, fresh.env.pi_matrix, name="J")),
+             (diag.SJ, fresh.SJ),
+             (diag.T(2), TensorCarrier(fresh.SJ, fresh.T(1)))]
+    for M in inst.modules.values():
+        pairs.append((M.carrier(), SemifreeCarrier(M)))
+        pairs.append((diag.NT(M, 1), SemifreeCarrier(M, fresh.T(1))))
+    return pairs
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_carrier_diff_is_built_once_and_equals_a_fresh_build(backend):
+    checked = 0
+    for inst in build_corpus(CONFIGS[backend]).values():
+        cap = inst.algebra.config.max_degree
+        for car, new in _carrier_pairs(inst):
+            for d in range(car.min_degree(), cap + 1):
+                m = car.diff(d)
+                assert car.diff(d) is m
+                assert matrix_data(m) == matrix_data(new.diff(d)), (inst.name, type(car), d)
+                checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dropping_the_diagonal_frees_its_memo_without_a_collection(backend):
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    M = inst.modules["two_step"]
+    gc.collect()
+    gc.disable()
+    try:
+        diag = Diagonal(inst.algebra)
+        naive_lift_battery(M, diag)
+        kernel_sequence_check(M, diag)
+        assert diag._hom
+        refs = [weakref.ref(diag), weakref.ref(diag.T(1))]
+        del diag
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -78,6 +78,12 @@ def test_constants_are_ints():
     assert type(Q.one) is int and Q.one == 1
 
 
+def test_units_are_their_own_inverses():
+    for a in (1, -1):
+        assert Q.inv(a) is a
+    assert Q.inv(2) == Fraction(1, 2) and Q.inv(Fraction(-1, 3)) == -3
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Q.inv(0)
