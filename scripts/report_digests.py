@@ -6,9 +6,13 @@
 Covers every CLI command under --json on every tests/data file, on Q and on
 Fp, hashing stdout and stderr; and scripts/run_corpus.py --json with its
 timing field removed, on both backends.  Each line also shows the exit code.
-Two commits produce the same canonical output exactly when this script prints
-the same lines for both, so a diff of its output is the byte-identical gate
-for a change that must not alter results.
+It also hashes the tensor powers of the diagonal that no report shows whole:
+for every corpus algebra, n <= 3 and degree d within the algebra's cap, the
+dimension, the basis labels and the sorted differential entries of
+Diagonal.T(n) in degree d, on both backends.  Two commits produce the same
+canonical output exactly when this script prints the same lines for both, so
+a diff of its output is the byte-identical gate for a change that must not
+alter results.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dglift.cli import COMMANDS, main as cli_main  # noqa: E402
+from dglift.config import EngineConfig  # noqa: E402
+from dglift.instances import build_corpus  # noqa: E402
+from dglift.scalars import field_from_spec  # noqa: E402
 
 BACKENDS = ("Q", "Fp")
 
@@ -52,6 +59,18 @@ def corpus_digest(backend: str) -> tuple[str, int]:
     return sha(json.dumps(report, sort_keys=True, indent=1)), proc.returncode
 
 
+def tensor_digests(backend: str):
+    """(algebra, n, d, digest) for the pieces T(n)_d of every corpus algebra."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        for n in range(4):
+            car = diag.T(n)
+            for d in range(inst.algebra.config.max_degree + 1):
+                diff = [(i, j, str(c)) for (i, j), c in sorted(car.diff(d).entries.items())]
+                piece = repr((car.dim(d), car.labels(d), diff))
+                yield name, n, d, sha(piece)
+
+
 def main() -> int:
     # reports name the instance path, so pass paths relative to the repo root
     os.chdir(ROOT)
@@ -64,6 +83,8 @@ def main() -> int:
                 print(f"{digest}  cli {command} {path} {backend} exit={code}")
         digest, code = corpus_digest(backend)
         print(f"{digest}  run_corpus {backend} exit={code}")
+        for name, n, d, digest in tensor_digests(backend):
+            print(f"{digest}  tensor {name} T{n} d{d} {backend}")
     return 0
 
 

@@ -413,11 +413,19 @@ class KernelSubCarrier(Carrier):
 class TensorCarrier(Carrier):
     """X (x)_R Y as a degreewise relation-quotient, R = B or the prefix A.
 
-    The free space in degree d is spanned by pairs of basis elements; the
-    relation rows are x*b (x) y - x (x) b*y over all non-unit monomials b of
-    the chosen ring (any shift twist lives inside Y.left_act).  Quotient
-    coordinates are the RREF free columns, so every derived basis is
-    canonical.
+    The free space in degree d is the sum over p of the blocks X_p (x) Y_{d-p}.
+    Block p starts at column base[p] (base = self._blocks(d)), and the pair
+    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j.  The relation rows are
+    x*b (x) y - x (x) b*y over all non-unit monomials b of the chosen ring
+    (any shift twist lives inside Y's left action), each written straight
+    into those columns.  Quotient coordinates are the RREF free columns.
+
+    Rows go in by descending p, then descending i and j.  Unless b*y_j = 0,
+    a row's leading column lies in block p, in the stretch of x_i, so a new
+    pivot usually lies left of every stored one, and add_row rarely has to
+    clear its column from stored rows.  The RREF of a row space is unique, so
+    the order changes no pivot, row, quotient basis or matrix, only the cost
+    of the build.
     """
 
     def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
@@ -431,10 +439,10 @@ class TensorCarrier(Carrier):
         self.ring = ring
         self.has_left = X.has_left
         self.has_right = Y.has_right
-        self._free: dict[int, list] = {}
-        self._free_index: dict[int, dict] = {}
+        self._base: dict[int, dict] = {}
         self._ech: dict[int, Echelon] = {}
         self._quot: dict[int, list] = {}
+        self._labels: dict[int, list] = {}
 
     def min_degree(self) -> int:
         return self.X.min_degree() + self.Y.min_degree()
@@ -448,73 +456,83 @@ class TensorCarrier(Carrier):
             monos = tuple(u for u in monos if not alg.mono_is_unit(u))
         return monos
 
-    def free_basis(self, d: int) -> list:
-        if d not in self._free:
+    def _blocks(self, d: int) -> dict:
+        """base: block p of the free space in degree d starts at base[p]; the
+        entry one past the last block is the free dimension."""
+        base = self._base.get(d)
+        if base is None:
             self.check_cap(d)
-            out = []
-            xmin, ymin = self.X.min_degree(), self.Y.min_degree()
-            for p in range(xmin, d - ymin + 1):
-                nx = self.X.dim(p)
-                ny = self.Y.dim(d - p)
-                for i in range(nx):
-                    for j in range(ny):
-                        out.append((p, i, j))
-            self._free[d] = out
-            self._free_index[d] = {t: k for k, t in enumerate(out)}
-        return self._free[d]
+            X, Y = self.X, self.Y
+            top = d - Y.min_degree()
+            base = {}
+            k = 0
+            for p in range(X.min_degree(), top + 1):
+                base[p] = k
+                k += X.dim(p) * Y.dim(d - p)
+            base[top + 1] = k
+            self._base[d] = base
+        return base
 
     def _embed(self, d: int, p: int, xvec: dict, yvec: dict) -> dict:
         """Outer product into free coordinates at total degree d."""
         f = self.field
-        self.free_basis(d)
-        idx = self._free_index[d]
+        o = self._blocks(d)[p]
+        ny = self.Y.dim(d - p)
         out: dict = {}
         for i, ci in xvec.items():
-            for j, cj in yvec.items():
-                k = idx[(p, i, j)]
-                s = f.add(out.get(k, f.zero), f.mul(ci, cj))
-                if f.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            r = o + i * ny
+            for j, c in f.scale(ci, yvec).items():
+                out[r + j] = c
         return out
 
     def _echelon_at(self, d: int) -> Echelon:
-        if d not in self._ech:
-            free = self.free_basis(d)
-            ech = Echelon(self.field, len(free))
-            xmin, ymin = self.X.min_degree(), self.Y.min_degree()
-            f = self.field
-            for e in range(0, d - xmin - ymin + 1):
-                monos = self._ring_monomials(e)
-                if not monos:
+        ech = self._ech.get(d)
+        if ech is None:
+            base = self._blocks(d)
+            X, Y, f = self.X, self.Y, self.field
+            xmin, top = X.min_degree(), d - Y.min_degree()
+            ech = Echelon(f, base[top + 1])
+            minus = f.neg(f.one)
+            for p in range(top, xmin - 1, -1):
+                nx = X.dim(p)
+                if nx == 0:
                     continue
-                for p in range(xmin, d - e - ymin + 1):
+                o, wy = base[p], Y.dim(d - p)
+                for e in range(top - p + 1):
                     q = d - e - p
-                    nx, ny = self.X.dim(p), self.Y.dim(q)
-                    if nx == 0 or ny == 0:
+                    ny = Y.dim(q)
+                    if ny == 0:
                         continue
-                    for b in monos:
-                        ra = self.X.action("r", b, p)
-                        la = self.Y.action("l", b, q)
-                        for i in range(nx):
-                            xb = ra.col(i)
-                            for j in range(ny):
-                                by = la.col(j)
-                                row = self._embed(d, p + e, xb, {j: f.one})
-                                neg = self._embed(d, p, {i: f.one}, by)
-                                for k, c in neg.items():
-                                    s = f.sub(row.get(k, f.zero), c)
-                                    if f.is_zero(s):
-                                        row.pop(k, None)
-                                    else:
-                                        row[k] = s
+                    oe = base[p + e]
+                    for b in self._ring_monomials(e):
+                        # x_i b (x) y_j - x_i (x) b y_j, both halves read off
+                        # the action matrices' columns
+                        xb = X.action("r", b, p).cols()
+                        by = [f.scale(minus, c) for c in Y.action("l", b, q).cols()]
+                        for i in range(nx - 1, -1, -1):
+                            up = [(oe + i2 * ny, c) for i2, c in xb[i].items()]
+                            lo = o + i * wy
+                            for j in range(ny - 1, -1, -1):
+                                row = {r + j: c for r, c in up}
+                                low = {lo + j2: c for j2, c in by[j].items()}
+                                if e:
+                                    row.update(low)
+                                else:
+                                    # a degree-0 b: both halves in block p
+                                    f.axpy(row, f.one, low)
                                 if row:
                                     ech.add_row(row)
             self._ech[d] = ech
-            free_cols = ech.free_columns()
-            self._quot[d] = free_cols
-        return self._ech[d]
+            quot = ech.free_columns()
+            labels = []
+            for p in range(xmin, top + 1):
+                o = base[p]
+                ny = Y.dim(d - p)
+                for k in quot[bisect_left(quot, o):bisect_left(quot, base[p + 1])]:
+                    labels.append((p, *divmod(k - o, ny)))
+            self._quot[d] = quot
+            self._labels[d] = labels
+        return ech
 
     def dim(self, d: int) -> int:
         if d < self.min_degree():
@@ -524,13 +542,12 @@ class TensorCarrier(Carrier):
 
     def labels(self, d: int):
         self._echelon_at(d)
-        free = self.free_basis(d)
-        return [free[k] for k in self._quot[d]]
+        return list(self._labels[d])
 
     def lift(self, d: int, k: int):
         """Representative (p, i, j) of the k-th quotient basis vector."""
         self._echelon_at(d)
-        return self.free_basis(d)[self._quot[d][k]]
+        return self._labels[d][k]
 
     def project_free(self, d: int, free_vec: dict) -> dict:
         """Quotient coordinates of a free-space vector."""

@@ -19,6 +19,7 @@ from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrie
 from .errors import CapExceeded, DimensionMismatch
 from .homotopy import HomSpace, _as_carrier
 from .linalg import Echelon, vec_axpy
+from .modules import base_change
 
 
 class EnvelopingCarrier(Carrier):
@@ -190,11 +191,13 @@ class Diagonal:
     its shift, truncated in tensor degree at the configured cap.
 
     It also owns the Hom-space memo: hom(N, Y, s) builds each space of maps
-    N -> Sigma^s Y once and shares it with every later query in its scope.
-    The memo lives here rather than on the module because a module and its
+    N -> Sigma^s Y once and shares it with every later query in its scope;
+    base_change(N) likewise builds the induced module G and its counit once,
+    so the splitting search and the factorization ideal share Hom(N, G).
+    The memos live here rather than on the module because a module and its
     carrier refer to each other: a module-held memo would keep every
     N (x) T^n carrier and its T^n alive until a full garbage collection,
-    while nothing refers back to a Diagonal, so its memo is freed with it.
+    while nothing refers back to a Diagonal, so its memos are freed with it.
     """
 
     def __init__(self, algebra):
@@ -208,6 +211,7 @@ class Diagonal:
         self._T: dict[int, Carrier] = {0: self.B, 1: self.SJ}
         self._NT: dict[tuple, Carrier] = {}
         self._hom: dict[tuple, HomSpace] = {}
+        self._base_change: dict = {}
         self._delta_cache: dict = {}
 
     # ----- tensor algebra carriers -----
@@ -263,6 +267,14 @@ class Diagonal:
         if hs is None:
             hs = self._hom[key] = HomSpace(*key)
         return hs
+
+    def base_change(self, module):
+        """(G, pi) = modules.base_change(module), built once per module, so
+        that every Hom space into G is keyed by the same G."""
+        bc = self._base_change.get(module)
+        if bc is None:
+            bc = self._base_change[module] = base_change(module)
+        return bc
 
     def NT_A(self, module, n: int) -> Carrier:
         """N (x)_A T^n (relations over the prefix subalgebra only)."""
@@ -338,8 +350,6 @@ class Diagonal:
     def concatenation_surjective(self, d: int) -> bool:
         """T^1 (x) T^1 -> T^2 hits every quotient basis vector in degree d."""
         T2 = self.T(2)
-        if not isinstance(T2, TensorCarrier):
-            return True
         target = T2.dim(d)
         if target == 0:
             return True

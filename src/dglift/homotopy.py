@@ -222,6 +222,7 @@ class HomSpace:
         self.layout = MapLayout(source, self.target, shift)
         self.h_layout = MapLayout(source, self.target, shift - 1)
         self._strict = strict_triangular
+        self._cmat: SparseMatrix | None = None
         self._built = False
 
     # ----- linear systems -----
@@ -242,6 +243,13 @@ class HomSpace:
                 if mu < lam:
                     allowed.add(off + i)
         return allowed
+
+    def chain_matrix(self) -> SparseMatrix:
+        """The chain-condition matrix, built once: the class computation and
+        the strict-splitting search share it."""
+        if self._cmat is None:
+            self._cmat = self._chain_matrix()
+        return self._cmat
 
     def _chain_matrix(self) -> SparseMatrix:
         """Rows: chain conditions; columns: generator-image unknowns."""
@@ -317,8 +325,7 @@ class HomSpace:
     def _build(self):
         if self._built:
             return
-        self._cmat = self._chain_matrix()
-        self._cycles = self._cmat.kernel_basis()
+        self._cycles = self.chain_matrix().kernel_basis()
         self._bmat = self._boundary_matrix()
         img = self._bmat.column_space_echelon()
         self._brank = img.rank

@@ -28,14 +28,18 @@ from .obstruction import (chain_map_operator, chi_power, gamma_dim,
 
 
 def splitting_search(N: SemifreeModule, G: SemifreeModule | None = None,
-                     pi: ChainMap | None = None) -> ChainMap | None:
+                     pi: ChainMap | None = None,
+                     diag: Diagonal | None = None) -> ChainMap | None:
     """A strict section of the counit: sigma with pi . sigma = id exactly,
-    or None when the combined chain-and-section system is inconsistent."""
+    or None when the combined chain-and-section system is inconsistent.
+
+    With a Diagonal, the base change and the Hom space N -> G come from its
+    memo, which p_ideal_dims shares."""
     if G is None or pi is None:
-        G, pi = base_change(N)
+        G, pi = base_change(N) if diag is None else diag.base_change(N)
     f = N.algebra.field
-    hs = HomSpace(N, G, 0)
-    C = hs._chain_matrix()
+    hs = HomSpace(N, G, 0) if diag is None else diag.hom(N, G)
+    C = hs.chain_matrix()
     pi_op = chain_map_operator(pi)
     ncar = N.carrier()
     rows = C.rows()
@@ -187,8 +191,8 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal,
     the counit, and as the kernel of the obstruction action on tensor-degree
     zero.  Returns (via factorization, via kernel, rank identity holds)."""
     if G is None or pi is None:
-        G, pi = base_change(N)
-    hsG = HomSpace(N, G, 0)
+        G, pi = diag.base_change(N)
+    hsG = diag.hom(N, G)
     end = diag.hom(N, N)
     pi_op = chain_map_operator(pi)
     f = N.algebra.field
@@ -291,8 +295,8 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
     ar2 = check_AR2(N)
     report = LiftReport(module=name, ar1=ar1, ar2=ar2, bound=L_bound)
 
-    G, pi = base_change(N)
-    sigma = splitting_search(N, G, pi)
+    G, pi = diag.base_change(N)
+    sigma = splitting_search(N, G, pi, diag)
     report.verdicts["i"] = sigma is not None
     report.notes["i"] = "strict section found" if sigma else "section system inconsistent"
 

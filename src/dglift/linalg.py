@@ -7,38 +7,22 @@ and the relation-quotient constructions used by the tensor carriers.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import DimensionMismatch
 
 
 def vec_add(field, u: dict, v: dict) -> dict:
     out = dict(u)
-    for j, c in v.items():
-        s = field.add(out.get(j, field.zero), c)
-        if field.is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
+    field.axpy(out, field.one, v)
     return out
 
 
 def vec_scale(field, c, u: dict) -> dict:
-    if field.is_zero(c):
-        return {}
-    return {j: field.mul(c, x) for j, x in u.items()}
+    return field.scale(c, u)
 
 
 def vec_axpy(field, out: dict, c, u: dict) -> None:
     """out += c*u in place."""
-    if field.is_zero(c):
-        return
-    for j, x in u.items():
-        s = field.add(out.get(j, field.zero), field.mul(c, x))
-        if field.is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
+    field.axpy(out, c, u)
 
 
 class Echelon:
@@ -51,31 +35,43 @@ class Echelon:
 
     Invariant: a stored row vanishes on every pivot column but its own.  So
     ``reduce`` subtracts only the rows whose pivots occur in the vector, each
-    scaled by the vector's original entry there.  ``rows`` and ``pivots`` stay
-    sorted by pivot; ``_row_of`` maps a pivot to its row, and ``_by_col`` maps
-    each non-pivot column to the pivots of the rows with an entry in it.
+    scaled by the vector's original entry there.  The rows live only in
+    ``_row_of``, which maps a pivot to its row, in insertion order; ``_by_col``
+    maps each non-pivot column to the pivots of the rows with an entry in it.
+    ``pivots`` and ``rows`` are views sorted by pivot, built on each read, so
+    an insertion costs nothing for keeping a sorted list.
     """
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list[dict] = []
-        self.pivots: list[int] = []
         self._row_of: dict[int, dict] = {}
         self._by_col: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._row_of)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._row_of)
+
+    @property
+    def rows(self) -> list[dict]:
+        row_of = self._row_of
+        return [row_of[p] for p in sorted(row_of)]
 
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced modulo the row space (a fresh dict)."""
         f = self.field
         row_of = self._row_of
         out = dict(vec)
+        hits = [j for j in vec if j in row_of]
         # ascending pivots, so the result's key order matches a full scan
-        for p in sorted(j for j in vec if j in row_of):
-            vec_axpy(f, out, f.neg(vec[p]), row_of[p])
+        if len(hits) > 1:
+            hits.sort()
+        for p in hits:
+            f.axpy(out, f.neg(vec[p]), row_of[p])
         return out
 
     def add_row(self, vec: dict) -> bool:
@@ -85,23 +81,20 @@ class Echelon:
         if not res:
             return False
         p = min(res)
-        inv = f.inv(res[p])
-        row = {j: f.mul(inv, c) for j, c in res.items()}
+        row = f.scale(f.inv(res[p]), res)
         tail = [j for j in row if j != p]
+        row_of = self._row_of
         by_col = self._by_col
         # keep RREF: clear column p from the rows that have an entry there
         for q in by_col.pop(p, ()):
-            r = self._row_of[q]
-            vec_axpy(f, r, f.neg(r[p]), row)
+            r = row_of[q]
+            f.axpy(r, f.neg(r[p]), row)
             for j in tail:
                 if j in r:
                     by_col.setdefault(j, set()).add(q)
                 else:
                     by_col[j].discard(q)
-        k = bisect_left(self.pivots, p)
-        self.rows.insert(k, row)
-        self.pivots.insert(k, p)
-        self._row_of[p] = row
+        row_of[p] = row
         for j in tail:
             by_col.setdefault(j, set()).add(p)
         return True
@@ -192,11 +185,11 @@ class SparseMatrix:
             {(j, i): c for (i, j), c in self.entries.items()},
         )
 
-    def _by_col(self) -> dict[int, list]:
+    def _by_col(self) -> dict[int, dict]:
         if not hasattr(self, "_bycol"):
-            by_col: dict[int, list] = {}
+            by_col: dict[int, dict] = {}
             for (i, j), c in self.entries.items():
-                by_col.setdefault(j, []).append((i, c))
+                by_col.setdefault(j, {})[i] = c
             self._bycol = by_col
         return self._bycol
 
@@ -205,12 +198,9 @@ class SparseMatrix:
         out: dict = {}
         by_col = self._by_col()
         for j, c in v.items():
-            for i, m in by_col.get(j, ()):
-                s = f.add(out.get(i, f.zero), f.mul(m, c))
-                if f.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+            col = by_col.get(j)
+            if col:
+                f.axpy(out, c, col)
         return out
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -226,18 +216,12 @@ class SparseMatrix:
             raise DimensionMismatch("add shape mismatch")
         f = self.field
         ent = dict(self.entries)
-        for k, c in other.entries.items():
-            s = f.add(ent.get(k, f.zero), c)
-            if f.is_zero(s):
-                ent.pop(k, None)
-            else:
-                ent[k] = s
+        f.axpy(ent, f.one, other.entries)
         return SparseMatrix(f, self.nrows, self.ncols, ent)
 
     def scale(self, c) -> "SparseMatrix":
-        f = self.field
-        return SparseMatrix(f, self.nrows, self.ncols,
-                            {k: f.mul(c, v) for k, v in self.entries.items()})
+        return SparseMatrix(self.field, self.nrows, self.ncols,
+                            self.field.scale(c, self.entries))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -308,7 +292,7 @@ class SparseMatrix:
             if r:
                 ech.add_row(r)
         x: dict = {}
-        for r, p in zip(ech.rows, ech.pivots):
+        for p, r in ech._row_of.items():
             if p == aug_col:
                 return None
             x[p] = r.get(aug_col, f.zero)

@@ -8,6 +8,14 @@ On Q a value is an int when it is integral and a Fraction only otherwise.
 Most coefficients stay integral (relation rows are +-1), and int arithmetic
 skips Fraction's normalisation.  An int and the equal Fraction compare equal,
 hash equal and print the same, so the choice never shows in any output.
+
+Besides the scalar operations each field has two fused vector kernels on
+sparse vectors (dicts of nonzero values): axpy(out, c, u) does out += c*u in
+place and scale(c, u) returns c*u.  They give exactly the values of the
+op-by-op definitions through add, mul and is_zero, one operator expression
+per entry: entries that cancel are dropped, and every value they store is
+canonical (on Q an int when integral, even for a Fraction(1) operand; on F_p
+a residue in [0, p)).
 """
 
 from __future__ import annotations
@@ -98,6 +106,24 @@ class Rationals:
     def is_zero(self, a):
         return a == 0
 
+    def axpy(self, out: dict, c, u: dict) -> None:
+        """out += c*u in place."""
+        if c == 0:
+            return
+        get = out.get
+        for j, x in u.items():
+            s = get(j, 0) + c * x
+            if s:
+                out[j] = s if type(s) is int else _canon(s)
+            else:
+                out.pop(j, None)
+
+    def scale(self, c, u: dict) -> dict:
+        """c*u as a new vector."""
+        if c == 0:
+            return {}
+        return {j: s if type(s := c * x) is int else _canon(s) for j, x in u.items()}
+
     @staticmethod
     def cost(a):
         """Pivot-selection cost: bit size of the fraction (smaller is better)."""
@@ -157,6 +183,26 @@ class PrimeField:
 
     def is_zero(self, a):
         return a == 0
+
+    def axpy(self, out: dict, c, u: dict) -> None:
+        """out += c*u in place."""
+        if c == 0:
+            return
+        p = self.p
+        get = out.get
+        for j, x in u.items():
+            s = (get(j, 0) + c * x) % p
+            if s:
+                out[j] = s
+            else:
+                out.pop(j, None)
+
+    def scale(self, c, u: dict) -> dict:
+        """c*u as a new vector."""
+        if c == 0:
+            return {}
+        p = self.p
+        return {j: c * x % p for j, x in u.items()}
 
     @staticmethod
     def cost(a):

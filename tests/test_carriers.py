@@ -1,22 +1,31 @@
-"""The closed-form N (x)_B T^n against the relation-quotient oracle.
+"""The closed-form N (x)_B T^n against the relation-quotient oracle, and the
+relation quotient against a dense oracle.
 
 For a semifree N, Diagonal.NT writes N (x)_B T^n as one block of T^n per
 generator of N.  TensorCarrier builds the same module as the quotient of the
 degreewise k-tensor space by the relations x b (x) y - x (x) b y.  The map
 Phi sending e_lam (x) t to the class of e_lam (x) t must be an isomorphism
-of chain complexes of right modules in every degree within the cap.
+of chain complexes of right modules in every degree within the cap.  The
+quotient itself must be the one that dense elimination of those relation
+rows, written down from their definition, gives.
 """
+
+import random
 
 import pytest
 
+from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import SemifreeCarrier, TensorCarrier
 from dglift.config import EngineConfig
+from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch
 from dglift.homotopy import CarrierMap, HomSpace, carrier_map_to_chain
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
+
+from dense_oracle import dense_echelon
 
 # each corpus algebra keeps its own degree cap under the default config
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -137,3 +146,81 @@ def test_semifree_only_code_rejects_tensor_targets():
     # the module's own carrier still converts
     ident = CarrierMap(M, M.carrier(), 0, chi_power(M, inst.diag, 0).cols)
     assert carrier_map_to_chain(ident).entries
+
+
+def dense_relations(T: TensorCarrier, d: int):
+    """The pairs (p, i, j) spanning the free space of T in degree d, in
+    lexicographic order, and the relation rows x_i b (x) y_j - x_i (x) b y_j
+    over the non-unit monomials b of T's ring, as dense rows read off the
+    unmemoized action matrices."""
+    X, Y, alg, f = T.X, T.Y, T.algebra, T.field
+    top = d - Y.min_degree()
+    pairs = [(p, i, j) for p in range(X.min_degree(), top + 1)
+             for i in range(X.dim(p)) for j in range(Y.dim(d - p))]
+    col = {t: k for k, t in enumerate(pairs)}
+    rows = []
+    for p in range(X.min_degree(), top + 1):
+        for e in range(top - p + 1):
+            q = d - p - e
+            if X.dim(p) == 0 or Y.dim(q) == 0:
+                continue
+            for b in alg.monomials(e):
+                if (e == 0 and alg.mono_is_unit(b)) or (T.ring == "A" and not alg.mono_in_A(b)):
+                    continue
+                xb, by = X.right_act(b, p), Y.left_act(b, q)
+                for i in range(X.dim(p)):
+                    for j in range(Y.dim(q)):
+                        row = [f.zero] * len(pairs)
+                        for (i2, i1), c in xb.entries.items():
+                            if i1 == i:
+                                k = col[(p + e, i2, j)]
+                                row[k] = f.add(row[k], c)
+                        for (j2, j1), c in by.entries.items():
+                            if j1 == j:
+                                k = col[(p, i, j2)]
+                                row[k] = f.sub(row[k], c)
+                        rows.append(row)
+    return pairs, rows
+
+
+def quotient_carriers(backend):
+    """(where, cap, TensorCarrier): T^2, T^3 and B (x)_A T^n for n <= 2, over
+    every corpus algebra and over exterior algebras on two and three odd
+    generators, whose quotients are larger."""
+    out = []
+    diags = [(inst.name, inst.diag) for inst in corpus(backend).values()]
+    for k, cap in ((2, 8), (3, 6)):
+        ext = build_algebra(BaseRing(), [(f"y{i}", 1, "0") for i in range(k)], 0,
+                            CONFIGS[backend].with_limits(max_degree=cap))
+        diags.append((f"ext{k}", Diagonal(ext)))
+    for name, diag in diags:
+        cap = diag.config.max_degree
+        out += [((name, f"T{n}"), cap, diag.T(n)) for n in (2, 3)]
+        out += [((name, f"BT_A{n}"), cap, diag.BT_A(n)) for n in (0, 1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_relation_quotient_is_the_dense_quotient(backend):
+    """labels are the pairs on the non-pivot columns of the dense RREF of
+    the relation rows, and project_free is dense reduction modulo them,
+    read on those columns."""
+    rng = random.Random(0)
+    built = 0
+    for where, cap, T in quotient_carriers(backend):
+        f = T.field
+        for d in range(cap + 1):
+            pairs, rows = dense_relations(T, d)
+            ech, pivots = dense_echelon(f, rows)
+            free = [k for k in range(len(pairs)) if k not in pivots]
+            assert T.labels(d) == [pairs[k] for k in free], where + (d,)
+            assert T.dim(d) == len(free), where + (d,)
+            built += bool(rows and free)
+            for _ in range(4 if pairs else 0):
+                v = [f.from_int(rng.randint(-2, 2)) for _ in pairs]
+                got = T.project_free(d, {k: c for k, c in enumerate(v) if not f.is_zero(c)})
+                for row, pc in zip(ech, pivots):
+                    v = [f.sub(x, f.mul(v[pc], y)) for x, y in zip(v, row)]
+                want = {pos: v[k] for pos, k in enumerate(free) if not f.is_zero(v[k])}
+                assert got == want, where + (d,)
+    assert built > 40

@@ -233,6 +233,31 @@ def test_concatenation_surjective(ext, tate):
             assert diag.concatenation_surjective(d)
 
 
+def test_concatenation_surjective_fails_when_a_basis_vector_is_missed(ext, tate, monkeypatch):
+    """With T^2.pair_project dropping quotient basis vector 0, no product
+    reaches it, and the check must say so."""
+    checked = 0
+    for alg in (ext, tate):
+        diag = Diagonal(alg)
+        T2 = diag.T(2)
+        real = T2.pair_project
+
+        def dropping(p, xvec, q, yvec, real=real):
+            out = real(p, xvec, q, yvec)
+            out.pop(0, None)
+            return out
+
+        for d in range(0, 7):
+            if T2.dim(d) == 0:
+                continue
+            assert diag.concatenation_surjective(d)
+            monkeypatch.setattr(T2, "pair_project", dropping)
+            assert not diag.concatenation_surjective(d)
+            monkeypatch.undo()
+            checked += 1
+    assert checked >= 3
+
+
 def test_tensor_cap_enforced(ext):
     from dglift.errors import CapExceeded
     diag = Diagonal(ext)

@@ -202,6 +202,31 @@ def test_echelon_insertion_order_matches_dense_rref(data):
         assert dense_rank(field, frows + [diff]) == len(want_pivots)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_views_show_the_current_rref_after_every_insert(data):
+    """pivots and rows are read between inserts, in descending-pivot order as
+    the tensor quotients insert, and each read is the RREF of the rows so
+    far, sorted by pivot: a view kept from an earlier read would be stale."""
+    field = data.draw(st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)]))
+    ncols = data.draw(st.integers(1, 8))
+    ints = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(ints, min_size=1, max_size=8))
+    frows = [[field.from_int(c) for c in r] for r in rows]
+    order = sorted(range(len(rows)), key=lambda k: -min(sparse(field, frows[k]), default=0))
+    order = data.draw(st.sampled_from([order, list(range(len(rows)))]))
+    ech = Echelon(field, ncols)
+    seen = []
+    for k in order:
+        ech.add_row(sparse(field, frows[k]))
+        seen.append(frows[k])
+        want_rows, want_pivots = dense_echelon(field, seen)
+        assert ech.pivots == want_pivots
+        assert ech.rows == [sparse(field, r) for r in want_rows]
+        assert ech.rank == len(want_pivots)
+        assert_column_index_consistent(ech)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sparse_matrix_echelon_is_the_dense_rref(data):

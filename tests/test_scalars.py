@@ -1,6 +1,8 @@
 """The rational backend against plain Fraction arithmetic, and its canonical
 representation: a value is an int when integral and a Fraction otherwise.
-The prime-field backend against the `% p` definitions, on canonical residues."""
+The prime-field backend against the `% p` definitions, on canonical residues.
+The fused vector kernels axpy and scale of both against their op-by-op
+definitions."""
 
 from fractions import Fraction
 
@@ -177,3 +179,93 @@ def test_prime_field_zero_raises():
             F.div(1, 0)
         with pytest.raises(ZeroDivisionError):
             F.from_fraction(1, F.p)
+
+
+# ----- fused kernels: axpy and scale -----------------------------------------
+
+
+def axpy_by_ops(F, out, c, u):
+    """out + c*u through add, mul and is_zero, entry by entry."""
+    out = dict(out)
+    if F.is_zero(c):
+        return out
+    for j, x in u.items():
+        s = F.add(out.get(j, F.zero), F.mul(c, x))
+        if F.is_zero(s):
+            out.pop(j, None)
+        else:
+            out[j] = s
+    return out
+
+
+def scale_by_ops(F, c, u):
+    return {j: F.mul(c, x) for j, x in u.items() if not F.is_zero(F.mul(c, x))}
+
+
+# Q scalars in any form an operand may take: canonical values, and integral
+# Fractions such as Fraction(1), which the kernels must not pass through
+q_scalars = st.one_of(values, st.integers(-5, 5).map(Fraction))
+KERNEL_FIELDS = [Q] + FIELDS
+
+
+@st.composite
+def kernel_case(draw):
+    """(field, out, c, u): sparse vectors on columns 0..7, out canonical as
+    every stored vector is, u and c in any operand form; some entries of out
+    are -c*u there, so that they cancel."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    if F is Q:
+        scalar, canon = q_scalars, values
+    else:
+        scalar = canon = st.one_of(st.integers(0, F.p - 1),
+                                   st.sampled_from([0, 1, F.p - 1]))
+    cols = st.integers(0, 7)
+    u = {j: x for j, x in draw(st.dictionaries(cols, scalar, max_size=8)).items() if x}
+    out = {j: x for j, x in draw(st.dictionaries(cols, canon, max_size=8)).items() if x}
+    c = draw(scalar)
+    if u and not F.is_zero(c):
+        for j in draw(st.lists(st.sampled_from(sorted(u)), unique=True)):
+            out[j] = F.neg(F.mul(c, u[j]))
+    return F, out, c, u
+
+
+def assert_stored_canonical(F, vec):
+    for x in vec.values():
+        assert not F.is_zero(x)
+        if F is Q:
+            assert_canonical(x)
+        else:
+            assert_residue(F, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_axpy_is_the_op_by_op_definition(case):
+    F, out, c, u = case
+    want = axpy_by_ops(F, out, c, u)
+    got = dict(out)
+    F.axpy(got, c, u)
+    # same entries in the same key order, cancelled entries dropped
+    assert list(got.items()) == list(want.items())
+    assert_stored_canonical(F, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_scale_is_the_op_by_op_definition(case):
+    F, _, c, u = case
+    got = F.scale(c, u)
+    assert list(got.items()) == list(scale_by_ops(F, c, u).items())
+    assert got is not u
+    assert_stored_canonical(F, got)
+
+
+def test_q_kernels_canonicalize_integral_fractions():
+    u = {0: Fraction(1), 3: Fraction(4, 2), 5: Fraction(1, 2)}
+    for got in (Q.scale(1, u), Q.scale(Fraction(1), u)):
+        assert got == {0: 1, 3: 2, 5: Fraction(1, 2)}
+        assert [type(x) for x in got.values()] == [int, int, Fraction]
+    out = {0: Fraction(1, 2), 5: Fraction(-1, 2)}
+    Q.axpy(out, 1, u)
+    assert out == {0: Fraction(3, 2), 3: 2} and type(out[3]) is int
+    assert Q.scale(0, u) == {}
