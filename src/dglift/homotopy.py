@@ -1,23 +1,33 @@
 """Chain-map spaces and homotopy-category Hom computations.
 
-A degree-s chain map out of a semifree module is determined by the images of
-the finitely many generators, so right-linearity is built into the unknowns:
-for f: N -> Sigma^s Y the unknown block for generator e_lam is a coordinate
-vector in Y_{deg(lam) - s}, the chain condition
-(-1)^s D_Y f(e_lam) = sum_mu f(e_mu) * b_{mu lam} is a sparse linear system,
-and homotopies h live one degree higher with boundary
-(-1)^s D_Y h(e_lam) + sum_mu h(e_mu) * b_{mu lam}.  Everything is exact;
-every witness is rechecked by substitution before being returned.
+A degree-s map h: N -> Sigma^s Y out of a semifree module is determined by
+the images of the finitely many generators, so right-linearity is built into
+the unknowns: layout(s) is the flat vector of the blocks h(e_lam) in
+Y_{deg(lam) - s}.  The Hom complex differential
+
+    delta_s(h) = (-1)^s D_Y h + h d_N,    layout(s-1) -> layout(s),
+
+is written once, in _delta_blocks.  Its block from generator mu to generator
+lam is (-1)^s D_Y on the diagonal, plus c_u times the right action of u for
+each term c_u u of the coefficient b_{mu lam} of e_mu in d(e_lam).
+
+A shift-s map f is a chain map exactly when delta_{s+1} f = 0.  The chain
+defect (-1)^s D_Y f - f d_N equals -delta_{s+1} f, and the chain-condition
+matrix with rows (-1)^s D_Y f(e_lam) - sum_mu f(e_mu) b_{mu lam} equals
+-delta_{s+1}; both have the kernel of delta_{s+1}, which the engine uses
+directly.  A homotopy h of shift s-1 has boundary delta_s h.  Everything is
+exact; every witness is rechecked by substitution before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
-from .modules import ChainMap, SemifreeModule
+from .modules import ChainMap, SemifreeModule, chain_failure
 
 
 def _is_module_carrier(car: Carrier) -> bool:
@@ -75,6 +85,70 @@ class MapLayout:
         return cols
 
 
+# ----- the Hom complex differential -----------------------------------------
+
+
+def _delta_blocks(source: SemifreeModule, target: Carrier, s: int, cols=None):
+    """The blocks (lam, mu, c, M) of delta_s: output block lam gains c * M
+    applied to input block mu.  With cols, only the blocks that read a
+    generator in cols, so no matrix is built for a zero image."""
+    f = target.field
+    sgn = f.neg(f.one) if s % 2 else f.one
+    for lam in range(source.n_gens):
+        if cols is None or lam in cols:
+            yield lam, lam, sgn, target.diff(source.degrees[lam] - s + 1)
+        for mu, b in source.diff_column(lam):
+            if cols is None or mu in cols:
+                d = source.degrees[mu] - s + 1
+                for u, c in b.terms.items():
+                    yield lam, mu, c, target.action("r", u, d)
+
+
+def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> dict:
+    """delta_s of a map given by generator images, without a matrix."""
+    f = target.field
+    out: dict = {}
+    for lam, mu, c, m in _delta_blocks(source, target, s, cols):
+        vec_axpy(f, out.setdefault(lam, {}), c, m.mat_vec(cols[mu]))
+    return {lam: v for lam, v in out.items() if v}
+
+
+def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
+    """delta_s as a matrix from cols = layout(s-1) to rows = layout(s)."""
+    f = rows.target.field
+    ent: dict = {}
+    for lam, mu, c, m in _delta_blocks(rows.source, rows.target, rows.shift):
+        r, k = rows.block(lam)[0], cols.block(mu)[0]
+        vec_axpy(f, ent, c, {(r + i, k + j): x for (i, j), x in m.entries.items()})
+    return SparseMatrix(f, rows.total, cols.total, ent)
+
+
+def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,
+                    shift: int) -> dict:
+    """Generator images of a shift-s matrix over B, in the coordinates of the
+    target module's carrier car."""
+    cols: dict = {}
+    for (mu, lam), el in entries.items():
+        d = source.degrees[lam] - shift
+        vec = cols.setdefault(lam, {})
+        for u, c in el.terms.items():
+            vec[car.index(d, mu, u)] = c
+    return cols
+
+
+def cols_to_entries(cols: dict, source: SemifreeModule, car: SemifreeCarrier,
+                    shift: int) -> dict:
+    """The matrix over B of generator images in the coordinates of car."""
+    degrees = car.module.degrees
+    terms: dict = {}
+    for lam, vec in cols.items():
+        d = source.degrees[lam] - shift
+        for i, c in vec.items():
+            mu, j = car.block(d, i)
+            terms.setdefault((mu, lam), {})[car.Y.labels(d - degrees[mu])[j]] = c
+    return {k: AlgebraElement(source.algebra, t) for k, t in terms.items()}
+
+
 @dataclass
 class CarrierMap:
     """A chain map source -> Sigma^shift target given by generator images."""
@@ -92,33 +166,14 @@ class CarrierMap:
         return all(not v for v in self.cols.values())
 
     def chain_defect(self) -> dict:
-        """(-1)^s D f - f d per generator; empty when f is a chain map."""
-        f = self.source.algebra.field
-        out = {}
-        for lam in range(self.source.n_gens):
-            d = self.source.degrees[lam] - self.shift
-            acc: dict = {}
-            v = self.cols.get(lam)
-            if v:
-                img = self.target.diff(d).mat_vec(v)
-                sgn = f.neg(f.one) if self.shift % 2 else f.one
-                vec_axpy(f, acc, sgn, img)
-            for mu, b in self.source.diff_column(lam):
-                w = self.cols.get(mu)
-                if w:
-                    dmu = self.source.degrees[mu] - self.shift
-                    img = self.target.element_act_right(b, dmu, w)
-                    vec_axpy(f, acc, f.neg(f.one), img)
-            if acc:
-                out[lam] = acc
-        return out
+        """delta_{s+1} f per generator, the negated defect (-1)^s D f - f d;
+        empty exactly when f is a chain map."""
+        return delta_cols(self.source, self.target, self.shift + 1, self.cols)
 
     def validate(self):
         bad = self.chain_defect()
         if bad:
-            lam = min(bad)
-            raise DimensionMismatch(
-                f"chain condition fails on generator {self.source.names[lam]}")
+            raise DimensionMismatch(chain_failure(self.source, self.shift, min(bad)))
         return self
 
     def add(self, other: "CarrierMap") -> "CarrierMap":
@@ -144,19 +199,8 @@ class CarrierMap:
 def chain_map_to_carrier(cm: ChainMap) -> CarrierMap:
     """Express a semifree-to-semifree chain map in target carrier coordinates."""
     tgt = cm.target.carrier()
-    f = cm.source.algebra.field
-    cols: dict = {}
-    for (mu, lam), el in cm.entries.items():
-        d = cm.source.degrees[lam] - cm.shift
-        acc = cols.setdefault(lam, {})
-        for u, c in el.terms.items():
-            idx = tgt.index(d, mu, u)
-            s = f.add(acc.get(idx, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(idx, None)
-            else:
-                acc[idx] = s
-    return CarrierMap(cm.source, tgt, cm.shift, {k: v for k, v in cols.items() if v})
+    return CarrierMap(cm.source, tgt, cm.shift,
+                      entries_to_cols(cm.entries, cm.source, tgt, cm.shift))
 
 
 def carrier_map_to_chain(cmap: CarrierMap) -> ChainMap:
@@ -164,18 +208,8 @@ def carrier_map_to_chain(cmap: CarrierMap) -> ChainMap:
     tgt = cmap.target
     if not _is_module_carrier(tgt):
         raise DimensionMismatch("target is not a semifree module carrier")
-    src = cmap.source
-    alg = src.algebra
-    entries: dict = {}
-    for lam, vec in cmap.cols.items():
-        d = src.degrees[lam] - cmap.shift
-        labels = tgt.labels(d)
-        for i, c in vec.items():
-            mu, mono = labels[i]
-            key = (mu, lam)
-            add = alg.from_mono(mono, c)
-            entries[key] = entries[key] + add if key in entries else add
-    return ChainMap(src, tgt.module, cmap.shift, entries)
+    return ChainMap(cmap.source, tgt.module, cmap.shift,
+                    cols_to_entries(cmap.cols, cmap.source, tgt, cmap.shift))
 
 
 @dataclass
@@ -189,25 +223,8 @@ class HomotopyWitness:
     cols: dict
 
     def boundary(self) -> CarrierMap:
-        f = self.source.algebra.field
-        out: dict = {}
-        for lam in range(self.source.n_gens):
-            d = self.source.degrees[lam] - self.shift
-            acc: dict = {}
-            v = self.cols.get(lam)
-            if v:
-                img = self.target.diff(d + 1).mat_vec(v)
-                sgn = f.neg(f.one) if self.shift % 2 else f.one
-                vec_axpy(f, acc, sgn, img)
-            for mu, b in self.source.diff_column(lam):
-                w = self.cols.get(mu)
-                if w:
-                    dmu = self.source.degrees[mu] - self.shift + 1
-                    img = self.target.element_act_right(b, dmu, w)
-                    vec_axpy(f, acc, f.one, img)
-            if acc:
-                out[lam] = acc
-        return CarrierMap(self.source, self.target, self.shift, out)
+        return CarrierMap(self.source, self.target, self.shift,
+                          delta_cols(self.source, self.target, self.shift, self.cols))
 
 
 class HomSpace:
@@ -252,42 +269,16 @@ class HomSpace:
         return self._cmat
 
     def _chain_matrix(self) -> SparseMatrix:
-        """Rows: chain conditions; columns: generator-image unknowns."""
+        """delta_{s+1} on the generator-image unknowns, whose kernel is the
+        chain maps, with the strict-triangular pins below it."""
         f = self.field
-        src, tgt, s = self.source, self.target, self.shift
-        rows: list[dict] = []
-        row_offsets = []
-        roff = 0
-        for lam in range(src.n_gens):
-            d = src.degrees[lam] - s
-            row_offsets.append(roff)
-            roff += tgt.dim(d - 1)
-        total_rows = roff
-        ent: dict = {}
-        sgn = f.neg(f.one) if s % 2 else f.one
-        for lam in range(src.n_gens):
-            off, d, n = self.layout.block(lam)
-            ro = row_offsets[lam]
-            D = tgt.diff(d)
-            for (i, j), c in D.entries.items():
-                ent[(ro + i, off + j)] = f.mul(sgn, c)
-            for mu, b in src.diff_column(lam):
-                offm, dm, nm = self.layout.block(mu)
-                for u, cu in b.terms.items():
-                    act = tgt.action("r", u, dm)
-                    for (i, j), c in act.entries.items():
-                        key = (ro + i, offm + j)
-                        v = f.add(ent.get(key, f.zero), f.neg(f.mul(cu, c)))
-                        if f.is_zero(v):
-                            ent.pop(key, None)
-                        else:
-                            ent[key] = v
-        m = SparseMatrix(f, total_rows, self.layout.total, ent)
+        m = delta_matrix(MapLayout(self.source, self.target, self.shift + 1),
+                         self.layout)
         mask = self._allowed_mask()
         if mask is not None:
             # forbid masked-out unknowns by pinning them to zero
             extra = dict(m.entries)
-            r = total_rows
+            r = m.nrows
             for j in range(self.layout.total):
                 if j not in mask:
                     extra[(r, j)] = f.one
@@ -295,38 +286,11 @@ class HomSpace:
             m = SparseMatrix(f, r, self.layout.total, extra)
         return m
 
-    def _boundary_matrix(self) -> SparseMatrix:
-        """Columns: homotopy unknowns; output in generator-image coordinates."""
-        f = self.field
-        src, tgt, s = self.source, self.target, self.shift
-        ent: dict = {}
-        sgn = f.neg(f.one) if s % 2 else f.one
-        for lam in range(src.n_gens):
-            hoff, hd, hn = self.h_layout.block(lam)
-            foff, fd, fn = self.layout.block(lam)
-            D = tgt.diff(hd)
-            for (i, j), c in D.entries.items():
-                ent[(foff + i, hoff + j)] = f.mul(sgn, c)
-        for lam in range(src.n_gens):
-            foff, fd, fn = self.layout.block(lam)
-            for mu, b in src.diff_column(lam):
-                hoffm, hdm, _ = self.h_layout.block(mu)
-                for u, cu in b.terms.items():
-                    act = tgt.action("r", u, hdm)
-                    for (i, j), c in act.entries.items():
-                        key = (foff + i, hoffm + j)
-                        v = f.add(ent.get(key, f.zero), f.mul(cu, c))
-                        if f.is_zero(v):
-                            ent.pop(key, None)
-                        else:
-                            ent[key] = v
-        return SparseMatrix(f, self.layout.total, self.h_layout.total, ent)
-
     def _build(self):
         if self._built:
             return
         self._cycles = self.chain_matrix().kernel_basis()
-        self._bmat = self._boundary_matrix()
+        self._bmat = delta_matrix(self.layout, self.h_layout)
         img = self._bmat.column_space_echelon()
         self._brank = img.rank
         self._img_rows = [dict(r) for r in img.rows]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomSpace, check_AR1, check_AR2,
+from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_chain,
+                       chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
                        hom_k_dim)
 from .linalg import Echelon, SparseMatrix
 from .modules import (ChainMap, SemifreeModule, base_change, graded_map_boundary,
@@ -59,7 +60,6 @@ def splitting_search(N: SemifreeModule, G: SemifreeModule | None = None,
         return None
     flat = {i: c for i, c in enumerate(sol) if not f.is_zero(c)}
     cmap = CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(flat)).validate()
-    from .homotopy import carrier_map_to_chain
     sigma = carrier_map_to_chain(cmap)
     composite = pi.compose(sigma)
     if not _is_identity(composite):
@@ -126,22 +126,15 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
                               (k,) * len(layer), {})
         comp = ChainMap(N, Quot, 0, comp_entries)
         hs = HomSpace(N, Quot, 0)
-        from .homotopy import chain_map_to_carrier
         wit = hs.null_homotopy(chain_map_to_carrier(comp))
         if wit is None:
+            lam = min(lam for _, lam in comp.entries)
             raise FiltrationStuck(
-                f"component into the level-{k} layer is not null-homotopic")
+                f"component into the level-{k} layer is not null-homotopic; "
+                f"its first nonzero image is that of generator {N.names[lam]}")
         # lift the witness to G rows and correct sigma by its boundary
-        h_entries: dict = {}
-        qcar = Quot.carrier()
-        for lam, vec in wit.cols.items():
-            d = N.degrees[lam] + 1
-            labels = qcar.labels(d)
-            for i, c in vec.items():
-                qi, mono = labels[i]
-                key = (layer[qi], lam)
-                add = alg.from_mono(mono, c)
-                h_entries[key] = h_entries[key] + add if key in h_entries else add
+        h_entries = {(layer[qi], lam): el for (qi, lam), el
+                     in cols_to_entries(wit.cols, N, Quot.carrier(), -1).items()}
         bnd = graded_map_boundary(h_entries, N, G, 0)
         new_entries = dict(sigma_cur.entries)
         for key, el in bnd.items():

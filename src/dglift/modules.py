@@ -191,11 +191,9 @@ class ChainMap:
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
                     f"chain map entry ({mu},{lam}) must have degree {want}, got {el}")
-        defect = _chain_defect(self.entries, src, tgt, s)
-        for (nu, lam), el in defect.items():
-            if not el.is_zero():
-                raise DegreeMismatch(
-                    f"chain condition fails at (row {nu}, column {lam}): {el}")
+        defect = graded_map_boundary(self.entries, src, tgt, s + 1)
+        if defect:
+            raise DegreeMismatch(chain_failure(src, s, min(lam for _, lam in defect)))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other (other: M -> N, self: N -> ...)."""
@@ -236,69 +234,26 @@ class ChainMap:
         return f"ChainMap({self.source.describe()} -> S^{self.shift} {self.target.describe()})"
 
 
-def _chain_defect(entries: dict, src: SemifreeModule, tgt: SemifreeModule, s: int) -> dict:
-    """d^{Sigma^s tgt} f - f d^src as a matrix of elements."""
-    alg = src.algebra
-    sgn_s = -1 if s % 2 else 1
-    out: dict = {}
-
-    def acc(key, el):
-        if el.is_zero():
-            return
-        cur = out.get(key)
-        out[key] = el if cur is None else cur + el
-
-    for (mu, lam), el in entries.items():
-        # (-1)^s [ sum_nu b'_{nu mu} f_{mu lam} + (-1)^{|e'_mu|} e'_mu d(f_{mu lam}) ]
-        for nu, b2 in tgt.diff_column(mu):
-            piece = b2 * el
-            acc((nu, lam), piece if sgn_s > 0 else piece.neg())
-        dcoef = el.differentiate()
-        if not dcoef.is_zero():
-            sign = sgn_s * (-1 if tgt.degrees[mu] % 2 else 1)
-            acc((mu, lam), dcoef if sign > 0 else dcoef.neg())
-    for lam in range(src.n_gens):
-        for mu, b in src.diff_column(lam):
-            for (nu, m2), el in entries.items():
-                if m2 != mu:
-                    continue
-                piece = el * b
-                acc((nu, lam), piece.neg())
-    return out
+def chain_failure(source: SemifreeModule, shift_: int, lam: int) -> str:
+    """The message for a shift-s map that fails the chain condition first on
+    generator lam, naming the generator and the degree of the defect."""
+    return (f"chain condition fails on generator {source.names[lam]}: "
+            f"D f and f d differ in target degree {source.degrees[lam] - shift_ - 1}")
 
 
 def graded_map_boundary(h_entries: dict, src: SemifreeModule, tgt: SemifreeModule,
                         s: int) -> dict:
-    """d^{Sigma^s tgt} h + h d^src for a graded map h: src -> Sigma^{s-1} tgt.
+    """delta_s h = d^{Sigma^s tgt} h + h d^src for a graded map h:
+    src -> Sigma^{s-1} tgt given as a matrix over B.
 
-    This is the boundary operator of the Hom complex; its output is a shift-s
-    chain map matrix.
+    This is the Hom complex differential of homotopy.py, applied in the
+    coordinates of tgt's carrier and read back as a shift-s map matrix.  A
+    shift-s map f is a chain map exactly when its boundary at s + 1 is empty.
     """
-    alg = src.algebra
-    sgn_s = -1 if s % 2 else 1
-    out: dict = {}
-
-    def acc(key, el):
-        if el.is_zero():
-            return
-        cur = out.get(key)
-        out[key] = el if cur is None else cur + el
-
-    for (mu, lam), el in h_entries.items():
-        for nu, b2 in tgt.diff_column(mu):
-            piece = b2 * el
-            acc((nu, lam), piece if sgn_s > 0 else piece.neg())
-        dcoef = el.differentiate()
-        if not dcoef.is_zero():
-            sign = sgn_s * (-1 if tgt.degrees[mu] % 2 else 1)
-            acc((mu, lam), dcoef if sign > 0 else dcoef.neg())
-    for lam in range(src.n_gens):
-        for mu, b in src.diff_column(lam):
-            for (nu, m2), el in h_entries.items():
-                if m2 != mu:
-                    continue
-                acc((nu, lam), el * b)
-    return out
+    from .homotopy import cols_to_entries, delta_cols, entries_to_cols
+    car = tgt.carrier()
+    cols = entries_to_cols(h_entries, src, car, s - 1)
+    return cols_to_entries(delta_cols(src, car, s, cols), src, car, s)
 
 
 def cone(f: ChainMap) -> SemifreeModule:

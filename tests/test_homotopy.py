@@ -3,12 +3,18 @@
 import random
 
 import pytest
+from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
-from dglift.homotopy import (HomSpace, check_AR1, check_AR2, hom_k_dim,
+from dglift.errors import DegreeMismatch, DimensionMismatch
+from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR1,
+                             check_AR2, delta_cols, delta_matrix, hom_k_dim,
                              is_null_homotopic)
-from dglift.modules import (ChainMap, cone, direct_sum, free_module, make_module,
-                            regular_module, shift)
+from dglift.instances import build_corpus
+from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
+                            make_module, regular_module, shift)
+
+SHIFTS = range(-1, 3)
 
 
 @pytest.fixture()
@@ -105,13 +111,96 @@ def test_additivity(ext):
         assert hom_k_dim(S, B, s) == hom_k_dim(M, B, s) + hom_k_dim(B, B, s)
 
 
-def test_boundaries_are_cycles(ext):
+def module_pairs(corpus):
+    """(N, Y) for every ordered pair of modules of one corpus instance."""
+    for inst in corpus.values():
+        mods = list(inst.modules.values())
+        for N in mods:
+            for Y in mods:
+                yield N, Y
+
+
+def test_boundaries_are_cycles(config):
+    """delta_{s+1} delta_s = 0: the chain matrix of a Hom space kills every
+    column of its boundary matrix, for every corpus module pair and for
+    N (x) T^n targets with n <= 2, at shifts -1..2."""
+    corpus = build_corpus(config)
+    pairs = list(module_pairs(corpus))
+    for inst in corpus.values():
+        pairs += [(N, inst.diag.NT(N, n)) for N in inst.modules.values() for n in (1, 2)]
+    nonzero = 0
+    for N, Y in pairs:
+        for s in SHIFTS:
+            hs = HomSpace(N, Y, s)
+            hs._build()
+            for col in hs._bmat.cols():
+                assert hs._cmat.mat_vec(col) == {}
+                nonzero += bool(col)
+    assert nonzero > 100
+
+
+def test_delta_matches_the_element_level_oracle(config):
+    """On every basis vector of layout(s-1), the assembled delta_s, its
+    matrix-free application and graded_map_boundary all equal delta_s written
+    from its definition over algebra elements."""
+    corpus = build_corpus(config)
+    checked = 0
+    for N, Y in module_pairs(corpus):
+        alg, car = N.algebra, Y.carrier()
+        for s in SHIFTS:
+            rows, cols = MapLayout(N, car, s), MapLayout(N, car, s - 1)
+            mat = delta_matrix(rows, cols)
+            for lam in range(N.n_gens):
+                off, d, n = cols.block(lam)
+                for i in range(n):
+                    mu, mono = car.labels(d)[i]
+                    h = {(mu, lam): alg.from_mono(mono)}
+                    want = delta_by_elements(h, N, Y, s)
+                    flat = {}
+                    for (nu, l2), el in want.items():
+                        roff, rd, _ = rows.block(l2)
+                        for u, c in el.terms.items():
+                            flat[roff + car.index(rd, nu, u)] = c
+                    assert mat.col(off + i) == flat
+                    image = delta_cols(N, car, s, {lam: {i: alg.field.one}})
+                    assert rows.to_flat(image) == flat
+                    assert graded_map_boundary(h, N, Y, s) == want
+                    checked += bool(want)
+    assert checked > 100
+
+
+def test_chain_condition_failures_name_the_generator_and_degree(ext):
+    """e0 -> e1 at shift -2 is correctly graded but not a chain map:
+    D(e1) = e0 y while d(e0) = 0.  Both validators reject it with one message."""
     M = two_step(ext)
-    hs = HomSpace(M, M, 0)
-    hs._build()
-    cmat = hs._cmat
-    for col in hs._bmat.cols():
-        assert cmat.mat_vec(col) == {}
+    entries = {(1, 0): ext.one()}
+    with pytest.raises(DegreeMismatch) as by_matrix:
+        ChainMap(M, M, -2, entries)
+    graded = ChainMap(M, M, -2, entries, _validate=False)
+    with pytest.raises(DimensionMismatch) as by_carrier:
+        chain_map_to_carrier(graded).validate()
+    msg = str(by_matrix.value)
+    assert "generator e0" in msg and "target degree 1" in msg
+    assert str(by_carrier.value) == msg
+
+
+def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
+    M = two_step(ext)
+    B = free_module(ext, 1)
+    f = chain_map_to_carrier(ChainMap(M, B, 1, {(0, 1): ext.gen("y")}))
+    hs = HomSpace(M, B, 1)
+    assert hs.null_homotopy(f) is not None
+    real_solve = hs._bmat.solve
+    j = next(j for j, col in enumerate(hs._bmat.cols()) if col)
+
+    def perturbed(b):
+        sol = real_solve(b)
+        sol[j] = ext.field.add(sol[j], ext.field.one)
+        return sol
+
+    monkeypatch.setattr(hs._bmat, "solve", perturbed)
+    with pytest.raises(DimensionMismatch, match="substitution recheck"):
+        hs.null_homotopy(f)
 
 
 def test_witness_rechecked_by_substitution(quot):

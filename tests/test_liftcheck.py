@@ -1,9 +1,13 @@
 """Liftability: splitting search, battery, summand witness, kernel sequence."""
 
+from dataclasses import replace
+
 import pytest
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
+from dglift.errors import FiltrationStuck
+from dglift.instances import build_corpus
 from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
                               summand_witness)
@@ -82,6 +86,23 @@ def test_summand_witness_idempotent_cut(ext):
     wit = summand_witness(M, sigma, G, pi)
     assert wit.m == 2
     assert wit.recheck()
+    # adding e_g3 to the homotopy's value on g1 adds D(g3) = g2 to its boundary
+    bad = dict(wit.homotopy)
+    key = (2, 0)
+    bad[key] = bad[key] + ext.one() if key in bad else ext.one()
+    assert not replace(wit, homotopy=bad).recheck()
+
+
+def test_summand_witness_stuck_on_the_shifted_free(config):
+    """Sigma B splits strictly, but Hom(Sigma B, Sigma B) != 0 in positive
+    shift (AR1 fails), so the descent cannot clear the level-1 layer."""
+    N = build_corpus(config, ["exterior"])["exterior"].modules["shifted"]
+    G, pi = base_change(N)
+    sigma = splitting_search(N, G, pi)
+    assert sigma is not None
+    with pytest.raises(FiltrationStuck,
+                       match="level-1 layer is not null-homotopic.*generator b0"):
+        summand_witness(N, sigma, G, pi)
 
 
 def test_battery_on_frees_all_true(ext, ext_diag):
