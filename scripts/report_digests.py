@@ -9,10 +9,14 @@ timing field removed, on both backends.  Each line also shows the exit code.
 It also hashes the tensor powers of the diagonal that no report shows whole:
 for every corpus algebra, n <= 3 and degree d within the algebra's cap, the
 dimension, the basis labels and the sorted differential entries of
-Diagonal.T(n) in degree d, on both backends.  Two commits produce the same
-canonical output exactly when this script prints the same lines for both, so
-a diff of its output is the byte-identical gate for a change that must not
-alter results.
+Diagonal.T(n) in degree d, on both backends.  And it hashes two operators
+on N (x)_B Y that reports use but never print: for every corpus module N, the
+sorted entries of chain_map_operator(pi), pi the base-change counit of N, and
+of the tensor-degree-0 obstruction component N -> N (x) T^1, in every degree
+from the source's lowest up to the algebra's cap, on both backends.  Two
+commits produce the same canonical output exactly when this script prints
+the same lines for both, so a diff of its output is the byte-identical gate
+for a change that must not alter results.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from dglift.cli import COMMANDS, main as cli_main  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
+from dglift.obstruction import ObstructionTower, chain_map_operator  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
 BACKENDS = ("Q", "Fp")
@@ -71,6 +76,20 @@ def tensor_digests(backend: str):
                 yield name, n, d, sha(piece)
 
 
+def operator_digests(backend: str):
+    """(algebra, module, digest) for the counit operator and the first
+    obstruction component of every corpus module."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        cap = inst.algebra.config.max_degree
+        for mname, M in inst.modules.items():
+            ops = (chain_map_operator(diag.base_change(M)[1]),
+                   ObstructionTower(M, diag).component(0))
+            mats = [(d, sorted((i, j, str(c)) for (i, j), c in op.mat(d).entries.items()))
+                    for op in ops for d in range(op.source.min_degree(), cap + 1)]
+            yield name, mname, sha(repr(mats))
+
+
 def main() -> int:
     # reports name the instance path, so pass paths relative to the repo root
     os.chdir(ROOT)
@@ -85,6 +104,8 @@ def main() -> int:
         print(f"{digest}  run_corpus {backend} exit={code}")
         for name, n, d, digest in tensor_digests(backend):
             print(f"{digest}  tensor {name} T{n} d{d} {backend}")
+        for name, mname, digest in operator_digests(backend):
+            print(f"{digest}  operators {name} {mname} {backend}")
     return 0
 
 

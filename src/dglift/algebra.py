@@ -351,14 +351,6 @@ class AlgebraElement:
             total = total + alg.diff_mono(u).scale(c)
         return total
 
-    def homogeneous_part(self, d: int) -> "AlgebraElement":
-        alg = self.algebra
-        return AlgebraElement(alg, {u: c for u, c in self.terms.items()
-                                    if alg.mono_degree(u) == d})
-
-    def in_A(self) -> bool:
-        return all(self.algebra.mono_in_A(u) for u in self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
                 and self.algebra is other.algebra

@@ -5,18 +5,21 @@ k-basis, the differential as a sparse matrix, built once per degree, and
 (where the structure has them) matrices for the left and right actions of
 algebra monomials, each built once per (side, monomial, degree).  A tensor
 product N (x)_B Y with N semifree is written down in closed form, one copy
-of Y per generator of N.  Every other tensor product (over B with a non-free
-left factor, as in the tensor powers of the diagonal ideal, or over the
-subalgebra A) is an explicit relation-quotient of the degreewise k-tensor
-space.  A shifted
-carrier negates the differential per shift step and twists the left action
-by (-1)^{i|b|}, which is the whole sign content of suspension.
+of Y per generator of N; every operator on it (its differential, its right
+action, f (x) id and the obstruction components) is a matrix of generator
+blocks, put together by SemifreeCarrier.assemble.  Every other tensor
+product (over B with a non-free left factor, as in the tensor powers of the
+diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
+of the degreewise k-tensor space.  A shifted carrier negates the
+differential per shift step and twists the left action by (-1)^{i|b|},
+which is the whole sign content of suspension.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import wraps
+from itertools import chain
 
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
@@ -181,11 +184,40 @@ class SemifreeCarrier(Carrier):
             self._offsets[d] = offs
         return self._offsets[d]
 
-    def labels(self, d: int):
-        # empty blocks are skipped, so Y is never asked outside its range
+    def pieces(self, d: int):
+        """(lam, q) for each generator e_lam whose block Y_q in degree d is
+        nonempty; skipping the empty ones means Y is never asked outside its
+        range."""
         offs = self.offsets(d)
-        return [(lam, y) for lam, deg in enumerate(self.module.degrees)
-                if offs[lam + 1] > offs[lam] for y in self.Y.labels(d - deg)]
+        for lam, deg in enumerate(self.module.degrees):
+            if offs[lam + 1] > offs[lam]:
+                yield lam, d - deg
+
+    def assemble(self, target: "SemifreeCarrier", d: int, e: int, blocks) -> SparseMatrix:
+        """The matrix from degree d of this carrier to degree d + e of target,
+        another closed-form carrier, that adds c * M at generator k's columns
+        and generator r's rows for each block (r, k, c, M).  If either piece
+        is empty, the zero matrix, without reading blocks."""
+        ncols = self.dim(d)
+        nrows = target.dim(d + e)
+        if not (ncols and nrows):
+            return SparseMatrix(self.field, nrows, ncols)
+        return SparseMatrix.from_blocks(self.field, target.offsets(d + e), self.offsets(d),
+                                        nrows, ncols, blocks)
+
+    def left_blocks(self, column, d: int):
+        """The blocks in degree d of a matrix over B, given column by column
+        as column(lam) = ((mu, b_{mu lam}), ...): e_lam (x) y goes to the sum
+        over mu of e_mu (x) b_{mu lam} y, one block (mu, lam, c_u, left
+        action of u on Y) per term c_u u of b_{mu lam}."""
+        Y = self.Y
+        for lam, q in self.pieces(d):
+            for mu, b in column(lam):
+                for u, c in b.terms.items():
+                    yield mu, lam, c, Y.action("l", u, q)
+
+    def labels(self, d: int):
+        return [(lam, y) for lam, q in self.pieces(d) for y in self.Y.labels(q)]
 
     def dim(self, d: int) -> int:
         if d < self.min_degree():
@@ -206,44 +238,19 @@ class SemifreeCarrier(Carrier):
 
     @per_degree
     def diff(self, d: int) -> SparseMatrix:
-        f = self.field
-        Y = self.Y
-        ent: dict = {}
-        if self.dim(d):
-            src, tgt = self.offsets(d), self.offsets(d - 1)
-            for lam, deg in enumerate(self.module.degrees):
-                o = src[lam]
-                if src[lam + 1] == o:
-                    continue
-                # d(e y) = sum_mu e_mu (b_{mu lam} y) + (-1)^{|e_lam|} e_lam dy
-                q = d - deg
-                r = tgt[lam]
-                for (i, j), c in Y.diff(q).entries.items():
-                    ent[(r + i, o + j)] = f.neg(c) if deg % 2 else c
-                for mu, b in self.module.diff_column(lam):
-                    r = tgt[mu]
-                    for u, cu in b.terms.items():
-                        for (i, j), c in Y.action("l", u, q).entries.items():
-                            key = (r + i, o + j)
-                            v = f.add(ent.get(key, f.zero), f.mul(cu, c))
-                            if f.is_zero(v):
-                                ent.pop(key, None)
-                            else:
-                                ent[key] = v
-        return SparseMatrix(f, self.dim(d - 1), self.dim(d), ent)
+        # d(e_lam y) = (-1)^{|e_lam|} e_lam dy + sum_mu e_mu (b_{mu lam} y)
+        f, degrees = self.field, self.module.degrees
+        signs = (f.one, f.neg(f.one))
+        own = ((lam, lam, signs[degrees[lam] % 2], self.Y.diff(q))
+               for lam, q in self.pieces(d))
+        return self.assemble(self, d, -1,
+                             chain(own, self.left_blocks(self.module.diff_column, d)))
 
     def right_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
-        ent = {}
-        if self.dim(d):
-            src, tgt = self.offsets(d), self.offsets(d + e)
-            for lam, deg in enumerate(self.module.degrees):
-                o, r = src[lam], tgt[lam]
-                if src[lam + 1] == o:
-                    continue
-                for (i, j), c in self.Y.action("r", mono, d - deg).entries.items():
-                    ent[(r + i, o + j)] = c
-        return SparseMatrix(self.field, self.dim(d + e), self.dim(d), ent)
+        one = self.field.one
+        return self.assemble(self, d, e, ((lam, lam, one, self.Y.action("r", mono, q))
+                                          for lam, q in self.pieces(d)))
 
     def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
         """Coordinates of x (x) y for x in N_p (coordinates of N's own

@@ -115,12 +115,10 @@ def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> d
 
 def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
     """delta_s as a matrix from cols = layout(s-1) to rows = layout(s)."""
-    f = rows.target.field
-    ent: dict = {}
-    for lam, mu, c, m in _delta_blocks(rows.source, rows.target, rows.shift):
-        r, k = rows.block(lam)[0], cols.block(mu)[0]
-        vec_axpy(f, ent, c, {(r + i, k + j): x for (i, j), x in m.entries.items()})
-    return SparseMatrix(f, rows.total, cols.total, ent)
+    return SparseMatrix.from_blocks(
+        rows.target.field, [off for off, _, _ in rows.offsets],
+        [off for off, _, _ in cols.offsets], rows.total, cols.total,
+        _delta_blocks(rows.source, rows.target, rows.shift))
 
 
 def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,

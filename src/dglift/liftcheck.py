@@ -47,12 +47,9 @@ def splitting_search(N: SemifreeModule, G: SemifreeModule | None = None,
     rhs = [f.zero] * len(rows)
     for lam in range(N.n_gens):
         off, d, n = hs.layout.block(lam)
-        pim = pi_op.mat(d)
-        tdim = ncar.dim(d)
         want = ncar.index(d, lam, N.algebra.unit_mono())
-        for i in range(tdim):
-            row = {off + j: c for (ii, j), c in pim.entries.items() if ii == i}
-            rows.append(row)
+        for i, prow in enumerate(pi_op.mat(d).rows()):
+            rows.append({off + j: c for j, c in prow.items()})
             rhs.append(f.one if i == want else f.zero)
     m = SparseMatrix.from_rows(f, hs.layout.total, rows)
     sol = m.solve(rhs)

@@ -99,10 +99,6 @@ class Echelon:
             by_col.setdefault(j, set()).add(p)
         return True
 
-    def add_rows(self, rows) -> None:
-        for r in rows:
-            self.add_row(r)
-
     def free_columns(self) -> list[int]:
         return [j for j in range(self.ncols) if j not in self._row_of]
 
@@ -155,6 +151,19 @@ class SparseMatrix:
             for i, c in col.items():
                 ent[(i, j)] = c
         return cls(field, nrows, len(cols), ent)
+
+    @classmethod
+    def from_blocks(cls, field, row_offsets, col_offsets, nrows, ncols, blocks):
+        """The matrix that adds c * M at (row_offsets[r], col_offsets[k]) for
+        each generator block (r, k, c, M): the one place where an operator
+        acting on one copy of a carrier per generator is put together."""
+        ent: dict = {}
+        axpy = field.axpy
+        for r, k, c, m in blocks:
+            if m.entries:
+                o, p = row_offsets[r], col_offsets[k]
+                axpy(ent, c, {(o + i, p + j): x for (i, j), x in m.entries.items()})
+        return cls(field, nrows, ncols, ent)
 
     @classmethod
     def identity(cls, field, n):

@@ -23,6 +23,8 @@ class SemifreeModule:
         self.algebra = algebra
         self.names = tuple(names)
         self.degrees = tuple(degrees)
+        self.min_degree = min(self.degrees, default=0)
+        self.max_degree = max(self.degrees, default=0)
         if len(set(self.names)) != len(self.names):
             raise NotTriangular("duplicate basis names")
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
@@ -39,14 +41,6 @@ class SemifreeModule:
     @property
     def n_gens(self) -> int:
         return len(self.names)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees, default=0)
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
 
     def diff_column(self, lam: int):
         """((mu, coefficient), ...) for d(e_lam), by increasing mu."""
@@ -177,9 +171,6 @@ class ChainMap:
 
     def entry(self, mu, lam) -> AlgebraElement:
         return self.entries.get((mu, lam), self.source.algebra.zero())
-
-    def column(self, lam):
-        return [(mu, el) for (mu, l), el in sorted(self.entries.items()) if l == lam]
 
     def validate(self):
         src, tgt, s = self.source, self.target, self.shift

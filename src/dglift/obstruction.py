@@ -6,11 +6,15 @@ tensor-degree-raising operator sends e_lam (x) t to
     sum_{mu<lam} (-1)^{|e_mu|} e_mu (x) delta(b_{mu lam}) (x) t,
 
 the sign being the cost of writing the suspended slot in unshifted J
-coordinates.  Each tensor component is validated as an exact degree-0 chain
-operator; an independent construction through the enveloping algebra
-(section/retraction conjugation of the differential of N (x) B^e) must
-reproduce it entrywise, and the closed-form power expansion over strictly
-decreasing generator chains must equal the iterated composition.
+coordinates.  So component i is a matrix of generator blocks: block
+(mu, lam) is (-1)^{|e_mu|} delta(b_{mu lam}) (x) - on T^i, as f (x) id is
+the left action of f's entries on one copy of T^n per generator.  A
+DegreewiseMap builds such an operator one degree at a time, and validates
+each tensor component as an exact degree-0 chain operator.  An independent
+construction through the enveloping algebra (section/retraction conjugation
+of the differential of N (x) B^e, built column by column) must reproduce it
+entrywise, and the closed-form power expansion over strictly decreasing
+generator chains must equal the iterated composition.
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ from .modules import ChainMap, SemifreeModule
 class DegreewiseMap:
     """A degree-0 chain operator between carriers, one matrix per DG degree.
 
-    Matrices are built lazily by the column builder and the chain square
-    D_target m(d) = m(d-1) D_source is checked exactly whenever a new degree
-    is materialized.
+    Matrices are built lazily, one per degree by build(d), and the chain
+    square D_target m(d) = m(d-1) D_source is checked exactly whenever a new
+    degree is materialized.
     """
 
-    def __init__(self, source: Carrier, target: Carrier, column_fn, name="op",
+    def __init__(self, source: Carrier, target: Carrier, build, name="op",
                  validate: bool = True):
         self.source = source
         self.target = target
-        self.column_fn = column_fn
+        self.build = build
         self.name = name
         self._validate = validate
         self._mats: dict[int, SparseMatrix] = {}
@@ -43,9 +47,7 @@ class DegreewiseMap:
 
     def mat(self, d: int) -> SparseMatrix:
         if d not in self._mats:
-            cols = [self.column_fn(d, k) for k in range(self.source.dim(d))]
-            self._mats[d] = SparseMatrix.from_cols(
-                self.source.field, self.target.dim(d), cols)
+            self._mats[d] = self.build(d)
             if self._validate:
                 self._check(d)
         return self._mats[d]
@@ -104,28 +106,22 @@ class ObstructionTower:
         f = N.algebra.field
         src = diag.NT(N, i)
         tgt = diag.NT(N, i + 1)
-        ncar = N.carrier()
+        Ti, Ti1 = diag.T(i), diag.T(i + 1)
+        signs = (f.one, f.neg(f.one))
 
-        def column(d: int, k: int) -> dict:
-            # basis vector k is e_lam (x) t; insert delta of each entry of d(e_lam)
-            lam, j = src.block(d, k)
-            tq = d - N.degrees[lam]
-            tv = {j: f.one}
-            out: dict = {}
-            for mu, b in N.diff_column(lam):
-                bd, dvec = diag.delta(b)
-                if not dvec:
-                    continue
-                mid = diag.t_prepend(bd + 1, dvec, i, tq, tv)
-                if not mid:
-                    continue
-                pmu, uvec = ncar.gen_vector(mu)
-                res = tgt.pair_project(pmu, uvec, bd + 1 + tq, mid)
-                sgn = f.neg(f.one) if N.degrees[mu] % 2 else f.one
-                vec_axpy(f, out, sgn, res)
-            return out
+        def delta_block(b, q: int) -> SparseMatrix:
+            # delta(b) (x) - : T^i_q -> T^{i+1}_{q+|b|+1}, column by column
+            bd, dvec = diag.delta(b)
+            cols = [diag.t_prepend(bd + 1, dvec, i, q, {j: f.one}) for j in range(Ti.dim(q))]
+            return SparseMatrix.from_cols(f, Ti1.dim(q + bd + 1), cols)
 
-        return DegreewiseMap(src, tgt, column, name=f"w[{i}]")
+        def build(d: int) -> SparseMatrix:
+            # block (mu, lam) is (-1)^{|e_mu|} delta(b_{mu lam}) (x) - on T^i
+            return src.assemble(tgt, d, 0, (
+                (mu, lam, signs[N.degrees[mu] % 2], delta_block(b, q))
+                for lam, q in src.pieces(d) for mu, b in N.diff_column(lam)))
+
+        return DegreewiseMap(src, tgt, build, name=f"w[{i}]")
 
     def restriction(self) -> CarrierMap:
         """Tensor-degree-0 restriction as a map N -> N (x) T^1."""
@@ -237,7 +233,11 @@ class EnvelopingRouteTower:
                 vec_axpy(f, out, sgn, res)
             return out
 
-        return DegreewiseMap(src, tgt, column, name=f"w+[{i}]")
+        def build(d: int) -> SparseMatrix:
+            cols = [column(d, k) for k in range(src.dim(d))]
+            return SparseMatrix.from_cols(f, tgt.dim(d), cols)
+
+        return DegreewiseMap(src, tgt, build, name=f"w+[{i}]")
 
 
 def towers_agree(a, b, i: int, degrees) -> bool:
@@ -404,25 +404,15 @@ def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int,
 def _tensor_id(fmap: ChainMap, src: SemifreeCarrier, tgt: SemifreeCarrier,
                name: str) -> DegreewiseMap:
     """f (x) id_Y between closed-form carriers N (x) Y -> N' (x) Y:
-    e_lam (x) y goes to the sum over mu of e_mu f_{mu lam} (x) y."""
-    tcar = fmap.target.carrier()
-    alg = fmap.source.algebra
-    f = alg.field
+    e_lam (x) y goes to the sum over mu of e_mu (x) f_{mu lam} y."""
+    columns: dict = {}
+    for (mu, lam), el in fmap.entries.items():
+        columns.setdefault(lam, []).append((mu, el))
 
-    def column(d: int, k: int) -> dict:
-        lam, j = src.block(d, k)
-        q = d - fmap.source.degrees[lam]
-        out: dict = {}
-        for (mu, l2), el in fmap.entries.items():
-            if l2 != lam:
-                continue
-            for v, c in el.terms.items():
-                pv = fmap.target.degrees[mu] + alg.mono_degree(v)
-                res = tgt.pair_project(pv, {tcar.index(pv, mu, v): f.one}, q, {j: f.one})
-                vec_axpy(f, out, c, res)
-        return out
+    def build(d: int) -> SparseMatrix:
+        return src.assemble(tgt, d, 0, src.left_blocks(lambda lam: columns.get(lam, ()), d))
 
-    return DegreewiseMap(src, tgt, column, name=name, validate=False)
+    return DegreewiseMap(src, tgt, build, name=name, validate=False)
 
 
 def chain_map_operator(cm: ChainMap) -> DegreewiseMap:

@@ -1,21 +1,27 @@
 """The obstruction operator: formula vs enveloping route, powers, vanishing,
 graded endomorphism dimensions, action matrices, cone components, nilpotency,
-functoriality, and basis-change conjugation."""
+functoriality, basis-change conjugation, and f (x) id against independent
+routes."""
 
 import random
 
 import pytest
 
 from dglift.algebra import BaseRing, build_algebra
+from dglift.carriers import TensorCarrier
 from dglift.diagonal import Diagonal
-from dglift.homotopy import HomSpace, hom_k_dim
-from dglift.modules import ChainMap, cone, free_module, make_module
+from dglift.homotopy import HomSpace, carrier_map_to_chain, hom_k_dim
+from dglift.instances import battery_pairs
+from dglift.linalg import SparseMatrix
+from dglift.modules import ChainMap, cone, free_module, make_module, shift
 from dglift.obstruction import (EnvelopingRouteTower, ObstructionTower,
-                                carrier_maps_equal, chi_power, chi_power_iterated,
-                                cone_component_dims, conjugation_commutes,
-                                functoriality_defect_is_null, gamma_dim,
-                                local_nilpotency, map_tensor_id,
+                                carrier_maps_equal, chain_map_operator, chi_power,
+                                chi_power_iterated, cone_component_dims,
+                                conjugation_commutes, functoriality_defect_is_null,
+                                gamma_dim, local_nilpotency, map_tensor_id,
                                 omega_action_matrix, omega_is_zero, towers_agree)
+
+from test_carriers import corpus, phi, same
 
 
 @pytest.fixture()
@@ -250,3 +256,96 @@ def test_map_tensor_id_is_chain_operator(ext, ext_diag):
         assert m.nrows == m.ncols
         # identity (x) id is the identity matrix
         assert m.entries == {(i, i): ext.field.one for i in range(m.ncols)}
+
+
+# ----- f (x) id and the towers on the corpus, on both backends --------------
+
+
+def corpus_maps(inst):
+    """(where, f): the base-change counit pi: G -> N of every corpus module,
+    and for every battery module the strict triangular chain endomorphisms
+    whose sums criterion 10 of the acceptance tests samples."""
+    for mname, M in inst.modules.items():
+        yield (inst.name, mname, "pi"), inst.diag.base_change(M)[1]
+    for mname in inst.battery:
+        M = inst.modules[mname]
+        for k, cyc in enumerate(HomSpace(M, M, 0, strict_triangular=True).cycles()):
+            yield (inst.name, mname, f"cycle{k}"), carrier_map_to_chain(cyc)
+
+
+def image_of_generator(fmap, lam) -> dict:
+    """f(e_lam) = sum_mu e_mu f_{mu lam} in the target module's coordinates."""
+    tcar = fmap.target.carrier()
+    p = fmap.source.degrees[lam]
+    return {tcar.index(p, mu, v): c for (mu, l2), el in fmap.entries.items()
+            if l2 == lam for v, c in el.terms.items()}
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_tensor_id_on_B_multiplies_the_matrix_over_B(backend):
+    """chain_map_operator(f) sends e_lam w to sum_mu e_mu (f_{mu lam} w),
+    with the products taken in the algebra."""
+    nonzero = 0
+    for inst in corpus(backend).values():
+        alg, f = inst.algebra, inst.algebra.field
+        for where, fmap in corpus_maps(inst):
+            op = chain_map_operator(fmap)
+            scar, tcar = fmap.source.carrier(), fmap.target.carrier()
+            for d in range(scar.min_degree(), alg.config.max_degree + 1):
+                want = {}
+                for k, (lam, w) in enumerate(scar.labels(d)):
+                    for (mu, l2), el in fmap.entries.items():
+                        if l2 == lam:
+                            for v, c in (el * alg.from_mono(w)).terms.items():
+                                want[(tcar.index(d, mu, v), k)] = c
+                m = op.mat(d)
+                assert (m.nrows, m.ncols) == (tcar.dim(d), scar.dim(d)), where + (d,)
+                assert m.entries == want, where + (d,)
+                nonzero += len(want)
+    assert nonzero > 200
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_tensor_id_on_T_matches_the_relation_quotient(backend):
+    """Through the isomorphism Phi onto the quotient N' (x) T^n, f (x) id
+    sends e_lam (x) t to the class of f(e_lam) (x) t, for n = 1 and 2."""
+    nonzero = 0
+    for inst in corpus(backend).values():
+        diag, f = inst.diag, inst.algebra.field
+        cap = inst.algebra.config.max_degree
+        for where, fmap in corpus_maps(inst):
+            for n in (1, 2):
+                src, tgt = diag.NT(fmap.source, n), diag.NT(fmap.target, n)
+                oracle = TensorCarrier(fmap.target.carrier(), diag.T(n))
+                op = map_tensor_id(fmap, diag, n)
+                for d in range(src.min_degree(), cap + 1):
+                    cols = []
+                    for k in range(src.dim(d)):
+                        lam, j = src.block(d, k)
+                        p = fmap.source.degrees[lam]
+                        cols.append(oracle.pair_project(p, image_of_generator(fmap, lam),
+                                                        d - p, {j: f.one}))
+                    want = SparseMatrix.from_cols(f, oracle.dim(d), cols)
+                    assert same(phi(tgt, oracle, d) @ op.mat(d), want), where + (n, d)
+                    nonzero += len(want.entries)
+    assert nonzero > 500
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_towers_agree_up_to_the_cap(backend):
+    """The direct tower and the enveloping route agree entrywise on
+    components 0, 1 and 2 in every degree up to the cap, past the window
+    min..max+1 of criterion 10, where most of their nonzero entries lie.
+    Each battery module is also taken once suspended: only there does an
+    odd generator e_mu meet a coefficient b_{mu lam} with delta(b) != 0, so
+    only there does the sign (-1)^{|e_mu|} show."""
+    nonzero = [0, 0, 0]
+    for inst, mname, M0 in battery_pairs(corpus(backend)):
+        diag = inst.diag
+        for M in (M0, shift(M0, 1)):
+            tower, route = ObstructionTower(M, diag), EnvelopingRouteTower(M, diag)
+            degrees = range(M.min_degree, inst.algebra.config.max_degree + 1)
+            for i in range(3):
+                assert towers_agree(tower, route, i, degrees), (inst.name, mname, M.degrees, i)
+                nonzero[i] += sum(len(tower.component(i).mat(d).entries) for d in degrees)
+    assert min(nonzero) > 0, nonzero
