@@ -9,7 +9,10 @@ timing field removed, on both backends.  Each line also shows the exit code.
 It also hashes the tensor powers of the diagonal that no report shows whole:
 for every corpus algebra, n <= 3 and degree d within the algebra's cap, the
 dimension, the basis labels and the sorted differential entries of
-Diagonal.T(n) in degree d, on both backends.  And it hashes two operators
+Diagonal.T(n) in degree d, on both backends; and the same for the
+quotients over the subalgebra A: Diagonal.BT_A(n) for n <= 2 and
+Diagonal.NT_A(N, 1) for every corpus module N, in every degree from the
+carrier's lowest up to the algebra's cap.  And it hashes two operators
 on N (x)_B Y that reports use but never print: for every corpus module N, the
 sorted entries of chain_map_operator(pi), pi the base-change counit of N, and
 of the tensor-degree-0 obstruction component N -> N (x) T^1, in every degree
@@ -64,6 +67,13 @@ def corpus_digest(backend: str) -> tuple[str, int]:
     return sha(json.dumps(report, sort_keys=True, indent=1)), proc.returncode
 
 
+def piece_digest(car, d: int) -> str:
+    """The dimension, basis labels and sorted differential entries of a
+    carrier in degree d."""
+    diff = [(i, j, str(c)) for (i, j), c in sorted(car.diff(d).entries.items())]
+    return sha(repr((car.dim(d), car.labels(d), diff)))
+
+
 def tensor_digests(backend: str):
     """(algebra, n, d, digest) for the pieces T(n)_d of every corpus algebra."""
     for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
@@ -71,9 +81,19 @@ def tensor_digests(backend: str):
         for n in range(4):
             car = diag.T(n)
             for d in range(inst.algebra.config.max_degree + 1):
-                diff = [(i, j, str(c)) for (i, j), c in sorted(car.diff(d).entries.items())]
-                piece = repr((car.dim(d), car.labels(d), diff))
-                yield name, n, d, sha(piece)
+                yield name, n, d, piece_digest(car, d)
+
+
+def tensor_A_digests(backend: str):
+    """(algebra, carrier, d, digest) for the pieces of B (x)_A T^n, n <= 2,
+    and of N (x)_A T^1 for every module N of every corpus algebra."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        cars = [(f"BT_A{n}", diag.BT_A(n)) for n in range(3)]
+        cars += [(f"NT_A:{mname}:1", diag.NT_A(M, 1)) for mname, M in inst.modules.items()]
+        for where, car in cars:
+            for d in range(car.min_degree(), inst.algebra.config.max_degree + 1):
+                yield name, where, d, piece_digest(car, d)
 
 
 def operator_digests(backend: str):
@@ -104,6 +124,8 @@ def main() -> int:
         print(f"{digest}  run_corpus {backend} exit={code}")
         for name, n, d, digest in tensor_digests(backend):
             print(f"{digest}  tensor {name} T{n} d{d} {backend}")
+        for name, where, d, digest in tensor_A_digests(backend):
+            print(f"{digest}  tensor_A {name} {where} d{d} {backend}")
         for name, mname, digest in operator_digests(backend):
             print(f"{digest}  operators {name} {mname} {backend}")
     return 0

@@ -10,9 +10,14 @@ action, f (x) id and the obstruction components) is a matrix of generator
 blocks, put together by SemifreeCarrier.assemble.  Every other tensor
 product (over B with a non-free left factor, as in the tensor powers of the
 diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
-of the degreewise k-tensor space.  A shifted carrier negates the
-differential per shift step and twists the left action by (-1)^{i|b|},
-which is the whole sign content of suspension.
+of the degreewise k-tensor space, built from a basis of its relations: one
+row per basis vector of the left factor and per product g*y in a basis of
+R_+ Y, g a generator of the ring.  A freeness check on the right factor
+certifies that these rows span, and each row is checked to be new, so a
+factor outside that case raises instead of giving a wrong quotient (see
+TensorCarrier).  A shifted carrier negates the differential per shift step
+and twists the left action by (-1)^{i|b|}, which is the whole sign content
+of suspension.
 """
 
 from __future__ import annotations
@@ -422,17 +427,45 @@ class TensorCarrier(Carrier):
 
     The free space in degree d is the sum over p of the blocks X_p (x) Y_{d-p}.
     Block p starts at column base[p] (base = self._blocks(d)), and the pair
-    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j.  The relation rows are
-    x*b (x) y - x (x) b*y over all non-unit monomials b of the chosen ring
-    (any shift twist lives inside Y's left action), each written straight
-    into those columns.  Quotient coordinates are the RREF free columns.
+    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j.  The relations are
+    x*b (x) y - x (x) b*y over the non-unit monomials b of the chosen ring
+    (any shift twist lives inside Y's left action).  Quotient coordinates are
+    the RREF free columns.
 
-    Rows go in by descending p, then descending i and j.  Unless b*y_j = 0,
-    a row's leading column lies in block p, in the stretch of x_i, so a new
-    pivot usually lies left of every stored one, and add_row rarely has to
-    clear its column from stored rows.  The RREF of a row space is unique, so
-    the order changes no pivot, row, quotient basis or matrix, only the cost
-    of the build.
+    Only a basis of the relation space goes in.  For each degree q of Y,
+    S_q is a basis of (R_+ Y)_q made of products g*y_m, g a generator of R
+    (the base nilpotent or a variable) and y_m a basis vector of Y: every
+    product b*y with b a non-unit monomial is a combination of those, since
+    b = g*b' for a generator g.  Let V_q = dim Y_q - |S_q|.  In degree d the
+    rows are x_i*g (x) y_m - x_i (x) g*y_m for x_i in X_p and (g, m) in
+    S_{d-p}, written straight into the block columns.  Two facts make them a
+    basis:
+
+    - They are independent.  Take a vanishing combination and its lowest p;
+      in block p it reads sum_s c_s*g_s (x) y_{m_s} (over the degree-0 g_s
+      only) - sum_s c_s (x) g_s*y_{m_s} = 0 with c_s in X_p.  If every c_s
+      lies in X_p*a^t, a the base nilpotent, the first sum lies in
+      X_p*a^(t+1); the g_s*y_{m_s} are independent, so modulo X_p*a^(t+1)
+      every c_s vanishes, and since a is nilpotent all c_s are 0.  add_row
+      rechecks this: a row that does not enlarge the echelon raises.
+    - They span.  The freeness certificate checks, for every degree q of Y
+      up to d - min(X), that dim Y_q = sum_e dim R_e * V_{q-e} (dim R_0
+      counts the unit).  Lifts of a basis of Y/R_+Y generate Y (graded
+      Nakayama: R_+ is nilpotent in degree 0 and raises degree otherwise),
+      so R (x) V maps onto Y, and equal dimensions make it an isomorphism
+      in those degrees.  Then (X (x)_R Y)_d = (X (x) V)_d has dimension
+      sum_p dim X_p * V_{d-p}, and the rows, free dimension minus that
+      many, are the whole relation rank.  A factor that fails the check
+      raises DimensionMismatch rather than give a wrong quotient; every
+      right factor the engine uses (T^n, B) is free over R.
+
+    Rows go in by descending p, then descending i, then in the order of
+    S_q.  Unless g has degree 0, a row's leading column lies in block p, in
+    the stretch of x_i, so a new pivot lies left of the stored ones, and
+    add_row rarely has to clear its column from stored rows.  The RREF of a
+    row space is unique, so neither the order nor the choice of basis
+    changes any pivot, row, quotient basis or matrix, only the cost of the
+    build.
     """
 
     def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
@@ -450,18 +483,60 @@ class TensorCarrier(Carrier):
         self._ech: dict[int, Echelon] = {}
         self._quot: dict[int, list] = {}
         self._labels: dict[int, list] = {}
+        self._span: dict[int, list] = {}
+
+    def __repr__(self):
+        return (f"TensorCarrier({type(self.X).__name__} (x)_{self.ring} "
+                f"{type(self.Y).__name__})")
 
     def min_degree(self) -> int:
         return self.X.min_degree() + self.Y.min_degree()
 
     def _ring_monomials(self, e: int):
+        """The monomials of degree e of the ring, the unit included."""
         alg = self.algebra
         monos = alg.monomials(e)
         if self.ring == "A":
             monos = tuple(u for u in monos if alg.mono_in_A(u))
-        if e == 0:
-            monos = tuple(u for u in monos if not alg.mono_is_unit(u))
         return monos
+
+    def _spanning(self, q: int) -> list:
+        """S_q as (e, g, m, -g*y_m) for the generators g of degree e of the
+        ring: walking e ascending, then m descending, the products that
+        enlarge the span of the ones before them.  Rows go in in this order;
+        with m descending the pivots of a stretch arrive right to left, as
+        the leading entries of g*y_m tend to grow with m.  Building S_q also
+        checks the freeness certificate in degree q, which reads S_{q-e} for
+        e > 0 as well: _echelon_at(d) asks for every q from min(Y) to
+        d - min(X), so every degree it reads is certified."""
+        span = self._span.get(q)
+        if span is None:
+            Y, f = self.Y, self.field
+            ymin = Y.min_degree()
+            minus = f.neg(f.one)
+            span = []
+            if Y.dim(q):
+                ech = Echelon(f, Y.dim(q))
+                for e in range(q - ymin + 1):
+                    if not Y.dim(q - e):
+                        continue
+                    for g in self._ring_monomials(e):
+                        if sum(g) != 1:  # a generator: one exponent 1, the rest 0
+                            continue
+                        cols = Y.action("l", g, q - e).cols()
+                        for m in range(len(cols) - 1, -1, -1):
+                            if cols[m] and ech.add_row(cols[m]):
+                                span.append((e, g, m, f.scale(minus, cols[m])))
+            free = sum(len(self._ring_monomials(e))
+                       * (Y.dim(q - e) - len(self._spanning(q - e) if e else span))
+                       for e in range(q - ymin + 1))
+            if free != Y.dim(q):
+                raise DimensionMismatch(
+                    f"{self!r}: the right factor is not free over {self.ring} in "
+                    f"its degree {q} (dimension {Y.dim(q)}, a free module on the "
+                    f"same generators has {free})")
+            self._span[q] = span
+        return span
 
     def _blocks(self, d: int) -> dict:
         """base: block p of the free space in degree d starts at base[p]; the
@@ -499,36 +574,34 @@ class TensorCarrier(Carrier):
             X, Y, f = self.X, self.Y, self.field
             xmin, top = X.min_degree(), d - Y.min_degree()
             ech = Echelon(f, base[top + 1])
-            minus = f.neg(f.one)
             for p in range(top, xmin - 1, -1):
-                nx = X.dim(p)
-                if nx == 0:
+                nx, q = X.dim(p), d - p
+                span = self._spanning(q)
+                if not (nx and span):
                     continue
-                o, wy = base[p], Y.dim(d - p)
-                for e in range(top - p + 1):
-                    q = d - e - p
-                    ny = Y.dim(q)
-                    if ny == 0:
-                        continue
-                    oe = base[p + e]
-                    for b in self._ring_monomials(e):
-                        # x_i b (x) y_j - x_i (x) b y_j, both halves read off
-                        # the action matrices' columns
-                        xb = X.action("r", b, p).cols()
-                        by = [f.scale(minus, c) for c in Y.action("l", b, q).cols()]
-                        for i in range(nx - 1, -1, -1):
-                            up = [(oe + i2 * ny, c) for i2, c in xb[i].items()]
-                            lo = o + i * wy
-                            for j in range(ny - 1, -1, -1):
-                                row = {r + j: c for r, c in up}
-                                low = {lo + j2: c for j2, c in by[j].items()}
-                                if e:
-                                    row.update(low)
-                                else:
-                                    # a degree-0 b: both halves in block p
-                                    f.axpy(row, f.one, low)
-                                if row:
-                                    ech.add_row(row)
+                o, wy = base[p], Y.dim(q)
+                # per (g, m): the columns of x_i*g, where x_i*g (x) y_m starts
+                # and its stride in i, and -g*y_m
+                xg: dict = {}
+                halves = []
+                for e, g, m, by in span:
+                    if g not in xg:
+                        xg[g] = X.action("r", g, p).cols()
+                    halves.append((xg[g], base[p + e] + m, Y.dim(q - e), by, e))
+                for i in range(nx - 1, -1, -1):
+                    lo = o + i * wy
+                    for xcols, up, ny, by, e in halves:
+                        row = {up + i2 * ny: c for i2, c in xcols[i].items()}
+                        low = {lo + j: c for j, c in by.items()}
+                        if e:
+                            row.update(low)
+                        else:
+                            # a degree-0 g: both halves in block p
+                            f.axpy(row, f.one, low)
+                        if not ech.add_row(row):
+                            raise DimensionMismatch(
+                                f"{self!r} in degree {d}: relation row of x_{i} in degree "
+                                f"{p} is dependent")
             self._ech[d] = ech
             quot = ech.free_columns()
             labels = []
@@ -551,11 +624,6 @@ class TensorCarrier(Carrier):
         self._echelon_at(d)
         return list(self._labels[d])
 
-    def lift(self, d: int, k: int):
-        """Representative (p, i, j) of the k-th quotient basis vector."""
-        self._echelon_at(d)
-        return self._labels[d][k]
-
     def project_free(self, d: int, free_vec: dict) -> dict:
         """Quotient coordinates of a free-space vector."""
         ech = self._echelon_at(d)
@@ -572,18 +640,25 @@ class TensorCarrier(Carrier):
         self._echelon_at(d)
         return self.project_free(d, self._embed(d, p, xvec, yvec))
 
+    def _label_columns(self, d: int, matrix) -> tuple[list, dict]:
+        """The quotient labels of degree d, and for each block p they use the
+        columns of matrix(p), read once."""
+        self._echelon_at(d)
+        labels = self._labels[d]
+        return labels, {p: matrix(p).columns() for p in {p for p, _, _ in labels}}
+
     @per_degree
     def diff(self, d: int) -> SparseMatrix:
         f = self.field
+        labels, dx = self._label_columns(d, self.X.diff)
+        dy = {p: self.Y.diff(d - p).columns() for p in dx}
         cols = []
-        for k in range(self.dim(d)):
-            p, i, j = self.lift(d, k)
-            q = d - p
+        for p, i, j in labels:
             out: dict = {}
-            xv = self.X.diff(p).col(i)
+            xv = dx[p].get(i)
             if xv:
                 vec_axpy(f, out, f.one, self._embed(d - 1, p - 1, xv, {j: f.one}))
-            yv = self.Y.diff(q).col(j)
+            yv = dy[p].get(j)
             if yv:
                 sgn = f.neg(f.one) if p % 2 else f.one
                 vec_axpy(f, out, sgn, self._embed(d - 1, p, {i: f.one}, yv))
@@ -592,25 +667,23 @@ class TensorCarrier(Carrier):
 
     def right_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
-        f = self.field
+        one = self.field.one
+        labels, act = self._label_columns(d, lambda p: self.Y.action("r", mono, d - p))
         cols = []
-        for k in range(self.dim(d)):
-            p, i, j = self.lift(d, k)
-            q = d - p
-            yv = self.Y.action("r", mono, q).col(j)
-            cols.append(self.pair_project(p, {i: f.one}, q + e, yv) if yv else {})
-        return SparseMatrix.from_cols(f, self.dim(d + e), cols)
+        for p, i, j in labels:
+            yv = act[p].get(j)
+            cols.append(self.pair_project(p, {i: one}, d - p + e, yv) if yv else {})
+        return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
 
     def left_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
-        f = self.field
+        one = self.field.one
+        labels, act = self._label_columns(d, lambda p: self.X.action("l", mono, p))
         cols = []
-        for k in range(self.dim(d)):
-            p, i, j = self.lift(d, k)
-            q = d - p
-            xv = self.X.action("l", mono, p).col(i)
-            cols.append(self.pair_project(p + e, xv, q, {j: f.one}) if xv else {})
-        return SparseMatrix.from_cols(f, self.dim(d + e), cols)
+        for p, i, j in labels:
+            xv = act[p].get(i)
+            cols.append(self.pair_project(p + e, xv, d - p, {j: one}) if xv else {})
+        return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
 
 
 def validate_carrier_squares(car: Carrier, degrees) -> None:

@@ -180,7 +180,7 @@ class SparseMatrix:
         return out
 
     def col(self, j) -> dict:
-        return dict(self._by_col().get(j, ()))
+        return dict(self.columns().get(j, ()))
 
     def cols(self) -> list[dict]:
         out = [dict() for _ in range(self.ncols)]
@@ -194,7 +194,9 @@ class SparseMatrix:
             {(j, i): c for (i, j), c in self.entries.items()},
         )
 
-    def _by_col(self) -> dict[int, dict]:
+    def columns(self) -> dict[int, dict]:
+        """The nonzero columns as {j: {i: c}}, built on first use and shared:
+        callers read them and never change them."""
         if not hasattr(self, "_bycol"):
             by_col: dict[int, dict] = {}
             for (i, j), c in self.entries.items():
@@ -205,7 +207,7 @@ class SparseMatrix:
     def mat_vec(self, v: dict) -> dict:
         f = self.field
         out: dict = {}
-        by_col = self._by_col()
+        by_col = self.columns()
         for j, c in v.items():
             col = by_col.get(j)
             if col:

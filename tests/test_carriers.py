@@ -7,7 +7,9 @@ degreewise k-tensor space by the relations x b (x) y - x (x) b y.  The map
 Phi sending e_lam (x) t to the class of e_lam (x) t must be an isomorphism
 of chain complexes of right modules in every degree within the cap.  The
 quotient itself must be the one that dense elimination of those relation
-rows, written down from their definition, gives.
+rows, written down from their definition, gives, and its echelon form the
+one that inserting every relation row gives (quotient_oracle).  A right
+factor that is not free over the ring must make the quotient raise.
 """
 
 import random
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from dglift.algebra import BaseRing, build_algebra
-from dglift.carriers import SemifreeCarrier, TensorCarrier
+from dglift.carriers import Carrier, SemifreeCarrier, TensorCarrier
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch
@@ -26,6 +28,7 @@ from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 from dense_oracle import dense_echelon
+from quotient_oracle import all_rows_echelon
 
 # each corpus algebra keeps its own degree cap under the default config
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -186,8 +189,13 @@ def dense_relations(T: TensorCarrier, d: int):
 def quotient_carriers(backend):
     """(where, cap, TensorCarrier): T^2, T^3 and B (x)_A T^n for n <= 2, over
     every corpus algebra and over exterior algebras on two and three odd
-    generators, whose quotients are larger."""
+    generators, whose quotients are larger; and N (x)_A T^n for n <= 2 and
+    every corpus module N."""
     out = []
+    for inst in corpus(backend).values():
+        out += [((inst.name, f"NT_A {mname} {n}"), inst.algebra.config.max_degree,
+                 inst.diag.NT_A(M, n))
+                for mname, M in inst.modules.items() for n in range(3)]
     diags = [(inst.name, inst.diag) for inst in corpus(backend).values()]
     for k, cap in ((2, 8), (3, 6)):
         ext = build_algebra(BaseRing(), [(f"y{i}", 1, "0") for i in range(k)], 0,
@@ -224,3 +232,74 @@ def test_relation_quotient_is_the_dense_quotient(backend):
                 want = {pos: v[k] for pos, k in enumerate(free) if not f.is_zero(v[k])}
                 assert got == want, where + (d,)
     assert built > 40
+
+
+def large_carriers(backend):
+    """(where, cap, TensorCarrier): T^2, T^3 and B (x)_A T^n for n <= 2 over
+    the exterior algebra on five odd generators to degree 6 and over tate2
+    to degree 8."""
+    out = []
+    for name, base, gens, cap in (
+            ("ext5", BaseRing(), [(f"y{i}", 1, "0") for i in range(5)], 6),
+            ("tate2", BaseRing("q", 2), [("X", 1, "q"), ("Y", 2, "q*X")], 8)):
+        diag = Diagonal(build_algebra(base, gens, 0,
+                                      CONFIGS[backend].with_limits(max_degree=cap)))
+        cars = [(f"T{n}", diag.T(n)) for n in (2, 3)]
+        cars += [(f"BT_A{n}", diag.BT_A(n)) for n in range(3)]
+        out += [((name, where), cap, car) for where, car in cars]
+    return out
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_basis_rows_give_the_all_rows_echelon(backend):
+    """On quotients too large for the dense oracle, inserting a basis of the
+    relation space gives the echelon form that inserting every relation row
+    gives: the same pivots, rows and free columns, in every degree within
+    the cap."""
+    built = 0
+    for where, cap, T in large_carriers(backend):
+        for d in range(T.min_degree(), cap + 1):
+            got, want = T._echelon_at(d), all_rows_echelon(T, d)
+            assert got.pivots == want.pivots, where + (d,)
+            assert got.rows == want.rows, where + (d,)
+            assert got.free_columns() == want.free_columns(), where + (d,)
+            built += bool(got.rank and got.free_columns())
+    assert built > 25
+
+
+class Residue(Carrier):
+    """k = B/B_+ as a left module: k in degree 0, every non-unit monomial
+    acting as zero.  It is not free over B when B has a degree-1 variable."""
+
+    has_left = True
+
+    def min_degree(self):
+        return 0
+
+    def dim(self, d):
+        return 1 if d == 0 else 0
+
+    def labels(self, d):
+        return ["1"] if d == 0 else []
+
+    def diff(self, d):
+        return SparseMatrix(self.field, self.dim(d - 1), self.dim(d))
+
+    def left_act(self, mono, d):
+        e = self.algebra.mono_degree(mono)
+        unit = self.algebra.mono_is_unit(mono) and d == 0
+        return SparseMatrix(self.field, self.dim(d + e), self.dim(d),
+                            {(0, 0): self.field.one} if unit else {})
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_non_free_right_factor_raises(backend):
+    """B (x)_B k is k.  In degree 0 the certificate holds and the quotient
+    is right; in degree 1 no relation row exists, as B_+ kills k, so a
+    quotient built from a basis of B_+ k would keep all of B_1 (x) k: the
+    freeness check must raise instead, naming the degree."""
+    B = corpus(backend)["exterior"].diag.B
+    T = TensorCarrier(B, Residue(B.algebra))
+    assert T.dim(0) == 1
+    with pytest.raises(DimensionMismatch, match="degree 1"):
+        T.dim(1)
