@@ -10,21 +10,23 @@ action, f (x) id and the obstruction components) is a matrix of generator
 blocks, put together by SemifreeCarrier.assemble.  Every other tensor
 product (over B with a non-free left factor, as in the tensor powers of the
 diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
-of the degreewise k-tensor space, built from a basis of its relations: one
-row per basis vector of the left factor and per product g*y in a basis of
-R_+ Y, g a generator of the ring.  A freeness check on the right factor
-certifies that these rows span, and each row is checked to be new, so a
-factor outside that case raises instead of giving a wrong quotient (see
-TensorCarrier).  A shifted carrier negates the differential per shift step
-and twists the left action by (-1)^{i|b|}, which is the whole sign content
-of suspension.
+of the degreewise k-tensor space, its coordinates the free columns of the
+RREF of the relations.  That echelon is never built: its pivots and every
+reduction are read off one small echelon per degree of the right factor Y,
+of a basis of R_+ Y made of products g*y, g a generator of the ring.  A
+freeness check on Y proves the relation rank, and an ordering check on the
+left factor's degree-0 action proves the pivots, so a factor outside that
+case raises instead of giving a wrong quotient (see TensorCarrier).  A
+shifted carrier negates the differential per shift step and twists the left
+action by (-1)^{i|b|}, which is the whole sign content of suspension.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import wraps
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
@@ -422,50 +424,67 @@ class KernelSubCarrier(Carrier):
         return self._push(d, d + e, self.parent.left_act(mono, d))
 
 
+class QuotientShape(NamedTuple):
+    """The relation echelon of a TensorCarrier in degree d, known from the
+    echelons of the S_q without being built: ncols is the free dimension and
+    rank the number of relation pivots.  layout[p] is what the reduction
+    reads of block p: (the column where it starts, dim Y_{d-p}, the
+    quotient index of its first coordinate)."""
+
+    ncols: int
+    rank: int
+    layout: dict
+
+
 class TensorCarrier(Carrier):
     """X (x)_R Y as a degreewise relation-quotient, R = B or the prefix A.
 
     The free space in degree d is the sum over p of the blocks X_p (x) Y_{d-p}.
     Block p starts at column base[p] (base = self._blocks(d)), and the pair
-    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j.  The relations are
-    x*b (x) y - x (x) b*y over the non-unit monomials b of the chosen ring
-    (any shift twist lives inside Y's left action).  Quotient coordinates are
-    the RREF free columns.
+    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j: the stretch (p, i) of
+    x_i.  The relations are x*b (x) y - x (x) b*y over the non-unit monomials
+    b of the chosen ring (any shift twist lives inside Y's left action).
+    Quotient coordinates are the free columns of the RREF of the relations;
+    that echelon is never built.  It is read off one small echelon per
+    degree q of Y.
 
-    Only a basis of the relation space goes in.  For each degree q of Y,
-    S_q is a basis of (R_+ Y)_q made of products g*y_m, g a generator of R
-    (the base nilpotent or a variable) and y_m a basis vector of Y: every
-    product b*y with b a non-unit monomial is a combination of those, since
-    b = g*b' for a generator g.  Let V_q = dim Y_q - |S_q|.  In degree d the
-    rows are x_i*g (x) y_m - x_i (x) g*y_m for x_i in X_p and (g, m) in
-    S_{d-p}, written straight into the block columns.  Two facts make them a
-    basis:
+    For each q, S_q is a basis of (R_+ Y)_q made of products g*y_m, g a
+    generator of R (the base nilpotent or a variable) and y_m a basis vector
+    of Y: every product b*y with b a non-unit monomial is a combination of
+    those, since b = g*b' for a generator g.  E_q is the RREF of S_q on the
+    columns of Y_q, each row tagged with the combination of S_q that made
+    it.  Let V_q = dim Y_q - |S_q|.  The relations in degree d are spanned by
+    r = x_i*g (x) y_m - x_i (x) g*y_m for x_i in X_p and (g, m) in S_{d-p}:
 
-    - They are independent.  Take a vanishing combination and its lowest p;
-      in block p it reads sum_s c_s*g_s (x) y_{m_s} (over the degree-0 g_s
-      only) - sum_s c_s (x) g_s*y_{m_s} = 0 with c_s in X_p.  If every c_s
-      lies in X_p*a^t, a the base nilpotent, the first sum lies in
-      X_p*a^(t+1); the g_s*y_{m_s} are independent, so modulo X_p*a^(t+1)
-      every c_s vanishes, and since a is nilpotent all c_s are 0.  add_row
-      rechecks this: a row that does not enlarge the echelon raises.
     - They span.  The freeness certificate checks, for every degree q of Y
       up to d - min(X), that dim Y_q = sum_e dim R_e * V_{q-e} (dim R_0
       counts the unit).  Lifts of a basis of Y/R_+Y generate Y (graded
       Nakayama: R_+ is nilpotent in degree 0 and raises degree otherwise),
       so R (x) V maps onto Y, and equal dimensions make it an isomorphism
       in those degrees.  Then (X (x)_R Y)_d = (X (x) V)_d has dimension
-      sum_p dim X_p * V_{d-p}, and the rows, free dimension minus that
-      many, are the whole relation rank.  A factor that fails the check
-      raises DimensionMismatch rather than give a wrong quotient; every
-      right factor the engine uses (T^n, B) is free over R.
+      sum_p dim X_p * V_{d-p}, so the relation rank is sum_p dim X_p *
+      |S_{d-p}|, which is the number of these r.  A factor that fails the
+      check raises DimensionMismatch rather than give a wrong quotient;
+      every right factor the engine uses (T^n, B) is free over R.
+    - Their pivots are the columns base[p] + i*dim Y_q + pi, pi a pivot of
+      E_q.  The half x_i*g (x) y_m lies in block p + e, e = |g|, above block
+      p when e > 0; for a degree-0 g it lies in block p, in the stretches of
+      the x_i' that x_i*g involves, and the ordering check asks each of those
+      to come after x_i.  So r leads in its own stretch (p, i), where it
+      reads -g*y_m, and the tagged rows of E_q combine the r of one stretch
+      into rows that lead at each pivot of E_q there.  That makes one
+      distinct leading column per r, as many as the relation rank, so these
+      are the pivots of the RREF and the labels are the other columns.
 
-    Rows go in by descending p, then descending i, then in the order of
-    S_q.  Unless g has degree 0, a row's leading column lies in block p, in
-    the stretch of x_i, so a new pivot lies left of the stored ones, and
-    add_row rarely has to clear its column from stored rows.  The RREF of a
-    row space is unique, so neither the order nor the choice of basis
-    changes any pivot, row, quotient basis or matrix, only the cost of the
-    build.
+    _reduce, behind project_free, pair_project and diff, reduces a vector to
+    the RREF free columns without the RREF: it walks the stretches in
+    ascending order, reduces the Y_q part of stretch (p, i) by E_q, whose
+    tags say which sum of the g*y_m it took away, and moves x_i (x) g*y_m
+    across as x_i*g (x) y_m, into later stretches.  What is left lies on
+    free columns and differs from the vector by relations, so it is the
+    RREF reduction.  A left factor whose degree-0 action moves a basis
+    vector backwards would break the walk and the pivot count; it raises
+    DimensionMismatch naming the degree.
     """
 
     def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
@@ -480,10 +499,10 @@ class TensorCarrier(Carrier):
         self.has_left = X.has_left
         self.has_right = Y.has_right
         self._base: dict[int, dict] = {}
-        self._ech: dict[int, Echelon] = {}
+        self._shape: dict[int, QuotientShape] = {}
         self._quot: dict[int, list] = {}
         self._labels: dict[int, list] = {}
-        self._span: dict[int, list] = {}
+        self._span: dict[int, tuple] = {}
 
     def __repr__(self):
         return (f"TensorCarrier({type(self.X).__name__} (x)_{self.ring} "
@@ -500,23 +519,25 @@ class TensorCarrier(Carrier):
             monos = tuple(u for u in monos if alg.mono_in_A(u))
         return monos
 
-    def _spanning(self, q: int) -> list:
-        """S_q as (e, g, m, -g*y_m) for the generators g of degree e of the
-        ring: walking e ascending, then m descending, the products that
-        enlarge the span of the ones before them.  Rows go in in this order;
-        with m descending the pivots of a stretch arrive right to left, as
-        the leading entries of g*y_m tend to grow with m.  Building S_q also
-        checks the freeness certificate in degree q, which reads S_{q-e} for
-        e > 0 as well: _echelon_at(d) asks for every q from min(Y) to
-        d - min(X), so every degree it reads is certified."""
-        span = self._span.get(q)
-        if span is None:
+    def _spanning(self, q: int) -> tuple:
+        """(S_q, E_q, free) for degree q of Y.  S_q lists (e, g, m) for the
+        generators g of degree e of the ring: walking e ascending, then m
+        descending, the products g*y_m that enlarge the span of the ones
+        before them.  E_q is their RREF on columns 0..dim Y_q - 1; the row
+        that element s of S_q entered carries a tag 1 in column dim Y_q + s,
+        so every row's tags give its combination of S_q.  free maps each
+        non-pivot column of E_q to its position among them.  Building S_q
+        also checks the freeness certificate in degree q, which reads
+        S_{q-e} for e > 0 as well: _echelon_at(d) asks for every q from
+        min(Y) to d - min(X), so every degree it reads is certified."""
+        got = self._span.get(q)
+        if got is None:
             Y, f = self.Y, self.field
-            ymin = Y.min_degree()
-            minus = f.neg(f.one)
-            span = []
-            if Y.dim(q):
-                ech = Echelon(f, Y.dim(q))
+            ymin, wy = Y.min_degree(), Y.dim(q)
+            span: list = []
+            # the tags ride beyond the wy columns of Y_q and are never pivots
+            ech = Echelon(f, wy)
+            if wy:
                 for e in range(q - ymin + 1):
                     if not Y.dim(q - e):
                         continue
@@ -525,18 +546,22 @@ class TensorCarrier(Carrier):
                             continue
                         cols = Y.action("l", g, q - e).cols()
                         for m in range(len(cols) - 1, -1, -1):
-                            if cols[m] and ech.add_row(cols[m]):
-                                span.append((e, g, m, f.scale(minus, cols[m])))
+                            red = ech.reduce(cols[m]) if cols[m] else None
+                            # g*y_m is new when it leaves something on Y_q
+                            if red and min(red) < wy:
+                                red[wy + len(span)] = f.one
+                                ech.add_row(red)
+                                span.append((e, g, m))
             free = sum(len(self._ring_monomials(e))
-                       * (Y.dim(q - e) - len(self._spanning(q - e) if e else span))
+                       * (Y.dim(q - e) - len(self._spanning(q - e)[0] if e else span))
                        for e in range(q - ymin + 1))
-            if free != Y.dim(q):
+            if free != wy:
                 raise DimensionMismatch(
                     f"{self!r}: the right factor is not free over {self.ring} in "
-                    f"its degree {q} (dimension {Y.dim(q)}, a free module on the "
+                    f"its degree {q} (dimension {wy}, a free module on the "
                     f"same generators has {free})")
-            self._span[q] = span
-        return span
+            got = self._span[q] = (span, ech, {j: k for k, j in enumerate(ech.free_columns())})
+        return got
 
     def _blocks(self, d: int) -> dict:
         """base: block p of the free space in degree d starts at base[p]; the
@@ -555,64 +580,47 @@ class TensorCarrier(Carrier):
             self._base[d] = base
         return base
 
-    def _embed(self, d: int, p: int, xvec: dict, yvec: dict) -> dict:
-        """Outer product into free coordinates at total degree d."""
-        f = self.field
-        o = self._blocks(d)[p]
-        ny = self.Y.dim(d - p)
-        out: dict = {}
-        for i, ci in xvec.items():
-            r = o + i * ny
-            for j, c in f.scale(ci, yvec).items():
-                out[r + j] = c
-        return out
+    def _check_moves(self, d: int, p: int, span: list) -> None:
+        """The ordering check: each degree-0 generator g of S_{d-p} takes every
+        x_i in X_p to later basis vectors only."""
+        for g in {g for e, g, _ in span if e == 0}:
+            for i, col in self.X.action("r", g, p).columns().items():
+                if min(col) <= i:
+                    raise DimensionMismatch(
+                        f"{self!r} in degree {d}: x_{i}*{self.algebra.mono_str(g)} "
+                        f"in degree {p} of the left factor reaches back to "
+                        f"x_{min(col)}, so the relation pivots cannot be read off "
+                        f"S_{d - p}")
 
-    def _echelon_at(self, d: int) -> Echelon:
-        ech = self._ech.get(d)
-        if ech is None:
+    def _echelon_at(self, d: int) -> QuotientShape:
+        """The shape of the relation echelon in degree d; builds the labels
+        and the free columns, certifies every degree of Y it reads and runs
+        the ordering check."""
+        shape = self._shape.get(d)
+        if shape is None:
             base = self._blocks(d)
-            X, Y, f = self.X, self.Y, self.field
-            xmin, top = X.min_degree(), d - Y.min_degree()
-            ech = Echelon(f, base[top + 1])
-            for p in range(top, xmin - 1, -1):
-                nx, q = X.dim(p), d - p
-                span = self._spanning(q)
-                if not (nx and span):
+            X, Y = self.X, self.Y
+            layout: dict = {}
+            quot: list = []
+            labels: list = []
+            rank = 0
+            for p in range(X.min_degree(), d - Y.min_degree() + 1):
+                # S_q for every q, empty blocks too, so every degree is certified
+                span, _, free = self._spanning(d - p)
+                o, nx, wy = base[p], X.dim(p), Y.dim(d - p)
+                layout[p] = (o, wy, len(quot))
+                if not (nx and wy):
                     continue
-                o, wy = base[p], Y.dim(q)
-                # per (g, m): the columns of x_i*g, where x_i*g (x) y_m starts
-                # and its stride in i, and -g*y_m
-                xg: dict = {}
-                halves = []
-                for e, g, m, by in span:
-                    if g not in xg:
-                        xg[g] = X.action("r", g, p).cols()
-                    halves.append((xg[g], base[p + e] + m, Y.dim(q - e), by, e))
-                for i in range(nx - 1, -1, -1):
-                    lo = o + i * wy
-                    for xcols, up, ny, by, e in halves:
-                        row = {up + i2 * ny: c for i2, c in xcols[i].items()}
-                        low = {lo + j: c for j, c in by.items()}
-                        if e:
-                            row.update(low)
-                        else:
-                            # a degree-0 g: both halves in block p
-                            f.axpy(row, f.one, low)
-                        if not ech.add_row(row):
-                            raise DimensionMismatch(
-                                f"{self!r} in degree {d}: relation row of x_{i} in degree "
-                                f"{p} is dependent")
-            self._ech[d] = ech
-            quot = ech.free_columns()
-            labels = []
-            for p in range(xmin, top + 1):
-                o = base[p]
-                ny = Y.dim(d - p)
-                for k in quot[bisect_left(quot, o):bisect_left(quot, base[p + 1])]:
-                    labels.append((p, *divmod(k - o, ny)))
+                self._check_moves(d, p, span)
+                rank += nx * len(span)
+                for i in range(nx):
+                    r = o + i * wy
+                    quot += [r + j for j in free]
+                    labels += [(p, i, j) for j in free]
             self._quot[d] = quot
             self._labels[d] = labels
-        return ech
+            shape = self._shape[d] = QuotientShape(base[d - Y.min_degree() + 1], rank, layout)
+        return shape
 
     def dim(self, d: int) -> int:
         if d < self.min_degree():
@@ -624,21 +632,72 @@ class TensorCarrier(Carrier):
         self._echelon_at(d)
         return list(self._labels[d])
 
+    def _reduce(self, d: int, shape: QuotientShape, parts: dict) -> dict:
+        """Quotient coordinates of the free vector given by stretches: parts
+        maps the start column of stretch (p, i) to (p, i, its Y_{d-p} part,
+        a dict the walk may change).  The walk of the class docstring; it
+        consumes parts."""
+        X, f = self.X, self.field
+        layout = shape.layout
+        out: dict = {}
+        # the stretches to visit, ascending: a move only reaches later ones,
+        # so a new stretch sorts in after position k
+        todo = sorted(parts)
+        k = 0
+        while k < len(todo):
+            p, i, part = parts.pop(todo[k])
+            k += 1
+            span, ech, free = self._spanning(d - p)
+            _, wy, k0 = layout[p]
+            k0 += i * len(free)
+            moves: dict = {}
+            for j, c in ech.reduce(part).items():
+                if j < wy:
+                    out[k0 + free[j]] = c
+                else:
+                    # a tag: -c times g*y_m was taken away, and moves across
+                    e, g, m = span[j - wy]
+                    moves.setdefault(g, (e, {}))[1][m] = c
+            for g, (e, w) in moves.items():
+                xcol = X.action("r", g, p).columns().get(i)
+                if not xcol:
+                    continue
+                o, ny, _ = layout[p + e]
+                for i2, cx in xcol.items():
+                    t = o + i2 * ny
+                    got = parts.get(t)
+                    if got is None:
+                        got = parts[t] = (p + e, i2, {})
+                        insort(todo, t, k)
+                    f.axpy(got[2], f.neg(cx), w)
+        return out
+
     def project_free(self, d: int, free_vec: dict) -> dict:
         """Quotient coordinates of a free-space vector."""
-        ech = self._echelon_at(d)
-        red = ech.reduce(free_vec)
-        # a reduced vector lives on the free columns, which are sorted
-        cols = self._quot[d]
-        return {bisect_left(cols, j): c for j, c in red.items()}
+        shape = self._echelon_at(d)
+        # an empty block starts where the next one does, and comes before it
+        blocks = [(o, p, wy) for p, (o, wy, _) in shape.layout.items() if wy]
+        starts = [o for o, _, _ in blocks]
+        parts: dict = {}
+        for k, c in free_vec.items():
+            o, p, wy = blocks[bisect_right(starts, k) - 1]
+            i, j = divmod(k - o, wy)
+            got = parts.get(k - j)
+            if got is None:
+                got = parts[k - j] = (p, i, {})
+            got[2][j] = c
+        return self._reduce(d, shape, parts)
 
     def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
         """Quotient coordinates of x (x) y for coordinate vectors in X_p, Y_q."""
         if not xvec or not yvec:
             return {}
         d = p + q
-        self._echelon_at(d)
-        return self.project_free(d, self._embed(d, p, xvec, yvec))
+        shape = self._echelon_at(d)
+        o, wy, _ = shape.layout[p]
+        f = self.field
+        return self._reduce(d, shape, {o + i * wy: (p, i, f.scale(c, yvec))
+                                       for i, c in xvec.items()})
 
     def _label_columns(self, d: int, matrix) -> tuple[list, dict]:
         """The quotient labels of degree d, and for each block p they use the
@@ -649,20 +708,27 @@ class TensorCarrier(Carrier):
 
     @per_degree
     def diff(self, d: int) -> SparseMatrix:
-        f = self.field
+        f, Y = self.field, self.Y
+        minus = f.neg(f.one)
         labels, dx = self._label_columns(d, self.X.diff)
-        dy = {p: self.Y.diff(d - p).columns() for p in dx}
+        dy = {p: Y.diff(d - p).columns() for p in dx}
+        shape = self._echelon_at(d - 1)
+        layout = shape.layout
         cols = []
         for p, i, j in labels:
-            out: dict = {}
+            # d(x_i (x) y_j) = dx_i (x) y_j + (-1)^p x_i (x) dy_j, by stretches
+            parts: dict = {}
             xv = dx[p].get(i)
             if xv:
-                vec_axpy(f, out, f.one, self._embed(d - 1, p - 1, xv, {j: f.one}))
+                o, ny, _ = layout[p - 1]
+                for i2, c in xv.items():
+                    parts[o + i2 * ny] = (p - 1, i2, {j: c})
             yv = dy[p].get(j)
             if yv:
-                sgn = f.neg(f.one) if p % 2 else f.one
-                vec_axpy(f, out, sgn, self._embed(d - 1, p, {i: f.one}, yv))
-            cols.append(self.project_free(d - 1, out))
+                o, ny, _ = layout[p]
+                parts[o + i * ny] = (
+                    p, i, f.scale(minus, yv) if p % 2 else dict(yv))
+            cols.append(self._reduce(d - 1, shape, parts))
         return SparseMatrix.from_cols(f, self.dim(d - 1), cols)
 
     def right_act(self, mono, d: int) -> SparseMatrix:

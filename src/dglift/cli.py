@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import BaseRing, DGAlgebra, build_algebra, parse_element
 from .config import EngineConfig
@@ -439,7 +440,10 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="dglift",
         description="Exact engine for semifree DG modules and lifting obstructions")

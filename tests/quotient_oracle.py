@@ -1,12 +1,13 @@
 """The relation quotient of a TensorCarrier built from every relation row.
 
-TensorCarrier inserts only a basis of the relation space of X (x)_R Y, chosen
-through a basis of R_+ Y and certified by a freeness check.  This oracle
-inserts all of it: for every block p, every non-unit monomial b of the ring
-and every pair (x_i, y_j), the row x_i b (x) y_j - x_i (x) b y_j, written
-into the carrier's block columns.  It needs no freeness and chooses nothing,
-so its echelon form, unique for a row space, is the one the carrier's must
-equal.  It stays sparse, unlike the dense oracle in test_carriers, so that
+TensorCarrier never builds the echelon of the relations of X (x)_R Y: it
+reads the pivots and every reduction off a basis of R_+ Y, certified by a
+freeness check and an ordering check.  This oracle builds it from every
+relation: for every block p, every non-unit monomial b of the ring and every
+pair (x_i, y_j), the row x_i b (x) y_j - x_i (x) b y_j, written into the
+carrier's block columns.  It needs no freeness and chooses nothing, so its
+echelon form, unique for a row space, gives the free columns and the
+reductions the carrier's must equal.  It stays sparse, unlike the dense oracle in test_carriers, so that
 the larger quotients (T^2, T^3 and B (x)_A T^n over the exterior algebra on
 five generators and over tate2) can be checked against it too: dense rows
 over their free spaces would be too slow for the test suite.

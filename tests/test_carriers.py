@@ -7,9 +7,10 @@ degreewise k-tensor space by the relations x b (x) y - x (x) b y.  The map
 Phi sending e_lam (x) t to the class of e_lam (x) t must be an isomorphism
 of chain complexes of right modules in every degree within the cap.  The
 quotient itself must be the one that dense elimination of those relation
-rows, written down from their definition, gives, and its echelon form the
-one that inserting every relation row gives (quotient_oracle).  A right
-factor that is not free over the ring must make the quotient raise.
+rows, written down from their definition, gives, and the one that inserting
+every relation row into a sparse echelon gives (quotient_oracle).  A right
+factor that is not free over the ring, or a left factor whose degree-0
+action moves basis vectors backwards, must make the quotient raise.
 """
 
 import random
@@ -252,18 +253,35 @@ def large_carriers(backend):
 
 @pytest.mark.parametrize("backend", ["Q", "Fp"])
 def test_basis_rows_give_the_all_rows_echelon(backend):
-    """On quotients too large for the dense oracle, inserting a basis of the
-    relation space gives the echelon form that inserting every relation row
-    gives: the same pivots, rows and free columns, in every degree within
-    the cap."""
+    """On quotients too large for the dense oracle, the quotient read off
+    the basis of the relations is the one that inserting every relation
+    row gives: the same free columns, and project_free is reduction modulo
+    that echelon, read on the free columns.  Reducing each pivot column
+    gives minus its RREF row off the pivot, so the pivot columns pin every
+    row; random vectors check sums of them.  Every degree from the
+    carrier's lowest to the cap."""
+    rng = random.Random(1)
     built = 0
     for where, cap, T in large_carriers(backend):
+        f = T.field
+        one = f.one
         for d in range(T.min_degree(), cap + 1):
-            got, want = T._echelon_at(d), all_rows_echelon(T, d)
-            assert got.pivots == want.pivots, where + (d,)
-            assert got.rows == want.rows, where + (d,)
-            assert got.free_columns() == want.free_columns(), where + (d,)
-            built += bool(got.rank and got.free_columns())
+            want = all_rows_echelon(T, d)
+            free = want.free_columns()
+            assert T.dim(d) == len(free), where + (d,)
+            assert T._quot[d] == free, where + (d,)
+            pos = {j: k for k, j in enumerate(free)}
+
+            def oracle(vec):
+                return {pos[j]: c for j, c in want.reduce(vec).items()}
+
+            for pc in want.pivots:
+                assert T.project_free(d, {pc: one}) == oracle({pc: one}), where + (d, pc)
+            for _ in range(3 if want.ncols else 0):
+                vec = {k: f.from_int(rng.choice((-2, -1, 1, 2)))
+                       for k in rng.sample(range(want.ncols), min(6, want.ncols))}
+                assert T.project_free(d, vec) == oracle(vec), where + (d,)
+            built += bool(want.rank and free)
     assert built > 25
 
 
@@ -303,3 +321,75 @@ def test_non_free_right_factor_raises(backend):
     assert T.dim(0) == 1
     with pytest.raises(DimensionMismatch, match="degree 1"):
         T.dim(1)
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_quotient_shape_counts_the_relation_pivots(backend):
+    """The shape _echelon_at(d) reports without building the echelon, which
+    the benchmark's probes read: the free dimension and the rank of the
+    all-rows relation echelon, whose difference is dim(d), for the corpus
+    T(2) and T(3) in every degree within the cap."""
+    checked = 0
+    for inst in corpus(backend).values():
+        for n in (2, 3):
+            T = inst.diag.T(n)
+            for d in range(T.min_degree(), inst.algebra.config.max_degree + 1):
+                shape, want = T._echelon_at(d), all_rows_echelon(T, d)
+                assert (shape.ncols, shape.rank) == (want.ncols, want.rank), (inst.name, n, d)
+                assert shape.ncols - shape.rank == T.dim(d), (inst.name, n, d)
+                checked += bool(shape.rank)
+    assert checked > 20
+
+
+class Reversed(Carrier):
+    """X with the basis of every degree in reverse order: the same module,
+    so the quotient by it is the same up to that reordering."""
+
+    def __init__(self, inner: Carrier):
+        super().__init__(inner.algebra)
+        self.inner = inner
+        self.has_left = inner.has_left
+        self.has_right = inner.has_right
+
+    def min_degree(self):
+        return self.inner.min_degree()
+
+    def dim(self, d):
+        return self.inner.dim(d)
+
+    def labels(self, d):
+        return self.inner.labels(d)[::-1]
+
+    def _flip(self, m: SparseMatrix) -> SparseMatrix:
+        r, c = m.nrows - 1, m.ncols - 1
+        return SparseMatrix(m.field, m.nrows, m.ncols,
+                            {(r - i, c - j): x for (i, j), x in m.entries.items()})
+
+    def diff(self, d):
+        return self._flip(self.inner.diff(d))
+
+    def right_act(self, mono, d):
+        return self._flip(self.inner.action("r", mono, d))
+
+    def left_act(self, mono, d):
+        return self._flip(self.inner.action("l", mono, d))
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_backward_degree_zero_move_raises(backend):
+    """Over tate2 the base nilpotent q acts on Sigma J; in Sigma J's own
+    basis it moves each basis vector to later ones, and the quotient by
+    Sigma J (x)_B T^1 is read off the S_q.  Reversing that basis makes q
+    move vectors backwards, where the pivots of the relations are not the
+    ones read off the S_q: the ordering check must raise, naming the
+    carrier and the degree, rather than return a wrong quotient."""
+    diag = corpus(backend)["tate2"].diag
+    cap = diag.config.max_degree
+    T = TensorCarrier(diag.SJ, diag.T(1))
+    assert [T.dim(d) for d in range(cap + 1)] == [diag.T(2).dim(d) for d in range(cap + 1)]
+    R = TensorCarrier(Reversed(diag.SJ), diag.T(1))
+    with pytest.raises(DimensionMismatch,
+                       match=r"TensorCarrier\(Reversed \(x\)_B ShiftedCarrier\) in degree \d+: "
+                             r"x_\d+\*q in degree \d+ of the left factor reaches back"):
+        for d in range(cap + 1):
+            R.dim(d)
