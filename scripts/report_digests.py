@@ -16,10 +16,14 @@ carrier's lowest up to the algebra's cap.  And it hashes two operators
 on N (x)_B Y that reports use but never print: for every corpus module N, the
 sorted entries of chain_map_operator(pi), pi the base-change counit of N, and
 of the tensor-degree-0 obstruction component N -> N (x) T^1, in every degree
-from the source's lowest up to the algebra's cap, on both backends.  Two
-commits produce the same canonical output exactly when this script prints
-the same lines for both, so a diff of its output is the byte-identical gate
-for a change that must not alter results.
+from the source's lowest up to the algebra's cap, on both backends.  Its 38
+hom lines, one per corpus module N and backend, hash Hom-space invariants
+only: (cycle_dim, boundary_dim, dim_K) of HomSpace(N, Y, s) for Y every
+module of N's algebra, N (x) T^1 and N (x) T^2 and s in -1..2, and whether
+chi^n: N -> N (x) T^n is null-homotopic for n = 1, 2.  It prints 1 130
+lines in all.  Two commits produce the same canonical output exactly when
+this script prints the same lines for both, so a diff of its output is the
+byte-identical gate for a change that must not alter results.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from dglift.cli import COMMANDS, main as cli_main  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
-from dglift.obstruction import ObstructionTower, chain_map_operator  # noqa: E402
+from dglift.homotopy import HomSpace  # noqa: E402
+from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
 BACKENDS = ("Q", "Fp")
@@ -110,6 +115,25 @@ def operator_digests(backend: str):
             yield name, mname, sha(repr(mats))
 
 
+def hom_digests(backend: str):
+    """(algebra, module, digest) for the Hom-space invariants of every corpus
+    module N: (cycle_dim, boundary_dim, dim_K) of HomSpace(N, Y, s) for Y
+    every module of the algebra, N (x) T^1 and N (x) T^2 and s in -1..2, and
+    whether chi^n: N -> N (x) T^n is null-homotopic for n = 1, 2."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        mods = list(inst.modules.values())
+        for mname, N in inst.modules.items():
+            dims = []
+            for Y in mods + [diag.NT(N, 1), diag.NT(N, 2)]:
+                for s in range(-1, 3):
+                    hs = HomSpace(N, Y, s)
+                    dims.append((hs.cycle_dim, hs.boundary_dim, hs.dim_K))
+            null = [HomSpace(N, diag.NT(N, n)).null_homotopy(chi_power(N, diag, n)) is None
+                    for n in (1, 2)]
+            yield name, mname, sha(repr((dims, null)))
+
+
 def main() -> int:
     # reports name the instance path, so pass paths relative to the repo root
     os.chdir(ROOT)
@@ -128,6 +152,8 @@ def main() -> int:
             print(f"{digest}  tensor_A {name} {where} d{d} {backend}")
         for name, mname, digest in operator_digests(backend):
             print(f"{digest}  operators {name} {mname} {backend}")
+        for name, mname, digest in hom_digests(backend):
+            print(f"{digest}  hom {name} {mname} {backend}")
     return 0
 
 

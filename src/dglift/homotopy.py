@@ -17,6 +17,15 @@ matrix with rows (-1)^s D_Y f(e_lam) - sum_mu f(e_mu) b_{mu lam} equals
 -delta_{s+1}; both have the kernel of delta_{s+1}, which the engine uses
 directly.  A homotopy h of shift s-1 has boundary delta_s h.  Everything is
 exact; every witness is rechecked by substitution before being returned.
+
+A HomSpace answers every query off one echelon on layout(s): the column
+reduction with recorded combinations of persistent homology (Zomorodian and
+Carlsson, Computing persistent homology, 2005).  Boundaries go in untagged,
+then each cycle that is new modulo the rows before it goes in tagged, as a
+class representative.  The representatives depend only on the span of the
+boundaries and the order of the cycles, and a witness is the solve of
+delta_s h = f with free coordinates zero, so neither depends on how the
+span is reduced.
 """
 
 from __future__ import annotations
@@ -186,8 +195,7 @@ class CarrierMap:
     def scale(self, c) -> "CarrierMap":
         f = self.source.algebra.field
         return CarrierMap(self.source, self.target, self.shift,
-                          {k: {i: f.mul(c, x) for i, x in v.items()}
-                           for k, v in self.cols.items()})
+                          {k: w for k, v in self.cols.items() if (w := f.scale(c, v))})
 
     def sub(self, other: "CarrierMap") -> "CarrierMap":
         f = self.source.algebra.field
@@ -226,81 +234,59 @@ class HomotopyWitness:
 
 
 class HomSpace:
-    """Cycles, boundaries, and homotopy classes of shift-s chain maps."""
+    """Cycles, boundaries, and homotopy classes of shift-s chain maps.
 
-    def __init__(self, source: SemifreeModule, target, shift: int = 0,
-                 strict_triangular: bool = False):
+    The cycles are the kernel basis of delta_{s+1}; one echelon on layout(s)
+    answers the rest.  The columns of delta_s go in untagged (their rank is
+    boundary_dim); then each cycle that leaves something on layout(s) goes
+    in with a 1 in tag column layout(s).total + k, as representative k.
+    Tags are never pivots, so each row minus the representatives its tags
+    name is a boundary.  A map reduces to nothing when it is a boundary, to
+    tags only when it is a cycle of nonzero class (minus the tags are its
+    coordinates), and to something untagged when it is not a cycle.  A
+    cycle is kept when it enlarges the span of the boundaries and the
+    cycles kept before it, as in a separate boundary-then-cycles
+    elimination, so the representatives are the same; delta_s h = f is
+    solved, free coordinates zero, only for a certified boundary.
+    """
+
+    def __init__(self, source: SemifreeModule, target, shift: int = 0):
         self.source = source
         self.target = _as_carrier(target)
         self.shift = shift
         self.field = source.algebra.field
         self.layout = MapLayout(source, self.target, shift)
         self.h_layout = MapLayout(source, self.target, shift - 1)
-        self._strict = strict_triangular
         self._cmat: SparseMatrix | None = None
         self._built = False
 
-    # ----- linear systems -----
-
-    def _allowed_mask(self):
-        """Unknown filter for strict-triangular sampling (same-module targets)."""
-        if not self._strict:
-            return None
-        tgt = self.target
-        if not _is_module_carrier(tgt) or tgt.module is not self.source:
-            raise DimensionMismatch("strict triangular masking needs the identity target")
-        allowed = set()
-        for lam in range(self.source.n_gens):
-            off, d, n = self.layout.block(lam)
-            labels = tgt.labels(d)
-            for i in range(n):
-                mu, _ = labels[i]
-                if mu < lam:
-                    allowed.add(off + i)
-        return allowed
-
     def chain_matrix(self) -> SparseMatrix:
-        """The chain-condition matrix, built once: the class computation and
-        the strict-splitting search share it."""
+        """delta_{s+1}, whose kernel is the chain maps, built once: the class
+        computation and the strict-splitting search share it."""
         if self._cmat is None:
-            self._cmat = self._chain_matrix()
+            self._cmat = delta_matrix(MapLayout(self.source, self.target, self.shift + 1),
+                                      self.layout)
         return self._cmat
-
-    def _chain_matrix(self) -> SparseMatrix:
-        """delta_{s+1} on the generator-image unknowns, whose kernel is the
-        chain maps, with the strict-triangular pins below it."""
-        f = self.field
-        m = delta_matrix(MapLayout(self.source, self.target, self.shift + 1),
-                         self.layout)
-        mask = self._allowed_mask()
-        if mask is not None:
-            # forbid masked-out unknowns by pinning them to zero
-            extra = dict(m.entries)
-            r = m.nrows
-            for j in range(self.layout.total):
-                if j not in mask:
-                    extra[(r, j)] = f.one
-                    r += 1
-            m = SparseMatrix(f, r, self.layout.total, extra)
-        return m
 
     def _build(self):
         if self._built:
             return
+        f, n = self.field, self.layout.total
         self._cycles = self.chain_matrix().kernel_basis()
         self._bmat = delta_matrix(self.layout, self.h_layout)
-        img = self._bmat.column_space_echelon()
-        self._brank = img.rank
-        self._img_rows = [dict(r) for r in img.rows]
-        # class representatives: cycles independent modulo boundaries
-        ech = Echelon(self.field, self.layout.total)
-        for r in self._img_rows:
-            ech.add_row(dict(r))
+        ech = Echelon(f, n)
+        for col in self._bmat.cols():
+            if col:
+                ech.add_row(col)
+        self._brank = ech.rank
         reps = []
-        for v in self._cycles:
-            if ech.add_row(v):
-                reps.append(v)
-        self._reps = reps
+        for z in self._cycles:
+            red = ech.reduce(z)
+            if red and min(red) < n:  # a new class: tag it
+                red[n + len(reps)] = f.one
+                ech.add_row(red)
+                reps.append(z)
+        self._ech, self._reps = ech, reps
         self._built = True
 
     # ----- public queries -----
@@ -331,27 +317,30 @@ class HomSpace:
                            self.layout.from_flat(v)) for v in self._reps]
 
     def express(self, cmap: CarrierMap) -> list:
-        """Coordinates of the homotopy class of cmap over class_reps."""
+        """Coordinates of the homotopy class of cmap over class_reps: minus
+        the tags that the reduction of cmap leaves."""
         self._build()
-        f = self.field
-        flat = cmap.flat(self.layout)
-        basis = [dict(r) for r in self._img_rows] + self._reps
-        m = SparseMatrix.from_cols(f, self.layout.total, basis)
-        sol = m.solve(flat)
-        if sol is None:
-            raise DimensionMismatch("map is not a cycle in this Hom space")
-        return sol[len(self._img_rows):]
+        f, n = self.field, self.layout.total
+        red = self._ech.reduce(cmap.flat(self.layout))
+        if red and min(red) < n:
+            raise DimensionMismatch(
+                chain_failure(self.source, self.shift, min(cmap.chain_defect())))
+        return [f.neg(red.get(n + k, f.zero)) for k in range(len(self._reps))]
 
     def null_homotopy(self, cmap: CarrierMap) -> HomotopyWitness | None:
-        """An exact witness h with f = d h + h d, or None (certified absence).
+        """An exact witness h with f = d h + h d, or None (certified absence:
+        cmap is not a cycle, or its class is nonzero).
 
-        Free coordinates of the solve are zero, so witnesses are reproducible.
+        The echelon decides; only a boundary is solved for, with free
+        coordinates zero, so witnesses are reproducible.
         """
         self._build()
         flat = cmap.flat(self.layout)
+        if self._ech.reduce(flat):
+            return None
         sol = self._bmat.solve(flat)
         if sol is None:
-            return None
+            raise DimensionMismatch("a certified boundary has no homotopy solve")
         f = self.field
         w = HomotopyWitness(self.source, self.target, self.shift,
                             self.h_layout.from_flat(

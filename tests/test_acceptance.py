@@ -10,7 +10,7 @@ import random
 import pytest
 
 from dglift.config import EngineConfig
-from dglift.homotopy import HomSpace, carrier_map_to_chain, hom_k_dim, is_null_homotopic
+from dglift.homotopy import carrier_map_to_chain, hom_k_dim, is_null_homotopic
 from dglift.instances import build_corpus, battery_pairs
 from dglift.liftcheck import (kernel_sequence_check, naive_lift_battery,
                               splitting_search)
@@ -20,6 +20,8 @@ from dglift.obstruction import (EnvelopingRouteTower, ObstructionTower,
                                 conjugation_commutes, gamma_dim, local_nilpotency,
                                 omega_action_matrix, omega_is_zero, towers_agree)
 from dglift.scalars import DEFAULT_PRIME, FALLBACK_PRIME, PrimeField, RATIONALS
+
+from hom_space_oracle import strict_triangular_cycles
 
 Q_CONFIG = EngineConfig(field=RATIONALS, max_degree=8)
 P_CONFIG = EngineConfig(field=PrimeField(DEFAULT_PRIME), max_degree=8)
@@ -226,8 +228,7 @@ def test_criterion_10_construction_cross_checks():
             iterated = chi_power_iterated(M, diag, ell, tower)
             assert carrier_maps_equal(closed, iterated), (inst.name, mname, ell)
         # five random triangular chain automorphisms u = id + strict cycle
-        hs = HomSpace(M, M, 0, strict_triangular=True)
-        strict_cycles = hs.cycles()
+        strict_cycles = strict_triangular_cycles(M)
         f = inst.algebra.field
         for _ in range(5):
             entries = dict(ChainMap.identity(M).entries)

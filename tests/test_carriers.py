@@ -22,7 +22,7 @@ from dglift.carriers import Carrier, SemifreeCarrier, TensorCarrier
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch
-from dglift.homotopy import CarrierMap, HomSpace, carrier_map_to_chain
+from dglift.homotopy import CarrierMap, carrier_map_to_chain
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.obstruction import chi_power
@@ -144,9 +144,6 @@ def test_semifree_only_code_rejects_tensor_targets():
     assert isinstance(chi1.target, SemifreeCarrier) and not chi1.is_zero()
     with pytest.raises(DimensionMismatch):
         carrier_map_to_chain(chi1)
-    hs = HomSpace(M, inst.diag.NT(M, 1), 0, strict_triangular=True)
-    with pytest.raises(DimensionMismatch):
-        hs.class_reps()
     # the module's own carrier still converts
     ident = CarrierMap(M, M.carrier(), 0, chi_power(M, inst.diag, 0).cols)
     assert carrier_map_to_chain(ident).entries

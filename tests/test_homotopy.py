@@ -201,6 +201,40 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     monkeypatch.setattr(hs._bmat, "solve", perturbed)
     with pytest.raises(DimensionMismatch, match="substitution recheck"):
         hs.null_homotopy(f)
+    # the echelon certified f a boundary, so a solve that finds none is a fault
+    monkeypatch.setattr(hs._bmat, "solve", lambda b: None)
+    with pytest.raises(DimensionMismatch, match="no homotopy solve"):
+        hs.null_homotopy(f)
+
+
+def not_a_chain_map(ext):
+    """e0 -> e1 at shift -2, correctly graded but not a chain map."""
+    M = two_step(ext)
+    return M, chain_map_to_carrier(ChainMap(M, M, -2, {(1, 0): ext.one()}, _validate=False))
+
+
+def test_express_of_a_non_cycle_names_the_generator_and_degree(ext):
+    M, f = not_a_chain_map(ext)
+    with pytest.raises(DimensionMismatch) as err:
+        HomSpace(M, M, -2).express(f)
+    assert str(err.value) == ("chain condition fails on generator e0: "
+                              "D f and f d differ in target degree 1")
+
+
+def test_null_homotopy_of_a_non_cycle_is_none(ext):
+    M, f = not_a_chain_map(ext)
+    assert HomSpace(M, M, -2).null_homotopy(f) is None
+
+
+def test_null_homotopy_of_a_nonzero_class_is_none(ext):
+    M = two_step(ext)
+    hs = HomSpace(M, M, 0)
+    rep, = hs.class_reps()
+    assert hs.null_homotopy(rep) is None
+    # zero times a map is the zero map, with no zero entries left in it
+    zero = rep.scale(ext.field.zero)
+    assert zero.cols == {} and hs.express(zero) == [ext.field.zero]
+    assert hs.null_homotopy(zero) is not None
 
 
 def test_witness_rechecked_by_substitution(quot):

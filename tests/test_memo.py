@@ -120,23 +120,25 @@ def test_dropping_the_diagonal_frees_its_memo_without_a_collection(backend):
 def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monkeypatch):
     """A battery and a kernel-sequence check build G = base_change(N) once,
     and the splitting search and the factorization ideal share one Hom space
-    N -> G, whose chain matrix is built once."""
+    N -> G, whose chain matrix delta_1 is built once."""
     import dglift.diagonal as diagonal_module
+    import dglift.homotopy as homotopy_module
     inst = build_corpus(CONFIGS[backend])["exterior"]
     built, chain_targets = [], []
     real_base_change = diagonal_module.base_change
-    real_chain_matrix = HomSpace._chain_matrix
+    real_delta_matrix = homotopy_module.delta_matrix
 
     def base_change(N):
         built.append(N)
         return real_base_change(N)
 
-    def chain_matrix(hs):
-        chain_targets.append(hs.target)
-        return real_chain_matrix(hs)
+    def delta_matrix(rows, cols):
+        if rows.shift == 1:
+            chain_targets.append((rows.source, rows.target))
+        return real_delta_matrix(rows, cols)
 
     monkeypatch.setattr(diagonal_module, "base_change", base_change)
-    monkeypatch.setattr(HomSpace, "_chain_matrix", chain_matrix)
+    monkeypatch.setattr(homotopy_module, "delta_matrix", delta_matrix)
     for mname in ("B2", "cone_id", "two_step"):
         M = inst.modules[mname]
         diag = Diagonal(inst.algebra)
@@ -146,5 +148,5 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         assert diag.base_change(M) is diag.base_change(M)
         assert built == [M]
         assert [k for k in diag._hom if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
-        assert chain_targets.count(G.carrier()) == 1
+        assert chain_targets.count((M, G.carrier())) == 1
         built.clear()
