@@ -20,10 +20,15 @@ from the source's lowest up to the algebra's cap, on both backends.  Its 38
 hom lines, one per corpus module N and backend, hash Hom-space invariants
 only: (cycle_dim, boundary_dim, dim_K) of HomSpace(N, Y, s) for Y every
 module of N's algebra, N (x) T^1 and N (x) T^2 and s in -1..2, and whether
-chi^n: N -> N (x) T^n is null-homotopic for n = 1, 2.  It prints 1 130
-lines in all.  Two commits produce the same canonical output exactly when
-this script prints the same lines for both, so a diff of its output is the
-byte-identical gate for a change that must not alter results.
+chi^n: N -> N (x) T^n is null-homotopic for n = 1, 2.  Its 38 solve
+lines, one per corpus module N and backend, hash the solutions themselves:
+the generator images of the strict section sigma that splitting_search finds
+(or None), and the null-homotopy witness of chi^n: N -> N (x) T^n for
+n = 1, 2 where one exists, as the repr of their carrier coordinates, so an
+int and an equal Fraction differ.  It prints 1 168 lines in all.  Two
+commits produce the same canonical output exactly when this script prints
+the same lines for both, so a diff of its output is the byte-identical gate
+for a change that must not alter results.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from dglift.cli import COMMANDS, main as cli_main  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
-from dglift.homotopy import HomSpace  # noqa: E402
+from dglift.homotopy import HomSpace, chain_map_to_carrier  # noqa: E402
+from dglift.liftcheck import splitting_search  # noqa: E402
 from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
@@ -134,6 +140,20 @@ def hom_digests(backend: str):
             yield name, mname, sha(repr((dims, null)))
 
 
+def solve_digests(backend: str):
+    """(algebra, module, digest) for the solutions read off the engine's
+    solves: the generator images of the strict section of every corpus module
+    N, and the null-homotopy witnesses of chi^n: N -> N (x) T^n, n = 1, 2."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        for mname, N in inst.modules.items():
+            sigma = splitting_search(N, diag=diag)
+            witnesses = [diag.hom(N, diag.NT(N, n)).null_homotopy(chi_power(N, diag, n))
+                         for n in (1, 2)]
+            yield name, mname, sha(repr((sigma and chain_map_to_carrier(sigma).cols,
+                                         [w and w.cols for w in witnesses])))
+
+
 def main() -> int:
     # reports name the instance path, so pass paths relative to the repo root
     os.chdir(ROOT)
@@ -154,6 +174,8 @@ def main() -> int:
             print(f"{digest}  operators {name} {mname} {backend}")
         for name, mname, digest in hom_digests(backend):
             print(f"{digest}  hom {name} {mname} {backend}")
+        for name, mname, digest in solve_digests(backend):
+            print(f"{digest}  solve {name} {mname} {backend}")
     return 0
 
 

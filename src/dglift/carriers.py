@@ -59,6 +59,9 @@ class Carrier:
         self._actions: dict[tuple, SparseMatrix] = {}
         self._per_degree: dict[tuple, SparseMatrix] = {}
 
+    def __repr__(self):
+        return type(self).__name__
+
     def check_cap(self, d: int):
         if abs(d) > self.config.max_degree:
             raise CapExceeded(d, self.config.max_degree)
@@ -176,6 +179,9 @@ class SemifreeCarrier(Carrier):
         self.Y = Y
         self.has_right = Y.has_right
         self._offsets: dict[int, list] = {}
+
+    def __repr__(self):
+        return f"SemifreeCarrier({self.module.describe()} (x)_B {self.Y!r})"
 
     def min_degree(self) -> int:
         return self.module.min_degree + self.Y.min_degree()

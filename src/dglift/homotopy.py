@@ -18,7 +18,9 @@ matrix with rows (-1)^s D_Y f(e_lam) - sum_mu f(e_mu) b_{mu lam} equals
 directly.  A homotopy h of shift s-1 has boundary delta_s h.  Everything is
 exact; every witness is rechecked by substitution before being returned.
 
-A HomSpace answers every query off one echelon on layout(s): the column
+A HomSpace reads its dimensions off two ranks, of delta_{s+1} and delta_s,
+each one forward-elimination sweep; that is all a space asked only for
+dim_K pays.  Its other queries read one echelon on layout(s): the column
 reduction with recorded combinations of persistent homology (Zomorodian and
 Carlsson, Computing persistent homology, 2005).  Boundaries go in untagged,
 then each cycle that is new modulo the rows before it goes in tagged, as a
@@ -100,15 +102,19 @@ class MapLayout:
 def _delta_blocks(source: SemifreeModule, target: Carrier, s: int, cols=None):
     """The blocks (lam, mu, c, M) of delta_s: output block lam gains c * M
     applied to input block mu.  With cols, only the blocks that read a
-    generator in cols, so no matrix is built for a zero image."""
+    generator in cols, so no matrix is built for a zero image.  A block whose
+    input or output piece of the target is zero-dimensional is skipped, so
+    no matrix is built for it either."""
     f = target.field
     sgn = f.neg(f.one) if s % 2 else f.one
+    dim = target.dim
     for lam in range(source.n_gens):
-        if cols is None or lam in cols:
-            yield lam, lam, sgn, target.diff(source.degrees[lam] - s + 1)
+        out = source.degrees[lam] - s
+        if (cols is None or lam in cols) and dim(out + 1) and dim(out):
+            yield lam, lam, sgn, target.diff(out + 1)
         for mu, b in source.diff_column(lam):
-            if cols is None or mu in cols:
-                d = source.degrees[mu] - s + 1
+            d = source.degrees[mu] - s + 1
+            if (cols is None or mu in cols) and dim(d) and dim(out):
                 for u, c in b.terms.items():
                     yield lam, mu, c, target.action("r", u, d)
 
@@ -236,8 +242,15 @@ class HomotopyWitness:
 class HomSpace:
     """Cycles, boundaries, and homotopy classes of shift-s chain maps.
 
-    The cycles are the kernel basis of delta_{s+1}; one echelon on layout(s)
-    answers the rest.  The columns of delta_s go in untagged (their rank is
+    The dimensions are two ranks: cycle_dim is layout(s).total minus the
+    rank of delta_{s+1}, boundary_dim is the rank of delta_s, and dim_K is
+    their difference, since delta_{s+1} delta_s = 0 puts the boundaries
+    among the cycles.  A rank is one forward sweep, so a space that is only
+    asked its dimensions builds no echelon.
+
+    cycles, class_reps, express and null_homotopy read one echelon on
+    layout(s), built on first use.  The cycles are the kernel basis of
+    delta_{s+1}.  The columns of delta_s go in untagged (their rank is
     boundary_dim); then each cycle that leaves something on layout(s) goes
     in with a 1 in tag column layout(s).total + k, as representative k.
     Tags are never pivots, so each row minus the representatives its tags
@@ -247,7 +260,9 @@ class HomSpace:
     cycle is kept when it enlarges the span of the boundaries and the
     cycles kept before it, as in a separate boundary-then-cycles
     elimination, so the representatives are the same; delta_s h = f is
-    solved, free coordinates zero, only for a certified boundary.
+    solved, free coordinates zero, only for a certified boundary.  The build
+    checks its class count against the two ranks, which agree exactly when
+    the boundaries are cycles.
     """
 
     def __init__(self, source: SemifreeModule, target, shift: int = 0):
@@ -258,7 +273,13 @@ class HomSpace:
         self.layout = MapLayout(source, self.target, shift)
         self.h_layout = MapLayout(source, self.target, shift - 1)
         self._cmat: SparseMatrix | None = None
+        self._bmat: SparseMatrix | None = None
         self._built = False
+
+    def _where(self) -> str:
+        """The space, as the error messages name it."""
+        return (f"Hom space from generators {self.source.describe()} into "
+                f"{self.target!r} at shift {self.shift}")
 
     def chain_matrix(self) -> SparseMatrix:
         """delta_{s+1}, whose kernel is the chain maps, built once: the class
@@ -268,43 +289,50 @@ class HomSpace:
                                       self.layout)
         return self._cmat
 
+    def boundary_matrix(self) -> SparseMatrix:
+        """delta_s, whose image is the boundaries, built once: boundary_dim,
+        the build and the witness solves share it."""
+        if self._bmat is None:
+            self._bmat = delta_matrix(self.layout, self.h_layout)
+        return self._bmat
+
     def _build(self):
         if self._built:
             return
         f, n = self.field, self.layout.total
-        self._cycles = self.chain_matrix().kernel_basis()
-        self._bmat = delta_matrix(self.layout, self.h_layout)
+        cycles = self.chain_matrix().kernel_basis()
         ech = Echelon(f, n)
-        for col in self._bmat.cols():
+        for col in self.boundary_matrix().cols():
             if col:
                 ech.add_row(col)
-        self._brank = ech.rank
+        brank = ech.rank
         reps = []
-        for z in self._cycles:
+        for z in cycles:
             red = ech.reduce(z)
             if red and min(red) < n:  # a new class: tag it
                 red[n + len(reps)] = f.one
                 ech.add_row(red)
                 reps.append(z)
-        self._ech, self._reps = ech, reps
+        if len(reps) != len(cycles) - brank:
+            raise DimensionMismatch(
+                f"{len(reps)} classes from {len(cycles)} cycles and {brank} "
+                f"boundaries in the {self._where()}: the boundaries are not all cycles")
+        self._cycles, self._brank, self._ech, self._reps = cycles, brank, ech, reps
         self._built = True
 
     # ----- public queries -----
 
     @property
     def cycle_dim(self) -> int:
-        self._build()
-        return len(self._cycles)
+        return self.layout.total - self.chain_matrix().rank()
 
     @property
     def boundary_dim(self) -> int:
-        self._build()
-        return self._brank
+        return self._brank if self._built else self.boundary_matrix().rank()
 
     @property
     def dim_K(self) -> int:
-        self._build()
-        return len(self._reps)
+        return self.cycle_dim - self.boundary_dim
 
     def cycles(self) -> list[CarrierMap]:
         self._build()
@@ -338,16 +366,18 @@ class HomSpace:
         flat = cmap.flat(self.layout)
         if self._ech.reduce(flat):
             return None
-        sol = self._bmat.solve(flat)
+        sol = self.boundary_matrix().solve(flat)
         if sol is None:
-            raise DimensionMismatch("a certified boundary has no homotopy solve")
+            raise DimensionMismatch(f"a certified boundary has no homotopy solve in the "
+                                    f"{self._where()}")
         f = self.field
         w = HomotopyWitness(self.source, self.target, self.shift,
                             self.h_layout.from_flat(
                                 {i: c for i, c in enumerate(sol) if not f.is_zero(c)}))
         # recheck by substitution
         if not w.boundary().sub(cmap).is_zero():
-            raise DimensionMismatch("homotopy witness failed substitution recheck")
+            raise DimensionMismatch(f"homotopy witness failed substitution recheck in the "
+                                    f"{self._where()}")
         return w
 
 

@@ -1,8 +1,11 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors are dicts {column index: nonzero scalar}.  The Echelon class keeps a
-reduced row echelon form and is the workhorse behind rank, solving, kernels,
-and the relation-quotient constructions used by the tensor carriers.
+Vectors are dicts {column index: nonzero scalar}.  One forward-elimination
+sweep, SparseMatrix._forward, is behind every rank, solve and RREF of a
+matrix: rank counts its pivots, solve back-substitutes its rows, and the
+RREF inserts them into an Echelon.  The Echelon class keeps a reduced row
+echelon form incrementally; it holds kernels, and the tagged reductions of
+the Hom spaces and the tensor carriers.
 """
 
 from __future__ import annotations
@@ -237,34 +240,50 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _echelon(self) -> Echelon:
-        """Forward elimination with small-pivot preference, finished to RREF.
+    def _forward(self, rows: list[dict]) -> dict[int, dict]:
+        """One forward-elimination sweep: {pivot column: row}, a row echelon
+        form of rows (which it consumes: the dicts change in place).
 
-        Rows wait in buckets by leading column.  Column by column, the bucket's
-        row of least coefficient cost (the earliest on ties) becomes a pivot
-        row, which limits rational coefficient blowup; the bucket's other rows
-        are reduced and move to the bucket of their new leading column.  No
-        row outside the bucket has an entry in a pivot column, so no other row
-        changes.  The final RREF is unique either way.
+        Rows wait in buckets by leading column, and the sweep walks the
+        columns in ascending order.  At each column the bucket's row of least
+        coefficient cost (the earliest on ties) becomes the pivot row, which
+        limits rational coefficient blowup; the bucket's other rows lose
+        their entry there through that row alone and move to the bucket of
+        their new leading column.  Each kept row leads at its own pivot, and
+        no row is reduced beyond that, so rank, solve and the RREF all read
+        this one sweep.
         """
         f = self.field
-        ech = Echelon(f, self.ncols)
         buckets: dict[int, list] = {}
-        for k, r in enumerate(self.rows()):
+        for k, r in enumerate(rows):
             if r:
                 buckets.setdefault(min(r), []).append((k, r))
-        for col in range(self.ncols):
-            if not buckets:
-                break
+        out: dict[int, dict] = {}
+        col = -1
+        while buckets:
+            col += 1
             cand = buckets.pop(col, None)
             if cand is None:
                 continue
-            cand.sort(key=lambda kr: (f.cost(kr[1][col]), kr[0]))
-            ech.add_row(cand[0][1])
+            if len(cand) > 1:
+                cand.sort(key=lambda kr: (f.cost(kr[1][col]), kr[0]))
+            piv = out[col] = cand[0][1]
+            inv = f.inv(piv[col])
             for k, r in cand[1:]:
-                red = ech.reduce(r)
-                if red:
-                    buckets.setdefault(min(red), []).append((k, red))
+                f.axpy(r, f.neg(f.mul(r[col], inv)), piv)
+                if r:
+                    buckets.setdefault(min(r), []).append((k, r))
+        return out
+
+    def _echelon(self) -> Echelon:
+        """The RREF: the sweep's rows inserted by descending pivot.  A row
+        leads at its pivot and the rows before it lead further right, so an
+        insert only reduces the new row and clears no column.  The RREF is
+        unique, so it does not depend on the pivot rows the sweep chose."""
+        ech = Echelon(self.field, self.ncols)
+        piv = self._forward(self.rows())
+        for p in sorted(piv, reverse=True):
+            ech.add_row(piv[p])
         return ech
 
     def echelon(self) -> Echelon:
@@ -273,7 +292,13 @@ class SparseMatrix:
         return self._ech
 
     def rank(self) -> int:
-        return self.echelon().rank
+        """The pivot count of one forward sweep, kept on the matrix; read off
+        the echelon instead when the matrix has already built it."""
+        if hasattr(self, "_ech"):
+            return self._ech.rank
+        if not hasattr(self, "_rank"):
+            self._rank = len(self._forward(self.rows()))
+        return self._rank
 
     def kernel_basis(self) -> list[dict]:
         return self.echelon().kernel_basis()
@@ -281,46 +306,47 @@ class SparseMatrix:
     def solve(self, b: list | dict) -> list | None:
         """Some x with Mx = b (free coordinates zero), or None if inconsistent.
 
-        None means a pivot landed in the augmented column, which certifies
-        that no solution exists.  The returned solution is verified by
+        One forward sweep over the augmented rows [M | b]; None means a pivot
+        landed in the augmented column, which certifies that no solution
+        exists.  Otherwise back-substitution, pivots in descending order,
+        with every free coordinate zero: that solution is unique, so it is
+        the one the RREF gives.  The returned solution is verified by
         substitution; a failed recheck is an arithmetic fault, not absence,
         and raises DimensionMismatch.
         """
         f = self.field
-        if isinstance(b, dict):
-            bvec = b
-        else:
+        if not isinstance(b, dict):
             if len(b) != self.nrows:
                 raise DimensionMismatch("rhs length != row count")
-            bvec = {i: c for i, c in enumerate(b) if not f.is_zero(c)}
-        aug_col = self.ncols
-        ech = Echelon(f, self.ncols + 1)
+            b = dict(enumerate(b))
+        bvec = {i: c for i, c in b.items() if not f.is_zero(c)}
+        aug = self.ncols
         rows = self.rows()
-        for i, row in enumerate(rows):
-            r = dict(row)
-            if i in bvec:
-                r[aug_col] = bvec[i]
-            if r:
-                ech.add_row(r)
+        for i, c in bvec.items():
+            if not 0 <= i < self.nrows:
+                raise DimensionMismatch(f"rhs entry {i} outside {self.nrows} rows")
+            rows[i][aug] = c
+        piv = self._forward(rows)
+        if aug in piv:
+            return None
         x: dict = {}
-        for p, r in ech._row_of.items():
-            if p == aug_col:
-                return None
-            x[p] = r.get(aug_col, f.zero)
+        for p in sorted(piv, reverse=True):
+            row = piv[p]
+            acc = row.get(aug, f.zero)
+            for j, c in row.items():
+                if j in x:
+                    acc = f.sub(acc, f.mul(c, x[j]))
+            if not f.is_zero(acc):
+                x[p] = f.div(acc, row[p])
         out = [x.get(j, f.zero) for j in range(self.ncols)]
         # verify by substitution
-        chk = self.mat_vec({j: c for j, c in enumerate(out) if not f.is_zero(c)})
-        if chk != {i: c for i, c in bvec.items() if not f.is_zero(c)}:
+        if self.mat_vec(x) != bvec:
             raise DimensionMismatch("solution failed the substitution recheck")
         return out
 
     def column_space_echelon(self) -> Echelon:
         """RREF of the column space (canonical basis of the image)."""
-        ech = Echelon(self.field, self.nrows)
-        for c in self.cols():
-            if c:
-                ech.add_row(c)
-        return ech
+        return self.transpose()._echelon()
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"

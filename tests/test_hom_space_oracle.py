@@ -61,6 +61,9 @@ def test_hom_space_is_bit_identical_to_the_three_elimination_build(backend):
         assert (hs.cycle_dim, hs.boundary_dim, hs.dim_K) == \
             (old.cycle_dim, old.boundary_dim, old.dim_K), where
         cycles, reps = hs.cycles(), hs.class_reps()
+        # again once built: boundary_dim is then the build's own echelon rank
+        assert (hs.cycle_dim, hs.boundary_dim, hs.dim_K) == \
+            (old.cycle_dim, old.boundary_dim, old.dim_K), where
         assert same(maps(cycles), maps(old.cycles())), where
         assert same(maps(reps), maps(old.class_reps())), where
         classes += len(reps)

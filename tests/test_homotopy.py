@@ -1,6 +1,7 @@
 """Hom spaces, null-homotopy certificates, and the AR condition checkers."""
 
 import random
+import re
 
 import pytest
 from hom_oracle import delta_by_elements
@@ -11,6 +12,7 @@ from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR
                              check_AR2, delta_cols, delta_matrix, hom_k_dim,
                              is_null_homotopic)
 from dglift.instances import build_corpus
+from dglift.linalg import SparseMatrix
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
                             make_module, regular_module, shift)
 
@@ -198,13 +200,49 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
         sol[j] = ext.field.add(sol[j], ext.field.one)
         return sol
 
+    # both faults name the space: source generators, target carrier, shift
+    where = re.escape("Hom space from generators [e0:0, e1:2] into "
+                      "SemifreeCarrier([f0:0] (x)_B AlgebraCarrier) at shift 1")
     monkeypatch.setattr(hs._bmat, "solve", perturbed)
-    with pytest.raises(DimensionMismatch, match="substitution recheck"):
+    with pytest.raises(DimensionMismatch, match="substitution recheck in the " + where):
         hs.null_homotopy(f)
     # the echelon certified f a boundary, so a solve that finds none is a fault
     monkeypatch.setattr(hs._bmat, "solve", lambda b: None)
-    with pytest.raises(DimensionMismatch, match="no homotopy solve"):
+    with pytest.raises(DimensionMismatch, match="no homotopy solve in the " + where):
         hs.null_homotopy(f)
+
+
+def test_build_checks_its_class_count_against_the_ranks(ext, monkeypatch):
+    """A boundary matrix with a column that is not a cycle breaks
+    delta_{s+1} delta_s = 0, so the tagged build keeps one class more than
+    cycle count minus boundary rank, and raises naming the space."""
+    M = two_step(ext)
+    hs = HomSpace(M, M, 0)
+    assert hs.cycle_dim < hs.layout.total
+    cmat = hs.chain_matrix()
+    j = next(j for j in range(hs.layout.total) if cmat.mat_vec({j: ext.field.one}))
+    bad = SparseMatrix(ext.field, hs.layout.total, 1, {(j, 0): ext.field.one})
+    monkeypatch.setattr(hs, "boundary_matrix", lambda: bad)
+    where = re.escape("in the Hom space from generators [e0:0, e1:2] into "
+                      "SemifreeCarrier([e0:0, e1:2] (x)_B AlgebraCarrier) at shift 0")
+    with pytest.raises(DimensionMismatch, match=r"boundaries .*" + where):
+        hs.class_reps()
+
+
+def test_an_empty_layout_builds_no_target_matrix(config):
+    """A Hom space into N (x) T^2 at a shift past every generator image has
+    dimension 0, read off two ranks of matrices with no blocks: the target
+    builds no action and no differential for it."""
+    inst = build_corpus(config)["exterior"]
+    for N in inst.modules.values():
+        Y = inst.diag.NT(N, 2)
+        s = N.max_degree - Y.min_degree() + 1
+        hs = HomSpace(N, Y, s)
+        assert hs.layout.total == 0 and hs.h_layout.total > 0, N.names
+        actions, per_degree = set(Y._actions), set(Y._per_degree)
+        assert hs.dim_K == 0
+        assert (hs.cycle_dim, hs.boundary_dim) == (0, 0)
+        assert set(Y._actions) == actions and set(Y._per_degree) == per_degree
 
 
 def not_a_chain_map(ext):

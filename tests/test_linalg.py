@@ -227,22 +227,94 @@ def test_echelon_views_show_the_current_rref_after_every_insert(data):
         assert_column_index_consistent(ech)
 
 
+def fraction_rows(data, field, ncols, max_rows=9):
+    """Random rows as field values: zeros (often), small integers and
+    fractions with small denominators (on Fp, their residues)."""
+    entry = st.one_of(st.just(field.zero), st.builds(field.from_int, st.integers(-6, 6)),
+                      st.builds(field.from_fraction, st.integers(-6, 6), st.integers(1, 5)))
+    return data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=max_rows))
+
+
+def fmat(field, frows, ncols):
+    return SparseMatrix(field, len(frows), ncols,
+                        {(i, j): c for i, r in enumerate(frows) for j, c in enumerate(r)})
+
+
+FIELDS = st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sparse_matrix_echelon_is_the_dense_rref(data):
-    """SparseMatrix.echelon() (rows bucketed by leading column, cheapest pivot
-    row first) stores the oracle's RREF, rows and pivots alike."""
-    field = data.draw(st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)]))
+    """SparseMatrix._echelon (one forward sweep, rows bucketed by leading
+    column and cheapest pivot row first, then inserted by descending pivot)
+    stores the oracle's RREF, rows, pivots and kernel alike; the sweep's own
+    rows lead at the RREF pivots, one row each."""
+    field = data.draw(FIELDS)
     ncols = data.draw(st.integers(1, 8))
     # zeros are likely, so buckets share leading columns and rows move on
-    entry = st.one_of(st.just(0), st.integers(-6, 6))
-    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                              min_size=1, max_size=9))
-    frows = [[field.from_int(c) for c in r] for r in rows]
+    frows = fraction_rows(data, field, ncols)
     want_rows, want_pivots = dense_echelon(field, frows)
-    ech = mat(field, rows).echelon()
+    m = fmat(field, frows, ncols)
+    forward = m._forward(m.rows())
+    assert sorted(forward) == want_pivots
+    assert all(min(row) == p for p, row in forward.items())
+    ech = m._echelon()
     assert ech.pivots == want_pivots
     assert ech.rows == [sparse(field, r) for r in want_rows]
+    assert ech.kernel_basis() == [sparse(field, v) for v in dense_kernel(field, frows, ncols)]
+    assert_column_index_consistent(ech)
+
+
+def solution_off_the_echelon(field, frows, ncols, b):
+    """x with M x = b read off the RREF of [M | b], free coordinates zero;
+    None when a pivot lies in the augmented column."""
+    aug = fmat(field, [r + [c] for r, c in zip(frows, b)], ncols + 1)
+    ech = aug.echelon()
+    if ncols in ech.pivots:
+        return None
+    x = [field.zero] * ncols
+    for p, row in zip(ech.pivots, ech.rows):
+        x[p] = row.get(ncols, field.zero)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_is_the_solution_off_the_augmented_echelon(data):
+    """solve (sweep and back-substitution) returns, by repr, the solution
+    the RREF of the augmented matrix gives, and None on the same inputs;
+    consistent right-hand sides come from M times a random vector."""
+    field = data.draw(FIELDS)
+    ncols = data.draw(st.integers(1, 7))
+    frows = fraction_rows(data, field, ncols, max_rows=8)
+    m = fmat(field, frows, ncols)
+    if data.draw(st.booleans()):
+        v = fraction_rows(data, field, ncols, max_rows=1)[0]
+        img = m.mat_vec(sparse(field, v))
+        b = [img.get(i, field.zero) for i in range(len(frows))]
+    else:
+        b = fraction_rows(data, field, len(frows), max_rows=1)[0]
+    got, want = m.solve(b), solution_off_the_echelon(field, frows, ncols, b)
+    assert repr(got) == repr(want)
+    assert (got is None) == (dense_solve(field, frows, b) is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_is_the_echelon_rank_before_and_after_the_echelon(data):
+    """rank() counts the sweep's pivots when asked first, and reads the
+    built echelon when asked after it; both are the echelon's rank."""
+    field = data.draw(FIELDS)
+    ncols = data.draw(st.integers(1, 8))
+    frows = fraction_rows(data, field, ncols)
+    want = dense_rank(field, frows)
+    first = fmat(field, frows, ncols)
+    assert first.rank() == want
+    assert first.echelon().rank == want and first.rank() == want
+    second = fmat(field, frows, ncols)
+    assert second.echelon().rank == want and second.rank() == want
 
 
 def test_echelon_back_substitution_clears_new_pivot_column():
@@ -283,6 +355,9 @@ def test_solve_wrong_rhs_length_rejected(field):
     from dglift.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         SparseMatrix.identity(field, 2).solve([field.one])
+    for i in (2, -1):  # a dict rhs names its rows, and each must exist
+        with pytest.raises(DimensionMismatch, match="outside 2 rows"):
+            SparseMatrix.identity(field, 2).solve({i: field.one})
 
 
 def test_rank_forty_by_forty_random_agrees_with_oracle():
