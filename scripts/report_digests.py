@@ -25,7 +25,13 @@ lines, one per corpus module N and backend, hash the solutions themselves:
 the generator images of the strict section sigma that splitting_search finds
 (or None), and the null-homotopy witness of chi^n: N -> N (x) T^n for
 n = 1, 2 where one exists, as the repr of their carrier coordinates, so an
-int and an equal Fraction differ.  It prints 1 168 lines in all.  Two
+int and an equal Fraction differ.  Its algebra lines pin the element
+arithmetic, again by repr and with every terms dict in its insertion
+order: one per corpus algebra and backend hashes mono_mul(u, v) for every
+pair of monomials of degree at most 6, diff_mono(u) for every such u, and
+the differentials of the algebra's variables and of its modules; one per
+tests/data file and backend hashes the module differentials parse_instance
+reads from it (or the error it raises).  It prints 1 198 lines in all.  Two
 commits produce the same canonical output exactly when this script prints
 the same lines for both, so a diff of its output is the byte-identical gate
 for a change that must not alter results.
@@ -45,7 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dglift.cli import COMMANDS, main as cli_main  # noqa: E402
+from dglift.cli import COMMANDS, main as cli_main, parse_instance  # noqa: E402
+from dglift.errors import DGLiftError  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
 from dglift.homotopy import HomSpace, chain_map_to_carrier  # noqa: E402
@@ -154,6 +161,37 @@ def solve_digests(backend: str):
                                          [w and w.cols for w in witnesses])))
 
 
+def terms(el) -> list:
+    """An element's terms in insertion order."""
+    return list(el.terms.items())
+
+
+def module_terms(M) -> list:
+    return [(key, terms(el)) for key, el in M.diff.items()]
+
+
+def algebra_digests(backend: str, data: list[str]):
+    """(where, digest) for the monomial products and differentials of every
+    corpus algebra, then for the module differentials parsed from every
+    tests/data file."""
+    config = EngineConfig(field=field_from_spec(backend))
+    for name, inst in build_corpus(config).items():
+        alg = inst.algebra
+        monos = [u for d in range(7) for u in alg.monomials(d)]
+        products = [alg.mono_mul(u, v) for u in monos for v in monos]
+        diffs = [terms(alg.diff_mono(u)) for u in monos]
+        variables = [terms(el) for el in alg.var_diffs]
+        modules = [(mname, module_terms(M)) for mname, M in inst.modules.items()]
+        yield name, sha(repr((products, diffs, variables, modules)))
+    for path in data:
+        try:
+            parsed = parse_instance(path, config)
+            out = [(mname, module_terms(M)) for mname, M in parsed.modules.items()]
+        except DGLiftError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        yield path, sha(repr(out))
+
+
 def main() -> int:
     # reports name the instance path, so pass paths relative to the repo root
     os.chdir(ROOT)
@@ -176,6 +214,8 @@ def main() -> int:
             print(f"{digest}  hom {name} {mname} {backend}")
         for name, mname, digest in solve_digests(backend):
             print(f"{digest}  solve {name} {mname} {backend}")
+        for where, digest in algebra_digests(backend, data):
+            print(f"{digest}  algebra {where} {backend}")
     return 0
 
 

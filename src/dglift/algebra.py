@@ -17,11 +17,22 @@ lex, which keeps every derived basis deterministic.
 
 Even-degree variables are ordinary polynomial variables without divided
 powers; over F_p this is faithful only for exponents below p.
+
+Invariant: the terms dict of every element maps normal-form monomials to
+nonzero canonical field values.  The public constructor
+AlgebraElement(alg, terms) enforces it on a dict from outside by dropping
+the zero values.  Arithmetic builds its results, which hold the invariant
+by construction (the field kernels drop what cancels), through the internal
+_element, which takes the dict as it is: no copy and no filter.  Each
+operation gives the values, and the terms order, of the op-by-op
+definitions through the field's add, mul and neg.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import add, mul
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import IllFormedPresentation, OwnerMismatch
@@ -71,6 +82,7 @@ class DGAlgebra:
         self._mono_index: dict[int, dict] = {}
         self._nonA_cache: dict[int, tuple] = {}
         self._diff_mono_cache: dict[Monomial, AlgebraElement] = {}
+        self._degree_of: dict[Monomial, int] = {}
         self._carrier = None
         if len(set(self.var_names)) != len(self.var_names):
             raise IllFormedPresentation("duplicate variable names")
@@ -81,6 +93,9 @@ class DGAlgebra:
                 raise IllFormedPresentation(f"variable {name} has degree {deg} < 1")
         if not (0 <= n_A <= len(self.var_names)):
             raise IllFormedPresentation("A-prefix size out of range")
+        # monomial slots of the odd variables, last variable first
+        self._odd_slots = tuple(1 + j for j in reversed(range(self.nvars))
+                                if self.var_degrees[j] % 2 == 1)
 
     # ----- monomials ------------------------------------------------------
 
@@ -92,13 +107,16 @@ class DGAlgebra:
         return (0,) * (1 + self.nvars)
 
     def mono_degree(self, u: Monomial) -> int:
-        return sum(e * d for e, d in zip(u[1:], self.var_degrees))
+        d = self._degree_of.get(u)
+        if d is None:
+            d = self._degree_of[u] = sum(map(mul, u[1:], self.var_degrees))
+        return d
 
     def mono_is_unit(self, u: Monomial) -> bool:
-        return all(e == 0 for e in u)
+        return not any(u)
 
     def mono_in_A(self, u: Monomial) -> bool:
-        return all(e == 0 for e in u[1 + self.n_A:])
+        return not any(u[1 + self.n_A:])
 
     def mono_split_A(self, u: Monomial):
         """Split u = a * m with a in A and m in the non-A variables (no sign:
@@ -109,23 +127,18 @@ class DGAlgebra:
 
     def mono_mul(self, u: Monomial, v: Monomial):
         """(sign, monomial) or (0, None); Koszul sign from odd-odd swaps."""
-        base_e = u[0] + v[0]
-        if self.base.order is not None and base_e >= self.base.order:
+        order = self.base.order
+        if order is not None and u[0] + v[0] >= order:
             return 0, None
-        exps = [base_e]
-        swaps = 0
         # count odd factors of v hopping over later odd factors of u
-        for j in range(self.nvars):
-            vj = v[1 + j]
-            uj = u[1 + j]
-            if vj and (self.var_degrees[j] % 2 == 1):
-                if uj:
+        swaps = later = 0
+        for s in self._odd_slots:
+            if v[s]:
+                if u[s]:
                     return 0, None  # odd square
-                for i in range(j + 1, self.nvars):
-                    if u[1 + i] and (self.var_degrees[i] % 2 == 1):
-                        swaps += u[1 + i]
-            exps.append(uj + vj)
-        return (-1) ** swaps, tuple(exps)
+                swaps += later
+            later += u[s]
+        return (-1 if swaps & 1 else 1), tuple(map(add, u, v))
 
     def monomials(self, d: int) -> tuple:
         """The exact k-basis of the degree-d component, exponent-lex ordered."""
@@ -181,16 +194,16 @@ class DGAlgebra:
     # ----- elements -------------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return _element(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.unit_mono(): self.field.one})
+        return _element(self, {self.unit_mono(): self.field.one})
 
     def from_mono(self, u: Monomial, coeff=None) -> "AlgebraElement":
         c = self.field.one if coeff is None else coeff
         if self.field.is_zero(c):
             return self.zero()
-        return AlgebraElement(self, {u: c})
+        return _element(self, {u: c})
 
     def gen(self, name: str) -> "AlgebraElement":
         if name == self.base.gen_name:
@@ -305,51 +318,50 @@ class AlgebraElement:
         self._check_owner(other)
         f = self.algebra.field
         out = dict(self.terms)
-        for u, c in other.terms.items():
-            s = f.add(out.get(u, f.zero), c)
-            if f.is_zero(s):
-                out.pop(u, None)
-            else:
-                out[u] = s
-        return AlgebraElement(self.algebra, out)
+        f.axpy(out, f.one, other.terms)
+        return _element(self.algebra, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.neg()
 
     def neg(self) -> "AlgebraElement":
         f = self.algebra.field
-        return AlgebraElement(self.algebra, {u: f.neg(c) for u, c in self.terms.items()})
+        return _element(self.algebra, f.scale(f.neg(f.one), self.terms))
 
     def scale(self, c) -> "AlgebraElement":
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, {u: f.mul(c, x) for u, x in self.terms.items()})
+        """c times this element; c a field value (the zero element for 0)."""
+        return _element(self.algebra, self.algebra.field.scale(c, self.terms))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """One row {u*v: +-c_v} per term c_u u of this element, added to
+        the product once as c_u times the row.  For a fixed u the products
+        u*v are distinct monomials, so the row adds its terms in the order
+        of the term-by-term definition."""
         self._check_owner(other)
         alg = self.algebra
         f = alg.field
+        mono_mul = alg.mono_mul
+        neg = f.neg
+        axpy = f.axpy
+        right = other.terms.items()
         out: dict = {}
         for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                sgn, w = alg.mono_mul(u, v)
-                if w is None:
-                    continue
-                c = f.mul(cu, cv)
-                if sgn < 0:
-                    c = f.neg(c)
-                s = f.add(out.get(w, f.zero), c)
-                if f.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return AlgebraElement(alg, out)
+            row = {}
+            for v, cv in right:
+                sgn, w = mono_mul(u, v)
+                if w is not None:
+                    row[w] = cv if sgn > 0 else neg(cv)
+            if row:
+                axpy(out, cu, row)
+        return _element(alg, out)
 
     def differentiate(self) -> "AlgebraElement":
         alg = self.algebra
-        total = alg.zero()
+        axpy = alg.field.axpy
+        out: dict = {}
         for u, c in self.terms.items():
-            total = total + alg.diff_mono(u).scale(c)
-        return total
+            axpy(out, c, alg.diff_mono(u).terms)
+        return _element(alg, out)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
@@ -376,6 +388,15 @@ class AlgebraElement:
             else:
                 bits.append(f"{cs}*{ms}")
         return " + ".join(bits)
+
+
+def _element(algebra: DGAlgebra, terms: dict) -> AlgebraElement:
+    """The element with this terms dict, taken as it is: every value must
+    already be a nonzero canonical field value (see the module docstring)."""
+    el = object.__new__(AlgebraElement)
+    el.algebra = algebra
+    el.terms = terms
+    return el
 
 
 # ----- building and parsing ----------------------------------------------
@@ -407,35 +428,44 @@ def build_algebra(base: BaseRing, variables, n_A: int = 0,
     return alg
 
 
+# Whitespace, then a word (a run of str.isalnum() characters and "_"), an
+# operator, or any other character.  On str patterns \s is str.isspace() and
+# \w is str.isalnum() or "_", the classes of the grammar.
+_TOKEN = re.compile(r"\s*(?:(\w+)|([-+*/^()])|(\S))")
+
+
 class _Tokens:
+    """The tokens of an expression: ("int", digits), ("name", text), and
+    (op, op) for each operator.  An int is a run of str.isdigit() characters
+    and a name starts with a letter or "_"; a word that is neither (a digit
+    run followed by letters, or a numeric character such as "½") splits at
+    its first non-digit."""
+
     def __init__(self, text: str):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
+        toks = self.toks = []
+        for word, op, other in _TOKEN.findall(text):
+            if op:
+                toks.append((op, op))
+            elif other:
+                raise ValueError(f"unexpected character {other!r} in expression")
+            elif word[0].isalpha() or word[0] == "_":
+                toks.append(("name", word))
+            elif word.isdigit():
+                toks.append(("int", word))
             else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
+                k = next(k for k, ch in enumerate(word) if not ch.isdigit())
+                if k:
+                    toks.append(("int", word[:k]))
+                if not (word[k].isalpha() or word[k] == "_"):
+                    raise ValueError(f"unexpected character {word[k]!r} in expression")
+                toks.append(("name", word[k:]))
         self.pos = 0
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
+        try:
+            return self.toks[self.pos]
+        except IndexError:
+            return None, None
 
     def take(self, kind=None):
         t = self.peek()

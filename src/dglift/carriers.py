@@ -216,7 +216,7 @@ class SemifreeCarrier(Carrier):
         if not (ncols and nrows):
             return SparseMatrix(self.field, nrows, ncols)
         return SparseMatrix.from_blocks(self.field, target.offsets(d + e), self.offsets(d),
-                                        nrows, ncols, blocks)
+                                        blocks)
 
     def left_blocks(self, column, d: int):
         """The blocks in degree d of a matrix over B, given column by column

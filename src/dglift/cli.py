@@ -27,7 +27,7 @@ import json
 import sys
 from functools import cache
 
-from .algebra import BaseRing, DGAlgebra, build_algebra, parse_element
+from .algebra import AlgebraElement, BaseRing, DGAlgebra, build_algebra, parse_element
 from .config import EngineConfig
 from .diagonal import Diagonal
 from .errors import DGLiftError
@@ -289,18 +289,16 @@ def cmd_check(inst: InstanceFile, args, config) -> tuple[dict, bool]:
     samples = args.samples
     failures = []
     window = min(alg.config.max_degree, 6)
+    from_int = alg.field.from_int
 
     def random_element(max_deg):
         d = rng.randint(0, max_deg)
-        monos = alg.monomials(d)
-        if not monos:
-            return alg.zero(), d
-        el = alg.zero()
-        for u in monos:
+        terms = {}
+        for u in alg.monomials(d):
             c = rng.randint(-3, 3)
             if c:
-                el = el + alg.from_mono(u, alg.field.from_int(c))
-        return el, d
+                terms[u] = from_int(c)
+        return AlgebraElement(alg, terms), d
 
     for _ in range(samples):
         x, dx = random_element(window)

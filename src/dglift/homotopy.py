@@ -131,8 +131,8 @@ def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> d
 def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
     """delta_s as a matrix from cols = layout(s-1) to rows = layout(s)."""
     return SparseMatrix.from_blocks(
-        rows.target.field, [off for off, _, _ in rows.offsets],
-        [off for off, _, _ in cols.offsets], rows.total, cols.total,
+        rows.target.field, [off for off, _, _ in rows.offsets] + [rows.total],
+        [off for off, _, _ in cols.offsets] + [cols.total],
         _delta_blocks(rows.source, rows.target, rows.shift))
 
 

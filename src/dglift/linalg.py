@@ -123,7 +123,10 @@ class Echelon:
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field.
 
-    entries maps (row, col) to a nonzero scalar; indices are bounds-checked.
+    entries maps (row, col) to a nonzero scalar; the constructor checks the
+    bounds of every index and drops zero values.  from_blocks, add, scale
+    and transpose build their entries valid (in range, nonzero) from valid
+    matrices, and wrap them through _trusted without that per-entry pass.
     """
 
     def __init__(self, field, nrows: int, ncols: int, entries: dict | None = None):
@@ -138,6 +141,17 @@ class SparseMatrix:
                 if not field.is_zero(c):
                     ent[(i, j)] = c
         self.entries = ent
+
+    @classmethod
+    def _trusted(cls, field, nrows: int, ncols: int, entries: dict) -> "SparseMatrix":
+        """The matrix with these entries, taken as they are: every index in
+        range and every value nonzero."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = entries
+        return m
 
     @classmethod
     def from_rows(cls, field, ncols, rows):
@@ -156,17 +170,25 @@ class SparseMatrix:
         return cls(field, nrows, len(cols), ent)
 
     @classmethod
-    def from_blocks(cls, field, row_offsets, col_offsets, nrows, ncols, blocks):
+    def from_blocks(cls, field, row_offsets, col_offsets, blocks):
         """The matrix that adds c * M at (row_offsets[r], col_offsets[k]) for
         each generator block (r, k, c, M): the one place where an operator
-        acting on one copy of a carrier per generator is put together."""
+        acting on one copy of a carrier per generator is put together.  The
+        offset lists end in the row and column totals; each block M must
+        have the shape of its slot, rows row_offsets[r]..row_offsets[r + 1]
+        and columns col_offsets[k]..col_offsets[k + 1], or DimensionMismatch
+        is raised, so every entry lands in range."""
         ent: dict = {}
         axpy = field.axpy
         for r, k, c, m in blocks:
+            o, p = row_offsets[r], col_offsets[k]
+            if (m.nrows, m.ncols) != (row_offsets[r + 1] - o, col_offsets[k + 1] - p):
+                raise DimensionMismatch(
+                    f"block ({r},{k}) is {m.nrows}x{m.ncols}, its slot "
+                    f"{row_offsets[r + 1] - o}x{col_offsets[k + 1] - p}")
             if m.entries:
-                o, p = row_offsets[r], col_offsets[k]
                 axpy(ent, c, {(o + i, p + j): x for (i, j), x in m.entries.items()})
-        return cls(field, nrows, ncols, ent)
+        return cls._trusted(field, row_offsets[-1], col_offsets[-1], ent)
 
     @classmethod
     def identity(cls, field, n):
@@ -192,7 +214,7 @@ class SparseMatrix:
         return out
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.field, self.ncols, self.nrows,
             {(j, i): c for (i, j), c in self.entries.items()},
         )
@@ -231,11 +253,12 @@ class SparseMatrix:
         f = self.field
         ent = dict(self.entries)
         f.axpy(ent, f.one, other.entries)
-        return SparseMatrix(f, self.nrows, self.ncols, ent)
+        return SparseMatrix._trusted(f, self.nrows, self.ncols, ent)
 
     def scale(self, c) -> "SparseMatrix":
-        return SparseMatrix(self.field, self.nrows, self.ncols,
-                            self.field.scale(c, self.entries))
+        """c times this matrix; c a field value (the zero matrix for 0)."""
+        return SparseMatrix._trusted(self.field, self.nrows, self.ncols,
+                                     self.field.scale(c, self.entries))
 
     def is_zero(self) -> bool:
         return not self.entries

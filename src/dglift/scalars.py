@@ -220,13 +220,17 @@ RATIONALS = Rationals()
 DEFAULT_PRIME = 2147483629
 FALLBACK_PRIME = 2147483647
 
+# built, and its primality checked, once: a field holds no state its use changes
+DEFAULT_PRIME_FIELD = PrimeField(DEFAULT_PRIME)
+
 
 def field_from_spec(spec: str):
-    """Parse a backend spec: "Q" or "Fp:<prime>"."""
+    """Parse a backend spec: "Q", "Fp" (DEFAULT_PRIME) or "Fp:<prime>"; an
+    explicit prime is checked on every call."""
     if spec == "Q":
         return RATIONALS
     if spec.startswith("Fp:"):
         return PrimeField(int(spec[3:]))
     if spec == "Fp":
-        return PrimeField(DEFAULT_PRIME)
+        return DEFAULT_PRIME_FIELD
     raise ValueError(f"unknown field spec {spec!r}")

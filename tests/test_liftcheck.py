@@ -105,6 +105,20 @@ def test_summand_witness_stuck_on_the_shifted_free(config):
         summand_witness(N, sigma, G, pi)
 
 
+@pytest.mark.parametrize("name", ["cone_id", "summand"])
+def test_summand_witness_stuck_when_the_correction_leaves_a_row(config, monkeypatch, name):
+    """A correction whose boundary is lost leaves sigma's level-1 rows in
+    place, which the descent must refuse rather than drop."""
+    import dglift.liftcheck as liftcheck
+    N = build_corpus(config, ["exterior"])["exterior"].modules[name]
+    G, pi = base_change(N)
+    sigma = splitting_search(N, G, pi)
+    assert sigma is not None
+    monkeypatch.setattr(liftcheck, "graded_map_boundary", lambda *args: {})
+    with pytest.raises(FiltrationStuck, match="correction left a row at level 1"):
+        summand_witness(N, sigma, G, pi)
+
+
 def test_battery_on_frees_all_true(ext, ext_diag):
     for n in (1, 3):
         r = naive_lift_battery(free_module(ext, n), ext_diag, name=f"B{n}")

@@ -351,6 +351,17 @@ def test_out_of_bounds_entry_rejected(field):
         SparseMatrix(field, 2, 2, {(2, 0): field.one})
 
 
+def test_from_blocks_rejects_a_block_that_overruns_its_slot(field):
+    from dglift.errors import DimensionMismatch
+    # generator 0's rows are 0..1 and generator 1's are 1..3: a 2x1 block
+    # at generator 0 would write row 1, which belongs to generator 1
+    blk = SparseMatrix(field, 2, 1, {(1, 0): field.one})
+    with pytest.raises(DimensionMismatch, match=r"block \(0,0\) is 2x1, its slot 1x1"):
+        SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(0, 0, field.one, blk)])
+    fits = SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(1, 0, field.one, blk)])
+    assert (fits.nrows, fits.ncols, fits.entries) == (3, 1, {(2, 0): field.one})
+
+
 def test_solve_wrong_rhs_length_rejected(field):
     from dglift.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):

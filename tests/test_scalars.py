@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dglift.linalg import Echelon
-from dglift.scalars import DEFAULT_PRIME, RATIONALS, PrimeField
+from dglift.scalars import DEFAULT_PRIME, FALLBACK_PRIME, RATIONALS, PrimeField
 
 Q = RATIONALS
 
@@ -169,6 +169,16 @@ def test_prime_field_constructors_reduce(F, n, d):
         got = F.from_fraction(n, d)
         assert_residue(F, got)
         assert got * (d % F.p) % F.p == n % F.p
+
+
+def test_default_prime_field_is_built_once_and_explicit_primes_are_checked():
+    from dglift.scalars import field_from_spec
+    F = field_from_spec("Fp")
+    assert F is field_from_spec("Fp")
+    assert F.p == DEFAULT_PRIME
+    assert field_from_spec(f"Fp:{FALLBACK_PRIME}").p == FALLBACK_PRIME
+    with pytest.raises(ValueError, match="4 is not prime"):
+        field_from_spec("Fp:4")
 
 
 def test_prime_field_zero_raises():
