@@ -154,7 +154,7 @@ def solve_digests(backend: str):
     for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
         diag = inst.diag
         for mname, N in inst.modules.items():
-            sigma = splitting_search(N, diag=diag)
+            sigma = splitting_search(N, diag)
             witnesses = [diag.hom(N, diag.NT(N, n)).null_homotopy(chi_power(N, diag, n))
                          for n in (1, 2)]
             yield name, mname, sha(repr((sigma and chain_map_to_carrier(sigma).cols,

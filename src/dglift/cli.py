@@ -305,12 +305,12 @@ def cmd_check(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         y, dy = random_element(window - dx if window > dx else 0)
         if not x.differentiate().differentiate().is_zero():
             failures.append("d_squared")
-        lhs = x * y
+        xy = x * y
         sgn = (-1) ** (dx * dy)
         rhs = y * x if sgn > 0 else (y * x).neg()
-        if not (lhs - rhs).is_zero():
+        if not (xy - rhs).is_zero():
             failures.append("graded_commutativity")
-        leib = (x * y).differentiate() - (
+        leib = xy.differentiate() - (
             x.differentiate() * y
             + ((x * y.differentiate()) if dx % 2 == 0 else (x * y.differentiate()).neg()))
         if not leib.is_zero():

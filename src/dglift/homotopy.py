@@ -401,7 +401,7 @@ class ConditionReport:
     detail: dict = dc_field(default_factory=dict)
 
 
-def check_AR1(N: SemifreeModule, B_module: SemifreeModule | None = None) -> ConditionReport:
+def check_AR1(N: SemifreeModule) -> ConditionReport:
     """(i) non-negative generator degrees; (ii) perfectness over A, verified by
     the finite monomial A-basis when A is the base ring; (iii) vanishing of
     Hom into positive shifts of B over the finite certifying range.
@@ -412,7 +412,7 @@ def check_AR1(N: SemifreeModule, B_module: SemifreeModule | None = None) -> Cond
     """
     alg = N.algebra
     from .modules import regular_module
-    B = B_module if B_module is not None else regular_module(alg)
+    B = regular_module(alg)
     cond_i = all(d >= 0 for d in N.degrees)
     # (ii): when A is the base ring, N|_A has A-basis {e * m}; finite iff all
     # non-A variables are odd.

@@ -19,8 +19,8 @@ from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_cha
                        chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
                        hom_k_dim)
 from .linalg import Echelon, SparseMatrix
-from .modules import (ChainMap, SemifreeModule, base_change, graded_map_boundary,
-                      homology_dim, regular_module)
+from .modules import (ChainMap, SemifreeModule, graded_map_boundary, homology_dim,
+                      matrix_product, regular_module)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim,
                           omega_action_matrix, omega_is_zero)
 
@@ -28,18 +28,15 @@ from .obstruction import (chain_map_operator, chi_power, gamma_dim,
 # ----- strict splitting -----------------------------------------------------
 
 
-def splitting_search(N: SemifreeModule, G: SemifreeModule | None = None,
-                     pi: ChainMap | None = None,
-                     diag: Diagonal | None = None) -> ChainMap | None:
+def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     """A strict section of the counit: sigma with pi . sigma = id exactly,
     or None when the combined chain-and-section system is inconsistent.
 
-    With a Diagonal, the base change and the Hom space N -> G come from its
-    memo, which p_ideal_dims shares."""
-    if G is None or pi is None:
-        G, pi = base_change(N) if diag is None else diag.base_change(N)
+    The base change G -> N and the Hom space N -> G come from the memo of
+    diag, which p_ideal_dims shares."""
+    G, pi = diag.base_change(N)
     f = N.algebra.field
-    hs = HomSpace(N, G, 0) if diag is None else diag.hom(N, G)
+    hs = diag.hom(N, G)
     C = hs.chain_matrix()
     pi_op = chain_map_operator(pi)
     ncar = N.carrier()
@@ -58,18 +55,9 @@ def splitting_search(N: SemifreeModule, G: SemifreeModule | None = None,
     flat = {i: c for i, c in enumerate(sol) if not f.is_zero(c)}
     cmap = CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(flat)).validate()
     sigma = carrier_map_to_chain(cmap)
-    composite = pi.compose(sigma)
-    if not _is_identity(composite):
+    if pi.compose(sigma).entries != ChainMap.identity(N).entries:
         raise DimensionMismatch("splitting failed the strict section recheck")
     return sigma
-
-
-def _is_identity(cm: ChainMap) -> bool:
-    if cm.source is not cm.target and cm.source.names != cm.target.names:
-        return False
-    want = ChainMap.identity(cm.source)
-    keys = set(cm.entries) | set(want.entries)
-    return all(cm.entry(*k) == want.entry(*k) for k in keys)
 
 
 # ----- summand witness ------------------------------------------------------
@@ -107,10 +95,10 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
     actually verified.
     """
     alg = N.algebra
-    levels = G.levels
+    levels = G.degrees  # the filtration level of a generator is its degree
     top = max(levels, default=0)
     sigma_cur = sigma
-    acc_homotopy: dict = {}
+    h_total: dict = {}  # every layer's null-homotopy, as G rows
     for k in range(top, 0, -1):
         layer = [g for g in range(G.n_gens) if levels[g] == k]
         if not layer:
@@ -141,17 +129,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
         for (g, lam) in sigma_cur.entries:
             if levels[g] >= k:
                 raise FiltrationStuck(f"correction left a row at level {levels[g]}")
-        # accumulate pi . h
-        for (g, lam), el in h_entries.items():
-            for (kappa, g2), pel in pi.entries.items():
-                if g2 != g:
-                    continue
-                prod = pel * el
-                if prod.is_zero():
-                    continue
-                key = (kappa, lam)
-                cur = acc_homotopy.get(key)
-                acc_homotopy[key] = prod if cur is None else cur + prod
+        h_total.update(h_entries)  # layers own disjoint rows
     layer0 = [g for g in range(G.n_gens) if levels[g] == 0]
     F0 = SemifreeModule(alg, tuple(G.names[g] for g in layer0),
                         (0,) * len(layer0), {})
@@ -164,7 +142,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
         if g in layer0:
             h_entries[(kappa, layer0.index(g))] = el
     hmap = ChainMap(F0, N, 0, h_entries)
-    homotopy = {k: v.neg() for k, v in acc_homotopy.items()}
+    homotopy = {k: v.neg() for k, v in matrix_product(pi.entries, h_total).items()}
     wit = SummandWitness(len(layer0), gmap, hmap, homotopy)
     if not wit.recheck():
         raise DimensionMismatch("summand witness failed its homotopy recheck")
@@ -174,14 +152,12 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
 # ----- factorization ideal and kernel sequence ------------------------------
 
 
-def p_ideal_dims(N: SemifreeModule, diag: Diagonal,
-                 G: SemifreeModule | None = None, pi: ChainMap | None = None):
+def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
     """dim of the ideal of endomorphism classes factoring through finite
     frees, computed two independent ways: as the image of composition with
     the counit, and as the kernel of the obstruction action on tensor-degree
     zero.  Returns (via factorization, via kernel, rank identity holds)."""
-    if G is None or pi is None:
-        G, pi = diag.base_change(N)
+    G, pi = diag.base_change(N)
     hsG = diag.hom(N, G)
     end = diag.hom(N, N)
     pi_op = chain_map_operator(pi)
@@ -200,12 +176,12 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal,
     return via_factorization, via_kernel, identity_ok
 
 
-def kernel_sequence_check(N: SemifreeModule, diag: Diagonal, L: int | None = None):
+def kernel_sequence_check(N: SemifreeModule, diag: Diagonal):
     """Degreewise rank bookkeeping of the four-term sequence
     0 -> p -> Gamma -> Gamma[1] -> End[1] -> 0: kernel in degree zero equals
     the factorization ideal, the cokernel slot carries End, and the middle
-    maps are bijective."""
-    L = L if L is not None else diag.config.max_tensor
+    maps are bijective, for tensor degrees below the config's max_tensor."""
+    L = diag.config.max_tensor
     via_fact, via_ker, identity_ok = p_ideal_dims(N, diag)
     end_dim = diag.hom(N, N).dim_K
     gamma0 = gamma_dim(N, diag, 0)
@@ -270,23 +246,20 @@ class LiftReport:
         }
 
 
-def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
-                       L_bound: int | None = None, name: str = "N") -> LiftReport:
+def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> LiftReport:
     """Evaluate the nine liftability certificates and cross-check agreement.
 
-    The bound-limited conditions carry notes; under verified AR1 the
+    The bound is min(lift_bound, max_tensor) of diag's config.  The
+    bound-limited conditions carry notes; under verified AR1 the
     surjectivity of the obstruction action propagates vanishing beyond the
     bound, so the finite data is a complete certificate there.
     """
-    cfg = diag.config
-    L_bound = L_bound if L_bound is not None else cfg.lift_bound
-    L_bound = min(L_bound, cfg.max_tensor)
+    L_bound = min(diag.config.lift_bound, diag.config.max_tensor)
     ar1 = check_AR1(N)
     ar2 = check_AR2(N)
     report = LiftReport(module=name, ar1=ar1, ar2=ar2, bound=L_bound)
 
-    G, pi = diag.base_change(N)
-    sigma = splitting_search(N, G, pi, diag)
+    sigma = splitting_search(N, diag)
     report.verdicts["i"] = sigma is not None
     report.notes["i"] = "strict section found" if sigma else "section system inconsistent"
 
@@ -294,12 +267,15 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
     report.verdicts["ii"] = wit is not None
     report.notes["ii"] = "null-homotopy witness stored" if wit else "no homotopy exists (exact certificate)"
 
-    nil_power = None
-    for ell in range(1, L_bound + 1):
-        chi = chi_power(N, diag, ell)
-        if diag.hom(N, chi.target).null_homotopy(chi) is not None:
-            nil_power = ell
-            break
+    # whether chi^1 is null-homotopic is verdict ii's question, so the search
+    # for a null-homotopic power starts at 2 when ii failed
+    nil_power = 1 if wit is not None and L_bound >= 1 else None
+    if wit is None:
+        for ell in range(2, L_bound + 1):
+            chi = chi_power(N, diag, ell)
+            if diag.hom(N, chi.target).null_homotopy(chi) is not None:
+                nil_power = ell
+                break
     report.verdicts["iii"] = nil_power is not None
     report.notes["iii"] = (f"power {nil_power} null-homotopic" if nil_power
                            else f"no nilpotency up to bound {L_bound}")
@@ -320,7 +296,7 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal,
 
     if sigma is not None and ar1.detail.get("iii_holds"):
         try:
-            sw = summand_witness(N, sigma, G, pi)
+            sw = summand_witness(N, sigma, *diag.base_change(N))
             report.verdicts["ix"] = True
             report.notes["ix"] = f"summand of {sw.m} free copies; homotopy rechecked"
         except FiltrationStuck as exc:
@@ -366,7 +342,7 @@ def homology_profile(M: SemifreeModule, lo: int | None = None, hi: int | None = 
     return {d: homology_dim(M, d) for d in range(lo, hi + 1)}
 
 
-def appendix_battery(instances, window_pad: int = 2):
+def appendix_battery(instances):
     """Negative-shift vanishing checks driven by homology profiles.
 
     For modules whose homology is concentrated in degree zero (within the
@@ -382,7 +358,7 @@ def appendix_battery(instances, window_pad: int = 2):
         B = regular_module(alg)
         span = max(1, N.max_degree - N.min_degree)
         prof_N = homology_profile(N)
-        prof_B = homology_profile(B, 0, N.max_degree + window_pad)
+        prof_B = homology_profile(B, 0, N.max_degree + 2)
         concentrated = all(v == 0 for d, v in prof_N.items() if d != 0)
         b_positive_zero = all(v == 0 for d, v in prof_B.items() if d >= 1)
         neg_self = {}

@@ -190,18 +190,8 @@ class ChainMap:
         """self after other (other: M -> N, self: N -> ...)."""
         if other.target is not self.source:
             raise OwnerMismatch("composition targets do not match")
-        alg = self.source.algebra
-        out: dict = {}
-        for (mu, k), a in self.entries.items():
-            for (kk, lam), b in other.entries.items():
-                if kk != k:
-                    continue
-                prod = a * b
-                if prod.is_zero():
-                    continue
-                cur = out.get((mu, lam))
-                out[(mu, lam)] = prod if cur is None else cur + prod
-        return ChainMap(other.source, self.target, self.shift + other.shift, out)
+        return ChainMap(other.source, self.target, self.shift + other.shift,
+                        matrix_product(self.entries, other.entries))
 
     def add(self, other: "ChainMap") -> "ChainMap":
         out = dict(self.entries)
@@ -223,6 +213,21 @@ class ChainMap:
 
     def __repr__(self):
         return f"ChainMap({self.source.describe()} -> S^{self.shift} {self.target.describe()})"
+
+
+def matrix_product(a: dict, b: dict) -> dict:
+    """The product a b of two matrices over B given as {(row, col): element}."""
+    out: dict = {}
+    for (mu, k), x in a.items():
+        for (kk, lam), y in b.items():
+            if kk != k:
+                continue
+            prod = x * y
+            if prod.is_zero():
+                continue
+            cur = out.get((mu, lam))
+            out[(mu, lam)] = prod if cur is None else cur + prod
+    return out
 
 
 def chain_failure(source: SemifreeModule, shift_: int, lam: int) -> str:
@@ -289,18 +294,18 @@ def cone(f: ChainMap) -> SemifreeModule:
     return SemifreeModule(alg, names, degrees, diff)
 
 
-def base_change(N: SemifreeModule, trunc_margin: int = 1):
+def base_change(N: SemifreeModule):
     """The induced module G = N|_A (x)_A B together with the counit.
 
     G is semifree on pairs (e_lam, m) with m a monomial in the non-A
-    variables; the basis is truncated at generator degree max(deg) + margin,
+    variables; the basis is truncated at generator degree max(deg) + 1,
     which is sufficient for every degree-0 section or homotopy question about
     the counit (their components live in generator degrees <= max(deg) + 1).
 
     Returns (G, pi) with pi the counit chain map G -> N, pi(e (x) m) = e*m.
     """
     alg = N.algebra
-    cap = N.max_degree + trunc_margin
+    cap = N.max_degree + 1
     if cap > alg.config.max_degree:
         raise CapExceeded(cap, alg.config.max_degree)
     gens = []  # (degree, lam, monomial)
@@ -352,9 +357,7 @@ def base_change(N: SemifreeModule, trunc_margin: int = 1):
     pi_entries = {}
     for col, (deg, lam, m) in enumerate(gens):
         pi_entries[(lam, col)] = alg.from_mono(m)
-    pi = ChainMap(G, N, 0, pi_entries)
-    G.levels = tuple(t[0] for t in gens)  # filtration level = generator degree
-    return G, pi
+    return G, ChainMap(G, N, 0, pi_entries)
 
 
 def homology_dim(M, d: int) -> int:

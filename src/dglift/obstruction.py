@@ -43,7 +43,6 @@ class DegreewiseMap:
         self.name = name
         self._validate = validate
         self._mats: dict[int, SparseMatrix] = {}
-        self._checked: set[int] = set()
 
     def mat(self, d: int) -> SparseMatrix:
         if d not in self._mats:
@@ -53,9 +52,6 @@ class DegreewiseMap:
         return self._mats[d]
 
     def _check(self, d: int):
-        if d in self._checked:
-            return
-        self._checked.add(d)
         if d - 1 < min(self.source.min_degree(), self.target.min_degree()):
             return
         lhs = self.target.diff(d) @ self.mat(d)
@@ -86,16 +82,17 @@ class DegreewiseMap:
 class ObstructionTower:
     """All tensor components of the obstruction operator for one module."""
 
-    def __init__(self, N: SemifreeModule, diag: Diagonal, L: int | None = None):
+    def __init__(self, N: SemifreeModule, diag: Diagonal):
         self.N = N
         self.diag = diag
-        self.L = diag.config.max_tensor if L is None else L
         self._components: dict[int, DegreewiseMap] = {}
 
     def component(self, i: int) -> DegreewiseMap:
-        """The piece N (x) T^i -> N (x) T^{i+1}."""
-        if i + 1 > self.L:
-            raise CapExceeded(i + 1, self.L, "tensor degree")
+        """The piece N (x) T^i -> N (x) T^{i+1}, within the config's
+        max_tensor."""
+        cap = self.diag.config.max_tensor
+        if i + 1 > cap:
+            raise CapExceeded(i + 1, cap, "tensor degree")
         if i not in self._components:
             self._components[i] = self._build_component(i)
         return self._components[i]
@@ -141,10 +138,9 @@ class EnvelopingRouteTower:
     entrywise cross-check of the direct formula.
     """
 
-    def __init__(self, N: SemifreeModule, diag: Diagonal, L: int | None = None):
+    def __init__(self, N: SemifreeModule, diag: Diagonal):
         self.N = N
         self.diag = diag
-        self.L = diag.config.max_tensor if L is None else L
         self._NBe = None
         self._NJ = None
         self._core: dict[int, tuple] = {}
@@ -301,10 +297,9 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     return CarrierMap(N, tgt, 0, cols)
 
 
-def chi_power_iterated(N: SemifreeModule, diag: Diagonal, ell: int,
-                       tower: ObstructionTower | None = None) -> CarrierMap:
+def chi_power_iterated(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     """The same power as the literal composition of tower components."""
-    tower = tower or ObstructionTower(N, diag)
+    tower = ObstructionTower(N, diag)
     cur = chi_power(N, diag, 0)
     for i in range(ell):
         cur = tower.component(i).apply(cur)
@@ -335,16 +330,14 @@ def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:
     return diag.hom(N, diag.NT(N, n)).dim_K
 
 
-def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int,
-                        tower: ObstructionTower | None = None):
+def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int):
     """Matrix of left composition with the obstruction on homotopy classes
     Hom(N, Sigma^m(N (x) T^n)) -> Hom(N, Sigma^m(N (x) T^{n+1})).
 
     Returns (matrix, dim source, dim target)."""
-    tower = tower or ObstructionTower(N, diag)
     S = diag.hom(N, diag.NT(N, n), m)
     T = diag.hom(N, diag.NT(N, n + 1), m)
-    comp = tower.component(n)
+    comp = ObstructionTower(N, diag).component(n)
     cols = []
     for rep in S.class_reps():
         img = comp.apply(rep)
@@ -371,11 +364,11 @@ def cone_component_dims(N: SemifreeModule, diag: Diagonal, n: int, d: int):
     return computed, predicted
 
 
-def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int,
-                     tower: ObstructionTower | None = None):
+def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int):
     """For each basis element of N (x) T^i in the generator-degree window,
     the least power killing it; asserts the degree bound."""
-    tower = tower or ObstructionTower(N, diag)
+    tower = ObstructionTower(N, diag)
+    cap = diag.config.max_tensor
     src = diag.NT(N, i)
     f = N.algebra.field
     out = []
@@ -385,7 +378,7 @@ def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int,
             n_x = None
             j = i
             cur = {k: f.one}
-            while j - i < bound and j + 1 <= tower.L:
+            while j - i < bound and j + 1 <= cap:
                 cur = tower.component(j).mat(d).mat_vec(cur)
                 j += 1
                 if not cur:
@@ -453,14 +446,14 @@ def functoriality_defect_is_null(N, Nprime, fmap: ChainMap, diag: Diagonal) -> b
 
 
 def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap,
-                         tower: ObstructionTower | None = None,
-                         tensor_degrees=(0, 1), window=None) -> bool:
+                         window=None) -> bool:
     """Strict conjugation identity for a triangular chain automorphism:
-    (u (x) id) w = w (u (x) id), entrywise per degree."""
-    tower = tower or ObstructionTower(N, diag)
+    (u (x) id) w = w (u (x) id), entrywise per degree of the window (by
+    default min..max+1 of N), on tensor components 0 and 1."""
+    tower = ObstructionTower(N, diag)
     if window is None:
         window = range(N.min_degree, N.max_degree + 2)
-    for i in tensor_degrees:
+    for i in (0, 1):
         w = tower.component(i)
         phi_i = map_tensor_id(u, diag, i)
         phi_i1 = map_tensor_id(u, diag, i + 1)

@@ -11,8 +11,7 @@ from dglift.instances import build_corpus
 from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
                               summand_witness)
-from dglift.modules import (ChainMap, base_change, cone, free_module, make_module,
-                            regular_module)
+from dglift.modules import ChainMap, cone, free_module, make_module
 
 
 @pytest.fixture()
@@ -34,54 +33,54 @@ def summand_module(ext):
                        {("g2", "g3"): ext.one()})
 
 
-def test_splitting_of_regular_module(ext):
+def test_splitting_of_regular_module(ext, ext_diag):
     B = free_module(ext, 1)
-    sigma = splitting_search(B)
+    sigma = splitting_search(B, ext_diag)
     assert sigma is not None
     # sigma(b) = b (x) 1
     (key, el), = sigma.entries.items()
     assert el == ext.one()
 
 
-def test_splitting_componentwise_on_frees(ext):
+def test_splitting_componentwise_on_frees(ext, ext_diag):
     for n in (2, 3):
-        assert splitting_search(free_module(ext, n)) is not None
+        assert splitting_search(free_module(ext, n), ext_diag) is not None
 
 
-def test_no_splitting_for_two_step(ext):
-    assert splitting_search(two_step(ext)) is None
+def test_no_splitting_for_two_step(ext, ext_diag):
+    assert splitting_search(two_step(ext), ext_diag) is None
 
 
-def test_splitting_for_contractible(ext):
+def test_splitting_for_contractible(ext, ext_diag):
     C = cone(ChainMap.identity(free_module(ext, 1)))
-    assert splitting_search(C) is not None
+    assert splitting_search(C, ext_diag) is not None
 
 
-def test_summand_witness_free(ext):
+def test_summand_witness_free(ext, ext_diag):
     B = free_module(ext, 1)
-    G, pi = base_change(B)
-    sigma = splitting_search(B, G, pi)
+    G, pi = ext_diag.base_change(B)
+    sigma = splitting_search(B, ext_diag)
     wit = summand_witness(B, sigma, G, pi)
     assert wit.m == 1
     assert wit.recheck()
 
 
-def test_summand_witness_frees(ext):
+def test_summand_witness_frees(ext, ext_diag):
     for n in (2, 3):
         Bn = free_module(ext, n)
-        G, pi = base_change(Bn)
-        sigma = splitting_search(Bn, G, pi)
+        G, pi = ext_diag.base_change(Bn)
+        sigma = splitting_search(Bn, ext_diag)
         wit = summand_witness(Bn, sigma, G, pi)
         assert wit.m == n
         assert wit.recheck()
 
 
-def test_summand_witness_idempotent_cut(ext):
+def test_summand_witness_idempotent_cut(ext, ext_diag):
     # a summand of the rank-2 free (one free generator plus a contractible
     # pair); the witness factors through two free copies
     M = summand_module(ext)
-    G, pi = base_change(M)
-    sigma = splitting_search(M, G, pi)
+    G, pi = ext_diag.base_change(M)
+    sigma = splitting_search(M, ext_diag)
     assert sigma is not None
     wit = summand_witness(M, sigma, G, pi)
     assert wit.m == 2
@@ -96,9 +95,10 @@ def test_summand_witness_idempotent_cut(ext):
 def test_summand_witness_stuck_on_the_shifted_free(config):
     """Sigma B splits strictly, but Hom(Sigma B, Sigma B) != 0 in positive
     shift (AR1 fails), so the descent cannot clear the level-1 layer."""
-    N = build_corpus(config, ["exterior"])["exterior"].modules["shifted"]
-    G, pi = base_change(N)
-    sigma = splitting_search(N, G, pi)
+    inst = build_corpus(config, ["exterior"])["exterior"]
+    N = inst.modules["shifted"]
+    G, pi = inst.diag.base_change(N)
+    sigma = splitting_search(N, inst.diag)
     assert sigma is not None
     with pytest.raises(FiltrationStuck,
                        match="level-1 layer is not null-homotopic.*generator b0"):
@@ -110,9 +110,10 @@ def test_summand_witness_stuck_when_the_correction_leaves_a_row(config, monkeypa
     """A correction whose boundary is lost leaves sigma's level-1 rows in
     place, which the descent must refuse rather than drop."""
     import dglift.liftcheck as liftcheck
-    N = build_corpus(config, ["exterior"])["exterior"].modules[name]
-    G, pi = base_change(N)
-    sigma = splitting_search(N, G, pi)
+    inst = build_corpus(config, ["exterior"])["exterior"]
+    N = inst.modules[name]
+    G, pi = inst.diag.base_change(N)
+    sigma = splitting_search(N, inst.diag)
     assert sigma is not None
     monkeypatch.setattr(liftcheck, "graded_map_boundary", lambda *args: {})
     with pytest.raises(FiltrationStuck, match="correction left a row at level 1"):

@@ -10,11 +10,12 @@ import pytest
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import TensorCarrier
 from dglift.diagonal import Diagonal
+from dglift.errors import CapExceeded, DimensionMismatch
 from dglift.homotopy import HomSpace, carrier_map_to_chain, hom_k_dim
 from dglift.instances import battery_pairs
 from dglift.linalg import SparseMatrix
 from dglift.modules import ChainMap, cone, free_module, make_module, shift
-from dglift.obstruction import (EnvelopingRouteTower, ObstructionTower,
+from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
                                 carrier_maps_equal, chain_map_operator, chi_power,
                                 chi_power_iterated, cone_component_dims,
                                 conjugation_commutes, functoriality_defect_is_null,
@@ -82,6 +83,40 @@ def test_components_are_chain_operators(ext, ext_diag):
             tower.component(i).mat(d)  # validates the chain square on build
 
 
+@pytest.mark.parametrize("i", [0, 1])
+def test_an_extra_entry_breaks_the_chain_square(ext, ext_diag, i):
+    """One entry added to a component's matrix in degree d, on a row where
+    the target differential is nonzero, changes D w but not w D, so the
+    first build of d raises, naming w[i] and d."""
+    w = ObstructionTower(three_step(ext), ext_diag).component(i)
+    f = ext.field
+    low = min(w.source.min_degree(), w.target.min_degree())
+    d, row = next((d, r) for d in range(low + 1, 7) if w.source.dim(d)
+                  for _, r in w.target.diff(d).entries)
+
+    def build(e):
+        m = w.build(e)
+        if e != d:
+            return m
+        entries = dict(m.entries)
+        entries[(row, 0)] = f.add(entries.get((row, 0), f.zero), f.one)
+        return SparseMatrix(f, m.nrows, m.ncols, entries)
+
+    broken = DegreewiseMap(w.source, w.target, build, name=w.name)
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^w\[{i}\] is not a chain operator at degree {d}$"):
+        broken.mat(d)
+
+
+def test_the_tower_refuses_a_component_past_max_tensor(ext, ext_diag):
+    L = ext_diag.config.max_tensor
+    tower = ObstructionTower(three_step(ext), ext_diag)
+    assert tower.component(L - 1).name == f"w[{L - 1}]"
+    with pytest.raises(CapExceeded,
+                       match=rf"^tensor degree {L + 1} exceeds configured cap {L};"):
+        tower.component(L)
+
+
 def test_enveloping_route_reproduces_formula(ext, ext_diag):
     for M in (two_step(ext), three_step(ext), free_module(ext, 2)):
         tower = ObstructionTower(M, ext_diag)
@@ -119,10 +154,9 @@ def test_chi_power_exhausts_chains(ext, ext_diag):
 
 def test_chi_powers_match_iterated_composition(ext, ext_diag):
     M3 = three_step(ext)
-    tower = ObstructionTower(M3, ext_diag)
     for ell in (1, 2, 3):
         closed = chi_power(M3, ext_diag, ell)
-        iterated = chi_power_iterated(M3, ext_diag, ell, tower)
+        iterated = chi_power_iterated(M3, ext_diag, ell)
         assert carrier_maps_equal(closed, iterated)
     assert not chi_power(M3, ext_diag, 2).is_zero()
     assert chi_power(M3, ext_diag, 3).is_zero()
@@ -243,8 +277,7 @@ def test_conjugation_by_triangular_automorphisms(config):
             for k, v in cm.entries.items():
                 entries[k] = entries[k] + v if k in entries else v
         u = ChainMap(M, M, 0, entries)
-        assert conjugation_commutes(M, diag, u, tensor_degrees=(0, 1),
-                                    window=range(0, 5))
+        assert conjugation_commutes(M, diag, u, window=range(0, 5))
 
 
 def test_map_tensor_id_is_chain_operator(ext, ext_diag):
