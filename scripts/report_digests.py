@@ -31,7 +31,11 @@ order: one per corpus algebra and backend hashes mono_mul(u, v) for every
 pair of monomials of degree at most 6, diff_mono(u) for every such u, and
 the differentials of the algebra's variables and of its modules; one per
 tests/data file and backend hashes the module differentials parse_instance
-reads from it (or the error it raises).  It prints 1 198 lines in all.  Two
+reads from it (or the error it raises).  Its 38 battery lines, one per
+corpus module N and backend, hash the battery fields that reports reduce to
+a verdict: the repr of the check_AR1 and check_AR2 details, of
+p_ideal_dims, and, where AR1 holds, of the kernel_sequence_check dict,
+all on one Diagonal per algebra.  It prints 1 236 lines in all.  Two
 commits produce the same canonical output exactly when this script prints
 the same lines for both, so a diff of its output is the byte-identical gate
 for a change that must not alter results.
@@ -55,8 +59,8 @@ from dglift.cli import COMMANDS, main as cli_main, parse_instance  # noqa: E402
 from dglift.errors import DGLiftError  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
-from dglift.homotopy import HomSpace, chain_map_to_carrier  # noqa: E402
-from dglift.liftcheck import splitting_search  # noqa: E402
+from dglift.homotopy import HomSpace, chain_map_to_carrier, check_AR1, check_AR2  # noqa: E402
+from dglift.liftcheck import kernel_sequence_check, p_ideal_dims, splitting_search  # noqa: E402
 from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
@@ -161,6 +165,19 @@ def solve_digests(backend: str):
                                          [w and w.cols for w in witnesses])))
 
 
+def battery_digests(backend: str):
+    """(algebra, module, digest) for the AR1 and AR2 details, the
+    factorization-ideal triple and, where AR1 holds, the kernel-sequence
+    fields of every corpus module N."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        for mname, N in inst.modules.items():
+            ar1 = check_AR1(N, diag)
+            ar2 = check_AR2(N, diag)
+            ks = kernel_sequence_check(N, diag) if ar1.holds else None
+            yield name, mname, sha(repr((ar1.detail, ar2.detail, p_ideal_dims(N, diag), ks)))
+
+
 def terms(el) -> list:
     """An element's terms in insertion order."""
     return list(el.terms.items())
@@ -216,6 +233,8 @@ def main() -> int:
             print(f"{digest}  solve {name} {mname} {backend}")
         for where, digest in algebra_digests(backend, data):
             print(f"{digest}  algebra {where} {backend}")
+        for name, mname, digest in battery_digests(backend):
+            print(f"{digest}  battery {name} {mname} {backend}")
     return 0
 
 

@@ -46,12 +46,11 @@ class ParseError(DGLiftError):
 
 
 class InstanceFile:
-    """Parsed and validated instance: algebra, named modules, limits."""
+    """Parsed and validated instance: algebra and named modules."""
 
-    def __init__(self, algebra: DGAlgebra, modules: dict, limits: dict, path: str):
+    def __init__(self, algebra: DGAlgebra, modules: dict, path: str):
         self.algebra = algebra
         self.modules = modules
-        self.limits = limits
         self.path = path
 
 
@@ -182,7 +181,7 @@ def parse_instance(path: str, config: EngineConfig,
                 diff[key] = diff[key] + el if key in diff else el
         from .modules import make_module
         modules[mname] = make_module(algebra, gens, diff)
-    return InstanceFile(algebra, modules, limits, path)
+    return InstanceFile(algebra, modules, path)
 
 
 def _parse_ring(spec: str) -> BaseRing:
@@ -383,6 +382,9 @@ def cmd_omega(inst: InstanceFile, args, config) -> tuple[dict, bool]:
 
 
 def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+    """gamma^n for n = -1..max_tensor.  end_dim is gamma^0: End is one
+    memoized space with diag.hom(M, diag.NT(M, 0)), so the two agree by
+    construction and are not independent counts."""
     name, M = _module_arg(inst, args.module)
     diag = Diagonal(inst.algebra)
     L = inst.algebra.config.max_tensor
@@ -393,7 +395,7 @@ def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         "instance": inst.path,
         "backend": config.field.name,
         "module": name,
-        "end_dim": diag.hom(M, M).dim_K,
+        "end_dim": dims["0"],
         "dims": dims,
     }
     return report, True

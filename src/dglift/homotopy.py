@@ -33,12 +33,16 @@ span is reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
-from .modules import ChainMap, SemifreeModule, chain_failure
+from .modules import ChainMap, SemifreeModule, chain_failure, regular_module
+
+if TYPE_CHECKING:  # diagonal imports this module
+    from .diagonal import Diagonal
 
 
 def _is_module_carrier(car: Carrier) -> bool:
@@ -401,17 +405,17 @@ class ConditionReport:
     detail: dict = dc_field(default_factory=dict)
 
 
-def check_AR1(N: SemifreeModule) -> ConditionReport:
+def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
     """(i) non-negative generator degrees; (ii) perfectness over A, verified by
     the finite monomial A-basis when A is the base ring; (iii) vanishing of
-    Hom into positive shifts of B over the finite certifying range.
+    Hom into positive shifts of B over the finite certifying range, read off
+    the Hom spaces of diag's memo.
 
     Maps out of a generator of degree t into Sigma^n B land in B_{t-n} = 0
     once n exceeds the top generator degree, so the range 1..max_degree
     certifies the unbounded claim; the bound is recorded.
     """
     alg = N.algebra
-    from .modules import regular_module
     B = regular_module(alg)
     cond_i = all(d >= 0 for d in N.degrees)
     # (ii): when A is the base ring, N|_A has A-basis {e * m}; finite iff all
@@ -424,15 +428,9 @@ def check_AR1(N: SemifreeModule) -> ConditionReport:
     else:
         cond_ii, ii_note = False, "A-basis not finite (even adjoined variable); not verified"
     bound = max(0, N.max_degree)
-    dims = {}
-    ok_iii = True
-    first_fail = None
-    for n in range(1, bound + 1):
-        dn = hom_k_dim(N, B, n)
-        dims[n] = dn
-        if dn != 0 and ok_iii:
-            ok_iii = False
-            first_fail = n
+    dims = {n: diag.hom(N, B, n).dim_K for n in range(1, bound + 1)}
+    first_fail = next((n for n, v in dims.items() if v), None)
+    ok_iii = first_fail is None
     return ConditionReport(
         holds=cond_i and cond_ii and ok_iii,
         detail={
@@ -448,22 +446,15 @@ def check_AR1(N: SemifreeModule) -> ConditionReport:
     )
 
 
-def check_AR2(N: SemifreeModule) -> ConditionReport:
-    """Hom(N, Sigma^n N) = 0 for n >= 1, certified on 1..(span) where
-    span = max degree - min degree; beyond it every generator image lands in a
-    zero graded piece."""
+def check_AR2(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
+    """Hom(N, Sigma^n N) = 0 for n >= 1, read off diag's memo and certified
+    on 1..(span) where span = max degree - min degree; beyond it every
+    generator image lands in a zero graded piece."""
     bound = max(0, (N.max_degree - N.min_degree) if N.n_gens else 0)
-    dims = {}
-    ok = True
-    first_fail = None
-    for n in range(1, bound + 1):
-        dn = hom_k_dim(N, N, n)
-        dims[n] = dn
-        if dn != 0 and ok:
-            ok = False
-            first_fail = n
+    dims = {n: diag.hom(N, N, n).dim_K for n in range(1, bound + 1)}
+    first_fail = next((n for n, v in dims.items() if v), None)
     return ConditionReport(
-        holds=ok,
+        holds=first_fail is None,
         detail={"dims": dims, "bound": bound, "first_failure": first_fail,
                 "bound_note": "zero beyond the bound by generator degree span"},
     )

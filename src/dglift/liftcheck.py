@@ -18,10 +18,10 @@ from .errors import DimensionMismatch, FiltrationStuck
 from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_chain,
                        chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
                        hom_k_dim)
-from .linalg import Echelon, SparseMatrix
+from .linalg import SparseMatrix
 from .modules import (ChainMap, SemifreeModule, graded_map_boundary, homology_dim,
                       matrix_product, regular_module)
-from .obstruction import (chain_map_operator, chi_power, gamma_dim,
+from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
 
 
@@ -158,18 +158,8 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
     the counit, and as the kernel of the obstruction action on tensor-degree
     zero.  Returns (via factorization, via kernel, rank identity holds)."""
     G, pi = diag.base_change(N)
-    hsG = diag.hom(N, G)
-    end = diag.hom(N, N)
-    pi_op = chain_map_operator(pi)
-    f = N.algebra.field
-    ech = Echelon(f, end.dim_K)
-    for rep in hsG.class_reps():
-        img = pi_op.apply(rep)
-        coords = end.express(img)
-        row = {i: c for i, c in enumerate(coords) if not f.is_zero(c)}
-        if row:
-            ech.add_row(row)
-    via_factorization = ech.rank
+    via_factorization = induced_matrix(diag.hom(N, G), diag.hom(N, N),
+                                       chain_map_operator(pi)).rank()
     mat, s_dim, t_dim = omega_action_matrix(N, diag, 0, 0)
     via_kernel = s_dim - mat.rank()
     identity_ok = via_kernel + gamma_dim(N, diag, 1) == gamma_dim(N, diag, 0)
@@ -178,15 +168,16 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
 
 def kernel_sequence_check(N: SemifreeModule, diag: Diagonal):
     """Degreewise rank bookkeeping of the four-term sequence
-    0 -> p -> Gamma -> Gamma[1] -> End[1] -> 0: kernel in degree zero equals
-    the factorization ideal, the cokernel slot carries End, and the middle
-    maps are bijective, for tensor degrees below the config's max_tensor."""
+    0 -> p -> Gamma -> Gamma[1] -> End[1] -> 0, for tensor degrees below the
+    config's max_tensor: kernel in degree zero equals the factorization
+    ideal, and the middle maps are bijective.  Degree-zero surjectivity is
+    p_ideal_dims's rank identity: with s = gamma^0, t = gamma^1 and r the
+    rank of the action, (s - r) + t = s exactly when r = t.  The cokernel
+    slot carries End, which is gamma^0 by construction (one memoized space),
+    so cokernel_slot_matches_end is not an independent check."""
     L = diag.config.max_tensor
     via_fact, via_ker, identity_ok = p_ideal_dims(N, diag)
-    end_dim = diag.hom(N, N).dim_K
     gamma0 = gamma_dim(N, diag, 0)
-    mat0, s0, t0 = omega_action_matrix(N, diag, 0, 0)
-    surj0 = mat0.rank() == t0
     middle = {}
     for n in range(1, L):
         mat, s, t = omega_action_matrix(N, diag, n, 0)
@@ -199,12 +190,12 @@ def kernel_sequence_check(N: SemifreeModule, diag: Diagonal):
         "p_agree": via_fact == via_ker,
         "rank_identity": identity_ok,
         "gamma0": gamma0,
-        "end_dim": end_dim,
-        "cokernel_slot_matches_end": gamma0 == end_dim,
-        "degree0_surjective": surj0,
+        "end_dim": gamma0,
+        "cokernel_slot_matches_end": True,
+        "degree0_surjective": identity_ok,
         "middle_bijective": middle,
-        "ok": (via_fact == via_ker and identity_ok and gamma0 == end_dim
-               and surj0 and all(v["bijective"] for v in middle.values())),
+        "ok": (via_fact == via_ker and identity_ok
+               and all(v["bijective"] for v in middle.values())),
     }
 
 
@@ -252,11 +243,13 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     The bound is min(lift_bound, max_tensor) of diag's config.  The
     bound-limited conditions carry notes; under verified AR1 the
     surjectivity of the obstruction action propagates vanishing beyond the
-    bound, so the finite data is a complete certificate there.
+    bound, so the finite data is a complete certificate there.  Verdict
+    iv's gamma^0 = End holds by construction, diag.hom(N, N) being
+    diag.hom(N, diag.NT(N, 0)), and is not an independent check.
     """
     L_bound = min(diag.config.lift_bound, diag.config.max_tensor)
-    ar1 = check_AR1(N)
-    ar2 = check_AR2(N)
+    ar1 = check_AR1(N, diag)
+    ar2 = check_AR2(N, diag)
     report = LiftReport(module=name, ar1=ar1, ar2=ar2, bound=L_bound)
 
     sigma = splitting_search(N, diag)
@@ -282,11 +275,10 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 
     gammas = {n: gamma_dim(N, diag, n) for n in range(0, L_bound + 1)}
     report.gamma = gammas
-    end_dim = diag.hom(N, N).dim_K
     positive_all_zero = all(gammas[n] == 0 for n in range(1, L_bound + 1))
     positive_any_zero = any(gammas[n] == 0 for n in range(1, L_bound + 1))
-    report.verdicts["iv"] = positive_all_zero and gammas[0] == end_dim
-    report.notes["iv"] = f"gamma^0 = {gammas[0]}, End = {end_dim}; positive pieces zero: {positive_all_zero}"
+    report.verdicts["iv"] = positive_all_zero
+    report.notes["iv"] = f"gamma^0 = {gammas[0]}, End = {gammas[0]}; positive pieces zero: {positive_all_zero}"
     report.verdicts["v"] = positive_any_zero
     report.notes["v"] = ("finite generation certified by a vanishing piece"
                          if positive_any_zero else f"no vanishing piece up to {L_bound}")
@@ -350,7 +342,8 @@ def appendix_battery(instances):
     algebra has no positive homology and the module none in negative degrees,
     Homs into negative shifts of the algebra must vanish.  Instances that
     violate the concentration hypothesis serve as counterexample material and
-    get their nonvanishing recorded instead.
+    get their nonvanishing recorded instead.  The instances may span several
+    algebras and no Diagonal is in scope, so the Homs go through hom_k_dim.
     """
     results = []
     for name, N in instances:
@@ -361,12 +354,8 @@ def appendix_battery(instances):
         prof_B = homology_profile(B, 0, N.max_degree + 2)
         concentrated = all(v == 0 for d, v in prof_N.items() if d != 0)
         b_positive_zero = all(v == 0 for d, v in prof_B.items() if d >= 1)
-        neg_self = {}
-        for ell in range(-1, -(span + 2), -1):
-            neg_self[ell] = hom_k_dim(N, N, ell)
-        neg_to_B = {}
-        for i in range(-1, -(N.max_degree + 2), -1):
-            neg_to_B[i] = hom_k_dim(N, B, i)
+        neg_self = {ell: hom_k_dim(N, N, ell) for ell in range(-1, -(span + 2), -1)}
+        neg_to_B = {i: hom_k_dim(N, B, i) for i in range(-1, -(N.max_degree + 2), -1)}
         entry = {
             "name": name,
             "homology_N": {str(k): v for k, v in prof_N.items()},

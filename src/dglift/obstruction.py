@@ -22,7 +22,7 @@ from __future__ import annotations
 from .carriers import Carrier, SemifreeCarrier
 from .diagonal import Diagonal
 from .errors import CapExceeded, DimensionMismatch
-from .homotopy import CarrierMap, HomotopyWitness
+from .homotopy import CarrierMap, HomotopyWitness, HomSpace
 from .linalg import SparseMatrix, vec_axpy
 from .modules import ChainMap, SemifreeModule
 
@@ -337,14 +337,18 @@ def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int):
     Returns (matrix, dim source, dim target)."""
     S = diag.hom(N, diag.NT(N, n), m)
     T = diag.hom(N, diag.NT(N, n + 1), m)
-    comp = ObstructionTower(N, diag).component(n)
-    cols = []
-    for rep in S.class_reps():
-        img = comp.apply(rep)
-        cols.append({i: c for i, c in enumerate(T.express(img))
-                     if not N.algebra.field.is_zero(c)})
-    mat = SparseMatrix.from_cols(N.algebra.field, T.dim_K, cols)
+    mat = induced_matrix(S, T, ObstructionTower(N, diag).component(n))
     return mat, S.dim_K, T.dim_K
+
+
+def induced_matrix(S: HomSpace, T: HomSpace, op: DegreewiseMap) -> SparseMatrix:
+    """Matrix of the map S -> T that the degreewise operator op induces on
+    homotopy classes: column j holds the T-coordinates of op applied to S's
+    j-th class representative."""
+    f = S.field
+    cols = [{i: c for i, c in enumerate(T.express(op.apply(rep))) if not f.is_zero(c)}
+            for rep in S.class_reps()]
+    return SparseMatrix.from_cols(f, T.dim_K, cols)
 
 
 def cone_component_dims(N: SemifreeModule, diag: Diagonal, n: int, d: int):

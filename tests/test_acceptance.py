@@ -193,7 +193,7 @@ def test_criterion_08_gamma_structure():
             assert gamma_dim(M, diag, n) == 0
         # AR1 + AR2: the shifted Hom modules vanish entirely
         from dglift.homotopy import check_AR2
-        if check_AR2(M).holds:
+        if check_AR2(M, diag).holds:
             for n in range(0, L + 1):
                 for m in range(1, 4):
                     assert hom_k_dim(M, diag.NT(M, n), m) == 0, (inst.name, mname, n, m)

@@ -7,6 +7,7 @@ import pytest
 from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
+from dglift.diagonal import Diagonal
 from dglift.errors import DegreeMismatch, DimensionMismatch
 from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR1,
                              check_AR2, delta_cols, delta_matrix, hom_k_dim,
@@ -294,12 +295,12 @@ def test_express_roundtrip(ext):
 
 def test_AR1_free_modules(ext):
     for n in (1, 2, 3):
-        r = check_AR1(free_module(ext, n))
+        r = check_AR1(free_module(ext, n), Diagonal(ext))
         assert r.holds
 
 
 def test_AR1_two_step_fails_at_two(ext):
-    r = check_AR1(two_step(ext))
+    r = check_AR1(two_step(ext), Diagonal(ext))
     assert not r.holds
     assert r.detail["iii_first_failure"] == 2
     assert r.detail["iii_dims"][1] == 0
@@ -307,19 +308,19 @@ def test_AR1_two_step_fails_at_two(ext):
 
 
 def test_AR1_shifted_free_fails_at_one(ext):
-    r = check_AR1(shift(free_module(ext, 1), 1))
+    r = check_AR1(shift(free_module(ext, 1), 1), Diagonal(ext))
     assert not r.holds
     assert r.detail["iii_first_failure"] == 1
 
 
 def test_AR2_free_holds_vacuously(ext):
-    r = check_AR2(free_module(ext, 2))
+    r = check_AR2(free_module(ext, 2), Diagonal(ext))
     assert r.holds
     assert r.detail["bound"] == 0
 
 
 def test_AR2_koszul(quot):
-    r = check_AR2(koszul(quot))
+    r = check_AR2(koszul(quot), Diagonal(quot))
     # bound 1; Hom(K, Sigma K) decided exactly
     assert r.detail["bound"] == 1
     assert r.holds == (r.detail["dims"].get(1, 0) == 0)

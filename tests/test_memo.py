@@ -17,6 +17,7 @@ from dglift.diagonal import Diagonal, EnvelopingCarrier
 from dglift.homotopy import HomSpace
 from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
+from dglift.modules import regular_module
 from dglift.obstruction import gamma_dim
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
@@ -150,3 +151,44 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         assert [k for k in diag._hom if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
         assert chain_targets.count((M, G.carrier())) == 1
         built.clear()
+
+
+BATTERY_MODULES = ("two_step", "cone_id", "B2")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mname", BATTERY_MODULES)
+def test_battery_reads_the_AR_tables_off_the_hom_memo(backend, mname):
+    """check_AR1 and check_AR2 ask diag.hom, so the battery leaves their
+    Hom spaces N -> Sigma^n B and N -> Sigma^n N in the memo."""
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    M = inst.modules[mname]
+    diag = Diagonal(inst.algebra)
+    naive_lift_battery(M, diag)
+    B = regular_module(inst.algebra).carrier()
+    span = M.max_degree - M.min_degree
+    for n in range(1, max(0, M.max_degree) + 1):
+        assert (M, B, n) in diag._hom, (mname, "AR1", n)
+    for n in range(1, span + 1):
+        assert (M, M.carrier(), n) in diag._hom, (mname, "AR2", n)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mname", BATTERY_MODULES)
+def test_kernel_sequence_builds_each_action_matrix_once(backend, mname, monkeypatch):
+    """omega(0, 0) feeds both the factorization ideal and degree-zero
+    surjectivity, so the kernel sequence asks for each omega(n, 0) once."""
+    import dglift.liftcheck as liftcheck_module
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    M = inst.modules[mname]
+    asked = []
+    real = liftcheck_module.omega_action_matrix
+
+    def omega_action_matrix(N, diag, n, m):
+        asked.append((n, m))
+        return real(N, diag, n, m)
+
+    monkeypatch.setattr(liftcheck_module, "omega_action_matrix", omega_action_matrix)
+    kernel_sequence_check(M, Diagonal(inst.algebra))
+    L = inst.algebra.config.max_tensor
+    assert sorted(asked) == [(n, 0) for n in range(L)], mname
