@@ -36,6 +36,7 @@ from operator import add, mul
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import IllFormedPresentation, OwnerMismatch
+from .memo import memo
 
 Monomial = tuple  # exponents: slot 0 = base generator, slots 1.. = variables
 
@@ -78,12 +79,6 @@ class DGAlgebra:
         self.config = config
         self.field = config.field
         self.var_diffs: list[AlgebraElement | None] = [None] * len(self.var_names)
-        self._mono_cache: dict[int, tuple] = {}
-        self._mono_index: dict[int, dict] = {}
-        self._nonA_cache: dict[int, tuple] = {}
-        self._diff_mono_cache: dict[Monomial, AlgebraElement] = {}
-        self._degree_of: dict[Monomial, int] = {}
-        self._carrier = None
         if len(set(self.var_names)) != len(self.var_names):
             raise IllFormedPresentation("duplicate variable names")
         if self.base.gen_name in self.var_names:
@@ -106,11 +101,9 @@ class DGAlgebra:
     def unit_mono(self) -> Monomial:
         return (0,) * (1 + self.nvars)
 
+    @memo
     def mono_degree(self, u: Monomial) -> int:
-        d = self._degree_of.get(u)
-        if d is None:
-            d = self._degree_of[u] = sum(map(mul, u[1:], self.var_degrees))
-        return d
+        return sum(map(mul, u[1:], self.var_degrees))
 
     def mono_is_unit(self, u: Monomial) -> bool:
         return not any(u)
@@ -140,46 +133,42 @@ class DGAlgebra:
             later += u[s]
         return (-1 if swaps & 1 else 1), tuple(map(add, u, v))
 
+    @memo
     def monomials(self, d: int) -> tuple:
         """The exact k-basis of the degree-d component, exponent-lex ordered."""
         if d < 0:
             return ()
-        if d not in self._mono_cache:
-            out = []
-            degs = self.var_degrees
-            nb = self.base.rank
+        out = []
+        degs = self.var_degrees
+        nb = self.base.rank
 
-            def rec(i, rem, acc):
-                if i == len(degs):
-                    if rem == 0:
-                        for b in range(nb):
-                            out.append((b,) + tuple(acc))
-                    return
-                top = 1 if degs[i] % 2 == 1 else rem // degs[i]
-                for e in range(top + 1):
-                    if e * degs[i] <= rem:
-                        rec(i + 1, rem - e * degs[i], acc + [e])
+        def rec(i, rem, acc):
+            if i == len(degs):
+                if rem == 0:
+                    for b in range(nb):
+                        out.append((b,) + tuple(acc))
+                return
+            top = 1 if degs[i] % 2 == 1 else rem // degs[i]
+            for e in range(top + 1):
+                if e * degs[i] <= rem:
+                    rec(i + 1, rem - e * degs[i], acc + [e])
 
-            rec(0, d, [])
-            out.sort()
-            self._mono_cache[d] = tuple(out)
-            self._mono_index[d] = {u: k for k, u in enumerate(out)}
-        return self._mono_cache[d]
+        rec(0, d, [])
+        out.sort()
+        return tuple(out)
+
+    @memo
+    def _mono_positions(self, d: int) -> dict:
+        return {u: k for k, u in enumerate(self.monomials(d))}
 
     def mono_index(self, d: int, u: Monomial) -> int:
-        self.monomials(d)
-        return self._mono_index[d][u]
+        return self._mono_positions(d)[u]
 
+    @memo
     def nonA_monomials(self, d: int) -> tuple:
         """Monomials in the non-A variables only (the free A-basis of B)."""
-        if d < 0:
-            return ()
-        if d not in self._nonA_cache:
-            self._nonA_cache[d] = tuple(
-                u for u in self.monomials(d)
-                if u[0] == 0 and all(e == 0 for e in u[1:1 + self.n_A])
-            )
-        return self._nonA_cache[d]
+        return tuple(u for u in self.monomials(d)
+                     if u[0] == 0 and all(e == 0 for e in u[1:1 + self.n_A]))
 
     def mono_str(self, u: Monomial) -> str:
         parts = []
@@ -240,10 +229,9 @@ class DGAlgebra:
             if not dd.is_zero():
                 raise IllFormedPresentation(f"d² != 0 on variable {name}: d(d{name}) = {dd}")
 
+    @memo
     def diff_mono(self, u: Monomial) -> "AlgebraElement":
         """d(u) by the Leibniz rule across the ordered factors of u."""
-        if u in self._diff_mono_cache:
-            return self._diff_mono_cache[u]
         f = self.field
         total = self.zero()
         prefix_deg = 0  # base generator has degree 0
@@ -269,15 +257,13 @@ class DGAlgebra:
                 coeff = f.mul(f.from_int(sign), scale)
                 total = total + piece.scale(coeff)
             prefix_deg += e * deg_i
-        self._diff_mono_cache[u] = total
         return total
 
+    @memo
     def carrier(self):
         """B as a DG bimodule over itself, shared by every carrier over B."""
         from .carriers import AlgebraCarrier
-        if self._carrier is None:
-            self._carrier = AlgebraCarrier(self)
-        return self._carrier
+        return AlgebraCarrier(self)
 
     def describe(self) -> str:
         vs = ", ".join(f"{n}:{d}" for n, d in zip(self.var_names, self.var_degrees))

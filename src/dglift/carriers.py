@@ -24,28 +24,12 @@ action by (-1)^{i|b|}, which is the whole sign content of suspension.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from functools import wraps
 from itertools import chain
 from typing import NamedTuple
 
 from .errors import CapExceeded, DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
-
-
-def per_degree(build):
-    """Memoize a carrier's per-degree matrix: build(self, d) runs on the first
-    call for d, and later calls share its result, as Carrier.action does for
-    action matrices.  The decorated method keeps its name in the class body."""
-    name = build.__name__
-
-    @wraps(build)
-    def memo(self, d: int):
-        key = (name, d)
-        m = self._per_degree.get(key)
-        if m is None:
-            m = self._per_degree[key] = build(self, d)
-        return m
-    return memo
+from .memo import memo
 
 
 class Carrier:
@@ -56,8 +40,6 @@ class Carrier:
         self.algebra = algebra
         self.field = algebra.field
         self.config = algebra.config
-        self._actions: dict[tuple, SparseMatrix] = {}
-        self._per_degree: dict[tuple, SparseMatrix] = {}
 
     def __repr__(self):
         return type(self).__name__
@@ -84,15 +66,11 @@ class Carrier:
     def left_act(self, mono, d: int) -> SparseMatrix:
         raise NotImplementedError
 
+    @memo
     def action(self, side: str, mono, d: int) -> SparseMatrix:
         """The left ("l") or right ("r") action of mono on degree d, built by
         left_act/right_act on first use and shared afterwards."""
-        key = (side, mono, d)
-        m = self._actions.get(key)
-        if m is None:
-            m = self.left_act(mono, d) if side == "l" else self.right_act(mono, d)
-            self._actions[key] = m
-        return m
+        return self.left_act(mono, d) if side == "l" else self.right_act(mono, d)
 
     def element_act_right(self, el, d: int, vec: dict) -> dict:
         """vec * el for an algebra element, expanding monomial by monomial."""
@@ -130,7 +108,7 @@ class AlgebraCarrier(Carrier):
     def labels(self, d: int):
         return self.algebra.monomials(d)
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         alg = self.algebra
         ent = {}
@@ -178,7 +156,6 @@ class SemifreeCarrier(Carrier):
         self.module = module
         self.Y = Y
         self.has_right = Y.has_right
-        self._offsets: dict[int, list] = {}
 
     def __repr__(self):
         return f"SemifreeCarrier({self.module.describe()} (x)_B {self.Y!r})"
@@ -186,16 +163,15 @@ class SemifreeCarrier(Carrier):
     def min_degree(self) -> int:
         return self.module.min_degree + self.Y.min_degree()
 
+    @memo
     def offsets(self, d: int) -> list:
         """Where each generator's block starts in degree d; the last entry is
         the dimension."""
-        if d not in self._offsets:
-            self.check_cap(d)
-            offs = [0]
-            for deg in self.module.degrees:
-                offs.append(offs[-1] + self.Y.dim(d - deg))
-            self._offsets[d] = offs
-        return self._offsets[d]
+        self.check_cap(d)
+        offs = [0]
+        for deg in self.module.degrees:
+            offs.append(offs[-1] + self.Y.dim(d - deg))
+        return offs
 
     def pieces(self, d: int):
         """(lam, q) for each generator e_lam whose block Y_q in degree d is
@@ -249,7 +225,7 @@ class SemifreeCarrier(Carrier):
         return (self.offsets(d)[lam]
                 + self.algebra.mono_index(d - self.module.degrees[lam], mono))
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         # d(e_lam y) = (-1)^{|e_lam|} e_lam dy + sum_mu e_mu (b_{mu lam} y)
         f, degrees = self.field, self.module.degrees
@@ -312,7 +288,7 @@ class ShiftedCarrier(Carrier):
     def labels(self, d: int):
         return self.inner.labels(d - self.i)
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         m = self.inner.diff(d - self.i)
         return m if self.i % 2 == 0 else m.scale(self.field.neg(self.field.one))
@@ -341,36 +317,29 @@ class KernelSubCarrier(Carrier):
         self.name = name
         self.has_left = parent.has_left
         self.has_right = parent.has_right
-        self._basis: dict[int, list] = {}
-        self._free_cols: dict[int, list] = {}
-        self._min: int | None = None
 
+    @memo
     def basis_vectors(self, d: int) -> list:
-        if d not in self._basis:
-            self.check_cap(d)
-            if self.parent.dim(d) == 0:
-                self._basis[d] = []
-                self._free_cols[d] = []
-            else:
-                m = self.proj_matrix_fn(d)
-                ech = m.echelon()
-                self._basis[d] = ech.kernel_basis()
-                self._free_cols[d] = ech.free_columns()
-        return self._basis[d]
+        self.check_cap(d)
+        if self.parent.dim(d) == 0:
+            return []
+        return self.proj_matrix_fn(d).echelon().kernel_basis()
 
+    @memo
+    def _free_cols(self, d: int) -> list:
+        """The free columns of the projection's RREF, ascending: the kernel
+        basis vector of free column j is e_j minus terms on the pivots before
+        j, so j is its largest coordinate."""
+        return [max(v) for v in self.basis_vectors(d)]
+
+    @memo
     def min_degree(self) -> int:
-        if self._min is None:
-            base = self.parent.min_degree()
-            top = self.config.max_degree
-            found = base
-            for d in range(base, top + 1):
-                if self.basis_vectors(d):
-                    found = d
-                    break
-            else:
-                found = top + 1  # zero within cap
-            self._min = found
-        return self._min
+        base = self.parent.min_degree()
+        top = self.config.max_degree
+        for d in range(base, top + 1):
+            if self.basis_vectors(d):
+                return d
+        return top + 1  # zero within cap
 
     def dim(self, d: int) -> int:
         if d < self.parent.min_degree():
@@ -383,7 +352,7 @@ class KernelSubCarrier(Carrier):
     def coords(self, d: int, parent_vec: dict) -> dict:
         """Coordinates of a parent vector that lies in the kernel subspace."""
         basis = self.basis_vectors(d)
-        free = self._free_cols[d]
+        free = self._free_cols(d)
         f = self.field
         out = {}
         # free columns are sorted: bisect gives a column's position, and
@@ -415,7 +384,7 @@ class KernelSubCarrier(Carrier):
             cols.append(self.coords(out_deg, img))
         return SparseMatrix.from_cols(self.field, self.dim(out_deg), cols)
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         return self._push(d, d - 1, self.parent.diff(d))
 
@@ -435,11 +404,14 @@ class QuotientShape(NamedTuple):
     echelons of the S_q without being built: ncols is the free dimension and
     rank the number of relation pivots.  layout[p] is what the reduction
     reads of block p: (the column where it starts, dim Y_{d-p}, the
-    quotient index of its first coordinate)."""
+    quotient index of its first coordinate).  quot lists the free columns
+    of the relation echelon, ascending, and labels the (p, i, j) of each."""
 
     ncols: int
     rank: int
     layout: dict
+    quot: list
+    labels: list
 
 
 class TensorCarrier(Carrier):
@@ -504,11 +476,6 @@ class TensorCarrier(Carrier):
         self.ring = ring
         self.has_left = X.has_left
         self.has_right = Y.has_right
-        self._base: dict[int, dict] = {}
-        self._shape: dict[int, QuotientShape] = {}
-        self._quot: dict[int, list] = {}
-        self._labels: dict[int, list] = {}
-        self._span: dict[int, tuple] = {}
 
     def __repr__(self):
         return (f"TensorCarrier({type(self.X).__name__} (x)_{self.ring} "
@@ -525,6 +492,7 @@ class TensorCarrier(Carrier):
             monos = tuple(u for u in monos if alg.mono_in_A(u))
         return monos
 
+    @memo
     def _spanning(self, q: int) -> tuple:
         """(S_q, E_q, free) for degree q of Y.  S_q lists (e, g, m) for the
         generators g of degree e of the ring: walking e ascending, then m
@@ -536,54 +504,49 @@ class TensorCarrier(Carrier):
         also checks the freeness certificate in degree q, which reads
         S_{q-e} for e > 0 as well: _echelon_at(d) asks for every q from
         min(Y) to d - min(X), so every degree it reads is certified."""
-        got = self._span.get(q)
-        if got is None:
-            Y, f = self.Y, self.field
-            ymin, wy = Y.min_degree(), Y.dim(q)
-            span: list = []
-            # the tags ride beyond the wy columns of Y_q and are never pivots
-            ech = Echelon(f, wy)
-            if wy:
-                for e in range(q - ymin + 1):
-                    if not Y.dim(q - e):
+        Y, f = self.Y, self.field
+        ymin, wy = Y.min_degree(), Y.dim(q)
+        span: list = []
+        # the tags ride beyond the wy columns of Y_q and are never pivots
+        ech = Echelon(f, wy)
+        if wy:
+            for e in range(q - ymin + 1):
+                if not Y.dim(q - e):
+                    continue
+                for g in self._ring_monomials(e):
+                    if sum(g) != 1:  # a generator: one exponent 1, the rest 0
                         continue
-                    for g in self._ring_monomials(e):
-                        if sum(g) != 1:  # a generator: one exponent 1, the rest 0
-                            continue
-                        cols = Y.action("l", g, q - e).cols()
-                        for m in range(len(cols) - 1, -1, -1):
-                            red = ech.reduce(cols[m]) if cols[m] else None
-                            # g*y_m is new when it leaves something on Y_q
-                            if red and min(red) < wy:
-                                red[wy + len(span)] = f.one
-                                ech.add_row(red)
-                                span.append((e, g, m))
-            free = sum(len(self._ring_monomials(e))
-                       * (Y.dim(q - e) - len(self._spanning(q - e)[0] if e else span))
-                       for e in range(q - ymin + 1))
-            if free != wy:
-                raise DimensionMismatch(
-                    f"{self!r}: the right factor is not free over {self.ring} in "
-                    f"its degree {q} (dimension {wy}, a free module on the "
-                    f"same generators has {free})")
-            got = self._span[q] = (span, ech, {j: k for k, j in enumerate(ech.free_columns())})
-        return got
+                    cols = Y.action("l", g, q - e).cols()
+                    for m in range(len(cols) - 1, -1, -1):
+                        red = ech.reduce(cols[m]) if cols[m] else None
+                        # g*y_m is new when it leaves something on Y_q
+                        if red and min(red) < wy:
+                            red[wy + len(span)] = f.one
+                            ech.add_row(red)
+                            span.append((e, g, m))
+        free = sum(len(self._ring_monomials(e))
+                   * (Y.dim(q - e) - len(self._spanning(q - e)[0] if e else span))
+                   for e in range(q - ymin + 1))
+        if free != wy:
+            raise DimensionMismatch(
+                f"{self!r}: the right factor is not free over {self.ring} in "
+                f"its degree {q} (dimension {wy}, a free module on the "
+                f"same generators has {free})")
+        return span, ech, {j: k for k, j in enumerate(ech.free_columns())}
 
     def _blocks(self, d: int) -> dict:
         """base: block p of the free space in degree d starts at base[p]; the
-        entry one past the last block is the free dimension."""
-        base = self._base.get(d)
-        if base is None:
-            self.check_cap(d)
-            X, Y = self.X, self.Y
-            top = d - Y.min_degree()
-            base = {}
-            k = 0
-            for p in range(X.min_degree(), top + 1):
-                base[p] = k
-                k += X.dim(p) * Y.dim(d - p)
-            base[top + 1] = k
-            self._base[d] = base
+        entry one past the last block is the free dimension.  Only
+        _echelon_at(d) reads it, once, so it is not kept."""
+        self.check_cap(d)
+        X, Y = self.X, self.Y
+        top = d - Y.min_degree()
+        base = {}
+        k = 0
+        for p in range(X.min_degree(), top + 1):
+            base[p] = k
+            k += X.dim(p) * Y.dim(d - p)
+        base[top + 1] = k
         return base
 
     def _check_moves(self, d: int, p: int, span: list) -> None:
@@ -598,45 +561,39 @@ class TensorCarrier(Carrier):
                         f"x_{min(col)}, so the relation pivots cannot be read off "
                         f"S_{d - p}")
 
+    @memo
     def _echelon_at(self, d: int) -> QuotientShape:
-        """The shape of the relation echelon in degree d; builds the labels
-        and the free columns, certifies every degree of Y it reads and runs
-        the ordering check."""
-        shape = self._shape.get(d)
-        if shape is None:
-            base = self._blocks(d)
-            X, Y = self.X, self.Y
-            layout: dict = {}
-            quot: list = []
-            labels: list = []
-            rank = 0
-            for p in range(X.min_degree(), d - Y.min_degree() + 1):
-                # S_q for every q, empty blocks too, so every degree is certified
-                span, _, free = self._spanning(d - p)
-                o, nx, wy = base[p], X.dim(p), Y.dim(d - p)
-                layout[p] = (o, wy, len(quot))
-                if not (nx and wy):
-                    continue
-                self._check_moves(d, p, span)
-                rank += nx * len(span)
-                for i in range(nx):
-                    r = o + i * wy
-                    quot += [r + j for j in free]
-                    labels += [(p, i, j) for j in free]
-            self._quot[d] = quot
-            self._labels[d] = labels
-            shape = self._shape[d] = QuotientShape(base[d - Y.min_degree() + 1], rank, layout)
-        return shape
+        """The shape of the relation echelon in degree d, with the labels and
+        the free columns; certifies every degree of Y it reads and runs the
+        ordering check."""
+        base = self._blocks(d)
+        X, Y = self.X, self.Y
+        layout: dict = {}
+        quot: list = []
+        labels: list = []
+        rank = 0
+        for p in range(X.min_degree(), d - Y.min_degree() + 1):
+            # S_q for every q, empty blocks too, so every degree is certified
+            span, _, free = self._spanning(d - p)
+            o, nx, wy = base[p], X.dim(p), Y.dim(d - p)
+            layout[p] = (o, wy, len(quot))
+            if not (nx and wy):
+                continue
+            self._check_moves(d, p, span)
+            rank += nx * len(span)
+            for i in range(nx):
+                r = o + i * wy
+                quot += [r + j for j in free]
+                labels += [(p, i, j) for j in free]
+        return QuotientShape(base[d - Y.min_degree() + 1], rank, layout, quot, labels)
 
     def dim(self, d: int) -> int:
         if d < self.min_degree():
             return 0
-        self._echelon_at(d)
-        return len(self._quot[d])
+        return len(self._echelon_at(d).quot)
 
     def labels(self, d: int):
-        self._echelon_at(d)
-        return list(self._labels[d])
+        return list(self._echelon_at(d).labels)
 
     def _reduce(self, d: int, shape: QuotientShape, parts: dict) -> dict:
         """Quotient coordinates of the free vector given by stretches: parts
@@ -708,11 +665,10 @@ class TensorCarrier(Carrier):
     def _label_columns(self, d: int, matrix) -> tuple[list, dict]:
         """The quotient labels of degree d, and for each block p they use the
         columns of matrix(p), read once."""
-        self._echelon_at(d)
-        labels = self._labels[d]
+        labels = self._echelon_at(d).labels
         return labels, {p: matrix(p).columns() for p in {p for p, _, _ in labels}}
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         f, Y = self.field, self.Y
         minus = f.neg(f.one)

@@ -15,10 +15,11 @@ no quotient: it is one copy of T^n per generator of N.
 from __future__ import annotations
 
 from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrier,
-                       SparseMatrix, TensorCarrier, per_degree)
+                       SparseMatrix, TensorCarrier)
 from .errors import CapExceeded, DimensionMismatch
 from .homotopy import HomSpace, _as_carrier
 from .linalg import Echelon, vec_axpy
+from .memo import memo
 from .modules import base_change
 
 
@@ -33,26 +34,23 @@ class EnvelopingCarrier(Carrier):
     has_left = True
     has_right = True
 
-    def __init__(self, algebra):
-        super().__init__(algebra)
-        self._labels: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
-
     def min_degree(self) -> int:
         return 0
 
+    @memo
     def labels(self, d: int):
-        if d not in self._labels:
-            self.check_cap(d)
-            alg = self.algebra
-            out = []
-            for p in range(0, d + 1):
-                for u in alg.monomials(p):
-                    for m in alg.nonA_monomials(d - p):
-                        out.append((u, m))
-            self._labels[d] = out
-            self._index[d] = {t: k for k, t in enumerate(out)}
-        return self._labels[d]
+        self.check_cap(d)
+        alg = self.algebra
+        out = []
+        for p in range(0, d + 1):
+            for u in alg.monomials(p):
+                for m in alg.nonA_monomials(d - p):
+                    out.append((u, m))
+        return out
+
+    @memo
+    def _positions(self, d: int) -> dict:
+        return {t: k for k, t in enumerate(self.labels(d))}
 
     def dim(self, d: int) -> int:
         if d < 0:
@@ -60,8 +58,7 @@ class EnvelopingCarrier(Carrier):
         return len(self.labels(d))
 
     def index(self, d: int, u, m) -> int:
-        self.labels(d)
-        return self._index[d][(u, m)]
+        return self._positions(d)[(u, m)]
 
     def reduce_pair(self, u, v):
         """(sign, (u', m')) for u (x) v in canonical form, or (0, None)."""
@@ -124,7 +121,7 @@ class EnvelopingCarrier(Carrier):
                 vec_axpy(f, out, f.one, vec)
         return out
 
-    @per_degree
+    @memo
     def diff(self, d: int) -> SparseMatrix:
         alg = self.algebra
         f = self.field
@@ -208,22 +205,18 @@ class Diagonal:
         self.J = KernelSubCarrier(self.env, self.env.pi_matrix, name="J")
         self.SJ = ShiftedCarrier(self.J, 1)
         self.B = algebra.carrier()
-        self._T: dict[int, Carrier] = {0: self.B, 1: self.SJ}
-        self._NT: dict[tuple, Carrier] = {}
-        self._hom: dict[tuple, HomSpace] = {}
-        self._base_change: dict = {}
-        self._delta_cache: dict = {}
 
     # ----- tensor algebra carriers -----
 
+    @memo
     def T(self, n: int) -> Carrier:
         if n < 0:
             raise DimensionMismatch("tensor degree must be >= 0")
         if n > self.config.max_tensor:
             raise CapExceeded(n, self.config.max_tensor, "tensor degree")
-        if n not in self._T:
-            self._T[n] = TensorCarrier(self.SJ, self.T(n - 1))
-        return self._T[n]
+        if n < 2:
+            return self.SJ if n else self.B
+        return TensorCarrier(self.SJ, self.T(n - 1))
 
     def tensor_power_J(self, n: int) -> Carrier:
         """J^{(x)_B n} realized as the (-n)-shift of T^n (exact dimensions,
@@ -248,33 +241,29 @@ class Diagonal:
             return out
         return self.T(n2 + 1).pair_project(jdeg, jvec, tdeg, tvec)
 
+    @memo
     def NT(self, module, n: int) -> SemifreeCarrier:
         """N (x)_B T^n in closed form, one block of T^n per generator of N;
         for n = 0 it is N's own carrier."""
         if n == 0:
             return module.carrier()
-        key = (module, n)
-        if key not in self._NT:
-            self._NT[key] = SemifreeCarrier(module, self.T(n))
-        return self._NT[key]
+        return SemifreeCarrier(module, self.T(n))
 
     def hom(self, module, target, shift: int = 0) -> HomSpace:
         """The space of maps module -> Sigma^shift target up to homotopy, one
         per (module, target carrier, shift), built lazily; a module target
         stands for its own carrier."""
-        key = (module, _as_carrier(target), shift)
-        hs = self._hom.get(key)
-        if hs is None:
-            hs = self._hom[key] = HomSpace(*key)
-        return hs
+        return self._hom(module, _as_carrier(target), shift)
 
+    @memo
+    def _hom(self, module, target, shift: int) -> HomSpace:
+        return HomSpace(module, target, shift)
+
+    @memo
     def base_change(self, module):
         """(G, pi) = modules.base_change(module), built once per module, so
         that every Hom space into G is keyed by the same G."""
-        bc = self._base_change.get(module)
-        if bc is None:
-            bc = self._base_change[module] = base_change(module)
-        return bc
+        return base_change(module)
 
     def NT_A(self, module, n: int) -> Carrier:
         """N (x)_A T^n (relations over the prefix subalgebra only)."""
@@ -302,9 +291,8 @@ class Diagonal:
             vec_axpy(f, out, c, vec)
         return d, out
 
+    @memo
     def _delta_mono(self, u) -> dict:
-        if u in self._delta_cache:
-            return self._delta_cache[u]
         alg = self.algebra
         f = self.field
         d = alg.mono_degree(u)
@@ -312,9 +300,7 @@ class Diagonal:
         _, v2 = self.env.pair_vector(alg.unit_mono(), u)
         out = dict(v1)
         vec_axpy(f, out, f.neg(f.one), v2)
-        coords = self.J.coords(d, out)
-        self._delta_cache[u] = coords
-        return coords
+        return self.J.coords(d, out)
 
     def delta_env(self, el) -> tuple[int, dict]:
         """delta in enveloping coordinates (for identity checks)."""

@@ -39,6 +39,7 @@ from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import Echelon, SparseMatrix, vec_axpy
+from .memo import memo, peek
 from .modules import ChainMap, SemifreeModule, chain_failure, regular_module
 
 if TYPE_CHECKING:  # diagonal imports this module
@@ -252,11 +253,12 @@ class HomSpace:
     among the cycles.  A rank is one forward sweep, so a space that is only
     asked its dimensions builds no echelon.
 
-    cycles, class_reps, express and null_homotopy read one echelon on
-    layout(s), built on first use.  The cycles are the kernel basis of
-    delta_{s+1}.  The columns of delta_s go in untagged (their rank is
-    boundary_dim); then each cycle that leaves something on layout(s) goes
-    in with a 1 in tag column layout(s).total + k, as representative k.
+    class_reps, express and null_homotopy read one echelon on layout(s),
+    built on first use.  The cycles are the kernel basis of delta_{s+1},
+    read off that matrix's own echelon and not kept here.  The columns of
+    delta_s go in untagged (their rank is boundary_dim); then each cycle
+    that leaves something on layout(s) goes in with a 1 in tag column
+    layout(s).total + k, as representative k.
     Tags are never pivots, so each row minus the representatives its tags
     name is a boundary.  A map reduces to nothing when it is a boundary, to
     tags only when it is a cycle of nonzero class (minus the tags are its
@@ -276,33 +278,27 @@ class HomSpace:
         self.field = source.algebra.field
         self.layout = MapLayout(source, self.target, shift)
         self.h_layout = MapLayout(source, self.target, shift - 1)
-        self._cmat: SparseMatrix | None = None
-        self._bmat: SparseMatrix | None = None
-        self._built = False
 
     def _where(self) -> str:
         """The space, as the error messages name it."""
         return (f"Hom space from generators {self.source.describe()} into "
                 f"{self.target!r} at shift {self.shift}")
 
+    @memo
     def chain_matrix(self) -> SparseMatrix:
         """delta_{s+1}, whose kernel is the chain maps, built once: the class
         computation and the strict-splitting search share it."""
-        if self._cmat is None:
-            self._cmat = delta_matrix(MapLayout(self.source, self.target, self.shift + 1),
-                                      self.layout)
-        return self._cmat
+        return delta_matrix(MapLayout(self.source, self.target, self.shift + 1), self.layout)
 
+    @memo
     def boundary_matrix(self) -> SparseMatrix:
         """delta_s, whose image is the boundaries, built once: boundary_dim,
         the build and the witness solves share it."""
-        if self._bmat is None:
-            self._bmat = delta_matrix(self.layout, self.h_layout)
-        return self._bmat
+        return delta_matrix(self.layout, self.h_layout)
 
-    def _build(self):
-        if self._built:
-            return
+    @memo
+    def _build(self) -> tuple:
+        """(boundary rank, the tagged echelon, the class representatives)."""
         f, n = self.field, self.layout.total
         cycles = self.chain_matrix().kernel_basis()
         ech = Echelon(f, n)
@@ -321,8 +317,7 @@ class HomSpace:
             raise DimensionMismatch(
                 f"{len(reps)} classes from {len(cycles)} cycles and {brank} "
                 f"boundaries in the {self._where()}: the boundaries are not all cycles")
-        self._cycles, self._brank, self._ech, self._reps = cycles, brank, ech, reps
-        self._built = True
+        return brank, ech, reps
 
     # ----- public queries -----
 
@@ -332,32 +327,31 @@ class HomSpace:
 
     @property
     def boundary_dim(self) -> int:
-        return self._brank if self._built else self.boundary_matrix().rank()
+        built = peek(self, "_build")
+        return built[0] if built is not None else self.boundary_matrix().rank()
 
     @property
     def dim_K(self) -> int:
         return self.cycle_dim - self.boundary_dim
 
     def cycles(self) -> list[CarrierMap]:
-        self._build()
-        return [CarrierMap(self.source, self.target, self.shift,
-                           self.layout.from_flat(v)) for v in self._cycles]
+        return [CarrierMap(self.source, self.target, self.shift, self.layout.from_flat(v))
+                for v in self.chain_matrix().kernel_basis()]
 
     def class_reps(self) -> list[CarrierMap]:
-        self._build()
-        return [CarrierMap(self.source, self.target, self.shift,
-                           self.layout.from_flat(v)) for v in self._reps]
+        return [CarrierMap(self.source, self.target, self.shift, self.layout.from_flat(v))
+                for v in self._build()[2]]
 
     def express(self, cmap: CarrierMap) -> list:
         """Coordinates of the homotopy class of cmap over class_reps: minus
         the tags that the reduction of cmap leaves."""
-        self._build()
+        _, ech, reps = self._build()
         f, n = self.field, self.layout.total
-        red = self._ech.reduce(cmap.flat(self.layout))
+        red = ech.reduce(cmap.flat(self.layout))
         if red and min(red) < n:
             raise DimensionMismatch(
                 chain_failure(self.source, self.shift, min(cmap.chain_defect())))
-        return [f.neg(red.get(n + k, f.zero)) for k in range(len(self._reps))]
+        return [f.neg(red.get(n + k, f.zero)) for k in range(len(reps))]
 
     def null_homotopy(self, cmap: CarrierMap) -> HomotopyWitness | None:
         """An exact witness h with f = d h + h d, or None (certified absence:
@@ -366,9 +360,8 @@ class HomSpace:
         The echelon decides; only a boundary is solved for, with free
         coordinates zero, so witnesses are reproducible.
         """
-        self._build()
         flat = cmap.flat(self.layout)
-        if self._ech.reduce(flat):
+        if self._build()[1].reduce(flat):
             return None
         sol = self.boundary_matrix().solve(flat)
         if sol is None:

@@ -7,11 +7,12 @@ meaningful across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import BaseRing, DGAlgebra, build_algebra
 from .config import DEFAULT_CONFIG, EngineConfig
 from .diagonal import Diagonal
+from .memo import memo
 from .modules import ChainMap, cone, free_module, make_module, shift
 
 
@@ -22,13 +23,11 @@ class Instance:
     modules: dict
     battery: tuple          # module names run through the lift battery
     ar1_expected: tuple     # module names expected to satisfy the checker
-    _diag: Diagonal | None = dc_field(default=None, repr=False)
 
     @property
+    @memo
     def diag(self) -> Diagonal:
-        if self._diag is None:
-            self._diag = Diagonal(self.algebra)
-        return self._diag
+        return Diagonal(self.algebra)
 
 
 def exterior(config: EngineConfig = DEFAULT_CONFIG) -> Instance:

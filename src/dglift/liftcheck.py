@@ -215,10 +215,6 @@ class LiftReport:
     lemma_free_equivalence: bool = True
     flag: str | None = None
 
-    @property
-    def liftable(self) -> bool:
-        return bool(self.verdicts.get("i"))
-
     def to_dict(self) -> dict:
         return {
             "module": self.module,

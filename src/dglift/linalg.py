@@ -11,6 +11,7 @@ the Hom spaces and the tensor carriers.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
+from .memo import memo, peek
 
 
 def vec_add(field, u: dict, v: dict) -> dict:
@@ -219,15 +220,14 @@ class SparseMatrix:
             {(j, i): c for (i, j), c in self.entries.items()},
         )
 
+    @memo
     def columns(self) -> dict[int, dict]:
         """The nonzero columns as {j: {i: c}}, built on first use and shared:
         callers read them and never change them."""
-        if not hasattr(self, "_bycol"):
-            by_col: dict[int, dict] = {}
-            for (i, j), c in self.entries.items():
-                by_col.setdefault(j, {})[i] = c
-            self._bycol = by_col
-        return self._bycol
+        by_col: dict[int, dict] = {}
+        for (i, j), c in self.entries.items():
+            by_col.setdefault(j, {})[i] = c
+        return by_col
 
     def mat_vec(self, v: dict) -> dict:
         f = self.field
@@ -309,19 +309,16 @@ class SparseMatrix:
             ech.add_row(piv[p])
         return ech
 
+    @memo
     def echelon(self) -> Echelon:
-        if not hasattr(self, "_ech"):
-            self._ech = self._echelon()
-        return self._ech
+        return self._echelon()
 
+    @memo
     def rank(self) -> int:
         """The pivot count of one forward sweep, kept on the matrix; read off
         the echelon instead when the matrix has already built it."""
-        if hasattr(self, "_ech"):
-            return self._ech.rank
-        if not hasattr(self, "_rank"):
-            self._rank = len(self._forward(self.rows()))
-        return self._rank
+        ech = peek(self, "echelon")
+        return ech.rank if ech is not None else len(self._forward(self.rows()))
 
     def kernel_basis(self) -> list[dict]:
         return self.echelon().kernel_basis()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from .algebra import AlgebraElement, DGAlgebra
 from .errors import (CapExceeded, DegreeMismatch, DSquaredNonzero, NotTriangular,
                      OwnerMismatch, TriangularityUnrepairable)
+from .memo import memo
 
 
 class SemifreeModule:
@@ -34,7 +35,6 @@ class SemifreeModule:
         self._columns = {lam: tuple(col) for lam, col in columns.items()}
         if _validate:
             self._validate()
-        self._carrier = None
 
     # ----- basic data -----
 
@@ -85,11 +85,10 @@ class SemifreeModule:
                 out.append((lam, u))
         return out
 
+    @memo
     def carrier(self):
         from .carriers import SemifreeCarrier
-        if self._carrier is None:
-            self._carrier = SemifreeCarrier(self)
-        return self._carrier
+        return SemifreeCarrier(self)
 
     def describe(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
@@ -121,11 +120,11 @@ def free_module(algebra, n: int, degree: int = 0, prefix: str = "f") -> Semifree
                           (degree,) * n, {})
 
 
+@memo
 def regular_module(algebra) -> SemifreeModule:
-    """B as a right module over itself, cached per algebra."""
-    if not hasattr(algebra, "_regular_module"):
-        algebra._regular_module = free_module(algebra, 1, prefix="b")
-    return algebra._regular_module
+    """B as a right module over itself, one per algebra (the memo lives on
+    the algebra)."""
+    return free_module(algebra, 1, prefix="b")
 
 
 def shift(M: SemifreeModule, i: int) -> SemifreeModule:

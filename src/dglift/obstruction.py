@@ -24,6 +24,7 @@ from .diagonal import Diagonal
 from .errors import CapExceeded, DimensionMismatch
 from .homotopy import CarrierMap, HomotopyWitness, HomSpace
 from .linalg import SparseMatrix, vec_axpy
+from .memo import memo
 from .modules import ChainMap, SemifreeModule
 
 
@@ -42,19 +43,19 @@ class DegreewiseMap:
         self.build = build
         self.name = name
         self._validate = validate
-        self._mats: dict[int, SparseMatrix] = {}
 
+    @memo
     def mat(self, d: int) -> SparseMatrix:
-        if d not in self._mats:
-            self._mats[d] = self.build(d)
-            if self._validate:
-                self._check(d)
-        return self._mats[d]
+        m = self.build(d)
+        if self._validate:
+            self._check(d, m)
+        return m
 
-    def _check(self, d: int):
+    def _check(self, d: int, m: SparseMatrix):
+        """Check the chain square of m, the matrix that mat(d) is about to keep."""
         if d - 1 < min(self.source.min_degree(), self.target.min_degree()):
             return
-        lhs = self.target.diff(d) @ self.mat(d)
+        lhs = self.target.diff(d) @ m
         rhs = self.mat(d - 1) @ self.source.diff(d)
         if lhs.add(rhs.scale(self.source.field.neg(self.source.field.one))).is_zero():
             return
@@ -85,19 +86,14 @@ class ObstructionTower:
     def __init__(self, N: SemifreeModule, diag: Diagonal):
         self.N = N
         self.diag = diag
-        self._components: dict[int, DegreewiseMap] = {}
 
+    @memo
     def component(self, i: int) -> DegreewiseMap:
         """The piece N (x) T^i -> N (x) T^{i+1}, within the config's
         max_tensor."""
         cap = self.diag.config.max_tensor
         if i + 1 > cap:
             raise CapExceeded(i + 1, cap, "tensor degree")
-        if i not in self._components:
-            self._components[i] = self._build_component(i)
-        return self._components[i]
-
-    def _build_component(self, i: int) -> DegreewiseMap:
         diag = self.diag
         N = self.N
         f = N.algebra.field
@@ -141,21 +137,15 @@ class EnvelopingRouteTower:
     def __init__(self, N: SemifreeModule, diag: Diagonal):
         self.N = N
         self.diag = diag
-        self._NBe = None
-        self._NJ = None
-        self._core: dict[int, tuple] = {}
-        self._components: dict[int, DegreewiseMap] = {}
 
+    @memo
     def _carriers(self):
-        if self._NBe is None:
-            self._NBe = SemifreeCarrier(self.N, self.diag.env)
-            self._NJ = SemifreeCarrier(self.N, self.diag.J)
-        return self._NBe, self._NJ
+        """(N (x) B^e, N (x) J)."""
+        return SemifreeCarrier(self.N, self.diag.env), SemifreeCarrier(self.N, self.diag.J)
 
+    @memo
     def core_matrix(self, d: int) -> SparseMatrix:
         """sigma . d^{N (x) B^e} . rho : N_d -> (N (x) J)_{d-1}."""
-        if d in self._core:
-            return self._core[d]
         N = self.N
         alg = N.algebra
         f = alg.field
@@ -191,16 +181,10 @@ class EnvelopingRouteTower:
 
         sigma = SparseMatrix.from_cols(f, NJ.dim(d - 1),
                                        [sigma_col(k) for k in range(NBe.dim(d - 1))])
-        out = sigma @ (dmat @ rho)
-        self._core[d] = out
-        return out
+        return sigma @ (dmat @ rho)
 
+    @memo
     def component(self, i: int) -> DegreewiseMap:
-        if i not in self._components:
-            self._components[i] = self._build_component(i)
-        return self._components[i]
-
-    def _build_component(self, i: int) -> DegreewiseMap:
         diag = self.diag
         N = self.N
         f = N.algebra.field

@@ -14,6 +14,7 @@ from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR
                              is_null_homotopic)
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
+from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
                             make_module, regular_module, shift)
 
@@ -136,8 +137,8 @@ def test_boundaries_are_cycles(config):
         for s in SHIFTS:
             hs = HomSpace(N, Y, s)
             hs._build()
-            for col in hs._bmat.cols():
-                assert hs._cmat.mat_vec(col) == {}
+            for col in peek(hs, "boundary_matrix").cols():
+                assert peek(hs, "chain_matrix").mat_vec(col) == {}
                 nonzero += bool(col)
     assert nonzero > 100
 
@@ -193,8 +194,9 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     f = chain_map_to_carrier(ChainMap(M, B, 1, {(0, 1): ext.gen("y")}))
     hs = HomSpace(M, B, 1)
     assert hs.null_homotopy(f) is not None
-    real_solve = hs._bmat.solve
-    j = next(j for j, col in enumerate(hs._bmat.cols()) if col)
+    bmat = peek(hs, "boundary_matrix")
+    real_solve = bmat.solve
+    j = next(j for j, col in enumerate(bmat.cols()) if col)
 
     def perturbed(b):
         sol = real_solve(b)
@@ -204,11 +206,11 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     # both faults name the space: source generators, target carrier, shift
     where = re.escape("Hom space from generators [e0:0, e1:2] into "
                       "SemifreeCarrier([f0:0] (x)_B AlgebraCarrier) at shift 1")
-    monkeypatch.setattr(hs._bmat, "solve", perturbed)
+    monkeypatch.setattr(bmat, "solve", perturbed)
     with pytest.raises(DimensionMismatch, match="substitution recheck in the " + where):
         hs.null_homotopy(f)
     # the echelon certified f a boundary, so a solve that finds none is a fault
-    monkeypatch.setattr(hs._bmat, "solve", lambda b: None)
+    monkeypatch.setattr(bmat, "solve", lambda b: None)
     with pytest.raises(DimensionMismatch, match="no homotopy solve in the " + where):
         hs.null_homotopy(f)
 
@@ -240,10 +242,10 @@ def test_an_empty_layout_builds_no_target_matrix(config):
         s = N.max_degree - Y.min_degree() + 1
         hs = HomSpace(N, Y, s)
         assert hs.layout.total == 0 and hs.h_layout.total > 0, N.names
-        actions, per_degree = set(Y._actions), set(Y._per_degree)
+        actions, diffs = set(peek(Y, "action") or ()), set(peek(Y, "diff") or ())
         assert hs.dim_K == 0
         assert (hs.cycle_dim, hs.boundary_dim) == (0, 0)
-        assert set(Y._actions) == actions and set(Y._per_degree) == per_degree
+        assert set(peek(Y, "action") or ()) == actions and set(peek(Y, "diff") or ()) == diffs
 
 
 def not_a_chain_map(ext):

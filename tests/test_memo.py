@@ -1,24 +1,32 @@
-"""The Hom-space memo on Diagonal and the per-degree differential memo.
+"""The one memo mechanism (dglift.memo) and the memos built on it.
 
 A memoized object must be the same object on a repeated query and equal, in
-canonical coordinates, to one built from nothing.  The Hom-space memo lives
-on the Diagonal so that it goes with it: with the garbage collector off,
-dropping the Diagonal after a battery frees it and its tensor carriers.
+canonical coordinates, to one built from nothing.  Every memo lives on its
+owner: the Hom-space memo lives on the Diagonal so that it goes with it,
+with the garbage collector off, dropping the Diagonal after a battery frees
+it and its tensor carriers; and after a collection nothing of a finished
+battery stays alive, which a global or functools cache would break.
 """
 
 import gc
+import importlib
 import weakref
 
 import pytest
 
-from dglift.carriers import AlgebraCarrier, KernelSubCarrier, SemifreeCarrier, TensorCarrier
+from dglift.algebra import AlgebraElement
+from dglift.carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, SemifreeCarrier,
+                             TensorCarrier)
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal, EnvelopingCarrier
 from dglift.homotopy import HomSpace
 from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
-from dglift.modules import regular_module
-from dglift.obstruction import gamma_dim
+from dglift.linalg import Echelon, SparseMatrix
+from dglift.memo import peek
+from dglift.modules import ChainMap, SemifreeModule, regular_module
+from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
+                                gamma_dim)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -109,7 +117,7 @@ def test_dropping_the_diagonal_frees_its_memo_without_a_collection(backend):
         diag = Diagonal(inst.algebra)
         naive_lift_battery(M, diag)
         kernel_sequence_check(M, diag)
-        assert diag._hom
+        assert peek(diag, "_hom")
         refs = [weakref.ref(diag), weakref.ref(diag.T(1))]
         del diag
         assert [r() for r in refs] == [None, None]
@@ -148,7 +156,7 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         G, pi = diag.base_change(M)
         assert diag.base_change(M) is diag.base_change(M)
         assert built == [M]
-        assert [k for k in diag._hom if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
+        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
         assert chain_targets.count((M, G.carrier())) == 1
         built.clear()
 
@@ -167,10 +175,11 @@ def test_battery_reads_the_AR_tables_off_the_hom_memo(backend, mname):
     naive_lift_battery(M, diag)
     B = regular_module(inst.algebra).carrier()
     span = M.max_degree - M.min_degree
+    homs = peek(diag, "_hom")
     for n in range(1, max(0, M.max_degree) + 1):
-        assert (M, B, n) in diag._hom, (mname, "AR1", n)
+        assert (M, B, n) in homs, (mname, "AR1", n)
     for n in range(1, span + 1):
-        assert (M, M.carrier(), n) in diag._hom, (mname, "AR2", n)
+        assert (M, M.carrier(), n) in homs, (mname, "AR2", n)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -192,3 +201,169 @@ def test_kernel_sequence_builds_each_action_matrix_once(backend, mname, monkeypa
     kernel_sequence_check(M, Diagonal(inst.algebra))
     L = inst.algebra.config.max_tensor
     assert sorted(asked) == [(n, 0) for n in range(L)], mname
+
+
+# ----- every memo of the engine, table-driven --------------------------------
+
+LAYERS = ("algebra", "carriers", "diagonal", "homotopy", "instances", "linalg",
+          "modules", "obstruction")
+
+
+def memoized_names():
+    """(defining class or None, name) of every memo-decorated method, property
+    and function of the engine modules."""
+    found = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"dglift.{layer}")
+        for name, obj in vars(module).items():
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                attrs = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+                owner = name if isinstance(obj, type) else None
+                for attr, fn in attrs:
+                    fn = fn.fget if isinstance(fn, property) else fn
+                    code = getattr(fn, "__code__", None)
+                    if code is not None and code.co_filename.endswith("memo.py"):
+                        found.add((owner, attr))
+    return found
+
+
+def memo_calls(inst):
+    """(owner, memo name, arguments, call) for every memoized method, on
+    owners built from inst; call() asks the memo."""
+    alg = inst.algebra
+    diag = inst.diag
+    M = inst.modules["two_step"]
+    y = alg.gen("y")
+    (u,) = y.terms
+    T2 = diag.T(2)
+    hs = diag.hom(M, diag.NT(M, 1))
+    tower = ObstructionTower(M, diag)
+    route = EnvelopingRouteTower(M, diag)
+    rows = [(inst, "diag", (), lambda: inst.diag),
+            (alg, "regular_module", (), lambda: regular_module(alg))]
+
+    def method(owner, name, *args):
+        rows.append((owner, name, args, lambda: getattr(owner, name)(*args)))
+
+    method(alg, "mono_degree", u)
+    method(alg, "monomials", 3)
+    method(alg, "_mono_positions", 3)
+    method(alg, "nonA_monomials", 2)
+    method(alg, "diff_mono", u)
+    method(alg, "carrier")
+    method(alg.carrier(), "diff", 2)
+    method(alg.carrier(), "action", "r", u, 1)
+    method(M.carrier(), "offsets", 3)
+    method(M.carrier(), "diff", 3)
+    method(diag.J, "basis_vectors", 2)
+    method(diag.J, "_free_cols", 2)
+    method(diag.J, "min_degree")
+    method(diag.J, "diff", 3)
+    method(diag.SJ, "diff", 3)
+    method(T2, "_spanning", 2)
+    method(T2, "_echelon_at", 4)
+    method(T2, "diff", 4)
+    method(T2, "action", "l", u, 3)
+    method(diag.env, "labels", 2)
+    method(diag.env, "_positions", 2)
+    method(diag.env, "diff", 2)
+    method(diag, "T", 2)
+    method(diag, "NT", M, 1)
+    method(diag, "_hom", M, diag.NT(M, 1), 0)
+    method(diag, "base_change", M)
+    method(diag, "_delta_mono", u)
+    method(M, "carrier")
+    method(hs, "chain_matrix")
+    method(hs, "boundary_matrix")
+    method(hs, "_build")
+    method(hs.boundary_matrix(), "columns")
+    method(hs.boundary_matrix(), "echelon")
+    method(hs.boundary_matrix(), "rank")
+    method(tower, "component", 0)
+    method(tower.component(0), "mat", 3)
+    method(route, "_carriers")
+    method(route, "core_matrix", 2)
+    method(route, "component", 0)
+    return rows
+
+
+def canon(v):
+    """A value in canonical, comparable data, orders included."""
+    if isinstance(v, SparseMatrix):
+        return "matrix", v.nrows, v.ncols, canon(v.entries)
+    if isinstance(v, Echelon):
+        return "echelon", v.ncols, canon(v.rows)
+    if isinstance(v, AlgebraElement):
+        return "element", canon(v.terms)
+    if isinstance(v, Carrier):
+        degrees = range(v.min_degree(), v.config.max_degree + 1)
+        return "carrier", repr(v), [(v.labels(d), canon(v.diff(d))) for d in degrees]
+    if isinstance(v, HomSpace):
+        return ("hom", v.cycle_dim, v.boundary_dim, v.dim_K,
+                canon([r.cols for r in v.class_reps()]))
+    if isinstance(v, SemifreeModule):
+        return "module", v.names, v.degrees, canon(v.diff)
+    if isinstance(v, ChainMap):
+        return "chain map", canon(v.source), canon(v.target), v.shift, canon(v.entries)
+    if isinstance(v, DegreewiseMap):
+        return "operator", v.name, [canon(v.mat(d)) for d in range(4)]
+    if isinstance(v, Diagonal):
+        return "diagonal", canon(v.T(2))
+    if isinstance(v, dict):
+        return tuple((k, canon(x)) for k, x in v.items())
+    if isinstance(v, (tuple, list)):
+        return tuple(canon(x) for x in v)
+    return v
+
+
+def test_the_table_covers_every_memo():
+    rows = memo_calls(build_corpus(CONFIGS["Q"], ["exterior"])["exterior"])
+    covered = set()
+    for owner, name, _, _ in rows:
+        cls = next((c for c in type(owner).__mro__ if name in vars(c)), None)
+        covered.add((cls and cls.__name__, name))
+    assert covered == memoized_names()
+    # an owner from each engine module
+    assert {type(r[0]).__module__ for r in rows} == {f"dglift.{layer}" for layer in LAYERS}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_memo_returns_one_object_equal_to_a_fresh_build(backend):
+    """A repeated call returns the very object of the first, which the one
+    memo store holds under the call's key; its value equals what a freshly
+    built owner computes."""
+    rows = memo_calls(build_corpus(CONFIGS[backend], ["exterior"])["exterior"])
+    fresh = memo_calls(build_corpus(CONFIGS[backend], ["exterior"])["exterior"])
+    for (owner, name, args, call), (_, _, _, fresh_call) in zip(rows, fresh):
+        value = call()
+        assert call() is value, name
+        held = peek(owner, name)
+        if args:
+            held = held[args[0] if len(args) == 1 else args]
+        assert held is value, name
+        assert canon(value) == canon(fresh_call()), name
+
+
+def test_a_matrix_that_asks_no_memo_carries_none():
+    m = SparseMatrix(RATIONALS, 2, 2, {(0, 1): 1})
+    assert set(vars(m)) == {"field", "nrows", "ncols", "entries"}
+    assert peek(m, "echelon") is None
+    m.rank()
+    assert peek(m, "echelon") is None and peek(m, "rank") == 1
+    assert m.echelon() is peek(m, "echelon") and m.rank() == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_battery_leaves_nothing_alive_after_a_collection(backend):
+    """The memos live on their owners, so once a battery's algebra, module
+    and Diagonal are dropped a collection frees them all."""
+    def run():
+        inst = build_corpus(CONFIGS[backend], ["exterior"])["exterior"]
+        M = inst.modules["cone_id"]
+        naive_lift_battery(M, inst.diag)
+        assert peek(inst.diag, "_hom") and peek(inst.algebra, "regular_module")
+        return [weakref.ref(inst.algebra), weakref.ref(M), weakref.ref(inst.diag)]
+
+    refs = run()
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
