@@ -35,7 +35,11 @@ reads from it (or the error it raises).  Its 38 battery lines, one per
 corpus module N and backend, hash the battery fields that reports reduce to
 a verdict: the repr of the check_AR1 and check_AR2 details, of
 p_ideal_dims, and, where AR1 holds, of the kernel_sequence_check dict,
-all on one Diagonal per algebra.  It prints 1 236 lines in all.  Two
+all on one Diagonal per algebra.  Its 38 minimal lines, one per corpus
+module N and backend, hash N's minimal model Diagonal.minimal(N): the
+names, degrees and differential of N', and the entries of f: N -> N',
+g: N' -> N and the homotopy h, every terms dict by repr in its insertion
+order.  It prints 1 274 lines in all.  Two
 commits produce the same canonical output exactly when this script prints
 the same lines for both, so a diff of its output is the byte-identical gate
 for a change that must not alter results.
@@ -178,13 +182,32 @@ def battery_digests(backend: str):
             yield name, mname, sha(repr((ar1.detail, ar2.detail, p_ideal_dims(N, diag), ks)))
 
 
+def minimal_digests(backend: str):
+    """(algebra, module, digest) for the minimal model of every corpus
+    module N: N' and the entries of f, g and h."""
+    for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
+        diag = inst.diag
+        for mname, N in inst.modules.items():
+            model = diag.minimal(N)
+            Np = model.module
+            yield name, mname, sha(repr((Np.names, Np.degrees, module_terms(Np),
+                                         entry_terms(model.f.entries),
+                                         entry_terms(model.g.entries),
+                                         entry_terms(model.h))))
+
+
 def terms(el) -> list:
     """An element's terms in insertion order."""
     return list(el.terms.items())
 
 
+def entry_terms(entries: dict) -> list:
+    """A matrix over B as its entries' terms, in insertion order."""
+    return [(key, terms(el)) for key, el in entries.items()]
+
+
 def module_terms(M) -> list:
-    return [(key, terms(el)) for key, el in M.diff.items()]
+    return entry_terms(M.diff)
 
 
 def algebra_digests(backend: str, data: list[str]):
@@ -235,6 +258,8 @@ def main() -> int:
             print(f"{digest}  algebra {where} {backend}")
         for name, mname, digest in battery_digests(backend):
             print(f"{digest}  battery {name} {mname} {backend}")
+        for name, mname, digest in minimal_digests(backend):
+            print(f"{digest}  minimal {name} {mname} {backend}")
     return 0
 
 

@@ -49,7 +49,17 @@ class Carrier:
             raise CapExceeded(d, self.config.max_degree)
 
     def min_degree(self) -> int:
+        """A degree below which every piece is zero; max_degree + 1 for a
+        carrier that is zero (see is_zero)."""
         raise NotImplementedError
+
+    def is_zero(self) -> bool:
+        """Whether the carrier is zero: a kernel with no nonzero piece
+        within the cap, or a tensor product or shift built on one.  A zero
+        carrier has dimension 0 in every degree, past the cap too, and its
+        min_degree is max_degree + 1, so no degree past the cap leaks into
+        a sum of minima or a shift."""
+        return False
 
     def dim(self, d: int) -> int:
         raise NotImplementedError
@@ -160,7 +170,13 @@ class SemifreeCarrier(Carrier):
     def __repr__(self):
         return f"SemifreeCarrier({self.module.describe()} (x)_B {self.Y!r})"
 
+    def is_zero(self) -> bool:
+        return not self.module.n_gens or self.Y.is_zero()
+
+    @memo
     def min_degree(self) -> int:
+        if self.is_zero():
+            return self.config.max_degree + 1
         return self.module.min_degree + self.Y.min_degree()
 
     @memo
@@ -209,7 +225,7 @@ class SemifreeCarrier(Carrier):
         return [(lam, y) for lam, q in self.pieces(d) for y in self.Y.labels(q)]
 
     def dim(self, d: int) -> int:
-        if d < self.min_degree():
+        if d < self.min_degree() or (d > self.config.max_degree and self.is_zero()):
             return 0
         return self.offsets(d)[-1]
 
@@ -279,7 +295,13 @@ class ShiftedCarrier(Carrier):
         self.has_left = inner.has_left
         self.has_right = inner.has_right
 
+    def is_zero(self) -> bool:
+        return self.inner.is_zero()
+
+    @memo
     def min_degree(self) -> int:
+        if self.is_zero():
+            return self.config.max_degree + 1
         return self.inner.min_degree() + self.i
 
     def dim(self, d: int) -> int:
@@ -341,8 +363,11 @@ class KernelSubCarrier(Carrier):
                 return d
         return top + 1  # zero within cap
 
+    def is_zero(self) -> bool:
+        return self.min_degree() > self.config.max_degree
+
     def dim(self, d: int) -> int:
-        if d < self.parent.min_degree():
+        if d < self.parent.min_degree() or (d > self.config.max_degree and self.is_zero()):
             return 0
         return len(self.basis_vectors(d))
 
@@ -481,7 +506,13 @@ class TensorCarrier(Carrier):
         return (f"TensorCarrier({type(self.X).__name__} (x)_{self.ring} "
                 f"{type(self.Y).__name__})")
 
+    def is_zero(self) -> bool:
+        return self.X.is_zero() or self.Y.is_zero()
+
+    @memo
     def min_degree(self) -> int:
+        if self.is_zero():
+            return self.config.max_degree + 1
         return self.X.min_degree() + self.Y.min_degree()
 
     def _ring_monomials(self, e: int):
@@ -588,7 +619,7 @@ class TensorCarrier(Carrier):
         return QuotientShape(base[d - Y.min_degree() + 1], rank, layout, quot, labels)
 
     def dim(self, d: int) -> int:
-        if d < self.min_degree():
+        if d < self.min_degree() or (d > self.config.max_degree and self.is_zero()):
             return 0
         return len(self._echelon_at(d).quot)
 

@@ -382,9 +382,9 @@ def cmd_omega(inst: InstanceFile, args, config) -> tuple[dict, bool]:
 
 
 def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
-    """gamma^n for n = -1..max_tensor.  end_dim is gamma^0: End is one
-    memoized space with diag.hom(M, diag.NT(M, 0)), so the two agree by
-    construction and are not independent counts."""
+    """gamma^n for n = -1..max_tensor, read on the module's minimal model
+    (see gamma_dim).  end_dim is gamma^0: End is the same memoized space,
+    so the two agree by construction and are not independent counts."""
     name, M = _module_arg(inst, args.module)
     diag = Diagonal(inst.algebra)
     L = inst.algebra.config.max_tensor

@@ -20,7 +20,7 @@ from .errors import CapExceeded, DimensionMismatch
 from .homotopy import HomSpace, _as_carrier
 from .linalg import Echelon, vec_axpy
 from .memo import memo
-from .modules import base_change
+from .modules import MinimalModel, base_change, minimal_model
 
 
 class EnvelopingCarrier(Carrier):
@@ -190,7 +190,8 @@ class Diagonal:
     It also owns the Hom-space memo: hom(N, Y, s) builds each space of maps
     N -> Sigma^s Y once and shares it with every later query in its scope;
     base_change(N) likewise builds the induced module G and its counit once,
-    so the splitting search and the factorization ideal share Hom(N, G).
+    so the splitting search and the factorization ideal share G, and
+    minimal(N) builds N's minimal model once.
     The memos live here rather than on the module because a module and its
     carrier refer to each other: a module-held memo would keep every
     N (x) T^n carrier and its T^n alive until a full garbage collection,
@@ -264,6 +265,16 @@ class Diagonal:
         """(G, pi) = modules.base_change(module), built once per module, so
         that every Hom space into G is keyed by the same G."""
         return base_change(module)
+
+    @memo
+    def minimal(self, module) -> MinimalModel:
+        """modules.minimal_model(module), built and rechecked once per
+        module.  Its module N' is module itself (f = g = id, h = 0) when no
+        unit pair is left to cancel, so an already minimal module shares
+        every Hom space with the queries on it.  The homotopy-invariant
+        dimensions (gamma^n, the AR1 (iii) and AR2 tables, the factorization
+        ideal and the kernel sequence) read N'."""
+        return minimal_model(module)
 
     def NT_A(self, module, n: int) -> Carrier:
         """N (x)_A T^n (relations over the prefix subalgebra only)."""

@@ -406,7 +406,9 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
 
     Maps out of a generator of degree t into Sigma^n B land in B_{t-n} = 0
     once n exceeds the top generator degree, so the range 1..max_degree
-    certifies the unbounded claim; the bound is recorded.
+    certifies the unbounded claim; the bound is recorded.  (i) and the bound
+    read N's degrees; the (iii) dimensions are homotopy invariants, read off
+    N's minimal model N' = diag.minimal(N).module.
     """
     alg = N.algebra
     B = regular_module(alg)
@@ -421,7 +423,8 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
     else:
         cond_ii, ii_note = False, "A-basis not finite (even adjoined variable); not verified"
     bound = max(0, N.max_degree)
-    dims = {n: diag.hom(N, B, n).dim_K for n in range(1, bound + 1)}
+    M = diag.minimal(N).module
+    dims = {n: diag.hom(M, B, n).dim_K for n in range(1, bound + 1)}
     first_fail = next((n for n, v in dims.items() if v), None)
     ok_iii = first_fail is None
     return ConditionReport(
@@ -441,10 +444,13 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
 
 def check_AR2(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
     """Hom(N, Sigma^n N) = 0 for n >= 1, read off diag's memo and certified
-    on 1..(span) where span = max degree - min degree; beyond it every
-    generator image lands in a zero graded piece."""
+    on 1..(span) where span = max degree - min degree of N; beyond it every
+    generator image lands in a zero graded piece.  The dimensions are
+    homotopy invariants, read as Hom(N', Sigma^n N') on N's minimal model
+    N' = diag.minimal(N).module; the bound stays N's."""
     bound = max(0, (N.max_degree - N.min_degree) if N.n_gens else 0)
-    dims = {n: diag.hom(N, N, n).dim_K for n in range(1, bound + 1)}
+    M = diag.minimal(N).module
+    dims = {n: diag.hom(M, M, n).dim_K for n in range(1, bound + 1)}
     first_fail = next((n for n, v in dims.items() if v), None)
     return ConditionReport(
         holds=first_fail is None,

@@ -85,7 +85,9 @@ class Echelon:
         if not res:
             return False
         p = min(res)
-        row = f.scale(f.inv(res[p]), res)
+        # res is a fresh dict, so it becomes the row, normalized in place
+        row = res
+        f.normalize(row, p)
         tail = [j for j in row if j != p]
         row_of = self._row_of
         by_col = self._by_col

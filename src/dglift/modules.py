@@ -12,9 +12,11 @@ right action alone, so matrices over the algebra capture everything.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import AlgebraElement, DGAlgebra
-from .errors import (CapExceeded, DegreeMismatch, DSquaredNonzero, NotTriangular,
-                     OwnerMismatch, TriangularityUnrepairable)
+from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
+                     NotTriangular, OwnerMismatch, TriangularityUnrepairable)
 from .memo import memo
 
 
@@ -357,6 +359,140 @@ def base_change(N: SemifreeModule):
     for col, (deg, lam, m) in enumerate(gens):
         pi_entries[(lam, col)] = alg.from_mono(m)
     return G, ChainMap(G, N, 0, pi_entries)
+
+
+# ----- minimal models -----------------------------------------------------
+
+
+@dataclass
+class MinimalModel:
+    """A strong deformation retract of a semifree module N (source) onto a
+    semifree N' (module): chain maps f: N -> N' and g: N' -> N, and a graded
+    map h: N -> Sigma^{-1} N as a matrix over B, with f g = id and
+    id - g f = d h + h d.  N' is homotopy equivalent to N, so every
+    dimension of a Hom space out of N, or out of N (x)_B T^n, may be read
+    off N' instead."""
+
+    source: SemifreeModule
+    module: SemifreeModule
+    f: ChainMap
+    g: ChainMap
+    h: dict
+
+    def recheck(self) -> "MinimalModel":
+        """Check by substitution that f and g are chain maps, f g = id and
+        id - g f = delta_0 h; raise DimensionMismatch otherwise."""
+        N, Np = self.source, self.module
+        self.f.validate()
+        self.g.validate()
+        one = N.algebra.one()
+        fg = matrix_product(self.f.entries, self.g.entries)
+        if {k: v for k, v in fg.items() if not v.is_zero()} != \
+                {(i, i): one for i in range(Np.n_gens)}:
+            raise DimensionMismatch("minimal model: f g is not the identity of N'")
+        want = {(i, i): one for i in range(N.n_gens)}
+        for key, el in matrix_product(self.g.entries, self.f.entries).items():
+            want[key] = want[key] - el if key in want else el.neg()
+        if {k: v for k, v in want.items() if not v.is_zero()} != \
+                graded_map_boundary(self.h, N, N, 0):
+            raise DimensionMismatch("minimal model: id - g f is not d h + h d")
+        return self
+
+
+def _unit_pair(diff: dict, degrees, unit):
+    """The least (mu, nu) whose coefficient b_{mu nu} has degree 0 and a
+    nonzero constant term, so is a unit of B_0; None when there is none."""
+    return min((k for k, el in diff.items()
+                if degrees[k[1]] == degrees[k[0]] + 1 and unit in el.terms), default=None)
+
+
+def _unit_inverse(u: AlgebraElement) -> AlgebraElement:
+    """The inverse of a degree-0 element with constant term c != 0.  B_0 is
+    the base ring, so u = c (1 - x) with x a multiple of the nilpotent base
+    generator, and u^{-1} = c^{-1} (1 + x + x^2 + ...) is a finite sum."""
+    alg = u.algebra
+    cinv = alg.field.inv(u.terms[alg.unit_mono()])
+    x = alg.one() - u.scale(cinv)
+    inv, power = alg.zero(), alg.one()
+    while not power.is_zero():
+        inv = inv + power
+        power = power * x
+    inv = inv.scale(cinv)
+    if u * inv != alg.one():
+        raise DimensionMismatch(f"{inv} is not the inverse of {u}")
+    return inv
+
+
+def _subtract_outer(out: dict, left, right) -> None:
+    """out[(i, j)] -= x * y for each (i, x) in left and (j, y) in right."""
+    for i, x in left:
+        for j, y in right:
+            prod = x * y
+            if prod.is_zero():
+                continue
+            key = (i, j)
+            cur = out.get(key)
+            new = prod.neg() if cur is None else cur - prod
+            if new.is_zero():
+                del out[key]
+            else:
+                out[key] = new
+
+
+def minimal_model(N: SemifreeModule) -> MinimalModel:
+    """The minimal model of N by Gaussian elimination of unit pairs
+    (Skoldberg, Morse theory from an algebraic viewpoint, 2006).
+
+    While some coefficient u = b_{mu nu} is a unit of B_0, the pair
+    (e_mu, e_nu) spans, with e'_mu = d e_nu, a contractible summand, and is
+    cancelled: every other coefficient becomes
+    b_{rho kappa} - b_{rho nu} u^{-1} b_{mu kappa}; f sends e_mu to
+    -sum_rho e_rho b_{rho nu} u^{-1} and e_nu to 0, g sends e_kappa to
+    e_kappa - e_nu u^{-1} b_{mu kappa}, and h sends e_mu to e_nu u^{-1}.
+    One step's maps compose with the ones before: f <- f1 f, g <- g g1 and
+    h <- h + g h1 f.  The survivors keep their names and are ordered by
+    (degree, position); a new coefficient joins generators of strictly
+    increasing degree, so N' is strictly lower triangular.  N' is
+    validated like any module, and the maps are rechecked by substitution.
+    With no unit coefficient, N itself, f = g = id and h = 0: nothing is
+    built."""
+    alg = N.algebra
+    unit = alg.unit_mono()
+    degrees = N.degrees
+    pair = _unit_pair(N.diff, degrees, unit)
+    if pair is None:
+        ident = ChainMap.identity(N)
+        return MinimalModel(N, N, ident, ident, {})
+    one = alg.one()
+    D = dict(N.diff)
+    F = {(i, i): one for i in range(N.n_gens)}  # N -> the survivors
+    G = dict(F)                                 # the survivors -> N
+    H: dict = {}
+    alive = set(range(N.n_gens))
+    while pair is not None:
+        mu, nu = pair
+        alive -= {mu, nu}
+        v = _unit_inverse(D[pair])
+        # a_rho = b_{rho nu} u^{-1} and b_kappa = b_{mu kappa}; degree-0 v commutes
+        a = [(r, x * v) for (r, c), x in D.items() if c == nu and r != mu]
+        b = [(c, x) for (r, c), x in D.items() if r == mu and c != nu]
+        f_mu = [(c, x) for (r, c), x in F.items() if r == mu]
+        g_nu = [(r, x * v) for (r, c), x in G.items() if c == nu]
+        D = {k: x for k, x in D.items() if k[0] in alive and k[1] in alive}
+        _subtract_outer(D, a, b)
+        F = {k: x for k, x in F.items() if k[0] in alive}
+        _subtract_outer(F, a, f_mu)
+        G = {k: x for k, x in G.items() if k[1] in alive}
+        _subtract_outer(G, g_nu, b)
+        _subtract_outer(H, g_nu, [(c, x.neg()) for c, x in f_mu])
+        pair = _unit_pair(D, degrees, unit)
+    order = sorted(alive, key=lambda i: (degrees[i], i))
+    pos = {old: new for new, old in enumerate(order)}
+    Np = SemifreeModule(alg, [N.names[i] for i in order], [degrees[i] for i in order],
+                        dict(sorted(((pos[r], pos[c]), x) for (r, c), x in D.items())))
+    f = ChainMap(N, Np, 0, {(pos[r], c): x for (r, c), x in F.items()}, _validate=False)
+    g = ChainMap(Np, N, 0, {(r, pos[c]): x for (r, c), x in G.items()}, _validate=False)
+    return MinimalModel(N, Np, f, g, H).recheck()
 
 
 def homology_dim(M, d: int) -> int:

@@ -308,10 +308,13 @@ def omega_is_zero(N: SemifreeModule, diag: Diagonal) -> HomotopyWitness | None:
 
 def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:
     """dim of the tensor-degree-n graded endomorphism piece: by adjunction the
-    homotopy classes N -> N (x) T^n; zero in negative degrees structurally."""
+    homotopy classes N -> N (x) T^n; zero in negative degrees structurally.
+    A homotopy invariant of N, so it reads N's minimal model N' =
+    diag.minimal(N).module: the space N' -> N' (x) T^n."""
     if n < 0:
         return 0
-    return diag.hom(N, diag.NT(N, n)).dim_K
+    M = diag.minimal(N).module
+    return diag.hom(M, diag.NT(M, n)).dim_K
 
 
 def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int):

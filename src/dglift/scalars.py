@@ -9,13 +9,14 @@ Most coefficients stay integral (relation rows are +-1), and int arithmetic
 skips Fraction's normalisation.  An int and the equal Fraction compare equal,
 hash equal and print the same, so the choice never shows in any output.
 
-Besides the scalar operations each field has two fused vector kernels on
+Besides the scalar operations each field has three fused vector kernels on
 sparse vectors (dicts of nonzero values): axpy(out, c, u) does out += c*u in
-place and scale(c, u) returns c*u.  They give exactly the values of the
-op-by-op definitions through add, mul and is_zero, one operator expression
-per entry: entries that cancel are dropped, and every value they store is
-canonical (on Q an int when integral, even for a Fraction(1) operand; on F_p
-a residue in [0, p)).
+place, scale(c, u) returns c*u, and normalize(u, p) divides u by u[p] in
+place, doing nothing to a vector that already leads with the canonical one.
+They give exactly the values of the op-by-op definitions through add, mul
+and is_zero, one operator expression per entry: entries that cancel are
+dropped, and every value they store is canonical (on Q an int when
+integral, even for a Fraction(1) operand; on F_p a residue in [0, p)).
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ class Rationals:
             return {}
         return {j: s if type(s := c * x) is int else _canon(s) for j, x in u.items()}
 
+    def normalize(self, u: dict, p) -> None:
+        """u / u[p] in place.  With u[p] == 1 no value changes, but one that
+        came in as an integral Fraction becomes its int."""
+        c = u[p]
+        if c == 1:
+            for j, x in u.items():
+                if type(x) is not int:
+                    u[j] = _canon(x)
+            return
+        inv = self.inv(c)
+        for j, x in u.items():
+            s = inv * x
+            u[j] = s if type(s) is int else _canon(s)
+
     @staticmethod
     def cost(a):
         """Pivot-selection cost: bit size of the fraction (smaller is better)."""
@@ -203,6 +218,15 @@ class PrimeField:
             return {}
         p = self.p
         return {j: c * x % p for j, x in u.items()}
+
+    def normalize(self, u: dict, p) -> None:
+        """u / u[p] in place; nothing to do when u[p] is 1."""
+        c = u[p]
+        if c == 1:
+            return
+        inv, q = self.inv(c), self.p
+        for j, x in u.items():
+            u[j] = inv * x % q
 
     @staticmethod
     def cost(a):

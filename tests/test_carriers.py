@@ -22,7 +22,7 @@ from dglift.carriers import Carrier, SemifreeCarrier, TensorCarrier
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch
-from dglift.homotopy import CarrierMap, carrier_map_to_chain
+from dglift.homotopy import CarrierMap, HomSpace, carrier_map_to_chain
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.memo import peek
@@ -88,6 +88,12 @@ def test_closed_form_is_isomorphic_to_the_relation_quotient(backend):
                     assert same(phis[d + 1] @ closed.right_act(u, d),
                                 oracle.right_act(u, d) @ phis[d]), where + (d, u)
             checked += 1
+        if closed.is_zero():
+            # zero within the cap, so zero: past the cap too, and its
+            # lowest degree is the first one past the cap
+            assert lo == cap + 1 and closed.dim(cap + 1) == 0, where
+            assert oracle.is_zero() and oracle.min_degree() == lo, where
+            continue
         with pytest.raises(CapExceeded):
             closed.dim(max(cap + 1, lo))
     assert checked > 100
@@ -391,3 +397,24 @@ def test_backward_degree_zero_move_raises(backend):
                              r"x_\d+\*q in degree \d+ of the left factor reaches back"):
         for d in range(cap + 1):
             R.dim(d)
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_a_carrier_zero_within_the_cap_says_so(backend):
+    """Over k[a]/(a^2) with no variables B (x)_A B = B, so J is zero within
+    the cap (8), and so is every tensor power and N (x) T^n built on it.
+    Their lowest degree is the first one past the cap, not a sum of such
+    degrees, and they answer dimension 0 past the cap too, so a Hom space
+    into one at any shift is zero instead of raising CapExceeded."""
+    inst = corpus(backend)["koszul"]
+    diag, K = inst.diag, inst.modules["K"]
+    cap = inst.algebra.config.max_degree
+    for car in (diag.J, diag.SJ, diag.T(2), diag.NT(K, 1), diag.NT(K, 2)):
+        assert car.is_zero() and car.min_degree() == cap + 1, car
+        assert [car.dim(d) for d in range(-2, 3 * cap)] == [0] * (3 * cap + 2), car
+    assert not K.carrier().is_zero() and K.carrier().min_degree() == 0
+    assert HomSpace(K, diag.NT(K, 2), -19).dim_K == 0
+    assert HomSpace(K, diag.NT(K, 2), 1 - cap).dim_K == 0
+    # a carrier that is not zero still refuses a degree past the cap
+    with pytest.raises(CapExceeded):
+        K.carrier().dim(cap + 1)

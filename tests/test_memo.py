@@ -24,7 +24,7 @@ from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.memo import peek
-from dglift.modules import ChainMap, SemifreeModule, regular_module
+from dglift.modules import ChainMap, MinimalModel, SemifreeModule, regular_module
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
                                 gamma_dim)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
@@ -156,7 +156,12 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         G, pi = diag.base_change(M)
         assert diag.base_change(M) is diag.base_change(M)
         assert built == [M]
-        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
+        # the factorization ideal reads Hom(N', G) on the minimal model N',
+        # which is M itself for B2 and two_step and the zero module for cone_id
+        Mp = diag.minimal(M).module
+        assert (Mp is M) == (mname != "cone_id")
+        keys = [(M, G.carrier(), 0)] + ([(Mp, G.carrier(), 0)] if Mp is not M else [])
+        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == keys
         assert chain_targets.count((M, G.carrier())) == 1
         built.clear()
 
@@ -168,18 +173,22 @@ BATTERY_MODULES = ("two_step", "cone_id", "B2")
 @pytest.mark.parametrize("mname", BATTERY_MODULES)
 def test_battery_reads_the_AR_tables_off_the_hom_memo(backend, mname):
     """check_AR1 and check_AR2 ask diag.hom, so the battery leaves their
-    Hom spaces N -> Sigma^n B and N -> Sigma^n N in the memo."""
+    Hom spaces N' -> Sigma^n B and N' -> Sigma^n N' in the memo, on the
+    minimal model N' of N (N itself for two_step and B2, the zero module
+    for cone_id) and over the ranges of N's degrees."""
     inst = build_corpus(CONFIGS[backend])["exterior"]
     M = inst.modules[mname]
     diag = Diagonal(inst.algebra)
     naive_lift_battery(M, diag)
+    Mp = diag.minimal(M).module
+    assert (Mp is M) == (mname != "cone_id")
     B = regular_module(inst.algebra).carrier()
     span = M.max_degree - M.min_degree
     homs = peek(diag, "_hom")
     for n in range(1, max(0, M.max_degree) + 1):
-        assert (M, B, n) in homs, (mname, "AR1", n)
+        assert (Mp, B, n) in homs, (mname, "AR1", n)
     for n in range(1, span + 1):
-        assert (M, M.carrier(), n) in homs, (mname, "AR2", n)
+        assert (Mp, Mp.carrier(), n) in homs, (mname, "AR2", n)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -254,12 +263,15 @@ def memo_calls(inst):
     method(alg.carrier(), "diff", 2)
     method(alg.carrier(), "action", "r", u, 1)
     method(M.carrier(), "offsets", 3)
+    method(M.carrier(), "min_degree")
     method(M.carrier(), "diff", 3)
     method(diag.J, "basis_vectors", 2)
     method(diag.J, "_free_cols", 2)
     method(diag.J, "min_degree")
     method(diag.J, "diff", 3)
+    method(diag.SJ, "min_degree")
     method(diag.SJ, "diff", 3)
+    method(T2, "min_degree")
     method(T2, "_spanning", 2)
     method(T2, "_echelon_at", 4)
     method(T2, "diff", 4)
@@ -271,6 +283,7 @@ def memo_calls(inst):
     method(diag, "NT", M, 1)
     method(diag, "_hom", M, diag.NT(M, 1), 0)
     method(diag, "base_change", M)
+    method(diag, "minimal", inst.modules["cone_id"])
     method(diag, "_delta_mono", u)
     method(M, "carrier")
     method(hs, "chain_matrix")
@@ -305,6 +318,8 @@ def canon(v):
         return "module", v.names, v.degrees, canon(v.diff)
     if isinstance(v, ChainMap):
         return "chain map", canon(v.source), canon(v.target), v.shift, canon(v.entries)
+    if isinstance(v, MinimalModel):
+        return "minimal model", canon(v.module), canon(v.f), canon(v.g), canon(v.h)
     if isinstance(v, DegreewiseMap):
         return "operator", v.name, [canon(v.mat(d)) for d in range(4)]
     if isinstance(v, Diagonal):

@@ -1,0 +1,187 @@
+"""Minimal models: Gaussian elimination of unit pairs behind the
+homotopy-invariant battery dimensions.
+
+The unreduced route is the oracle: a Diagonal whose every module is its own
+model computes gamma^n, the AR1/AR2 tables, the factorization ideal and the
+kernel sequence on the presentation given, as the engine did before it
+read them off the minimal model.  Both routes must agree on every corpus
+battery module and every valid tests/data module, on Q and on Fp.  The
+deformation retract (f, g, h) is rechecked by substitution, and a corrupted
+one fails that recheck.
+"""
+
+import pytest
+
+from dglift.algebra import BaseRing, build_algebra
+from dglift.cli import parse_instance
+from dglift.config import EngineConfig
+from dglift.diagonal import Diagonal
+from dglift.errors import DGLiftError, DimensionMismatch
+from dglift.homotopy import check_AR1, check_AR2
+from dglift.instances import battery_pairs, build_corpus
+from dglift.liftcheck import kernel_sequence_check, naive_lift_battery, p_ideal_dims
+from dglift.modules import (ChainMap, MinimalModel, cone, direct_sum, make_module,
+                            minimal_model)
+from dglift.obstruction import gamma_dim
+from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
+
+from conftest import DATA
+
+CONFIGS = {"Q": EngineConfig(field=RATIONALS),
+           "Fp": EngineConfig(field=PrimeField(DEFAULT_PRIME))}
+BACKENDS = ["Q", "Fp"]
+
+
+class Unreduced(Diagonal):
+    """The oracle: every module is its own minimal model."""
+
+    def minimal(self, module):
+        ident = ChainMap.identity(module)
+        return MinimalModel(module, module, ident, ident, {})
+
+
+def invariants(N, diag):
+    """Everything the engine reads off the minimal model."""
+    L = diag.config.max_tensor
+    return {"gamma": [gamma_dim(N, diag, n) for n in range(L + 1)],
+            "AR1": check_AR1(N, diag).detail,
+            "AR2": check_AR2(N, diag).detail,
+            "p": p_ideal_dims(N, diag),
+            "kernel_sequence": kernel_sequence_check(N, diag)}
+
+
+def data_modules(config):
+    """(file, module name, module) for every module of every valid
+    tests/data instance."""
+    out = []
+    for path in sorted(DATA.glob("*.dg")):
+        try:
+            inst = parse_instance(str(path), config)
+        except DGLiftError:
+            continue
+        out += [(path.name, mname, M) for mname, M in inst.modules.items()]
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_minimal_model_route_equals_the_unreduced_route(backend):
+    reduced = 0
+    cases = [(inst.diag, f"{inst.name}/{mname}", M)
+             for inst, mname, M in battery_pairs(build_corpus(CONFIGS[backend]))]
+    cases += [(Diagonal(M.algebra), f"{path}/{mname}", M)
+              for path, mname, M in data_modules(CONFIGS[backend])]
+    for diag, where, M in cases:
+        assert invariants(M, diag) == invariants(M, Unreduced(M.algebra)), where
+        reduced += diag.minimal(M).module is not M
+    # cone_id (corpus and file), summand and tate2/M reduce
+    assert reduced == 4
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_corpus_reductions(backend):
+    corpus = build_corpus(CONFIGS[backend])
+    sizes = {}
+    for inst in corpus.values():
+        for mname, M in inst.modules.items():
+            sizes[f"{inst.name}/{mname}"] = inst.diag.minimal(M).module.n_gens
+    assert sizes["exterior/cone_id"] == 0
+    assert sizes["exterior/summand"] == 1
+    assert sizes["tate2/M"] == 1
+    ext = corpus["exterior"]
+    assert ext.diag.minimal(ext.modules["summand"]).module.names == ("g1",)
+    assert corpus["tate2"].diag.minimal(corpus["tate2"].modules["M"]).module.names == ("g0",)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_module_with_no_unit_entry_is_its_own_model(backend):
+    for inst in build_corpus(CONFIGS[backend]).values():
+        for mname, M in inst.modules.items():
+            if mname in ("cone_id", "summand") or (inst.name, mname) == ("tate2", "M"):
+                continue
+            model = inst.diag.minimal(M)
+            assert inst.diag.minimal(M) is model
+            assert model.module is M and model.source is M, (inst.name, mname)
+            assert model.f is model.g and model.h == {}
+            assert model.f.entries == ChainMap.identity(M).entries
+
+
+def exterior_chain(alg, length):
+    """e_0, ..., e_{length-1} in degrees 0, 2, 4, ... with d e_{j+1} = e_j y0."""
+    y0 = alg.gen("y0")
+    return make_module(alg, [(f"e{j}", 2 * j) for j in range(length)],
+                       {(f"e{j}", f"e{j + 1}"): y0 for j in range(length - 1)})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_cone_of_an_identity_reduces_to_zero(backend):
+    alg = build_algebra(BaseRing(), [("y0", 1, "0"), ("y1", 1, "0")], 0,
+                        CONFIGS[backend].with_limits(max_degree=8, max_tensor=2))
+    chain = exterior_chain(alg, 3)
+    C = cone(ChainMap.identity(chain))
+    model = minimal_model(C)
+    assert C.n_gens == 6 and model.module.n_gens == 0
+    assert model.f.entries == {} and model.g.entries == {}
+    # id = d h + h d on the cone: h is a contraction
+    assert model.recheck() is model
+    # a sum with the chain reduces to the chain, up to the names of the sum
+    S = direct_sum(C, chain)
+    reduced = minimal_model(S).module
+    assert reduced.degrees == chain.degrees
+    assert reduced.names == tuple(f"{n}.1" for n in chain.names)
+    assert [(k, v) for k, v in sorted(reduced.diff.items())] == \
+        [(k, v) for k, v in sorted(chain.diff.items())]
+    diag = Diagonal(alg)
+    assert invariants(S, diag) == invariants(S, Unreduced(alg))
+    assert invariants(C, diag) == invariants(C, Unreduced(alg))
+    assert naive_lift_battery(C, diag).to_dict() == \
+        naive_lift_battery(C, Unreduced(alg)).to_dict()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_units_of_the_base_ring_are_inverted_by_a_finite_series(backend):
+    """Over k[a]/(a^3) the coefficients 1 + a and 2 - a*a are units: each
+    cone-like pair cancels, and the recheck multiplies the inverse out."""
+    alg = build_algebra(BaseRing("a", 3), [("x", 1, "0")], 0,
+                        CONFIGS[backend].with_limits(max_degree=6, max_tensor=2))
+    a, one = alg.gen("a"), alg.one()
+    M = make_module(alg, [("e0", 0), ("e1", 1), ("f0", 1), ("f1", 2)],
+                    {("e0", "e1"): one + a, ("f0", "f1"): one.scale(alg.field.from_int(2)) - a * a})
+    model = minimal_model(M)
+    assert model.module.n_gens == 0
+    # a non-unit coefficient is not cancelled
+    K = make_module(alg, [("e0", 0), ("e1", 1)], {("e0", "e1"): a})
+    assert minimal_model(K).module is K
+    diag = Diagonal(alg)
+    for N in (M, K):
+        assert invariants(N, diag) == invariants(N, Unreduced(alg))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_recheck_catches_a_corrupted_retract(backend):
+    inst = build_corpus(CONFIGS[backend])["tate2"]
+    model = minimal_model(inst.modules["M"])
+    assert model.recheck() is model
+    key = next(iter(model.h))
+    bad = MinimalModel(model.source, model.module, model.f, model.g,
+                       {**model.h, key: model.h[key].scale(inst.algebra.field.from_int(2))})
+    with pytest.raises(DimensionMismatch):
+        bad.recheck()
+    worse = MinimalModel(model.source, model.module, model.f, model.g, {})
+    with pytest.raises(DimensionMismatch):
+        worse.recheck()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_survivors_are_ordered_by_degree_then_position(backend):
+    """Cancelling (m, n) gives r a coefficient -a on k although r comes
+    after k in N's order; N' lists r first, by degree, and is triangular."""
+    alg = build_algebra(BaseRing("a", 2), [], 0,
+                        CONFIGS[backend].with_limits(max_degree=6, max_tensor=2))
+    a, one = alg.gen("a"), alg.one()
+    M = make_module(alg, [("m", 0), ("k", 1), ("r", 0), ("n", 1)],
+                    {("m", "k"): a, ("m", "n"): one, ("r", "n"): one})
+    Np = minimal_model(M).module
+    assert Np.names == ("r", "k") and Np.degrees == (0, 1)
+    assert Np.diff == {(0, 1): a.neg()}
+    diag = Diagonal(alg)
+    assert invariants(M, diag) == invariants(M, Unreduced(alg))

@@ -1,8 +1,8 @@
 """The rational backend against plain Fraction arithmetic, and its canonical
 representation: a value is an int when integral and a Fraction otherwise.
 The prime-field backend against the `% p` definitions, on canonical residues.
-The fused vector kernels axpy and scale of both against their op-by-op
-definitions."""
+The fused vector kernels axpy, scale and normalize of both against their
+op-by-op definitions."""
 
 from fractions import Fraction
 
@@ -191,7 +191,7 @@ def test_prime_field_zero_raises():
             F.from_fraction(1, F.p)
 
 
-# ----- fused kernels: axpy and scale -----------------------------------------
+# ----- fused kernels: axpy, scale and normalize ------------------------------
 
 
 def axpy_by_ops(F, out, c, u):
@@ -279,3 +279,32 @@ def test_q_kernels_canonicalize_integral_fractions():
     Q.axpy(out, 1, u)
     assert out == {0: Fraction(3, 2), 3: 2} and type(out[3]) is int
     assert Q.scale(0, u) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_normalize_is_division_by_the_lead_in_place(case):
+    F, _, _, u = case
+    if not u:
+        return
+    p = min(u)
+    want = scale_by_ops(F, F.inv(u[p]), u)
+    got = dict(u)
+    ids = id(got)
+    F.normalize(got, p)
+    assert id(got) == ids and list(got.items()) == list(want.items())
+    assert got[p] == 1
+    assert_stored_canonical(F, got)
+
+
+def test_normalize_leaves_a_canonical_one_lead_alone():
+    for F in KERNEL_FIELDS:
+        u = {2: 1, 4: F.from_int(-3), 6: F.from_int(5)}
+        got = dict(u)
+        F.normalize(got, 2)
+        assert got == u and [type(x) for x in got.values()] == [int] * 3
+    # a lead of Fraction(1) is canonicalized, and so is every integral Fraction
+    got = {0: Fraction(1), 3: Fraction(4, 2), 5: Fraction(1, 2)}
+    Q.normalize(got, 0)
+    assert got == {0: 1, 3: 2, 5: Fraction(1, 2)}
+    assert [type(x) for x in got.values()] == [int, int, Fraction]
