@@ -30,7 +30,12 @@ def main() -> int:
     ap.add_argument("--field", default="Q")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    config = EngineConfig(field=field_from_spec(args.field), max_degree=8)
+    try:
+        field = field_from_spec(args.field)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    config = EngineConfig(field=field, max_degree=8)
     corpus = build_corpus(config)
     t0 = time.time()
     rows = []

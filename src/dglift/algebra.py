@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import IllFormedPresentation, OwnerMismatch
+from .errors import BadExpression, IllFormedPresentation, OwnerMismatch
 from .memo import memo
 
 Monomial = tuple  # exponents: slot 0 = base generator, slots 1.. = variables
@@ -404,7 +404,7 @@ def build_algebra(base: BaseRing, variables, n_A: int = 0,
             try:
                 elem = parse_element(alg, dexpr, allow_vars=names[:i])
             except ValueError as exc:
-                raise IllFormedPresentation(f"d({names[i]}): {exc}")
+                raise BadExpression(i, f"d({names[i]}): {exc}")
         elif dexpr is None:
             elem = alg.zero()
         else:

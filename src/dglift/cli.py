@@ -25,15 +25,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from functools import cache
 
 from .algebra import AlgebraElement, BaseRing, DGAlgebra, build_algebra, parse_element
 from .config import EngineConfig
 from .diagonal import Diagonal
-from .errors import DGLiftError
+from .errors import BadExpression, DGLiftError
 from .homotopy import HomSpace
 from .liftcheck import appendix_battery, naive_lift_battery
-from .modules import SemifreeModule
+from .modules import SemifreeModule, make_module
 from .obstruction import (EnvelopingRouteTower, ObstructionTower, gamma_dim,
                           omega_is_zero, towers_agree)
 from .scalars import field_from_spec
@@ -60,7 +61,7 @@ def parse_instance(path: str, config: EngineConfig,
         lines = fh.readlines()
 
     section = None
-    ring_spec = "k"
+    base = BaseRing()
     a_prefix = 0
     variables = []            # (name, degree, diff expr, lineno)
     module_order = []
@@ -102,7 +103,7 @@ def parse_instance(path: str, config: EngineConfig,
             key, val = (s.strip() for s in line.split("=", 1))
             if key != "ring":
                 raise ParseError(lineno, f"unknown base key {key!r}")
-            ring_spec = val
+            base = _parse_ring(val, lineno)
         elif kind == "algebra":
             if line.startswith("var "):
                 body = line[4:]
@@ -159,14 +160,11 @@ def parse_instance(path: str, config: EngineConfig,
     cfg = config.with_limits(max_degree=limits.get("max_degree"),
                              max_tensor=limits.get("max_tensor"),
                              lift_bound=limits.get("lbound"))
-    base = _parse_ring(ring_spec)
     try:
         algebra = build_algebra(base, [(n, d, e) for (n, d, e, _) in variables],
                                 a_prefix, cfg)
-    except DGLiftError:
-        raise
-    except ValueError as exc:
-        raise ParseError(variables[0][3] if variables else 1, str(exc))
+    except BadExpression as exc:
+        raise ParseError(variables[exc.index][3], str(exc))
 
     modules = {}
     for mname in module_order:
@@ -179,27 +177,21 @@ def parse_instance(path: str, config: EngineConfig,
             for mu, el in _parse_module_expr(algebra, gen_names, expr, lineno).items():
                 key = (mu, gname)
                 diff[key] = diff[key] + el if key in diff else el
-        from .modules import make_module
         modules[mname] = make_module(algebra, gens, diff)
     return InstanceFile(algebra, modules, path)
 
 
-def _parse_ring(spec: str) -> BaseRing:
-    spec = spec.strip()
+def _parse_ring(spec: str, lineno: int) -> BaseRing:
+    """The base ring of the `ring =` line lineno: k (or Q, or field), or
+    k[a]/(a^m).  A spec of neither form is a ParseError; an order below 2
+    is BaseRing's semantic error."""
     if spec in ("k", "Q", "field"):
         return BaseRing()
-    # k[a]/(a^m)
-    if spec.startswith("k[") and "]/(" in spec:
-        inner = spec[2:spec.index("]")]
-        tail = spec[spec.index("]/(") + 3:]
-        if not tail.endswith(")"):
-            raise ValueError(f"cannot parse base ring {spec!r}")
-        power = tail[:-1]
-        if "^" in power:
-            gname, m = power.split("^", 1)
+    if spec.startswith("k[") and "]/(" in spec and spec.endswith(")"):
+        gname, _, m = spec[spec.index("]/(") + 3:-1].partition("^")
+        with suppress(ValueError):
             return BaseRing(gname.strip(), int(m))
-        raise ValueError(f"cannot parse base ring {spec!r} (expected a^m)")
-    raise ValueError(f"cannot parse base ring {spec!r}")
+    raise ParseError(lineno, f"cannot parse base ring {spec!r} (expected k or k[a]/(a^m))")
 
 
 def _parse_module_expr(algebra, gen_names, expr: str, lineno: int) -> dict:
@@ -281,7 +273,7 @@ def _module_arg(inst: InstanceFile, name: str | None) -> tuple[str, SemifreeModu
     return name, inst.modules[name]
 
 
-def cmd_check(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
     alg = inst.algebra
     import random
     rng = random.Random(20240901)
@@ -320,10 +312,7 @@ def cmd_check(inst: InstanceFile, args, config) -> tuple[dict, bool]:
                   for d in range(0, shallow + 1))
     if not balance:
         failures.append("diagonal_balance")
-    report = {
-        "command": "check",
-        "instance": inst.path,
-        "backend": config.field.name,
+    return {
         "algebra": alg.describe(),
         "limits": {"max_degree": alg.config.max_degree,
                    "max_tensor": alg.config.max_tensor},
@@ -335,11 +324,10 @@ def cmd_check(inst: InstanceFile, args, config) -> tuple[dict, bool]:
         "diagonal_balance_window": shallow,
         "identity_failures": sorted(set(failures)),
         "ok": not failures,
-    }
-    return report, not failures
+    }, not failures
 
 
-def cmd_hom(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_hom(inst: InstanceFile, args) -> tuple[dict, bool]:
     name, M = _module_arg(inst, args.module)
     tname = args.target or name
     if tname not in inst.modules:
@@ -347,21 +335,17 @@ def cmd_hom(inst: InstanceFile, args, config) -> tuple[dict, bool]:
     target = inst.modules[tname]
     s = args.shift
     hs = HomSpace(M, target, s)
-    report = {
-        "command": "hom",
-        "instance": inst.path,
-        "backend": config.field.name,
+    return {
         "module": name,
         "target": tname,
         "shift": s,
         "cycles": hs.cycle_dim,
         "boundaries": hs.boundary_dim,
         "dim": hs.dim_K,
-    }
-    return report, True
+    }, True
 
 
-def cmd_omega(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_omega(inst: InstanceFile, args) -> tuple[dict, bool]:
     name, M = _module_arg(inst, args.module)
     diag = Diagonal(inst.algebra)
     wit = omega_is_zero(M, diag)
@@ -369,19 +353,15 @@ def cmd_omega(inst: InstanceFile, args, config) -> tuple[dict, bool]:
     route = EnvelopingRouteTower(M, diag)
     degrees = range(M.min_degree, M.max_degree + 2)
     agree = towers_agree(tower, route, 0, degrees)
-    report = {
-        "command": "omega",
-        "instance": inst.path,
-        "backend": config.field.name,
+    return {
         "module": name,
         "omega_zero": wit is not None,
         "witness": "stored" if wit is not None else "absence certificate (inconsistent system)",
         "construction_routes_agree": agree,
-    }
-    return report, agree
+    }, agree
 
 
-def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_gamma(inst: InstanceFile, args) -> tuple[dict, bool]:
     """gamma^n for n = -1..max_tensor, read on the module's minimal model
     (see gamma_dim).  end_dim is gamma^0: End is the same memoized space,
     so the two agree by construction and are not independent counts."""
@@ -390,44 +370,22 @@ def cmd_gamma(inst: InstanceFile, args, config) -> tuple[dict, bool]:
     L = inst.algebra.config.max_tensor
     dims = {str(n): gamma_dim(M, diag, n) for n in range(0, L + 1)}
     dims["-1"] = gamma_dim(M, diag, -1)
-    report = {
-        "command": "gamma",
-        "instance": inst.path,
-        "backend": config.field.name,
-        "module": name,
-        "end_dim": dims["0"],
-        "dims": dims,
-    }
-    return report, True
+    return {"module": name, "end_dim": dims["0"], "dims": dims}, True
 
 
-def cmd_battery(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_battery(inst: InstanceFile, args) -> tuple[dict, bool]:
     name, M = _module_arg(inst, args.module)
     diag = Diagonal(inst.algebra)
     r = naive_lift_battery(M, diag, name=name)
-    report = {
-        "command": "battery",
-        "instance": inst.path,
-        "backend": config.field.name,
-        **r.to_dict(),
-    }
-    ok = r.flag is None
-    return report, ok
+    return r.to_dict(), r.flag is None
 
 
-def cmd_appendix(inst: InstanceFile, args, config) -> tuple[dict, bool]:
+def cmd_appendix(inst: InstanceFile, args) -> tuple[dict, bool]:
     pairs = [(name, M) for name, M in inst.modules.items()]
     results = appendix_battery(pairs)
     ok = all(r.get("proposition_vanishing_ok", True)
              and r.get("corollary_vanishing_ok", True) for r in results)
-    report = {
-        "command": "appendix",
-        "instance": inst.path,
-        "backend": config.field.name,
-        "results": results,
-        "ok": ok,
-    }
-    return report, ok
+    return {"results": results, "ok": ok}, ok
 
 
 COMMANDS = {
@@ -490,10 +448,11 @@ def main(argv=None) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 1
     try:
-        report, ok = COMMANDS[args.command](inst, args, config)
+        body, ok = COMMANDS[args.command](inst, args)
     except DGLiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report = {"command": args.command, "instance": inst.path, "backend": field.name, **body}
     sys.stdout.write(emit(report, args.json))
     return 0 if ok else 1
 

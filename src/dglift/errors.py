@@ -11,6 +11,15 @@ class IllFormedPresentation(DGLiftError):
     """An algebra presentation violates a structural invariant (names the variable)."""
 
 
+class BadExpression(IllFormedPresentation):
+    """A variable's differential is not a well-formed expression; index is
+    the variable's position in the presentation."""
+
+    def __init__(self, index: int, msg: str):
+        self.index = index
+        super().__init__(msg)
+
+
 class OwnerMismatch(DGLiftError):
     """Two elements or maps belong to different algebras/modules."""
 

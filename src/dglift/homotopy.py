@@ -342,16 +342,16 @@ class HomSpace:
         return [CarrierMap(self.source, self.target, self.shift, self.layout.from_flat(v))
                 for v in self._build()[2]]
 
-    def express(self, cmap: CarrierMap) -> list:
-        """Coordinates of the homotopy class of cmap over class_reps: minus
-        the tags that the reduction of cmap leaves."""
-        _, ech, reps = self._build()
+    def express(self, cmap: CarrierMap) -> dict:
+        """Coordinates of the homotopy class of cmap over class_reps, as the
+        sparse vector {k: coordinate} of its nonzero coordinates in
+        ascending k: minus the tags that the reduction of cmap leaves."""
         f, n = self.field, self.layout.total
-        red = ech.reduce(cmap.flat(self.layout))
+        red = self._build()[1].reduce(cmap.flat(self.layout))
         if red and min(red) < n:
             raise DimensionMismatch(
                 chain_failure(self.source, self.shift, min(cmap.chain_defect())))
-        return [f.neg(red.get(n + k, f.zero)) for k in range(len(reps))]
+        return {j - n: f.neg(c) for j, c in sorted(red.items())}
 
     def null_homotopy(self, cmap: CarrierMap) -> HomotopyWitness | None:
         """An exact witness h with f = d h + h d, or None (certified absence:
@@ -367,10 +367,7 @@ class HomSpace:
         if sol is None:
             raise DimensionMismatch(f"a certified boundary has no homotopy solve in the "
                                     f"{self._where()}")
-        f = self.field
-        w = HomotopyWitness(self.source, self.target, self.shift,
-                            self.h_layout.from_flat(
-                                {i: c for i, c in enumerate(sol) if not f.is_zero(c)}))
+        w = HomotopyWitness(self.source, self.target, self.shift, self.h_layout.from_flat(sol))
         # recheck by substitution
         if not w.boundary().sub(cmap).is_zero():
             raise DimensionMismatch(f"homotopy witness failed substitution recheck in the "

@@ -19,8 +19,8 @@ from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_cha
                        chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
                        hom_k_dim)
 from .linalg import SparseMatrix
-from .modules import (ChainMap, SemifreeModule, graded_map_boundary, homology_dim,
-                      matrix_product, regular_module)
+from .modules import (ChainMap, SemifreeModule, differ_by_boundary, graded_map_boundary,
+                      homology_dim, matrix_product, regular_module)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
 
@@ -41,21 +41,20 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     pi_op = chain_map_operator(pi)
     ncar = N.carrier()
     rows = C.rows()
-    rhs = [f.zero] * len(rows)
+    rhs = {}
     for lam in range(N.n_gens):
         off, d, n = hs.layout.block(lam)
-        want = ncar.index(d, lam, N.algebra.unit_mono())
-        for i, prow in enumerate(pi_op.mat(d).rows()):
+        rhs[len(rows) + ncar.index(d, lam, N.algebra.unit_mono())] = f.one
+        for prow in pi_op.mat(d).rows():
             rows.append({off + j: c for j, c in prow.items()})
-            rhs.append(f.one if i == want else f.zero)
-    m = SparseMatrix.from_rows(f, hs.layout.total, rows)
-    sol = m.solve(rhs)
+    sol = SparseMatrix.from_rows(f, hs.layout.total, rows).solve(rhs)
     if sol is None:
         return None
-    flat = {i: c for i, c in enumerate(sol) if not f.is_zero(c)}
-    cmap = CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(flat)).validate()
-    sigma = carrier_map_to_chain(cmap)
-    if pi.compose(sigma).entries != ChainMap.identity(N).entries:
+    # the solve's substitution recheck has verified sigma's chain condition
+    # (the rows of C), and carrier_map_to_chain's ChainMap checks it over B
+    sigma = carrier_map_to_chain(CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(sol)))
+    if not differ_by_boundary(N, matrix_product(pi.entries, sigma.entries),
+                              ChainMap.identity(N).entries, {}):
         raise DimensionMismatch("splitting failed the strict section recheck")
     return sigma
 
@@ -74,14 +73,10 @@ class SummandWitness:
     homotopy: dict  # graded-map entries N -> Sigma^{-1} N
 
     def recheck(self) -> bool:
+        """Whether h g - id = d(homotopy) + (homotopy) d, by substitution."""
         N = self.g.source
-        composite = self.h.compose(self.g)
-        ident = ChainMap.identity(N)
-        lhs = composite.add(ident.neg())
-        bnd = graded_map_boundary(self.homotopy, N, N, 0)
-        keys = set(lhs.entries) | set(bnd.keys())
-        zero = N.algebra.zero()
-        return all(lhs.entries.get(k, zero) == bnd.get(k, zero) for k in keys)
+        return differ_by_boundary(N, matrix_product(self.h.entries, self.g.entries),
+                                  ChainMap.identity(N).entries, self.homotopy)
 
 
 def summand_witness(N: SemifreeModule, sigma: ChainMap,

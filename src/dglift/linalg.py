@@ -325,22 +325,20 @@ class SparseMatrix:
     def kernel_basis(self) -> list[dict]:
         return self.echelon().kernel_basis()
 
-    def solve(self, b: list | dict) -> list | None:
+    def solve(self, b: dict) -> dict | None:
         """Some x with Mx = b (free coordinates zero), or None if inconsistent.
 
-        One forward sweep over the augmented rows [M | b]; None means a pivot
-        landed in the augmented column, which certifies that no solution
-        exists.  Otherwise back-substitution, pivots in descending order,
-        with every free coordinate zero: that solution is unique, so it is
-        the one the RREF gives.  The returned solution is verified by
-        substitution; a failed recheck is an arithmetic fault, not absence,
-        and raises DimensionMismatch.
+        b and x are sparse vectors: b is {row: value}, every row in range or
+        DimensionMismatch is raised, and x is {column: value} with only the
+        nonzero coordinates.  One forward sweep over the augmented rows
+        [M | b]; None means a pivot landed in the augmented column, which
+        certifies that no solution exists.  Otherwise back-substitution,
+        pivots in descending order, with every free coordinate zero: that
+        solution is unique, so it is the one the RREF gives.  The returned
+        solution is verified by substitution; a failed recheck is an
+        arithmetic fault, not absence, and raises DimensionMismatch.
         """
         f = self.field
-        if not isinstance(b, dict):
-            if len(b) != self.nrows:
-                raise DimensionMismatch("rhs length != row count")
-            b = dict(enumerate(b))
         bvec = {i: c for i, c in b.items() if not f.is_zero(c)}
         aug = self.ncols
         rows = self.rows()
@@ -360,11 +358,10 @@ class SparseMatrix:
                     acc = f.sub(acc, f.mul(c, x[j]))
             if not f.is_zero(acc):
                 x[p] = f.div(acc, row[p])
-        out = [x.get(j, f.zero) for j in range(self.ncols)]
         # verify by substitution
         if self.mat_vec(x) != bvec:
             raise DimensionMismatch("solution failed the substitution recheck")
-        return out
+        return x
 
     def column_space_echelon(self) -> Echelon:
         """RREF of the column space (canonical basis of the image)."""

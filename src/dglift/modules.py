@@ -13,6 +13,7 @@ right action alone, so matrices over the algebra capture everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import AlgebraElement, DGAlgebra
 from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
@@ -21,8 +22,7 @@ from .memo import memo
 
 
 class SemifreeModule:
-    def __init__(self, algebra: DGAlgebra, names, degrees, diff: dict,
-                 _validate: bool = True):
+    def __init__(self, algebra: DGAlgebra, names, degrees, diff: dict):
         self.algebra = algebra
         self.names = tuple(names)
         self.degrees = tuple(degrees)
@@ -35,8 +35,7 @@ class SemifreeModule:
         for (mu, lam), el in sorted(self.diff.items()):
             columns.setdefault(lam, []).append((mu, el))
         self._columns = {lam: tuple(col) for lam, col in columns.items()}
-        if _validate:
-            self._validate()
+        self._validate()
 
     # ----- basic data -----
 
@@ -170,9 +169,6 @@ class ChainMap:
         if _validate:
             self.validate()
 
-    def entry(self, mu, lam) -> AlgebraElement:
-        return self.entries.get((mu, lam), self.source.algebra.zero())
-
     def validate(self):
         src, tgt, s = self.source, self.target, self.shift
         alg = src.algebra
@@ -199,10 +195,6 @@ class ChainMap:
         for k, v in other.entries.items():
             out[k] = out[k] + v if k in out else v
         return ChainMap(self.source, self.target, self.shift, out)
-
-    def neg(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, self.shift,
-                        {k: v.neg() for k, v in self.entries.items()}, _validate=False)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -251,6 +243,16 @@ def graded_map_boundary(h_entries: dict, src: SemifreeModule, tgt: SemifreeModul
     car = tgt.carrier()
     cols = entries_to_cols(h_entries, src, car, s - 1)
     return cols_to_entries(delta_cols(src, car, s, cols), src, car, s)
+
+
+def differ_by_boundary(M: SemifreeModule, a: dict, b: dict, h: dict) -> bool:
+    """Whether a - b = d h + h d, for matrices over B of maps M -> M and a
+    graded map h: M -> Sigma^{-1} M (h = {} decides a = b): every entry of
+    a - b - (d h + h d) must vanish, so zero entries count on neither side."""
+    rest = dict(a)
+    for k, v in chain(b.items(), graded_map_boundary(h, M, M, 0).items()):
+        rest[k] = rest[k] - v if k in rest else v.neg()
+    return all(v.is_zero() for v in rest.values())
 
 
 def cone(f: ChainMap) -> SemifreeModule:
@@ -383,18 +385,12 @@ class MinimalModel:
         """Check by substitution that f and g are chain maps, f g = id and
         id - g f = delta_0 h; raise DimensionMismatch otherwise."""
         N, Np = self.source, self.module
+        f, g = self.f.entries, self.g.entries
         self.f.validate()
         self.g.validate()
-        one = N.algebra.one()
-        fg = matrix_product(self.f.entries, self.g.entries)
-        if {k: v for k, v in fg.items() if not v.is_zero()} != \
-                {(i, i): one for i in range(Np.n_gens)}:
+        if not differ_by_boundary(Np, matrix_product(f, g), ChainMap.identity(Np).entries, {}):
             raise DimensionMismatch("minimal model: f g is not the identity of N'")
-        want = {(i, i): one for i in range(N.n_gens)}
-        for key, el in matrix_product(self.g.entries, self.f.entries).items():
-            want[key] = want[key] - el if key in want else el.neg()
-        if {k: v for k, v in want.items() if not v.is_zero()} != \
-                graded_map_boundary(self.h, N, N, 0):
+        if not differ_by_boundary(N, ChainMap.identity(N).entries, matrix_product(g, f), self.h):
             raise DimensionMismatch("minimal model: id - g f is not d h + h d")
         return self
 

@@ -239,43 +239,33 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     tgt = diag.NT(N, ell)
     cols: dict = {}
 
-    def chains(lam: int):
-        """Yield (generators mu_1..mu_j bottom-last, entries innermost-last)."""
+    def chains(lam: int, k: int):
+        """For each chain lam > mu_1 > ... > mu_k of nonzero coefficients,
+        yield the generators [mu_k, ..., mu_1] and the coefficients
+        [b_{mu_k mu_(k-1)}, ..., b_{mu_1 lam}]."""
         for mu, b in N.diff_column(lam):
-            yield [mu], [b]
-            for gens, tail in chains(mu):
-                yield gens + [mu], tail + [b]
+            if k == 1:
+                yield [mu], [b]
+            else:
+                for gens, tail in chains(mu, k - 1):
+                    yield gens + [mu], tail + [b]
 
     for lam in range(N.n_gens):
         acc: dict = {}
-        for gens, entries in chains(lam):
-            if len(entries) != ell:
-                continue
-            sgn = sum(N.degrees[g] for g in gens) % 2
-            tvec = None
-            tdeg = 0
-            ok = True
-            for step, b in enumerate(entries[::-1]):
+        for gens, entries in chains(lam, ell):
+            tvec, tdeg = None, 0
+            for step, b in enumerate(reversed(entries)):
                 bd, dvec = diag.delta(b)
-                if not dvec:
-                    ok = False
+                if dvec and step:
+                    dvec = diag.T(step + 1).pair_project(bd + 1, dvec, tdeg, tvec)
+                tvec, tdeg = dvec, tdeg + bd + 1
+                if not tvec:
                     break
-                if step == 0:
-                    tvec = dvec
-                    tdeg = bd + 1
-                else:
-                    tvec = diag.T(step + 1).pair_project(bd + 1, dvec, tdeg, tvec)
-                    tdeg += bd + 1
-                    if not tvec:
-                        ok = False
-                        break
-            if not ok or not tvec:
-                continue
-            end = gens[0]
-            p, uv = ncar.gen_vector(end)
-            res = tgt.pair_project(p, uv, tdeg, tvec)
-            coeff = f.neg(f.one) if sgn else f.one
-            vec_axpy(f, acc, coeff, res)
+            else:
+                p, uv = ncar.gen_vector(gens[0])
+                sgn = sum(N.degrees[g] for g in gens) % 2
+                vec_axpy(f, acc, f.neg(f.one) if sgn else f.one,
+                         tgt.pair_project(p, uv, tdeg, tvec))
         if acc:
             cols[lam] = acc
     return CarrierMap(N, tgt, 0, cols)
@@ -332,10 +322,8 @@ def induced_matrix(S: HomSpace, T: HomSpace, op: DegreewiseMap) -> SparseMatrix:
     """Matrix of the map S -> T that the degreewise operator op induces on
     homotopy classes: column j holds the T-coordinates of op applied to S's
     j-th class representative."""
-    f = S.field
-    cols = [{i: c for i, c in enumerate(T.express(op.apply(rep))) if not f.is_zero(c)}
-            for rep in S.class_reps()]
-    return SparseMatrix.from_cols(f, T.dim_K, cols)
+    return SparseMatrix.from_cols(S.field, T.dim_K,
+                                  [T.express(op.apply(rep)) for rep in S.class_reps()])
 
 
 def cone_component_dims(N: SemifreeModule, diag: Diagonal, n: int, d: int):

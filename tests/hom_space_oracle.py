@@ -89,22 +89,20 @@ class OracleHomSpace:
         return [CarrierMap(self.source, self.target, self.shift,
                            self.layout.from_flat(v)) for v in self._reps]
 
-    def express(self, cmap: CarrierMap) -> list:
+    def express(self, cmap: CarrierMap) -> dict:
         basis = [dict(r) for r in self._img_rows] + self._reps
         m = SparseMatrix.from_cols(self.field, self.layout.total, basis)
         sol = m.solve(cmap.flat(self.layout))
         if sol is None:
             raise DimensionMismatch("map is not a cycle in this Hom space")
-        return sol[len(self._img_rows):]
+        nb = len(self._img_rows)
+        return {j - nb: c for j, c in sorted(sol.items()) if j >= nb}
 
     def null_homotopy(self, cmap: CarrierMap) -> HomotopyWitness | None:
         sol = self._bmat.solve(cmap.flat(self.layout))
         if sol is None:
             return None
-        f = self.field
-        w = HomotopyWitness(self.source, self.target, self.shift,
-                            self.h_layout.from_flat(
-                                {i: c for i, c in enumerate(sol) if not f.is_zero(c)}))
+        w = HomotopyWitness(self.source, self.target, self.shift, self.h_layout.from_flat(sol))
         if not w.boundary().sub(cmap).is_zero():
             raise DimensionMismatch("homotopy witness failed substitution recheck")
         return w

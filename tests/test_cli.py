@@ -1,6 +1,7 @@
 """Instance parsing, command dispatch, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -53,6 +54,41 @@ def test_parse_syntax_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_instance(str(p), cfg)
     assert exc.value.lineno == 4
+
+
+@pytest.mark.parametrize("ring, code, message", [
+    ("banana", 2, "syntax error: line 2: cannot parse base ring 'banana' "
+                  "(expected k or k[a]/(a^m))"),
+    ("k[a]/(a^x)", 2, "syntax error: line 2: cannot parse base ring 'k[a]/(a^x)' "
+                      "(expected k or k[a]/(a^m))"),
+    ("k[a]/(a^1)", 1, "invalid instance: base quotient order must be >= 2"),
+], ids=["no-form", "order-not-an-integer", "order-below-two"])
+def test_a_bad_ring_line(tmp_path, ring, code, message):
+    """A ring spec of neither form is a syntax error at its own line; a
+    well-formed spec of order below 2 is a semantic error."""
+    p = tmp_path / "ring.dg"
+    p.write_text(f"[base]\nring = {ring}\n[algebra]\nvar y : 1 = 0\n"
+                 "[module N]\ngen e0 : 0\n")
+    assert run_cli(["check", str(p)]) == (code, "", message + "\n")
+
+
+def test_a_bad_variable_differential_is_a_syntax_error_at_its_line(tmp_path):
+    p = tmp_path / "var.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar x : 1 = 0\nvar y : 1 = $\n"
+                 "[module N]\ngen e0 : 0\n")
+    assert run_cli(["check", str(p)]) == (
+        2, "", "syntax error: line 5: d(y): unexpected character '$' in expression\n")
+
+
+def test_run_corpus_rejects_a_bad_field_like_the_cli():
+    proc = subprocess.run(
+        [sys.executable, str(DATA.parent.parent / "scripts" / "run_corpus.py"),
+         "--field", "Fp:4"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: 4 is not prime\n")
+    assert run_cli(["check", str(DATA / "free3.dg"), "--field", "Fp:4"]) == \
+        (2, "", "error: 4 is not prime\n")
 
 
 def test_battery_exit_codes_and_verdicts():

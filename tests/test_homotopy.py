@@ -200,7 +200,7 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
 
     def perturbed(b):
         sol = real_solve(b)
-        sol[j] = ext.field.add(sol[j], ext.field.one)
+        sol[j] = ext.field.add(sol.get(j, ext.field.zero), ext.field.one)
         return sol
 
     # both faults name the space: source generators, target carrier, shift
@@ -274,7 +274,7 @@ def test_null_homotopy_of_a_nonzero_class_is_none(ext):
     assert hs.null_homotopy(rep) is None
     # zero times a map is the zero map, with no zero entries left in it
     zero = rep.scale(ext.field.zero)
-    assert zero.cols == {} and hs.express(zero) == [ext.field.zero]
+    assert zero.cols == {} and hs.express(zero) == {}
     assert hs.null_homotopy(zero) is not None
 
 
@@ -290,9 +290,7 @@ def test_express_roundtrip(ext):
     M = two_step(ext)
     hs = HomSpace(M, M, 0)
     reps = hs.class_reps()
-    coords = hs.express(reps[0])
-    f = ext.field
-    assert [c for c in coords if not f.is_zero(c)] == [f.one]
+    assert hs.express(reps[0]) == {0: ext.field.one}
 
 
 def test_AR1_free_modules(ext):

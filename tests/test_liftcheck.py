@@ -6,11 +6,12 @@ import pytest
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
-from dglift.errors import FiltrationStuck
+from dglift.errors import DimensionMismatch, FiltrationStuck
 from dglift.instances import build_corpus
 from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
                               summand_witness)
+from dglift.linalg import SparseMatrix
 from dglift.modules import ChainMap, cone, free_module, make_module
 
 
@@ -54,6 +55,21 @@ def test_no_splitting_for_two_step(ext, ext_diag):
 def test_splitting_for_contractible(ext, ext_diag):
     C = cone(ChainMap.identity(free_module(ext, 1)))
     assert splitting_search(C, ext_diag) is not None
+
+
+def test_splitting_recheck_catches_a_doubled_solve(ext, ext_diag, monkeypatch):
+    """Twice a solution of the section system is still a chain map, so only
+    the strict section recheck sees that pi sigma = 2 id."""
+    f = ext.field
+    honest = SparseMatrix.solve
+
+    def doubled(self, b):
+        x = honest(self, b)
+        return x and {j: f.add(c, c) for j, c in x.items()}
+
+    monkeypatch.setattr(SparseMatrix, "solve", doubled)
+    with pytest.raises(DimensionMismatch, match="splitting failed the strict section recheck"):
+        splitting_search(summand_module(ext), ext_diag)
 
 
 def test_summand_witness_free(ext, ext_diag):
