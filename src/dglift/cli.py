@@ -183,14 +183,21 @@ def parse_instance(path: str, config: EngineConfig,
 
 def _parse_ring(spec: str, lineno: int) -> BaseRing:
     """The base ring of the `ring =` line lineno: k (or Q, or field), or
-    k[a]/(a^m).  A spec of neither form is a ParseError; an order below 2
-    is BaseRing's semantic error."""
+    k[a]/(a^m), the name in brackets an identifier and the base of the
+    power.  A spec of neither form is a ParseError; an order below 2 is
+    BaseRing's semantic error."""
     if spec in ("k", "Q", "field"):
         return BaseRing()
     if spec.startswith("k[") and "]/(" in spec and spec.endswith(")"):
-        gname, _, m = spec[spec.index("]/(") + 3:-1].partition("^")
-        with suppress(ValueError):
-            return BaseRing(gname.strip(), int(m))
+        name, _, power = spec[2:-1].partition("]/(")
+        base, _, m = power.partition("^")
+        name, base = name.strip(), base.strip()
+        if name.isidentifier():
+            if base != name:
+                raise ParseError(lineno, f"base ring {spec!r} names {name!r} in "
+                                         f"brackets but raises {base!r} to a power")
+            with suppress(ValueError):
+                return BaseRing(name, int(m))
     raise ParseError(lineno, f"cannot parse base ring {spec!r} (expected k or k[a]/(a^m))")
 
 

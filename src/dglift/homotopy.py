@@ -20,14 +20,17 @@ exact; every witness is rechecked by substitution before being returned.
 
 A HomSpace reads its dimensions off two ranks, of delta_{s+1} and delta_s,
 each one forward-elimination sweep; that is all a space asked only for
-dim_K pays.  Its other queries read one echelon on layout(s): the column
-reduction with recorded combinations of persistent homology (Zomorodian and
-Carlsson, Computing persistent homology, 2005).  Boundaries go in untagged,
-then each cycle that is new modulo the rows before it goes in tagged, as a
+dim_K pays.  Whether f is null-homotopic is one solve of delta_s h = f:
+a solution, free coordinates zero, is the witness, rechecked by
+substitution, and "no" comes with the solve's absence certificate, a y
+with y delta_s = 0 and y.f != 0, rechecked as well.  The class basis and
+class coordinates read one echelon on layout(s): the column reduction with
+recorded combinations of persistent homology (Zomorodian and Carlsson,
+Computing persistent homology, 2005).  Boundaries go in untagged, then
+each cycle that is new modulo the rows before it goes in tagged, as a
 class representative.  The representatives depend only on the span of the
-boundaries and the order of the cycles, and a witness is the solve of
-delta_s h = f with free coordinates zero, so neither depends on how the
-span is reduced.
+boundaries and the order of the cycles, and the witness only on delta_s
+and f, so neither depends on how a span is reduced.
 """
 
 from __future__ import annotations
@@ -253,9 +256,11 @@ class HomSpace:
     among the cycles.  A rank is one forward sweep, so a space that is only
     asked its dimensions builds no echelon.
 
-    class_reps, express and null_homotopy read one echelon on layout(s),
-    built on first use.  The cycles are the kernel basis of delta_{s+1},
-    read off that matrix's own echelon and not kept here.  The columns of
+    null_homotopy is one solve of delta_s h = f, which decides: a witness
+    or, for "no", a rechecked absence certificate.  class_reps and express
+    read one echelon on layout(s), built on first use.  The cycles are the
+    kernel basis of delta_{s+1}, read off that matrix's own echelon and not
+    kept here.  The columns of
     delta_s go in untagged (their rank is boundary_dim); then each cycle
     that leaves something on layout(s) goes in with a 1 in tag column
     layout(s).total + k, as representative k.
@@ -265,10 +270,9 @@ class HomSpace:
     coordinates), and to something untagged when it is not a cycle.  A
     cycle is kept when it enlarges the span of the boundaries and the
     cycles kept before it, as in a separate boundary-then-cycles
-    elimination, so the representatives are the same; delta_s h = f is
-    solved, free coordinates zero, only for a certified boundary.  The build
-    checks its class count against the two ranks, which agree exactly when
-    the boundaries are cycles.
+    elimination, so the representatives are the same.  The build checks its
+    class count against the two ranks, which agree exactly when the
+    boundaries are cycles.
     """
 
     def __init__(self, source: SemifreeModule, target, shift: int = 0):
@@ -293,7 +297,7 @@ class HomSpace:
     @memo
     def boundary_matrix(self) -> SparseMatrix:
         """delta_s, whose image is the boundaries, built once: boundary_dim,
-        the build and the witness solves share it."""
+        the build and the null-homotopy solves share it."""
         return delta_matrix(self.layout, self.h_layout)
 
     @memo
@@ -357,16 +361,17 @@ class HomSpace:
         """An exact witness h with f = d h + h d, or None (certified absence:
         cmap is not a cycle, or its class is nonzero).
 
-        The echelon decides; only a boundary is solved for, with free
-        coordinates zero, so witnesses are reproducible.
+        One solve of delta_s h = f decides, with free coordinates zero, so
+        witnesses are reproducible; its None has passed the absence
+        certificate's recheck.  A failed recheck names this space.
         """
         flat = cmap.flat(self.layout)
-        if self._build()[1].reduce(flat):
-            return None
-        sol = self.boundary_matrix().solve(flat)
+        try:
+            sol = self.boundary_matrix().solve(flat)
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(f"{exc} in the {self._where()}") from exc
         if sol is None:
-            raise DimensionMismatch(f"a certified boundary has no homotopy solve in the "
-                                    f"{self._where()}")
+            return None
         w = HomotopyWitness(self.source, self.target, self.shift, self.h_layout.from_flat(sol))
         # recheck by substitution
         if not w.boundary().sub(cmap).is_zero():

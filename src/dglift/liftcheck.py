@@ -157,11 +157,14 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
     diag.minimal(N).module: the first is the rank of pi o - : [N', G] ->
     [N', N], with G -> N still the base change of N (precomposing with
     g: N' -> N identifies [N, -] with [N', -]), and the second reads the
-    obstruction action of N'."""
-    G, pi = diag.base_change(N)
+    obstruction action of N'.  A contractible N has N' = 0, so [N', G] = 0
+    and G is not built for it."""
     M = diag.minimal(N).module
-    via_factorization = induced_matrix(diag.hom(M, G), diag.hom(M, N),
-                                       chain_map_operator(pi)).rank()
+    via_factorization = 0
+    if M.n_gens:
+        G, pi = diag.base_change(N)
+        via_factorization = induced_matrix(diag.hom(M, G), diag.hom(M, N),
+                                           chain_map_operator(pi)).rank()
     mat, s_dim, t_dim = omega_action_matrix(M, diag, 0, 0)
     via_kernel = s_dim - mat.rank()
     identity_ok = via_kernel + gamma_dim(N, diag, 1) == gamma_dim(N, diag, 0)

@@ -2,10 +2,12 @@
 
 Vectors are dicts {column index: nonzero scalar}.  One forward-elimination
 sweep, SparseMatrix._forward, is behind every rank, solve and RREF of a
-matrix: rank counts its pivots, solve back-substitutes its rows, and the
-RREF inserts them into an Echelon.  The Echelon class keeps a reduced row
-echelon form incrementally; it holds kernels, and the tagged reductions of
-the Hom spaces and the tensor carriers.
+matrix: rank counts its pivots, solve back-substitutes its rows (or, on a
+pivot in the augmented column, sweeps once more with the rows tagged to
+read off an absence certificate), and the RREF inserts them into an
+Echelon.  The Echelon class keeps a reduced row echelon form
+incrementally; it holds kernels, and the tagged reductions of the Hom
+spaces and the tensor carriers.
 """
 
 from __future__ import annotations
@@ -265,9 +267,11 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _forward(self, rows: list[dict]) -> dict[int, dict]:
+    def _forward(self, rows: list[dict], last: int | None = None) -> dict[int, dict]:
         """One forward-elimination sweep: {pivot column: row}, a row echelon
-        form of rows (which it consumes: the dicts change in place).
+        form of rows (which it consumes: the dicts change in place).  With
+        last, the sweep stops after column last, and rows that lead further
+        right are left as they are.
 
         Rows wait in buckets by leading column, and the sweep walks the
         columns in ascending order.  At each column the bucket's row of least
@@ -285,7 +289,7 @@ class SparseMatrix:
                 buckets.setdefault(min(r), []).append((k, r))
         out: dict[int, dict] = {}
         col = -1
-        while buckets:
+        while buckets and col != last:
             col += 1
             cand = buckets.pop(col, None)
             if cand is None:
@@ -325,19 +329,10 @@ class SparseMatrix:
     def kernel_basis(self) -> list[dict]:
         return self.echelon().kernel_basis()
 
-    def solve(self, b: dict) -> dict | None:
-        """Some x with Mx = b (free coordinates zero), or None if inconsistent.
-
-        b and x are sparse vectors: b is {row: value}, every row in range or
-        DimensionMismatch is raised, and x is {column: value} with only the
-        nonzero coordinates.  One forward sweep over the augmented rows
-        [M | b]; None means a pivot landed in the augmented column, which
-        certifies that no solution exists.  Otherwise back-substitution,
-        pivots in descending order, with every free coordinate zero: that
-        solution is unique, so it is the one the RREF gives.  The returned
-        solution is verified by substitution; a failed recheck is an
-        arithmetic fault, not absence, and raises DimensionMismatch.
-        """
+    def _augmented(self, b: dict) -> tuple[dict, list[dict]]:
+        """(b without its zero values, the rows of [M | b]): b is {row:
+        value}, every row in range or DimensionMismatch is raised, and b's
+        values sit in column ncols of fresh row dicts."""
         f = self.field
         bvec = {i: c for i, c in b.items() if not f.is_zero(c)}
         aug = self.ncols
@@ -346,8 +341,29 @@ class SparseMatrix:
             if not 0 <= i < self.nrows:
                 raise DimensionMismatch(f"rhs entry {i} outside {self.nrows} rows")
             rows[i][aug] = c
+        return bvec, rows
+
+    def solve(self, b: dict) -> dict | None:
+        """Some x with Mx = b (free coordinates zero), or None if inconsistent.
+
+        b and x are sparse vectors: b is {row: value}, every row in range or
+        DimensionMismatch is raised, and x is {column: value} with only the
+        nonzero coordinates.  One forward sweep over the augmented rows
+        [M | b] decides.  A pivot in the augmented column means no solution
+        exists, and None is returned only once absence_certificate has
+        produced and rechecked a certificate of that.  Otherwise
+        back-substitution, pivots in descending order, with every free
+        coordinate zero: that solution is unique, so it is the one the RREF
+        gives, and it is verified by substitution.  A failed recheck of
+        either answer is an arithmetic fault, not an answer, and raises
+        DimensionMismatch.
+        """
+        f = self.field
+        bvec, rows = self._augmented(b)
+        aug = self.ncols
         piv = self._forward(rows)
         if aug in piv:
+            self.absence_certificate(bvec)
             return None
         x: dict = {}
         for p in sorted(piv, reverse=True):
@@ -362,6 +378,38 @@ class SparseMatrix:
         if self.mat_vec(x) != bvec:
             raise DimensionMismatch("solution failed the substitution recheck")
         return x
+
+    def absence_certificate(self, b: dict) -> dict:
+        """A certificate that Mx = b has no solution: y = {row: value} with
+        y^T M = 0 and y.b != 0, which exists exactly then (the Fredholm
+        alternative).  The sweep of solve runs once more on [M | b], each
+        nonzero row i tagged by a 1 in column ncols + 1 + i, and stops at
+        the augmented column.  The row that pivots there vanishes on M's
+        columns, and its tags name the combination of rows that made it:
+        that combination is y.  y is rechecked before it is returned, with
+        y^T M summed from M's rows; a consistent system, or a y that fails
+        the recheck, raises DimensionMismatch."""
+        f = self.field
+        bvec, rows = self._augmented(b)
+        aug = self.ncols
+        for i, row in enumerate(rows):
+            if row:  # a zero row never pivots, so it needs no tag
+                row[aug + 1 + i] = f.one
+        lead = self._forward(rows, aug).get(aug)
+        if lead is None:
+            raise DimensionMismatch("no absence certificate: the system is consistent")
+        y = {j - aug - 1: c for j, c in lead.items() if j > aug}
+        yM: dict = {}
+        yb = f.zero
+        for i, row in enumerate(self.rows()):
+            c = y.get(i)
+            if c is not None:
+                f.axpy(yM, c, row)
+                if i in bvec:
+                    yb = f.add(yb, f.mul(c, bvec[i]))
+        if yM or f.is_zero(yb):
+            raise DimensionMismatch("absence certificate failed its recheck")
+        return y
 
     def column_space_echelon(self) -> Echelon:
         """RREF of the column space (canonical basis of the image)."""

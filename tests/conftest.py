@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dglift.config import EngineConfig
+from dglift.linalg import SparseMatrix
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 
@@ -27,3 +28,16 @@ def qconfig():
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def forge_an_absence(monkeypatch, field):
+    """Make every forward sweep claim a pivot row in the augmented column,
+    one that no combination of the rows can have made."""
+    honest = SparseMatrix._forward
+
+    def forged(self, rows, last=None):
+        out = honest(self, rows, last)
+        out[self.ncols] = {self.ncols: field.one}
+        return out
+
+    monkeypatch.setattr(SparseMatrix, "_forward", forged)

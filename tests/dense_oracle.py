@@ -73,3 +73,16 @@ def dense_solve(field, rows, b):
         if not field.is_zero(field.sub(s, bb)):
             return None
     return x
+
+
+def dense_certifies_absence(field, rows, b, y) -> bool:
+    """Whether the dense vector y certifies that rows x = b has no solution:
+    y^T rows = 0 and y.b != 0."""
+    def dot(u, v):
+        s = field.zero
+        for a, c in zip(u, v):
+            s = field.add(s, field.mul(a, c))
+        return s
+    ncols = len(rows[0]) if rows else 0
+    left = [dot(y, [r[j] for r in rows]) for j in range(ncols)]
+    return all(field.is_zero(c) for c in left) and not field.is_zero(dot(y, b))

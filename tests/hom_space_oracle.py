@@ -9,7 +9,8 @@ the strict-triangular option, whose pinned kernel the tests' strict cycles
 must reproduce.  It shares delta_matrix, MapLayout and the sparse linear
 algebra with the engine; what it checks is the reduction built on them.
 
-strict_triangular_cycles is the test-side replacement of that option.
+strict_triangular_cycles is the test-side replacement of that option, and
+echelon_says_null the decision null_homotopy made before it was one solve.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def strict_triangular_cycles(M) -> list[CarrierMap]:
                        {(i, j): c for (i, j), c in m.entries.items() if j in allowed})
     return [CarrierMap(M, hs.target, 0, hs.layout.from_flat(v))
             for v in sub.kernel_basis() if set(v) <= allowed]
+
+
+def echelon_says_null(hs: HomSpace, cmap: CarrierMap) -> bool:
+    """Whether cmap is null-homotopic, read off the tagged class echelon of
+    hs: cmap is a boundary exactly when it reduces to nothing there."""
+    return not hs._build()[1].reduce(cmap.flat(hs.layout))
 
 
 class OracleHomSpace:

@@ -62,14 +62,29 @@ def test_parse_syntax_error_carries_line(tmp_path):
     ("k[a]/(a^x)", 2, "syntax error: line 2: cannot parse base ring 'k[a]/(a^x)' "
                       "(expected k or k[a]/(a^m))"),
     ("k[a]/(a^1)", 1, "invalid instance: base quotient order must be >= 2"),
-], ids=["no-form", "order-not-an-integer", "order-below-two"])
+    ("k[a]/(q^2)", 2, "syntax error: line 2: base ring 'k[a]/(q^2)' names 'a' in "
+                      "brackets but raises 'q' to a power"),
+    ("k[]/(^2)", 2, "syntax error: line 2: cannot parse base ring 'k[]/(^2)' "
+                    "(expected k or k[a]/(a^m))"),
+], ids=["no-form", "order-not-an-integer", "order-below-two", "names-differ",
+        "no-name"])
 def test_a_bad_ring_line(tmp_path, ring, code, message):
-    """A ring spec of neither form is a syntax error at its own line; a
-    well-formed spec of order below 2 is a semantic error."""
+    """A ring spec of neither form is a syntax error at its own line, and so
+    is one whose bracket name is not the base of its power; a well-formed
+    spec of order below 2 is a semantic error."""
     p = tmp_path / "ring.dg"
     p.write_text(f"[base]\nring = {ring}\n[algebra]\nvar y : 1 = 0\n"
                  "[module N]\ngen e0 : 0\n")
     assert run_cli(["check", str(p)]) == (code, "", message + "\n")
+
+
+def test_a_ring_line_may_space_its_name(tmp_path):
+    p = tmp_path / "ring.dg"
+    p.write_text("[base]\nring = k[ a ]/( a ^2)\n[algebra]\nvar y : 1 = 0\n"
+                 "[module N]\ngen e0 : 0\n")
+    assert parse_instance(str(p), EngineConfig(field=RATIONALS)).algebra.base.describe() \
+        == "k[a]/(a^2)"
+    assert run_cli(["check", str(p)])[0] == 0
 
 
 def test_a_bad_variable_differential_is_a_syntax_error_at_its_line(tmp_path):

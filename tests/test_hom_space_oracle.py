@@ -5,16 +5,20 @@ boundary and class dimensions, express coordinates and null-homotopy
 witnesses, compared by repr so that an int and an equal Fraction differ.
 The spaces are every corpus module paired with every module of its algebra
 and with N (x) T^1 and N (x) T^2, at shifts -1..2, on both backends.
+null_homotopy's one solve must also decide as the tagged class echelon
+does, on every space the corpus batteries build or ask.
 """
 
 import random
 
 import pytest
-from hom_space_oracle import OracleHomSpace, strict_triangular_cycles
+from hom_space_oracle import OracleHomSpace, echelon_says_null, strict_triangular_cycles
 
 from dglift.config import EngineConfig
 from dglift.homotopy import CarrierMap, HomSpace
-from dglift.instances import build_corpus
+from dglift.instances import battery_pairs, build_corpus
+from dglift.liftcheck import naive_lift_battery
+from dglift.memo import peek
 from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
@@ -96,3 +100,48 @@ def test_strict_triangular_cycles_are_the_pinned_kernel(backend):
             assert same(maps(got), maps(want)), (inst.name, mname)
             nonempty += bool(got)
     assert nonempty > 5
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_solve_decides_null_homotopy_as_the_tagged_echelon_does(backend, monkeypatch):
+    """null_homotopy's one solve of delta_s h = f and the tagged class
+    echelon's reduction give the same answer.  The spaces are every Hom
+    space the 18 corpus batteries leave in their Diagonals' memos and every
+    space they asked a null-homotopy of; the maps are each map the battery
+    asked about (the chi^l among them), the boundary delta_s h of a seeded
+    random h, and one non-cycle where the space has one."""
+    corpus = build_corpus(EngineConfig(field=BACKENDS[backend], max_degree=8))
+    asked: dict = {}  # space -> the maps a battery asked about
+    honest = HomSpace.null_homotopy
+
+    def spy(hs, cmap):
+        asked.setdefault(hs, []).append(cmap)
+        return honest(hs, cmap)
+
+    monkeypatch.setattr(HomSpace, "null_homotopy", spy)
+    for inst, _, M in battery_pairs(corpus):
+        naive_lift_battery(M, inst.diag)
+    monkeypatch.undo()
+    spaces = dict.fromkeys(asked)
+    for inst in corpus.values():
+        spaces.update(dict.fromkeys(peek(inst.diag, "_hom").values()))
+    rng = random.Random(19)
+    answers = {True: 0, False: 0}
+    for hs in spaces:
+        f = hs.field
+        h = {j: c for j in range(hs.h_layout.total)
+             if not f.is_zero(c := f.from_int(rng.randint(-2, 2)))}
+        queries = asked.get(hs, []) + [CarrierMap(
+            hs.source, hs.target, hs.shift,
+            hs.layout.from_flat(hs.boundary_matrix().mat_vec(h)))]
+        chain = hs.chain_matrix()
+        j = next((j for j in range(hs.layout.total) if chain.mat_vec({j: f.one})), None)
+        if j is not None:
+            queries.append(CarrierMap(hs.source, hs.target, hs.shift,
+                                      hs.layout.from_flat({j: f.one})))
+        for q in queries:
+            null = hs.null_homotopy(q) is not None
+            assert null == echelon_says_null(hs, q), (hs._where(), q.cols)
+            answers[null] += 1
+    assert len(spaces) > 100 and sum(map(len, asked.values())) > 20
+    assert answers[True] > 100 and answers[False] > 20

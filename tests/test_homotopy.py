@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from conftest import forge_an_absence
 from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
@@ -17,6 +18,7 @@ from dglift.linalg import SparseMatrix
 from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
                             make_module, regular_module, shift)
+from dglift.obstruction import omega_is_zero
 
 SHIFTS = range(-1, 3)
 
@@ -209,10 +211,25 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     monkeypatch.setattr(bmat, "solve", perturbed)
     with pytest.raises(DimensionMismatch, match="substitution recheck in the " + where):
         hs.null_homotopy(f)
-    # the echelon certified f a boundary, so a solve that finds none is a fault
-    monkeypatch.setattr(bmat, "solve", lambda b: None)
-    with pytest.raises(DimensionMismatch, match="no homotopy solve in the " + where):
+    # f is a boundary, so a sweep that claims a pivot in the augmented
+    # column forges an absence, and its certificate fails the recheck
+    monkeypatch.undo()
+    forge_an_absence(monkeypatch, ext.field)
+    with pytest.raises(DimensionMismatch,
+                       match="absence certificate failed its recheck in the " + where):
         hs.null_homotopy(f)
+
+
+def test_null_homotopy_builds_no_class_echelon(config):
+    """omega_is_zero decides with one solve on delta_s: the Hom space it
+    asks builds neither the tagged class echelon nor delta_{s+1}."""
+    inst = build_corpus(config)["exterior"]
+    diag = Diagonal(inst.algebra)
+    for N in inst.modules.values():
+        omega_is_zero(N, diag)
+        hs = diag.hom(N, diag.NT(N, 1))
+        assert peek(hs, "_build") is None and peek(hs, "chain_matrix") is None
+        assert peek(hs, "boundary_matrix") is not None
 
 
 def test_build_checks_its_class_count_against_the_ranks(ext, monkeypatch):

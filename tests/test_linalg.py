@@ -1,6 +1,7 @@
 """Exact sparse linear algebra against a dense oracle and frozen examples."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS, is_prime
 
-from dense_oracle import dense_echelon, dense_kernel, dense_rank, dense_solve
+from conftest import forge_an_absence
+from dense_oracle import (dense_certifies_absence, dense_echelon, dense_kernel, dense_rank,
+                          dense_solve)
 
 
 def mat(field, rows):
@@ -81,6 +84,27 @@ def test_solve_inconsistent_is_decided_before_the_recheck(field, monkeypatch):
     _corrupt_mat_vec(monkeypatch, field)
     m = mat(field, [[1], [1]])
     assert m.solve({1: field.one}) is None
+
+
+def test_solve_inconsistent_comes_with_its_certificate(field):
+    m = mat(field, [[1], [1]])
+    y = m.absence_certificate({1: field.one})
+    assert y == {0: field.neg(field.one), 1: field.one}
+
+
+def test_absence_certificate_of_a_consistent_system_raises(field):
+    from dglift.errors import DimensionMismatch
+    with pytest.raises(DimensionMismatch, match="consistent"):
+        mat(field, [[1], [1]]).absence_certificate({0: field.one, 1: field.one})
+
+
+def test_a_forged_absence_fails_the_certificate_recheck(field, monkeypatch):
+    """A sweep that claims a pivot in the augmented column of a consistent
+    system forges a "no"; solve rechecks its certificate and raises."""
+    from dglift.errors import DimensionMismatch
+    forge_an_absence(monkeypatch, field)
+    with pytest.raises(DimensionMismatch, match="absence certificate failed its recheck"):
+        SparseMatrix.identity(field, 2).solve({0: field.one, 1: field.one})
 
 
 def test_kernel_identity(field):
@@ -293,6 +317,33 @@ def test_solve_is_the_solution_off_the_augmented_echelon(data):
     got, want = m.solve(sparse(field, b)), solution_off_the_echelon(field, frows, ncols, b)
     assert repr(got and sorted(got.items())) == repr(want and sorted(want.items()))
     assert (got is None) == (dense_solve(field, frows, b) is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_none_from_solve_comes_with_a_certificate(data):
+    """solve computes an absence certificate exactly when it returns None,
+    and the dense oracle confirms it: y^T A = 0 and y.b != 0."""
+    field = data.draw(FIELDS)
+    ncols = data.draw(st.integers(1, 7))
+    frows = fraction_rows(data, field, ncols, max_rows=8)
+    b = fraction_rows(data, field, len(frows), max_rows=1)[0]
+    m = fmat(field, frows, ncols)
+    seen = []
+    honest = SparseMatrix.absence_certificate
+
+    def spy(self, rhs):
+        seen.append(honest(self, rhs))
+        return seen[-1]
+
+    with mock.patch.object(SparseMatrix, "absence_certificate", spy):
+        got = m.solve(sparse(field, b))
+    assert (got is None) == bool(seen) == (dense_solve(field, frows, b) is None)
+    if seen:
+        y, = seen
+        assert y and all(not field.is_zero(c) for c in y.values())
+        dense_y = [y.get(i, field.zero) for i in range(len(frows))]
+        assert dense_certifies_absence(field, frows, b, dense_y)
 
 
 @settings(max_examples=80, deadline=None)

@@ -26,7 +26,7 @@ from dglift.linalg import Echelon, SparseMatrix
 from dglift.memo import peek
 from dglift.modules import ChainMap, MinimalModel, SemifreeModule, regular_module
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
-                                gamma_dim)
+                                chain_map_operator, gamma_dim, induced_matrix)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -157,13 +157,35 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         assert diag.base_change(M) is diag.base_change(M)
         assert built == [M]
         # the factorization ideal reads Hom(N', G) on the minimal model N',
-        # which is M itself for B2 and two_step and the zero module for cone_id
+        # which is M itself for B2 and two_step; for cone_id it is the zero
+        # module, whose factorization ideal is 0 without Hom(N', G)
         Mp = diag.minimal(M).module
         assert (Mp is M) == (mname != "cone_id")
-        keys = [(M, G.carrier(), 0)] + ([(Mp, G.carrier(), 0)] if Mp is not M else [])
-        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == keys
+        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == [(M, G.carrier(), 0)]
         assert chain_targets.count((M, G.carrier())) == 1
         built.clear()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_lone_kernel_sequence_check_on_a_contractible_module_builds_no_base_change(backend):
+    """cone_id's minimal model is the zero module, so its factorization
+    ideal is 0 and a kernel-sequence check on a fresh Diagonal never builds
+    G; the same rank read through G on another Diagonal is 0 too."""
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    N = inst.modules["cone_id"]
+    diag = Diagonal(inst.algebra)
+    zero = {"dim_source": 0, "dim_target": 0, "rank": 0, "bijective": True}
+    assert kernel_sequence_check(N, diag) == {
+        "p_via_factorization": 0, "p_via_kernel": 0, "p_agree": True,
+        "rank_identity": True, "gamma0": 0, "end_dim": 0,
+        "cokernel_slot_matches_end": True, "degree0_surjective": True,
+        "middle_bijective": {n: zero for n in (1, 2, 3)}, "ok": True}
+    assert peek(diag, "base_change") is None
+    other = Diagonal(inst.algebra)
+    G, pi = other.base_change(N)
+    M = other.minimal(N).module
+    assert M.n_gens == 0
+    assert induced_matrix(other.hom(M, G), other.hom(M, N), chain_map_operator(pi)).rank() == 0
 
 
 BATTERY_MODULES = ("two_step", "cone_id", "B2")
