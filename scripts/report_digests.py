@@ -3,9 +3,10 @@
 
     python3 scripts/report_digests.py
 
-Covers every CLI command under --json on every tests/data file, on Q and on
-Fp, hashing stdout and stderr; and scripts/run_corpus.py --json with its
-timing field removed, on both backends.  Each line also shows the exit code.
+Covers every CLI command on every tests/data file, on Q and on Fp, once
+under --json and once in text mode (the cli-text lines), hashing stdout and
+stderr; and scripts/run_corpus.py --json with its timing field removed, on
+both backends.  Each line also shows the exit code.
 It also hashes the tensor powers of the diagonal that no report shows whole:
 for every corpus algebra, n <= 3 and degree d within the algebra's cap, the
 dimension, the basis labels and the sorted differential entries of
@@ -39,7 +40,7 @@ all on one Diagonal per algebra.  Its 38 minimal lines, one per corpus
 module N and backend, hash N's minimal model Diagonal.minimal(N): the
 names, degrees and differential of N', and the entries of f: N -> N',
 g: N' -> N and the homotopy h, every terms dict by repr in its insertion
-order.  It prints 1 274 lines in all.  Two
+order.  It prints 1 382 lines in all.  Two
 commits produce the same canonical output exactly when this script prints
 the same lines for both, so a diff of its output is the byte-identical gate
 for a change that must not alter results.
@@ -242,6 +243,10 @@ def main() -> int:
             for path in data:
                 digest, code = cli_digest([command, path, "--field", backend, "--json"])
                 print(f"{digest}  cli {command} {path} {backend} exit={code}")
+        for command in sorted(COMMANDS):
+            for path in data:
+                digest, code = cli_digest([command, path, "--field", backend])
+                print(f"{digest}  cli-text {command} {path} {backend} exit={code}")
         digest, code = corpus_digest(backend)
         print(f"{digest}  run_corpus {backend} exit={code}")
         for name, n, d, digest in tensor_digests(backend):

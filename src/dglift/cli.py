@@ -15,6 +15,9 @@ Instance files are line-oriented and sectioned:
     max_degree = 12
     max_tensor = 4
 
+Variable, generator and module names are identifiers, and limits are
+nonnegative integers, in the file and as flags.
+
 Commands: check, hom, omega, battery, gamma, appendix.  Exit code 0 on
 all-pass, 1 on any property violation, 2 on usage or syntax errors.
 Machine reports (--json) are canonical: sorted keys, no volatile data.
@@ -79,10 +82,11 @@ def parse_instance(path: str, config: EngineConfig,
                 section = ("base",)
             elif head == "algebra":
                 section = ("algebra",)
-            elif head.startswith("module"):
+            elif head.split()[:1] == ["module"]:
                 mname = head[len("module"):].strip()
                 if not mname:
                     raise ParseError(lineno, "module section needs a name")
+                _check_name(mname, "module", lineno)
                 if mname in module_gens:
                     raise ParseError(lineno, f"duplicate module {mname!r}")
                 module_order.append(mname)
@@ -114,6 +118,7 @@ def parse_instance(path: str, config: EngineConfig,
                                       dexpr.strip(), lineno))
                 except ValueError:
                     raise ParseError(lineno, "expected: var NAME : DEGREE = EXPR")
+                _check_name(variables[-1][0], "variable", lineno)
             elif "=" in line:
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key != "A":
@@ -133,6 +138,7 @@ def parse_instance(path: str, config: EngineConfig,
                     module_gens[mname].append((gname.strip(), int(deg.strip()), lineno))
                 except ValueError:
                     raise ParseError(lineno, "expected: gen NAME : DEGREE")
+                _check_name(module_gens[mname][-1][0], "generator", lineno)
             elif line.startswith("d "):
                 body = line[2:]
                 if "=" not in body:
@@ -151,6 +157,8 @@ def parse_instance(path: str, config: EngineConfig,
                 limits[key] = int(val)
             except ValueError:
                 raise ParseError(lineno, f"{key} must be an integer")
+            if limits[key] < 0:
+                raise ParseError(lineno, f"{key} must be nonnegative, got {limits[key]}")
 
     # explicit command-line limits take precedence over the file's block
     if flag_limits:
@@ -179,6 +187,12 @@ def parse_instance(path: str, config: EngineConfig,
                 diff[key] = diff[key] + el if key in diff else el
         modules[mname] = make_module(algebra, gens, diff)
     return InstanceFile(algebra, modules, path)
+
+
+def _check_name(name: str, kind: str, lineno: int) -> None:
+    """A variable, generator or module name must be an identifier."""
+    if not name.isidentifier():
+        raise ParseError(lineno, f"{kind} name {name!r} is not an identifier")
 
 
 def _parse_ring(spec: str, lineno: int) -> BaseRing:
@@ -405,6 +419,17 @@ COMMANDS = {
 }
 
 
+def _nonnegative(text: str) -> int:
+    """A limit flag's value: an integer, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -416,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file (.dg)")
     p.add_argument("--field", default="Q",
                    help="scalar backend: Q (default) or Fp[:prime]")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--max-tensor", type=int, default=None)
-    p.add_argument("--lbound", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative, default=None)
+    p.add_argument("--max-tensor", type=_nonnegative, default=None)
+    p.add_argument("--lbound", type=_nonnegative, default=None)
     p.add_argument("--module", default=None, help="module name inside the instance")
     p.add_argument("--target", default=None, help="target module for hom")
     p.add_argument("--shift", type=int, default=0, help="shift for hom")

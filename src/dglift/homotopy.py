@@ -18,19 +18,22 @@ matrix with rows (-1)^s D_Y f(e_lam) - sum_mu f(e_mu) b_{mu lam} equals
 directly.  A homotopy h of shift s-1 has boundary delta_s h.  Everything is
 exact; every witness is rechecked by substitution before being returned.
 
-A HomSpace reads its dimensions off two ranks, of delta_{s+1} and delta_s,
-each one forward-elimination sweep; that is all a space asked only for
-dim_K pays.  Whether f is null-homotopic is one solve of delta_s h = f:
-a solution, free coordinates zero, is the witness, rechecked by
-substitution, and "no" comes with the solve's absence certificate, a y
-with y delta_s = 0 and y.f != 0, rechecked as well.  The class basis and
-class coordinates read one echelon on layout(s): the column reduction with
-recorded combinations of persistent homology (Zomorodian and Carlsson,
-Computing persistent homology, 2005).  Boundaries go in untagged, then
-each cycle that is new modulo the rows before it goes in tagged, as a
-class representative.  The representatives depend only on the span of the
-boundaries and the order of the cycles, and the witness only on delta_s
-and f, so neither depends on how a span is reduced.
+A HomSpace reads its dimensions off two ranks, of delta_{s+1} and delta_s.
+Each matrix is swept once, and the sweep is kept on it (linalg.Sweep): a
+rank counts its pivots, and every later question about that matrix reads
+the same record; that is all a space asked only for dim_K pays.  Whether
+f is null-homotopic is one solve of delta_s h = f, which replays the kept
+sweep of delta_s on f: a solution, free coordinates zero, is the witness,
+rechecked by substitution, and "no" comes with an absence certificate, a
+y with y delta_s = 0 and y.f != 0 read off the same sweep, rechecked as
+well.  The class basis and class coordinates read one echelon on
+layout(s): the column reduction with recorded combinations of persistent
+homology (Zomorodian and Carlsson, Computing persistent homology, 2005).
+Boundaries go in untagged, then each cycle that is new modulo the rows
+before it goes in tagged, as a class representative.  The representatives
+depend only on the span of the boundaries and the order of the cycles, and
+the witness only on delta_s and f, so neither depends on how a span is
+reduced.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ class MapLayout:
             off, _, n = self.offsets[lam]
             for i, c in vec.items():
                 if not (0 <= i < n):
-                    raise DimensionMismatch("coordinate outside block")
+                    raise DimensionMismatch(
+                        f"coordinate {i} of generator {self.source.names[lam]} outside "
+                        f"its block of size {n}")
                 out[off + i] = c
         return out
 
@@ -253,14 +258,16 @@ class HomSpace:
     The dimensions are two ranks: cycle_dim is layout(s).total minus the
     rank of delta_{s+1}, boundary_dim is the rank of delta_s, and dim_K is
     their difference, since delta_{s+1} delta_s = 0 puts the boundaries
-    among the cycles.  A rank is one forward sweep, so a space that is only
-    asked its dimensions builds no echelon.
+    among the cycles.  Each delta is swept at most once, and its sweep is
+    kept on the matrix: a space that is only asked its dimensions builds
+    no echelon, the rank of delta_s and every null-homotopy solve read one
+    sweep, and the rank of delta_{s+1} and the cycles read another.
 
     null_homotopy is one solve of delta_s h = f, which decides: a witness
     or, for "no", a rechecked absence certificate.  class_reps and express
     read one echelon on layout(s), built on first use.  The cycles are the
-    kernel basis of delta_{s+1}, read off that matrix's own echelon and not
-    kept here.  The columns of
+    kernel basis of delta_{s+1}, read off that matrix's own echelon (the
+    kept rows of its sweep) and not kept here.  The columns of
     delta_s go in untagged (their rank is boundary_dim); then each cycle
     that leaves something on layout(s) goes in with a 1 in tag column
     layout(s).total + k, as representative k.

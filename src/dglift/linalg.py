@@ -1,19 +1,23 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors are dicts {column index: nonzero scalar}.  One forward-elimination
-sweep, SparseMatrix._forward, is behind every rank, solve and RREF of a
-matrix: rank counts its pivots, solve back-substitutes its rows (or, on a
-pivot in the augmented column, sweeps once more with the rows tagged to
-read off an absence certificate), and the RREF inserts them into an
-Echelon.  The Echelon class keeps a reduced row echelon form
-incrementally; it holds kernels, and the tagged reductions of the Hom
-spaces and the tensor carriers.
+Vectors are dicts {column index: nonzero scalar}.  A SparseMatrix is
+eliminated at most once: SparseMatrix.sweep is one forward sweep, kept on
+the matrix as a Sweep that records its pivot rows, the source row of each,
+its row operations in order and the rows that end zero, as an LU-type
+factorization does.  rank counts the pivots, echelon inserts the kept rows
+into an Echelon, and solve carries b through the recorded operations and
+back-substitutes; b carried onto a zero row is a "no", whose absence
+certificate replays the operations backwards from that row.  The Echelon
+class keeps a reduced row echelon form incrementally; it holds kernels, and
+the tagged reductions of the Hom spaces and the tensor carriers.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import DimensionMismatch
-from .memo import memo, peek
+from .memo import memo
 
 
 def vec_add(field, u: dict, v: dict) -> dict:
@@ -64,8 +68,7 @@ class Echelon:
 
     @property
     def rows(self) -> list[dict]:
-        row_of = self._row_of
-        return [row_of[p] for p in sorted(row_of)]
+        return [self._row_of[p] for p in sorted(self._row_of)]
 
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced modulo the row space (a fresh dict)."""
@@ -83,12 +86,10 @@ class Echelon:
     def add_row(self, vec: dict) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
         f = self.field
-        res = self.reduce(vec)
-        if not res:
+        row = self.reduce(vec)  # a fresh dict: it becomes the row, normalized in place
+        if not row:
             return False
-        p = min(res)
-        # res is a fresh dict, so it becomes the row, normalized in place
-        row = res
+        p = min(row)
         f.normalize(row, p)
         tail = [j for j in row if j != p]
         row_of = self._row_of
@@ -111,10 +112,8 @@ class Echelon:
         return [j for j in range(self.ncols) if j not in self._row_of]
 
     def kernel_basis(self) -> list[dict]:
-        """Canonical basis of the kernel of the matrix whose rows were inserted.
-
-        Only meaningful when the inserted rows are the rows of that matrix.
-        """
+        """Canonical basis of the kernel of the matrix whose rows were
+        inserted (only meaningful when they are all the rows of a matrix)."""
         f = self.field
         out = []
         for j in self.free_columns():
@@ -123,6 +122,35 @@ class Echelon:
                 v[p] = f.neg(self._row_of[p][j])
             out.append(v)
         return out
+
+
+def _replay(f, vals: dict, ops) -> dict:
+    """vals[k] += c * vals[p] in place for each (k, c, p) in order, zeros
+    dropped; returns vals."""
+    get = vals.get
+    for k, c, p in ops:
+        v = get(p)
+        if v is not None:
+            s = f.add(get(k, f.zero), f.mul(c, v))
+            if f.is_zero(s):
+                del vals[k]
+            else:
+                vals[k] = s
+    return vals
+
+
+class Sweep(NamedTuple):
+    """The kept forward sweep of a matrix M.  rows maps each pivot column to
+    its kept row, which leads there (a row echelon form of M); source maps
+    it to the row of M that row started as.  ops lists the row operations in
+    order: (k, c, p) is row k += c * row p, a pivot row, already final.
+    zero holds one byte per row: 1 where the row ends zero (zero from the
+    start included), 0 where it is the source of a pivot."""
+
+    rows: dict
+    source: dict
+    ops: list
+    zero: bytearray
 
 
 class SparseMatrix:
@@ -160,19 +188,13 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, field, ncols, rows):
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                ent[(i, j)] = c
-        return cls(field, len(rows), ncols, ent)
+        return cls(field, len(rows), ncols,
+                   {(i, j): c for i, row in enumerate(rows) for j, c in row.items()})
 
     @classmethod
     def from_cols(cls, field, nrows, cols):
-        ent = {}
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                ent[(i, j)] = c
-        return cls(field, nrows, len(cols), ent)
+        return cls(field, nrows, len(cols),
+                   {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
 
     @classmethod
     def from_blocks(cls, field, row_offsets, col_offsets, blocks):
@@ -245,15 +267,15 @@ class SparseMatrix:
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
-            raise DimensionMismatch("matmul shape mismatch")
-        f = self.field
-        cols = other.cols()
-        out_cols = [self.mat_vec(c) for c in cols]
-        return SparseMatrix.from_cols(f, self.nrows, out_cols)
+            raise DimensionMismatch(f"matmul of a {self.nrows}x{self.ncols} matrix by a "
+                                    f"{other.nrows}x{other.ncols} one")
+        return SparseMatrix.from_cols(self.field, self.nrows,
+                                      [self.mat_vec(c) for c in other.cols()])
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("add shape mismatch")
+            raise DimensionMismatch(f"add of a {self.nrows}x{self.ncols} matrix and a "
+                                    f"{other.nrows}x{other.ncols} one")
         f = self.field
         ent = dict(self.entries)
         f.axpy(ent, f.one, other.entries)
@@ -267,108 +289,91 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _forward(self, rows: list[dict], last: int | None = None) -> dict[int, dict]:
-        """One forward-elimination sweep: {pivot column: row}, a row echelon
-        form of rows (which it consumes: the dicts change in place).  With
-        last, the sweep stops after column last, and rows that lead further
-        right are left as they are.
-
-        Rows wait in buckets by leading column, and the sweep walks the
-        columns in ascending order.  At each column the bucket's row of least
+    @memo
+    def sweep(self) -> Sweep:
+        """The one forward elimination of this matrix, kept.  Rows wait in
+        buckets by leading column, and the sweep walks the columns in
+        ascending order.  At each column the bucket's row of least
         coefficient cost (the earliest on ties) becomes the pivot row, which
         limits rational coefficient blowup; the bucket's other rows lose
-        their entry there through that row alone and move to the bucket of
-        their new leading column.  Each kept row leads at its own pivot, and
-        no row is reduced beyond that, so rank, solve and the RREF all read
-        this one sweep.
-        """
+        their entry there through that row alone, one recorded op each, and
+        move to the bucket of their new leading column or end zero."""
         f = self.field
-        buckets: dict[int, list] = {}
-        for k, r in enumerate(rows):
+        buckets, zero = {}, bytearray(self.nrows)
+        for k, r in enumerate(self.rows()):
             if r:
                 buckets.setdefault(min(r), []).append((k, r))
-        out: dict[int, dict] = {}
+            else:
+                zero[k] = 1
+        rows, source, ops = {}, {}, []
         col = -1
-        while buckets and col != last:
+        while buckets:
             col += 1
             cand = buckets.pop(col, None)
             if cand is None:
                 continue
             if len(cand) > 1:
                 cand.sort(key=lambda kr: (f.cost(kr[1][col]), kr[0]))
-            piv = out[col] = cand[0][1]
+            p, piv = cand[0]
+            source[col], rows[col] = p, piv
             inv = f.inv(piv[col])
             for k, r in cand[1:]:
-                f.axpy(r, f.neg(f.mul(r[col], inv)), piv)
+                c = f.neg(f.mul(r[col], inv))
+                ops.append((k, c, p))
+                f.axpy(r, c, piv)
                 if r:
                     buckets.setdefault(min(r), []).append((k, r))
-        return out
-
-    def _echelon(self) -> Echelon:
-        """The RREF: the sweep's rows inserted by descending pivot.  A row
-        leads at its pivot and the rows before it lead further right, so an
-        insert only reduces the new row and clears no column.  The RREF is
-        unique, so it does not depend on the pivot rows the sweep chose."""
-        ech = Echelon(self.field, self.ncols)
-        piv = self._forward(self.rows())
-        for p in sorted(piv, reverse=True):
-            ech.add_row(piv[p])
-        return ech
+                else:
+                    zero[k] = 1
+        return Sweep(rows, source, ops, zero)
 
     @memo
     def echelon(self) -> Echelon:
-        return self._echelon()
+        """The RREF: the kept rows inserted by descending pivot.  A row
+        leads at its pivot and the rows before it lead further right, so an
+        insert only reduces (a copy of) the new row and clears no column.
+        The RREF is unique, so it does not depend on the sweep's pivot rows."""
+        ech = Echelon(self.field, self.ncols)
+        for _, row in sorted(self.sweep().rows.items(), reverse=True):
+            ech.add_row(row)
+        return ech
 
-    @memo
     def rank(self) -> int:
-        """The pivot count of one forward sweep, kept on the matrix; read off
-        the echelon instead when the matrix has already built it."""
-        ech = peek(self, "echelon")
-        return ech.rank if ech is not None else len(self._forward(self.rows()))
+        return len(self.sweep().rows)
 
     def kernel_basis(self) -> list[dict]:
         return self.echelon().kernel_basis()
 
-    def _augmented(self, b: dict) -> tuple[dict, list[dict]]:
-        """(b without its zero values, the rows of [M | b]): b is {row:
-        value}, every row in range or DimensionMismatch is raised, and b's
-        values sit in column ncols of fresh row dicts."""
-        f = self.field
-        bvec = {i: c for i, c in b.items() if not f.is_zero(c)}
-        aug = self.ncols
-        rows = self.rows()
-        for i, c in bvec.items():
+    def _carry(self, b: dict) -> tuple[dict, dict]:
+        """(b without zero values, b carried through the sweep's ops): b is
+        {row: value}, each row in range or DimensionMismatch is raised.  b
+        carried is the right-hand side of the kept rows and the zero rows."""
+        bvec = {i: c for i, c in b.items() if not self.field.is_zero(c)}
+        for i in bvec:
             if not 0 <= i < self.nrows:
                 raise DimensionMismatch(f"rhs entry {i} outside {self.nrows} rows")
-            rows[i][aug] = c
-        return bvec, rows
+        return bvec, _replay(self.field, dict(bvec), self.sweep().ops)
 
     def solve(self, b: dict) -> dict | None:
         """Some x with Mx = b (free coordinates zero), or None if inconsistent.
 
-        b and x are sparse vectors: b is {row: value}, every row in range or
-        DimensionMismatch is raised, and x is {column: value} with only the
-        nonzero coordinates.  One forward sweep over the augmented rows
-        [M | b] decides.  A pivot in the augmented column means no solution
-        exists, and None is returned only once absence_certificate has
-        produced and rechecked a certificate of that.  Otherwise
-        back-substitution, pivots in descending order, with every free
-        coordinate zero: that solution is unique, so it is the one the RREF
-        gives, and it is verified by substitution.  A failed recheck of
-        either answer is an arithmetic fault, not an answer, and raises
-        DimensionMismatch.
-        """
+        b is {row: value} (see _carry), x {column: value}, nonzero only.  b
+        carried onto a zero row means no solution exists, and None is
+        returned only once absence_certificate has produced and rechecked a
+        certificate of that.  Otherwise back-substitution over the kept
+        rows, pivots descending, every free coordinate zero: that solution
+        is unique, so it is the RREF's, and it is rechecked by substitution.
+        A failed recheck of either answer is an arithmetic fault, not an
+        answer, and raises DimensionMismatch."""
         f = self.field
-        bvec, rows = self._augmented(b)
-        aug = self.ncols
-        piv = self._forward(rows)
-        if aug in piv:
+        bvec, vals = self._carry(b)
+        sw = self.sweep()
+        if any(sw.zero[k] for k in vals):
             self.absence_certificate(bvec)
             return None
         x: dict = {}
-        for p in sorted(piv, reverse=True):
-            row = piv[p]
-            acc = row.get(aug, f.zero)
+        for p, row in sorted(sw.rows.items(), reverse=True):
+            acc = vals.get(sw.source[p], f.zero)
             for j, c in row.items():
                 if j in x:
                     acc = f.sub(acc, f.mul(c, x[j]))
@@ -382,38 +387,32 @@ class SparseMatrix:
     def absence_certificate(self, b: dict) -> dict:
         """A certificate that Mx = b has no solution: y = {row: value} with
         y^T M = 0 and y.b != 0, which exists exactly then (the Fredholm
-        alternative).  The sweep of solve runs once more on [M | b], each
-        nonzero row i tagged by a 1 in column ncols + 1 + i, and stops at
-        the augmented column.  The row that pivots there vanishes on M's
-        columns, and its tags name the combination of rows that made it:
-        that combination is y.  y is rechecked before it is returned, with
-        y^T M summed from M's rows; a consistent system, or a y that fails
-        the recheck, raises DimensionMismatch."""
+        alternative).  Of the zero rows that b is carried onto, the one of
+        least (cost, row index) is taken, as the sweep picks a pivot, and y,
+        the combination of rows that made it, is read by replaying the ops
+        backwards: y^T (I + c e_k e_p^T) adds c y_k to y_p.  y is rechecked
+        (y^T M summed from M's rows); a consistent system, or a y that fails the
+        recheck, raises DimensionMismatch."""
         f = self.field
-        bvec, rows = self._augmented(b)
-        aug = self.ncols
-        for i, row in enumerate(rows):
-            if row:  # a zero row never pivots, so it needs no tag
-                row[aug + 1 + i] = f.one
-        lead = self._forward(rows, aug).get(aug)
-        if lead is None:
+        bvec, vals = self._carry(b)
+        sw = self.sweep()
+        left = [k for k in vals if sw.zero[k]]
+        if not left:
             raise DimensionMismatch("no absence certificate: the system is consistent")
-        y = {j - aug - 1: c for j, c in lead.items() if j > aug}
-        yM: dict = {}
-        yb = f.zero
-        for i, row in enumerate(self.rows()):
-            c = y.get(i)
-            if c is not None:
-                f.axpy(yM, c, row)
-                if i in bvec:
-                    yb = f.add(yb, f.mul(c, bvec[i]))
+        y = {min(left, key=lambda k: (f.cost(vals[k]), k)): f.one}
+        _replay(f, y, ((p, c, k) for k, c, p in reversed(sw.ops)))
+        rows, yM, yb = self.rows(), {}, f.zero
+        for i, c in y.items():
+            f.axpy(yM, c, rows[i])
+            if i in bvec:
+                yb = f.add(yb, f.mul(c, bvec[i]))
         if yM or f.is_zero(yb):
             raise DimensionMismatch("absence certificate failed its recheck")
         return y
 
     def column_space_echelon(self) -> Echelon:
         """RREF of the column space (canonical basis of the image)."""
-        return self.transpose()._echelon()
+        return self.transpose().echelon()
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"

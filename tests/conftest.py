@@ -31,13 +31,13 @@ DATA = Path(__file__).parent / "data"
 
 
 def forge_an_absence(monkeypatch, field):
-    """Make every forward sweep claim a pivot row in the augmented column,
-    one that no combination of the rows can have made."""
-    honest = SparseMatrix._forward
+    """Make every kept sweep claim that all its rows end zero, its pivot
+    rows too, so any nonzero right-hand side reads as a value left on a
+    zero row: a "no" that no combination of the rows can have made."""
+    honest = SparseMatrix.sweep
 
-    def forged(self, rows, last=None):
-        out = honest(self, rows, last)
-        out[self.ncols] = {self.ncols: field.one}
-        return out
+    def forged(self):
+        kept = honest(self)
+        return kept._replace(zero=bytearray([1]) * self.nrows)
 
-    monkeypatch.setattr(SparseMatrix, "_forward", forged)
+    monkeypatch.setattr(SparseMatrix, "sweep", forged)

@@ -95,6 +95,55 @@ def test_a_bad_variable_differential_is_a_syntax_error_at_its_line(tmp_path):
         2, "", "syntax error: line 5: d(y): unexpected character '$' in expression\n")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--max-degree", "-3"),
+    ("gamma", "--max-tensor", "-1"),
+    ("battery", "--lbound", "-2"),
+])
+def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
+    """A negative limit is refused before any run, naming its flag; zero is
+    accepted, and a run it cannot serve fails cleanly with CapExceeded."""
+    code, out, err = run_cli([command, str(DATA / "two_step.dg"), f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: must be nonnegative, got {value}\n")
+    assert run_cli([command, str(DATA / "two_step.dg"), flag, "0"])[0] in (0, 1)
+
+
+def test_a_negative_limit_line_is_a_syntax_error_at_its_line(tmp_path):
+    p = tmp_path / "limits.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n"
+                 "[module N]\ngen e0 : 0\n[limits]\nmax_degree = -3\n")
+    assert run_cli(["check", str(p)]) == (
+        2, "", "syntax error: line 8: max_degree must be nonnegative, got -3\n")
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    ("[algebra]\nvar  : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+     "variable name '' is not an identifier"),
+    ("[algebra]\nvar y-1 : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+     "variable name 'y-1' is not an identifier"),
+    ("[algebra]\nvar y : 1 = 0\n[module N]\ngen  : 0\n", 7,
+     "generator name '' is not an identifier"),
+    ("[algebra]\nvar y : 1 = 0\n[modules N]\ngen e0 : 0\n", 6,
+     "unknown section 'modules N'"),
+    ("[algebra]\nvar y : 1 = 0\n[moduleN]\ngen e0 : 0\n", 6,
+     "unknown section 'moduleN'"),
+    ("[algebra]\nvar y : 1 = 0\n[module N 2]\ngen e0 : 0\n", 6,
+     "module name 'N 2' is not an identifier"),
+], ids=["var-unnamed", "var-not-identifier", "gen-unnamed", "modules-header",
+        "module-unspaced", "module-two-words"])
+def test_a_malformed_name_or_header_is_a_syntax_error_at_its_line(tmp_path, lines, lineno,
+                                                                   message):
+    """Variable, generator and module names are identifiers, and a module
+    header reads `module NAME`; anything else is refused at its line."""
+    p = tmp_path / "names.dg"
+    p.write_text("# names\n[base]\nring = k\n" + lines)
+    with pytest.raises(ParseError, match=f"^line {lineno}: ") as exc:
+        parse_instance(str(p), EngineConfig(field=RATIONALS))
+    assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
+    assert run_cli(["check", str(p)]) == (2, "", f"syntax error: line {lineno}: {message}\n")
+
+
 def test_run_corpus_rejects_a_bad_field_like_the_cli():
     proc = subprocess.run(
         [sys.executable, str(DATA.parent.parent / "scripts" / "run_corpus.py"),

@@ -211,8 +211,8 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     monkeypatch.setattr(bmat, "solve", perturbed)
     with pytest.raises(DimensionMismatch, match="substitution recheck in the " + where):
         hs.null_homotopy(f)
-    # f is a boundary, so a sweep that claims a pivot in the augmented
-    # column forges an absence, and its certificate fails the recheck
+    # f is a boundary, so a sweep that claims every row ends zero forges
+    # an absence, and its certificate fails the recheck
     monkeypatch.undo()
     forge_an_absence(monkeypatch, ext.field)
     with pytest.raises(DimensionMismatch,
@@ -357,3 +357,11 @@ def test_koszul_homology_nonzero_and_negative_hom(quot):
     K = koszul(quot)
     assert homology_dim(K, 1) == 1
     assert hom_k_dim(K, K, -1) == 1
+
+
+def test_a_coordinate_outside_its_block_names_the_generator(ext):
+    layout = MapLayout(two_step(ext), two_step(ext).carrier(), 0)
+    _, _, n = layout.block(1)
+    with pytest.raises(DimensionMismatch,
+                       match=f"^coordinate {n} of generator e1 outside its block of size {n}$"):
+        layout.to_flat({1: {n: ext.field.one}})

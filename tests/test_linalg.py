@@ -80,7 +80,7 @@ def test_solve_raises_when_substitution_recheck_fails(field, monkeypatch):
 
 
 def test_solve_inconsistent_is_decided_before_the_recheck(field, monkeypatch):
-    # None comes from a pivot in the augmented column, never from the recheck
+    # None comes from b carried onto a zero row, never from the recheck
     _corrupt_mat_vec(monkeypatch, field)
     m = mat(field, [[1], [1]])
     assert m.solve({1: field.one}) is None
@@ -99,8 +99,8 @@ def test_absence_certificate_of_a_consistent_system_raises(field):
 
 
 def test_a_forged_absence_fails_the_certificate_recheck(field, monkeypatch):
-    """A sweep that claims a pivot in the augmented column of a consistent
-    system forges a "no"; solve rechecks its certificate and raises."""
+    """A sweep that claims every row ends zero forges a "no" for a
+    consistent system; solve rechecks its certificate and raises."""
     from dglift.errors import DimensionMismatch
     forge_an_absence(monkeypatch, field)
     with pytest.raises(DimensionMismatch, match="absence certificate failed its recheck"):
@@ -268,20 +268,30 @@ FIELDS = st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)])
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sparse_matrix_echelon_is_the_dense_rref(data):
-    """SparseMatrix._echelon (one forward sweep, rows bucketed by leading
-    column and cheapest pivot row first, then inserted by descending pivot)
+    """SparseMatrix.echelon (the kept sweep's rows, bucketed by leading
+    column and cheapest pivot row first, inserted by descending pivot)
     stores the oracle's RREF, rows, pivots and kernel alike; the sweep's own
-    rows lead at the RREF pivots, one row each."""
+    rows lead at the RREF pivots, one row each, and its recorded ops,
+    replayed on M's rows, rebuild its kept rows and its zero rows, before
+    and after the echelon reads them."""
     field = data.draw(FIELDS)
     ncols = data.draw(st.integers(1, 8))
     # zeros are likely, so buckets share leading columns and rows move on
     frows = fraction_rows(data, field, ncols)
     want_rows, want_pivots = dense_echelon(field, frows)
     m = fmat(field, frows, ncols)
-    forward = m._forward(m.rows())
-    assert sorted(forward) == want_pivots
-    assert all(min(row) == p for p, row in forward.items())
-    ech = m._echelon()
+    sw = m.sweep()
+    assert sorted(sw.rows) == want_pivots
+    assert all(min(row) == p for p, row in sw.rows.items())
+    rows = m.rows()
+    for k, c, p in sw.ops:
+        field.axpy(rows[k], c, rows[p])
+    kept = {p: rows[k] for p, k in sw.source.items()}
+    assert kept == sw.rows
+    assert list(sw.zero) == [int(not r) for r in rows]
+    assert sorted(sw.source.values()) == [k for k, z in enumerate(sw.zero) if not z]
+    ech = m.echelon()
+    assert m.sweep() is sw and sw.rows == kept
     assert ech.pivots == want_pivots
     assert ech.rows == [sparse(field, r) for r in want_rows]
     assert ech.kernel_basis() == [sparse(field, v) for v in dense_kernel(field, frows, ncols)]
@@ -349,8 +359,8 @@ def test_every_none_from_solve_comes_with_a_certificate(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_rank_is_the_echelon_rank_before_and_after_the_echelon(data):
-    """rank() counts the sweep's pivots when asked first, and reads the
-    built echelon when asked after it; both are the echelon's rank."""
+    """rank() counts the kept sweep's pivots, before and after the echelon
+    is built, and equals the echelon's rank."""
     field = data.draw(FIELDS)
     ncols = data.draw(st.integers(1, 8))
     frows = fraction_rows(data, field, ncols)
@@ -405,6 +415,15 @@ def test_from_blocks_rejects_a_block_that_overruns_its_slot(field):
         SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(0, 0, field.one, blk)])
     fits = SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(1, 0, field.one, blk)])
     assert (fits.nrows, fits.ncols, fits.entries) == (3, 1, {(2, 0): field.one})
+
+
+def test_a_shape_mismatch_names_both_shapes(field):
+    from dglift.errors import DimensionMismatch
+    a, b = SparseMatrix.zero(field, 2, 3), SparseMatrix.zero(field, 2, 2)
+    with pytest.raises(DimensionMismatch, match=r"^matmul of a 2x3 matrix by a 2x2 one$"):
+        a @ b
+    with pytest.raises(DimensionMismatch, match=r"^add of a 2x2 matrix and a 2x3 one$"):
+        b.add(a)
 
 
 def test_solve_wrong_rhs_length_rejected(field):

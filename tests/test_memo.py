@@ -23,10 +23,10 @@ from dglift.homotopy import HomSpace
 from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
-from dglift.memo import peek
+from dglift.memo import memo, peek
 from dglift.modules import ChainMap, MinimalModel, SemifreeModule, regular_module
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
-                                chain_map_operator, gamma_dim, induced_matrix)
+                                chain_map_operator, chi_power, gamma_dim, induced_matrix)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -313,7 +313,7 @@ def memo_calls(inst):
     method(hs, "_build")
     method(hs.boundary_matrix(), "columns")
     method(hs.boundary_matrix(), "echelon")
-    method(hs.boundary_matrix(), "rank")
+    method(hs.boundary_matrix(), "sweep")
     method(tower, "component", 0)
     method(tower.component(0), "mat", 3)
     method(route, "_carriers")
@@ -384,10 +384,65 @@ def test_every_memo_returns_one_object_equal_to_a_fresh_build(backend):
 def test_a_matrix_that_asks_no_memo_carries_none():
     m = SparseMatrix(RATIONALS, 2, 2, {(0, 1): 1})
     assert set(vars(m)) == {"field", "nrows", "ncols", "entries"}
-    assert peek(m, "echelon") is None
-    m.rank()
-    assert peek(m, "echelon") is None and peek(m, "rank") == 1
+    assert peek(m, "sweep") is None
+    assert m.rank() == 1
+    assert peek(m, "echelon") is None and peek(m, "sweep") is m.sweep()
     assert m.echelon() is peek(m, "echelon") and m.rank() == 1
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Patch the sweep to log each matrix it eliminates, memoized as the
+    engine's is; returns the log."""
+    swept = []
+    build = SparseMatrix.sweep.__wrapped__
+
+    def sweep(self):
+        swept.append(self)
+        return build(self)
+
+    monkeypatch.setattr(SparseMatrix, "sweep", memo(sweep))
+    return swept
+
+
+def times(swept, m) -> int:
+    return sum(x is m for x in swept)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_a_matrix_is_swept_once_for_every_question(backend, reverse, monkeypatch):
+    """rank, a solve that says yes, one that says no (and so builds its
+    certificate), the echelon and the kernel basis all read one sweep, in
+    either order."""
+    swept = count_sweeps(monkeypatch)
+    f = CONFIGS[backend].field
+    m = SparseMatrix(f, 3, 3, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 2): 1})
+    asks = [lambda: m.rank() == 2,
+            lambda: m.solve({0: 1, 1: 2, 2: 3}) == {0: 1, 2: 3},
+            lambda: m.solve({0: 1}) is None,
+            lambda: m.echelon().rank == 2,
+            lambda: len(m.kernel_basis()) == 1]
+    for ask in reversed(asks) if reverse else asks:
+        assert ask()
+    assert swept == [m]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_hom_space_sweeps_each_delta_once(backend, monkeypatch):
+    """A space asked null_homotopy and then dim_K sweeps delta_s once: the
+    rank reads the solve's sweep.  One asked dim_K and then its cycles
+    sweeps delta_{s+1} once: the kernel basis reads the rank's sweep."""
+    swept = count_sweeps(monkeypatch)
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    answers = set()
+    for N in inst.modules.values():
+        diag = Diagonal(inst.algebra)
+        hs = diag.hom(N, diag.NT(N, 1))
+        answers.add(hs.null_homotopy(chi_power(N, diag, 1)) is None)
+        assert hs.dim_K >= 0 and len(hs.cycles()) == hs.cycle_dim
+        delta_s, delta_s1 = hs.boundary_matrix(), hs.chain_matrix()
+        assert times(swept, delta_s) == 1 and times(swept, delta_s1) == 1
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
