@@ -13,12 +13,14 @@ diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
 of the degreewise k-tensor space, its coordinates the free columns of the
 RREF of the relations.  That echelon is never built: its pivots and every
 reduction are read off one small echelon per degree of the right factor Y,
-of a basis of R_+ Y made of products g*y, g a generator of the ring.  A
-freeness check on Y proves the relation rank, and an ordering check on the
-left factor's degree-0 action proves the pivots, so a factor outside that
-case raises instead of giving a wrong quotient (see TensorCarrier).  A
-shifted carrier negates the differential per shift step and twists the left
-action by (-1)^{i|b|}, which is the whole sign content of suspension.
+of a basis of R_+ Y made of products g*y, g a generator of the ring.  An
+operator writes a pair x (x) y, y on a free column there, directly, and
+reduces the Y part of its other columns once for all x.  A freeness check
+on Y proves the relation rank, and an ordering check on the left factor's
+degree-0 action proves the pivots, so a factor outside that case raises
+instead of giving a wrong quotient (see TensorCarrier).  A shifted carrier
+negates the differential per shift step and twists the left action by
+(-1)^{i|b|}, which is the whole sign content of suspension.
 """
 
 from __future__ import annotations
@@ -428,14 +430,14 @@ class QuotientShape(NamedTuple):
     """The relation echelon of a TensorCarrier in degree d, known from the
     echelons of the S_q without being built: ncols is the free dimension and
     rank the number of relation pivots.  layout[p] is what the reduction
-    reads of block p: (the column where it starts, dim Y_{d-p}, the
-    quotient index of its first coordinate).  quot lists the free columns
-    of the relation echelon, ascending, and labels the (p, i, j) of each."""
+    reads of block p: (the column where it starts, dim Y_{d-p}, the quotient
+    index k0 of its first coordinate, the free map of E_{d-p}); a free pair
+    (x_i, y_j) has index k0 + i*len(free) + free[j].  labels lists the
+    (p, i, j) of the free columns of the relation echelon, ascending."""
 
     ncols: int
     rank: int
     layout: dict
-    quot: list
     labels: list
 
 
@@ -479,15 +481,22 @@ class TensorCarrier(Carrier):
       distinct leading column per r, as many as the relation rank, so these
       are the pivots of the RREF and the labels are the other columns.
 
-    _reduce, behind project_free, pair_project and diff, reduces a vector to
-    the RREF free columns without the RREF: it walks the stretches in
-    ascending order, reduces the Y_q part of stretch (p, i) by E_q, whose
-    tags say which sum of the g*y_m it took away, and moves x_i (x) g*y_m
-    across as x_i*g (x) y_m, into later stretches.  What is left lies on
-    free columns and differs from the vector by relations, so it is the
-    RREF reduction.  A left factor whose degree-0 action moves a basis
-    vector backwards would break the walk and the pivot count; it raises
-    DimensionMismatch naming the degree.
+    The walk (_reduce, behind project_free and pair_project) reduces a
+    vector to the RREF free columns without the RREF: it visits the
+    stretches in ascending order, reduces the Y_q part of stretch (p, i) by
+    E_q (_split), whose tags say which sum of the g*y_m it took away, and
+    moves x_i (x) g*y_m across as x_i*g (x) y_m, into later stretches
+    (_step).  What is left lies on free columns and differs from the vector
+    by relations, so it is the RREF reduction.  A left factor whose degree-0
+    action moves a basis vector backwards would break the walk and the
+    pivot count; it raises DimensionMismatch naming the degree.
+
+    The operators walk only what is not known already.  A pair x (x) y_j,
+    y_j a free column of E_q, is a quotient basis vector: dx_i (x) y_j in
+    diff and every column of left_act are written directly.  The _split of
+    (-1)^p dy_j in diff, or of y_j*u in right_act, is made once per (p, j),
+    and each x_i walks on from it.  Where neither factor has a differential,
+    diff is the zero matrix.
     """
 
     def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
@@ -594,46 +603,77 @@ class TensorCarrier(Carrier):
 
     @memo
     def _echelon_at(self, d: int) -> QuotientShape:
-        """The shape of the relation echelon in degree d, with the labels and
-        the free columns; certifies every degree of Y it reads and runs the
-        ordering check."""
+        """The shape of the relation echelon in degree d, with the labels;
+        certifies every degree of Y it reads and runs the ordering check."""
         base = self._blocks(d)
         X, Y = self.X, self.Y
         layout: dict = {}
-        quot: list = []
         labels: list = []
         rank = 0
         for p in range(X.min_degree(), d - Y.min_degree() + 1):
             # S_q for every q, empty blocks too, so every degree is certified
             span, _, free = self._spanning(d - p)
-            o, nx, wy = base[p], X.dim(p), Y.dim(d - p)
-            layout[p] = (o, wy, len(quot))
+            nx, wy = X.dim(p), Y.dim(d - p)
+            layout[p] = (base[p], wy, len(labels), free)
             if not (nx and wy):
                 continue
             self._check_moves(d, p, span)
             rank += nx * len(span)
-            for i in range(nx):
-                r = o + i * wy
-                quot += [r + j for j in free]
-                labels += [(p, i, j) for j in free]
-        return QuotientShape(base[d - Y.min_degree() + 1], rank, layout, quot, labels)
+            labels += [(p, i, j) for i in range(nx) for j in free]
+        return QuotientShape(base[d - Y.min_degree() + 1], rank, layout, labels)
 
     def dim(self, d: int) -> int:
         if d < self.min_degree() or (d > self.config.max_degree and self.is_zero()):
             return 0
-        return len(self._echelon_at(d).quot)
+        return len(self._echelon_at(d).labels)
 
     def labels(self, d: int):
         return list(self._echelon_at(d).labels)
 
-    def _reduce(self, d: int, shape: QuotientShape, parts: dict) -> dict:
-        """Quotient coordinates of the free vector given by stretches: parts
-        maps the start column of stretch (p, i) to (p, i, its Y_{d-p} part,
-        a dict the walk may change).  The walk of the class docstring; it
-        consumes parts."""
+    def _split(self, q: int, part: dict) -> tuple[list, dict]:
+        """A Y_q part reduced by E_q: its free coordinates [(position among the
+        free columns, c)] and its moves {g: (e, {m: c})}, the tags saying
+        that -c times g*y_m was taken away."""
+        span, ech, free = self._spanning(q)
+        wy = ech.ncols
+        coords, moves = [], {}
+        for j, c in ech.reduce(part).items():
+            if j < wy:
+                coords.append((free[j], c))
+            else:
+                e, g, m = span[j - wy]
+                moves.setdefault(g, (e, {}))[1][m] = c
+        return coords, moves
+
+    def _step(self, layout: dict, p: int, i: int, head, parts: dict, out: dict):
+        """The stretch (p, i), its Y part split as head: the free coordinates
+        go into out, and each move x_i (x) g*y_m goes across as x_i*g (x) y_m,
+        into the parts of later stretches.  Returns the stretches opened."""
         X, f = self.X, self.field
-        layout = shape.layout
-        out: dict = {}
+        _, _, k0, free = layout[p]
+        k0 += i * len(free)
+        for s, c in head[0]:
+            out[k0 + s] = c
+        opened = []
+        for g, (e, w) in head[1].items():
+            xcol = X.action("r", g, p).columns().get(i)
+            if not xcol:
+                continue
+            o, ny, _, _ = layout[p + e]
+            for i2, cx in xcol.items():
+                t = o + i2 * ny
+                got = parts.get(t)
+                if got is None:
+                    got = parts[t] = (p + e, i2, {})
+                    opened.append(t)
+                f.axpy(got[2], f.neg(cx), w)
+        return opened
+
+    def _reduce(self, d: int, layout: dict, parts: dict, out: dict) -> dict:
+        """out plus the quotient coordinates of the free vector given by
+        stretches: parts maps the start column of stretch (p, i) to (p, i,
+        its Y_{d-p} part, a dict the walk may change).  The walk of the
+        class docstring; it consumes parts."""
         # the stretches to visit, ascending: a move only reaches later ones,
         # so a new stretch sorts in after position k
         todo = sorted(parts)
@@ -641,36 +681,31 @@ class TensorCarrier(Carrier):
         while k < len(todo):
             p, i, part = parts.pop(todo[k])
             k += 1
-            span, ech, free = self._spanning(d - p)
-            _, wy, k0 = layout[p]
-            k0 += i * len(free)
-            moves: dict = {}
-            for j, c in ech.reduce(part).items():
-                if j < wy:
-                    out[k0 + free[j]] = c
-                else:
-                    # a tag: -c times g*y_m was taken away, and moves across
-                    e, g, m = span[j - wy]
-                    moves.setdefault(g, (e, {}))[1][m] = c
-            for g, (e, w) in moves.items():
-                xcol = X.action("r", g, p).columns().get(i)
-                if not xcol:
-                    continue
-                o, ny, _ = layout[p + e]
-                for i2, cx in xcol.items():
-                    t = o + i2 * ny
-                    got = parts.get(t)
-                    if got is None:
-                        got = parts[t] = (p + e, i2, {})
-                        insort(todo, t, k)
-                    f.axpy(got[2], f.neg(cx), w)
+            for t in self._step(layout, p, i, self._split(d - p, part), parts, out):
+                insort(todo, t, k)
+        return out
+
+    def _column(self, d: int, layout: dict, p: int, i: int, head, out: dict) -> dict:
+        """out plus the quotient coordinates of the stretch (p, i) of degree
+        d whose Y part is split as head."""
+        parts: dict = {}
+        self._step(layout, p, i, head, parts, out)
+        return self._reduce(d, layout, parts, out)
+
+    def _pairs(self, layout: dict, p: int, xvec: dict, j: int, out: dict) -> dict:
+        """out plus x (x) y_j for x in X_p and y_j a free column of E_{d-p}:
+        quotient basis vectors, written directly, in ascending i."""
+        _, _, k0, free = layout[p]
+        k0, nf = k0 + free[j], len(free)
+        for i in sorted(xvec):
+            out[k0 + i * nf] = xvec[i]
         return out
 
     def project_free(self, d: int, free_vec: dict) -> dict:
         """Quotient coordinates of a free-space vector."""
-        shape = self._echelon_at(d)
+        layout = self._echelon_at(d).layout
         # an empty block starts where the next one does, and comes before it
-        blocks = [(o, p, wy) for p, (o, wy, _) in shape.layout.items() if wy]
+        blocks = [(o, p, wy) for p, (o, wy, _, _) in layout.items() if wy]
         starts = [o for o, _, _ in blocks]
         parts: dict = {}
         for k, c in free_vec.items():
@@ -680,68 +715,68 @@ class TensorCarrier(Carrier):
             if got is None:
                 got = parts[k - j] = (p, i, {})
             got[2][j] = c
-        return self._reduce(d, shape, parts)
+        return self._reduce(d, layout, parts, {})
 
     def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
         """Quotient coordinates of x (x) y for coordinate vectors in X_p, Y_q."""
         if not xvec or not yvec:
             return {}
         d = p + q
-        shape = self._echelon_at(d)
-        o, wy, _ = shape.layout[p]
+        layout = self._echelon_at(d).layout
+        o, wy, _, _ = layout[p]
         f = self.field
-        return self._reduce(d, shape, {o + i * wy: (p, i, f.scale(c, yvec))
-                                       for i, c in xvec.items()})
+        return self._reduce(d, layout, {o + i * wy: (p, i, f.scale(c, yvec))
+                                        for i, c in xvec.items()}, {})
 
     def _label_columns(self, d: int, matrix) -> tuple[list, dict]:
         """The quotient labels of degree d, and for each block p they use the
         columns of matrix(p), read once."""
-        labels = self._echelon_at(d).labels
-        return labels, {p: matrix(p).columns() for p in {p for p, _, _ in labels}}
+        shape = self._echelon_at(d)
+        return shape.labels, {p: matrix(p).columns() for p, (_, _, _, free)
+                              in shape.layout.items() if free and self.X.dim(p)}
 
     @memo
     def diff(self, d: int) -> SparseMatrix:
         f, Y = self.field, self.Y
-        minus = f.neg(f.one)
         labels, dx = self._label_columns(d, self.X.diff)
         dy = {p: Y.diff(d - p).columns() for p in dx}
-        shape = self._echelon_at(d - 1)
-        layout = shape.layout
+        if not any(dx.values()) and not any(dy.values()):
+            return SparseMatrix.zero(f, self.dim(d - 1), len(labels))
+        minus = f.neg(f.one)
+        layout = self._echelon_at(d - 1).layout
+        heads: dict = {}
         cols = []
         for p, i, j in labels:
-            # d(x_i (x) y_j) = dx_i (x) y_j + (-1)^p x_i (x) dy_j, by stretches
-            parts: dict = {}
-            xv = dx[p].get(i)
-            if xv:
-                o, ny, _ = layout[p - 1]
-                for i2, c in xv.items():
-                    parts[o + i2 * ny] = (p - 1, i2, {j: c})
-            yv = dy[p].get(j)
-            if yv:
-                o, ny, _ = layout[p]
-                parts[o + i * ny] = (
-                    p, i, f.scale(minus, yv) if p % 2 else dict(yv))
-            cols.append(self._reduce(d - 1, shape, parts))
+            # d(x_i (x) y_j) = dx_i (x) y_j + (-1)^p x_i (x) dy_j: free pairs,
+            # then a stretch whose head is split once per (p, j)
+            xv, yv = dx[p].get(i), dy[p].get(j)
+            col = self._pairs(layout, p - 1, xv, j, {}) if xv else {}
+            if yv and (p, j) not in heads:
+                heads[p, j] = self._split(d - 1 - p, f.scale(minus, yv) if p % 2 else yv)
+            cols.append(self._column(d - 1, layout, p, i, heads[p, j], col) if yv else col)
         return SparseMatrix.from_cols(f, self.dim(d - 1), cols)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
-        one = self.field.one
         labels, act = self._label_columns(d, lambda p: self.Y.action("r", mono, d - p))
+        layout = self._echelon_at(d + e).layout if labels else {}
+        heads: dict = {}
         cols = []
         for p, i, j in labels:
+            # x_i (x) y_j*u, a stretch whose head is split once per (p, j)
             yv = act[p].get(j)
-            cols.append(self.pair_project(p, {i: one}, d - p + e, yv) if yv else {})
+            if yv and (p, j) not in heads:
+                heads[p, j] = self._split(d - p + e, yv)
+            cols.append(self._column(d + e, layout, p, i, heads[p, j], {}) if yv else {})
         return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
 
     def left_act(self, mono, d: int) -> SparseMatrix:
         e = self.algebra.mono_degree(mono)
-        one = self.field.one
         labels, act = self._label_columns(d, lambda p: self.X.action("l", mono, p))
-        cols = []
-        for p, i, j in labels:
-            xv = act[p].get(i)
-            cols.append(self.pair_project(p + e, xv, d - p, {j: one}) if xv else {})
+        layout = self._echelon_at(d + e).layout if labels else {}
+        # u*x_i (x) y_j: free pairs
+        cols = [self._pairs(layout, p + e, act[p].get(i) or {}, j, {})
+                for p, i, j in labels]
         return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
 
 

@@ -350,10 +350,7 @@ def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
 
 def cmd_hom(inst: InstanceFile, args) -> tuple[dict, bool]:
     name, M = _module_arg(inst, args.module)
-    tname = args.target or name
-    if tname not in inst.modules:
-        raise DGLiftError(f"no module named {tname!r}")
-    target = inst.modules[tname]
+    tname, target = _module_arg(inst, args.target or name)
     s = args.shift
     hs = HomSpace(M, target, s)
     return {
@@ -420,7 +417,7 @@ COMMANDS = {
 
 
 def _nonnegative(text: str) -> int:
-    """A limit flag's value: an integer, zero or more."""
+    """A limit or count flag's value: an integer, zero or more."""
     try:
         value = int(text)
     except ValueError:
@@ -447,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", default=None, help="module name inside the instance")
     p.add_argument("--target", default=None, help="target module for hom")
     p.add_argument("--shift", type=int, default=0, help="shift for hom")
-    p.add_argument("--samples", type=int, default=50,
+    p.add_argument("--samples", type=_nonnegative, default=50,
                    help="random elements for the check command")
     p.add_argument("--json", action="store_true", help="canonical JSON report")
     return p

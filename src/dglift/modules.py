@@ -61,16 +61,20 @@ class SemifreeModule:
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
                     f"entry ({self.names[mu]},{self.names[lam]}) must have degree {want}, got {el}")
-        # d^2 = 0, column by column
+        # d^2 = 0, column by column, over the rows that receive a term
         for lam in range(self.n_gens):
-            acc = {nu: alg.zero() for nu in range(lam)}
+            acc: dict = {}
             for mu, b in self.diff_column(lam):
                 for nu, b2 in self.diff_column(mu):
-                    acc[nu] = acc[nu] + b2 * b
+                    term = b2 * b
+                    acc[nu] = acc[nu] + term if nu in acc else term
                 dcoef = b.differentiate()
-                sign = -1 if self.degrees[mu] % 2 else 1
-                acc[mu] = acc[mu] + (dcoef.neg() if sign < 0 else dcoef)
-            for nu, el in acc.items():
+                if self.degrees[mu] % 2:
+                    dcoef = dcoef.neg()
+                acc[mu] = acc[mu] + dcoef if mu in acc else dcoef
+            # ascending rows, so the first nonzero row is the one named
+            for nu in sorted(acc):
+                el = acc[nu]
                 if not el.is_zero():
                     raise DSquaredNonzero(
                         f"d² != 0 on column {self.names[lam]} (row {self.names[nu]}): {el}")

@@ -14,6 +14,7 @@ action moves basis vectors backwards, must make the quotient raise.
 """
 
 import random
+from functools import cache
 
 import pytest
 
@@ -273,7 +274,9 @@ def test_basis_rows_give_the_all_rows_echelon(backend):
             want = all_rows_echelon(T, d)
             free = want.free_columns()
             assert T.dim(d) == len(free), where + (d,)
-            assert peek(T, "_echelon_at")[d].quot == free, where + (d,)
+            layout = peek(T, "_echelon_at")[d].layout
+            assert [layout[p][0] + i * layout[p][1] + j
+                    for p, i, j in T.labels(d)] == free, where + (d,)
             pos = {j: k for k, j in enumerate(free)}
 
             def oracle(vec):
@@ -287,6 +290,67 @@ def test_basis_rows_give_the_all_rows_echelon(backend):
                 assert T.project_free(d, vec) == oracle(vec), where + (d,)
             built += bool(want.rank and free)
     assert built > 25
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
+    """Every column of diff(d), right_act(u, d) and left_act(u, d), u a ring
+    generator, is the image of its pair (x_i, y_j) in the free space,
+    written from the factors' matrices, reduced modulo the all-rows echelon
+    and read on its free columns.  Neither the free pairs written directly
+    nor the heads shared by a (p, j) are used on this side."""
+    built = 0
+    for where, cap, T in large_carriers(backend):
+        X, Y, alg, f = T.X, T.Y, T.algebra, T.field
+        minus = f.neg(f.one)
+        gens = [(e, u) for e in range(cap + 1) for u in alg.monomials(e) if sum(u) == 1]
+        echs = {}
+
+        def oracle(d, vec):
+            if d not in echs:
+                ech = all_rows_echelon(T, d)
+                echs[d] = ech, {j: k for k, j in enumerate(ech.free_columns())}
+            ech, pos = echs[d]
+            return {pos[j]: c for j, c in ech.reduce(vec).items()}
+
+        @cache
+        def cols(car, op, *key):
+            """The columns of a factor's matrix, read once."""
+            return getattr(car, op)(*key).cols()
+
+        @cache
+        def at(d, p):
+            """The free column of (x_0, y_0), x_0 in X_p, in degree d, and
+            the step from x_i to x_{i+1}."""
+            return T._blocks(d)[p], Y.dim(d - p)
+
+        def image(d, p, xv, yv):
+            """x (x) y in the free space of degree d, for x in X_p."""
+            if not (xv and yv):
+                return {}
+            o, ny = at(d, p)
+            return {o + i * ny + j: f.mul(a, b) for i, a in xv.items() for j, b in yv.items()}
+
+        for d in range(T.min_degree(), cap + 1):
+            labels = T.labels(d)
+            diff = T.diff(d).cols()
+            for (p, i, j), col in zip(labels, diff):
+                img = image(d - 1, p - 1, cols(X, "diff", p)[i], {j: f.one})
+                f.axpy(img, minus if p % 2 else f.one,
+                       image(d - 1, p, {i: f.one}, cols(Y, "diff", d - p)[j]))
+                assert col == oracle(d - 1, img), where + ("diff", d, (p, i, j))
+            built += any(diff)
+            for e, u in gens:
+                if d + e > cap:
+                    continue
+                right, left = T.right_act(u, d).cols(), T.left_act(u, d).cols()
+                for (p, i, j), rc, lc in zip(labels, right, left):
+                    img = image(d + e, p, {i: f.one}, cols(Y, "right_act", u, d - p)[j])
+                    assert rc == oracle(d + e, img), where + ("right", u, d, (p, i, j))
+                    img = image(d + e, p + e, cols(X, "left_act", u, p)[i], {j: f.one})
+                    assert lc == oracle(d + e, img), where + ("left", u, d, (p, i, j))
+                built += any(right) + any(left)
+    assert built > 50
 
 
 class Residue(Carrier):

@@ -109,6 +109,22 @@ def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
     assert run_cli([command, str(DATA / "two_step.dg"), flag, "0"])[0] in (0, 1)
 
 
+def test_a_negative_sample_count_is_a_usage_error():
+    """check --samples -3 draws nothing and must not report ok; zero samples
+    is a valid request."""
+    code, out, err = run_cli(["check", str(DATA / "two_step.dg"), "--samples", "-3", "--json"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --samples: must be nonnegative, got -3\n")
+    code, out, _ = run_cli(["check", str(DATA / "two_step.dg"), "--samples", "0", "--json"])
+    assert code == 0 and json.loads(out)["random_samples"] == 0
+
+
+def test_an_unknown_hom_target_names_the_instance_file():
+    path = str(DATA / "two_step.dg")
+    assert run_cli(["hom", path, "--target", "nosuch"]) == (
+        1, "", f"error: no module named 'nosuch' in {path}\n")
+
+
 def test_a_negative_limit_line_is_a_syntax_error_at_its_line(tmp_path):
     p = tmp_path / "limits.dg"
     p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n"

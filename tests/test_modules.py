@@ -58,6 +58,18 @@ def test_d_squared_rejected_names_column(config):
     assert "e1" in str(exc.value)
 
 
+def test_d_squared_names_the_first_nonzero_row(config):
+    """d^2 e4 = e1 x^2 y + e2 x^2: rows e1 and e2 are nonzero, and the first,
+    e1, is named, although e2 receives its first (zero) term before e1 does."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0"), ("x", 2, "0")], 0, config)
+    x, y = alg.gen("x"), alg.gen("y")
+    with pytest.raises(DSquaredNonzero) as exc:
+        make_module(alg, [("e0", 0), ("e1", 0), ("e2", 1), ("e3", 4), ("e4", 7)],
+                    {("e1", "e3"): x * y, ("e2", "e3"): x,
+                     ("e2", "e4"): x * x * y, ("e3", "e4"): x})
+    assert "d² != 0 on column e4 (row e1): " in str(exc.value)
+
+
 def test_zero_module_accepted(ext):
     Z = zero_module(ext)
     assert Z.n_gens == 0
