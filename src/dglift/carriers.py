@@ -13,14 +13,15 @@ diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
 of the degreewise k-tensor space, its coordinates the free columns of the
 RREF of the relations.  That echelon is never built: its pivots and every
 reduction are read off one small echelon per degree of the right factor Y,
-of a basis of R_+ Y made of products g*y, g a generator of the ring.  An
-operator writes a pair x (x) y, y on a free column there, directly, and
-reduces the Y part of its other columns once for all x.  A freeness check
-on Y proves the relation rank, and an ordering check on the left factor's
-degree-0 action proves the pivots, so a factor outside that case raises
-instead of giving a wrong quotient (see TensorCarrier).  A shifted carrier
-negates the differential per shift step and twists the left action by
-(-1)^{i|b|}, which is the whole sign content of suspension.
+of a basis of R_+ Y made of products g*y, g a generator of the ring.  One
+builder makes its differential and both actions: it writes a pair x (x) y,
+y on a free column there, directly, and reduces the Y part of the other
+columns once for all x.  A freeness check on Y proves the relation rank,
+and an ordering check on the left factor's degree-0 action proves the
+pivots, so a factor outside that case raises instead of giving a wrong
+quotient (see TensorCarrier).  A shifted carrier negates the differential
+per shift step and twists the left action by (-1)^{i|b|}, which is the
+whole sign content of suspension.
 """
 
 from __future__ import annotations
@@ -428,27 +429,26 @@ class KernelSubCarrier(Carrier):
 
 class QuotientShape(NamedTuple):
     """The relation echelon of a TensorCarrier in degree d, known from the
-    echelons of the S_q without being built: ncols is the free dimension and
-    rank the number of relation pivots.  layout[p] is what the reduction
-    reads of block p: (the column where it starts, dim Y_{d-p}, the quotient
-    index k0 of its first coordinate, the free map of E_{d-p}); a free pair
-    (x_i, y_j) has index k0 + i*len(free) + free[j].  labels lists the
-    (p, i, j) of the free columns of the relation echelon, ascending."""
+    echelons of the S_q without being built, and all the carrier keeps of
+    degree d: ncols is the free dimension and rank the number of relation
+    pivots.  layout[p] is what the reduction reads of block p: (the column
+    where it starts, dim Y_{d-p}, the quotient index k0 of its first
+    coordinate, the free map of E_{d-p}); a free pair (x_i, y_j) has index
+    k0 + i*len(free) + free[j], and labels(d) lists these (p, i, j)."""
 
     ncols: int
     rank: int
     layout: dict
-    labels: list
 
 
 class TensorCarrier(Carrier):
     """X (x)_R Y as a degreewise relation-quotient, R = B or the prefix A.
 
     The free space in degree d is the sum over p of the blocks X_p (x) Y_{d-p}.
-    Block p starts at column base[p] (base = self._blocks(d)), and the pair
-    (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j: the stretch (p, i) of
-    x_i.  The relations are x*b (x) y - x (x) b*y over the non-unit monomials
-    b of the chosen ring (any shift twist lives inside Y's left action).
+    Block p starts at column base[p] (layout[p][0] in the QuotientShape), and
+    the pair (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j: the stretch
+    (p, i) of x_i.  The relations are x*b (x) y - x (x) b*y over the non-unit
+    monomials b of the chosen ring (any shift twist lives inside Y's left action).
     Quotient coordinates are the free columns of the RREF of the relations;
     that echelon is never built.  It is read off one small echelon per
     degree q of Y.
@@ -491,12 +491,13 @@ class TensorCarrier(Carrier):
     action moves a basis vector backwards would break the walk and the
     pivot count; it raises DimensionMismatch naming the degree.
 
-    The operators walk only what is not known already.  A pair x (x) y_j,
-    y_j a free column of E_q, is a quotient basis vector: dx_i (x) y_j in
-    diff and every column of left_act are written directly.  The _split of
-    (-1)^p dy_j in diff, or of y_j*u in right_act, is made once per (p, j),
-    and each x_i walks on from it.  Where neither factor has a differential,
-    diff is the zero matrix.
+    The three operators are one map x_i (x) y_j -> phi x_i (x) y_j +
+    x_i (x) psi y_j, built by _operator: diff is phi = d, psi = (-1)^p d,
+    right_act psi = (-)*u and left_act phi = u*(-).  A pair x (x) y_j, y_j a
+    free column of E_q, is a quotient basis vector, so the phi side is
+    written directly; psi y_j is _split once per (p, j), and each x_i walks
+    on from it.  Where neither side has a nonzero column (diff on every T^n
+    over the exterior algebra), the operator is the zero matrix.
     """
 
     def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
@@ -574,21 +575,6 @@ class TensorCarrier(Carrier):
                 f"same generators has {free})")
         return span, ech, {j: k for k, j in enumerate(ech.free_columns())}
 
-    def _blocks(self, d: int) -> dict:
-        """base: block p of the free space in degree d starts at base[p]; the
-        entry one past the last block is the free dimension.  Only
-        _echelon_at(d) reads it, once, so it is not kept."""
-        self.check_cap(d)
-        X, Y = self.X, self.Y
-        top = d - Y.min_degree()
-        base = {}
-        k = 0
-        for p in range(X.min_degree(), top + 1):
-            base[p] = k
-            k += X.dim(p) * Y.dim(d - p)
-        base[top + 1] = k
-        return base
-
     def _check_moves(self, d: int, p: int, span: list) -> None:
         """The ordering check: each degree-0 generator g of S_{d-p} takes every
         x_i in X_p to later basis vectors only."""
@@ -603,32 +589,34 @@ class TensorCarrier(Carrier):
 
     @memo
     def _echelon_at(self, d: int) -> QuotientShape:
-        """The shape of the relation echelon in degree d, with the labels;
-        certifies every degree of Y it reads and runs the ordering check."""
-        base = self._blocks(d)
+        """The shape of the relation echelon in degree d; certifies every
+        degree of Y it reads and runs the ordering check."""
+        self.check_cap(d)
         X, Y = self.X, self.Y
         layout: dict = {}
-        labels: list = []
-        rank = 0
+        o = k0 = rank = 0
         for p in range(X.min_degree(), d - Y.min_degree() + 1):
             # S_q for every q, empty blocks too, so every degree is certified
             span, _, free = self._spanning(d - p)
             nx, wy = X.dim(p), Y.dim(d - p)
-            layout[p] = (base[p], wy, len(labels), free)
+            layout[p] = (o, wy, k0, free)
+            o += nx * wy
             if not (nx and wy):
                 continue
             self._check_moves(d, p, span)
             rank += nx * len(span)
-            labels += [(p, i, j) for i in range(nx) for j in free]
-        return QuotientShape(base[d - Y.min_degree() + 1], rank, layout, labels)
+            k0 += nx * len(free)
+        return QuotientShape(o, rank, layout)
 
     def dim(self, d: int) -> int:
         if d < self.min_degree() or (d > self.config.max_degree and self.is_zero()):
             return 0
-        return len(self._echelon_at(d).labels)
+        shape = self._echelon_at(d)
+        return shape.ncols - shape.rank
 
     def labels(self, d: int):
-        return list(self._echelon_at(d).labels)
+        return [(p, i, j) for p, (_, _, _, free) in self._echelon_at(d).layout.items()
+                for i in range(self.X.dim(p)) for j in free]
 
     def _split(self, q: int, part: dict) -> tuple[list, dict]:
         """A Y_q part reduced by E_q: its free coordinates [(position among the
@@ -728,56 +716,49 @@ class TensorCarrier(Carrier):
         return self._reduce(d, layout, {o + i * wy: (p, i, f.scale(c, yvec))
                                         for i, c in xvec.items()}, {})
 
-    def _label_columns(self, d: int, matrix) -> tuple[list, dict]:
-        """The quotient labels of degree d, and for each block p they use the
-        columns of matrix(p), read once."""
-        shape = self._echelon_at(d)
-        return shape.labels, {p: matrix(p).columns() for p, (_, _, _, free)
-                              in shape.layout.items() if free and self.X.dim(p)}
+    def _operator(self, d: int, e: int, xside=None, yside=None) -> SparseMatrix:
+        """The matrix from degree d to d + e of x_i (x) y_j -> xside(p)[i]
+        (x) y_j + x_i (x) yside(p)[j], x_i in X_p: xside(p) and yside(p) are
+        the columns of the factors' matrices out of X_p and Y_{d-p}, and a
+        side that is None is zero (see the class docstring)."""
+        blocks = [(p, range(nx), free, xside(p) if xside else {}, yside(p) if yside else {})
+                  for p, (_, _, _, free) in self._echelon_at(d).layout.items()
+                  if free and (nx := self.X.dim(p))]
+        nrows = self.dim(d + e)
+        if not any(xc or yc for _, _, _, xc, yc in blocks):
+            return SparseMatrix.zero(self.field, nrows, self.dim(d))
+        layout = self._echelon_at(d + e).layout
+        cols = []
+        for p, xs, free, xc, yc in blocks:
+            heads = {j: self._split(d - p + e, yc[j]) for j in free if j in yc}
+            for i in xs:
+                xv = xc.get(i)
+                for j in free:
+                    col = self._pairs(layout, p + e, xv, j, {}) if xv else {}
+                    head = heads.get(j)
+                    cols.append(col if head is None
+                                else self._column(d + e, layout, p, i, head, col))
+        return SparseMatrix.from_cols(self.field, nrows, cols)
 
     @memo
     def diff(self, d: int) -> SparseMatrix:
+        # d(x_i (x) y_j) = dx_i (x) y_j + (-1)^p x_i (x) dy_j
         f, Y = self.field, self.Y
-        labels, dx = self._label_columns(d, self.X.diff)
-        dy = {p: Y.diff(d - p).columns() for p in dx}
-        if not any(dx.values()) and not any(dy.values()):
-            return SparseMatrix.zero(f, self.dim(d - 1), len(labels))
         minus = f.neg(f.one)
-        layout = self._echelon_at(d - 1).layout
-        heads: dict = {}
-        cols = []
-        for p, i, j in labels:
-            # d(x_i (x) y_j) = dx_i (x) y_j + (-1)^p x_i (x) dy_j: free pairs,
-            # then a stretch whose head is split once per (p, j)
-            xv, yv = dx[p].get(i), dy[p].get(j)
-            col = self._pairs(layout, p - 1, xv, j, {}) if xv else {}
-            if yv and (p, j) not in heads:
-                heads[p, j] = self._split(d - 1 - p, f.scale(minus, yv) if p % 2 else yv)
-            cols.append(self._column(d - 1, layout, p, i, heads[p, j], col) if yv else col)
-        return SparseMatrix.from_cols(f, self.dim(d - 1), cols)
+
+        def dy(p):
+            cols = Y.diff(d - p).columns()
+            return {j: f.scale(minus, v) for j, v in cols.items()} if p % 2 else cols
+
+        return self._operator(d, -1, lambda p: self.X.diff(p).columns(), dy)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        e = self.algebra.mono_degree(mono)
-        labels, act = self._label_columns(d, lambda p: self.Y.action("r", mono, d - p))
-        layout = self._echelon_at(d + e).layout if labels else {}
-        heads: dict = {}
-        cols = []
-        for p, i, j in labels:
-            # x_i (x) y_j*u, a stretch whose head is split once per (p, j)
-            yv = act[p].get(j)
-            if yv and (p, j) not in heads:
-                heads[p, j] = self._split(d - p + e, yv)
-            cols.append(self._column(d + e, layout, p, i, heads[p, j], {}) if yv else {})
-        return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
+        return self._operator(d, self.algebra.mono_degree(mono),
+                              yside=lambda p: self.Y.action("r", mono, d - p).columns())
 
     def left_act(self, mono, d: int) -> SparseMatrix:
-        e = self.algebra.mono_degree(mono)
-        labels, act = self._label_columns(d, lambda p: self.X.action("l", mono, p))
-        layout = self._echelon_at(d + e).layout if labels else {}
-        # u*x_i (x) y_j: free pairs
-        cols = [self._pairs(layout, p + e, act[p].get(i) or {}, j, {})
-                for p, i, j in labels]
-        return SparseMatrix.from_cols(self.field, self.dim(d + e), cols)
+        return self._operator(d, self.algebra.mono_degree(mono),
+                              xside=lambda p: self.X.action("l", mono, p).columns())
 
 
 def validate_carrier_squares(car: Carrier, degrees) -> None:

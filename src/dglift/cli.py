@@ -71,6 +71,7 @@ def parse_instance(path: str, config: EngineConfig,
     module_gens = {}          # name -> [(gen, degree, lineno)]
     module_diffs = {}         # name -> [(gen, expr, lineno)]
     limits = {}
+    seen = set()              # every name and key given so far
 
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -87,8 +88,7 @@ def parse_instance(path: str, config: EngineConfig,
                 if not mname:
                     raise ParseError(lineno, "module section needs a name")
                 _check_name(mname, "module", lineno)
-                if mname in module_gens:
-                    raise ParseError(lineno, f"duplicate module {mname!r}")
+                _once(seen, f"module {mname!r}", lineno)
                 module_order.append(mname)
                 module_gens[mname] = []
                 module_diffs[mname] = []
@@ -107,6 +107,7 @@ def parse_instance(path: str, config: EngineConfig,
             key, val = (s.strip() for s in line.split("=", 1))
             if key != "ring":
                 raise ParseError(lineno, f"unknown base key {key!r}")
+            _once(seen, f"base key {key!r}", lineno)
             base = _parse_ring(val, lineno)
         elif kind == "algebra":
             if line.startswith("var "):
@@ -119,10 +120,12 @@ def parse_instance(path: str, config: EngineConfig,
                 except ValueError:
                     raise ParseError(lineno, "expected: var NAME : DEGREE = EXPR")
                 _check_name(variables[-1][0], "variable", lineno)
+                _once(seen, f"variable {variables[-1][0]!r}", lineno)
             elif "=" in line:
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key != "A":
                     raise ParseError(lineno, f"unknown algebra key {key!r}")
+                _once(seen, f"algebra key {key!r}", lineno)
                 try:
                     a_prefix = int(val)
                 except ValueError:
@@ -138,7 +141,9 @@ def parse_instance(path: str, config: EngineConfig,
                     module_gens[mname].append((gname.strip(), int(deg.strip()), lineno))
                 except ValueError:
                     raise ParseError(lineno, "expected: gen NAME : DEGREE")
-                _check_name(module_gens[mname][-1][0], "generator", lineno)
+                gname = module_gens[mname][-1][0]
+                _check_name(gname, "generator", lineno)
+                _once(seen, f"generator {gname!r} in module {mname!r}", lineno)
             elif line.startswith("d "):
                 body = line[2:]
                 if "=" not in body:
@@ -153,6 +158,7 @@ def parse_instance(path: str, config: EngineConfig,
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in ("max_degree", "max_tensor", "lbound"):
                 raise ParseError(lineno, f"unknown limit {key!r}")
+            _once(seen, f"limit {key!r}", lineno)
             try:
                 limits[key] = int(val)
             except ValueError:
@@ -187,6 +193,15 @@ def parse_instance(path: str, config: EngineConfig,
                 diff[key] = diff[key] + el if key in diff else el
         modules[mname] = make_module(algebra, gens, diff)
     return InstanceFile(algebra, modules, path)
+
+
+def _once(seen: set, what: str, lineno: int) -> None:
+    """A name or key the file gives a second time is a syntax error at the
+    repeated line, rather than a silent override or an engine error that
+    names neither."""
+    if what in seen:
+        raise ParseError(lineno, f"duplicate {what}")
+    seen.add(what)
 
 
 def _check_name(name: str, kind: str, lineno: int) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .diagonal import Diagonal
-from .errors import DimensionMismatch, FiltrationStuck
+from .errors import CapExceeded, DimensionMismatch, FiltrationStuck
 from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_chain,
                        chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
                        hom_k_dim)
@@ -257,7 +257,11 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     degrees and homology and the certifying bounds.  iv-viii read the
     gamma^n, and the AR1 (iii) and AR2 tables their dimensions; these are
     homotopy invariants, computed on N's minimal model diag.minimal(N).
+    A lift bound below 1 raises CapExceeded: verdict iii needs a power to
+    test, and iv-vii would read an empty range of powers.
     """
+    if diag.config.lift_bound < 1:
+        raise CapExceeded(1, diag.config.lift_bound, "lift bound")
     L_bound = min(diag.config.lift_bound, diag.config.max_tensor)
     ar1 = check_AR1(N, diag)
     ar2 = check_AR2(N, diag)

@@ -253,8 +253,12 @@ def field_from_spec(spec: str):
     explicit prime is checked on every call."""
     if spec == "Q":
         return RATIONALS
-    if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
     if spec == "Fp":
         return DEFAULT_PRIME_FIELD
+    if spec.startswith("Fp:"):
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise ValueError(f"unknown field spec {spec!r}") from None
+        return PrimeField(p)
     raise ValueError(f"unknown field spec {spec!r}")

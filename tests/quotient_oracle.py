@@ -18,9 +18,25 @@ from __future__ import annotations
 from dglift.linalg import Echelon
 
 
+def block_starts(T, d: int) -> dict:
+    """base: block p = X_p (x) Y_{d-p} of the free space in degree d starts
+    at column base[p], p ascending; the entry one past the last block is the
+    free dimension.  Written from the factors' dimensions alone, so the
+    carrier's own layout is not trusted here."""
+    X, Y = T.X, T.Y
+    top = d - Y.min_degree()
+    base = {}
+    k = 0
+    for p in range(X.min_degree(), top + 1):
+        base[p] = k
+        k += X.dim(p) * Y.dim(d - p)
+    base[top + 1] = k
+    return base
+
+
 def all_rows_echelon(T, d: int) -> Echelon:
     X, Y, f, alg = T.X, T.Y, T.field, T.algebra
-    base = T._blocks(d)
+    base = block_starts(T, d)
     top = d - Y.min_degree()
     ech = Echelon(f, base[top + 1])
     minus = f.neg(f.one)

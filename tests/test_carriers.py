@@ -31,7 +31,7 @@ from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 from dense_oracle import dense_echelon
-from quotient_oracle import all_rows_echelon
+from quotient_oracle import all_rows_echelon, block_starts
 
 # each corpus algebra keeps its own degree cap under the default config
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
@@ -298,7 +298,9 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
     generator, is the image of its pair (x_i, y_j) in the free space,
     written from the factors' matrices, reduced modulo the all-rows echelon
     and read on its free columns.  Neither the free pairs written directly
-    nor the heads shared by a (p, j) are used on this side."""
+    nor the heads shared by a (p, j) are used on this side.  Each matrix is
+    dim(d + e) x dim(d), the zero ones too, whose columns the comparison
+    never reaches."""
     built = 0
     for where, cap, T in large_carriers(backend):
         X, Y, alg, f = T.X, T.Y, T.algebra, T.field
@@ -322,7 +324,7 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
         def at(d, p):
             """The free column of (x_0, y_0), x_0 in X_p, in degree d, and
             the step from x_i to x_{i+1}."""
-            return T._blocks(d)[p], Y.dim(d - p)
+            return block_starts(T, d)[p], Y.dim(d - p)
 
         def image(d, p, xv, yv):
             """x (x) y in the free space of degree d, for x in X_p."""
@@ -331,9 +333,14 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
             o, ny = at(d, p)
             return {o + i * ny + j: f.mul(a, b) for i, a in xv.items() for j, b in yv.items()}
 
+        def shaped(m, d, e):
+            """The columns of m, which maps degree d to degree d + e."""
+            assert (m.nrows, m.ncols) == (T.dim(d + e), T.dim(d)), where + (d, e)
+            return m.cols()
+
         for d in range(T.min_degree(), cap + 1):
             labels = T.labels(d)
-            diff = T.diff(d).cols()
+            diff = shaped(T.diff(d), d, -1)
             for (p, i, j), col in zip(labels, diff):
                 img = image(d - 1, p - 1, cols(X, "diff", p)[i], {j: f.one})
                 f.axpy(img, minus if p % 2 else f.one,
@@ -343,7 +350,7 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
             for e, u in gens:
                 if d + e > cap:
                     continue
-                right, left = T.right_act(u, d).cols(), T.left_act(u, d).cols()
+                right, left = shaped(T.right_act(u, d), d, e), shaped(T.left_act(u, d), d, e)
                 for (p, i, j), rc, lc in zip(labels, right, left):
                     img = image(d + e, p, {i: f.one}, cols(Y, "right_act", u, d - p)[j])
                     assert rc == oracle(d + e, img), where + ("right", u, d, (p, i, j))

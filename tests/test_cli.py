@@ -109,6 +109,25 @@ def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
     assert run_cli([command, str(DATA / "two_step.dg"), flag, "0"])[0] in (0, 1)
 
 
+def test_a_lift_bound_of_zero_is_refused_by_the_battery(tmp_path):
+    """A lift bound of 0, as a flag or in [limits], leaves the battery no
+    power to test: it fails naming the bound, like --max-tensor 0, instead
+    of reporting a disagreement on a free module."""
+    err = "error: lift bound 1 exceeds configured cap 0; raise the limit\n"
+    free3 = DATA / "free3.dg"
+    assert run_cli(["battery", str(free3), "--lbound", "0", "--json"]) == (1, "", err)
+    p = tmp_path / "lbound.dg"
+    p.write_text(free3.read_text() + "lbound = 0\n")
+    assert run_cli(["battery", str(p), "--json"]) == (1, "", err)
+    code, out, _ = run_cli(["battery", str(p), "--lbound", "1", "--json"])
+    assert code == 0 and json.loads(out)["agreement"] is True
+
+
+def test_a_malformed_field_spec_is_a_usage_error_that_names_it():
+    assert run_cli(["check", str(DATA / "two_step.dg"), "--field", "Fp:7x"]) == \
+        (2, "", "error: unknown field spec 'Fp:7x'\n")
+
+
 def test_a_negative_sample_count_is_a_usage_error():
     """check --samples -3 draws nothing and must not report ok; zero samples
     is a valid request."""
@@ -158,6 +177,40 @@ def test_a_malformed_name_or_header_is_a_syntax_error_at_its_line(tmp_path, line
         parse_instance(str(p), EngineConfig(field=RATIONALS))
     assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
     assert run_cli(["check", str(p)]) == (2, "", f"syntax error: line {lineno}: {message}\n")
+
+
+HEAD = "[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : 0\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    (HEAD + "gen e0 : 1\n", 7, "duplicate generator 'e0' in module 'N'"),
+    (HEAD.replace("[module", "var y : 2 = 0\n[module"), 5, "duplicate variable 'y'"),
+    (HEAD + "[algebra]\nvar y : 1 = 0\n", 8, "duplicate variable 'y'"),
+    (HEAD.replace("[algebra]", "ring = k[a]/(a^2)\n[algebra]"), 3, "duplicate base key 'ring'"),
+    (HEAD.replace("[module", "A = 0\nA = 1\n[module"), 6, "duplicate algebra key 'A'"),
+    (HEAD + "[limits]\nmax_degree = 6\nmax_tensor = 2\nmax_degree = 8\n", 10,
+     "duplicate limit 'max_degree'"),
+    (HEAD + "[limits]\nlbound = 2\n[limits]\nlbound = 3\n", 10, "duplicate limit 'lbound'"),
+    (HEAD + "[module N]\ngen f0 : 0\n", 7, "duplicate module 'N'"),
+], ids=["generator", "variable", "variable-second-section", "ring", "A", "limit",
+        "limit-second-section", "module"])
+def test_a_repeated_name_or_key_is_a_syntax_error_at_its_line(tmp_path, text, lineno, message):
+    """A name or key given twice is refused at the second, named, instead of
+    overriding the first or failing in the engine with no line."""
+    p = tmp_path / "twice.dg"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), EngineConfig(field=RATIONALS))
+    assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
+    assert run_cli(["check", str(p)]) == (2, "", f"syntax error: line {lineno}: {message}\n")
+
+
+def test_several_d_lines_of_one_generator_add_up(tmp_path):
+    p = tmp_path / "sum.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\n"
+                 "gen e0 : 0\ngen e1 : 2\nd e1 = e0 * y\nd e1 = e0 * y\n")
+    M = parse_instance(str(p), EngineConfig(field=RATIONALS)).modules["N"]
+    assert M.diff == {(0, 1): M.algebra.gen("y").scale(2)}
 
 
 def test_run_corpus_rejects_a_bad_field_like_the_cli():

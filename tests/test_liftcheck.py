@@ -6,7 +6,7 @@ import pytest
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
-from dglift.errors import DimensionMismatch, FiltrationStuck
+from dglift.errors import CapExceeded, DimensionMismatch, FiltrationStuck
 from dglift.instances import build_corpus
 from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
@@ -158,6 +158,17 @@ def test_battery_contractible(ext, ext_diag):
     r = naive_lift_battery(C, ext_diag, name="cone")
     assert r.ar1.holds and r.agreement
     assert r.verdicts["i"] is True
+
+
+def test_battery_refuses_a_lift_bound_below_one(ext):
+    """With no power of chi to test, verdict iii could not be found and the
+    verdicts read off an empty range would disagree on a free module; the
+    battery refuses the bound instead, naming it."""
+    diag = Diagonal(build_algebra(BaseRing(), [("y", 1, "0")], 0,
+                                  ext.config.with_limits(lift_bound=0)))
+    with pytest.raises(CapExceeded, match="^lift bound 1 exceeds configured cap 0"):
+        naive_lift_battery(free_module(diag.algebra, 3), diag)
+    assert naive_lift_battery(free_module(ext, 3), Diagonal(ext)).agreement
 
 
 def test_battery_koszul_trivial_extension(config):

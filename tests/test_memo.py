@@ -15,8 +15,8 @@ import weakref
 import pytest
 
 from dglift.algebra import AlgebraElement
-from dglift.carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, SemifreeCarrier,
-                             TensorCarrier)
+from dglift.carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, QuotientShape,
+                             SemifreeCarrier, TensorCarrier)
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal, EnvelopingCarrier
 from dglift.homotopy import HomSpace
@@ -379,6 +379,32 @@ def test_every_memo_returns_one_object_equal_to_a_fresh_build(backend):
             held = held[args[0] if len(args) == 1 else args]
         assert held is value, name
         assert canon(value) == canon(fresh_call()), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_tensor_quotient_keeps_only_its_layout(backend):
+    """dim and labels of a TensorCarrier leave one QuotientShape per degree,
+    holding the two counts and one layout entry per block p of the free
+    space, and nothing per quotient basis vector: labels(d) is read off the
+    layout on each call and keeps no memo of its own."""
+    checked = 0
+    for inst in build_corpus(CONFIGS[backend]).values():
+        for n in (2, 3):
+            T = inst.diag.T(n)
+            degrees = range(T.min_degree(), inst.algebra.config.max_degree + 1)
+            for d in degrees:
+                assert len(T.labels(d)) == T.dim(d)
+            shapes = peek(T, "_echelon_at") or {}
+            assert sorted(shapes) == list(degrees), (inst.name, n)
+            for d, shape in shapes.items():
+                assert type(shape) is QuotientShape
+                assert shape._fields == ("ncols", "rank", "layout")
+                assert list(shape.layout) == list(
+                    range(T.X.min_degree(), d - T.Y.min_degree() + 1)), (inst.name, n, d)
+                checked += bool(shape.rank)
+            assert {k for k in vars(T) if k.startswith("_memo_")} <= {
+                "_memo_min_degree", "_memo__spanning", "_memo__echelon_at", "_memo_action"}
+    assert checked > 20
 
 
 def test_a_matrix_that_asks_no_memo_carries_none():

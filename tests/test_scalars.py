@@ -181,6 +181,13 @@ def test_default_prime_field_is_built_once_and_explicit_primes_are_checked():
         field_from_spec("Fp:4")
 
 
+@pytest.mark.parametrize("spec", ["Fp:7x", "Fp:", "Fp:seven", "R"])
+def test_a_malformed_field_spec_names_the_spec(spec):
+    from dglift.scalars import field_from_spec
+    with pytest.raises(ValueError, match=f"^unknown field spec '{spec}'$"):
+        field_from_spec(spec)
+
+
 def test_prime_field_zero_raises():
     for F in FIELDS:
         with pytest.raises(ZeroDivisionError):
