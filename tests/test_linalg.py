@@ -440,3 +440,79 @@ def test_rank_forty_by_forty_random_agrees_with_oracle():
     rows = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
     frows = [[field.from_int(c) for c in r] for r in rows]
     assert mat(field, rows).rank() == dense_rank(field, frows)
+
+
+def dense_entries(field, frows):
+    return {(i, j): c for i, r in enumerate(frows) for j, c in enumerate(r)
+            if not field.is_zero(c)}
+
+
+def dense_matmul(field, a, b, ncols):
+    out = [[field.zero] * ncols for _ in a]
+    for i, r in enumerate(a):
+        for k, x in enumerate(r):
+            for j in range(ncols):
+                out[i][j] = field.add(out[i][j], field.mul(x, b[k][j]))
+    return out
+
+
+def dense_add(field, a, b, c=1):
+    c = field.from_int(c)
+    return [[field.add(x, field.mul(c, y)) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_builders_and_views_match_dense_lists(data):
+    """Every builder and view of SparseMatrix against plain dense lists of
+    field values: the same matrix from its rows, its columns and its blocks
+    (two of them in one slot cancelling), and its rows, columns, transpose,
+    products, sums, scalings and entries read back."""
+    field = data.draw(FIELDS)
+    ncols = data.draw(st.integers(1, 6))
+    frows = fraction_rows(data, field, ncols, max_rows=6)
+    nrows = len(frows)
+    fcols = [[r[j] for r in frows] for j in range(ncols)]
+    want = dense_entries(field, frows)
+    # zero values go in and are dropped
+    m = SparseMatrix.from_rows(field, ncols, [dict(enumerate(r)) for r in frows])
+    by_cols = SparseMatrix.from_cols(field, nrows, [dict(enumerate(c)) for c in fcols])
+    for x in (m, by_cols):
+        assert (x.nrows, x.ncols, x.entries) == (nrows, ncols, want)
+        assert x.rows() == [sparse(field, r) for r in frows]
+        assert x.cols() == [sparse(field, c) for c in fcols]
+        assert [x.col(j) for j in range(ncols)] == x.cols()
+        assert x.is_zero() == (not want)
+    t = m.transpose()
+    assert (t.nrows, t.ncols, t.entries) == (ncols, nrows, dense_entries(field, fcols))
+    v = fraction_rows(data, field, ncols, max_rows=1)[0]
+    assert m.mat_vec(sparse(field, v)) == sparse(
+        field, [r[0] for r in dense_matmul(field, frows, [[c] for c in v], 1)])
+    k = data.draw(st.integers(1, 4))
+    other = fraction_rows(data, field, k, max_rows=ncols)
+    other += [[field.zero] * k] * (ncols - len(other))
+    prod = m @ SparseMatrix.from_rows(field, k, [sparse(field, r) for r in other])
+    assert (prod.nrows, prod.ncols, prod.entries) == \
+        (nrows, k, dense_entries(field, dense_matmul(field, frows, other, k)))
+    second = fraction_rows(data, field, ncols, max_rows=nrows)
+    second += [[field.zero] * ncols] * (nrows - len(second))
+    total = m.add(SparseMatrix.from_rows(field, ncols, [sparse(field, r) for r in second]))
+    assert total.entries == dense_entries(field, dense_add(field, frows, second))
+    assert m.add(m.scale(field.neg(field.one))).is_zero()
+    assert m.add(m.scale(field.neg(field.one))).entries == {}
+    assert m.scale(field.zero).is_zero() and m.scale(field.zero).entries == {}
+    c = field.from_int(data.draw(st.integers(1, 5)))
+    assert m.scale(c).entries == {key: field.mul(c, x) for key, x in want.items()}
+    # blocks: m at (0, 0), m and -m in slot (1, 1), which cancel, and m
+    # scaled into slot (1, 0) twice, which add up
+    blocks = [(0, 0, field.one, m), (1, 1, field.one, m), (1, 1, field.neg(field.one), m),
+              (1, 0, c, m), (1, 0, field.one, m)]
+    got = SparseMatrix.from_blocks(field, [0, nrows, 2 * nrows], [0, ncols, 2 * ncols], blocks)
+    dense = [[field.zero] * (2 * ncols) for _ in range(2 * nrows)]
+    for r, k, s, _ in blocks:
+        for i, row in enumerate(frows):
+            for j, x in enumerate(row):
+                cell = dense[r * nrows + i]
+                cell[k * ncols + j] = field.add(cell[k * ncols + j], field.mul(s, x))
+    assert (got.nrows, got.ncols, got.entries) == \
+        (2 * nrows, 2 * ncols, dense_entries(field, dense))
