@@ -124,25 +124,22 @@ class AlgebraCarrier(Carrier):
     @memo
     def diff(self, d: int) -> SparseMatrix:
         alg = self.algebra
-        ent = {}
+        cols = {}
         if d >= 1 and self.dim(d):
             for j, u in enumerate(alg.monomials(d)):
-                du = alg.diff_mono(u)
-                for w, c in du.terms.items():
-                    ent[(alg.mono_index(d - 1, w), j)] = c
-        return SparseMatrix(self.field, self.dim(d - 1), self.dim(d), ent)
+                cols[j] = {alg.mono_index(d - 1, w): c
+                           for w, c in alg.diff_mono(u).terms.items()}
+        return SparseMatrix(self.field, self.dim(d - 1), self.dim(d), cols)
 
     def _act(self, mono, d, side):
         alg = self.algebra
         e = alg.mono_degree(mono)
-        ent = {}
+        cols = {}
         for j, u in enumerate(alg.monomials(d)):
             sgn, w = alg.mono_mul(mono, u) if side == "l" else alg.mono_mul(u, mono)
-            if w is None:
-                continue
-            c = self.field.from_int(sgn)
-            ent[(alg.mono_index(d + e, w), j)] = c
-        return SparseMatrix(self.field, self.dim(d + e), self.dim(d), ent)
+            if w is not None:
+                cols[j] = {alg.mono_index(d + e, w): self.field.from_int(sgn)}
+        return SparseMatrix(self.field, self.dim(d + e), self.dim(d), cols)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
         return self._act(mono, d, "r")
@@ -557,9 +554,9 @@ class TensorCarrier(Carrier):
                 for g in self._ring_monomials(e):
                     if sum(g) != 1:  # a generator: one exponent 1, the rest 0
                         continue
-                    cols = Y.action("l", g, q - e).cols()
-                    for m in range(len(cols) - 1, -1, -1):
-                        red = ech.reduce(cols[m]) if cols[m] else None
+                    cols = Y.action("l", g, q - e).columns()
+                    for m in range(Y.dim(q - e) - 1, -1, -1):
+                        red = ech.reduce(cols[m]) if m in cols else None
                         # g*y_m is new when it leaves something on Y_q
                         if red and min(red) < wy:
                             red[wy + len(span)] = f.one
@@ -726,7 +723,7 @@ class TensorCarrier(Carrier):
                   if free and (nx := self.X.dim(p))]
         nrows = self.dim(d + e)
         if not any(xc or yc for _, _, _, xc, yc in blocks):
-            return SparseMatrix.zero(self.field, nrows, self.dim(d))
+            return SparseMatrix(self.field, nrows, self.dim(d))
         layout = self._echelon_at(d + e).layout
         cols = []
         for p, xs, free, xc, yc in blocks:

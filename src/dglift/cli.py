@@ -65,7 +65,7 @@ def parse_instance(path: str, config: EngineConfig,
 
     section = None
     base = BaseRing()
-    a_prefix = 0
+    a_prefix, a_line = 0, None
     variables = []            # (name, degree, diff expr, lineno)
     module_order = []
     module_gens = {}          # name -> [(gen, degree, lineno)]
@@ -127,7 +127,7 @@ def parse_instance(path: str, config: EngineConfig,
                     raise ParseError(lineno, f"unknown algebra key {key!r}")
                 _once(seen, f"algebra key {key!r}", lineno)
                 try:
-                    a_prefix = int(val)
+                    a_prefix, a_line = int(val), lineno
                 except ValueError:
                     raise ParseError(lineno, "A must be an integer prefix length")
             else:
@@ -166,6 +166,9 @@ def parse_instance(path: str, config: EngineConfig,
             if limits[key] < 0:
                 raise ParseError(lineno, f"{key} must be nonnegative, got {limits[key]}")
 
+    if not 0 <= a_prefix <= len(variables):
+        raise ParseError(a_line, f"A must lie in 0..{len(variables)}, the number of "
+                                 f"variables, got {a_prefix}")
     # explicit command-line limits take precedence over the file's block
     if flag_limits:
         for key, val in flag_limits.items():

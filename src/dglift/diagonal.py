@@ -174,13 +174,12 @@ class EnvelopingCarrier(Carrier):
         alg = self.algebra
         f = self.field
         nb = len(alg.monomials(d))
-        ent = {}
+        cols = {}
         for j, (u, m) in enumerate(self.labels(d)):
             sgn, w = alg.mono_mul(u, m)
-            if w is None:
-                continue
-            ent[(alg.mono_index(d, w), j)] = f.from_int(sgn)
-        return SparseMatrix(f, nb, self.dim(d), ent)
+            if w is not None:
+                cols[j] = {alg.mono_index(d, w): f.from_int(sgn)}
+        return SparseMatrix(f, nb, self.dim(d), cols)
 
 
 class Diagonal:

@@ -1,19 +1,21 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors are dicts {column index: nonzero scalar}.  A SparseMatrix is
-eliminated at most once: SparseMatrix.sweep is one forward sweep, kept on
-the matrix as a Sweep that records its pivot rows, the source row of each,
-its row operations in order and the rows that end zero, as an LU-type
-factorization does.  rank counts the pivots, echelon inserts the kept rows
-into an Echelon, and solve carries b through the recorded operations and
-back-substitutes; b carried onto a zero row is a "no", whose absence
-certificate replays the operations backwards from that row.  The Echelon
-class keeps a reduced row echelon form incrementally; it holds kernels, and
-the tagged reductions of the Hom spaces and the tensor carriers.
+Vectors are dicts {index: nonzero scalar}, and a SparseMatrix stores only
+its nonzero columns, each such a vector.  A matrix is eliminated at most
+once: SparseMatrix.sweep is one forward sweep, kept as a Sweep that records
+its pivot rows, the source row of each, its row operations in order and the
+rows that end zero, as an LU-type factorization does.  rank counts the
+pivots, echelon inserts the kept rows into an Echelon, and solve carries b
+through the recorded operations and back-substitutes; b carried onto a zero
+row is a "no", whose absence certificate replays the operations backwards
+from that row.  Echelon keeps a reduced row echelon form incrementally: it
+holds kernels, and the tagged reductions of the Hom spaces and the tensor
+carriers.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
@@ -154,47 +156,48 @@ class Sweep(NamedTuple):
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over an exact field.
+    """Immutable-by-convention sparse matrix over an exact field, stored as
+    its nonzero columns {j: {i: c}}: no column is empty and no value zero,
+    so matrices of one shape are equal exactly when their columns() are.
+    The constructor (given such a dict), from_cols and from_rows check every
+    index against the shape and drop zeros, in one pass over the columns,
+    and keep a column dict with no zero as it is: its caller hands it over;
+    from_blocks, add, scale, transpose and @ build valid columns from valid
+    matrices and take them through _trusted.  rows, cols, col and entries
+    are views, built on each read."""
 
-    entries maps (row, col) to a nonzero scalar; the constructor checks the
-    bounds of every index and drops zero values.  from_blocks, add, scale
-    and transpose build their entries valid (in range, nonzero) from valid
-    matrices, and wrap them through _trusted without that per-entry pass.
-    """
-
-    def __init__(self, field, nrows: int, ncols: int, entries: dict | None = None):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        ent = {}
-        if entries:
-            for (i, j), c in entries.items():
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise DimensionMismatch(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if not field.is_zero(c):
-                    ent[(i, j)] = c
-        self.entries = ent
+    def __init__(self, field, nrows: int, ncols: int, cols: dict | None = None):
+        self.field, self.nrows, self.ncols = field, nrows, ncols
+        self._columns = out = {}
+        for j, col in cols.items() if cols else ():
+            if not col:
+                continue
+            if not (0 <= j < ncols and 0 <= min(col) and max(col) < nrows):
+                raise DimensionMismatch(f"column {j} has an entry outside {nrows}x{ncols}")
+            # kept as given unless it holds a zero (is_zero(c) is c == zero)
+            if field.zero in col.values():
+                col = {i: c for i, c in col.items() if not field.is_zero(c)}
+            if col:
+                out[j] = col
 
     @classmethod
-    def _trusted(cls, field, nrows: int, ncols: int, entries: dict) -> "SparseMatrix":
-        """The matrix with these entries, taken as they are: every index in
-        range and every value nonzero."""
+    def _trusted(cls, field, nrows: int, ncols: int, columns: dict) -> "SparseMatrix":
+        """These columns as they are: in range, nonempty, no zero value."""
         m = cls.__new__(cls)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m.entries = entries
+        m.field, m.nrows, m.ncols, m._columns = field, nrows, ncols, columns
         return m
 
     @classmethod
     def from_rows(cls, field, ncols, rows):
-        return cls(field, len(rows), ncols,
-                   {(i, j): c for i, row in enumerate(rows) for j, c in row.items()})
+        by_col: dict = {}
+        for i, row in enumerate(rows):
+            for j, c in row.items():
+                by_col.setdefault(j, {})[i] = c
+        return cls(field, len(rows), ncols, by_col)
 
     @classmethod
     def from_cols(cls, field, nrows, cols):
-        return cls(field, nrows, len(cols),
-                   {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
+        return cls(field, nrows, len(cols), dict(enumerate(cols)))
 
     @classmethod
     def from_blocks(cls, field, row_offsets, col_offsets, blocks):
@@ -205,62 +208,60 @@ class SparseMatrix:
         have the shape of its slot, rows row_offsets[r]..row_offsets[r + 1]
         and columns col_offsets[k]..col_offsets[k + 1], or DimensionMismatch
         is raised, so every entry lands in range."""
-        ent: dict = {}
-        axpy = field.axpy
+        out: dict = {}
+        axpy, mul, one = field.axpy, field.mul, field.one
         for r, k, c, m in blocks:
             o, p = row_offsets[r], col_offsets[k]
             if (m.nrows, m.ncols) != (row_offsets[r + 1] - o, col_offsets[k + 1] - p):
                 raise DimensionMismatch(
                     f"block ({r},{k}) is {m.nrows}x{m.ncols}, its slot "
                     f"{row_offsets[r + 1] - o}x{col_offsets[k + 1] - p}")
-            if m.entries:
-                axpy(ent, c, {(o + i, p + j): x for (i, j), x in m.entries.items()})
-        return cls._trusted(field, row_offsets[-1], col_offsets[-1], ent)
+            if field.is_zero(c):
+                continue
+            for j, col in m._columns.items():
+                new = ({o + i: x for i, x in col.items()} if c == one
+                       else {o + i: mul(c, x) for i, x in col.items()})
+                got = out.get(p + j)
+                if got is None:
+                    out[p + j] = new
+                else:
+                    axpy(got, one, new)
+                    if not got:  # blocks in one slot may cancel
+                        del out[p + j]
+        return cls._trusted(field, row_offsets[-1], col_offsets[-1], out)
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
+    @property
+    def entries(self) -> dict:
+        """{(i, j): c}, built on each read: for tests and reports only."""
+        return {(i, j): c for j, col in self._columns.items() for i, c in col.items()}
 
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, {})
+    def columns(self) -> dict[int, dict]:
+        """The nonzero columns {j: {i: c}}, the storage itself: read only."""
+        return self._columns
 
     def rows(self) -> list[dict]:
         out = [dict() for _ in range(self.nrows)]
-        for (i, j), c in self.entries.items():
-            out[i][j] = c
+        for j, col in self._columns.items():
+            for i, c in col.items():
+                out[i][j] = c
         return out
 
     def col(self, j) -> dict:
-        return dict(self.columns().get(j, ()))
+        return dict(self._columns.get(j, ()))
 
     def cols(self) -> list[dict]:
-        out = [dict() for _ in range(self.ncols)]
-        for (i, j), c in self.entries.items():
-            out[j][i] = c
-        return out
+        return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._trusted(
-            self.field, self.ncols, self.nrows,
-            {(j, i): c for (i, j), c in self.entries.items()},
-        )
-
-    @memo
-    def columns(self) -> dict[int, dict]:
-        """The nonzero columns as {j: {i: c}}, built on first use and shared:
-        callers read them and never change them."""
-        by_col: dict[int, dict] = {}
-        for (i, j), c in self.entries.items():
-            by_col.setdefault(j, {})[i] = c
-        return by_col
+        return SparseMatrix._trusted(self.field, self.ncols, self.nrows,
+                                     {i: r for i, r in enumerate(self.rows()) if r})
 
     def mat_vec(self, v: dict) -> dict:
         f = self.field
         out: dict = {}
-        by_col = self.columns()
+        get = self._columns.get
         for j, c in v.items():
-            col = by_col.get(j)
+            col = get(j)
             if col:
                 f.axpy(out, c, col)
         return out
@@ -269,25 +270,25 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"matmul of a {self.nrows}x{self.ncols} matrix by a "
                                     f"{other.nrows}x{other.ncols} one")
-        return SparseMatrix.from_cols(self.field, self.nrows,
-                                      [self.mat_vec(c) for c in other.cols()])
+        prod = ((j, self.mat_vec(col)) for j, col in other._columns.items())
+        return SparseMatrix._trusted(self.field, self.nrows, other.ncols,
+                                     {j: col for j, col in prod if col})
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch(f"add of a {self.nrows}x{self.ncols} matrix and a "
                                     f"{other.nrows}x{other.ncols} one")
-        f = self.field
-        ent = dict(self.entries)
-        f.axpy(ent, f.one, other.entries)
-        return SparseMatrix._trusted(f, self.nrows, self.ncols, ent)
+        one = self.field.one
+        return SparseMatrix.from_blocks(self.field, [0, self.nrows], [0, self.ncols],
+                                        [(0, 0, one, self), (0, 0, one, other)])
 
     def scale(self, c) -> "SparseMatrix":
         """c times this matrix; c a field value (the zero matrix for 0)."""
-        return SparseMatrix._trusted(self.field, self.nrows, self.ncols,
-                                     self.field.scale(c, self.entries))
+        return SparseMatrix.from_blocks(self.field, [0, self.nrows], [0, self.ncols],
+                                        [(0, 0, c, self)])
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._columns
 
     @memo
     def sweep(self) -> Sweep:
@@ -390,9 +391,9 @@ class SparseMatrix:
         alternative).  Of the zero rows that b is carried onto, the one of
         least (cost, row index) is taken, as the sweep picks a pivot, and y,
         the combination of rows that made it, is read by replaying the ops
-        backwards: y^T (I + c e_k e_p^T) adds c y_k to y_p.  y is rechecked
-        (y^T M summed from M's rows); a consistent system, or a y that fails the
-        recheck, raises DimensionMismatch."""
+        backwards: y^T (I + c e_k e_p^T) adds c y_k to y_p.  y is rechecked,
+        y.col = 0 for every column of M; a consistent system, or a y that
+        fails the recheck, raises DimensionMismatch."""
         f = self.field
         bvec, vals = self._carry(b)
         sw = self.sweep()
@@ -401,12 +402,11 @@ class SparseMatrix:
             raise DimensionMismatch("no absence certificate: the system is consistent")
         y = {min(left, key=lambda k: (f.cost(vals[k]), k)): f.one}
         _replay(f, y, ((p, c, k) for k, c, p in reversed(sw.ops)))
-        rows, yM, yb = self.rows(), {}, f.zero
-        for i, c in y.items():
-            f.axpy(yM, c, rows[i])
-            if i in bvec:
-                yb = f.add(yb, f.mul(c, bvec[i]))
-        if yM or f.is_zero(yb):
+
+        def dot(v):  # y . v
+            return reduce(f.add, (f.mul(y[i], c) for i, c in v.items() if i in y), f.zero)
+        if f.is_zero(dot(bvec)) or not all(f.is_zero(dot(c)) for c in self._columns.values()
+                                           if not y.keys().isdisjoint(c)):
             raise DimensionMismatch("absence certificate failed its recheck")
         return y
 
@@ -415,4 +415,4 @@ class SparseMatrix:
         return self.transpose().echelon()
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self._columns.values()))})"

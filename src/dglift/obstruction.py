@@ -57,7 +57,7 @@ class DegreewiseMap:
             return
         lhs = self.target.diff(d) @ m
         rhs = self.mat(d - 1) @ self.source.diff(d)
-        if lhs.entries == rhs.entries:
+        if lhs.columns() == rhs.columns():
             return
         raise DimensionMismatch(f"{self.name} is not a chain operator at degree {d}")
 
@@ -75,7 +75,7 @@ class DegreewiseMap:
 
     def entrywise_equal(self, other: "DegreewiseMap", degrees) -> bool:
         for d in degrees:
-            if self.mat(d).entries != other.mat(d).entries:
+            if self.mat(d).columns() != other.mat(d).columns():
                 return False
         return True
 
@@ -437,6 +437,6 @@ def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap,
         phi_i = map_tensor_id(u, diag, i)
         phi_i1 = map_tensor_id(u, diag, i + 1)
         for d in window:
-            if (phi_i1.mat(d) @ w.mat(d)).entries != (w.mat(d) @ phi_i.mat(d)).entries:
+            if (phi_i1.mat(d) @ w.mat(d)).columns() != (w.mat(d) @ phi_i.mat(d)).columns():
                 return False
     return True

@@ -30,6 +30,15 @@ def qconfig():
 DATA = Path(__file__).parent / "data"
 
 
+def entry_matrix(field, nrows, ncols, entries: dict) -> SparseMatrix:
+    """The matrix with these {(i, j): c} entries, given to the checking
+    constructor as the columns {j: {i: c}}."""
+    cols: dict = {}
+    for (i, j), c in entries.items():
+        cols.setdefault(j, {})[i] = c
+    return SparseMatrix(field, nrows, ncols, cols)
+
+
 def forge_an_absence(monkeypatch, field):
     """Make every kept sweep claim that all its rows end zero, its pivot
     rows too, so any nonzero right-hand side reads as a value left on a

@@ -20,6 +20,8 @@ from dglift.homotopy import CarrierMap, HomSpace, HomotopyWitness, MapLayout, de
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.modules import SemifreeModule
 
+from conftest import entry_matrix
+
 
 def strict_allowed(source, target, layout: MapLayout) -> set:
     """The unknowns (lam, (mu, u)) of layout with mu < lam."""
@@ -42,7 +44,7 @@ def strict_triangular_cycles(M) -> list[CarrierMap]:
     hs = HomSpace(M, M, 0)
     allowed = strict_allowed(M, hs.target, hs.layout)
     m = hs.chain_matrix()
-    sub = SparseMatrix(m.field, m.nrows, m.ncols,
+    sub = entry_matrix(m.field, m.nrows, m.ncols,
                        {(i, j): c for (i, j), c in m.entries.items() if j in allowed})
     return [CarrierMap(M, hs.target, 0, hs.layout.from_flat(v))
             for v in sub.kernel_basis() if set(v) <= allowed]
@@ -75,7 +77,7 @@ class OracleHomSpace:
                 if j not in mask:
                     extra[(r, j)] = f.one
                     r += 1
-            m = SparseMatrix(f, r, self.layout.total, extra)
+            m = entry_matrix(f, r, self.layout.total, extra)
         self._cycles = m.kernel_basis()
         self._bmat = delta_matrix(self.layout, self.h_layout)
         img = self._bmat.column_space_echelon()

@@ -30,6 +30,7 @@ from dglift.memo import peek
 from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
+from conftest import entry_matrix
 from dense_oracle import dense_echelon
 from quotient_oracle import all_rows_echelon, block_starts
 
@@ -381,7 +382,7 @@ class Residue(Carrier):
     def left_act(self, mono, d):
         e = self.algebra.mono_degree(mono)
         unit = self.algebra.mono_is_unit(mono) and d == 0
-        return SparseMatrix(self.field, self.dim(d + e), self.dim(d),
+        return entry_matrix(self.field, self.dim(d + e), self.dim(d),
                             {(0, 0): self.field.one} if unit else {})
 
 
@@ -437,7 +438,7 @@ class Reversed(Carrier):
 
     def _flip(self, m: SparseMatrix) -> SparseMatrix:
         r, c = m.nrows - 1, m.ncols - 1
-        return SparseMatrix(m.field, m.nrows, m.ncols,
+        return entry_matrix(m.field, m.nrows, m.ncols,
                             {(r - i, c - j): x for (i, j), x in m.entries.items()})
 
     def diff(self, d):

@@ -192,11 +192,16 @@ HEAD = "[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : 0\n"
      "duplicate limit 'max_degree'"),
     (HEAD + "[limits]\nlbound = 2\n[limits]\nlbound = 3\n", 10, "duplicate limit 'lbound'"),
     (HEAD + "[module N]\ngen f0 : 0\n", 7, "duplicate module 'N'"),
+    (HEAD.replace("[module", "A = 5\n[module"), 5,
+     "A must lie in 0..1, the number of variables, got 5"),
+    (HEAD.replace("[module", "A = -1\n[module"), 5,
+     "A must lie in 0..1, the number of variables, got -1"),
 ], ids=["generator", "variable", "variable-second-section", "ring", "A", "limit",
-        "limit-second-section", "module"])
+        "limit-second-section", "module", "A-beyond-the-variables", "A-negative"])
 def test_a_repeated_name_or_key_is_a_syntax_error_at_its_line(tmp_path, text, lineno, message):
     """A name or key given twice is refused at the second, named, instead of
-    overriding the first or failing in the engine with no line."""
+    overriding the first or failing in the engine with no line; so is an A
+    prefix longer than the variables or negative, at its own line."""
     p = tmp_path / "twice.dg"
     p.write_text(text)
     with pytest.raises(ParseError) as exc:

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from conftest import forge_an_absence
+from conftest import entry_matrix, forge_an_absence
 from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
@@ -14,7 +14,6 @@ from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR
                              check_AR2, delta_cols, delta_matrix, hom_k_dim,
                              is_null_homotopic)
 from dglift.instances import build_corpus
-from dglift.linalg import SparseMatrix
 from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
                             make_module, regular_module, shift)
@@ -241,7 +240,7 @@ def test_build_checks_its_class_count_against_the_ranks(ext, monkeypatch):
     assert hs.cycle_dim < hs.layout.total
     cmat = hs.chain_matrix()
     j = next(j for j in range(hs.layout.total) if cmat.mat_vec({j: ext.field.one}))
-    bad = SparseMatrix(ext.field, hs.layout.total, 1, {(j, 0): ext.field.one})
+    bad = entry_matrix(ext.field, hs.layout.total, 1, {(j, 0): ext.field.one})
     monkeypatch.setattr(hs, "boundary_matrix", lambda: bad)
     where = re.escape("in the Hom space from generators [e0:0, e1:2] into "
                       "SemifreeCarrier([e0:0, e1:2] (x)_B AlgebraCarrier) at shift 0")

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dglift.config import EngineConfig
+from dglift.instances import battery_pairs, build_corpus
+from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS, is_prime
 
-from conftest import forge_an_absence
+from conftest import entry_matrix, forge_an_absence
 from dense_oracle import (dense_certifies_absence, dense_echelon, dense_kernel, dense_rank,
                           dense_solve)
 
@@ -22,7 +25,11 @@ def mat(field, rows):
         for j, c in enumerate(r):
             if c:
                 ent[(i, j)] = field.from_int(c)
-    return SparseMatrix(field, len(rows), ncols, ent)
+    return entry_matrix(field, len(rows), ncols, ent)
+
+
+def identity(field, n):
+    return SparseMatrix(field, n, n, {i: {i: field.one} for i in range(n)})
 
 
 def test_prime_check():
@@ -36,7 +43,7 @@ def test_rank_empty(field):
 
 
 def test_rank_identity(field):
-    assert SparseMatrix.identity(field, 3).rank() == 3
+    assert identity(field, 3).rank() == 3
 
 
 def test_rank_proportional_rows(field):
@@ -44,7 +51,7 @@ def test_rank_proportional_rows(field):
 
 
 def test_solve_identity(field):
-    m = SparseMatrix.identity(field, 2)
+    m = identity(field, 2)
     b = {0: field.from_int(3), 1: field.from_int(5)}
     assert m.solve(b) == b
 
@@ -76,7 +83,7 @@ def test_solve_raises_when_substitution_recheck_fails(field, monkeypatch):
     from dglift.errors import DimensionMismatch
     _corrupt_mat_vec(monkeypatch, field)
     with pytest.raises(DimensionMismatch, match="substitution recheck"):
-        SparseMatrix.identity(field, 2).solve({0: field.one, 1: field.one})
+        identity(field, 2).solve({0: field.one, 1: field.one})
 
 
 def test_solve_inconsistent_is_decided_before_the_recheck(field, monkeypatch):
@@ -104,15 +111,15 @@ def test_a_forged_absence_fails_the_certificate_recheck(field, monkeypatch):
     from dglift.errors import DimensionMismatch
     forge_an_absence(monkeypatch, field)
     with pytest.raises(DimensionMismatch, match="absence certificate failed its recheck"):
-        SparseMatrix.identity(field, 2).solve({0: field.one, 1: field.one})
+        identity(field, 2).solve({0: field.one, 1: field.one})
 
 
 def test_kernel_identity(field):
-    assert SparseMatrix.identity(field, 3).kernel_basis() == []
+    assert identity(field, 3).kernel_basis() == []
 
 
 def test_kernel_zero_matrix(field):
-    ker = SparseMatrix.zero(field, 2, 2).kernel_basis()
+    ker = SparseMatrix(field, 2, 2).kernel_basis()
     assert len(ker) == 2
 
 
@@ -258,7 +265,7 @@ def fraction_rows(data, field, ncols, max_rows=9):
 
 
 def fmat(field, frows, ncols):
-    return SparseMatrix(field, len(frows), ncols,
+    return entry_matrix(field, len(frows), ncols,
                         {(i, j): c for i, r in enumerate(frows) for j, c in enumerate(r)})
 
 
@@ -395,22 +402,32 @@ def test_echelon_reduce_idempotent():
 
 
 def test_stored_entries_never_zero(field):
-    m = SparseMatrix(field, 2, 2, {(0, 0): field.one, (1, 1): field.zero})
+    m = entry_matrix(field, 2, 2, {(0, 0): field.one, (1, 1): field.zero})
     assert (1, 1) not in m.entries
     assert (0, 0) in m.entries
+    # a column left empty by its zero values, and an empty one, are not kept
+    m = SparseMatrix(field, 2, 3, {0: {0: field.one}, 1: {1: field.zero}, 2: {}})
+    assert m.columns() == {0: {0: field.one}}
 
 
 def test_out_of_bounds_entry_rejected(field):
     from dglift.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):
-        SparseMatrix(field, 2, 2, {(2, 0): field.one})
+        entry_matrix(field, 2, 2, {(2, 0): field.one})
+    for cols in ({2: {0: field.one}}, {0: {-1: field.zero}}, {-1: {0: field.one}}):
+        with pytest.raises(DimensionMismatch, match="outside 2x2"):
+            SparseMatrix(field, 2, 2, cols)
+    with pytest.raises(DimensionMismatch, match=r"^column 2 has an entry outside 1x2$"):
+        SparseMatrix.from_rows(field, 2, [{2: field.one}])
+    with pytest.raises(DimensionMismatch, match=r"^column 0 has an entry outside 2x1$"):
+        SparseMatrix.from_cols(field, 2, [{2: field.one}])
 
 
 def test_from_blocks_rejects_a_block_that_overruns_its_slot(field):
     from dglift.errors import DimensionMismatch
     # generator 0's rows are 0..1 and generator 1's are 1..3: a 2x1 block
     # at generator 0 would write row 1, which belongs to generator 1
-    blk = SparseMatrix(field, 2, 1, {(1, 0): field.one})
+    blk = entry_matrix(field, 2, 1, {(1, 0): field.one})
     with pytest.raises(DimensionMismatch, match=r"block \(0,0\) is 2x1, its slot 1x1"):
         SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(0, 0, field.one, blk)])
     fits = SparseMatrix.from_blocks(field, [0, 1, 3], [0, 1], [(1, 0, field.one, blk)])
@@ -419,7 +436,7 @@ def test_from_blocks_rejects_a_block_that_overruns_its_slot(field):
 
 def test_a_shape_mismatch_names_both_shapes(field):
     from dglift.errors import DimensionMismatch
-    a, b = SparseMatrix.zero(field, 2, 3), SparseMatrix.zero(field, 2, 2)
+    a, b = SparseMatrix(field, 2, 3), SparseMatrix(field, 2, 2)
     with pytest.raises(DimensionMismatch, match=r"^matmul of a 2x3 matrix by a 2x2 one$"):
         a @ b
     with pytest.raises(DimensionMismatch, match=r"^add of a 2x2 matrix and a 2x3 one$"):
@@ -430,7 +447,7 @@ def test_solve_wrong_rhs_length_rejected(field):
     from dglift.errors import DimensionMismatch
     for i in (2, -1):  # the rhs names its rows, and each must exist
         with pytest.raises(DimensionMismatch, match="outside 2 rows"):
-            SparseMatrix.identity(field, 2).solve({i: field.one})
+            identity(field, 2).solve({i: field.one})
 
 
 def test_rank_forty_by_forty_random_agrees_with_oracle():
@@ -516,3 +533,39 @@ def test_builders_and_views_match_dense_lists(data):
                 cell[k * ncols + j] = field.add(cell[k * ncols + j], field.mul(s, x))
     assert (got.nrows, got.ncols, got.entries) == \
         (2 * nrows, 2 * ncols, dense_entries(field, dense))
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_every_matrix_of_the_corpus_batteries_holds_only_its_nonzero_columns(backend,
+                                                                              monkeypatch):
+    """Every SparseMatrix built while the battery (and, where AR1 holds, the
+    kernel sequence) runs on each corpus module, through the checking
+    constructor or the trusted path, stores one thing
+    besides its shape and memos: its columns, int-keyed, each a nonempty
+    {row: value} dict with int rows in range, nonzero values and no tuple key."""
+    made = []
+    init, trusted = SparseMatrix.__init__, SparseMatrix._trusted.__func__
+
+    def record_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def record_trusted(cls, *args):
+        made.append(trusted(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(SparseMatrix, "__init__", record_init)
+    monkeypatch.setattr(SparseMatrix, "_trusted", classmethod(record_trusted))
+    field = RATIONALS if backend == "Q" else PrimeField(DEFAULT_PRIME)
+    corpus = build_corpus(EngineConfig(field=field))
+    for inst, name, M in battery_pairs(corpus):
+        if naive_lift_battery(M, inst.diag, name=name).ar1.holds:
+            kernel_sequence_check(M, inst.diag)
+    assert len(made) > 500
+    for m in made:
+        assert set(vars(m)) - {"_memo_sweep", "_memo_echelon"} == \
+            {"field", "nrows", "ncols", "_columns"}
+        for j, col in m.columns().items():
+            assert type(j) is int and 0 <= j < m.ncols and type(col) is dict and col, m
+            for i, c in col.items():
+                assert type(i) is int and 0 <= i < m.nrows and not field.is_zero(c), m

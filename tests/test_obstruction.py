@@ -22,6 +22,7 @@ from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, Obstruction
                                 gamma_dim, local_nilpotency, map_tensor_id,
                                 omega_action_matrix, omega_is_zero, towers_agree)
 
+from conftest import entry_matrix
 from hom_space_oracle import strict_triangular_cycles
 from test_carriers import corpus, phi, same
 
@@ -100,7 +101,7 @@ def test_an_extra_entry_breaks_the_chain_square(ext, ext_diag, i):
             return m
         entries = dict(m.entries)
         entries[(row, 0)] = f.add(entries.get((row, 0), f.zero), f.one)
-        return SparseMatrix(f, m.nrows, m.ncols, entries)
+        return entry_matrix(f, m.nrows, m.ncols, entries)
 
     broken = DegreewiseMap(w.source, w.target, build, name=w.name)
     with pytest.raises(DimensionMismatch,

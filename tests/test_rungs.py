@@ -1,0 +1,37 @@
+"""scripts/rungs.py runs a rung in a process of its own and prints one JSON
+object per rung and field.  Only the shape of that output is checked here:
+the rungs exist to measure, and no time or memory is bounded."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNGS = ROOT / "scripts" / "rungs.py"
+
+
+def run(*args):
+    return subprocess.run([sys.executable, str(RUNGS), *args], capture_output=True,
+                          text=True, cwd=ROOT)
+
+
+def test_the_smallest_rung_prints_one_measured_json_line_per_field():
+    names = run("--list").stdout.split()
+    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 8
+    proc = run("cone_ext5_len5")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["rung"], r["field"]) for r in lines] == [("cone_ext5_len5", "Q"),
+                                                         ("cone_ext5_len5", "Fp")]
+    for r in lines:
+        assert set(r) == {"rung", "field", "cpu_s", "peak_rss_mb", "sha256"}
+        assert isinstance(r["cpu_s"], float) and r["cpu_s"] >= 0
+        assert isinstance(r["peak_rss_mb"], float) and r["peak_rss_mb"] > 0
+        assert re.fullmatch(r"[0-9a-f]{64}", r["sha256"])
+
+
+def test_an_unknown_rung_is_a_usage_error():
+    proc = run("no_such_rung")
+    assert proc.returncode == 2 and "unknown rung 'no_such_rung'" in proc.stderr
