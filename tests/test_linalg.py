@@ -473,9 +473,8 @@ def dense_matmul(field, a, b, ncols):
     return out
 
 
-def dense_add(field, a, b, c=1):
-    c = field.from_int(c)
-    return [[field.add(x, field.mul(c, y)) for x, y in zip(r, s)] for r, s in zip(a, b)]
+def dense_add(field, a, b):
+    return [[field.add(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 @settings(max_examples=80, deadline=None)
