@@ -345,7 +345,7 @@ class KernelSubCarrier(Carrier):
         self.check_cap(d)
         if self.parent.dim(d) == 0:
             return []
-        return self.proj_matrix_fn(d).echelon().kernel_basis()
+        return self.proj_matrix_fn(d).kernel_basis()
 
     @memo
     def _free_cols(self, d: int) -> list:
@@ -409,7 +409,7 @@ class KernelSubCarrier(Carrier):
             cols.append(self.coords(out_deg, img))
         return SparseMatrix.from_cols(self.field, self.dim(out_deg), cols)
 
-    @memo
+    # not memoized: its one reader, the shift Sigma J, keeps a negated copy
     def diff(self, d: int) -> SparseMatrix:
         return self._push(d, d - 1, self.parent.diff(d))
 

@@ -234,31 +234,27 @@ def _parse_ring(spec: str, lineno: int) -> BaseRing:
 
 
 def _parse_module_expr(algebra, gen_names, expr: str, lineno: int) -> dict:
-    """Sum of GEN [* algebra-expr] terms -> {gen name: coefficient}."""
+    """Sum of GEN [* algebra-expr] terms -> {gen name: coefficient}; a sign
+    right after *, / or ^ belongs to the coefficient (e0 * -y is -(e0 y))."""
     out = {}
     # split on top-level + and - (no parentheses cross gens in this grammar)
-    terms = []
-    cur = ""
-    depth = 0
-    sign = 1
-    pending_sign = 1
+    terms, cur, depth, pending_sign = [], "", 0, 1
     for ch in expr:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((pending_sign, cur.strip()))
-            pending_sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            pending_sign *= 1 if ch == "+" else -1
+        if depth == 0 and ch in "+-" and not cur.rstrip().endswith(("*", "/", "^")):
+            if cur.strip():
+                terms.append((pending_sign, cur.strip()))
+                pending_sign = 1 if ch == "+" else -1
+                cur = ""
+            else:
+                pending_sign *= 1 if ch == "+" else -1
         else:
             cur += ch
     if cur.strip():
         terms.append((pending_sign, cur.strip()))
-    if expr.strip() == "0":
-        return {}
     for sgn, term in terms:
         if term == "0":
             continue

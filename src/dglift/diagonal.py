@@ -187,10 +187,10 @@ class Diagonal:
     its shift, truncated in tensor degree at the configured cap.
 
     It also owns the Hom-space memo: hom(N, Y, s) builds each space of maps
-    N -> Sigma^s Y once and shares it with every later query in its scope;
-    base_change(N) likewise builds the induced module G and its counit once,
-    so the splitting search and the factorization ideal share G, and
-    minimal(N) builds N's minimal model once.
+    N -> Sigma^s Y once for every later query in its scope (the AR tables,
+    read once, bypass it); base_change(N) likewise builds the induced module
+    G and its counit once, so the splitting search and the factorization
+    ideal share G, and minimal(N) builds N's minimal model once.
     The memos live here rather than on the module because a module and its
     carrier refer to each other: a module-held memo would keep every
     N (x) T^n carrier and its T^n alive until a full garbage collection,

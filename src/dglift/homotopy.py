@@ -410,8 +410,8 @@ class ConditionReport:
 def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
     """(i) non-negative generator degrees; (ii) perfectness over A, verified by
     the finite monomial A-basis when A is the base ring; (iii) vanishing of
-    Hom into positive shifts of B over the finite certifying range, read off
-    the Hom spaces of diag's memo.
+    Hom into positive shifts of B over the finite certifying range, read by
+    hom_k_dim: no later query asks these spaces, so no memo keeps them.
 
     Maps out of a generator of degree t into Sigma^n B land in B_{t-n} = 0
     once n exceeds the top generator degree, so the range 1..max_degree
@@ -433,7 +433,7 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
         cond_ii, ii_note = False, "A-basis not finite (even adjoined variable); not verified"
     bound = max(0, N.max_degree)
     M = diag.minimal(N).module
-    dims = {n: diag.hom(M, B, n).dim_K for n in range(1, bound + 1)}
+    dims = {n: hom_k_dim(M, B, n) for n in range(1, bound + 1)}
     first_fail = next((n for n, v in dims.items() if v), None)
     ok_iii = first_fail is None
     return ConditionReport(
@@ -452,14 +452,14 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
 
 
 def check_AR2(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
-    """Hom(N, Sigma^n N) = 0 for n >= 1, read off diag's memo and certified
-    on 1..(span) where span = max degree - min degree of N; beyond it every
-    generator image lands in a zero graded piece.  The dimensions are
-    homotopy invariants, read as Hom(N', Sigma^n N') on N's minimal model
-    N' = diag.minimal(N).module; the bound stays N's."""
+    """Hom(N, Sigma^n N) = 0 for n >= 1, read by hom_k_dim (no memo) and
+    certified on 1..(span) where span = max degree - min degree of N; beyond
+    it every generator image lands in a zero graded piece.  The dimensions
+    are homotopy invariants, read as Hom(N', Sigma^n N') on N's minimal
+    model N' = diag.minimal(N).module; the bound stays N's."""
     bound = max(0, (N.max_degree - N.min_degree) if N.n_gens else 0)
     M = diag.minimal(N).module
-    dims = {n: diag.hom(M, M, n).dim_K for n in range(1, bound + 1)}
+    dims = {n: hom_k_dim(M, M, n) for n in range(1, bound + 1)}
     first_fail = next((n for n, v in dims.items() if v), None)
     return ConditionReport(
         holds=first_fail is None,

@@ -4,13 +4,14 @@ Vectors are dicts {index: nonzero scalar}, and a SparseMatrix stores only
 its nonzero columns, each such a vector.  A matrix is eliminated at most
 once: SparseMatrix.sweep is one forward sweep, kept as a Sweep that records
 its pivot rows, the source row of each, its row operations in order and the
-rows that end zero, as an LU-type factorization does.  rank counts the
-pivots, echelon inserts the kept rows into an Echelon, and solve carries b
-through the recorded operations and back-substitutes; b carried onto a zero
-row is a "no", whose absence certificate replays the operations backwards
-from that row.  Echelon keeps a reduced row echelon form incrementally: it
-holds kernels, and the tagged reductions of the Hom spaces and the tensor
-carriers.
+rows that end zero, as an LU-type factorization does; each pivot is the
+earliest row leading at its column, on every field.  rank counts the
+pivots, echelon inserts the kept rows into a new Echelon, and solve carries
+b through the recorded operations and back-substitutes; b carried onto a
+zero row is a "no", whose absence certificate replays the operations
+backwards from the earliest such row.  Echelon keeps a reduced row echelon
+form incrementally: it holds kernels, and the tagged reductions of the Hom
+spaces and the tensor carriers.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class SparseMatrix:
     and keep a column dict with no zero as it is: its caller hands it over;
     from_blocks, add, scale, transpose and @ build valid columns from valid
     matrices and take them through _trusted.  rows, cols, col and entries
-    are views, built on each read."""
+    are views, built on each read; echelon and kernel_basis too, off the
+    one memo, the sweep."""
 
     def __init__(self, field, nrows: int, ncols: int, cols: dict | None = None):
         self.field, self.nrows, self.ncols = field, nrows, ncols
@@ -294,11 +296,11 @@ class SparseMatrix:
     def sweep(self) -> Sweep:
         """The one forward elimination of this matrix, kept.  Rows wait in
         buckets by leading column, and the sweep walks the columns in
-        ascending order.  At each column the bucket's row of least
-        coefficient cost (the earliest on ties) becomes the pivot row, which
-        limits rational coefficient blowup; the bucket's other rows lose
-        their entry there through that row alone, one recorded op each, and
-        move to the bucket of their new leading column or end zero."""
+        ascending order.  At each column the bucket's earliest row (least
+        row index) becomes the pivot row, on every field; the bucket's other
+        rows, in row order, lose their entry there through that row alone,
+        one recorded op each, and move to the bucket of their new leading
+        column or end zero."""
         f = self.field
         buckets, zero = {}, bytearray(self.nrows)
         for k, r in enumerate(self.rows()):
@@ -313,8 +315,7 @@ class SparseMatrix:
             cand = buckets.pop(col, None)
             if cand is None:
                 continue
-            if len(cand) > 1:
-                cand.sort(key=lambda kr: (f.cost(kr[1][col]), kr[0]))
+            cand.sort()  # by row index: indices are distinct
             p, piv = cand[0]
             source[col], rows[col] = p, piv
             inv = f.inv(piv[col])
@@ -328,12 +329,10 @@ class SparseMatrix:
                     zero[k] = 1
         return Sweep(rows, source, ops, zero)
 
-    @memo
     def echelon(self) -> Echelon:
-        """The RREF: the kept rows inserted by descending pivot.  A row
-        leads at its pivot and the rows before it lead further right, so an
-        insert only reduces (a copy of) the new row and clears no column.
-        The RREF is unique, so it does not depend on the sweep's pivot rows."""
+        """The RREF, built afresh on each call: the kept rows inserted by
+        descending pivot, so an insert only reduces (a copy of) the new row
+        and clears no column.  The RREF is unique: no pivot rule shows in it."""
         ech = Echelon(self.field, self.ncols)
         for _, row in sorted(self.sweep().rows.items(), reverse=True):
             ech.add_row(row)
@@ -388,10 +387,10 @@ class SparseMatrix:
     def absence_certificate(self, b: dict) -> dict:
         """A certificate that Mx = b has no solution: y = {row: value} with
         y^T M = 0 and y.b != 0, which exists exactly then (the Fredholm
-        alternative).  Of the zero rows that b is carried onto, the one of
-        least (cost, row index) is taken, as the sweep picks a pivot, and y,
-        the combination of rows that made it, is read by replaying the ops
-        backwards: y^T (I + c e_k e_p^T) adds c y_k to y_p.  y is rechecked,
+        alternative).  Of the zero rows that b is carried onto, the earliest
+        is taken, as the sweep picks a pivot, and y, the combination of rows
+        that made it, is read by replaying the ops backwards:
+        y^T (I + c e_k e_p^T) adds c y_k to y_p.  y is rechecked,
         y.col = 0 for every column of M; a consistent system, or a y that
         fails the recheck, raises DimensionMismatch."""
         f = self.field
@@ -400,7 +399,7 @@ class SparseMatrix:
         left = [k for k in vals if sw.zero[k]]
         if not left:
             raise DimensionMismatch("no absence certificate: the system is consistent")
-        y = {min(left, key=lambda k: (f.cost(vals[k]), k)): f.one}
+        y = {min(left): f.one}
         _replay(f, y, ((p, c, k) for k, c, p in reversed(sw.ops)))
 
         def dot(v):  # y . v

@@ -183,8 +183,8 @@ class EnvelopingRouteTower:
                                        [sigma_col(k) for k in range(NBe.dim(d - 1))])
         return sigma @ (dmat @ rho)
 
-    @memo
     def component(self, i: int) -> DegreewiseMap:
+        """Tensor component i, built on each call (asked once per tower)."""
         diag = self.diag
         N = self.N
         f = N.algebra.field

@@ -17,6 +17,7 @@ They give exactly the values of the op-by-op definitions through add, mul
 and is_zero, one operator expression per entry: entries that cancel are
 dropped, and every value they store is canonical (on Q an int when
 integral, even for a Fraction(1) operand; on F_p a residue in [0, p)).
+A field has no pivot cost: linalg's sweep picks pivots by row index alone.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class Rationals:
             s = inv * x
             u[j] = s if type(s) is int else _canon(s)
 
-    @staticmethod
-    def cost(a):
-        """Pivot-selection cost: bit size of the fraction (smaller is better)."""
-        return a.numerator.bit_length() + a.denominator.bit_length()
-
     def to_str(self, a):
         return str(a)
 
@@ -227,10 +223,6 @@ class PrimeField:
         inv, q = self.inv(c), self.p
         for j, x in u.items():
             u[j] = inv * x % q
-
-    @staticmethod
-    def cost(a):
-        return 1
 
     def to_str(self, a):
         return str(a)

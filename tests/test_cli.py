@@ -99,13 +99,17 @@ def test_a_bad_variable_differential_is_a_syntax_error_at_its_line(tmp_path):
     ("check", "--max-degree", "-3"),
     ("gamma", "--max-tensor", "-1"),
     ("battery", "--lbound", "-2"),
+    ("check", "--max-degree", "x"),
 ])
 def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
-    """A negative limit is refused before any run, naming its flag; zero is
-    accepted, and a run it cannot serve fails cleanly with CapExceeded."""
+    """A negative or non-integer limit is refused before any run, naming its
+    flag; zero is accepted, and a run it cannot serve fails cleanly with
+    CapExceeded."""
     code, out, err = run_cli([command, str(DATA / "two_step.dg"), f"{flag}={value}"])
     assert (code, out) == (2, "")
-    assert err.endswith(f"error: argument {flag}: must be nonnegative, got {value}\n")
+    why = (f"must be nonnegative, got {value}" if value.startswith("-")
+           else f"invalid int value: {value!r}")
+    assert err.endswith(f"error: argument {flag}: {why}\n")
     assert run_cli([command, str(DATA / "two_step.dg"), flag, "0"])[0] in (0, 1)
 
 
@@ -152,27 +156,50 @@ def test_a_negative_limit_line_is_a_syntax_error_at_its_line(tmp_path):
         2, "", "syntax error: line 8: max_degree must be nonnegative, got -3\n")
 
 
+BASE = "[base]\nring = k\n"
+ALG = BASE + "[algebra]\nvar y : 1 = 0\n"
+MOD = ALG + "[module N]\ngen e0 : 0\ngen e1 : 2\n"
+
+
 @pytest.mark.parametrize("lines, lineno, message", [
-    ("[algebra]\nvar  : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+    (BASE + "[algebra]\nvar  : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
      "variable name '' is not an identifier"),
-    ("[algebra]\nvar y-1 : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+    (BASE + "[algebra]\nvar y-1 : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
      "variable name 'y-1' is not an identifier"),
-    ("[algebra]\nvar y : 1 = 0\n[module N]\ngen  : 0\n", 7,
-     "generator name '' is not an identifier"),
-    ("[algebra]\nvar y : 1 = 0\n[modules N]\ngen e0 : 0\n", 6,
-     "unknown section 'modules N'"),
-    ("[algebra]\nvar y : 1 = 0\n[moduleN]\ngen e0 : 0\n", 6,
-     "unknown section 'moduleN'"),
-    ("[algebra]\nvar y : 1 = 0\n[module N 2]\ngen e0 : 0\n", 6,
-     "module name 'N 2' is not an identifier"),
+    (ALG + "[module N]\ngen  : 0\n", 7, "generator name '' is not an identifier"),
+    (ALG + "[modules N]\ngen e0 : 0\n", 6, "unknown section 'modules N'"),
+    (ALG + "[moduleN]\ngen e0 : 0\n", 6, "unknown section 'moduleN'"),
+    (ALG + "[module N 2]\ngen e0 : 0\n", 6, "module name 'N 2' is not an identifier"),
+    ("ring = k\n" + ALG, 2, "content before any section header"),
+    ("[base]\nring k\n", 3, "expected key = value"),
+    (MOD + "[limits]\nmax_degree 6\n", 10, "expected key = value"),
+    ("[base]\nrng = k\n", 3, "unknown base key 'rng'"),
+    (ALG + "B = 0\n", 6, "unknown algebra key 'B'"),
+    (MOD + "[limits]\nmax_deg = 6\n", 10, "unknown limit 'max_deg'"),
+    (ALG + "[module]\n", 6, "module section needs a name"),
+    (ALG + "A = x\n", 6, "A must be an integer prefix length"),
+    (ALG + "y : 1\n", 6, "cannot parse algebra line 'y : 1'"),
+    (MOD + "generator e2 : 4\n", 9, "cannot parse module line 'generator e2 : 4'"),
+    (MOD + "gen e2 4\n", 9, "expected: gen NAME : DEGREE"),
+    (MOD + "d e1 e0 * y\n", 9, "expected: d NAME = EXPR"),
+    (MOD + "[limits]\nmax_degree = x\n", 10, "max_degree must be an integer"),
+    (MOD + "d e9 = e0 * y\n", 9, "unknown generator 'e9'"),
+    (MOD + "d e1 = 2 * e0\n", 9, "term must start with a generator, got '2'"),
+    (MOD.replace("var y", "var z : 1 = 0\nvar y") + "d e1 = e0 * y * -z\n", 10,
+     "bad coefficient expression: unexpected token '-'"),
 ], ids=["var-unnamed", "var-not-identifier", "gen-unnamed", "modules-header",
-        "module-unspaced", "module-two-words"])
+        "module-unspaced", "module-two-words", "before-any-section", "base-no-equals",
+        "limits-no-equals", "unknown-base-key", "unknown-algebra-key", "unknown-limit",
+        "module-unnamed", "A-not-an-integer", "algebra-line", "module-line", "gen-line",
+        "d-line", "limit-not-an-integer", "d-unknown-generator", "term-not-a-generator",
+        "sign-after-a-coefficient-factor"])
 def test_a_malformed_name_or_header_is_a_syntax_error_at_its_line(tmp_path, lines, lineno,
                                                                    message):
     """Variable, generator and module names are identifiers, and a module
-    header reads `module NAME`; anything else is refused at its line."""
+    header reads `module NAME`; anything else is refused at its line, as is
+    every line that fits no form of its section."""
     p = tmp_path / "names.dg"
-    p.write_text("# names\n[base]\nring = k\n" + lines)
+    p.write_text("# names\n" + lines)
     with pytest.raises(ParseError, match=f"^line {lineno}: ") as exc:
         parse_instance(str(p), EngineConfig(field=RATIONALS))
     assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
@@ -216,6 +243,18 @@ def test_several_d_lines_of_one_generator_add_up(tmp_path):
                  "gen e0 : 0\ngen e1 : 2\nd e1 = e0 * y\nd e1 = e0 * y\n")
     M = parse_instance(str(p), EngineConfig(field=RATIONALS)).modules["N"]
     assert M.diff == {(0, 1): M.algebra.gen("y").scale(2)}
+
+
+def test_a_sign_after_star_belongs_to_the_coefficient(tmp_path):
+    """e0 * -y reads as -(e0 y), the same differential as - e0 * y."""
+    diffs = []
+    for line in ("d e1 = e0 * -y", "d e1 = - e0 * y"):
+        p = tmp_path / "sign.dg"
+        p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\n"
+                     f"gen e0 : 0\ngen e1 : 2\n{line}\n")
+        M = parse_instance(str(p), EngineConfig(field=RATIONALS)).modules["N"]
+        diffs.append({key: el.terms for key, el in M.diff.items()})
+    assert diffs[0] == diffs[1] == {(0, 1): M.algebra.gen("y").neg().terms}
 
 
 def test_run_corpus_rejects_a_bad_field_like_the_cli():

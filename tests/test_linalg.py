@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dglift.config import EngineConfig
@@ -276,7 +276,7 @@ FIELDS = st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)])
 @given(st.data())
 def test_sparse_matrix_echelon_is_the_dense_rref(data):
     """SparseMatrix.echelon (the kept sweep's rows, bucketed by leading
-    column and cheapest pivot row first, inserted by descending pivot)
+    column and earliest pivot row first, inserted by descending pivot)
     stores the oracle's RREF, rows, pivots and kernel alike; the sweep's own
     rows lead at the RREF pivots, one row each, and its recorded ops,
     replayed on M's rows, rebuild its kept rows and its zero rows, before
@@ -303,6 +303,26 @@ def test_sparse_matrix_echelon_is_the_dense_rref(data):
     assert ech.rows == [sparse(field, r) for r in want_rows]
     assert ech.kernel_basis() == [sparse(field, v) for v in dense_kernel(field, frows, ncols)]
     assert_column_index_consistent(ech)
+
+
+SMALL_INT_ROWS = st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), min_size=1, max_size=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_INT_ROWS)
+@example([[2, 1], [1, 0]])
+def test_Q_and_Fp_sweep_alike(rows):
+    """The sweep picks each pivot by row index alone, so Q and Fp record
+    the same elimination: the same pivot rows and sources, the same op
+    positions and the same zero rows.  Entries in -2..2 keep every minor
+    far below the prime, so an entry vanishes on Fp exactly when it
+    vanishes on Q.  In the example, a rule that preferred the pivot of
+    least bit size would take row 1 (entry 1) on Q but row 0 on Fp."""
+    q, fp = (mat(field, rows).sweep() for field in (RATIONALS, PrimeField(DEFAULT_PRIME)))
+    assert q.source == fp.source and q.zero == fp.zero
+    assert sorted(q.rows) == sorted(fp.rows)
+    assert [(k, p) for k, _, p in q.ops] == [(k, p) for k, _, p in fp.ops]
 
 
 def solution_off_the_echelon(field, frows, ncols, b):
