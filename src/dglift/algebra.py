@@ -400,15 +400,10 @@ def build_algebra(base: BaseRing, variables, n_A: int = 0,
     degrees = [v[1] for v in variables]
     alg = DGAlgebra(base, names, degrees, n_A, config)
     for i, (_, _, dexpr) in enumerate(variables):
-        if isinstance(dexpr, str):
-            try:
-                elem = parse_element(alg, dexpr, allow_vars=names[:i])
-            except ValueError as exc:
-                raise BadExpression(i, f"d({names[i]}): {exc}")
-        elif dexpr is None:
-            elem = alg.zero()
-        else:
-            elem = dexpr
+        try:
+            elem = parse_element(alg, dexpr, allow_vars=names[:i])
+        except ValueError as exc:
+            raise BadExpression(i, f"d({names[i]}): {exc}")
         alg._attach_diff(i, elem)
     alg._validate()
     return alg

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
-from .linalg import Echelon, SparseMatrix, vec_axpy
+from .linalg import SparseMatrix, vec_axpy
 from .memo import memo, peek
 from .modules import ChainMap, SemifreeModule, chain_failure, regular_module
 
@@ -267,10 +267,11 @@ class HomSpace:
     or, for "no", a rechecked absence certificate.  class_reps and express
     read one echelon on layout(s), built on first use.  The cycles are the
     kernel basis of delta_{s+1}, read off that matrix's own echelon (the
-    kept rows of its sweep) and not kept here.  The columns of
-    delta_s go in untagged (their rank is boundary_dim); then each cycle
-    that leaves something on layout(s) goes in with a 1 in tag column
-    layout(s).total + k, as representative k.
+    kept rows of its sweep) and not kept here.  The echelon starts as the
+    RREF of the column space of delta_s (column_space_echelon), untagged,
+    its rank boundary_dim; then each cycle that leaves something on
+    layout(s) goes in with a 1 in tag column layout(s).total + k, as
+    representative k.
     Tags are never pivots, so each row minus the representatives its tags
     name is a boundary.  A map reduces to nothing when it is a boundary, to
     tags only when it is a cycle of nonzero class (minus the tags are its
@@ -312,10 +313,7 @@ class HomSpace:
         """(boundary rank, the tagged echelon, the class representatives)."""
         f, n = self.field, self.layout.total
         cycles = self.chain_matrix().kernel_basis()
-        ech = Echelon(f, n)
-        for col in self.boundary_matrix().cols():
-            if col:
-                ech.add_row(col)
+        ech = self.boundary_matrix().column_space_echelon()
         brank = ech.rank
         reps = []
         for z in cycles:

@@ -11,7 +11,8 @@ b through the recorded operations and back-substitutes; b carried onto a
 zero row is a "no", whose absence certificate replays the operations
 backwards from the earliest such row.  Echelon keeps a reduced row echelon
 form incrementally: it holds kernels, and the tagged reductions of the Hom
-spaces and the tensor carriers.
+spaces and the tensor carriers; its column index covers the non-pivot
+columns below ncols only, never the tags beyond them.
 """
 
 from __future__ import annotations
@@ -50,9 +51,13 @@ class Echelon:
     ``reduce`` subtracts only the rows whose pivots occur in the vector, each
     scaled by the vector's original entry there.  The rows live only in
     ``_row_of``, which maps a pivot to its row, in insertion order; ``_by_col``
-    maps each non-pivot column to the pivots of the rows with an entry in it.
-    ``pivots`` and ``rows`` are views sorted by pivot, built on each read, so
-    an insertion costs nothing for keeping a sorted list.
+    maps each non-pivot column below ``ncols`` to the pivots of the rows with
+    an entry in it.  ``pivots`` and ``rows`` are views sorted by pivot, built
+    on each read, so an insertion costs nothing for keeping a sorted list.
+
+    Tags: columns from ``ncols`` on ride along in rows and reductions, never
+    lead a row, and are never indexed, so a caller can record in them the
+    combination that made each row.
     """
 
     def __init__(self, field, ncols: int):
@@ -94,7 +99,7 @@ class Echelon:
             return False
         p = min(row)
         f.normalize(row, p)
-        tail = [j for j in row if j != p]
+        tail = [j for j in row if j != p and j < self.ncols]
         row_of = self._row_of
         by_col = self._by_col
         # keep RREF: clear column p from the rows that have an entry there

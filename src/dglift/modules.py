@@ -200,9 +200,6 @@ class ChainMap:
             out[k] = out[k] + v if k in out else v
         return ChainMap(self.source, self.target, self.shift, out)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     @classmethod
     def identity(cls, M: SemifreeModule) -> "ChainMap":
         one = M.algebra.one()
@@ -314,7 +311,7 @@ def base_change(N: SemifreeModule):
     alg = N.algebra
     cap = N.max_degree + 1
     if cap > alg.config.max_degree:
-        raise CapExceeded(cap, alg.config.max_degree)
+        raise CapExceeded(cap, alg.config.max_degree, "base-change generator degree")
     gens = []  # (degree, lam, monomial)
     for lam in range(N.n_gens):
         for d in range(0, cap - N.degrees[lam] + 1):

@@ -50,3 +50,17 @@ def forge_an_absence(monkeypatch, field):
         return kept._replace(zero=bytearray([1]) * self.nrows)
 
     monkeypatch.setattr(SparseMatrix, "sweep", forged)
+
+
+def assert_column_index_consistent(ech):
+    """Echelon._by_col indexes the non-pivot columns below ncols and nothing
+    else: each maps to the pivots of the rows with an entry there, no pivot
+    is a key, and no tag column (ncols on) is one."""
+    holders: dict = {}
+    for p, row in zip(ech.pivots, ech.rows):
+        for j in row:
+            if j != p and j < ech.ncols:
+                holders.setdefault(j, set()).add(p)
+    assert all(0 <= j < ech.ncols for j in ech._by_col), sorted(ech._by_col)
+    assert not set(ech._by_col) & set(ech.pivots)
+    assert {j: ps for j, ps in ech._by_col.items() if ps} == holders

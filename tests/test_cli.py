@@ -10,6 +10,7 @@ import pytest
 from dglift.cli import main, parse_instance, ParseError
 from dglift.config import EngineConfig
 from dglift.errors import DSquaredNonzero, IllFormedPresentation
+from dglift.modules import make_module
 from dglift.scalars import RATIONALS
 
 from conftest import DATA
@@ -255,6 +256,29 @@ def test_a_sign_after_star_belongs_to_the_coefficient(tmp_path):
         M = parse_instance(str(p), EngineConfig(field=RATIONALS)).modules["N"]
         diffs.append({key: el.terms for key, el in M.diff.items()})
     assert diffs[0] == diffs[1] == {(0, 1): M.algebra.gen("y").neg().terms}
+
+
+@pytest.mark.parametrize("line, want", [
+    ("d e1 = e0 * x + f0 * y", lambda x, y: {("e0", "e1"): x, ("f0", "e1"): y}),
+    ("d e1 = e0 * (x + y) - f0 * y", lambda x, y: {("e0", "e1"): x + y, ("f0", "e1"): y.neg()}),
+    ("d e1 = e0 * (x - y)", lambda x, y: {("e0", "e1"): x - y}),
+    ("d e1 = e0*x+f0*y", lambda x, y: {("e0", "e1"): x, ("f0", "e1"): y}),
+    ("d e1 = e0 * x - e0 * x", lambda x, y: {}),
+    ("d e1 = 0", lambda x, y: {}),
+], ids=["sum", "parenthesized-sum", "parenthesized-difference", "no-spaces", "cancelling",
+        "zero"])
+def test_a_module_differential_of_several_terms(tmp_path, line, want):
+    """The parser splits a differential at its top-level signs only (not
+    inside parentheses), skips a "0" term and drops a sum that cancels: its
+    module equals the one make_module builds from the same coefficients."""
+    p = tmp_path / "terms.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar x : 1 = 0\nvar y : 1 = 0\n"
+                 f"[module N]\ngen e0 : 0\ngen f0 : 0\ngen e1 : 2\n{line}\n")
+    M = parse_instance(str(p), EngineConfig(field=RATIONALS)).modules["N"]
+    alg = M.algebra
+    ref = make_module(alg, [("e0", 0), ("f0", 0), ("e1", 2)], want(alg.gen("x"), alg.gen("y")))
+    assert {k: el.terms for k, el in M.diff.items()} == \
+        {k: el.terms for k, el in ref.diff.items()}
 
 
 def test_run_corpus_rejects_a_bad_field_like_the_cli():

@@ -13,7 +13,7 @@ from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS, is_prime
 
-from conftest import entry_matrix, forge_an_absence
+from conftest import assert_column_index_consistent, entry_matrix, forge_an_absence
 from dense_oracle import (dense_certifies_absence, dense_echelon, dense_kernel, dense_rank,
                           dense_solve)
 
@@ -185,15 +185,6 @@ def sparse(field, dense_vec):
     return {j: c for j, c in enumerate(dense_vec) if not field.is_zero(c)}
 
 
-def assert_column_index_consistent(ech):
-    for j in range(ech.ncols):
-        if j in ech.pivots:
-            assert j not in ech._by_col
-        else:
-            holders = {p for p, r in zip(ech.pivots, ech.rows) if j in r}
-            assert ech._by_col.get(j, set()) == holders
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_echelon_insertion_order_matches_dense_rref(data):
@@ -270,6 +261,37 @@ def fmat(field, frows, ncols):
 
 
 FIELDS = st.sampled_from([RATIONALS, PrimeField(DEFAULT_PRIME)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tagged_rows_record_their_combination_and_are_not_indexed(data):
+    """Rows inserted as the Hom spaces and tensor carriers insert them: a
+    vector that leaves something below ncols goes in with a 1 in tag column
+    ncols + k.  The rows below ncols are the RREF of those vectors, every
+    row's tags give the combination of them that it is, and the column
+    index never holds a tag column."""
+    field = data.draw(FIELDS)
+    ncols = data.draw(st.integers(1, 6))
+    frows = fraction_rows(data, field, ncols)
+    ech, kept = Echelon(field, ncols), []
+    for r in frows:
+        red = ech.reduce(sparse(field, r))
+        if red and min(red) < ncols:
+            red[ncols + len(kept)] = field.one
+            ech.add_row(red)
+            kept.append(r)
+        assert_column_index_consistent(ech)
+    want_rows, want_pivots = dense_echelon(field, frows)
+    assert ech.pivots == want_pivots and len(kept) == len(want_pivots)
+    assert [{j: c for j, c in row.items() if j < ncols} for row in ech.rows] == \
+        [sparse(field, r) for r in want_rows]
+    for row in ech.rows:
+        combo = [field.zero] * ncols
+        for t, c in row.items():
+            if t >= ncols:
+                combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, kept[t - ncols])]
+        assert sparse(field, combo) == {j: c for j, c in row.items() if j < ncols}
 
 
 @settings(max_examples=80, deadline=None)

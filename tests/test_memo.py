@@ -29,7 +29,7 @@ from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, Obstruction
                                 chain_map_operator, chi_power, gamma_dim, induced_matrix)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
-from conftest import entry_matrix
+from conftest import assert_column_index_consistent, entry_matrix
 
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
            "Fp": EngineConfig(field=PrimeField(DEFAULT_PRIME))}
@@ -110,6 +110,35 @@ def test_carrier_diff_is_built_once_and_equals_a_fresh_build(backend):
                 assert matrix_data(m) == matrix_data(new.diff(d)), (inst.name, type(car), d)
                 checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_kept_echelons_index_no_tag_column(backend):
+    """A tag column never leads a row, so no query reads an index of it:
+    after T^2 and T^3 are built in every degree on each corpus algebra, and
+    the kernel sequence has built its Hom spaces' class echelons on each
+    module expected to satisfy AR1, every E_q of a tensor carrier and every
+    class echelon indexes the non-pivot columns below its ncols only."""
+    spanning = tagged = 0
+    for inst in build_corpus(CONFIGS[backend]).values():
+        diag = Diagonal(inst.algebra)
+        for n in (2, 3):
+            car = diag.T(n)
+            for d in range(car.min_degree(), inst.algebra.config.max_degree + 1):
+                car.dim(d)
+        for mname in inst.ar1_expected:
+            kernel_sequence_check(inst.modules[mname], diag)
+        echelons = [ech for car in peek(diag, "T").values() if isinstance(car, TensorCarrier)
+                    for _, ech, _ in (peek(car, "_spanning") or {}).values()]
+        spanning += len(echelons)
+        for hs in (peek(diag, "_hom") or {}).values():
+            built = peek(hs, "_build")
+            if built is not None:
+                echelons.append(built[1])
+                tagged += bool(built[2])
+        for ech in echelons:
+            assert_column_index_consistent(ech)
+    assert spanning >= 30 and tagged >= 10, (spanning, tagged)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

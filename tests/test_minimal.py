@@ -185,3 +185,19 @@ def test_survivors_are_ordered_by_degree_then_position(backend):
     assert Np.diff == {(0, 1): a.neg()}
     diag = Diagonal(alg)
     assert invariants(M, diag) == invariants(M, Unreduced(alg))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_cancelled_pair_can_cancel_another_coefficient(backend):
+    """Over k<y>, d n = r*y + m and d k = r*y + m: cancelling (m, n) takes
+    y * 1 away from the coefficient y of r in d k, which leaves nothing, so
+    that entry is deleted and N' is r, k with no differential."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0")], 0,
+                        CONFIGS[backend].with_limits(max_degree=6, max_tensor=2))
+    y, one = alg.gen("y"), alg.one()
+    M = make_module(alg, [("r", 0), ("m", 1), ("n", 2), ("k", 2)],
+                    {("r", "n"): y, ("m", "n"): one, ("r", "k"): y, ("m", "k"): one})
+    model = minimal_model(M)
+    assert model.module.names == ("r", "k") and model.module.degrees == (0, 2)
+    assert model.module.diff == {}
+    assert model.recheck() is model

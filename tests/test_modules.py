@@ -3,7 +3,7 @@
 import pytest
 
 from dglift.algebra import BaseRing, build_algebra
-from dglift.errors import DegreeMismatch, DSquaredNonzero, NotTriangular
+from dglift.errors import CapExceeded, DegreeMismatch, DSquaredNonzero, NotTriangular
 from dglift.modules import (ChainMap, base_change, cone, direct_sum, free_module,
                             homology_dim, make_module, shift, zero_module)
 
@@ -193,6 +193,19 @@ def test_base_change_identity_when_A_is_B(quot):
     G, pi = base_change(K)
     assert G.n_gens == K.n_gens
     assert all(el == quot.one() for el in pi.entries.values())
+
+
+def test_base_change_names_the_degree_beyond_the_cap(config):
+    """G needs generators up to one degree above N's, so N reaching the
+    cap is refused, naming the base-change generator degree."""
+    alg = build_algebra(BaseRing(), [("u", 1, "0"), ("y", 1, "0")], 1,
+                        config.with_limits(max_degree=2))
+    N = make_module(alg, [("e0", 0), ("e1", 2)], {("e0", "e1"): alg.gen("y")})
+    with pytest.raises(CapExceeded) as exc:
+        base_change(N)
+    assert str(exc.value) == \
+        "base-change generator degree 3 exceeds configured cap 2; raise the limit"
+    assert (exc.value.needed, exc.value.cap) == (3, 2)
 
 
 def test_base_change_right_linearity_of_counit(ext):
