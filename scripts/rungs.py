@@ -25,6 +25,9 @@ differential:
                                      generators; the digest hashes the report
   cone_ext5_len5, cone_ext6_len5     the battery on the cone of the identity
                                      of the first two chains
+  kernel_ext5_len5                   kernel_sequence_check alone on the
+                                     chain of chain_ext5_len5; the digest
+                                     hashes its result
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from dglift.algebra import BaseRing, build_algebra  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.diagonal import Diagonal  # noqa: E402
-from dglift.liftcheck import naive_lift_battery  # noqa: E402
+from dglift.liftcheck import kernel_sequence_check, naive_lift_battery  # noqa: E402
 from dglift.modules import ChainMap, cone, make_module  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
@@ -99,6 +102,18 @@ def battery(ngens: int, length: int, of_cone: bool = False):
     return rung, digest
 
 
+def kernel_sequence(ngens: int, length: int):
+    """kernel_sequence_check on the chain of this length over the exterior
+    algebra on ngens generators, with no battery before it."""
+    def rung(field):
+        M = chain(exterior(ngens, field), length)
+        return kernel_sequence_check(M, Diagonal(M.algebra))
+
+    def digest(result, h):
+        h.update(json.dumps(result, sort_keys=True).encode())
+    return rung, digest
+
+
 RUNGS = {
     "ladder_ext5_d12": ladder(12),
     "ladder_ext5_d13": ladder(13),
@@ -108,6 +123,7 @@ RUNGS = {
     "chain_ext6_len5": battery(6, 5),
     "cone_ext5_len5": battery(5, 5, of_cone=True),
     "cone_ext6_len5": battery(6, 5, of_cone=True),
+    "kernel_ext5_len5": kernel_sequence(5, 5),
 }
 
 

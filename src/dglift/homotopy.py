@@ -29,15 +29,16 @@ y with y delta_s = 0 and y.f != 0 read off the same sweep, rechecked as
 well.  The class basis and class coordinates read one echelon on
 layout(s): the column reduction with recorded combinations of persistent
 homology (Zomorodian and Carlsson, Computing persistent homology, 2005).
-Boundaries go in untagged, then each cycle that is new modulo the rows
-before it goes in tagged, as a class representative.  The representatives
-depend only on the span of the boundaries and the order of the cycles, and
-the witness only on delta_s and f, so neither depends on how a span is
-reduced.
+The columns of delta_s at its sweep's pivots go in untagged, then each
+cycle that is new modulo the rows before it goes in tagged, as a class
+representative.  The representatives depend only on the span of the
+boundaries and the order of the cycles, and the witness only on delta_s and
+f, so neither depends on how a span is reduced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -45,7 +46,7 @@ from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import SparseMatrix, vec_axpy
-from .memo import memo, peek
+from .memo import memo
 from .modules import ChainMap, SemifreeModule, chain_failure, regular_module
 
 if TYPE_CHECKING:  # diagonal imports this module
@@ -65,28 +66,30 @@ def _as_carrier(target) -> Carrier:
 
 
 class MapLayout:
-    """Flat layout for the generator-image unknowns of maps N -> Sigma^s Y."""
+    """Flat layout for the generator-image unknowns of maps N -> Sigma^s Y:
+    offsets are the block starts, ending in the total, as in SemifreeCarrier."""
 
     def __init__(self, source: SemifreeModule, target: Carrier, shift: int):
         self.source = source
         self.target = target
         self.shift = shift
-        self.offsets = []
-        off = 0
-        for lam in range(source.n_gens):
-            d = source.degrees[lam] - shift
-            n = target.dim(d)
-            self.offsets.append((off, d, n))
-            off += n
-        self.total = off
+        self.offsets = offs = [0]
+        for deg in source.degrees:
+            offs.append(offs[-1] + target.dim(deg - shift))
+        self.total = offs[-1]
 
     def block(self, lam: int):
-        return self.offsets[lam]
+        """(offset, degree, size) of generator lam's block."""
+        if not 0 <= lam < self.source.n_gens:
+            raise DimensionMismatch(f"generator key {lam!r} is not one of the source's "
+                                    f"generators {self.source.describe()}")
+        off = self.offsets[lam]
+        return off, self.source.degrees[lam] - self.shift, self.offsets[lam + 1] - off
 
     def to_flat(self, cols: dict) -> dict:
         out = {}
         for lam, vec in cols.items():
-            off, _, n = self.offsets[lam]
+            off, _, n = self.block(lam)
             for i, c in vec.items():
                 if not (0 <= i < n):
                     raise DimensionMismatch(
@@ -96,16 +99,14 @@ class MapLayout:
         return out
 
     def from_flat(self, flat: dict) -> dict:
-        cols: dict = {}
-        for lam in range(self.source.n_gens):
-            off, _, n = self.offsets[lam]
-            blk = {}
-            for i in range(n):
-                c = flat.get(off + i)
-                if c is not None:
-                    blk[i] = c
-            if blk:
-                cols[lam] = blk
+        """Generator images of a flat vector, read off its entries alone."""
+        offs, cols = self.offsets, {}
+        items = sorted(flat.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < self.total):
+            raise DimensionMismatch(f"a flat vector with entries outside {self.total} unknowns")
+        for k, c in items:
+            lam = bisect_right(offs, k) - 1
+            cols.setdefault(lam, {})[k - offs[lam]] = c
         return cols
 
 
@@ -143,10 +144,8 @@ def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> d
 
 def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
     """delta_s as a matrix from cols = layout(s-1) to rows = layout(s)."""
-    return SparseMatrix.from_blocks(
-        rows.target.field, [off for off, _, _ in rows.offsets] + [rows.total],
-        [off for off, _, _ in cols.offsets] + [cols.total],
-        _delta_blocks(rows.source, rows.target, rows.shift))
+    return SparseMatrix.from_blocks(rows.target.field, rows.offsets, cols.offsets,
+                                    _delta_blocks(rows.source, rows.target, rows.shift))
 
 
 def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,
@@ -268,10 +267,10 @@ class HomSpace:
     read one echelon on layout(s), built on first use.  The cycles are the
     kernel basis of delta_{s+1}, read off that matrix's own echelon (the
     kept rows of its sweep) and not kept here.  The echelon starts as the
-    RREF of the column space of delta_s (column_space_echelon), untagged,
-    its rank boundary_dim; then each cycle that leaves something on
-    layout(s) goes in with a 1 in tag column layout(s).total + k, as
-    representative k.
+    RREF of the image of delta_s (column_space_echelon: its columns at the
+    pivots of its one sweep), untagged; then each cycle that leaves
+    something on layout(s) goes in with a 1 in tag column
+    layout(s).total + k, as representative k.
     Tags are never pivots, so each row minus the representatives its tags
     name is a boundary.  A map reduces to nothing when it is a boundary, to
     tags only when it is a cycle of nonzero class (minus the tags are its
@@ -296,6 +295,15 @@ class HomSpace:
         return (f"Hom space from generators {self.source.describe()} into "
                 f"{self.target!r} at shift {self.shift}")
 
+    def _flat(self, cmap: CarrierMap) -> dict:
+        """cmap on layout(s); a map of another space raises DimensionMismatch."""
+        if (cmap.source is not self.source or cmap.target is not self.target
+                or cmap.shift != self.shift):
+            raise DimensionMismatch(
+                f"a map from generators {cmap.source.describe()} into {cmap.target!r} at "
+                f"shift {cmap.shift} is not in the {self._where()}")
+        return cmap.flat(self.layout)
+
     @memo
     def chain_matrix(self) -> SparseMatrix:
         """delta_{s+1}, whose kernel is the chain maps, built once: the class
@@ -310,7 +318,7 @@ class HomSpace:
 
     @memo
     def _build(self) -> tuple:
-        """(boundary rank, the tagged echelon, the class representatives)."""
+        """(the tagged echelon, the class representatives)."""
         f, n = self.field, self.layout.total
         cycles = self.chain_matrix().kernel_basis()
         ech = self.boundary_matrix().column_space_echelon()
@@ -326,7 +334,7 @@ class HomSpace:
             raise DimensionMismatch(
                 f"{len(reps)} classes from {len(cycles)} cycles and {brank} "
                 f"boundaries in the {self._where()}: the boundaries are not all cycles")
-        return brank, ech, reps
+        return ech, reps
 
     # ----- public queries -----
 
@@ -336,8 +344,7 @@ class HomSpace:
 
     @property
     def boundary_dim(self) -> int:
-        built = peek(self, "_build")
-        return built[0] if built is not None else self.boundary_matrix().rank()
+        return self.boundary_matrix().rank()
 
     @property
     def dim_K(self) -> int:
@@ -349,14 +356,14 @@ class HomSpace:
 
     def class_reps(self) -> list[CarrierMap]:
         return [CarrierMap(self.source, self.target, self.shift, self.layout.from_flat(v))
-                for v in self._build()[2]]
+                for v in self._build()[1]]
 
     def express(self, cmap: CarrierMap) -> dict:
         """Coordinates of the homotopy class of cmap over class_reps, as the
         sparse vector {k: coordinate} of its nonzero coordinates in
         ascending k: minus the tags that the reduction of cmap leaves."""
         f, n = self.field, self.layout.total
-        red = self._build()[1].reduce(cmap.flat(self.layout))
+        red = self._build()[0].reduce(self._flat(cmap))
         if red and min(red) < n:
             raise DimensionMismatch(
                 chain_failure(self.source, self.shift, min(cmap.chain_defect())))
@@ -370,7 +377,7 @@ class HomSpace:
         witnesses are reproducible; its None has passed the absence
         certificate's recheck.  A failed recheck names this space.
         """
-        flat = cmap.flat(self.layout)
+        flat = self._flat(cmap)
         try:
             sol = self.boundary_matrix().solve(flat)
         except DimensionMismatch as exc:

@@ -6,13 +6,14 @@ once: SparseMatrix.sweep is one forward sweep, kept as a Sweep that records
 its pivot rows, the source row of each, its row operations in order and the
 rows that end zero, as an LU-type factorization does; each pivot is the
 earliest row leading at its column, on every field.  rank counts the
-pivots, echelon inserts the kept rows into a new Echelon, and solve carries
-b through the recorded operations and back-substitutes; b carried onto a
-zero row is a "no", whose absence certificate replays the operations
-backwards from the earliest such row.  Echelon keeps a reduced row echelon
-form incrementally: it holds kernels, and the tagged reductions of the Hom
-spaces and the tensor carriers; its column index covers the non-pivot
-columns below ncols only, never the tags beyond them.
+pivots, echelon inserts the kept rows into a new Echelon and
+column_space_echelon the columns at the pivots, and solve carries b through
+the recorded operations and back-substitutes; b carried onto a zero row is
+a "no", whose absence certificate replays the operations backwards from the
+earliest such row.  Echelon keeps a reduced row echelon form incrementally:
+it holds kernels, and the tagged reductions of the Hom spaces and the
+tensor carriers; its column index covers the non-pivot columns below ncols
+only, never the tags beyond them.
 """
 
 from __future__ import annotations
@@ -415,8 +416,11 @@ class SparseMatrix:
         return y
 
     def column_space_echelon(self) -> Echelon:
-        """RREF of the column space (canonical basis of the image)."""
-        return self.transpose().echelon()
+        """The RREF of the image: the columns at the sweep's pivots, inserted."""
+        ech = Echelon(self.field, self.nrows)
+        for p in self.sweep().rows:
+            ech.add_row(self._columns[p])
+        return ech
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self._columns.values()))})"

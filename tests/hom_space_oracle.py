@@ -1,9 +1,9 @@
 """The Hom-space build that the engine's one tagged echelon replaced.
 
 OracleHomSpace runs three eliminations per build: the RREF of delta_{s+1}
-for the cycles, the column-space echelon of delta_s for the boundaries, and
-a third echelon that re-inserts the boundary rows and then the cycles to
-pick class representatives.  express solves [boundaries | reps] x = f on
+for the cycles, the RREF of the transpose of delta_s for the boundaries (a
+route the engine does not take), and a third echelon that re-inserts the
+boundary rows and then the cycles to pick class representatives.  express solves [boundaries | reps] x = f on
 every call, and null_homotopy solves delta_s h = f on every call.  It keeps
 the strict-triangular option, whose pinned kernel the tests' strict cycles
 must reproduce.  It shares delta_matrix, MapLayout and the sparse linear
@@ -53,7 +53,7 @@ def strict_triangular_cycles(M) -> list[CarrierMap]:
 def echelon_says_null(hs: HomSpace, cmap: CarrierMap) -> bool:
     """Whether cmap is null-homotopic, read off the tagged class echelon of
     hs: cmap is a boundary exactly when it reduces to nothing there."""
-    return not hs._build()[1].reduce(cmap.flat(hs.layout))
+    return not hs._build()[0].reduce(cmap.flat(hs.layout))
 
 
 class OracleHomSpace:
@@ -80,7 +80,7 @@ class OracleHomSpace:
             m = entry_matrix(f, r, self.layout.total, extra)
         self._cycles = m.kernel_basis()
         self._bmat = delta_matrix(self.layout, self.h_layout)
-        img = self._bmat.column_space_echelon()
+        img = self._bmat.transpose().echelon()
         self.boundary_dim = img.rank
         self._img_rows = [dict(r) for r in img.rows]
         ech = Echelon(f, self.layout.total)

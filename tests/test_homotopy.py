@@ -10,14 +10,15 @@ from hom_oracle import delta_by_elements
 from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
 from dglift.errors import DegreeMismatch, DimensionMismatch
-from dglift.homotopy import (HomSpace, MapLayout, chain_map_to_carrier, check_AR1,
-                             check_AR2, delta_cols, delta_matrix, hom_k_dim,
+from dglift.homotopy import (CarrierMap, HomSpace, MapLayout, chain_map_to_carrier,
+                             check_AR1, check_AR2, delta_cols, delta_matrix, hom_k_dim,
                              is_null_homotopic)
 from dglift.instances import build_corpus
+from dglift.linalg import SparseMatrix
 from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
                             make_module, regular_module, shift)
-from dglift.obstruction import omega_is_zero
+from dglift.obstruction import chi_power, omega_is_zero
 
 SHIFTS = range(-1, 3)
 
@@ -364,3 +365,99 @@ def test_a_coordinate_outside_its_block_names_the_generator(ext):
     with pytest.raises(DimensionMismatch,
                        match=f"^coordinate {n} of generator e1 outside its block of size {n}$"):
         layout.to_flat({1: {n: ext.field.one}})
+
+
+@pytest.mark.parametrize("key", [-1, 2])
+def test_a_generator_key_outside_the_source_names_the_generators(ext, key):
+    M = two_step(ext)
+    layout = MapLayout(M, M.carrier(), 0)
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"generator key {key} is not one of the source's generators [e0:0, e1:2]")):
+        layout.to_flat({key: {0: ext.field.one}})
+
+
+def test_from_flat_inverts_to_flat_around_empty_blocks(config):
+    """Over the exterior algebra on y, z, B has dimensions 1, 2, 1 in
+    degrees 0, 1, 2, so generators of degree 4 have empty blocks: the first,
+    a middle and the last one here.  An empty block starts where the next
+    one does, and every vector of the layout comes back as it went in."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0"), ("z", 1, "0")], 0, config)
+    N = make_module(alg, [("a", 4), ("b", 1), ("c", 4), ("d", 2), ("e", 1), ("g", 4)])
+    layout = MapLayout(N, regular_module(alg).carrier(), 0)
+    assert layout.offsets == [0, 0, 2, 2, 3, 5, 5] and layout.total == 5
+    assert [layout.block(lam) for lam in range(6)] == \
+        [(0, 4, 0), (0, 1, 2), (2, 4, 0), (2, 2, 1), (3, 1, 2), (5, 4, 0)]
+    f, rng = alg.field, random.Random(5)
+    for _ in range(40):
+        cols = {}
+        for lam in (1, 3, 4):
+            vec = {i: f.from_int(rng.randint(1, 4)) for i in range(layout.block(lam)[2])
+                   if rng.random() < 0.6}
+            if vec:
+                cols[lam] = vec
+        assert repr(layout.from_flat(layout.to_flat(cols))) == repr(cols)
+    for k in (-1, layout.total):
+        with pytest.raises(DimensionMismatch, match="outside 5 unknowns"):
+            layout.from_flat({k: f.one})
+
+
+class EntriesOnly(dict):
+    """A flat vector that may be walked but not read by key."""
+
+    def get(self, *args):
+        raise AssertionError("read by key")
+
+    __getitem__ = get
+
+
+def test_from_flat_reads_only_the_entries_of_the_vector(ext):
+    F = free_module(ext, 10**4)
+    layout = MapLayout(F, regular_module(ext).carrier(), 0)
+    assert layout.total == 10**4
+    one, two = ext.field.one, ext.field.from_int(2)
+    flat = EntriesOnly({9999: one, 0: two, 4321: one})
+    assert layout.from_flat(flat) == {0: {0: two}, 4321: {0: one}, 9999: {0: one}}
+
+
+def test_a_map_of_another_space_names_both_spaces(ext):
+    """express and null_homotopy answer for maps of their own space only:
+    another target, shift or source is refused, naming both spaces."""
+    B, F2 = regular_module(ext), free_module(ext, 2)
+    hs = HomSpace(B, F2, 0)
+    one = ext.field.one
+    mine = CarrierMap(B, hs.target, 0, {0: {0: one}})
+    assert hs.express(mine) == {0: one} and hs.null_homotopy(mine) is None
+    here = re.escape(f"is not in the Hom space from generators [b0:0] into {hs.target!r} "
+                     "at shift 0")
+    for cmap in (CarrierMap(B, B.carrier(), 0, {0: {0: one}}),
+                 CarrierMap(B, hs.target, 1, {}),
+                 CarrierMap(F2, hs.target, 0, {0: {0: one}})):
+        there = re.escape(f"a map from generators {cmap.source.describe()} into "
+                          f"{cmap.target!r} at shift {cmap.shift} ")
+        for query in (hs.express, hs.null_homotopy):
+            with pytest.raises(DimensionMismatch, match=there + here):
+                query(cmap)
+
+
+def test_a_hom_space_sweeps_each_delta_once(config, monkeypatch):
+    """The null-homotopy of chi^1, the class representatives and both
+    dimensions of the space N -> N (x) T that omega_is_zero asks read two
+    sweeps, of delta_s and of delta_{s+1}: the class echelon starts from
+    delta_s's pivot columns, read off its one sweep."""
+    inst = build_corpus(config)["exterior"]
+    diag = Diagonal(inst.algebra)
+    sweep, swept = SparseMatrix.sweep, []
+
+    def counted(m):
+        if peek(m, "sweep") is None:
+            swept.append(m)
+        return sweep(m)
+    monkeypatch.setattr(SparseMatrix, "sweep", counted)
+    assert len(inst.modules) == 8
+    for N in inst.modules.values():
+        chi1 = chi_power(N, diag, 1)
+        hs = diag.hom(N, chi1.target)
+        bmat, cmat = hs.boundary_matrix(), hs.chain_matrix()
+        swept.clear()
+        hs.null_homotopy(chi1), hs.class_reps(), hs.boundary_dim, hs.dim_K
+        assert [id(m) for m in swept] == [id(bmat), id(cmat)], N.names

@@ -327,6 +327,31 @@ def test_sparse_matrix_echelon_is_the_dense_rref(data):
     assert_column_index_consistent(ech)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_column_space_echelon_is_the_rref_of_the_image(data):
+    """column_space_echelon, the columns at the sweep's pivots inserted, is
+    the RREF of the image on nrows columns: the transpose's RREF and the
+    oracle's, with zero columns, repeated (rescaled) columns and none."""
+    field = data.draw(FIELDS)
+    nrows = data.draw(st.integers(0, 6))
+    fcols = []
+    for kind in data.draw(st.lists(st.sampled_from(["new", "zero", "repeat"]), max_size=7)):
+        if kind == "zero":
+            fcols.append([field.zero] * nrows)
+        elif kind == "repeat" and fcols:
+            c = field.from_int(data.draw(st.integers(1, 3)))
+            fcols.append([field.mul(c, x) for x in data.draw(st.sampled_from(fcols))])
+        else:
+            fcols += fraction_rows(data, field, nrows, max_rows=1)
+    m = SparseMatrix.from_cols(field, nrows, [dict(enumerate(c)) for c in fcols])
+    ech = m.column_space_echelon()
+    want_rows, want_pivots = dense_echelon(field, fcols)
+    assert (ech.ncols, ech.pivots) == (nrows, want_pivots)
+    assert ech.rows == [sparse(field, r) for r in want_rows] == m.transpose().echelon().rows
+    assert_column_index_consistent(ech)
+
+
 SMALL_INT_ROWS = st.integers(1, 6).flatmap(lambda ncols: st.lists(
     st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), min_size=1, max_size=7))
 

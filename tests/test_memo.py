@@ -134,8 +134,8 @@ def test_the_kept_echelons_index_no_tag_column(backend):
         for hs in (peek(diag, "_hom") or {}).values():
             built = peek(hs, "_build")
             if built is not None:
-                echelons.append(built[1])
-                tagged += bool(built[2])
+                echelons.append(built[0])
+                tagged += bool(built[1])
         for ech in echelons:
             assert_column_index_consistent(ech)
     assert spanning >= 30 and tagged >= 10, (spanning, tagged)

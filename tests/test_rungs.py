@@ -19,7 +19,7 @@ def run(*args):
 
 def test_the_smallest_rung_prints_one_measured_json_line_per_field():
     names = run("--list").stdout.split()
-    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 8
+    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 9
     proc = run("cone_ext5_len5")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
