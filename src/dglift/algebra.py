@@ -461,61 +461,68 @@ def parse_element(alg: DGAlgebra, text: str, allow_vars=None) -> AlgebraElement:
     parentheses, the base generator, and variable names."""
     toks = _Tokens(text)
     allowed = set(allow_vars) if allow_vars is not None else set(alg.var_names)
-
-    def atom() -> AlgebraElement:
-        kind, val = toks.peek()
-        if kind == "int":
-            toks.take()
-            if toks.peek()[0] == "/":
-                toks.take()
-                _, den = toks.take("int")
-                return alg.one().scale(alg.field.from_fraction(int(val), int(den)))
-            return alg.one().scale(alg.field.from_int(int(val)))
-        if kind == "name":
-            toks.take()
-            if val != alg.base.gen_name and val not in allowed:
-                raise ValueError(f"name {val!r} not allowed here")
-            return alg.gen(val)
-        if kind == "(":
-            toks.take()
-            e = expr()
-            toks.take(")")
-            return e
-        raise ValueError(f"unexpected token {val!r}")
-
-    def factor() -> AlgebraElement:
-        e = atom()
-        while toks.peek()[0] == "^":
-            toks.take()
-            _, n = toks.take("int")
-            out = alg.one()
-            for _ in range(int(n)):
-                out = out * e
-            e = out
-        return e
-
-    def term() -> AlgebraElement:
-        e = factor()
-        while toks.peek()[0] == "*":
-            toks.take()
-            e = e * factor()
-        return e
-
-    def expr() -> AlgebraElement:
-        neg = False
-        if toks.peek()[0] == "-":
-            toks.take()
-            neg = True
-        e = term()
-        if neg:
-            e = e.neg()
-        while toks.peek()[0] in ("+", "-"):
-            op, _ = toks.take()
-            t = term()
-            e = e + (t.neg() if op == "-" else t)
-        return e
-
-    out = expr()
+    out = _expr(alg, allowed, toks)
     if toks.peek()[0] is not None:
         raise ValueError(f"trailing input at {toks.peek()[1]!r}")
     return out
+
+
+# The grammar, one function per rule, each taking the token stream: as
+# module functions they reach each other by global name, so a parse leaves
+# no reference cycle behind.
+
+def _atom(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    kind, val = toks.peek()
+    if kind == "int":
+        toks.take()
+        if toks.peek()[0] == "/":
+            toks.take()
+            _, den = toks.take("int")
+            return alg.one().scale(alg.field.from_fraction(int(val), int(den)))
+        return alg.one().scale(alg.field.from_int(int(val)))
+    if kind == "name":
+        toks.take()
+        if val != alg.base.gen_name and val not in allowed:
+            raise ValueError(f"name {val!r} not allowed here")
+        return alg.gen(val)
+    if kind == "(":
+        toks.take()
+        e = _expr(alg, allowed, toks)
+        toks.take(")")
+        return e
+    raise ValueError(f"unexpected token {val!r}")
+
+
+def _factor(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    e = _atom(alg, allowed, toks)
+    while toks.peek()[0] == "^":
+        toks.take()
+        _, n = toks.take("int")
+        out = alg.one()
+        for _ in range(int(n)):
+            out = out * e
+        e = out
+    return e
+
+
+def _term(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    e = _factor(alg, allowed, toks)
+    while toks.peek()[0] == "*":
+        toks.take()
+        e = e * _factor(alg, allowed, toks)
+    return e
+
+
+def _expr(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    neg = False
+    if toks.peek()[0] == "-":
+        toks.take()
+        neg = True
+    e = _term(alg, allowed, toks)
+    if neg:
+        e = e.neg()
+    while toks.peek()[0] in ("+", "-"):
+        op, _ = toks.take()
+        t = _term(alg, allowed, toks)
+        e = e + (t.neg() if op == "-" else t)
+    return e

@@ -26,7 +26,7 @@ whole sign content of suspension.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from itertools import chain
 from typing import NamedTuple
 
@@ -318,10 +318,12 @@ class ShiftedCarrier(Carrier):
     def right_act(self, mono, d: int) -> SparseMatrix:
         return self.inner.action("r", mono, d - self.i)
 
+    # an odd twist negates a fresh inner action, so this carrier's memo keeps
+    # the one copy; an even one shares the inner's memoized matrix
     def left_act(self, mono, d: int) -> SparseMatrix:
-        m = self.inner.action("l", mono, d - self.i)
-        tw = (self.i * self.algebra.mono_degree(mono)) % 2
-        return m if tw == 0 else m.scale(self.field.neg(self.field.one))
+        if (self.i * self.algebra.mono_degree(mono)) % 2 == 0:
+            return self.inner.action("l", mono, d - self.i)
+        return self.inner.left_act(mono, d - self.i).scale(self.field.neg(self.field.one))
 
 
 class KernelSubCarrier(Carrier):
@@ -348,11 +350,11 @@ class KernelSubCarrier(Carrier):
         return self.proj_matrix_fn(d).kernel_basis()
 
     @memo
-    def _free_cols(self, d: int) -> list:
-        """The free columns of the projection's RREF, ascending: the kernel
+    def _positions(self, d: int) -> dict:
+        """{free column of the projection's RREF: its basis index}: the kernel
         basis vector of free column j is e_j minus terms on the pivots before
         j, so j is its largest coordinate."""
-        return [max(v) for v in self.basis_vectors(d)]
+        return {max(v): k for k, v in enumerate(self.basis_vectors(d))}
 
     @memo
     def min_degree(self) -> int:
@@ -375,22 +377,14 @@ class KernelSubCarrier(Carrier):
         return [f"{self.name}[{d}].{k}" for k in range(self.dim(d))]
 
     def coords(self, d: int, parent_vec: dict) -> dict:
-        """Coordinates of a parent vector that lies in the kernel subspace."""
-        basis = self.basis_vectors(d)
-        free = self._free_cols(d)
+        """Coordinates of a parent vector that lies in the kernel subspace:
+        its entries on the free columns, rechecked by substitution."""
         f = self.field
-        out = {}
-        # free columns are sorted: bisect gives a column's position, and
-        # visiting columns in order makes out's keys ascend
-        for col, c in sorted(parent_vec.items()):
-            k = bisect_left(free, col)
-            if k < len(free) and free[k] == col and not f.is_zero(c):
-                out[k] = c
-        # verify by substitution
-        chk: dict = {}
-        for k, c in out.items():
-            vec_axpy(f, chk, c, basis[k])
-        if chk != {j: c for j, c in parent_vec.items() if not f.is_zero(c)}:
+        at = self._positions(d)
+        nonzero = {j: c for j, c in parent_vec.items() if not f.is_zero(c)}
+        # ascending columns give ascending basis indices
+        out = {at[j]: nonzero[j] for j in sorted(nonzero) if j in at}
+        if self.to_parent(d, out) != nonzero:
             raise DimensionMismatch(f"vector not in {self.name} at degree {d}")
         return out
 
@@ -562,6 +556,8 @@ class TensorCarrier(Carrier):
                             red[wy + len(span)] = f.one
                             ech.add_row(red)
                             span.append((e, g, m))
+        # every later query of E_q reduces or reads its free columns
+        ech.release_index()
         free = sum(len(self._ring_monomials(e))
                    * (Y.dim(q - e) - len(self._spanning(q - e)[0] if e else span))
                    for e in range(q - ymin + 1))

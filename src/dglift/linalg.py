@@ -53,8 +53,9 @@ class Echelon:
     scaled by the vector's original entry there.  The rows live only in
     ``_row_of``, which maps a pivot to its row, in insertion order; ``_by_col``
     maps each non-pivot column below ``ncols`` to the pivots of the rows with
-    an entry in it.  ``pivots`` and ``rows`` are views sorted by pivot, built
-    on each read, so an insertion costs nothing for keeping a sorted list.
+    an entry in it, until ``release_index`` frees it after the last insert.
+    ``pivots`` and ``rows`` are views sorted by pivot, built on each read, so
+    an insertion costs nothing for keeping a sorted list.
 
     Tags: columns from ``ncols`` on ride along in rows and reductions, never
     lead a row, and are never indexed, so a caller can record in them the
@@ -94,6 +95,9 @@ class Echelon:
 
     def add_row(self, vec: dict) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
+        by_col = self._by_col
+        if by_col is None:
+            raise RuntimeError("add_row after release_index")
         f = self.field
         row = self.reduce(vec)  # a fresh dict: it becomes the row, normalized in place
         if not row:
@@ -102,7 +106,6 @@ class Echelon:
         f.normalize(row, p)
         tail = [j for j in row if j != p and j < self.ncols]
         row_of = self._row_of
-        by_col = self._by_col
         # keep RREF: clear column p from the rows that have an entry there
         for q in by_col.pop(p, ()):
             r = row_of[q]
@@ -117,17 +120,26 @@ class Echelon:
             by_col.setdefault(j, set()).add(p)
         return True
 
+    def release_index(self) -> None:
+        """Free the column index once the last row is in: reduce, rank and
+        free_columns read the rows only, and a later add_row or kernel_basis
+        raises."""
+        self._by_col = None
+
     def free_columns(self) -> list[int]:
         return [j for j in range(self.ncols) if j not in self._row_of]
 
     def kernel_basis(self) -> list[dict]:
         """Canonical basis of the kernel of the matrix whose rows were
         inserted (only meaningful when they are all the rows of a matrix)."""
+        by_col = self._by_col
+        if by_col is None:
+            raise RuntimeError("kernel_basis after release_index")
         f = self.field
         out = []
         for j in self.free_columns():
             v = {j: f.one}
-            for p in sorted(self._by_col.get(j, ())):
+            for p in sorted(by_col.get(j, ())):
                 v[p] = f.neg(self._row_of[p][j])
             out.append(v)
         return out

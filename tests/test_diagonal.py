@@ -6,8 +6,13 @@ import pytest
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import validate_carrier_squares
+from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
+from dglift.errors import DimensionMismatch
+from dglift.instances import build_corpus
 from dglift.linalg import vec_axpy
+from dglift.memo import peek
+from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 
 @pytest.fixture()
@@ -121,6 +126,92 @@ def test_diagonal_ideal_positive(config):
     diag = Diagonal(alg)
     assert diag.J.dim(0) == 0
     assert diag.J.min_degree() >= 1
+
+
+@pytest.fixture(scope="module", params=["Q", "Fp"])
+def corpus_algebras(request):
+    field = RATIONALS if request.param == "Q" else PrimeField(DEFAULT_PRIME)
+    return [inst.algebra for inst in build_corpus(EngineConfig(field=field)).values()]
+
+
+def sigma_J_left_actions(alg, parity):
+    """(J, Sigma J, u, d) for every monomial u of the given degree parity
+    and every degree d of Sigma J whose image lies within the cap."""
+    diag = Diagonal(alg)
+    cap = alg.config.max_degree
+    for d in range(diag.SJ.min_degree(), cap + 1):
+        for e in range(parity, cap - d + 2, 2):
+            for u in alg.monomials(e):
+                yield diag.J, diag.SJ, u, d
+
+
+def test_sigma_J_keeps_the_only_copy_of_an_odd_twisted_left_action(corpus_algebras):
+    """Sigma J's left action of an odd monomial is J's negated, built from
+    J's unmemoized left_act: J's action memo holds no copy of it."""
+    nonzero = 0
+    for alg in corpus_algebras:
+        minus = alg.field.neg(alg.field.one)
+        for J, SJ, u, d in sigma_J_left_actions(alg, 1):
+            m = SJ.action("l", u, d)
+            want = J.left_act(u, d - 1).scale(minus)
+            assert (m.nrows, m.ncols, m.columns()) == (want.nrows, want.ncols, want.columns())
+            assert ("l", u, d - 1) not in (peek(J, "action") or {})
+            nonzero += not m.is_zero()
+    assert nonzero >= 20, nonzero
+
+
+def test_sigma_J_shares_an_even_left_action_with_J(corpus_algebras):
+    """An even monomial's left action on Sigma J is the very matrix J's
+    action memo holds."""
+    shared = 0
+    for alg in corpus_algebras:
+        for J, SJ, u, d in sigma_J_left_actions(alg, 0):
+            m = SJ.action("l", u, d)
+            assert peek(J, "action")[("l", u, d - 1)] is m
+            shared += not m.is_zero()
+    assert shared >= 20, shared
+
+
+def test_coords_inverts_to_parent(corpus_algebras):
+    """J's coordinates of a vector built from random coordinates c are c,
+    keyed in ascending order, whatever zero entries the vector carries."""
+    rng = random.Random(31)
+    checked = 0
+    for alg in corpus_algebras:
+        f, J = alg.field, Diagonal(alg).J
+        for d in range(J.min_degree(), alg.config.max_degree + 1):
+            n = J.dim(d)
+            for _ in range(4 if n else 0):
+                keys = sorted(rng.sample(range(n), rng.randint(1, n)))
+                c = {k: f.from_int(rng.choice([-3, -2, -1, 1, 2, 5])) for k in keys}
+                v = J.to_parent(d, c)
+                got = J.coords(d, v)
+                assert got == c and list(got) == keys, (d, c)
+                padded = dict.fromkeys(range(J.parent.dim(d)), f.zero) | v
+                assert J.coords(d, padded) == c
+                checked += 1
+    assert checked >= 50, checked
+
+
+def test_coords_refuses_a_parent_vector_outside_J(corpus_algebras):
+    """A vector that multiplication does not kill has no J coordinates:
+    coords raises, naming J and the degree."""
+    checked = 0
+    for alg in corpus_algebras:
+        f, diag = alg.field, Diagonal(alg)
+        J = diag.J
+        for d in range(alg.config.max_degree + 1):
+            # e_j with a nonzero product, added to a vector of J
+            outside = sorted(diag.env.pi_matrix(d).columns())
+            if not outside:
+                continue
+            v = J.to_parent(d, {k: f.one for k in range(J.dim(d))})
+            j = outside[-1]
+            v[j] = f.add(v.get(j, f.zero), f.one)
+            with pytest.raises(DimensionMismatch, match=rf"^vector not in J at degree {d}$"):
+                J.coords(d, v)
+            checked += 1
+    assert checked >= 20, checked
 
 
 def test_delta_of_unit_and_base(tate):

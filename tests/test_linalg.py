@@ -468,6 +468,26 @@ def test_echelon_reduce_idempotent():
     assert all(c not in ech.pivots for c in r1)
 
 
+def test_a_released_echelon_reduces_and_refuses_inserts(field):
+    """release_index frees the column index: the rows, rank, free columns
+    and reductions stay, and add_row and kernel_basis raise."""
+    one = field.one
+    ech = Echelon(field, 4)
+    ech.add_row({0: one, 2: field.from_int(2), 5: one})  # column 5 a tag
+    ech.add_row({1: one, 2: one})
+    v = {0: one, 1: field.from_int(3), 3: one}
+    rows, reduced = ech.rows, ech.reduce(v)
+    ech.release_index()
+    assert ech._by_col is None
+    assert (ech.rows, ech.rank, ech.free_columns()) == (rows, 2, [2, 3])
+    assert ech.reduce(v) == reduced
+    with pytest.raises(RuntimeError, match="add_row after release_index"):
+        ech.add_row({3: one})
+    with pytest.raises(RuntimeError, match="kernel_basis after release_index"):
+        ech.kernel_basis()
+    assert ech.rows == rows
+
+
 def test_stored_entries_never_zero(field):
     m = entry_matrix(field, 2, 2, {(0, 0): field.one, (1, 1): field.zero})
     assert (1, 1) not in m.entries

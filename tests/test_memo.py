@@ -117,8 +117,10 @@ def test_the_kept_echelons_index_no_tag_column(backend):
     """A tag column never leads a row, so no query reads an index of it:
     after T^2 and T^3 are built in every degree on each corpus algebra, and
     the kernel sequence has built its Hom spaces' class echelons on each
-    module expected to satisfy AR1, every E_q of a tensor carrier and every
-    class echelon indexes the non-pivot columns below its ncols only."""
+    module expected to satisfy AR1, every class echelon indexes the
+    non-pivot columns below its ncols only, and every E_q of a tensor
+    carrier, which no query inserts into after it is built, indexes no
+    column at all."""
     spanning = tagged = 0
     for inst in build_corpus(CONFIGS[backend]).values():
         diag = Diagonal(inst.algebra)
@@ -128,9 +130,11 @@ def test_the_kept_echelons_index_no_tag_column(backend):
                 car.dim(d)
         for mname in inst.ar1_expected:
             kernel_sequence_check(inst.modules[mname], diag)
-        echelons = [ech for car in peek(diag, "T").values() if isinstance(car, TensorCarrier)
-                    for _, ech, _ in (peek(car, "_spanning") or {}).values()]
-        spanning += len(echelons)
+        spans = [ech for car in peek(diag, "T").values() if isinstance(car, TensorCarrier)
+                 for _, ech, _ in (peek(car, "_spanning") or {}).values()]
+        assert all(ech._by_col is None for ech in spans)
+        spanning += len(spans)
+        echelons = []
         for hs in (peek(diag, "_hom") or {}).values():
             built = peek(hs, "_build")
             if built is not None:
@@ -139,6 +143,30 @@ def test_the_kept_echelons_index_no_tag_column(backend):
         for ech in echelons:
             assert_column_index_consistent(ech)
     assert spanning >= 30 and tagged >= 10, (spanning, tagged)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_spanning_echelon_releases_its_index_after_its_last_row(backend):
+    """_spanning inserts every row of E_q before it returns, and the
+    quotient only reduces by E_q and reads its free columns afterwards, so
+    the E_q it keeps holds no column index: a later insert or kernel basis
+    raises."""
+    checked = 0
+    for inst in build_corpus(CONFIGS[backend]).values():
+        f = inst.algebra.field
+        diag = Diagonal(inst.algebra)
+        for n in (2, 3):
+            T = diag.T(n)
+            for d in range(T.min_degree(), inst.algebra.config.max_degree + 1):
+                T.dim(d)
+            for q, (_, ech, _) in (peek(T, "_spanning") or {}).items():
+                assert ech._by_col is None, (inst.name, n, q)
+                with pytest.raises(RuntimeError, match="add_row after release_index"):
+                    ech.add_row({0: f.one})
+                with pytest.raises(RuntimeError, match="kernel_basis after release_index"):
+                    ech.kernel_basis()
+                checked += 1
+    assert checked >= 30, checked
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -323,7 +351,7 @@ def memo_calls(inst):
     method(M.carrier(), "min_degree")
     method(M.carrier(), "diff", 3)
     method(diag.J, "basis_vectors", 2)
-    method(diag.J, "_free_cols", 2)
+    method(diag.J, "_positions", 2)
     method(diag.J, "min_degree")
     method(diag.SJ, "min_degree")
     method(diag.SJ, "diff", 3)

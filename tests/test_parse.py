@@ -1,6 +1,8 @@
 """The expression parser: its tokens against the character-by-character
 tokenizer in algebra_oracle, and every error it raises, message pinned."""
 
+import gc
+
 import pytest
 
 from algebra_oracle import Tokens as OracleTokens
@@ -69,6 +71,22 @@ def test_parse_element_errors(alg, text, allow, message):
 def test_parse_element_allows_the_base_generator_and_listed_names(alg):
     q, X = alg.gen("q"), alg.gen("X")
     assert parse_element(alg, "q\u3000* X", allow_vars=["X"]) == q * X
+
+
+def test_parse_element_leaves_no_reference_cycle(alg):
+    """A parse is freed by reference counting alone: with the collector
+    off, a collection right after parsing a nested expression finds no
+    object of it."""
+    text = "-(2*q*X + (Y^2 - 1/2*X*Y))*(1 + q)^2"
+    want = parse_element(alg, text)
+    gc.collect()
+    gc.disable()
+    try:
+        got = parse_element(alg, text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert got == want
 
 
 def test_cli_reports_a_bad_coefficient_expression(tmp_path):
