@@ -10,10 +10,11 @@ both backends.  Each line also shows the exit code.
 It also hashes the tensor powers of the diagonal that no report shows whole:
 for every corpus algebra, n <= 3 and degree d within the algebra's cap, the
 dimension, the basis labels and the sorted differential entries of
-Diagonal.T(n) in degree d, on both backends; and the same for the
-quotients over the subalgebra A: Diagonal.BT_A(n) for n <= 2 and
-Diagonal.NT_A(N, 1) for every corpus module N, in every degree from the
-carrier's lowest up to the algebra's cap.  And it hashes two operators
+Diagonal.T(n) in degree d, on both backends; and the dimensions of the
+tensor products over the subalgebra A, which the engine computes in closed
+form: Diagonal.BT_A(n, d) for n <= 2 and Diagonal.NT_A(N, 1, d) for every
+corpus module N, in every degree from the piece's lowest up to the
+algebra's cap.  And it hashes two operators
 on N (x)_B Y that reports use but never print: for every corpus module N, the
 sorted entries of chain_map_operator(pi), pi the base-change counit of N, and
 of the tensor-degree-0 obstruction component N -> N (x) T^1, in every degree
@@ -55,6 +56,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,15 +114,20 @@ def tensor_digests(backend: str):
 
 
 def tensor_A_digests(backend: str):
-    """(algebra, carrier, d, digest) for the pieces of B (x)_A T^n, n <= 2,
-    and of N (x)_A T^1 for every module N of every corpus algebra."""
+    """(algebra, piece, d, digest) for the dimensions of B (x)_A T^n, n <= 2,
+    and of N (x)_A T^1 for every module N of every corpus algebra, from the
+    lowest degree of the piece (none on a zero T^n) up to the cap."""
     for name, inst in build_corpus(EngineConfig(field=field_from_spec(backend))).items():
         diag = inst.diag
-        cars = [(f"BT_A{n}", diag.BT_A(n)) for n in range(3)]
-        cars += [(f"NT_A:{mname}:1", diag.NT_A(M, 1)) for mname, M in inst.modules.items()]
-        for where, car in cars:
-            for d in range(car.min_degree(), inst.algebra.config.max_degree + 1):
-                yield name, where, d, piece_digest(car, d)
+        pieces = [(f"BT_A{n}", 0, n, partial(diag.BT_A, n)) for n in range(3)]
+        pieces += [(f"NT_A:{mname}:1", M.min_degree, 1, partial(diag.NT_A, M, 1))
+                   for mname, M in inst.modules.items()]
+        for where, lo, n, dim in pieces:
+            T = diag.T(n)
+            if T.is_zero():
+                continue
+            for d in range(lo + T.min_degree(), inst.algebra.config.max_degree + 1):
+                yield name, where, d, sha(repr(dim(d)))
 
 
 def operator_digests(backend: str):

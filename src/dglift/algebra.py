@@ -108,9 +108,6 @@ class DGAlgebra:
     def mono_is_unit(self, u: Monomial) -> bool:
         return not any(u)
 
-    def mono_in_A(self, u: Monomial) -> bool:
-        return not any(u[1 + self.n_A:])
-
     def mono_split_A(self, u: Monomial):
         """Split u = a * m with a in A and m in the non-A variables (no sign:
         the normal form lists A-variables first)."""

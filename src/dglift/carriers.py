@@ -7,21 +7,20 @@ algebra monomials, each built once per (side, monomial, degree).  A tensor
 product N (x)_B Y with N semifree is written down in closed form, one copy
 of Y per generator of N; every operator on it (its differential, its right
 action, f (x) id and the obstruction components) is a matrix of generator
-blocks, put together by SemifreeCarrier.assemble.  Every other tensor
-product (over B with a non-free left factor, as in the tensor powers of the
-diagonal ideal, or over the subalgebra A) is an explicit relation-quotient
-of the degreewise k-tensor space, its coordinates the free columns of the
-RREF of the relations.  That echelon is never built: its pivots and every
-reduction are read off one small echelon per degree of the right factor Y,
-of a basis of R_+ Y made of products g*y, g a generator of the ring.  One
-builder makes its differential and both actions: it writes a pair x (x) y,
-y on a free column there, directly, and reduces the Y part of the other
-columns once for all x.  A freeness check on Y proves the relation rank,
-and an ordering check on the left factor's degree-0 action proves the
-pivots, so a factor outside that case raises instead of giving a wrong
-quotient (see TensorCarrier).  A shifted carrier negates the differential
-per shift step and twists the left action by (-1)^{i|b|}, which is the
-whole sign content of suspension.
+blocks, put together by SemifreeCarrier.assemble.  A tensor product over
+B with a non-free left factor, as in the tensor powers of the diagonal
+ideal, is an explicit relation-quotient of the degreewise k-tensor space,
+its coordinates the free columns of the RREF of the relations.  That
+echelon is never built: its pivots and every reduction are read off one
+small echelon per degree of the right factor Y, of a basis of B_+ Y made of
+products g*y, g a generator of B.  One builder makes its differential and
+both actions: it writes a pair x (x) y, y on a free column there, directly,
+and reduces the Y part of the other columns once for all x.  A freeness
+check on Y proves the relation rank, and an ordering check on the left
+factor's degree-0 action proves the pivots, so a factor outside that case
+raises instead of giving a wrong quotient (see TensorCarrier).  A shifted
+carrier negates the differential per shift step and twists the left action
+by (-1)^{i|b|}, which is the whole sign content of suspension.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class Carrier:
 
     def check_cap(self, d: int):
         if abs(d) > self.config.max_degree:
-            raise CapExceeded(d, self.config.max_degree)
+            raise CapExceeded(d, self.config.max_degree, what=f"{self!r}: DG degree")
 
     def min_degree(self) -> int:
         """A degree below which every piece is zero; max_degree + 1 for a
@@ -433,19 +432,19 @@ class QuotientShape(NamedTuple):
 
 
 class TensorCarrier(Carrier):
-    """X (x)_R Y as a degreewise relation-quotient, R = B or the prefix A.
+    """X (x)_B Y as a degreewise relation-quotient.
 
     The free space in degree d is the sum over p of the blocks X_p (x) Y_{d-p}.
     Block p starts at column base[p] (layout[p][0] in the QuotientShape), and
     the pair (x_i, y_j) sits at base[p] + i*dim(Y_{d-p}) + j: the stretch
     (p, i) of x_i.  The relations are x*b (x) y - x (x) b*y over the non-unit
-    monomials b of the chosen ring (any shift twist lives inside Y's left action).
+    monomials b of B (any shift twist lives inside Y's left action).
     Quotient coordinates are the free columns of the RREF of the relations;
     that echelon is never built.  It is read off one small echelon per
     degree q of Y.
 
-    For each q, S_q is a basis of (R_+ Y)_q made of products g*y_m, g a
-    generator of R (the base nilpotent or a variable) and y_m a basis vector
+    For each q, S_q is a basis of (B_+ Y)_q made of products g*y_m, g a
+    generator of B (the base nilpotent or a variable) and y_m a basis vector
     of Y: every product b*y with b a non-unit monomial is a combination of
     those, since b = g*b' for a generator g.  E_q is the RREF of S_q on the
     columns of Y_q, each row tagged with the combination of S_q that made
@@ -453,15 +452,15 @@ class TensorCarrier(Carrier):
     r = x_i*g (x) y_m - x_i (x) g*y_m for x_i in X_p and (g, m) in S_{d-p}:
 
     - They span.  The freeness certificate checks, for every degree q of Y
-      up to d - min(X), that dim Y_q = sum_e dim R_e * V_{q-e} (dim R_0
-      counts the unit).  Lifts of a basis of Y/R_+Y generate Y (graded
-      Nakayama: R_+ is nilpotent in degree 0 and raises degree otherwise),
-      so R (x) V maps onto Y, and equal dimensions make it an isomorphism
-      in those degrees.  Then (X (x)_R Y)_d = (X (x) V)_d has dimension
+      up to d - min(X), that dim Y_q = sum_e dim B_e * V_{q-e} (dim B_0
+      counts the unit).  Lifts of a basis of Y/B_+Y generate Y (graded
+      Nakayama: B_+ is nilpotent in degree 0 and raises degree otherwise),
+      so B (x) V maps onto Y, and equal dimensions make it an isomorphism
+      in those degrees.  Then (X (x)_B Y)_d = (X (x) V)_d has dimension
       sum_p dim X_p * V_{d-p}, so the relation rank is sum_p dim X_p *
       |S_{d-p}|, which is the number of these r.  A factor that fails the
       check raises DimensionMismatch rather than give a wrong quotient;
-      every right factor the engine uses (T^n, B) is free over R.
+      every right factor the engine uses (T^n, B) is free over B.
     - Their pivots are the columns base[p] + i*dim Y_q + pi, pi a pivot of
       E_q.  The half x_i*g (x) y_m lies in block p + e, e = |g|, above block
       p when e > 0; for a degree-0 g it lies in block p, in the stretches of
@@ -491,7 +490,7 @@ class TensorCarrier(Carrier):
     over the exterior algebra), the operator is the zero matrix.
     """
 
-    def __init__(self, X: Carrier, Y: Carrier, ring: str = "B"):
+    def __init__(self, X: Carrier, Y: Carrier):
         if not X.has_right:
             raise DimensionMismatch("left tensor factor needs a right action")
         if not Y.has_left:
@@ -499,13 +498,11 @@ class TensorCarrier(Carrier):
         super().__init__(X.algebra)
         self.X = X
         self.Y = Y
-        self.ring = ring
         self.has_left = X.has_left
         self.has_right = Y.has_right
 
     def __repr__(self):
-        return (f"TensorCarrier({type(self.X).__name__} (x)_{self.ring} "
-                f"{type(self.Y).__name__})")
+        return f"TensorCarrier({type(self.X).__name__} (x)_B {type(self.Y).__name__})"
 
     def is_zero(self) -> bool:
         return self.X.is_zero() or self.Y.is_zero()
@@ -516,18 +513,10 @@ class TensorCarrier(Carrier):
             return self.config.max_degree + 1
         return self.X.min_degree() + self.Y.min_degree()
 
-    def _ring_monomials(self, e: int):
-        """The monomials of degree e of the ring, the unit included."""
-        alg = self.algebra
-        monos = alg.monomials(e)
-        if self.ring == "A":
-            monos = tuple(u for u in monos if alg.mono_in_A(u))
-        return monos
-
     @memo
     def _spanning(self, q: int) -> tuple:
         """(S_q, E_q, free) for degree q of Y.  S_q lists (e, g, m) for the
-        generators g of degree e of the ring: walking e ascending, then m
+        generators g of degree e of B: walking e ascending, then m
         descending, the products g*y_m that enlarge the span of the ones
         before them.  E_q is their RREF on columns 0..dim Y_q - 1; the row
         that element s of S_q entered carries a tag 1 in column dim Y_q + s,
@@ -536,7 +525,7 @@ class TensorCarrier(Carrier):
         also checks the freeness certificate in degree q, which reads
         S_{q-e} for e > 0 as well: _echelon_at(d) asks for every q from
         min(Y) to d - min(X), so every degree it reads is certified."""
-        Y, f = self.Y, self.field
+        Y, f, monos = self.Y, self.field, self.algebra.monomials
         ymin, wy = Y.min_degree(), Y.dim(q)
         span: list = []
         # the tags ride beyond the wy columns of Y_q and are never pivots
@@ -545,7 +534,7 @@ class TensorCarrier(Carrier):
             for e in range(q - ymin + 1):
                 if not Y.dim(q - e):
                     continue
-                for g in self._ring_monomials(e):
+                for g in monos(e):
                     if sum(g) != 1:  # a generator: one exponent 1, the rest 0
                         continue
                     cols = Y.action("l", g, q - e).columns()
@@ -558,12 +547,12 @@ class TensorCarrier(Carrier):
                             span.append((e, g, m))
         # every later query of E_q reduces or reads its free columns
         ech.release_index()
-        free = sum(len(self._ring_monomials(e))
+        free = sum(len(monos(e))
                    * (Y.dim(q - e) - len(self._spanning(q - e)[0] if e else span))
                    for e in range(q - ymin + 1))
         if free != wy:
             raise DimensionMismatch(
-                f"{self!r}: the right factor is not free over {self.ring} in "
+                f"{self!r}: the right factor is not free over B in "
                 f"its degree {q} (dimension {wy}, a free module on the "
                 f"same generators has {free})")
         return span, ech, {j: k for k, j in enumerate(ech.free_columns())}

@@ -275,13 +275,18 @@ class Diagonal:
         ideal and the kernel sequence) read N'."""
         return minimal_model(module)
 
-    def NT_A(self, module, n: int) -> Carrier:
-        """N (x)_A T^n (relations over the prefix subalgebra only)."""
-        return TensorCarrier(module.carrier(), self.T(n), ring="A")
+    def NT_A(self, module, n: int, d: int) -> int:
+        """dim (N (x)_A T^n)_d for a semifree N: one copy of B (x)_A T^n per
+        generator e_lam, shifted by |e_lam|."""
+        return sum(self.BT_A(n, d - deg) for deg in module.degrees)
 
-    def BT_A(self, n: int) -> Carrier:
-        """B (x)_A T^n, the middle term of the degreewise exactness check."""
-        return TensorCarrier(self.B, self.T(n), ring="A")
+    def BT_A(self, n: int, d: int) -> int:
+        """dim (B (x)_A T^n)_d, the middle term of the degreewise exactness
+        check.  B is free over A on the non-A monomials m, so B (x)_A T^n is
+        one copy of T^n shifted by |m| per m.  A piece of T^n past the cap
+        raises CapExceeded, unless T^n is zero."""
+        T, nonA = self.T(n), self.algebra.nonA_monomials
+        return sum(len(nonA(e)) * T.dim(d - e) for e in range(d - T.min_degree() + 1))
 
     # ----- diagonal ideal -----
 
@@ -340,7 +345,7 @@ class Diagonal:
         0 -> J^{(n+1)} -> B (x)_A J^{(n)} -> J^{(n)} -> 0
         written in shifted coordinates: T^{n+1}_{e+1} + T^n_e = (B (x)_A T^n)_e."""
         lhs = self.T(n + 1).dim(d + 1) + self.T(n).dim(d)
-        rhs = self.BT_A(n).dim(d)
+        rhs = self.BT_A(n, d)
         return {"n": n, "degree": d, "lhs": lhs, "rhs": rhs, "balanced": lhs == rhs}
 
     def concatenation_surjective(self, d: int) -> bool:

@@ -32,8 +32,9 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     """A strict section of the counit: sigma with pi . sigma = id exactly,
     or None when the combined chain-and-section system is inconsistent.
 
-    The base change G -> N and the Hom space N -> G come from the memo of
-    diag, which p_ideal_dims shares."""
+    The base change G -> N and the Hom space N -> G come from the memos of
+    diag.  p_ideal_dims shares G, but reads Hom(N', G) on the minimal model
+    N', so it shares the Hom space only when N is its own minimal model."""
     G, pi = diag.base_change(N)
     f = N.algebra.field
     hs = diag.hom(N, G)
@@ -87,10 +88,15 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
 
     Raises FiltrationStuck when a layer component is not null-homotopic,
     which can only happen if the positive-shift Hom vanishing was not
-    actually verified.
+    actually verified, and when sigma has a row on a generator of negative
+    degree: the descent only moves rows down to the degree-0 layer.
     """
     alg = N.algebra
     levels = G.degrees  # the filtration level of a generator is its degree
+    g = min((g for g, _ in sigma.entries), key=levels.__getitem__, default=None)
+    if g is not None and levels[g] < 0:
+        raise FiltrationStuck(f"sigma has a row on generator {G.names[g]} of negative "
+                              f"degree {levels[g]}, below the degree-0 layer")
     top = max(levels, default=0)
     sigma_cur = sigma
     h_total: dict = {}  # every layer's null-homotopy, as G rows

@@ -339,7 +339,7 @@ def cone_component_dims(N: SemifreeModule, diag: Diagonal, n: int, d: int):
         dim = N.carrier().dim(d)
         return dim, dim
     computed = diag.NT(N, n).dim(d - 1) + diag.NT(N, n + 1).dim(d)
-    predicted = diag.NT_A(N, n).dim(d - 1)
+    predicted = diag.NT_A(N, n, d - 1)
     return computed, predicted
 
 

@@ -1,16 +1,20 @@
-"""The relation quotient of a TensorCarrier built from every relation row.
+"""The relation quotient X (x)_R Y built from every relation row.
 
-TensorCarrier never builds the echelon of the relations of X (x)_R Y: it
-reads the pivots and every reduction off a basis of R_+ Y, certified by a
+TensorCarrier never builds the echelon of the relations of X (x)_B Y: it
+reads the pivots and every reduction off a basis of B_+ Y, certified by a
 freeness check and an ordering check.  This oracle builds it from every
-relation: for every block p, every non-unit monomial b of the ring and every
-pair (x_i, y_j), the row x_i b (x) y_j - x_i (x) b y_j, written into the
-carrier's block columns.  It needs no freeness and chooses nothing, so its
+relation: for every block p, every non-unit monomial b of the ring R and
+every pair (x_i, y_j), the row x_i b (x) y_j - x_i (x) b y_j, written into
+the block columns.  It needs no freeness and chooses nothing, so its
 echelon form, unique for a row space, gives the free columns and the
-reductions the carrier's must equal.  It stays sparse, unlike the dense oracle in test_carriers, so that
-the larger quotients (T^2, T^3 and B (x)_A T^n over the exterior algebra on
-five generators and over tate2) can be checked against it too: dense rows
-over their free spaces would be too slow for the test suite.
+reductions the carrier's must equal.  R is B, or the prefix subalgebra A:
+the engine builds no quotient over A and only computes the dimensions of
+B (x)_A T^n and N (x)_A T^n in closed form (Diagonal.BT_A, Diagonal.NT_A),
+and this echelon is what they are checked against.  It stays sparse,
+unlike the dense oracle in test_carriers, so that the larger quotients
+(T^2 and T^3 over the exterior algebra on five generators and over tate2)
+can be checked against it too: dense rows over their free spaces would be
+too slow for the test suite.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from __future__ import annotations
 from dglift.linalg import Echelon
 
 
-def block_starts(T, d: int) -> dict:
+def block_starts(X, Y, d: int) -> dict:
     """base: block p = X_p (x) Y_{d-p} of the free space in degree d starts
     at column base[p], p ascending; the entry one past the last block is the
     free dimension.  Written from the factors' dimensions alone, so the
     carrier's own layout is not trusted here."""
-    X, Y = T.X, T.Y
     top = d - Y.min_degree()
     base = {}
     k = 0
@@ -34,9 +37,12 @@ def block_starts(T, d: int) -> dict:
     return base
 
 
-def all_rows_echelon(T, d: int) -> Echelon:
-    X, Y, f, alg = T.X, T.Y, T.field, T.algebra
-    base = block_starts(T, d)
+def all_rows_echelon(X, Y, d: int, ring: str = "B") -> Echelon:
+    """The echelon of every relation row of X (x)_R Y in degree d, R = B or
+    R = A (ring "A"): only the monomials b of A, whose non-A part is the
+    unit, then give relations."""
+    f, alg = X.field, X.algebra
+    base = block_starts(X, Y, d)
     top = d - Y.min_degree()
     ech = Echelon(f, base[top + 1])
     minus = f.neg(f.one)
@@ -49,7 +55,8 @@ def all_rows_echelon(T, d: int) -> Echelon:
             if not (nx and ny):
                 continue
             for b in alg.monomials(e):
-                if alg.mono_is_unit(b) or (T.ring == "A" and not alg.mono_in_A(b)):
+                if alg.mono_is_unit(b) or (
+                        ring == "A" and not alg.mono_is_unit(alg.mono_split_A(b)[1])):
                     continue
                 xb = X.action("r", b, p).cols()
                 by = Y.action("l", b, q).cols()

@@ -189,4 +189,4 @@ def test_nonA_monomial_split(config):
     a, m = alg.mono_split_A(mono)
     assert alg.mono_str(a) == "q*u"
     assert alg.mono_str(m) == "X"
-    assert alg.mono_in_A(a) and not alg.mono_in_A(mono)
+    assert alg.mono_split_A(a) == (a, alg.unit_mono()) and m in alg.nonA_monomials(1)

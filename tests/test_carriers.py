@@ -9,8 +9,10 @@ of chain complexes of right modules in every degree within the cap.  The
 quotient itself must be the one that dense elimination of those relation
 rows, written down from their definition, gives, and the one that inserting
 every relation row into a sparse echelon gives (quotient_oracle).  A right
-factor that is not free over the ring, or a left factor whose degree-0
-action moves basis vectors backwards, must make the quotient raise.
+factor that is not free over B, or a left factor whose degree-0 action
+moves basis vectors backwards, must make the quotient raise.  The tensor
+products over A have no carrier: their closed-form dimensions must be
+those of the all-rows quotient over A.
 """
 
 import random
@@ -161,7 +163,7 @@ def test_semifree_only_code_rejects_tensor_targets():
 def dense_relations(T: TensorCarrier, d: int):
     """The pairs (p, i, j) spanning the free space of T in degree d, in
     lexicographic order, and the relation rows x_i b (x) y_j - x_i (x) b y_j
-    over the non-unit monomials b of T's ring, as dense rows read off the
+    over the non-unit monomials b of B, as dense rows read off the
     unmemoized action matrices."""
     X, Y, alg, f = T.X, T.Y, T.algebra, T.field
     top = d - Y.min_degree()
@@ -175,7 +177,7 @@ def dense_relations(T: TensorCarrier, d: int):
             if X.dim(p) == 0 or Y.dim(q) == 0:
                 continue
             for b in alg.monomials(e):
-                if (e == 0 and alg.mono_is_unit(b)) or (T.ring == "A" and not alg.mono_in_A(b)):
+                if alg.mono_is_unit(b):
                     continue
                 xb, by = X.right_act(b, p), Y.left_act(b, q)
                 for i in range(X.dim(p)):
@@ -194,15 +196,13 @@ def dense_relations(T: TensorCarrier, d: int):
 
 
 def quotient_carriers(backend):
-    """(where, cap, TensorCarrier): T^2, T^3 and B (x)_A T^n for n <= 2, over
-    every corpus algebra and over exterior algebras on two and three odd
-    generators, whose quotients are larger; and N (x)_A T^n for n <= 2 and
+    """(where, cap, TensorCarrier): T^2 and T^3 over every corpus algebra
+    and over exterior algebras on two and three odd generators, whose
+    quotients are larger; and N (x)_B T^n, as a quotient, for n <= 2 and
     every corpus module N."""
-    out = []
-    for inst in corpus(backend).values():
-        out += [((inst.name, f"NT_A {mname} {n}"), inst.algebra.config.max_degree,
-                 inst.diag.NT_A(M, n))
-                for mname, M in inst.modules.items() for n in range(3)]
+    out = [((inst.name, f"NT {mname} {n}"), inst.algebra.config.max_degree,
+            TensorCarrier(M.carrier(), inst.diag.T(n)))
+           for inst, mname, M, n in cases(backend)]
     diags = [(inst.name, inst.diag) for inst in corpus(backend).values()]
     for k, cap in ((2, 8), (3, 6)):
         ext = build_algebra(BaseRing(), [(f"y{i}", 1, "0") for i in range(k)], 0,
@@ -211,7 +211,6 @@ def quotient_carriers(backend):
     for name, diag in diags:
         cap = diag.config.max_degree
         out += [((name, f"T{n}"), cap, diag.T(n)) for n in (2, 3)]
-        out += [((name, f"BT_A{n}"), cap, diag.BT_A(n)) for n in (0, 1, 2)]
     return out
 
 
@@ -242,7 +241,7 @@ def test_relation_quotient_is_the_dense_quotient(backend):
 
 
 def large_carriers(backend):
-    """(where, cap, TensorCarrier): T^2, T^3 and B (x)_A T^n for n <= 2 over
+    """(where, cap, TensorCarrier): T^2, T^3 and B (x)_B T^n for n <= 2 over
     the exterior algebra on five odd generators to degree 6 and over tate2
     to degree 8."""
     out = []
@@ -251,9 +250,8 @@ def large_carriers(backend):
             ("tate2", BaseRing("q", 2), [("X", 1, "q"), ("Y", 2, "q*X")], 8)):
         diag = Diagonal(build_algebra(base, gens, 0,
                                       CONFIGS[backend].with_limits(max_degree=cap)))
-        cars = [(f"T{n}", diag.T(n)) for n in (2, 3)]
-        cars += [(f"BT_A{n}", diag.BT_A(n)) for n in range(3)]
-        out += [((name, where), cap, car) for where, car in cars]
+        out += [((name, f"T{n}"), cap, diag.T(n)) for n in (2, 3)]
+        out += [((name, f"BT{n}"), cap, TensorCarrier(diag.B, diag.T(n))) for n in range(3)]
     return out
 
 
@@ -272,7 +270,7 @@ def test_basis_rows_give_the_all_rows_echelon(backend):
         f = T.field
         one = f.one
         for d in range(T.min_degree(), cap + 1):
-            want = all_rows_echelon(T, d)
+            want = all_rows_echelon(T.X, T.Y, d)
             free = want.free_columns()
             assert T.dim(d) == len(free), where + (d,)
             layout = peek(T, "_echelon_at")[d].layout
@@ -311,7 +309,7 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
 
         def oracle(d, vec):
             if d not in echs:
-                ech = all_rows_echelon(T, d)
+                ech = all_rows_echelon(X, Y, d)
                 echs[d] = ech, {j: k for k, j in enumerate(ech.free_columns())}
             ech, pos = echs[d]
             return {pos[j]: c for j, c in ech.reduce(vec).items()}
@@ -325,7 +323,7 @@ def test_operators_are_the_all_rows_reduction_of_their_free_images(backend):
         def at(d, p):
             """The free column of (x_0, y_0), x_0 in X_p, in degree d, and
             the step from x_i to x_{i+1}."""
-            return block_starts(T, d)[p], Y.dim(d - p)
+            return block_starts(X, Y, d)[p], Y.dim(d - p)
 
         def image(d, p, xv, yv):
             """x (x) y in the free space of degree d, for x in X_p."""
@@ -410,11 +408,44 @@ def test_quotient_shape_counts_the_relation_pivots(backend):
         for n in (2, 3):
             T = inst.diag.T(n)
             for d in range(T.min_degree(), inst.algebra.config.max_degree + 1):
-                shape, want = T._echelon_at(d), all_rows_echelon(T, d)
+                shape, want = T._echelon_at(d), all_rows_echelon(T.X, T.Y, d)
                 assert (shape.ncols, shape.rank) == (want.ncols, want.rank), (inst.name, n, d)
                 assert shape.ncols - shape.rank == T.dim(d), (inst.name, n, d)
                 checked += bool(shape.rank)
     assert checked > 20
+
+
+def a_quotient_dim(X, Y, d: int) -> int:
+    ech = all_rows_echelon(X, Y, d, ring="A")
+    return ech.ncols - ech.rank
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_closed_form_A_tensors_are_the_all_rows_A_quotient(backend):
+    """Diagonal.BT_A(n, d) and Diagonal.NT_A(N, n, d), read off the freeness
+    of B over A, are the dimensions of the quotients of B (x) T^n and
+    N (x) T^n by every relation row over A, for every corpus algebra and
+    module, n <= 3 and every degree from -3 to the cap.  Two past the cap,
+    where the first piece of T^n they read lies past it, they raise
+    CapExceeded, or give 0 on a zero T^n."""
+    checked = 0
+    for inst in corpus(backend).values():
+        diag = inst.diag
+        cap = inst.algebra.config.max_degree
+        for n in range(4):
+            T = diag.T(n)
+            for d in range(-3, cap + 1):
+                assert diag.BT_A(n, d) == a_quotient_dim(diag.B, T, d), (inst.name, n, d)
+                for mname, M in inst.modules.items():
+                    assert diag.NT_A(M, n, d) == a_quotient_dim(M.carrier(), T, d), \
+                        (inst.name, mname, n, d)
+                checked += 1 + len(inst.modules)
+            if T.is_zero():
+                assert diag.BT_A(n, cap + 2) == 0, (inst.name, n)
+            else:
+                with pytest.raises(CapExceeded):
+                    diag.BT_A(n, cap + 2)
+    assert checked > 1200
 
 
 class Reversed(Carrier):

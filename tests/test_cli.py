@@ -302,6 +302,25 @@ def test_battery_exit_codes_and_verdicts():
     assert report["splitting_iff_omega_zero"] is True
 
 
+def test_battery_on_a_generator_of_negative_degree(tmp_path):
+    """B shifted to degree -1 splits strictly, so the battery tries the
+    summand witness, whose descent cannot reach a negative degree: it
+    reports ix false with the reason instead of a traceback."""
+    p = tmp_path / "negative.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : -1\n")
+    code, out, err = run_cli(["battery", str(p), "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdicts"]["ix"] is False
+    assert "e0(x)1 of negative degree -1" in report["notes"]["ix"]
+
+
+def test_a_carrier_cap_error_names_the_carrier():
+    assert run_cli(["gamma", str(DATA / "mixed.dg"), "--max-degree", "1"]) == (
+        1, "", "error: SemifreeCarrier([e0:0, e1:2] (x)_B AlgebraCarrier): DG degree 2 "
+               "exceeds configured cap 1; raise the limit\n")
+
+
 def test_omega_command_on_free():
     code, out, _ = run_cli(["omega", str(DATA / "free3.dg"), "--json"])
     assert code == 0

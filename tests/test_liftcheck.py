@@ -12,7 +12,7 @@ from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
                               summand_witness)
 from dglift.linalg import SparseMatrix
-from dglift.modules import ChainMap, cone, free_module, make_module
+from dglift.modules import ChainMap, cone, direct_sum, free_module, make_module, shift
 
 
 @pytest.fixture()
@@ -119,6 +119,43 @@ def test_summand_witness_stuck_on_the_shifted_free(config):
     with pytest.raises(FiltrationStuck,
                        match="level-1 layer is not null-homotopic.*generator b0"):
         summand_witness(N, sigma, G, pi)
+
+
+def test_summand_witness_refuses_a_generator_of_negative_degree(ext, ext_diag):
+    """B shifted down to degree -1 splits strictly, but sigma then has a row
+    on e0 (x) 1 in degree -1, which no descent to the degree-0 layer
+    removes: the witness refuses it by name."""
+    N = make_module(ext, [("e0", -1)])
+    sigma = splitting_search(N, ext_diag)
+    assert sigma is not None
+    with pytest.raises(FiltrationStuck,
+                       match=r"generator e0\(x\)1 of negative degree -1"):
+        summand_witness(N, sigma, *ext_diag.base_change(N))
+
+
+def test_battery_table_over_two_odd_variables(config):
+    """Over k<y, z>, y and z odd, to degree 8: B, the two-step module and
+    the cone of id_B, each shifted by -2..2, alone and plus a free module.
+    Every battery gives a report or refuses a cap, and its verdicts agree
+    wherever AR1 holds."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0"), ("z", 1, "0")], 0,
+                        config.with_limits(max_degree=8))
+    diag = Diagonal(alg)
+    B = free_module(alg, 1)
+    starts = [B, make_module(alg, [("e0", 0), ("e1", 2)], {("e0", "e1"): alg.gen("y")}),
+              cone(ChainMap.identity(B))]
+    reports = under_ar1 = 0
+    for k, M in enumerate(starts):
+        for s in range(-2, 3):
+            for N in (shift(M, s), direct_sum(shift(M, s), free_module(alg, 1))):
+                try:
+                    r = naive_lift_battery(N, diag)
+                except CapExceeded:
+                    continue
+                reports += 1
+                under_ar1 += r.ar1.holds
+                assert r.agreement or not r.ar1.holds, (k, s, N.describe())
+    assert reports > 20 and under_ar1 > 5
 
 
 @pytest.mark.parametrize("name", ["cone_id", "summand"])
