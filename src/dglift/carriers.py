@@ -84,22 +84,20 @@ class Carrier:
         left_act/right_act on first use and shared afterwards."""
         return self.left_act(mono, d) if side == "l" else self.right_act(mono, d)
 
-    def element_act_right(self, el, d: int, vec: dict) -> dict:
-        """vec * el for an algebra element, expanding monomial by monomial."""
+    def element_act(self, side: str, el, d: int, vec: dict) -> dict:
+        """el * vec ("l") or vec * el ("r") for an algebra element el and vec
+        in degree d, expanding el monomial by monomial."""
         f = self.field
         out: dict = {}
         for u, c in el.terms.items():
-            img = self.action("r", u, d).mat_vec(vec)
-            vec_axpy(f, out, c, img)
+            vec_axpy(f, out, c, self.action(side, u, d).mat_vec(vec))
         return out
 
+    def element_act_right(self, el, d: int, vec: dict) -> dict:
+        return self.element_act("r", el, d, vec)
+
     def element_act_left(self, el, d: int, vec: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for u, c in el.terms.items():
-            img = self.action("l", u, d).mat_vec(vec)
-            vec_axpy(f, out, c, img)
-        return out
+        return self.element_act("l", el, d, vec)
 
 
 class AlgebraCarrier(Carrier):
@@ -256,23 +254,11 @@ class SemifreeCarrier(Carrier):
         return self.assemble(self, d, e, ((lam, lam, one, self.Y.action("r", mono, q))
                                           for lam, q in self.pieces(d)))
 
-    def pair_project(self, p: int, xvec: dict, q: int, yvec: dict) -> dict:
-        """Coordinates of x (x) y for x in N_p (coordinates of N's own
-        carrier) and y in Y_q: e_lam w (x) y goes to e_lam (x) w y."""
-        if not xvec or not yvec:
-            return {}
-        f = self.field
-        alg = self.algebra
-        ncar = self.module.carrier()
-        offs = self.offsets(p + q)
-        out: dict = {}
-        for k, c in xvec.items():
-            lam, j = ncar.block(p, k)
-            w = alg.monomials(p - self.module.degrees[lam])[j]
-            wy = yvec if alg.mono_is_unit(w) else self.Y.action("l", w, q).mat_vec(yvec)
-            o = offs[lam]
-            vec_axpy(f, out, c, {o + i: cy for i, cy in wy.items()})
-        return out
+    def place(self, lam: int, q: int, yvec: dict) -> dict:
+        """Coordinates of e_lam (x) y for y in Y_q: y in generator lam's
+        block of degree |e_lam| + q."""
+        o = self.offsets(self.module.degrees[lam] + q)[lam]
+        return {o + i: c for i, c in yvec.items()}
 
     def gen_vector(self, lam: int) -> tuple[int, dict]:
         """(degree, unit vector) for generator e_lam (Y = B)."""
@@ -294,6 +280,9 @@ class ShiftedCarrier(Carrier):
         self.has_left = inner.has_left
         self.has_right = inner.has_right
 
+    def __repr__(self):
+        return f"Sigma^{self.i} {self.inner!r}"
+
     def is_zero(self) -> bool:
         return self.inner.is_zero()
 
@@ -304,6 +293,9 @@ class ShiftedCarrier(Carrier):
         return self.inner.min_degree() + self.i
 
     def dim(self, d: int) -> int:
+        if d < self.min_degree() or (d > self.config.max_degree and self.is_zero()):
+            return 0
+        self.check_cap(d)
         return self.inner.dim(d - self.i)
 
     def labels(self, d: int):
@@ -340,6 +332,9 @@ class KernelSubCarrier(Carrier):
         self.name = name
         self.has_left = parent.has_left
         self.has_right = parent.has_right
+
+    def __repr__(self):
+        return self.name
 
     @memo
     def basis_vectors(self, d: int) -> list:

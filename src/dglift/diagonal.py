@@ -14,6 +14,7 @@ no quotient: it is one copy of T^n per generator of N.
 
 from __future__ import annotations
 
+from .algebra import AlgebraElement
 from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrier,
                        SparseMatrix, TensorCarrier)
 from .errors import CapExceeded, DimensionMismatch
@@ -224,7 +225,8 @@ class Diagonal:
         return ShiftedCarrier(self.T(n), -n)
 
     def t_prepend(self, jdeg: int, jvec: dict, n2: int, tdeg: int, tvec: dict) -> dict:
-        """(Sigma J element) (x) (T^n2 element) in T^{n2+1} coordinates.
+        """(Sigma J element) (x) (T^n2 element) in T^{n2+1} coordinates: the
+        product of the tensor algebra, and the one place a T vector grows.
 
         For n2 = 0 the tensor factor is an algebra element and prepending is
         the right action on Sigma J; otherwise it is the tensor-carrier pair
@@ -232,13 +234,9 @@ class Diagonal:
         if not jvec or not tvec:
             return {}
         if n2 == 0:
-            f = self.field
-            out: dict = {}
             monos = self.algebra.monomials(tdeg)
-            for j, c in tvec.items():
-                img = self.SJ.action("r", monos[j], jdeg).mat_vec(jvec)
-                vec_axpy(f, out, c, img)
-            return out
+            el = AlgebraElement(self.algebra, {monos[j]: c for j, c in tvec.items()})
+            return self.SJ.element_act_right(el, jdeg, jvec)
         return self.T(n2 + 1).pair_project(jdeg, jvec, tdeg, tvec)
 
     @memo

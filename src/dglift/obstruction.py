@@ -158,9 +158,7 @@ class EnvelopingRouteTower:
 
         def rho_col(k):
             lam, w = labels[k]
-            dw, vec = env.pair_vector(alg.unit_mono(), w)
-            pl, uv = ncar.gen_vector(lam)
-            return NBe.pair_project(pl, uv, dw, vec)
+            return NBe.place(lam, *env.pair_vector(alg.unit_mono(), w))
 
         rho = SparseMatrix.from_cols(f, NBe.dim(d), [rho_col(k) for k in range(ncar.dim(d))])
         dmat = NBe.diff(d)
@@ -175,9 +173,7 @@ class EnvelopingRouteTower:
             if prod is not None:
                 _, v2 = env.pair_vector(alg.unit_mono(), prod, f.from_int(-s2))
                 vec_axpy(f, out, f.one, v2)
-            jvec = J.coords(bd, out)
-            pl, uv = ncar.gen_vector(lam)
-            return NJ.pair_project(pl, uv, bd, jvec)
+            return NJ.place(lam, bd, J.coords(bd, out))
 
         sigma = SparseMatrix.from_cols(f, NJ.dim(d - 1),
                                        [sigma_col(k) for k in range(NBe.dim(d - 1))])
@@ -202,15 +198,12 @@ class EnvelopingRouteTower:
             # reinterpret the J slot as its shift and prepend to the T^i part
             for nj, c in val.items():
                 mu, jj = NJ.block(p - 1, nj)
-                pp, uvec = ncar.gen_vector(mu)
+                pp = N.degrees[mu]
                 # sign of moving the suspension past the module part
                 sgn = f.neg(c) if pp % 2 else c
                 r = p - 1 - pp
                 mid = diag.t_prepend(r + 1, {jj: f.one}, i, d - p, {j: f.one})
-                if not mid:
-                    continue
-                res = tgt.pair_project(pp, uvec, r + 1 + d - p, mid)
-                vec_axpy(f, out, sgn, res)
+                vec_axpy(f, out, sgn, tgt.place(mu, r + 1 + d - p, mid))
             return out
 
         def build(d: int) -> SparseMatrix:
@@ -256,16 +249,15 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
             tvec, tdeg = None, 0
             for step, b in enumerate(reversed(entries)):
                 bd, dvec = diag.delta(b)
-                if dvec and step:
-                    dvec = diag.T(step + 1).pair_project(bd + 1, dvec, tdeg, tvec)
-                tvec, tdeg = dvec, tdeg + bd + 1
+                # delta(b) prepended to the T^step vector built so far
+                tvec = diag.t_prepend(bd + 1, dvec, step, tdeg, tvec) if step else dvec
+                tdeg += bd + 1
                 if not tvec:
                     break
             else:
-                p, uv = ncar.gen_vector(gens[0])
                 sgn = sum(N.degrees[g] for g in gens) % 2
                 vec_axpy(f, acc, f.neg(f.one) if sgn else f.one,
-                         tgt.pair_project(p, uv, tdeg, tvec))
+                         tgt.place(gens[0], tdeg, tvec))
         if acc:
             cols[lam] = acc
     return CarrierMap(N, tgt, 0, cols)

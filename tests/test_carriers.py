@@ -104,31 +104,27 @@ def test_closed_form_is_isomorphic_to_the_relation_quotient(backend):
 
 
 @pytest.mark.parametrize("backend", ["Q", "Fp"])
-def test_pair_project_moves_the_monomial_across(backend):
-    """e_lam w (x) y with w not the unit lands where the oracle puts it."""
+def test_place_puts_y_in_the_generator_block(backend):
+    """e_lam (x) y written by place is the oracle's e_lam (x) y, for every
+    generator e_lam and every basis vector y of T^n up to the cap."""
     seen = 0
     for inst, mname, M, n in cases(backend):
         diag = inst.diag
-        alg = inst.algebra
-        cap = alg.config.max_degree
+        cap = inst.algebra.config.max_degree
         closed = diag.NT(M, n)
         oracle = TensorCarrier(M.carrier(), diag.T(n))
-        ncar = M.carrier()
-        Tn = diag.T(n)
-        f = alg.field
-        for p in range(ncar.min_degree(), cap + 1):
-            for k in range(ncar.dim(p)):
-                lam, j = ncar.block(p, k)
-                w = alg.monomials(p - M.degrees[lam])[j]
-                if alg.mono_is_unit(w):
-                    continue
-                for q in range(Tn.min_degree(), cap - p + 1):
-                    for jy in range(Tn.dim(q)):
-                        got = closed.pair_project(p, {k: f.one}, q, {jy: f.one})
-                        want = oracle.pair_project(p, {k: f.one}, q, {jy: f.one})
-                        assert phi(closed, oracle, p + q).mat_vec(got) == want, \
-                            (inst.name, mname, n, p, k, q, jy)
-                        seen += 1
+        Tn, f = diag.T(n), inst.algebra.field
+        phis: dict = {}
+        for lam, p in enumerate(M.degrees):
+            _, gvec = M.carrier().gen_vector(lam)
+            for q in range(Tn.min_degree(), cap - max(p, 0) + 1):
+                if p + q not in phis:
+                    phis[p + q] = phi(closed, oracle, p + q)
+                for j in range(Tn.dim(q)):
+                    got = closed.place(lam, q, {j: f.one})
+                    want = oracle.pair_project(p, gvec, q, {j: f.one})
+                    assert phis[p + q].mat_vec(got) == want, (inst.name, mname, n, lam, q, j)
+                    seen += 1
     assert seen > 100
 
 
@@ -521,3 +517,21 @@ def test_a_carrier_zero_within_the_cap_says_so(backend):
     # a carrier that is not zero still refuses a degree past the cap
     with pytest.raises(CapExceeded):
         K.carrier().dim(cap + 1)
+
+
+@pytest.mark.parametrize("backend", ["Q", "Fp"])
+def test_sigma_J_refuses_a_degree_past_the_cap(backend):
+    """Sigma J answers by the rule of every other carrier: a degree past the
+    cap raises CapExceeded naming Sigma^1 J, not the kernel J inside it,
+    unless J is zero (koszul), where it is 0."""
+    for name, inst in corpus(backend).items():
+        SJ = inst.diag.SJ
+        cap = inst.algebra.config.max_degree
+        if name == "koszul":
+            assert SJ.is_zero() and SJ.dim(cap + 1) == SJ.dim(cap + 2) == 0
+            continue
+        assert repr(SJ) == "Sigma^1 J" and SJ.dim(cap) == inst.diag.J.dim(cap - 1)
+        for d in (cap + 1, cap + 2):
+            with pytest.raises(CapExceeded,
+                               match=rf"^Sigma\^1 J: DG degree {d} exceeds configured cap {cap};"):
+                SJ.dim(d)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ROOT / "scripts" / "rungs.py"
+CONE_EXT5_LEN5_SHA256 = "76ba248317f9042f24e748866693e8161bd9dadbc9733ba667d3f3080a815831"
 
 
 def run(*args):
@@ -30,6 +31,9 @@ def test_the_smallest_rung_prints_one_measured_json_line_per_field():
         assert isinstance(r["cpu_s"], float) and r["cpu_s"] >= 0
         assert isinstance(r["peak_rss_mb"], float) and r["peak_rss_mb"] > 0
         assert re.fullmatch(r"[0-9a-f]{64}", r["sha256"])
+    # the battery over the 5-generator exterior algebra, which no digest line
+    # covers, gives one result on both fields
+    assert {r["sha256"] for r in lines} == {CONE_EXT5_LEN5_SHA256}
 
 
 def test_an_unknown_rung_is_a_usage_error():
