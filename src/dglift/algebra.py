@@ -475,7 +475,12 @@ def _atom(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
         if toks.peek()[0] == "/":
             toks.take()
             _, den = toks.take("int")
-            return alg.one().scale(alg.field.from_fraction(int(val), int(den)))
+            try:
+                c = alg.field.from_fraction(int(val), int(den))
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {val}/{den} has a zero denominator "
+                                 f"in {alg.field.name}") from None
+            return alg.one().scale(c)
         return alg.one().scale(alg.field.from_int(int(val)))
     if kind == "name":
         toks.take()

@@ -321,11 +321,19 @@ class KernelSubCarrier(Carrier):
     """The kernel of a degreewise surjection out of a parent carrier, closed
     under the differential and both actions (a DG ideal/submodule).
 
-    Coordinates in the kernel basis are read off the RREF free columns and
-    verified by substitution, so membership violations fail loudly.
+    Each column of the projection holds at most one entry, as for J's
+    multiplication map on the pair basis, so the RREF kernel basis is read
+    off the columns with no elimination: the first column on each row is
+    its pivot p, a later column j on the row gives e_j - (c_j / c_p) e_p,
+    and a zero column j gives e_j.  Coordinates in the kernel basis are
+    the free columns' entries, verified by substitution, so membership
+    violations fail loudly.
     """
 
     def __init__(self, parent: Carrier, proj_matrix_fn, name="kernel"):
+        """proj_matrix_fn(d) is the projection in degree d, with at most one
+        entry in each column: basis_vectors raises DimensionMismatch on a
+        column with two."""
         super().__init__(parent.algebra)
         self.parent = parent
         self.proj_matrix_fn = proj_matrix_fn
@@ -341,7 +349,24 @@ class KernelSubCarrier(Carrier):
         self.check_cap(d)
         if self.parent.dim(d) == 0:
             return []
-        return self.proj_matrix_fn(d).kernel_basis()
+        f = self.field
+        proj = self.proj_matrix_fn(d)
+        cols, pivot, out = proj.columns(), {}, []  # pivot: row -> (p, -1/c_p)
+        for j in range(proj.ncols):  # ascending, as SparseMatrix.kernel_basis
+            col = cols.get(j)
+            if col is None:
+                out.append({j: f.one})
+                continue
+            if len(col) > 1:
+                raise DimensionMismatch(f"{self.name}: projection column {j} in degree {d} "
+                                        f"has {len(col)} entries, at most one expected")
+            (w, c), = col.items()
+            piv = pivot.get(w)
+            if piv is None:
+                pivot[w] = (j, f.neg(f.inv(c)))
+            else:
+                out.append({j: f.one, piv[0]: f.mul(c, piv[1])})
+        return out
 
     @memo
     def _positions(self, d: int) -> dict:
@@ -375,7 +400,9 @@ class KernelSubCarrier(Carrier):
         its entries on the free columns, rechecked by substitution."""
         f = self.field
         at = self._positions(d)
-        nonzero = {j: c for j, c in parent_vec.items() if not f.is_zero(c)}
+        nonzero = parent_vec
+        if f.zero in parent_vec.values():  # is_zero(c) is c == zero
+            nonzero = {j: c for j, c in parent_vec.items() if not f.is_zero(c)}
         # ascending columns give ascending basis indices
         out = {at[j]: nonzero[j] for j in sorted(nonzero) if j in at}
         if self.to_parent(d, out) != nonzero:
@@ -383,19 +410,24 @@ class KernelSubCarrier(Carrier):
         return out
 
     def to_parent(self, d: int, vec: dict) -> dict:
-        f = self.field
+        axpy, basis = self.field.axpy, self.basis_vectors(d)
         out: dict = {}
-        basis = self.basis_vectors(d)
         for k, c in vec.items():
-            vec_axpy(f, out, c, basis[k])
+            axpy(out, c, basis[k])
         return out
 
     def _push(self, d: int, out_deg: int, parent_mat: SparseMatrix) -> SparseMatrix:
-        cols = []
-        for v in self.basis_vectors(d):
-            img = parent_mat.mat_vec(v)
-            cols.append(self.coords(out_deg, img))
-        return SparseMatrix.from_cols(self.field, self.dim(out_deg), cols)
+        """parent_mat on the kernel: each basis vector's image read through
+        coords, whose columns are valid as they are; a zero parent_mat
+        gives the zero matrix with no pass over the basis."""
+        basis = self.basis_vectors(d)
+        cols = {}
+        if not parent_mat.is_zero():
+            for k, v in enumerate(basis):
+                col = self.coords(out_deg, parent_mat.mat_vec(v))
+                if col:
+                    cols[k] = col
+        return SparseMatrix._trusted(self.field, self.dim(out_deg), len(basis), cols)
 
     # not memoized: its one reader, the shift Sigma J, keeps a negated copy
     def diff(self, d: int) -> SparseMatrix:

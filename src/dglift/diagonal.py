@@ -5,11 +5,12 @@ u any monomial of B, m a monomial in the non-A variables; the middle-A
 relation u (x) a m = u a (x) m is applied by normal form.  The multiplication
 carries the sign (-1)^{|b1'||b2|} on (b1 (x) b2)(b1' (x) b2').
 
-J is the degreewise kernel of the multiplication map pi; tensor powers of its
-shift are built as explicit relation-quotients (never through a chosen left
-basis of J), and the truncated tensor algebra keeps one carrier per tensor
-degree up to the configured cap.  For a semifree module N, N (x)_B T^n needs
-no quotient: it is one copy of T^n per generator of N.
+J is the degreewise kernel of the multiplication map pi, (u, m) -> +-u*m
+or 0, its basis read off pi's columns with no elimination; tensor powers of
+its shift are built as explicit relation-quotients (never through a chosen
+left basis of J), and the truncated tensor algebra keeps one carrier per
+tensor degree up to the configured cap.  For a semifree module N,
+N (x)_B T^n needs no quotient: it is one copy of T^n per generator of N.
 """
 
 from __future__ import annotations
@@ -124,37 +125,45 @@ class EnvelopingCarrier(Carrier):
 
     @memo
     def diff(self, d: int) -> SparseMatrix:
-        alg = self.algebra
-        f = self.field
-        cols = []
-        for (u, m) in self.labels(d):
-            out: dict = {}
-            du = alg.diff_mono(u)
-            for w, c in du.terms.items():
-                _, vec = self.pair_vector(w, m, c)
-                vec_axpy(f, out, f.one, vec)
-            dm = alg.diff_mono(m)
-            if not dm.is_zero():
-                sgn = -1 if alg.mono_degree(u) % 2 else 1
-                for w, c in dm.terms.items():
-                    cc = c if sgn > 0 else f.neg(c)
-                    _, vec = self.pair_vector(u, w, cc)
-                    vec_axpy(f, out, f.one, vec)
-            cols.append(out)
-        return SparseMatrix.from_cols(f, self.dim(d - 1), cols)
+        """d(u (x) m) = du (x) m + (-1)^{|u|} u (x) dm, read off the columns
+        of B's differential: only the pairs whose u or m has a nonzero
+        differential are visited."""
+        alg, f = self.algebra, self.field
+        Bdiff = alg.carrier().diff
+        at, below = self._positions(d), self._positions(d - 1)
+        cols: dict = {}
+        for p in range(0, d + 1):
+            q = d - p
+            us, ms = alg.monomials(p), alg.nonA_monomials(q)
+            # w (x) m for w in du is a canonical pair already: m has no A-part
+            ws = alg.monomials(p - 1)
+            for iu, du in Bdiff(p).columns().items():
+                for m in ms:
+                    cols[at[us[iu], m]] = {below[ws[iw], m]: c for iw, c in du.items()}
+            # u (x) w for w in dm is reduced by pair_vector
+            ws, dms = alg.monomials(q - 1), Bdiff(q).columns()
+            for m in ms:
+                dm = dms.get(alg.mono_index(q, m))
+                if not dm:
+                    continue
+                for u in us:
+                    out = cols.setdefault(at[u, m], {})
+                    for iw, c in dm.items():
+                        _, vec = self.pair_vector(u, ws[iw], f.neg(c) if p % 2 else c)
+                        vec_axpy(f, out, f.one, vec)
+        # ascending columns, as the pair-by-pair build gave them
+        return SparseMatrix(f, self.dim(d - 1), self.dim(d), {j: cols[j] for j in sorted(cols)})
 
     def left_act(self, mono, d: int) -> SparseMatrix:
-        alg = self.algebra
-        f = self.field
+        alg, f = self.algebra, self.field
         e = alg.mono_degree(mono)
-        cols = []
-        for (u, m) in self.labels(d):
+        at, sign = self._positions(d + e), {1: f.one, -1: f.neg(f.one)}
+        cols = {}
+        for j, (u, m) in enumerate(self.labels(d)):
             sgn, wu = alg.mono_mul(mono, u)
-            if wu is None:
-                cols.append({})
-                continue
-            cols.append({self.index(d + e, wu, m): f.from_int(sgn)})
-        return SparseMatrix.from_cols(f, self.dim(d + e), cols)
+            if wu is not None:
+                cols[j] = {at[wu, m]: sign[sgn]}
+        return SparseMatrix._trusted(f, self.dim(d + e), self.dim(d), cols)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
         alg = self.algebra
@@ -172,15 +181,15 @@ class EnvelopingCarrier(Carrier):
 
     def pi_matrix(self, d: int) -> SparseMatrix:
         """Multiplication map (B^e)_d -> B_d on the pair basis."""
-        alg = self.algebra
-        f = self.field
-        nb = len(alg.monomials(d))
+        alg, f = self.algebra, self.field
+        at = {w: i for i, w in enumerate(alg.monomials(d))}
+        sign = {1: f.one, -1: f.neg(f.one)}
         cols = {}
         for j, (u, m) in enumerate(self.labels(d)):
             sgn, w = alg.mono_mul(u, m)
             if w is not None:
-                cols[j] = {alg.mono_index(d, w): f.from_int(sgn)}
-        return SparseMatrix(f, nb, self.dim(d), cols)
+                cols[j] = {at[w]: sign[sgn]}
+        return SparseMatrix._trusted(f, len(at), self.dim(d), cols)
 
 
 class Diagonal:

@@ -7,9 +7,9 @@ import pytest
 
 from algebra_oracle import Tokens as OracleTokens
 from dglift.algebra import BaseRing, _Tokens, build_algebra, parse_element
-from dglift.cli import ParseError, parse_instance
+from dglift.cli import ParseError, main, parse_instance
 from dglift.config import EngineConfig
-from dglift.scalars import RATIONALS
+from dglift.scalars import DEFAULT_PRIME, RATIONALS, field_from_spec
 
 CONFIG = EngineConfig(field=RATIONALS, max_degree=8)
 
@@ -98,3 +98,26 @@ def test_cli_reports_a_bad_coefficient_expression(tmp_path):
     assert exc.value.lineno == 8
     assert str(exc.value) == ("line 8: bad coefficient expression: "
                               "unexpected character '$' in expression")
+
+
+@pytest.mark.parametrize("spec, lines, lineno, message", [
+    ("Q", "[module N]\ngen e0 : 0\ngen e1 : 2\nd e1 = e0 * 1/0\n", 8,
+     "bad coefficient expression: coefficient 1/0 has a zero denominator in Q"),
+    ("Q", "var z : 2 = 1/0 * y\n", 5, "d(z): coefficient 1/0 has a zero denominator in Q"),
+    ("Fp", f"[module N]\ngen e0 : 0\ngen e1 : 2\nd e1 = e0 * 1/{DEFAULT_PRIME}\n", 8,
+     f"bad coefficient expression: coefficient 1/{DEFAULT_PRIME} has a zero "
+     f"denominator in Fp:{DEFAULT_PRIME}"),
+], ids=["module-line", "variable-line", "Fp-module-line"])
+def test_a_zero_denominator_is_a_syntax_error_at_its_line(tmp_path, capsys, spec, lines,
+                                                          lineno, message):
+    """1/0, or 1/p on F_p, is a syntax error at its line naming the
+    coefficient and the field, on a module line and on a variable line:
+    the CLI exits 2 with no traceback."""
+    p = tmp_path / "zero_denominator.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n" + lines)
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), EngineConfig(field=field_from_spec(spec), max_degree=8))
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+    assert main(["check", str(p), "--field", spec]) == 2
+    assert capsys.readouterr().err == f"syntax error: line {lineno}: {message}\n"

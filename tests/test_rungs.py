@@ -11,6 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ROOT / "scripts" / "rungs.py"
 CONE_EXT5_LEN5_SHA256 = "76ba248317f9042f24e748866693e8161bd9dadbc9733ba667d3f3080a815831"
+LADDER_EXT5_D12_SHA256 = "c9d27912d7554eacc5cd8bea112770b020a567a034893de809eb72dc7477f388"
 
 
 def run(*args):
@@ -34,6 +35,16 @@ def test_the_smallest_rung_prints_one_measured_json_line_per_field():
     # the battery over the 5-generator exterior algebra, which no digest line
     # covers, gives one result on both fields
     assert {r["sha256"] for r in lines} == {CONE_EXT5_LEN5_SHA256}
+
+
+def test_the_tensor_ladder_rung_keeps_its_digest():
+    """dim, labels and diff of T^n over the 5-generator exterior algebra in
+    every degree up to 12, n = 1..4, on Q: J and every T^n past the degree
+    7 that the tensor-ladder benchmark stops at."""
+    proc = run("--field", "Q", "ladder_ext5_d12")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["sha256"] == LADDER_EXT5_D12_SHA256
 
 
 def test_an_unknown_rung_is_a_usage_error():
