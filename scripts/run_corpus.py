@@ -12,11 +12,15 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from dglift.config import EngineConfig
-from dglift.instances import battery_pairs, build_corpus
-from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
-from dglift.scalars import field_from_spec
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dglift.config import EngineConfig  # noqa: E402
+from dglift.instances import battery_pairs, build_corpus  # noqa: E402
+from dglift.liftcheck import kernel_sequence_check, naive_lift_battery  # noqa: E402
+from dglift.scalars import field_from_spec  # noqa: E402
 
 CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
 

@@ -14,8 +14,8 @@ canonical result, computed after both are read, so equal digests on two
 commits mean equal results.
 
 The rungs, all with default caps (max_degree 16, max_tensor 4, lift_bound
-4) over the exterior algebra on odd generators y0, y1, ... with zero
-differential:
+4), most of them over the exterior algebra on odd generators y0, y1, ...
+with zero differential:
   ladder_ext5_d12, ladder_ext5_d13   on 5 generators, dim, labels and diff
                                      of T^n in every degree 2n..12 (..13),
                                      n = 1..4; the digest hashes the three
@@ -28,6 +28,14 @@ differential:
   kernel_ext5_len5                   kernel_sequence_check alone on the
                                      chain of chain_ext5_len5; the digest
                                      hashes its result
+and two over the Tate-ext algebra k[q]/(q^2) with odd X0, X1, ... and
+d X_i = q, whose differential is not zero:
+  tate_ext4_len5, tate_ext5_len5     the battery on the chain e0..e4, e_j in
+                                     degree 2j and d e_{j+1} = e_j (X0 - X1),
+                                     over 4 or 5 generators X_i; the digest
+                                     hashes the report
+The chain of length 6 over 5 generators is left out: its battery peaks at
+about 7 GB.
 """
 
 from __future__ import annotations
@@ -59,10 +67,17 @@ def exterior(ngens: int, field: str):
                          EngineConfig(field=field_from_spec(field)))
 
 
-def chain(alg, length: int):
-    y0 = alg.gen("y0")
+def tate_ext(ngens: int, field: str):
+    return build_algebra(BaseRing("q", 2), [(f"X{i}", 1, "q") for i in range(ngens)], 0,
+                         EngineConfig(field=field_from_spec(field)))
+
+
+def chain(alg, length: int, coefficient=None):
+    """e0..e_{length-1}, e_j in degree 2j, with d e_{j+1} = e_j * coefficient,
+    y0 by default."""
+    b = alg.gen("y0") if coefficient is None else coefficient
     return make_module(alg, [(f"e{j}", 2 * j) for j in range(length)],
-                       {(f"e{j}", f"e{j + 1}"): y0 for j in range(length - 1)})
+                       {(f"e{j}", f"e{j + 1}"): b for j in range(length - 1)})
 
 
 def ladder(top: int):
@@ -88,11 +103,17 @@ def ladder(top: int):
     return rung, digest
 
 
-def battery(ngens: int, length: int, of_cone: bool = False):
+def battery(ngens: int, length: int, of_cone: bool = False, tate: bool = False):
     """The battery on the chain of this length over the exterior algebra on
-    ngens generators, or on the cone of its identity."""
+    ngens generators, or on the cone of its identity; with tate, on the
+    chain over the Tate-ext algebra on ngens generators, with coefficient
+    X0 - X1."""
     def rung(field):
-        M = chain(exterior(ngens, field), length)
+        if tate:
+            alg = tate_ext(ngens, field)
+            M = chain(alg, length, alg.gen("X0") - alg.gen("X1"))
+        else:
+            M = chain(exterior(ngens, field), length)
         if of_cone:
             M = cone(ChainMap.identity(M))
         return naive_lift_battery(M, Diagonal(M.algebra), name="rung")
@@ -124,6 +145,8 @@ RUNGS = {
     "cone_ext5_len5": battery(5, 5, of_cone=True),
     "cone_ext6_len5": battery(6, 5, of_cone=True),
     "kernel_ext5_len5": kernel_sequence(5, 5),
+    "tate_ext4_len5": battery(4, 5, tate=True),
+    "tate_ext5_len5": battery(5, 5, tate=True),
 }
 
 

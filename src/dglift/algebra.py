@@ -500,11 +500,33 @@ def _factor(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
     while toks.peek()[0] == "^":
         toks.take()
         _, n = toks.take("int")
-        out = alg.one()
-        for _ in range(int(n)):
-            out = out * e
-        e = out
+        e = _power(alg, e, int(n))
     return e
+
+
+def _power(alg: DGAlgebra, e: AlgebraElement, n: int) -> AlgebraElement:
+    """e^n by square-and-multiply, about 2 log2(n) products.  It stops at
+    the first zero product, and raises ValueError, naming the cap, once a
+    term of a product has a degree past the config's max_degree."""
+    cap = alg.config.max_degree
+
+    def checked(x: AlgebraElement) -> AlgebraElement:
+        top = max(map(alg.mono_degree, x.terms), default=0)
+        if top > cap:
+            raise ValueError(f"a power of {e} has a term of degree {top}, past the "
+                             f"degree cap max_degree = {cap}")
+        return x
+
+    out, square = alg.one(), e
+    while n:
+        if n & 1:
+            out = checked(out * square)
+        n >>= 1
+        if n:
+            square = checked(square * square)
+        if out.is_zero() or square.is_zero():
+            return alg.zero()
+    return out
 
 
 def _term(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:

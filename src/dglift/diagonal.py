@@ -279,7 +279,9 @@ class Diagonal:
         unit pair is left to cancel, so an already minimal module shares
         every Hom space with the queries on it.  The homotopy-invariant
         dimensions (gamma^n, the AR1 (iii) and AR2 tables, the factorization
-        ideal and the kernel sequence) read N'."""
+        ideal and the kernel sequence) read N', and verdicts i, ii, iii and
+        ix solve on maps out of N' and carry their witnesses back to N
+        (MinimalModel.null_homotopy)."""
         return minimal_model(module)
 
     def NT_A(self, module, n: int, d: int) -> int:

@@ -219,6 +219,19 @@ class CarrierMap:
         f = self.source.algebra.field
         return self.add(other.scale(f.neg(f.one)))
 
+    def precompose(self, source: SemifreeModule, entries: dict, shift: int = 0) -> "CarrierMap":
+        """This map after the map source -> Sigma^shift self.source given by
+        its matrix over B: e_lam goes to the sum over mu of the image of e_mu
+        times the entry (mu, lam), a right action on the target."""
+        f, tgt, degrees = self.source.algebra.field, self.target, self.source.degrees
+        cols: dict = {}
+        for (mu, lam), el in entries.items():
+            vec = self.cols.get(mu)
+            if vec:
+                vec_axpy(f, cols.setdefault(lam, {}), f.one,
+                         tgt.element_act_right(el, degrees[mu] - self.shift, vec))
+        return CarrierMap(source, tgt, self.shift + shift, {k: v for k, v in cols.items() if v})
+
 
 def chain_map_to_carrier(cm: ChainMap) -> CarrierMap:
     """Express a semifree-to-semifree chain map in target carrier coordinates."""
@@ -234,6 +247,12 @@ def carrier_map_to_chain(cmap: CarrierMap) -> ChainMap:
         raise DimensionMismatch("target is not a semifree module carrier")
     return ChainMap(cmap.source, tgt.module, cmap.shift,
                     cols_to_entries(cmap.cols, cmap.source, tgt, cmap.shift))
+
+
+def space_name(source: SemifreeModule, target: Carrier, shift: int) -> str:
+    """The space of maps source -> Sigma^shift target, as error messages
+    name it."""
+    return f"Hom space from generators {source.describe()} into {target!r} at shift {shift}"
 
 
 @dataclass
@@ -291,9 +310,7 @@ class HomSpace:
         self.h_layout = MapLayout(source, self.target, shift - 1)
 
     def _where(self) -> str:
-        """The space, as the error messages name it."""
-        return (f"Hom space from generators {self.source.describe()} into "
-                f"{self.target!r} at shift {self.shift}")
+        return space_name(self.source, self.target, self.shift)
 
     def _flat(self, cmap: CarrierMap) -> dict:
         """cmap on layout(s); a map of another space raises DimensionMismatch."""

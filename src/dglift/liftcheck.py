@@ -15,12 +15,12 @@ from dataclasses import dataclass, field as dc_field
 
 from .diagonal import Diagonal
 from .errors import CapExceeded, DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomSpace, carrier_map_to_chain,
-                       chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries,
-                       hom_k_dim)
+from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace,
+                       carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
+                       cols_to_entries, entries_to_cols, hom_k_dim, space_name)
 from .linalg import SparseMatrix
-from .modules import (ChainMap, SemifreeModule, differ_by_boundary, graded_map_boundary,
-                      homology_dim, matrix_product, regular_module)
+from .modules import (ChainMap, MinimalModel, SemifreeModule, differ_by_boundary,
+                      graded_map_boundary, homology_dim, matrix_product, regular_module)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
 
@@ -30,33 +30,54 @@ from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matr
 
 def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     """A strict section of the counit: sigma with pi . sigma = id exactly,
-    or None when the combined chain-and-section system is inconsistent.
+    or None when no such sigma exists.
 
-    The base change G -> N and the Hom space N -> G come from the memos of
-    diag.  p_ideal_dims shares G, but reads Hom(N', G) on the minimal model
-    N', so it shares the Hom space only when N is its own minimal model."""
+    Decided on N's minimal model N' = diag.minimal(N).module, with
+    (f, g, h) its retraction: one solve of the chain-and-section system
+    pi tau = g for a chain map tau: N' -> G, on Hom(N', G), the space that
+    p_ideal_dims reads too.  Then sigma = tau f + delta(s0 h), s0 sending
+    e_lam to e_lam (x) 1, has pi sigma = g f + delta h = id, since pi s0 is
+    the identity and pi commutes with delta.  Conversely a section sigma
+    would make tau = sigma g a solution, so the solve's None, whose absence
+    certificate it has rechecked on N', means that no sigma exists.  When N'
+    is N the system is the one on Hom(N, G) and sigma = tau; when N' = 0
+    nothing is solved and sigma = delta(s0 h).  sigma is rechecked on N as a
+    chain map and as a strict section."""
     G, pi = diag.base_change(N)
-    f = N.algebra.field
-    hs = diag.hom(N, G)
-    C = hs.chain_matrix()
-    pi_op = chain_map_operator(pi)
-    ncar = N.carrier()
-    rows = C.rows()
-    rhs = {}
-    for lam in range(N.n_gens):
-        off, d, n = hs.layout.block(lam)
-        rhs[len(rows) + ncar.index(d, lam, N.algebra.unit_mono())] = f.one
-        for prow in pi_op.mat(d).rows():
-            rows.append({off + j: c for j, c in prow.items()})
-    sol = SparseMatrix.from_rows(f, hs.layout.total, rows).solve(rhs)
-    if sol is None:
-        return None
-    # the solve's substitution recheck has verified sigma's chain condition
-    # (the rows of C), and carrier_map_to_chain's ChainMap checks it over B
-    sigma = carrier_map_to_chain(CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(sol)))
+    model = diag.minimal(N)
+    M, f = model.module, N.algebra.field
+    gcar = G.carrier()
+    sigma = CarrierMap(N, gcar, 0, {})
+    if M.n_gens:
+        hs = diag.hom(M, G)
+        pi_op = chain_map_operator(pi)
+        g_cols = entries_to_cols(model.g.entries, M, N.carrier(), 0)
+        rows = hs.chain_matrix().rows()
+        rhs = {}
+        for kappa in range(M.n_gens):
+            off, d, n = hs.layout.block(kappa)
+            for i, c in g_cols.get(kappa, {}).items():
+                rhs[len(rows) + i] = c
+            for prow in pi_op.mat(d).rows():
+                rows.append({off + j: c for j, c in prow.items()})
+        sol = SparseMatrix.from_rows(f, hs.layout.total, rows).solve(rhs)
+        if sol is None:
+            return None
+        sigma = CarrierMap(M, gcar, 0, hs.layout.from_flat(sol))
+        if M is not N:
+            sigma = sigma.precompose(N, model.f.entries)
+    if model.h:
+        # e_lam (x) 1 is the generator of G over e_lam of e_lam's own degree
+        s0 = CarrierMap(N, gcar, 0, {lam: gcar.gen_vector(k)[1] for lam, k in pi.entries
+                                     if G.degrees[k] == N.degrees[lam]})
+        s0h = HomotopyWitness(N, gcar, 0, s0.precompose(N, model.h, -1).cols)
+        sigma = sigma.add(s0h.boundary())
+    # carrier_map_to_chain's ChainMap checks sigma's chain condition over B
+    sigma = carrier_map_to_chain(sigma)
     if not differ_by_boundary(N, matrix_product(pi.entries, sigma.entries),
                               ChainMap.identity(N).entries, {}):
-        raise DimensionMismatch("splitting failed the strict section recheck")
+        raise DimensionMismatch(f"splitting failed the strict section recheck in the "
+                                f"{space_name(N, gcar, 0)}")
     return sigma
 
 
@@ -80,11 +101,16 @@ class SummandWitness:
                                   ChainMap.identity(N).entries, self.homotopy)
 
 
-def summand_witness(N: SemifreeModule, sigma: ChainMap,
-                    G: SemifreeModule, pi: ChainMap) -> SummandWitness:
+def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: ChainMap,
+                    model: MinimalModel) -> SummandWitness:
     """Push a strict splitting down the generator-degree filtration of the
     base-change module, correcting by null-homotopies of the components into
     each shifted-free layer, until it lands in the degree-zero layer.
+
+    Each null-homotopy is decided on N's minimal model (model, from
+    diag.minimal(N)) by MinimalModel.null_homotopy: on the layer's space
+    of maps out of N', none when N' = 0, and carried back to N, where it is
+    rechecked by substitution.
 
     Raises FiltrationStuck when a layer component is not null-homotopic,
     which can only happen if the positive-shift Hom vanishing was not
@@ -111,8 +137,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap,
         Quot = SemifreeModule(alg, tuple(f"q{k}.{i}" for i in range(len(layer))),
                               (k,) * len(layer), {})
         comp = ChainMap(N, Quot, 0, comp_entries)
-        hs = HomSpace(N, Quot, 0)
-        wit = hs.null_homotopy(chain_map_to_carrier(comp))
+        wit = model.null_homotopy(chain_map_to_carrier(comp), HomSpace)
         if wit is None:
             lam = min(lam for _, lam in comp.entries)
             raise FiltrationStuck(
@@ -258,11 +283,15 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     gamma_dim reads for n = 0, and is not an independent check.
 
     Which module each verdict reads: i (strict section), ii and iii
-    (null-homotopies with witnesses) and ix (summand witness) are strict
-    statements about N and read N itself, as do the notes read off N's
-    degrees and homology and the certifying bounds.  iv-viii read the
-    gamma^n, and the AR1 (iii) and AR2 tables their dimensions; these are
-    homotopy invariants, computed on N's minimal model diag.minimal(N).
+    (null-homotopies with witnesses) and ix (summand witness) return
+    witnesses on N, but each is decided on N's minimal model
+    N' = diag.minimal(N).module by one solve on a space of maps out of N',
+    none when N' = 0, and carried back to N by its retraction (f, g, h),
+    where the witness is rechecked (MinimalModel.null_homotopy and
+    splitting_search); a "no" is an absence certificate rechecked on N'.
+    The notes read off N's degrees and homology and the certifying bounds
+    read N.  iv-viii read the gamma^n, and the AR1 (iii) and AR2 tables
+    their dimensions; these are homotopy invariants, computed on N'.
     A lift bound below 1 raises CapExceeded: verdict iii needs a power to
     test, and iv-vii would read an empty range of powers.
     """
@@ -285,9 +314,9 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     # for a null-homotopic power starts at 2 when ii failed
     nil_power = 1 if wit is not None and L_bound >= 1 else None
     if wit is None:
+        model = diag.minimal(N)
         for ell in range(2, L_bound + 1):
-            chi = chi_power(N, diag, ell)
-            if diag.hom(N, chi.target).null_homotopy(chi) is not None:
+            if model.null_homotopy(chi_power(N, diag, ell), diag.hom) is not None:
                 nil_power = ell
                 break
     report.verdicts["iii"] = nil_power is not None
@@ -309,7 +338,7 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 
     if sigma is not None and ar1.detail.get("iii_holds"):
         try:
-            sw = summand_witness(N, sigma, *diag.base_change(N))
+            sw = summand_witness(N, sigma, *diag.base_change(N), diag.minimal(N))
             report.verdicts["ix"] = True
             report.notes["ix"] = f"summand of {sw.m} free copies; homotopy rechecked"
         except FiltrationStuck as exc:

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING, Callable
 
 from .algebra import AlgebraElement, DGAlgebra
 from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
                      NotTriangular, OwnerMismatch, TriangularityUnrepairable)
 from .memo import memo
+
+if TYPE_CHECKING:  # homotopy imports this module
+    from .homotopy import CarrierMap, HomotopyWitness, HomSpace
 
 
 class SemifreeModule:
@@ -394,6 +398,38 @@ class MinimalModel:
         if not differ_by_boundary(N, ChainMap.identity(N).entries, matrix_product(g, f), self.h):
             raise DimensionMismatch("minimal model: id - g f is not d h + h d")
         return self
+
+    def null_homotopy(self, phi: CarrierMap,
+                      hom: Callable[..., HomSpace]) -> HomotopyWitness | None:
+        """A null-homotopy of the shift-0 chain map phi: N -> X, decided on N'.
+
+        The rule: phi is null-homotopic exactly when phi g: N' -> X is.  If
+        phi = delta H, then phi g = delta(H g).  If phi g = delta H', then
+        H = H' f + phi h has delta H = phi g f + phi (d h + h d) = phi,
+        because phi = phi (g f + d h + h d) and precomposing with a chain map
+        commutes with delta.  So one solve on hom(N', X) decides (hom is
+        Diagonal.hom, or HomSpace for a space no memo keeps), and its None,
+        whose absence certificate that solve has rechecked on N', answers
+        for N too.  H is rechecked by substitution on N; a failed recheck
+        raises DimensionMismatch naming N and the space.  When N' is N
+        nothing is composed: the solve is on hom(N, X) itself.  When N' = 0
+        nothing is solved: H = phi h."""
+        from .homotopy import CarrierMap, HomotopyWitness, space_name
+        N, Np, X = self.source, self.module, phi.target
+        if Np is N:
+            return hom(N, X).null_homotopy(phi)
+        carried = CarrierMap(N, X, -1, {})
+        if Np.n_gens:
+            wit = hom(Np, X).null_homotopy(phi.precompose(Np, self.g.entries))
+            if wit is None:
+                return None
+            carried = CarrierMap(Np, X, -1, wit.cols).precompose(N, self.f.entries)
+        H = HomotopyWitness(N, X, 0, carried.add(phi.precompose(N, self.h, -1)).cols)
+        if not H.boundary().sub(phi).is_zero():
+            raise DimensionMismatch(f"a homotopy witness carried from the minimal model "
+                                    f"failed its substitution recheck in the "
+                                    f"{space_name(N, X, 0)}")
+        return H
 
 
 def _unit_pair(diff: dict, degrees, unit):

@@ -282,10 +282,12 @@ def carrier_maps_equal(a: CarrierMap, b: CarrierMap) -> bool:
 def omega_is_zero(N: SemifreeModule, diag: Diagonal) -> HomotopyWitness | None:
     """Witness that the obstruction class vanishes, or certified absence.
 
-    Decided on the tensor-degree-0 restriction N -> N (x) Sigma J through the
-    tensor-degree adjunction."""
-    chi1 = chi_power(N, diag, 1)
-    return diag.hom(N, chi1.target).null_homotopy(chi1)
+    Decided on the tensor-degree-0 restriction chi^1: N -> N (x) Sigma J
+    through the tensor-degree adjunction, by MinimalModel.null_homotopy:
+    one solve for chi^1 g on Hom(N', N (x) T^1), N' = diag.minimal(N).module,
+    and none when N' = 0.  The witness is carried back to N and rechecked
+    there by substitution."""
+    return diag.minimal(N).null_homotopy(chi_power(N, diag, 1), diag.hom)
 
 
 def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:

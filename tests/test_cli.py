@@ -292,6 +292,18 @@ def test_run_corpus_rejects_a_bad_field_like_the_cli():
         (2, "", "error: 4 is not prime\n")
 
 
+def test_run_corpus_runs_without_pythonpath(tmp_path):
+    """run_corpus.py puts the checkout's src on its own path, as rungs.py
+    and report_digests.py do, so it runs with PYTHONPATH unset from any
+    directory."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(DATA.parent.parent / "scripts" / "run_corpus.py"), "--json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rows"]
+
+
 def test_battery_exit_codes_and_verdicts():
     code, out, _ = run_cli(["battery", str(DATA / "two_step.dg"), "--json"])
     assert code == 0

@@ -12,6 +12,7 @@ does, on every space the corpus batteries build or ask.
 import random
 
 import pytest
+from direct_route_oracle import direct_verdicts
 from hom_space_oracle import OracleHomSpace, echelon_says_null, strict_triangular_cycles
 
 from dglift.config import EngineConfig
@@ -107,9 +108,12 @@ def test_the_solve_decides_null_homotopy_as_the_tagged_echelon_does(backend, mon
     """null_homotopy's one solve of delta_s h = f and the tagged class
     echelon's reduction give the same answer.  The spaces are every Hom
     space the 18 corpus batteries leave in their Diagonals' memos and every
-    space they asked a null-homotopy of; the maps are each map the battery
+    space they, or the direct route on the same modules, asked a
+    null-homotopy of; the maps are each map the battery or the direct route
     asked about (the chi^l among them), the boundary delta_s h of a seeded
-    random h, and one non-cycle where the space has one."""
+    random h, and one non-cycle where the space has one.  The direct route
+    (direct_route_oracle.py) asks its spaces out of N itself, where the
+    battery asks them out of the minimal model."""
     corpus = build_corpus(EngineConfig(field=BACKENDS[backend], max_degree=8))
     asked: dict = {}  # space -> the maps a battery asked about
     honest = HomSpace.null_homotopy
@@ -120,7 +124,8 @@ def test_the_solve_decides_null_homotopy_as_the_tagged_echelon_does(backend, mon
 
     monkeypatch.setattr(HomSpace, "null_homotopy", spy)
     for inst, _, M in battery_pairs(corpus):
-        naive_lift_battery(M, inst.diag)
+        report = naive_lift_battery(M, inst.diag)
+        direct_verdicts(M, inst.diag, report.ar1.detail["iii_holds"], report.bound)
     monkeypatch.undo()
     spaces = dict.fromkeys(asked)
     for inst in corpus.values():

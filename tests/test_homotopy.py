@@ -14,6 +14,7 @@ from dglift.homotopy import (CarrierMap, HomSpace, MapLayout, chain_map_to_carri
                              check_AR1, check_AR2, delta_cols, delta_matrix, hom_k_dim,
                              is_null_homotopic)
 from dglift.instances import build_corpus
+from dglift.liftcheck import splitting_search
 from dglift.linalg import SparseMatrix
 from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
@@ -222,14 +223,22 @@ def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
 
 def test_null_homotopy_builds_no_class_echelon(config):
     """omega_is_zero decides with one solve on delta_s: the Hom space it
-    asks builds neither the tagged class echelon nor delta_{s+1}."""
+    asks, out of N's minimal model N', builds neither the tagged class
+    echelon nor delta_{s+1}.  That space is Hom(N, N (x) T^1) when N is its
+    own minimal model.  cone_id's N' is zero, so neither omega_is_zero nor
+    splitting_search builds a Hom space out of it."""
     inst = build_corpus(config)["exterior"]
     diag = Diagonal(inst.algebra)
     for N in inst.modules.values():
         omega_is_zero(N, diag)
-        hs = diag.hom(N, diag.NT(N, 1))
-        assert peek(hs, "_build") is None and peek(hs, "chain_matrix") is None
-        assert peek(hs, "boundary_matrix") is not None
+        M = diag.minimal(N).module
+        if M.n_gens:
+            hs = diag.hom(M, diag.NT(N, 1))
+            assert peek(hs, "_build") is None and peek(hs, "chain_matrix") is None
+            assert peek(hs, "boundary_matrix") is not None
+    C = inst.modules["cone_id"]
+    splitting_search(C, diag)
+    assert not [k for k in peek(diag, "_hom") if k[0] is C]
 
 
 def test_build_checks_its_class_count_against_the_ranks(ext, monkeypatch):

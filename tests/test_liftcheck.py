@@ -76,7 +76,7 @@ def test_summand_witness_free(ext, ext_diag):
     B = free_module(ext, 1)
     G, pi = ext_diag.base_change(B)
     sigma = splitting_search(B, ext_diag)
-    wit = summand_witness(B, sigma, G, pi)
+    wit = summand_witness(B, sigma, G, pi, ext_diag.minimal(B))
     assert wit.m == 1
     assert wit.recheck()
 
@@ -86,7 +86,7 @@ def test_summand_witness_frees(ext, ext_diag):
         Bn = free_module(ext, n)
         G, pi = ext_diag.base_change(Bn)
         sigma = splitting_search(Bn, ext_diag)
-        wit = summand_witness(Bn, sigma, G, pi)
+        wit = summand_witness(Bn, sigma, G, pi, ext_diag.minimal(Bn))
         assert wit.m == n
         assert wit.recheck()
 
@@ -98,7 +98,7 @@ def test_summand_witness_idempotent_cut(ext, ext_diag):
     G, pi = ext_diag.base_change(M)
     sigma = splitting_search(M, ext_diag)
     assert sigma is not None
-    wit = summand_witness(M, sigma, G, pi)
+    wit = summand_witness(M, sigma, G, pi, ext_diag.minimal(M))
     assert wit.m == 2
     assert wit.recheck()
     # adding e_g3 to the homotopy's value on g1 adds D(g3) = g2 to its boundary
@@ -118,7 +118,7 @@ def test_summand_witness_stuck_on_the_shifted_free(config):
     assert sigma is not None
     with pytest.raises(FiltrationStuck,
                        match="level-1 layer is not null-homotopic.*generator b0"):
-        summand_witness(N, sigma, G, pi)
+        summand_witness(N, sigma, G, pi, inst.diag.minimal(N))
 
 
 def test_summand_witness_refuses_a_generator_of_negative_degree(ext, ext_diag):
@@ -130,7 +130,7 @@ def test_summand_witness_refuses_a_generator_of_negative_degree(ext, ext_diag):
     assert sigma is not None
     with pytest.raises(FiltrationStuck,
                        match=r"generator e0\(x\)1 of negative degree -1"):
-        summand_witness(N, sigma, *ext_diag.base_change(N))
+        summand_witness(N, sigma, *ext_diag.base_change(N), ext_diag.minimal(N))
 
 
 def test_battery_table_over_two_odd_variables(config):
@@ -170,7 +170,7 @@ def test_summand_witness_stuck_when_the_correction_leaves_a_row(config, monkeypa
     assert sigma is not None
     monkeypatch.setattr(liftcheck, "graded_map_boundary", lambda *args: {})
     with pytest.raises(FiltrationStuck, match="correction left a row at level 1"):
-        summand_witness(N, sigma, G, pi)
+        summand_witness(N, sigma, G, pi, inst.diag.minimal(N))
 
 
 def test_battery_on_frees_all_true(ext, ext_diag):

@@ -11,6 +11,7 @@ one fails that recheck.
 """
 
 import pytest
+from direct_route_oracle import identity_model
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.cli import parse_instance
@@ -36,8 +37,7 @@ class Unreduced(Diagonal):
     """The oracle: every module is its own minimal model."""
 
     def minimal(self, module):
-        ident = ChainMap.identity(module)
-        return MinimalModel(module, module, ident, ident, {})
+        return identity_model(module)
 
 
 def invariants(N, diag):

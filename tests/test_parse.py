@@ -2,6 +2,7 @@
 tokenizer in algebra_oracle, and every error it raises, message pinned."""
 
 import gc
+import time
 
 import pytest
 
@@ -121,3 +122,35 @@ def test_a_zero_denominator_is_a_syntax_error_at_its_line(tmp_path, capsys, spec
     assert str(exc.value) == f"line {lineno}: {message}"
     assert main(["check", str(p), "--field", spec]) == 2
     assert capsys.readouterr().err == f"syntax error: line {lineno}: {message}\n"
+
+
+def test_a_power_stops_at_its_first_zero_product():
+    """Square-and-multiply stops once a product is zero: y^1000000000 on an
+    exterior algebra is 0 after one squaring, and q^3 is 0 over k[q]/(q^2)."""
+    ext = build_algebra(BaseRing(), [("y", 1, "0")], 0, CONFIG)
+    start = time.perf_counter()
+    assert parse_element(ext, "y^1000000000").is_zero()
+    assert time.perf_counter() - start < 0.1
+    tate = build_algebra(BaseRing("q", 2), [("X", 1, "q")], 0, CONFIG)
+    assert parse_element(tate, "q^3").is_zero()
+    assert parse_element(tate, "(1 + q)^5") == parse_element(tate, "1 + 5*q")
+    assert parse_element(tate, "(1 + X)^0") == tate.one()
+
+
+def test_a_power_past_the_degree_cap_is_a_syntax_error_at_its_line(tmp_path, capsys):
+    """(1 + x)^1000000000 with x even has terms of every even degree: the
+    first product with a term past max_degree is refused, naming the cap,
+    and the CLI exits 2 at the line of the power."""
+    poly = build_algebra(BaseRing(), [("x", 2, "0")], 0, CONFIG)
+    assert parse_element(poly, "(1 + x)^4") == parse_element(
+        poly, "1 + 4*x + 6*x^2 + 4*x^3 + x^4")
+    message = ("bad coefficient expression: a power of 1 + x has a term of degree 16, "
+               "past the degree cap max_degree = 8")
+    p = tmp_path / "power_past_cap.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar x : 2 = 0\n"
+                 "[module N]\ngen e0 : 0\ngen e1 : 2\nd e1 = e0 * (1 + x)^1000000000\n")
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert str(exc.value) == f"line 8: {message}"
+    assert main(["check", str(p), "--max-degree", "8"]) == 2
+    assert capsys.readouterr().err == f"syntax error: line 8: {message}\n"

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ROOT / "scripts" / "rungs.py"
 CONE_EXT5_LEN5_SHA256 = "76ba248317f9042f24e748866693e8161bd9dadbc9733ba667d3f3080a815831"
 LADDER_EXT5_D12_SHA256 = "c9d27912d7554eacc5cd8bea112770b020a567a034893de809eb72dc7477f388"
+TATE_EXT4_LEN5_SHA256 = "e4f942a2e72d535e00ad9e9f775211af93805c4fdd57e7b69c7ae245cca19b16"
 
 
 def run(*args):
@@ -21,7 +22,7 @@ def run(*args):
 
 def test_the_smallest_rung_prints_one_measured_json_line_per_field():
     names = run("--list").stdout.split()
-    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 9
+    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 11
     proc = run("cone_ext5_len5")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -45,6 +46,17 @@ def test_the_tensor_ladder_rung_keeps_its_digest():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["sha256"] == LADDER_EXT5_D12_SHA256
+
+
+def test_the_tate_rung_keeps_its_digest_on_both_fields():
+    """The battery on a chain over k[q]/(q^2) with four odd X_i, d X_i = q:
+    a rung whose algebra has a nonzero differential.  Its chain is its own
+    minimal model, and both fields give one result."""
+    proc = run("tate_ext4_len5")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["field"] for r in lines] == ["Q", "Fp"]
+    assert {r["sha256"] for r in lines} == {TATE_EXT4_LEN5_SHA256}
 
 
 def test_an_unknown_rung_is_a_usage_error():
