@@ -504,10 +504,16 @@ def _factor(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
     return e
 
 
+# The largest coefficient a power may build, in bits of numerator plus
+# denominator: over Q a power of a scalar is bounded by no degree.
+POWER_COEFF_BITS = 4096
+
+
 def _power(alg: DGAlgebra, e: AlgebraElement, n: int) -> AlgebraElement:
     """e^n by square-and-multiply, about 2 log2(n) products.  It stops at
-    the first zero product, and raises ValueError, naming the cap, once a
-    term of a product has a degree past the config's max_degree."""
+    the first zero product, and raises ValueError, naming the bound, once a
+    term of a product has a degree past the config's max_degree or a
+    coefficient of more than POWER_COEFF_BITS bits."""
     cap = alg.config.max_degree
 
     def checked(x: AlgebraElement) -> AlgebraElement:
@@ -515,6 +521,11 @@ def _power(alg: DGAlgebra, e: AlgebraElement, n: int) -> AlgebraElement:
         if top > cap:
             raise ValueError(f"a power of {e} has a term of degree {top}, past the "
                              f"degree cap max_degree = {cap}")
+        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for c in x.terms.values()), default=0)
+        if bits > POWER_COEFF_BITS:
+            raise ValueError(f"a power of {e} has a coefficient of {bits} bits, past "
+                             f"the bound of {POWER_COEFF_BITS} bits")
         return x
 
     out, square = alg.one(), e
@@ -537,14 +548,17 @@ def _term(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
     return e
 
 
-def _expr(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
-    neg = False
+def _signed_term(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    """A term with an optional leading minus: the start of an expression,
+    and the coefficient of a term of a module differential."""
     if toks.peek()[0] == "-":
         toks.take()
-        neg = True
-    e = _term(alg, allowed, toks)
-    if neg:
-        e = e.neg()
+        return _term(alg, allowed, toks).neg()
+    return _term(alg, allowed, toks)
+
+
+def _expr(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
+    e = _signed_term(alg, allowed, toks)
     while toks.peek()[0] in ("+", "-"):
         op, _ = toks.take()
         t = _term(alg, allowed, toks)

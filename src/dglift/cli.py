@@ -31,7 +31,8 @@ import sys
 from contextlib import suppress
 from functools import cache
 
-from .algebra import AlgebraElement, BaseRing, DGAlgebra, build_algebra, parse_element
+from .algebra import (AlgebraElement, BaseRing, DGAlgebra, _signed_term, _Tokens,
+                      build_algebra)
 from .config import EngineConfig
 from .diagonal import Diagonal
 from .errors import BadExpression, DGLiftError
@@ -234,46 +235,44 @@ def _parse_ring(spec: str, lineno: int) -> BaseRing:
 
 
 def _parse_module_expr(algebra, gen_names, expr: str, lineno: int) -> dict:
-    """Sum of GEN [* algebra-expr] terms -> {gen name: coefficient}; a sign
-    right after *, / or ^ belongs to the coefficient (e0 * -y is -(e0 y))."""
-    out = {}
-    # split on top-level + and - (no parentheses cross gens in this grammar)
-    terms, cur, depth, pending_sign = [], "", 0, 1
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not cur.rstrip().endswith(("*", "/", "^")):
-            if cur.strip():
-                terms.append((pending_sign, cur.strip()))
-                pending_sign = 1 if ch == "+" else -1
-                cur = ""
-            else:
-                pending_sign *= 1 if ch == "+" else -1
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((pending_sign, cur.strip()))
-    for sgn, term in terms:
-        if term == "0":
+    """The right-hand side of a d line, signed terms GEN [* coefficient] or
+    0, -> {gen name: coefficient}: signs in a row multiply, and a coefficient
+    is the algebra grammar's signed term (e0 * -y is -(e0 y))."""
+    try:
+        toks = _Tokens(expr)
+    except ValueError as exc:
+        raise ParseError(lineno, f"bad coefficient expression: {exc}")
+    out, ends, negative = {}, (None, "+", "-"), False
+    while True:
+        kind, head = toks.take()
+        if kind in ("+", "-"):
+            negative ^= kind == "-"
             continue
-        if "*" in term:
-            gname, rest = term.split("*", 1)
-            gname = gname.strip()
-            coeff_text = rest.strip()
+        if kind is None:
+            raise ParseError(lineno, "expected a term, found the end of the line")
+        if (kind, head) == ("int", "0") and toks.peek()[0] in ends:
+            el = None  # a 0 term adds nothing
+        elif kind != "name" or head not in gen_names:
+            raise ParseError(lineno, f"term must start with a generator, got {head!r}")
+        elif toks.peek()[0] != "*":
+            el = algebra.one()
         else:
-            gname, coeff_text = term.strip(), "1"
-        if gname not in gen_names:
-            raise ParseError(lineno, f"term must start with a generator, got {gname!r}")
-        try:
-            el = parse_element(algebra, coeff_text)
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad coefficient expression: {exc}")
-        if sgn < 0:
-            el = el.neg()
-        out[gname] = out[gname] + el if gname in out else el
-    return {g: el for g, el in out.items() if not el.is_zero()}
+            toks.take()
+            try:
+                el = _signed_term(algebra, set(algebra.var_names), toks)
+                if toks.peek()[0] not in ends:
+                    raise ValueError(f"trailing input at {toks.peek()[1]!r}")
+            except ValueError as exc:
+                raise ParseError(lineno, f"bad coefficient expression: {exc}")
+        after, text = toks.peek()
+        if after not in ends:
+            raise ParseError(lineno, f"expected '*' or a sign after {head!r}, found {text!r}")
+        if el is not None:
+            el = el.neg() if negative else el
+            out[head] = out[head] + el if head in out else el
+        if after is None:
+            return {g: el for g, el in out.items() if not el.is_zero()}
+        negative = False
 
 
 # ----- reports ---------------------------------------------------------------

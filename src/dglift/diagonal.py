@@ -20,7 +20,7 @@ from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrie
                        SparseMatrix, TensorCarrier)
 from .errors import CapExceeded, DimensionMismatch
 from .homotopy import HomSpace, _as_carrier
-from .linalg import Echelon, vec_axpy
+from .linalg import vec_axpy
 from .memo import memo
 from .modules import MinimalModel, base_change, minimal_model
 
@@ -334,7 +334,9 @@ class Diagonal:
     # ----- structural checks -----
 
     def check_basic_sequence(self, d: int):
-        """dim J_d + dim B_d = dim (B^e)_d, with pi surjective (exact)."""
+        """dim J_d + dim B_d = dim (B^e)_d, and whether pi is onto B_d.  J is
+        read off pi's columns, so dim J_d = dim (B^e)_d - rank pi: the
+        balance holds exactly when pi is onto, one check and not two."""
         pi = self.env.pi_matrix(d)
         rank = pi.rank()
         dimB = len(self.algebra.monomials(d))
@@ -363,12 +365,8 @@ class Diagonal:
         target = T2.dim(d)
         if target == 0:
             return True
-        ech = Echelon(self.field, target)
-        f = self.field
-        for p in range(self.SJ.min_degree(), d - self.SJ.min_degree() + 1):
-            for i in range(self.SJ.dim(p)):
-                for j in range(self.SJ.dim(d - p)):
-                    vec = T2.pair_project(p, {i: f.one}, d - p, {j: f.one})
-                    if vec:
-                        ech.add_row(vec)
-        return ech.rank == target
+        one, SJ = self.field.one, self.SJ
+        rows = [T2.pair_project(p, {i: one}, d - p, {j: one})
+                for p in range(SJ.min_degree(), d - SJ.min_degree() + 1)
+                for i in range(SJ.dim(p)) for j in range(SJ.dim(d - p))]
+        return SparseMatrix.from_rows(self.field, target, rows).rank() == target

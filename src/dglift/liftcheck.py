@@ -19,7 +19,7 @@ from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace,
                        carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
                        cols_to_entries, entries_to_cols, hom_k_dim, space_name)
 from .linalg import SparseMatrix
-from .modules import (ChainMap, MinimalModel, SemifreeModule, differ_by_boundary,
+from .modules import (ChainMap, MinimalModel, SemifreeModule, differ_by_boundary, free_module,
                       graded_map_boundary, homology_dim, matrix_product, regular_module)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
@@ -134,8 +134,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
         for (g, lam), el in sigma_cur.entries.items():
             if levels[g] == k:
                 comp_entries[(layer.index(g), lam)] = el
-        Quot = SemifreeModule(alg, tuple(f"q{k}.{i}" for i in range(len(layer))),
-                              (k,) * len(layer), {})
+        Quot = free_module(alg, len(layer), k, prefix=f"q{k}.")
         comp = ChainMap(N, Quot, 0, comp_entries)
         wit = model.null_homotopy(chain_map_to_carrier(comp), HomSpace)
         if wit is None:
@@ -157,8 +156,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
                 raise FiltrationStuck(f"correction left a row at level {levels[g]}")
         h_total.update(h_entries)  # layers own disjoint rows
     layer0 = [g for g in range(G.n_gens) if levels[g] == 0]
-    F0 = SemifreeModule(alg, tuple(G.names[g] for g in layer0),
-                        (0,) * len(layer0), {})
+    F0 = free_module(alg, len(layer0), prefix="q0.")
     g_entries = {}
     for (g, lam), el in sigma_cur.entries.items():
         g_entries[(layer0.index(g), lam)] = el

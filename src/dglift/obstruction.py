@@ -87,10 +87,9 @@ class ObstructionTower:
         self.N = N
         self.diag = diag
 
-    @memo
     def component(self, i: int) -> DegreewiseMap:
         """The piece N (x) T^i -> N (x) T^{i+1}, within the config's
-        max_tensor."""
+        max_tensor, built on each call."""
         cap = self.diag.config.max_tensor
         if i + 1 > cap:
             raise CapExceeded(i + 1, cap, "tensor degree")
@@ -346,13 +345,16 @@ def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int):
     f = N.algebra.field
     out = []
     bound = N.max_degree - i + 1
+    components: list = []  # component i + k at index k, built when first reached
     for d in range(src.min_degree(), N.max_degree + 1):
         for k in range(src.dim(d)):
             n_x = None
             j = i
             cur = {k: f.one}
             while j - i < bound and j + 1 <= cap:
-                cur = tower.component(j).mat(d).mat_vec(cur)
+                if j - i == len(components):
+                    components.append(tower.component(j))
+                cur = components[j - i].mat(d).mat_vec(cur)
                 j += 1
                 if not cur:
                     n_x = j - i
@@ -402,20 +404,8 @@ def functoriality_defect_is_null(N, Nprime, fmap: ChainMap, diag: Diagonal) -> b
     chiNp = chi_power(Nprime, diag, 1)
     lhs = map_tensor_id(fmap, diag, 1).apply(chiN)
     # rhs: chi_{N'} after f, by right-linearity of chi over the entries of f
-    f = N.algebra.field
-    tgt = diag.NT(Nprime, 1)
-    cols: dict = {}
-    for (mu, lam), el in fmap.entries.items():
-        base = chiNp.cols.get(mu)
-        if not base:
-            continue
-        dmu = Nprime.degrees[mu]
-        img = tgt.element_act_right(el, dmu, base)
-        acc = cols.setdefault(lam, {})
-        vec_axpy(f, acc, f.one, img)
-    rhs = CarrierMap(N, tgt, 0, {k: v for k, v in cols.items() if v})
-    delta = lhs.sub(rhs)
-    return diag.hom(N, tgt).null_homotopy(delta) is not None
+    rhs = chiNp.precompose(N, fmap.entries)
+    return diag.hom(N, rhs.target).null_homotopy(lhs.sub(rhs)) is not None
 
 
 def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap,

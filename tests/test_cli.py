@@ -188,12 +188,19 @@ MOD = ALG + "[module N]\ngen e0 : 0\ngen e1 : 2\n"
     (MOD + "d e1 = 2 * e0\n", 9, "term must start with a generator, got '2'"),
     (MOD.replace("var y", "var z : 1 = 0\nvar y") + "d e1 = e0 * y * -z\n", 10,
      "bad coefficient expression: unexpected token '-'"),
+    (MOD + "d e1 =\n", 9, "expected a term, found the end of the line"),
+    (MOD + "d e1 = -\n", 9, "expected a term, found the end of the line"),
+    (MOD + "d e1 = e0 * y +\n", 9, "expected a term, found the end of the line"),
+    (MOD + "d e1 = (e0) * y\n", 9, "term must start with a generator, got '('"),
+    (MOD + "d e1 = e0 y\n", 9, "expected '*' or a sign after 'e0', found 'y'"),
+    (MOD + "d e1 = e0 * y (y)\n", 9, "bad coefficient expression: trailing input at '('"),
 ], ids=["var-unnamed", "var-not-identifier", "gen-unnamed", "modules-header",
         "module-unspaced", "module-two-words", "before-any-section", "base-no-equals",
         "limits-no-equals", "unknown-base-key", "unknown-algebra-key", "unknown-limit",
         "module-unnamed", "A-not-an-integer", "algebra-line", "module-line", "gen-line",
         "d-line", "limit-not-an-integer", "d-unknown-generator", "term-not-a-generator",
-        "sign-after-a-coefficient-factor"])
+        "sign-after-a-coefficient-factor", "d-empty", "d-sign-only", "d-dangling-sign",
+        "d-parenthesized-generator", "d-missing-star", "d-juxtaposed-coefficient"])
 def test_a_malformed_name_or_header_is_a_syntax_error_at_its_line(tmp_path, lines, lineno,
                                                                    message):
     """Variable, generator and module names are identifiers, and a module

@@ -381,7 +381,6 @@ def memo_calls(inst):
     method(hs, "boundary_matrix")
     method(hs, "_build")
     method(hs.boundary_matrix(), "sweep")
-    method(tower, "component", 0)
     method(tower.component(0), "mat", 3)
     method(route, "_carriers")
     method(route, "core_matrix", 2)

@@ -5,10 +5,12 @@ import gc
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebra_oracle import Tokens as OracleTokens
-from dglift.algebra import BaseRing, _Tokens, build_algebra, parse_element
-from dglift.cli import ParseError, main, parse_instance
+from dglift.algebra import POWER_COEFF_BITS, BaseRing, _Tokens, build_algebra, parse_element
+from dglift.cli import ParseError, _parse_module_expr, main, parse_instance
 from dglift.config import EngineConfig
 from dglift.scalars import DEFAULT_PRIME, RATIONALS, field_from_spec
 
@@ -154,3 +156,83 @@ def test_a_power_past_the_degree_cap_is_a_syntax_error_at_its_line(tmp_path, cap
     assert str(exc.value) == f"line 8: {message}"
     assert main(["check", str(p), "--max-degree", "8"]) == 2
     assert capsys.readouterr().err == f"syntax error: line 8: {message}\n"
+
+
+def test_a_power_with_a_coefficient_past_the_bound_is_refused(tmp_path, capsys):
+    """Over Q a power of a scalar has no degree to stop it: the first
+    product with a coefficient of more than POWER_COEFF_BITS bits is refused
+    at once, naming the bound, and an instance file gets a syntax error at
+    the line of the power.  2^64 and (1 + q)^1000 over k[q]/(q^2) parse, and
+    on F_p, whose values stay reduced, 2^100000000 parses as before."""
+    ext = build_algebra(BaseRing(), [("y", 1, "0")], 0, CONFIG)
+    message = (f"a power of 2 has a coefficient of 4098 bits, past the bound of "
+               f"{POWER_COEFF_BITS} bits")
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        parse_element(ext, "2^100000000")
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == message
+    assert parse_element(ext, "2^64") == ext.one().scale(2 ** 64)
+    tate = build_algebra(BaseRing("q", 2), [("X", 1, "q")], 0, CONFIG)
+    assert parse_element(tate, "(1 + q)^1000") == parse_element(tate, "1 + 1000*q")
+    fp = build_algebra(BaseRing(), [("y", 1, "0")], 0,
+                       EngineConfig(field=field_from_spec("Fp"), max_degree=8))
+    assert parse_element(fp, "2^100000000") == fp.one().scale(pow(2, 100000000, DEFAULT_PRIME))
+    p = tmp_path / "power_past_bound.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n"
+                 "[module N]\ngen e0 : 0\ngen e1 : 2\nd e1 = e0 * 2^100000000 * y\n")
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert str(exc.value) == f"line 8: bad coefficient expression: {message}"
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"syntax error: line 8: bad coefficient expression: {message}\n"
+
+
+# ----- module differentials ---------------------------------------------------
+
+# powers only here, so that no product passes the degree cap
+ATOMS = st.sampled_from(["y", "z", "q", "2", "1/2", " 3 ", "z^2", "(1 + q)^3"])
+
+
+def _combine(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["*", " * ", "* "]), inner).map("".join),
+        st.tuples(inner, st.sampled_from([" + ", "-", " - "]), inner).map(
+            lambda t: "(" + "".join(t) + ")"),
+        st.tuples(st.sampled_from(["-", "- "]), inner).map(lambda t: "( " + "".join(t) + ")"))
+
+
+# a signed term of the algebra's grammar: a top-level sum is parenthesized
+COEFFICIENTS = st.tuples(st.sampled_from(["", "-", "- "]),
+                         st.recursive(ATOMS, _combine, max_leaves=4)).map("".join)
+TERMS = st.tuples(st.sampled_from(["e0", "e1", "0"]),
+                  st.sampled_from(["*", " * ", " *"]),
+                  st.one_of(st.none(), COEFFICIENTS))
+FIRST_SIGNS = ["", " ", "-", "+ ", "- -"]
+LATER_SIGNS = ["+", "-", " + ", " - ", " + -", "--"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(LATER_SIGNS), TERMS), min_size=1, max_size=4),
+       st.sampled_from(FIRST_SIGNS))
+def test_a_module_differential_is_the_sum_of_its_signed_coefficients(terms, first):
+    """A right-hand side of random signed terms, GEN [* coefficient] or 0,
+    the coefficients with spaces, parentheses and *- : it parses to the sum,
+    per generator, of parse_element of each coefficient times the term's
+    sign (signs in a row multiply), in the order the generators first
+    appear, and without the generators whose sum is zero."""
+    alg = build_algebra(BaseRing("q", 3), [("y", 1, "0"), ("z", 2, "0")], 0, CONFIG)
+    text, want = "", {}
+    for k, (sign, (head, star, coefficient)) in enumerate(terms):
+        sign = first if k == 0 else sign
+        text += sign + head
+        if head != "0" and coefficient is not None:
+            text += star + coefficient
+        if head == "0":
+            continue
+        el = parse_element(alg, coefficient if coefficient is not None else "1")
+        el = el.neg() if sign.count("-") % 2 else el
+        want[head] = want[head] + el if head in want else el
+    got = _parse_module_expr(alg, ["e0", "e1"], text, 1)
+    assert [(g, el.terms) for g, el in got.items()] == \
+        [(g, el.terms) for g, el in want.items() if not el.is_zero()]
