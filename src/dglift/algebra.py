@@ -417,7 +417,9 @@ class _Tokens:
     (op, op) for each operator.  An int is a run of str.isdigit() characters
     and a name starts with a letter or "_"; a word that is neither (a digit
     run followed by letters, or a numeric character such as "½") splits at
-    its first non-digit."""
+    its first non-digit.  These tokens are the one rule for a name, in an
+    instance file too: a string is a name when it reads as exactly one name
+    token (is_name), so "x²" is a name and "कि", "Ⅻ" and "x·y" are not."""
 
     def __init__(self, text: str):
         toks = self.toks = []
@@ -448,9 +450,18 @@ class _Tokens:
     def take(self, kind=None):
         t = self.peek()
         if kind is not None and t[0] != kind:
-            raise ValueError(f"expected {kind}, found {t[1]!r}")
+            raise ValueError(f"expected {kind}, found "
+                             + ("the end of the line" if t[0] is None else repr(t[1])))
         self.pos += 1
         return t
+
+
+def is_name(text: str) -> bool:
+    """Whether text is a name: one name token of _Tokens, and nothing else."""
+    try:
+        return _Tokens(text).toks == [("name", text)]
+    except ValueError:
+        return False
 
 
 def parse_element(alg: DGAlgebra, text: str, allow_vars=None) -> AlgebraElement:
@@ -492,7 +503,8 @@ def _atom(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:
         e = _expr(alg, allowed, toks)
         toks.take(")")
         return e
-    raise ValueError(f"unexpected token {val!r}")
+    raise ValueError("expected a term, found the end of the line" if kind is None
+                     else f"unexpected token {val!r}")
 
 
 def _factor(alg: DGAlgebra, allowed: set, toks: _Tokens) -> AlgebraElement:

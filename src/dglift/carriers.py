@@ -158,7 +158,7 @@ class SemifreeCarrier(Carrier):
     def __init__(self, module, Y: Carrier | None = None):
         Y = module.algebra.carrier() if Y is None else Y
         if not Y.has_left:
-            raise DimensionMismatch("right tensor factor needs a left action")
+            raise DimensionMismatch(f"right tensor factor {Y!r} needs a left action")
         super().__init__(module.algebra)
         self.module = module
         self.Y = Y
@@ -519,9 +519,9 @@ class TensorCarrier(Carrier):
 
     def __init__(self, X: Carrier, Y: Carrier):
         if not X.has_right:
-            raise DimensionMismatch("left tensor factor needs a right action")
+            raise DimensionMismatch(f"left tensor factor {X!r} needs a right action")
         if not Y.has_left:
-            raise DimensionMismatch("right tensor factor needs a left action")
+            raise DimensionMismatch(f"right tensor factor {Y!r} needs a left action")
         super().__init__(X.algebra)
         self.X = X
         self.Y = Y
@@ -779,4 +779,4 @@ def validate_carrier_squares(car: Carrier, degrees) -> None:
         m2 = car.diff(d - 1)
         comp = m2 @ m1
         if not comp.is_zero():
-            raise DimensionMismatch(f"carrier differential does not square to zero at degree {d}")
+            raise DimensionMismatch(f"{car!r}: differential does not square to zero at degree {d}")

@@ -14,9 +14,11 @@ Instance files are line-oriented and sectioned:
     [limits]
     max_degree = 12
     max_tensor = 4
+    lbound = 4
 
-Variable, generator and module names are identifiers, and limits are
-nonnegative integers, in the file and as flags.
+A variable, generator, module or base generator is named by one name token
+of the expression grammar (algebra.is_name), and limits are nonnegative
+integers, in the file and as flags.
 
 Commands: check, hom, omega, battery, gamma, appendix.  Exit code 0 on
 all-pass, 1 on any property violation, 2 on usage or syntax errors.
@@ -27,12 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from contextlib import suppress
 from functools import cache
+from typing import NamedTuple
 
 from .algebra import (AlgebraElement, BaseRing, DGAlgebra, _signed_term, _Tokens,
-                      build_algebra)
+                      build_algebra, is_name)
 from .config import EngineConfig
 from .diagonal import Diagonal
 from .errors import BadExpression, DGLiftError
@@ -50,28 +54,40 @@ class ParseError(DGLiftError):
         super().__init__(f"line {lineno}: {msg}")
 
 
-class InstanceFile:
+class InstanceFile(NamedTuple):
     """Parsed and validated instance: algebra and named modules."""
 
-    def __init__(self, algebra: DGAlgebra, modules: dict, path: str):
-        self.algebra = algebra
-        self.modules = modules
-        self.path = path
+    algebra: DGAlgebra
+    modules: dict
+    path: str
+
+
+# The sections other than [module NAME], each with what a message calls
+# one of its keys and the keys of its key = value lines.
+_KEYS = {"base": ("base key", ("ring",)), "algebra": ("algebra key", ("A",)),
+         "limits": ("limit", ("max_degree", "max_tensor", "lbound"))}
+# The lines of each section that start with a word, by that word.  The
+# usage is the form: the word, then fields, split at the separators
+# between them in turn.
+_FORMS = {"algebra": {"var": "var NAME : DEGREE = EXPR"},
+          "module": {"gen": "gen NAME : DEGREE", "d": "d NAME = EXPR"}}
 
 
 def parse_instance(path: str, config: EngineConfig,
                    flag_limits: dict | None = None) -> InstanceFile:
+    """Read and validate an instance file.  Each line form is read by one
+    reader: section headers, key = value lines (_KEYS), and the forms that
+    start with a word (_FORMS), whose NAME : DEGREE heads are read alike.
+    A declared name, of a variable, generator, module or base generator,
+    must be one name token of the expression grammar (is_name), so that
+    every name the file declares can be written in its expressions."""
     with open(path) as fh:
         lines = fh.readlines()
 
-    section = None
-    base = BaseRing()
-    a_prefix, a_line = 0, None
+    section = mname = None
+    values = {}               # key -> (value, lineno)
     variables = []            # (name, degree, diff expr, lineno)
-    module_order = []
-    module_gens = {}          # name -> [(gen, degree, lineno)]
-    module_diffs = {}         # name -> [(gen, expr, lineno)]
-    limits = {}
+    module_lines = {}         # name -> ([(gen, degree)], [(gen, expr, lineno)])
     seen = set()              # every name and key given so far
 
     for lineno, raw in enumerate(lines, 1):
@@ -79,117 +95,74 @@ def parse_instance(path: str, config: EngineConfig,
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            head = line[1:-1].strip()
-            if head == "base":
-                section = ("base",)
-            elif head == "algebra":
-                section = ("algebra",)
-            elif head.split()[:1] == ["module"]:
-                mname = head[len("module"):].strip()
+            section = line[1:-1].strip()
+            if section.split()[:1] == ["module"]:
+                mname = section[len("module"):].strip()
                 if not mname:
                     raise ParseError(lineno, "module section needs a name")
-                _check_name(mname, "module", lineno)
-                _once(seen, f"module {mname!r}", lineno)
-                module_order.append(mname)
-                module_gens[mname] = []
-                module_diffs[mname] = []
-                section = ("module", mname)
-            elif head == "limits":
-                section = ("limits",)
-            else:
-                raise ParseError(lineno, f"unknown section {head!r}")
+                _declare(seen, "module", mname, lineno)
+                module_lines[mname] = ([], [])
+                section = "module"
+            elif section not in _KEYS:
+                raise ParseError(lineno, f"unknown section {section!r}")
             continue
         if section is None:
             raise ParseError(lineno, "content before any section header")
-        kind = section[0]
-        if kind == "base":
-            if "=" not in line:
-                raise ParseError(lineno, "expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key != "ring":
-                raise ParseError(lineno, f"unknown base key {key!r}")
-            _once(seen, f"base key {key!r}", lineno)
-            base = _parse_ring(val, lineno)
-        elif kind == "algebra":
-            if line.startswith("var "):
-                body = line[4:]
-                try:
-                    name_part, rest = body.split(":", 1)
-                    deg_part, dexpr = rest.split("=", 1)
-                    variables.append((name_part.strip(), int(deg_part.strip()),
-                                      dexpr.strip(), lineno))
-                except ValueError:
-                    raise ParseError(lineno, "expected: var NAME : DEGREE = EXPR")
-                _check_name(variables[-1][0], "variable", lineno)
-                _once(seen, f"variable {variables[-1][0]!r}", lineno)
-            elif "=" in line:
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key != "A":
-                    raise ParseError(lineno, f"unknown algebra key {key!r}")
-                _once(seen, f"algebra key {key!r}", lineno)
-                try:
-                    a_prefix, a_line = int(val), lineno
-                except ValueError:
-                    raise ParseError(lineno, "A must be an integer prefix length")
+        forms = _FORMS.get(section, {})
+        word, space, body = line.partition(" ")
+        if space and word in forms:
+            fields = _fields(body, forms[word], lineno)
+            if word == "d":
+                module_lines[mname][1].append((*fields, lineno))
+                continue
+            # the NAME : DEGREE head of a var or gen line
+            name, degree, *expr = fields
+            degree = _integer(degree, lineno, f"expected: {forms[word]}")
+            if word == "var":
+                _declare(seen, "variable", name, lineno)
+                variables.append((name, degree, *expr, lineno))
             else:
-                raise ParseError(lineno, f"cannot parse algebra line {line!r}")
-        elif kind == "module":
-            mname = section[1]
-            if line.startswith("gen "):
-                body = line[4:]
-                try:
-                    gname, deg = body.split(":", 1)
-                    module_gens[mname].append((gname.strip(), int(deg.strip()), lineno))
-                except ValueError:
-                    raise ParseError(lineno, "expected: gen NAME : DEGREE")
-                gname = module_gens[mname][-1][0]
-                _check_name(gname, "generator", lineno)
-                _once(seen, f"generator {gname!r} in module {mname!r}", lineno)
-            elif line.startswith("d "):
-                body = line[2:]
-                if "=" not in body:
-                    raise ParseError(lineno, "expected: d NAME = EXPR")
-                gname, expr = body.split("=", 1)
-                module_diffs[mname].append((gname.strip(), expr.strip(), lineno))
-            else:
-                raise ParseError(lineno, f"cannot parse module line {line!r}")
-        elif kind == "limits":
-            if "=" not in line:
+                _declare(seen, "generator", name, lineno, f" in module {mname!r}")
+                module_lines[mname][0].append((name, degree))
+        elif section in _KEYS and ("=" in line or not forms):
+            what, keys = _KEYS[section]
+            key, eq, text = (s.strip() for s in line.partition("="))
+            if not eq:
                 raise ParseError(lineno, "expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in ("max_degree", "max_tensor", "lbound"):
-                raise ParseError(lineno, f"unknown limit {key!r}")
-            _once(seen, f"limit {key!r}", lineno)
-            try:
-                limits[key] = int(val)
-            except ValueError:
-                raise ParseError(lineno, f"{key} must be an integer")
-            if limits[key] < 0:
-                raise ParseError(lineno, f"{key} must be nonnegative, got {limits[key]}")
+            if key not in keys:
+                raise ParseError(lineno, f"unknown {what} {key!r}")
+            _declare(seen, what, key, lineno)
+            if key == "ring":
+                value = _parse_ring(text, lineno)
+            elif key == "A":  # its range waits for the number of variables
+                value = _integer(text, lineno, "A must be an integer prefix length")
+            elif (value := _integer(text, lineno, f"{key} must be an integer")) < 0:
+                raise ParseError(lineno, f"{key} must be nonnegative, got {value}")
+            values[key] = value, lineno
+        else:
+            raise ParseError(lineno, f"cannot parse {section} line {line!r}")
 
-    if not 0 <= a_prefix <= len(variables):
-        raise ParseError(a_line, f"A must lie in 0..{len(variables)}, the number of "
-                                 f"variables, got {a_prefix}")
     # explicit command-line limits take precedence over the file's block
-    if flag_limits:
-        for key, val in flag_limits.items():
-            if val is not None:
-                limits[key] = val
-    cfg = config.with_limits(max_degree=limits.get("max_degree"),
-                             max_tensor=limits.get("max_tensor"),
-                             lift_bound=limits.get("lbound"))
+    given = {key: value for key, (value, _) in values.items()} | {
+        key: value for key, value in (flag_limits or {}).items() if value is not None}
+    a_prefix = given.get("A", 0)
+    if not 0 <= a_prefix <= len(variables):
+        raise ParseError(values["A"][1], f"A must lie in 0..{len(variables)}, the "
+                                         f"number of variables, got {a_prefix}")
+    cfg = config.with_limits(max_degree=given.get("max_degree"),
+                             max_tensor=given.get("max_tensor"),
+                             lift_bound=given.get("lbound"))
     try:
-        algebra = build_algebra(base, [(n, d, e) for (n, d, e, _) in variables],
-                                a_prefix, cfg)
+        algebra = build_algebra(given.get("ring", BaseRing()),
+                                [v[:3] for v in variables], a_prefix, cfg)
     except BadExpression as exc:
         raise ParseError(variables[exc.index][3], str(exc))
 
     modules = {}
-    for mname in module_order:
-        gens = [(g, d) for (g, d, _) in module_gens[mname]]
+    for mname, (gens, diff_lines) in module_lines.items():
         gen_names = [g for g, _ in gens]
         diff = {}
-        for gname, expr, lineno in module_diffs[mname]:
+        for gname, expr, lineno in diff_lines:
             if gname not in gen_names:
                 raise ParseError(lineno, f"unknown generator {gname!r}")
             for mu, el in _parse_module_expr(algebra, gen_names, expr, lineno).items():
@@ -199,24 +172,43 @@ def parse_instance(path: str, config: EngineConfig,
     return InstanceFile(algebra, modules, path)
 
 
-def _once(seen: set, what: str, lineno: int) -> None:
-    """A name or key the file gives a second time is a syntax error at the
-    repeated line, rather than a silent override or an engine error that
-    names neither."""
-    if what in seen:
+def _fields(text: str, usage: str, lineno: int) -> list:
+    """The fields of a line of the given usage after its word: text split
+    at each separator of the usage in turn, and stripped.  A missing
+    separator refuses the line with its usage."""
+    fields = []
+    for sep in usage.split()[2::2]:
+        field, found, text = text.partition(sep)
+        if not found:
+            raise ParseError(lineno, f"expected: {usage}")
+        fields.append(field.strip())
+    fields.append(text.strip())
+    return fields
+
+
+def _declare(seen: set, kind: str, name: str, lineno: int, where: str = "") -> None:
+    """A variable, generator, module or key given at line lineno must be a
+    name (is_name), and one given twice is refused at the second, not
+    overridden or left to an engine error that names neither."""
+    if not is_name(name):
+        raise ParseError(lineno, f"{kind} name {name!r} is not an identifier")
+    if (what := f"{kind} {name!r}{where}") in seen:
         raise ParseError(lineno, f"duplicate {what}")
     seen.add(what)
 
 
-def _check_name(name: str, kind: str, lineno: int) -> None:
-    """A variable, generator or module name must be an identifier."""
-    if not name.isidentifier():
-        raise ParseError(lineno, f"{kind} name {name!r} is not an identifier")
+def _integer(text: str, lineno: int, message: str) -> int:
+    """A degree, A or a limit: text as an integer, or else a syntax error
+    at line lineno with the message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, message)
 
 
 def _parse_ring(spec: str, lineno: int) -> BaseRing:
     """The base ring of the `ring =` line lineno: k (or Q, or field), or
-    k[a]/(a^m), the name in brackets an identifier and the base of the
+    k[a]/(a^m), the name in brackets a name (is_name) and the base of the
     power.  A spec of neither form is a ParseError; an order below 2 is
     BaseRing's semantic error."""
     if spec in ("k", "Q", "field"):
@@ -225,7 +217,7 @@ def _parse_ring(spec: str, lineno: int) -> BaseRing:
         name, _, power = spec[2:-1].partition("]/(")
         base, _, m = power.partition("^")
         name, base = name.strip(), base.strip()
-        if name.isidentifier():
+        if is_name(name):
             if base != name:
                 raise ParseError(lineno, f"base ring {spec!r} names {name!r} in "
                                          f"brackets but raises {base!r} to a power")
@@ -237,42 +229,41 @@ def _parse_ring(spec: str, lineno: int) -> BaseRing:
 def _parse_module_expr(algebra, gen_names, expr: str, lineno: int) -> dict:
     """The right-hand side of a d line, signed terms GEN [* coefficient] or
     0, -> {gen name: coefficient}: signs in a row multiply, and a coefficient
-    is the algebra grammar's signed term (e0 * -y is -(e0 y))."""
+    is the algebra grammar's signed term (e0 * -y is -(e0 y)), whose errors
+    are a bad coefficient expression."""
+    out, ends, negative = {}, (None, "+", "-"), False
     try:
         toks = _Tokens(expr)
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad coefficient expression: {exc}")
-    out, ends, negative = {}, (None, "+", "-"), False
-    while True:
-        kind, head = toks.take()
-        if kind in ("+", "-"):
-            negative ^= kind == "-"
-            continue
-        if kind is None:
-            raise ParseError(lineno, "expected a term, found the end of the line")
-        if (kind, head) == ("int", "0") and toks.peek()[0] in ends:
-            el = None  # a 0 term adds nothing
-        elif kind != "name" or head not in gen_names:
-            raise ParseError(lineno, f"term must start with a generator, got {head!r}")
-        elif toks.peek()[0] != "*":
-            el = algebra.one()
-        else:
-            toks.take()
-            try:
+        while True:
+            kind, head = toks.take()
+            if kind in ("+", "-"):
+                negative ^= kind == "-"
+                continue
+            if kind is None:
+                raise ParseError(lineno, "expected a term, found the end of the line")
+            if (kind, head) == ("int", "0") and toks.peek()[0] in ends:
+                el = None  # a 0 term adds nothing
+            elif kind != "name" or head not in gen_names:
+                raise ParseError(lineno, f"term must start with a generator, got {head!r}")
+            elif toks.peek()[0] != "*":
+                el = algebra.one()
+            else:
+                toks.take()
                 el = _signed_term(algebra, set(algebra.var_names), toks)
                 if toks.peek()[0] not in ends:
                     raise ValueError(f"trailing input at {toks.peek()[1]!r}")
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad coefficient expression: {exc}")
-        after, text = toks.peek()
-        if after not in ends:
-            raise ParseError(lineno, f"expected '*' or a sign after {head!r}, found {text!r}")
-        if el is not None:
-            el = el.neg() if negative else el
-            out[head] = out[head] + el if head in out else el
-        if after is None:
-            return {g: el for g, el in out.items() if not el.is_zero()}
-        negative = False
+            after, text = toks.peek()
+            if after not in ends:
+                raise ParseError(lineno, f"expected '*' or a sign after {head!r}, "
+                                         f"found {text!r}")
+            if el is not None:
+                el = el.neg() if negative else el
+                out[head] = out[head] + el if head in out else el
+            if after is None:
+                return {g: el for g, el in out.items() if not el.is_zero()}
+            negative = False
+    except ValueError as exc:
+        raise ParseError(lineno, f"bad coefficient expression: {exc}")
 
 
 # ----- reports ---------------------------------------------------------------
@@ -309,21 +300,17 @@ def _module_arg(inst: InstanceFile, name: str | None) -> tuple[str, SemifreeModu
 
 def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
     alg = inst.algebra
-    import random
     rng = random.Random(20240901)
     samples = args.samples
     failures = []
     window = min(alg.config.max_degree, 6)
-    from_int = alg.field.from_int
 
     def random_element(max_deg):
+        """An element of a random degree up to max_deg, each monomial's
+        coefficient drawn from -3..3 (a zero drops it)."""
         d = rng.randint(0, max_deg)
-        terms = {}
-        for u in alg.monomials(d):
-            c = rng.randint(-3, 3)
-            if c:
-                terms[u] = from_int(c)
-        return AlgebraElement(alg, terms), d
+        return AlgebraElement(alg, {u: alg.field.from_int(rng.randint(-3, 3))
+                                    for u in alg.monomials(d)}), d
 
     for _ in range(samples):
         x, dx = random_element(window)
@@ -331,8 +318,7 @@ def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
         if not x.differentiate().differentiate().is_zero():
             failures.append("d_squared")
         xy = x * y
-        sgn = (-1) ** (dx * dy)
-        rhs = y * x if sgn > 0 else (y * x).neg()
+        rhs = (y * x).neg() if dx * dy % 2 else y * x
         if not (xy - rhs).is_zero():
             failures.append("graded_commutativity")
         leib = xy.differentiate() - (
@@ -342,9 +328,7 @@ def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
             failures.append("leibniz")
     diag = Diagonal(alg)
     shallow = min(alg.config.max_degree, 4)
-    balance = all(diag.check_basic_sequence(d)["balanced"]
-                  for d in range(0, shallow + 1))
-    if not balance:
+    if not all(diag.check_basic_sequence(d)["balanced"] for d in range(shallow + 1)):
         failures.append("diagonal_balance")
     return {
         "algebra": alg.describe(),
@@ -364,12 +348,11 @@ def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
 def cmd_hom(inst: InstanceFile, args) -> tuple[dict, bool]:
     name, M = _module_arg(inst, args.module)
     tname, target = _module_arg(inst, args.target or name)
-    s = args.shift
-    hs = HomSpace(M, target, s)
+    hs = HomSpace(M, target, args.shift)
     return {
         "module": name,
         "target": tname,
-        "shift": s,
+        "shift": args.shift,
         "cycles": hs.cycle_dim,
         "boundaries": hs.boundary_dim,
         "dim": hs.dim_K,
@@ -412,8 +395,7 @@ def cmd_battery(inst: InstanceFile, args) -> tuple[dict, bool]:
 
 
 def cmd_appendix(inst: InstanceFile, args) -> tuple[dict, bool]:
-    pairs = [(name, M) for name, M in inst.modules.items()]
-    results = appendix_battery(pairs)
+    results = appendix_battery(list(inst.modules.items()))
     ok = all(r.get("proposition_vanishing_ok", True)
              and r.get("corollary_vanishing_ok", True) for r in results)
     return {"results": results, "ok": ok}, ok

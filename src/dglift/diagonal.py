@@ -221,7 +221,7 @@ class Diagonal:
     @memo
     def T(self, n: int) -> Carrier:
         if n < 0:
-            raise DimensionMismatch("tensor degree must be >= 0")
+            raise DimensionMismatch(f"tensor degree must be >= 0, got {n}")
         if n > self.config.max_tensor:
             raise CapExceeded(n, self.config.max_tensor, "tensor degree")
         if n < 2:

@@ -244,7 +244,7 @@ def carrier_map_to_chain(cmap: CarrierMap) -> ChainMap:
     """Back to a matrix over B when the target is a semifree carrier."""
     tgt = cmap.target
     if not _is_module_carrier(tgt):
-        raise DimensionMismatch("target is not a semifree module carrier")
+        raise DimensionMismatch(f"target {tgt!r} is not a semifree module carrier")
     return ChainMap(cmap.source, tgt.module, cmap.shift,
                     cols_to_entries(cmap.cols, cmap.source, tgt, cmap.shift))
 

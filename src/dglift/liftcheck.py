@@ -169,7 +169,7 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
     homotopy = {k: v.neg() for k, v in matrix_product(pi.entries, h_total).items()}
     wit = SummandWitness(len(layer0), gmap, hmap, homotopy)
     if not wit.recheck():
-        raise DimensionMismatch("summand witness failed its homotopy recheck")
+        raise DimensionMismatch(f"summand witness of {N!r} failed its homotopy recheck")
     return wit
 
 

@@ -394,9 +394,9 @@ class MinimalModel:
         self.f.validate()
         self.g.validate()
         if not differ_by_boundary(Np, matrix_product(f, g), ChainMap.identity(Np).entries, {}):
-            raise DimensionMismatch("minimal model: f g is not the identity of N'")
+            raise DimensionMismatch(f"minimal model of {N!r}: f g is not the identity of N'")
         if not differ_by_boundary(N, ChainMap.identity(N).entries, matrix_product(g, f), self.h):
-            raise DimensionMismatch("minimal model: id - g f is not d h + h d")
+            raise DimensionMismatch(f"minimal model of {N!r}: id - g f is not d h + h d")
         return self
 
     def null_homotopy(self, phi: CarrierMap,

@@ -64,7 +64,8 @@ class DegreewiseMap:
     def apply(self, cmap: CarrierMap) -> CarrierMap:
         """Post-compose with a generator-image map landing in the source."""
         if cmap.target is not self.source:
-            raise DimensionMismatch("operator source does not match map target")
+            raise DimensionMismatch(f"operator {self.name}: {self.source!r} -> {self.target!r} "
+                                    f"does not apply to a map into {cmap.target!r}")
         cols = {}
         for lam, vec in cmap.cols.items():
             d = cmap.source.degrees[lam] - cmap.shift
@@ -387,7 +388,8 @@ def chain_map_operator(cm: ChainMap) -> DegreewiseMap:
     """A shift-0 chain map between semifree modules as a degreewise operator
     on their graded-piece carriers."""
     if cm.shift != 0:
-        raise DimensionMismatch("operator form needs a shift-0 chain map")
+        raise DimensionMismatch(f"operator form needs a shift-0 chain map, got shift "
+                                f"{cm.shift}: {cm!r}")
     return _tensor_id(cm, cm.source.carrier(), cm.target.carrier(), "chain-map")
 
 

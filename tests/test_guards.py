@@ -16,6 +16,7 @@ from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import (DegreeMismatch, DimensionMismatch, IllFormedPresentation,
                            NotTriangular, OwnerMismatch)
+from dglift.homotopy import carrier_map_to_chain
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.liftcheck import splitting_search, summand_witness
@@ -110,7 +111,9 @@ def test_cone_refuses_a_map_of_nonzero_shift(ext):
 
 
 def test_chain_map_operator_refuses_a_map_of_nonzero_shift(ext):
-    with pytest.raises(DimensionMismatch, match="^operator form needs a shift-0 chain map$"):
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(
+            "operator form needs a shift-0 chain map, got shift 1: "
+            "ChainMap([f0:1] -> S^1 [f0:0])") + "$"):
         chain_map_operator(shift_one_map(ext))
 
 
@@ -119,24 +122,41 @@ def test_an_operator_applies_only_to_maps_into_its_source(ext):
     N = two_step(ext)
     w0 = ObstructionTower(N, diag).component(0)
     into_T1 = chi_power(N, diag, 1)   # lands in N (x) T^1, w0's target
-    with pytest.raises(DimensionMismatch, match="^operator source does not match map target$"):
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(
+            "operator w[0]: SemifreeCarrier([e0:0, e1:2] (x)_B AlgebraCarrier) -> "
+            "SemifreeCarrier([e0:0, e1:2] (x)_B Sigma^1 J) does not apply to a map into "
+            "SemifreeCarrier([e0:0, e1:2] (x)_B Sigma^1 J)") + "$"):
         w0.apply(into_T1)
 
 
 def test_a_negative_tensor_degree_is_refused(ext):
-    with pytest.raises(DimensionMismatch, match="^tensor degree must be >= 0$"):
+    with pytest.raises(DimensionMismatch, match="^tensor degree must be >= 0, got -1$"):
         Diagonal(ext).T(-1)
 
 
 def test_a_tensor_factor_needs_its_action(ext):
     """N's own carrier has no left action and the bare Carrier no right one."""
     N = two_step(ext)
-    with pytest.raises(DimensionMismatch, match="^right tensor factor needs a left action$"):
+    own = re.escape("right tensor factor SemifreeCarrier([e0:0, e1:2] (x)_B AlgebraCarrier) "
+                    "needs a left action")
+    with pytest.raises(DimensionMismatch, match=f"^{own}$"):
         SemifreeCarrier(N, N.carrier())
-    with pytest.raises(DimensionMismatch, match="^left tensor factor needs a right action$"):
+    with pytest.raises(DimensionMismatch,
+                       match="^left tensor factor Carrier needs a right action$"):
         TensorCarrier(Carrier(ext), ext.carrier())
-    with pytest.raises(DimensionMismatch, match="^right tensor factor needs a left action$"):
+    with pytest.raises(DimensionMismatch, match=f"^{own}$"):
         TensorCarrier(ext.carrier(), N.carrier())
+
+
+def test_a_map_into_a_tensor_carrier_is_no_chain_map_of_modules(ext):
+    """carrier_map_to_chain reads a map back as a matrix over B only when
+    its target is a module's own carrier; N (x)_B T^1 is not, and is named."""
+    N = two_step(ext)
+    into_T1 = chi_power(N, Diagonal(ext), 1)
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(
+            "target SemifreeCarrier([e0:0, e1:2] (x)_B Sigma^1 J) is not a semifree "
+            "module carrier") + "$"):
+        carrier_map_to_chain(into_T1)
 
 
 class IdentityDifferential(Carrier):
@@ -150,8 +170,8 @@ class IdentityDifferential(Carrier):
 
 
 def test_validate_carrier_squares_catches_a_nonzero_square(ext):
-    with pytest.raises(DimensionMismatch, match="^carrier differential does not square "
-                                                "to zero at degree 2$"):
+    with pytest.raises(DimensionMismatch, match="^IdentityDifferential: differential does "
+                                                "not square to zero at degree 2$"):
         validate_carrier_squares(IdentityDifferential(ext), range(2, 5))
 
 
@@ -160,16 +180,19 @@ def test_validate_carrier_squares_catches_a_nonzero_square(ext):
 
 def test_a_minimal_model_recheck_catches_a_corrupted_g(ext):
     """N = B (+) cone(id_B) retracts onto N' = B; doubling g's one entry
-    keeps g a chain map but breaks f g = id."""
+    keeps g a chain map but breaks f g = id, and dropping h breaks
+    id - g f = d h + h d.  Each refusal names N."""
     N = direct_sum(free_module(ext, 1), cone(ChainMap.identity(free_module(ext, 1))))
     model = Diagonal(ext).minimal(N)
     assert model.module.n_gens == 1 and len(model.g.entries) == 1
     model.recheck()
     ((key, el),) = model.g.entries.items()
     doubled = ChainMap(model.g.source, model.g.target, 0, {key: el.scale(2)})
-    with pytest.raises(DimensionMismatch, match="^minimal model: f g is not the identity "
-                                                "of N'$"):
+    named = re.escape("minimal model of SemifreeModule([f0.0:0, c.f0.1:0, s.f0.1:1]): ")
+    with pytest.raises(DimensionMismatch, match=f"^{named}f g is not the identity of N'$"):
         replace(model, g=doubled).recheck()
+    with pytest.raises(DimensionMismatch, match=f"^{named}id - g f is not d h \\+ h d$"):
+        replace(model, h={}).recheck()
 
 
 def test_a_summand_witness_with_a_corrupted_homotopy_is_refused(monkeypatch):
@@ -187,6 +210,7 @@ def test_a_summand_witness_with_a_corrupted_homotopy_is_refused(monkeypatch):
     real = liftcheck.SummandWitness
     monkeypatch.setattr(liftcheck, "SummandWitness", lambda m, g, h, homotopy: real(
         m, g, h, {k: v.scale(2) for k, v in homotopy.items()}))
-    with pytest.raises(DimensionMismatch, match="^summand witness failed its homotopy "
-                                                "recheck$"):
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(
+            "summand witness of SemifreeModule([c.b0:0, s.b0:1]) failed its homotopy "
+            "recheck") + "$"):
         summand_witness(N, sigma, G, pi, inst.diag.minimal(N))

@@ -2,6 +2,7 @@
 tokenizer in algebra_oracle, and every error it raises, message pinned."""
 
 import gc
+import string
 import time
 
 import pytest
@@ -57,11 +58,11 @@ def alg():
     ("2q", None, "trailing input at 'q'"),
     ("Z", None, "name 'Z' not allowed here"),
     ("q*Y", ["X"], "name 'Y' not allowed here"),
-    ("(X", None, "expected ), found None"),
+    ("(X", None, "expected ), found the end of the line"),
     ("(2X)", None, "expected ), found 'X'"),
-    ("1/", None, "expected int, found None"),
+    ("1/", None, "expected int, found the end of the line"),
     ("X^Y", None, "expected int, found 'Y'"),
-    ("", None, "unexpected token None"),
+    ("", None, "expected a term, found the end of the line"),
     ("+X", None, "unexpected token '+'"),
     ("X*)", None, "unexpected token ')'"),
 ])
@@ -69,6 +70,82 @@ def test_parse_element_errors(alg, text, allow, message):
     with pytest.raises(ValueError) as exc:
         parse_element(alg, text, allow_vars=allow)
     assert str(exc.value) == message
+
+
+# ----- the name rule -----------------------------------------------------------
+
+# ASCII word characters, and one each of a combining mark, a superscript
+# digit, a vulgar fraction, a letter number and a middle dot: the tokens
+# read "x²" and "x½" as names, while "ि", "Ⅻ" and "·" are identifier
+# characters to str.isidentifier that no name token holds.
+NAME_CHARS = string.ascii_letters + string.digits + "_" + "\u093f²½Ⅻ·"
+
+
+def one_name_token(text):
+    """The name rule, read off the character-by-character tokenizer."""
+    return tokens_or_error(OracleTokens, text) == [("name", text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=NAME_CHARS, max_size=4))
+def test_a_declared_variable_can_be_written_exactly_when_it_is_a_name(tmp_path_factory, name):
+    """A variable declared under any string, then written in a d line:
+    the file parses exactly when the string is one name token, and
+    otherwise the declaration is the syntax error, not the d line."""
+    p = tmp_path_factory.mktemp("names") / "name.dg"
+    p.write_text(f"[base]\nring = k\n[algebra]\nvar {name} : 1 = 0\n[module N]\n"
+                 f"gen e0 : 0\ngen e1 : 2\nd e1 = e0 * {name}\n")
+    if one_name_token(name):
+        M = parse_instance(str(p), CONFIG).modules["N"]
+        assert M.diff == {(0, 1): M.algebra.gen(name)}
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_instance(str(p), CONFIG)
+        assert str(exc.value) == f"line 4: variable name {name!r} is not an identifier"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("[base]\nring = k[{0}]/({0}^2)\n[algebra]\nvar y : 1 = {0}\n[module N]\ngen e0 : 0\n",
+     2, "cannot parse base ring 'k[{0}]/({0}^2)' (expected k or k[a]/(a^m))"),
+    ("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\ngen {0} : 0\ngen e1 : 2\n"
+     "d e1 = {0} * y\n", 6, "generator name '{0}' is not an identifier"),
+    ("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module {0}]\ngen e0 : 0\n",
+     5, "module name '{0}' is not an identifier"),
+], ids=["ring", "generator", "module"])
+@pytest.mark.parametrize("name", ["x²", "x\u093f", "Ⅻ", "x·y"])
+def test_every_declared_name_follows_the_name_rule(tmp_path, text, lineno, message, name):
+    """A ring generator, a generator and a module follow the variables'
+    rule: "x²" is declared and written, and each string that is no name
+    token is refused at its declaration."""
+    p = tmp_path / "name.dg"
+    p.write_text(text.format(name))
+    if name == "x²":
+        parse_instance(str(p), CONFIG)
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: "
+                                                  + message.format(name))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X*", "expected a term, found the end of the line"),
+    ("-", "expected a term, found the end of the line"),
+    ("X^", "expected int, found the end of the line"),
+], ids=["dangling-star", "sign-only", "dangling-caret"])
+def test_the_end_of_an_expression_is_named(alg, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_element(alg, text)
+    assert str(exc.value) == message
+
+
+def test_an_empty_variable_differential_names_the_end_of_the_line(tmp_path):
+    p = tmp_path / "empty.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 =\n[module N]\ngen e0 : 0\n")
+    assert main(["check", str(p)]) == 2
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert str(exc.value) == "line 4: d(y): expected a term, found the end of the line"
 
 
 def test_parse_element_allows_the_base_generator_and_listed_names(alg):
