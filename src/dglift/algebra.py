@@ -79,8 +79,8 @@ class DGAlgebra:
         self.config = config
         self.field = config.field
         self.var_diffs: list[AlgebraElement | None] = [None] * len(self.var_names)
-        if len(set(self.var_names)) != len(self.var_names):
-            raise IllFormedPresentation("duplicate variable names")
+        if dup := _repeated(self.var_names):
+            raise IllFormedPresentation(f"duplicate variable name {dup!r}")
         if self.base.gen_name in self.var_names:
             raise IllFormedPresentation("variable clashes with base generator name")
         for name, deg in zip(self.var_names, self.var_degrees):
@@ -373,6 +373,16 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+def _repeated(names) -> str | None:
+    """The first name of the sequence that an earlier one repeats, or None."""
+    seen: set = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _element(algebra: DGAlgebra, terms: dict) -> AlgebraElement:
     """The element with this terms dict, taken as it is: every value must
     already be a nonzero canonical field value (see the module docstring)."""
@@ -410,16 +420,38 @@ def build_algebra(base: BaseRing, variables, n_A: int = 0,
 # operator, or any other character.  On str patterns \s is str.isspace() and
 # \w is str.isalnum() or "_", the classes of the grammar.
 _TOKEN = re.compile(r"\s*(?:(\w+)|([-+*/^()])|(\S))")
+_WORD = re.compile(r"\w+")
+
+
+def _starts_name(word: str) -> bool:
+    """Whether a word is one name token: it starts with a letter or "_"."""
+    return word[0].isalpha() or word[0] == "_"
+
+
+def _word_tokens(word: str) -> list:
+    """The tokens of a word: one name, one int, or an int and the name
+    after it; a word that is none of these raises ValueError at its first
+    character that no token of its place can hold."""
+    if _starts_name(word):
+        return [("name", word)]
+    if word.isdecimal():
+        return [("int", word)]
+    k = next(k for k, ch in enumerate(word) if not ch.isdecimal())
+    if not (k and _starts_name(word[k:])):
+        raise ValueError(f"unexpected character {word[k]!r} in expression")
+    return [("int", word[:k]), ("name", word[k:])]
 
 
 class _Tokens:
     """The tokens of an expression: ("int", digits), ("name", text), and
-    (op, op) for each operator.  An int is a run of str.isdigit() characters
-    and a name starts with a letter or "_"; a word that is neither (a digit
-    run followed by letters, or a numeric character such as "½") splits at
-    its first non-digit.  These tokens are the one rule for a name, in an
-    instance file too: a string is a name when it reads as exactly one name
-    token (is_name), so "x²" is a name and "कि", "Ⅻ" and "x·y" are not."""
+    (op, op) for each operator.  An int is a run of str.isdecimal()
+    characters, the digits int() reads, and a name starts with a letter or
+    "_"; a word that is neither (a digit run followed by letters, or a
+    numeric character such as "²" or "½") splits at its first non-decimal
+    character (_word_tokens).  These tokens are the one rule for a name, in
+    an instance file too: a string is a name when it reads as exactly one
+    name token (is_name), so "x²" is a name and "कि", "Ⅻ" and "x·y" are
+    not."""
 
     def __init__(self, text: str):
         toks = self.toks = []
@@ -428,17 +460,8 @@ class _Tokens:
                 toks.append((op, op))
             elif other:
                 raise ValueError(f"unexpected character {other!r} in expression")
-            elif word[0].isalpha() or word[0] == "_":
-                toks.append(("name", word))
-            elif word.isdigit():
-                toks.append(("int", word))
             else:
-                k = next(k for k, ch in enumerate(word) if not ch.isdigit())
-                if k:
-                    toks.append(("int", word[:k]))
-                if not (word[k].isalpha() or word[k] == "_"):
-                    raise ValueError(f"unexpected character {word[k]!r} in expression")
-                toks.append(("name", word[k:]))
+                toks.extend(_word_tokens(word))
         self.pos = 0
 
     def peek(self):
@@ -457,11 +480,9 @@ class _Tokens:
 
 
 def is_name(text: str) -> bool:
-    """Whether text is a name: one name token of _Tokens, and nothing else."""
-    try:
-        return _Tokens(text).toks == [("name", text)]
-    except ValueError:
-        return False
+    """Whether text is a name: one word of _Tokens that is one name token,
+    decided without tokenizing."""
+    return _WORD.fullmatch(text) is not None and _starts_name(text)
 
 
 def parse_element(alg: DGAlgebra, text: str, allow_vars=None) -> AlgebraElement:

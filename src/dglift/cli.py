@@ -66,11 +66,13 @@ class InstanceFile(NamedTuple):
 # one of its keys and the keys of its key = value lines.
 _KEYS = {"base": ("base key", ("ring",)), "algebra": ("algebra key", ("A",)),
          "limits": ("limit", ("max_degree", "max_tensor", "lbound"))}
-# The lines of each section that start with a word, by that word.  The
-# usage is the form: the word, then fields, split at the separators
-# between them in turn.
-_FORMS = {"algebra": {"var": "var NAME : DEGREE = EXPR"},
-          "module": {"gen": "gen NAME : DEGREE", "d": "d NAME = EXPR"}}
+# The lines of each section that start with a word, by that word: the
+# usage is the form, the word and then fields, and the line is split at
+# the separators between the fields in turn, read off the usage here once.
+_FORMS = {section: {word: (usage, usage.split()[2::2]) for word, usage in forms.items()}
+          for section, forms in {
+              "algebra": {"var": "var NAME : DEGREE = EXPR"},
+              "module": {"gen": "gen NAME : DEGREE", "d": "d NAME = EXPR"}}.items()}
 
 
 def parse_instance(path: str, config: EngineConfig,
@@ -111,13 +113,14 @@ def parse_instance(path: str, config: EngineConfig,
         forms = _FORMS.get(section, {})
         word, space, body = line.partition(" ")
         if space and word in forms:
-            fields = _fields(body, forms[word], lineno)
+            usage, seps = forms[word]
+            fields = _fields(body, usage, seps, lineno)
             if word == "d":
                 module_lines[mname][1].append((*fields, lineno))
                 continue
             # the NAME : DEGREE head of a var or gen line
             name, degree, *expr = fields
-            degree = _integer(degree, lineno, f"expected: {forms[word]}")
+            degree = _integer(degree, lineno, f"expected: {usage}")
             if word == "var":
                 _declare(seen, "variable", name, lineno)
                 variables.append((name, degree, *expr, lineno))
@@ -131,7 +134,7 @@ def parse_instance(path: str, config: EngineConfig,
                 raise ParseError(lineno, "expected key = value")
             if key not in keys:
                 raise ParseError(lineno, f"unknown {what} {key!r}")
-            _declare(seen, what, key, lineno)
+            _once(seen, f"{what} {key!r}", lineno)  # a listed key is a name
             if key == "ring":
                 value = _parse_ring(text, lineno)
             elif key == "A":  # its range waits for the number of variables
@@ -172,12 +175,12 @@ def parse_instance(path: str, config: EngineConfig,
     return InstanceFile(algebra, modules, path)
 
 
-def _fields(text: str, usage: str, lineno: int) -> list:
+def _fields(text: str, usage: str, seps: list, lineno: int) -> list:
     """The fields of a line of the given usage after its word: text split
-    at each separator of the usage in turn, and stripped.  A missing
-    separator refuses the line with its usage."""
+    at each of the usage's separators seps in turn, and stripped.  A
+    missing separator refuses the line with its usage."""
     fields = []
-    for sep in usage.split()[2::2]:
+    for sep in seps:
         field, found, text = text.partition(sep)
         if not found:
             raise ParseError(lineno, f"expected: {usage}")
@@ -187,12 +190,17 @@ def _fields(text: str, usage: str, lineno: int) -> list:
 
 
 def _declare(seen: set, kind: str, name: str, lineno: int, where: str = "") -> None:
-    """A variable, generator, module or key given at line lineno must be a
-    name (is_name), and one given twice is refused at the second, not
-    overridden or left to an engine error that names neither."""
+    """A variable, generator or module given at line lineno must be a name
+    (is_name), and is given once (_once)."""
     if not is_name(name):
         raise ParseError(lineno, f"{kind} name {name!r} is not an identifier")
-    if (what := f"{kind} {name!r}{where}") in seen:
+    _once(seen, f"{kind} {name!r}{where}", lineno)
+
+
+def _once(seen: set, what: str, lineno: int) -> None:
+    """A name or key given twice is refused at the second, not overridden or
+    left to an engine error that names neither."""
+    if what in seen:
         raise ParseError(lineno, f"duplicate {what}")
     seen.add(what)
 
@@ -315,16 +323,15 @@ def cmd_check(inst: InstanceFile, args) -> tuple[dict, bool]:
     for _ in range(samples):
         x, dx = random_element(window)
         y, dy = random_element(window - dx if window > dx else 0)
-        if not x.differentiate().differentiate().is_zero():
+        # each identity by equality of its two sides: terms are canonical
+        x_diff = x.differentiate()
+        if not x_diff.differentiate().is_zero():
             failures.append("d_squared")
-        xy = x * y
-        rhs = (y * x).neg() if dx * dy % 2 else y * x
-        if not (xy - rhs).is_zero():
+        xy, yx = x * y, y * x
+        if xy != (yx.neg() if dx * dy % 2 else yx):
             failures.append("graded_commutativity")
-        leib = xy.differentiate() - (
-            x.differentiate() * y
-            + ((x * y.differentiate()) if dx % 2 == 0 else (x * y.differentiate()).neg()))
-        if not leib.is_zero():
+        x_ydiff = x * y.differentiate()
+        if xy.differentiate() != x_diff * y + (x_ydiff.neg() if dx % 2 else x_ydiff):
             failures.append("leibniz")
     diag = Diagonal(alg)
     shallow = min(alg.config.max_degree, 4)

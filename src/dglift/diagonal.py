@@ -29,8 +29,8 @@ class EnvelopingCarrier(Carrier):
     """B (x)_A B on the canonical pair basis, as a DG bimodule over B.
 
     Left action multiplies into the left slot, right action into the right
-    slot (through 1 (x) b); both are plain monomial arithmetic plus the
-    canonical reduction moving the A-part of the right slot across the tensor.
+    slot (through 1 (x) b); these and the differential are one tensor rule
+    on B's own matrices (_operator), whose right slot moves its A-part across.
     """
 
     has_left = True
@@ -123,61 +123,57 @@ class EnvelopingCarrier(Carrier):
                 vec_axpy(f, out, f.one, vec)
         return out
 
-    @memo
-    def diff(self, d: int) -> SparseMatrix:
-        """d(u (x) m) = du (x) m + (-1)^{|u|} u (x) dm, read off the columns
-        of B's differential: only the pairs whose u or m has a nonzero
-        differential are visited."""
+    def _operator(self, d: int, e: int, s: int, xside=None, yside=None) -> SparseMatrix:
+        """The matrix from degree d to d + e of u (x) m -> phi(u) (x) m +
+        (-1)^{|u| s} u (x) psi(m): xside(p) and yside(q) are B's own
+        matrices out of B_p and B_q, psi read only at the non-A monomials m,
+        and a side that is None is zero.  Only their nonzero columns are
+        visited.  w (x) m for w in phi(u) is a canonical pair already, m
+        having no A-part; u (x) w for w in psi(m) is reduced by pair_vector."""
         alg, f = self.algebra, self.field
-        Bdiff = alg.carrier().diff
-        at, below = self._positions(d), self._positions(d - 1)
+        at, to = self._positions(d), self._positions(d + e)
         cols: dict = {}
         for p in range(0, d + 1):
             q = d - p
             us, ms = alg.monomials(p), alg.nonA_monomials(q)
-            # w (x) m for w in du is a canonical pair already: m has no A-part
-            ws = alg.monomials(p - 1)
-            for iu, du in Bdiff(p).columns().items():
+            if not ms:
+                continue
+            if xside:
+                ws = alg.monomials(p + e)
+                for iu, col in xside(p).columns().items():
+                    for m in ms:
+                        cols[at[us[iu], m]] = {to[ws[iw], m]: c for iw, c in col.items()}
+            if yside:
+                ws, ycols, flip = alg.monomials(q + e), yside(q).columns(), s * p % 2
                 for m in ms:
-                    cols[at[us[iu], m]] = {below[ws[iw], m]: c for iw, c in du.items()}
-            # u (x) w for w in dm is reduced by pair_vector
-            ws, dms = alg.monomials(q - 1), Bdiff(q).columns()
-            for m in ms:
-                dm = dms.get(alg.mono_index(q, m))
-                if not dm:
-                    continue
-                for u in us:
-                    out = cols.setdefault(at[u, m], {})
-                    for iw, c in dm.items():
-                        _, vec = self.pair_vector(u, ws[iw], f.neg(c) if p % 2 else c)
-                        vec_axpy(f, out, f.one, vec)
-        # ascending columns, as the pair-by-pair build gave them
-        return SparseMatrix(f, self.dim(d - 1), self.dim(d), {j: cols[j] for j in sorted(cols)})
+                    col = ycols.get(alg.mono_index(q, m))
+                    if not col:
+                        continue
+                    for u in us:
+                        out = cols.setdefault(at[u, m], {})
+                        for iw, c in col.items():
+                            _, vec = self.pair_vector(u, ws[iw], f.neg(c) if flip else c)
+                            vec_axpy(f, out, f.one, vec)
+        # ascending columns, as the pair-by-pair build gives them; a right-slot
+        # column may cancel to empty, and the field kernels drop zero values
+        return SparseMatrix._trusted(f, self.dim(d + e), self.dim(d),
+                                     {j: cols[j] for j in sorted(cols) if cols[j]})
+
+    @memo
+    def diff(self, d: int) -> SparseMatrix:
+        # d(u (x) m) = du (x) m + (-1)^{|u|} u (x) dm
+        B = self.algebra.carrier()
+        return self._operator(d, -1, 1, B.diff, B.diff)
 
     def left_act(self, mono, d: int) -> SparseMatrix:
-        alg, f = self.algebra, self.field
-        e = alg.mono_degree(mono)
-        at, sign = self._positions(d + e), {1: f.one, -1: f.neg(f.one)}
-        cols = {}
-        for j, (u, m) in enumerate(self.labels(d)):
-            sgn, wu = alg.mono_mul(mono, u)
-            if wu is not None:
-                cols[j] = {at[wu, m]: sign[sgn]}
-        return SparseMatrix._trusted(f, self.dim(d + e), self.dim(d), cols)
+        B = self.algebra.carrier()
+        return self._operator(d, self.algebra.mono_degree(mono), 0,
+                              xside=lambda p: B.action("l", mono, p))
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        alg = self.algebra
-        f = self.field
-        e = alg.mono_degree(mono)
-        cols = []
-        for (u, m) in self.labels(d):
-            sgn, mm = alg.mono_mul(m, mono)
-            if mm is None:
-                cols.append({})
-                continue
-            _, vec = self.pair_vector(u, mm, f.from_int(sgn))
-            cols.append(vec)
-        return SparseMatrix.from_cols(f, self.dim(d + e), cols)
+        B = self.algebra.carrier()
+        return self._operator(d, self.algebra.mono_degree(mono), 0,
+                              yside=lambda q: B.action("r", mono, q))
 
     def pi_matrix(self, d: int) -> SparseMatrix:
         """Multiplication map (B^e)_d -> B_d on the pair basis."""

@@ -399,7 +399,8 @@ class SparseMatrix:
                 x[p] = f.div(acc, row[p])
         # verify by substitution
         if self.mat_vec(x) != bvec:
-            raise DimensionMismatch("solution failed the substitution recheck")
+            raise DimensionMismatch(f"{self.nrows}x{self.ncols} system: "
+                                    f"solution failed the substitution recheck")
         return x
 
     def absence_certificate(self, b: dict) -> dict:
@@ -416,7 +417,8 @@ class SparseMatrix:
         sw = self.sweep()
         left = [k for k in vals if sw.zero[k]]
         if not left:
-            raise DimensionMismatch("no absence certificate: the system is consistent")
+            raise DimensionMismatch(f"{self.nrows}x{self.ncols} system: consistent, so no "
+                                    f"absence certificate")
         y = {min(left): f.one}
         _replay(f, y, ((p, c, k) for k, c, p in reversed(sw.ops)))
 
@@ -424,7 +426,8 @@ class SparseMatrix:
             return reduce(f.add, (f.mul(y[i], c) for i, c in v.items() if i in y), f.zero)
         if f.is_zero(dot(bvec)) or not all(f.is_zero(dot(c)) for c in self._columns.values()
                                            if not y.keys().isdisjoint(c)):
-            raise DimensionMismatch("absence certificate failed its recheck")
+            raise DimensionMismatch(f"{self.nrows}x{self.ncols} system: "
+                                    f"absence certificate failed its recheck")
         return y
 
     def column_space_echelon(self) -> Echelon:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
-from .algebra import AlgebraElement, DGAlgebra
+from .algebra import AlgebraElement, DGAlgebra, _repeated
 from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
                      NotTriangular, OwnerMismatch, TriangularityUnrepairable)
 from .memo import memo
@@ -32,8 +32,8 @@ class SemifreeModule:
         self.degrees = tuple(degrees)
         self.min_degree = min(self.degrees, default=0)
         self.max_degree = max(self.degrees, default=0)
-        if len(set(self.names)) != len(self.names):
-            raise NotTriangular("duplicate basis names")
+        if dup := _repeated(self.names):
+            raise NotTriangular(f"duplicate basis name {dup!r}")
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
         columns: dict[int, list] = {}
         for (mu, lam), el in sorted(self.diff.items()):
@@ -60,7 +60,8 @@ class SemifreeModule:
                 raise NotTriangular(
                     f"nonzero entry at ({self.names[mu]}, {self.names[lam]}) not strictly below the diagonal")
             if el.algebra is not alg:
-                raise OwnerMismatch("differential entry from a foreign algebra")
+                raise OwnerMismatch(f"differential entry ({self.names[mu]},{self.names[lam]}) "
+                                    f"from a foreign algebra")
             want = self.degrees[lam] - 1 - self.degrees[mu]
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
@@ -268,7 +269,7 @@ def cone(f: ChainMap) -> SemifreeModule:
     non-negatively graded algebra; checked anyway).
     """
     if f.shift != 0:
-        raise DegreeMismatch("cone needs a shift-0 chain map")
+        raise DegreeMismatch(f"cone needs a shift-0 chain map, got shift {f.shift}")
     N, M = f.source, f.target
     alg = N.algebra
     gens = []  # (degree, slot, orig index, name)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from dglift.algebra import AlgebraElement, DGAlgebra
 from dglift.cli import main, parse_instance, ParseError
 from dglift.config import EngineConfig
 from dglift.errors import DSquaredNonzero, IllFormedPresentation
@@ -371,6 +372,35 @@ def test_check_command_ok():
     report = json.loads(out)
     assert report["ok"] is True
     assert report["identity_failures"] == []
+
+
+def unsigned_mono_mul(alg, u, v, signed=DGAlgebra.mono_mul):
+    """mono_mul with its Koszul sign dropped."""
+    _, w = signed(alg, u, v)
+    return (0 if w is None else 1), w
+
+
+@pytest.mark.parametrize("owner, name, fake, failures", [
+    # d = id: d(dx) = x and d(xy) = xy against dx y +- x dy = (1 +- 1) xy
+    (AlgebraElement, "differentiate", lambda self: self, ["d_squared", "leibniz"]),
+    # two odd variables that commute, so yu = uy and not -uy
+    (DGAlgebra, "mono_mul", unsigned_mono_mul, ["graded_commutativity"]),
+], ids=["identity-differential", "unsigned-product"])
+def test_check_names_each_identity_that_fails(monkeypatch, owner, name, fake, failures):
+    """Broken after the file is read, the algebra fails exactly the
+    identities that the break violates, and check reports them and exits 1."""
+    import dglift.cli as cli
+    honest = cli.parse_instance
+
+    def parse_then_break(*args):
+        inst = honest(*args)
+        monkeypatch.setattr(owner, name, fake)
+        return inst
+
+    monkeypatch.setattr(cli, "parse_instance", parse_then_break)
+    code, out, _ = run_cli(["check", str(DATA / "prefix.dg"), "--json"])
+    report = json.loads(out)
+    assert (code, report["ok"], report["identity_failures"]) == (1, False, failures)
 
 
 def test_appendix_command():

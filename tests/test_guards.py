@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import dglift.liftcheck as liftcheck
-from dglift.algebra import BaseRing, build_algebra
+from dglift.algebra import BaseRing, DGAlgebra, build_algebra
 from dglift.carriers import Carrier, SemifreeCarrier, TensorCarrier, validate_carrier_squares
 from dglift.cli import main, parse_instance
 from dglift.config import EngineConfig
@@ -20,7 +20,8 @@ from dglift.homotopy import carrier_map_to_chain
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.liftcheck import splitting_search, summand_witness
-from dglift.modules import ChainMap, cone, direct_sum, free_module, make_module
+from dglift.modules import (ChainMap, SemifreeModule, cone, direct_sum, free_module,
+                             make_module)
 from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power
 from dglift.scalars import RATIONALS
 
@@ -90,7 +91,7 @@ def test_an_ill_formed_algebra_is_an_invalid_instance(tmp_path, capsys, lines, m
 
 
 def test_make_module_refuses_duplicate_generator_names(ext):
-    with pytest.raises(NotTriangular, match="^duplicate basis names$"):
+    with pytest.raises(NotTriangular, match="^duplicate basis name 'e0'$"):
         make_module(ext, [("e0", 0), ("e0", 1)])
 
 
@@ -100,13 +101,57 @@ def test_direct_sum_refuses_two_algebras(ext):
         direct_sum(free_module(ext, 1), free_module(other, 1))
 
 
+# Each guard of the algebra and module constructors, and of arithmetic
+# across algebras, that no other test reaches: (the call on ext and on
+# other, a second algebra with the same presentation; the error type; its
+# message, naming the generator, entry or name at fault where it has one).
+LIBRARY_GUARDS = {
+    "base-ring-name-only": (lambda ext, other: BaseRing("a"), IllFormedPresentation,
+                            "base ring needs both generator name and order, or neither"),
+    "base-ring-order-only": (lambda ext, other: BaseRing(order=2), IllFormedPresentation,
+                             "base ring needs both generator name and order, or neither"),
+    "duplicate-variable": (lambda ext, other: DGAlgebra(BaseRing(), ["y", "z", "y"], [1, 1, 1], 0,
+                                                        CONFIG),
+                           IllFormedPresentation, "duplicate variable name 'y'"),
+    "prefix-out-of-range": (lambda ext, other: DGAlgebra(BaseRing(), ["y"], [1], 2, CONFIG),
+                            IllFormedPresentation, "A-prefix size out of range"),
+    "unknown-generator": (lambda ext, other: ext.gen("z"), IllFormedPresentation,
+                          "unknown generator 'z'"),
+    "inhomogeneous-degree": (lambda ext, other: (ext.one() + ext.gen("y")).degree(), ValueError,
+                             "element is not homogeneous"),
+    "sum-across-algebras": (lambda ext, other: ext.one() + other.one(), OwnerMismatch,
+                            "elements belong to different algebras"),
+    "entry-out-of-range": (lambda ext, other: SemifreeModule(ext, ["e0"], [0],
+                                                             {(0, 1): ext.gen("y")}),
+                           NotTriangular, "entry index (0,1) out of range"),
+    "foreign-entry": (lambda ext, other: SemifreeModule(ext, ["e0", "e1"], [0, 2],
+                                                        {(0, 1): other.gen("y")}),
+                      OwnerMismatch, "differential entry (e0,e1) from a foreign algebra"),
+    "chain-map-across-algebras": (lambda ext, other: ChainMap(free_module(ext, 1),
+                                                              free_module(other, 1), 0, {}),
+                                  OwnerMismatch, "chain map across different algebras"),
+    "compose-unmatched": (lambda ext, other: ChainMap.identity(free_module(ext, 1)).compose(
+        ChainMap.identity(free_module(ext, 1))), OwnerMismatch,
+        "composition targets do not match"),
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_GUARDS))
+def test_each_library_guard_raises_its_named_error(ext, case):
+    call, error, message = LIBRARY_GUARDS[case]
+    other = build_algebra(BaseRing(), [("y", 1, "0")], 0, CONFIG)
+    with pytest.raises(error) as exc:
+        call(ext, other)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def shift_one_map(alg):
     """The zero chain map B -> Sigma B[1], a chain map of shift 1."""
     return ChainMap(free_module(alg, 1, 1), free_module(alg, 1), 1, {})
 
 
 def test_cone_refuses_a_map_of_nonzero_shift(ext):
-    with pytest.raises(DegreeMismatch, match="^cone needs a shift-0 chain map$"):
+    with pytest.raises(DegreeMismatch, match="^cone needs a shift-0 chain map, got shift 1$"):
         cone(shift_one_map(ext))
 
 

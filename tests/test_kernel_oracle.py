@@ -5,13 +5,14 @@ elimination, its operators skip a zero parent operator, and the enveloping
 differential is built from B's differential columns.  On every corpus
 algebra and on the exterior algebra on five odd generators and tate2 at
 the default cap, on both fields and in every degree up to the cap, each
-must equal what kernel_oracle builds the general way, as a list or entry
-by entry.  The guards stay: a column of pi with two entries raises, and so
+must equal what kernel_oracle builds the general way (enveloping_oracle
+for the differential of B (x)_A B), as a list or entry by entry.  The guards stay: a column of pi with two entries raises, and so
 does an action whose image leaves J.
 """
 
 import pytest
-from kernel_oracle import enveloping_diff, kernel_basis, pushed
+from enveloping_oracle import enveloping_diff
+from kernel_oracle import kernel_basis, pushed
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import KernelSubCarrier

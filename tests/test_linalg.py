@@ -82,7 +82,7 @@ def _corrupt_mat_vec(monkeypatch, field):
 def test_solve_raises_when_substitution_recheck_fails(field, monkeypatch):
     from dglift.errors import DimensionMismatch
     _corrupt_mat_vec(monkeypatch, field)
-    with pytest.raises(DimensionMismatch, match="substitution recheck"):
+    with pytest.raises(DimensionMismatch, match="^2x2 system: solution failed the substitution recheck$"):
         identity(field, 2).solve({0: field.one, 1: field.one})
 
 
@@ -101,7 +101,7 @@ def test_solve_inconsistent_comes_with_its_certificate(field):
 
 def test_absence_certificate_of_a_consistent_system_raises(field):
     from dglift.errors import DimensionMismatch
-    with pytest.raises(DimensionMismatch, match="consistent"):
+    with pytest.raises(DimensionMismatch, match="^2x1 system: consistent, so no absence certificate$"):
         mat(field, [[1], [1]]).absence_certificate({0: field.one, 1: field.one})
 
 
@@ -110,7 +110,8 @@ def test_a_forged_absence_fails_the_certificate_recheck(field, monkeypatch):
     consistent system; solve rechecks its certificate and raises."""
     from dglift.errors import DimensionMismatch
     forge_an_absence(monkeypatch, field)
-    with pytest.raises(DimensionMismatch, match="absence certificate failed its recheck"):
+    with pytest.raises(DimensionMismatch,
+                       match="^2x2 system: absence certificate failed its recheck$"):
         identity(field, 2).solve({0: field.one, 1: field.one})
 
 

@@ -128,6 +128,33 @@ def test_every_declared_name_follows_the_name_rule(tmp_path, text, lineno, messa
                                                   + message.format(name))
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("Y^²", "²"), ("1/²", "²"), ("²", "²"), ("Y^2²", "²"), ("①*X", "①")])
+def test_an_int_is_a_run_of_decimal_digits(alg, text, bad):
+    """A digit that int() does not read, such as "²" or "①", is a character
+    the grammar refuses, not an int; a decimal digit of any script is one."""
+    with pytest.raises(ValueError) as exc:
+        parse_element(alg, text)
+    assert str(exc.value) == f"unexpected character {bad!r} in expression"
+    assert parse_element(alg, "Y^٣ + ٣/2*q") == parse_element(alg, "Y^3 + 3/2*q")
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    ("var z : 2 = y^²\n", 5, "d(z): unexpected character '²' in expression"),
+    ("[module N]\ngen e0 : 0\ngen e1 : 2\nd e1 = e0 * y^²\n", 8,
+     "bad coefficient expression: unexpected character '²' in expression"),
+], ids=["variable-line", "module-line"])
+def test_a_non_decimal_digit_is_a_syntax_error_at_its_line(tmp_path, capsys, lines, lineno,
+                                                           message):
+    p = tmp_path / "superscript.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n" + lines)
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"syntax error: line {lineno}: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("X*", "expected a term, found the end of the line"),
     ("-", "expected a term, found the end of the line"),
