@@ -13,9 +13,9 @@ peak resident set read right after the rung; sha256 hashes the rung's
 canonical result, computed after both are read, so equal digests on two
 commits mean equal results.
 
-The rungs, all with default caps (max_degree 16, max_tensor 4, lift_bound
-4), most of them over the exterior algebra on odd generators y0, y1, ...
-with zero differential:
+The rungs, all with default caps (max_degree 16, max_tensor 4), most of
+them over the exterior algebra on odd generators y0, y1, ... with zero
+differential:
   ladder_ext5_d12, ladder_ext5_d13   on 5 generators, dim, labels and diff
                                      of T^n in every degree 2n..12 (..13),
                                      n = 1..4; the digest hashes the three
@@ -34,8 +34,8 @@ d X_i = q, whose differential is not zero:
                                      degree 2j and d e_{j+1} = e_j (X0 - X1),
                                      over 4 or 5 generators X_i; the digest
                                      hashes the report
-The chain of length 6 over 5 generators is left out: its battery peaks at
-about 7 GB.
+The Tate-ext chain of length 6 over 5 generators (tate_ext5_len6) is left
+out: its battery took about 7 GB.
 """
 
 from __future__ import annotations

@@ -50,7 +50,10 @@ class BaseRing:
 
     def __post_init__(self):
         if (self.gen_name is None) != (self.order is None):
-            raise IllFormedPresentation("base ring needs both generator name and order, or neither")
+            given = (f"name {self.gen_name!r}" if self.order is None
+                     else f"order {self.order}")
+            raise IllFormedPresentation("base ring needs both generator name and order, "
+                                        f"or neither; got only the {given}")
         if self.order is not None and self.order < 2:
             raise IllFormedPresentation("base quotient order must be >= 2")
 
@@ -87,7 +90,8 @@ class DGAlgebra:
             if deg < 1:
                 raise IllFormedPresentation(f"variable {name} has degree {deg} < 1")
         if not (0 <= n_A <= len(self.var_names)):
-            raise IllFormedPresentation("A-prefix size out of range")
+            raise IllFormedPresentation(f"A-prefix size {n_A} out of range 0..{self.nvars}, "
+                                        "the number of variables")
         # monomial slots of the odd variables, last variable first
         self._odd_slots = tuple(1 + j for j in reversed(range(self.nvars))
                                 if self.var_degrees[j] % 2 == 1)
@@ -290,12 +294,13 @@ class AlgebraElement:
         if not degs:
             return None
         if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
+            raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
     def _check_owner(self, other):
         if self.algebra is not other.algebra:
-            raise OwnerMismatch("elements belong to different algebras")
+            raise OwnerMismatch("elements belong to different algebras: "
+                                f"{self.algebra.describe()} and {other.algebra.describe()}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_owner(other)

@@ -14,11 +14,11 @@ Instance files are line-oriented and sectioned:
     [limits]
     max_degree = 12
     max_tensor = 4
-    lbound = 4
 
 A variable, generator, module or base generator is named by one name token
-of the expression grammar (algebra.is_name), and limits are nonnegative
-integers, in the file and as flags.
+of the expression grammar (algebra.is_name).  An integer, in the file and
+as a flag, is written as the grammar writes one: an optional '-' and a run
+of decimal digits (_read_int); limits are nonnegative.
 
 Commands: check, hom, omega, battery, gamma, appendix.  Exit code 0 on
 all-pass, 1 on any property violation, 2 on usage or syntax errors.
@@ -65,7 +65,7 @@ class InstanceFile(NamedTuple):
 # The sections other than [module NAME], each with what a message calls
 # one of its keys and the keys of its key = value lines.
 _KEYS = {"base": ("base key", ("ring",)), "algebra": ("algebra key", ("A",)),
-         "limits": ("limit", ("max_degree", "max_tensor", "lbound"))}
+         "limits": ("limit", ("max_degree", "max_tensor"))}
 # The lines of each section that start with a word, by that word: the
 # usage is the form, the word and then fields, and the line is split at
 # the separators between the fields in turn, read off the usage here once.
@@ -153,8 +153,7 @@ def parse_instance(path: str, config: EngineConfig,
         raise ParseError(values["A"][1], f"A must lie in 0..{len(variables)}, the "
                                          f"number of variables, got {a_prefix}")
     cfg = config.with_limits(max_degree=given.get("max_degree"),
-                             max_tensor=given.get("max_tensor"),
-                             lift_bound=given.get("lbound"))
+                             max_tensor=given.get("max_tensor"))
     try:
         algebra = build_algebra(given.get("ring", BaseRing()),
                                 [v[:3] for v in variables], a_prefix, cfg)
@@ -205,21 +204,30 @@ def _once(seen: set, what: str, lineno: int) -> None:
     seen.add(what)
 
 
+def _read_int(text: str) -> int:
+    """An integer as the expression grammar writes one: an optional '-' and
+    a run of str.isdecimal() digits.  int() alone would also take '+2',
+    '1_0' and surrounding spaces; those raise ValueError here."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _integer(text: str, lineno: int, message: str) -> int:
-    """A degree, A or a limit: text as an integer, or else a syntax error
-    at line lineno with the message."""
+    """A degree, A or a limit: text as an integer (_read_int), or else a
+    syntax error at line lineno with the message."""
     try:
-        return int(text)
+        return _read_int(text)
     except ValueError:
         raise ParseError(lineno, message)
 
 
 def _parse_ring(spec: str, lineno: int) -> BaseRing:
-    """The base ring of the `ring =` line lineno: k (or Q, or field), or
-    k[a]/(a^m), the name in brackets a name (is_name) and the base of the
-    power.  A spec of neither form is a ParseError; an order below 2 is
-    BaseRing's semantic error."""
-    if spec in ("k", "Q", "field"):
+    """The base ring of the `ring =` line lineno: k, or k[a]/(a^m), the name
+    in brackets a name (is_name) and the base of the power, and m an integer
+    (_read_int).  A spec of neither form is a ParseError; an order below 2
+    is BaseRing's semantic error."""
+    if spec == "k":
         return BaseRing()
     if spec.startswith("k[") and "]/(" in spec and spec.endswith(")"):
         name, _, power = spec[2:-1].partition("]/(")
@@ -230,7 +238,7 @@ def _parse_ring(spec: str, lineno: int) -> BaseRing:
                 raise ParseError(lineno, f"base ring {spec!r} names {name!r} in "
                                          f"brackets but raises {base!r} to a power")
             with suppress(ValueError):
-                return BaseRing(name, int(m))
+                return BaseRing(name, _read_int(m.strip()))
     raise ParseError(lineno, f"cannot parse base ring {spec!r} (expected k or k[a]/(a^m))")
 
 
@@ -418,12 +426,17 @@ COMMANDS = {
 }
 
 
-def _nonnegative(text: str) -> int:
-    """A limit or count flag's value: an integer, zero or more."""
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read as in an instance file (_read_int)."""
     try:
-        value = int(text)
+        return _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _nonnegative(text: str) -> int:
+    """A limit or count flag's value: an integer, zero or more."""
+    value = _int_flag(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -442,10 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scalar backend: Q (default) or Fp[:prime]")
     p.add_argument("--max-degree", type=_nonnegative, default=None)
     p.add_argument("--max-tensor", type=_nonnegative, default=None)
-    p.add_argument("--lbound", type=_nonnegative, default=None)
     p.add_argument("--module", default=None, help="module name inside the instance")
     p.add_argument("--target", default=None, help="target module for hom")
-    p.add_argument("--shift", type=int, default=0, help="shift for hom")
+    p.add_argument("--shift", type=_int_flag, default=0, help="shift for hom")
     p.add_argument("--samples", type=_nonnegative, default=50,
                    help="random elements for the check command")
     p.add_argument("--json", action="store_true", help="canonical JSON report")
@@ -464,8 +476,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = EngineConfig(field=field)
-    flag_limits = {"max_degree": args.max_degree, "max_tensor": args.max_tensor,
-                   "lbound": args.lbound}
+    flag_limits = {"max_degree": args.max_degree, "max_tensor": args.max_tensor}
     try:
         inst = parse_instance(args.instance, config, flag_limits)
     except FileNotFoundError:

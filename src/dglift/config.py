@@ -13,21 +13,20 @@ class EngineConfig:
 
     max_degree caps the |DG degree| any carrier will materialize; queries that
     need more raise CapExceeded rather than silently truncating.  max_tensor
-    caps the tensor-degree truncation of the diagonal tensor algebra and
-    lift_bound the search depth for the nilpotency condition.
+    caps the tensor degree n of the diagonal tensor algebra's pieces T^n
+    (Diagonal.T refuses any n past it), and is the battery's bound: it reads
+    the powers n <= max_tensor.
     """
 
     field: object = RATIONALS
     max_degree: int = 16
     max_tensor: int = 4
-    lift_bound: int = 4
 
-    def with_limits(self, max_degree=None, max_tensor=None, lift_bound=None):
+    def with_limits(self, max_degree=None, max_tensor=None):
         return EngineConfig(
             field=self.field,
             max_degree=self.max_degree if max_degree is None else max_degree,
             max_tensor=self.max_tensor if max_tensor is None else max_tensor,
-            lift_bound=self.lift_bound if lift_bound is None else lift_bound,
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .diagonal import Diagonal
-from .errors import CapExceeded, DimensionMismatch, FiltrationStuck
+from .errors import DimensionMismatch, FiltrationStuck
 from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace,
                        carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
                        cols_to_entries, entries_to_cols, hom_k_dim, space_name)
@@ -273,7 +273,9 @@ class LiftReport:
 def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> LiftReport:
     """Evaluate the nine liftability certificates and cross-check agreement.
 
-    The bound is min(lift_bound, max_tensor) of diag's config.  The
+    The bound L is max_tensor of diag's config: the powers chi^n and the
+    pieces gamma^n are read for n <= L, and Diagonal.T refuses the rest,
+    so an L below 1 raises CapExceeded at the first power chi^1.  The
     bound-limited conditions carry notes; under verified AR1 the
     surjectivity of the obstruction action propagates vanishing beyond the
     bound, so the finite data is a complete certificate there.  Verdict
@@ -290,15 +292,11 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     The notes read off N's degrees and homology and the certifying bounds
     read N.  iv-viii read the gamma^n, and the AR1 (iii) and AR2 tables
     their dimensions; these are homotopy invariants, computed on N'.
-    A lift bound below 1 raises CapExceeded: verdict iii needs a power to
-    test, and iv-vii would read an empty range of powers.
     """
-    if diag.config.lift_bound < 1:
-        raise CapExceeded(1, diag.config.lift_bound, "lift bound")
-    L_bound = min(diag.config.lift_bound, diag.config.max_tensor)
+    L = diag.config.max_tensor
     ar1 = check_AR1(N, diag)
     ar2 = check_AR2(N, diag)
-    report = LiftReport(module=name, ar1=ar1, ar2=ar2, bound=L_bound)
+    report = LiftReport(module=name, ar1=ar1, ar2=ar2, bound=L)
 
     sigma = splitting_search(N, diag)
     report.verdicts["i"] = sigma is not None
@@ -310,26 +308,26 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 
     # whether chi^1 is null-homotopic is verdict ii's question, so the search
     # for a null-homotopic power starts at 2 when ii failed
-    nil_power = 1 if wit is not None and L_bound >= 1 else None
+    nil_power = 1 if wit is not None else None
     if wit is None:
         model = diag.minimal(N)
-        for ell in range(2, L_bound + 1):
+        for ell in range(2, L + 1):
             if model.null_homotopy(chi_power(N, diag, ell), diag.hom) is not None:
                 nil_power = ell
                 break
     report.verdicts["iii"] = nil_power is not None
     report.notes["iii"] = (f"power {nil_power} null-homotopic" if nil_power
-                           else f"no nilpotency up to bound {L_bound}")
+                           else f"no nilpotency up to bound {L}")
 
-    gammas = {n: gamma_dim(N, diag, n) for n in range(0, L_bound + 1)}
+    gammas = {n: gamma_dim(N, diag, n) for n in range(0, L + 1)}
     report.gamma = gammas
-    positive_all_zero = all(gammas[n] == 0 for n in range(1, L_bound + 1))
-    positive_any_zero = any(gammas[n] == 0 for n in range(1, L_bound + 1))
+    positive_all_zero = all(gammas[n] == 0 for n in range(1, L + 1))
+    positive_any_zero = any(gammas[n] == 0 for n in range(1, L + 1))
     report.verdicts["iv"] = positive_all_zero
     report.notes["iv"] = f"gamma^0 = {gammas[0]}, End = {gammas[0]}; positive pieces zero: {positive_all_zero}"
     report.verdicts["v"] = positive_any_zero
     report.notes["v"] = ("finite generation certified by a vanishing piece"
-                         if positive_any_zero else f"no vanishing piece up to {L_bound}")
+                         if positive_any_zero else f"no vanishing piece up to {L}")
     report.verdicts["vi"] = positive_all_zero
     report.verdicts["vii"] = positive_any_zero
     report.verdicts["viii"] = gammas.get(1, 0) == 0

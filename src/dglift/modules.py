@@ -151,7 +151,8 @@ def direct_sum(*mods: SemifreeModule) -> SemifreeModule:
     off = 0
     for k, M in enumerate(mods):
         if M.algebra is not alg:
-            raise OwnerMismatch("summands over different algebras")
+            raise OwnerMismatch("summands over different algebras: summand 0 over "
+                                f"{alg.describe()}, summand {k} over {M.algebra.describe()}")
         names.extend(f"{n}.{k}" for n in M.names)
         degrees.extend(M.degrees)
         for (mu, lam), el in M.diff.items():
@@ -182,7 +183,8 @@ class ChainMap:
         src, tgt, s = self.source, self.target, self.shift
         alg = src.algebra
         if tgt.algebra is not alg:
-            raise OwnerMismatch("chain map across different algebras")
+            raise OwnerMismatch("chain map across different algebras: source over "
+                                f"{alg.describe()}, target over {tgt.algebra.describe()}")
         for (mu, lam), el in self.entries.items():
             want = src.degrees[lam] - s - tgt.degrees[mu]
             if not el.is_homogeneous() or el.degree() != want:

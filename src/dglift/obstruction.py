@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .carriers import Carrier, SemifreeCarrier
 from .diagonal import Diagonal
-from .errors import CapExceeded, DimensionMismatch
+from .errors import DimensionMismatch
 from .homotopy import CarrierMap, HomotopyWitness, HomSpace
 from .linalg import SparseMatrix, vec_axpy
 from .memo import memo
@@ -90,10 +90,8 @@ class ObstructionTower:
 
     def component(self, i: int) -> DegreewiseMap:
         """The piece N (x) T^i -> N (x) T^{i+1}, within the config's
-        max_tensor, built on each call."""
-        cap = self.diag.config.max_tensor
-        if i + 1 > cap:
-            raise CapExceeded(i + 1, cap, "tensor degree")
+        max_tensor, built on each call; past it, Diagonal.T refuses the
+        target's T^{i+1}."""
         diag = self.diag
         N = self.N
         f = N.algebra.field

@@ -68,12 +68,18 @@ def test_parse_syntax_error_carries_line(tmp_path):
                       "brackets but raises 'q' to a power"),
     ("k[]/(^2)", 2, "syntax error: line 2: cannot parse base ring 'k[]/(^2)' "
                     "(expected k or k[a]/(a^m))"),
+    ("k[a]/(a^+2)", 2, "syntax error: line 2: cannot parse base ring 'k[a]/(a^+2)' "
+                       "(expected k or k[a]/(a^m))"),
+    ("Q", 2, "syntax error: line 2: cannot parse base ring 'Q' (expected k or k[a]/(a^m))"),
+    ("field", 2, "syntax error: line 2: cannot parse base ring 'field' "
+                 "(expected k or k[a]/(a^m))"),
 ], ids=["no-form", "order-not-an-integer", "order-below-two", "names-differ",
-        "no-name"])
+        "no-name", "order-signed", "Q", "field"])
 def test_a_bad_ring_line(tmp_path, ring, code, message):
     """A ring spec of neither form is a syntax error at its own line, and so
     is one whose bracket name is not the base of its power; a well-formed
-    spec of order below 2 is a semantic error."""
+    spec of order below 2 is a semantic error.  The field is named k only:
+    the backend (--field) is not a property of the file."""
     p = tmp_path / "ring.dg"
     p.write_text(f"[base]\nring = {ring}\n[algebra]\nvar y : 1 = 0\n"
                  "[module N]\ngen e0 : 0\n")
@@ -100,13 +106,17 @@ def test_a_bad_variable_differential_is_a_syntax_error_at_its_line(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("check", "--max-degree", "-3"),
     ("gamma", "--max-tensor", "-1"),
-    ("battery", "--lbound", "-2"),
+    ("battery", "--max-tensor", "-2"),
     ("check", "--max-degree", "x"),
+    ("check", "--max-degree", "1_2"),
+    ("battery", "--max-tensor", "+2"),
+    ("hom", "--shift", "1_0"),
 ])
 def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
     """A negative or non-integer limit is refused before any run, naming its
     flag; zero is accepted, and a run it cannot serve fails cleanly with
-    CapExceeded."""
+    CapExceeded.  An integer, --shift's too, is read as in an instance
+    file: '1_2', '+2' and '1_0', which int() would take, are not integers."""
     code, out, err = run_cli([command, str(DATA / "two_step.dg"), f"{flag}={value}"])
     assert (code, out) == (2, "")
     why = (f"must be nonnegative, got {value}" if value.startswith("-")
@@ -115,18 +125,41 @@ def test_a_negative_limit_flag_is_a_usage_error(command, flag, value):
     assert run_cli([command, str(DATA / "two_step.dg"), flag, "0"])[0] in (0, 1)
 
 
-def test_a_lift_bound_of_zero_is_refused_by_the_battery(tmp_path):
-    """A lift bound of 0, as a flag or in [limits], leaves the battery no
-    power to test: it fails naming the bound, like --max-tensor 0, instead
-    of reporting a disagreement on a free module."""
-    err = "error: lift bound 1 exceeds configured cap 0; raise the limit\n"
+# Every valid module of tests/data, as (file, --module or None).
+BATTERY_MODULES = [("cone_id.dg", None), ("free3.dg", None), ("koszul.dg", None),
+                   ("mixed.dg", None), ("prefix.dg", "Min"), ("prefix.dg", "Mout"),
+                   ("tate.dg", None), ("two_step.dg", None)]
+
+
+@pytest.mark.parametrize("name, module", BATTERY_MODULES,
+                         ids=[f"{n}:{m}" if m else n for n, m in BATTERY_MODULES])
+def test_the_battery_reads_max_tensor_as_its_bound(name, module):
+    """The battery's bound is the tensor cap: for each L from 1 to the
+    file's max_tensor it reports bound L and gamma^0..gamma^L, and with a
+    cap of 0 the first piece it needs, T^1, is refused."""
+    args = ["battery", str(DATA / name), "--json"] + (["--module", module] if module else [])
+    top = parse_instance(str(DATA / name), EngineConfig(field=RATIONALS)).algebra.config.max_tensor
+    for L in range(1, top + 1):
+        code, out, err = run_cli(args + ["--max-tensor", str(L)])
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["bound"] == L
+        assert sorted(report["gamma"], key=int) == [str(n) for n in range(L + 1)]
+    assert run_cli(args + ["--max-tensor", "0"]) == (
+        1, "", "error: tensor degree 1 exceeds configured cap 0; raise the limit\n")
+
+
+def test_max_tensor_is_the_only_depth_setting(tmp_path):
+    """No second setting bounds the battery: lbound is neither a flag nor a
+    [limits] key."""
     free3 = DATA / "free3.dg"
-    assert run_cli(["battery", str(free3), "--lbound", "0", "--json"]) == (1, "", err)
+    code, out, err = run_cli(["battery", str(free3), "--lbound", "2"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --lbound 2\n")
     p = tmp_path / "lbound.dg"
-    p.write_text(free3.read_text() + "lbound = 0\n")
-    assert run_cli(["battery", str(p), "--json"]) == (1, "", err)
-    code, out, _ = run_cli(["battery", str(p), "--lbound", "1", "--json"])
-    assert code == 0 and json.loads(out)["agreement"] is True
+    p.write_text(free3.read_text() + "lbound = 2\n")
+    assert run_cli(["battery", str(p)]) == (
+        2, "", "syntax error: line 14: unknown limit 'lbound'\n")
 
 
 def test_a_malformed_field_spec_is_a_usage_error_that_names_it():
@@ -226,7 +259,8 @@ HEAD = "[base]\nring = k\n[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : 0\n"
     (HEAD.replace("[module", "A = 0\nA = 1\n[module"), 6, "duplicate algebra key 'A'"),
     (HEAD + "[limits]\nmax_degree = 6\nmax_tensor = 2\nmax_degree = 8\n", 10,
      "duplicate limit 'max_degree'"),
-    (HEAD + "[limits]\nlbound = 2\n[limits]\nlbound = 3\n", 10, "duplicate limit 'lbound'"),
+    (HEAD + "[limits]\nmax_tensor = 2\n[limits]\nmax_tensor = 3\n", 10,
+     "duplicate limit 'max_tensor'"),
     (HEAD + "[module N]\ngen f0 : 0\n", 7, "duplicate module 'N'"),
     (HEAD.replace("[module", "A = 5\n[module"), 5,
      "A must lie in 0..1, the number of variables, got 5"),

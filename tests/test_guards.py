@@ -97,7 +97,9 @@ def test_make_module_refuses_duplicate_generator_names(ext):
 
 def test_direct_sum_refuses_two_algebras(ext):
     other = build_algebra(BaseRing(), [("y", 1, "0")], 0, CONFIG)
-    with pytest.raises(OwnerMismatch, match="^summands over different algebras$"):
+    with pytest.raises(OwnerMismatch, match="^" + re.escape(
+            "summands over different algebras: summand 0 over k<y:1> (A = first 0 vars), "
+            "summand 1 over k<y:1> (A = first 0 vars)") + "$"):
         direct_sum(free_module(ext, 1), free_module(other, 1))
 
 
@@ -107,20 +109,24 @@ def test_direct_sum_refuses_two_algebras(ext):
 # message, naming the generator, entry or name at fault where it has one).
 LIBRARY_GUARDS = {
     "base-ring-name-only": (lambda ext, other: BaseRing("a"), IllFormedPresentation,
-                            "base ring needs both generator name and order, or neither"),
+                            "base ring needs both generator name and order, or neither; "
+                            "got only the name 'a'"),
     "base-ring-order-only": (lambda ext, other: BaseRing(order=2), IllFormedPresentation,
-                             "base ring needs both generator name and order, or neither"),
+                             "base ring needs both generator name and order, or neither; "
+                             "got only the order 2"),
     "duplicate-variable": (lambda ext, other: DGAlgebra(BaseRing(), ["y", "z", "y"], [1, 1, 1], 0,
                                                         CONFIG),
                            IllFormedPresentation, "duplicate variable name 'y'"),
     "prefix-out-of-range": (lambda ext, other: DGAlgebra(BaseRing(), ["y"], [1], 2, CONFIG),
-                            IllFormedPresentation, "A-prefix size out of range"),
+                            IllFormedPresentation,
+                            "A-prefix size 2 out of range 0..1, the number of variables"),
     "unknown-generator": (lambda ext, other: ext.gen("z"), IllFormedPresentation,
                           "unknown generator 'z'"),
     "inhomogeneous-degree": (lambda ext, other: (ext.one() + ext.gen("y")).degree(), ValueError,
-                             "element is not homogeneous"),
+                             "element is not homogeneous: degrees [0, 1]"),
     "sum-across-algebras": (lambda ext, other: ext.one() + other.one(), OwnerMismatch,
-                            "elements belong to different algebras"),
+                            "elements belong to different algebras: "
+                            "k<y:1> (A = first 0 vars) and k<y:1> (A = first 0 vars)"),
     "entry-out-of-range": (lambda ext, other: SemifreeModule(ext, ["e0"], [0],
                                                              {(0, 1): ext.gen("y")}),
                            NotTriangular, "entry index (0,1) out of range"),
@@ -129,7 +135,9 @@ LIBRARY_GUARDS = {
                       OwnerMismatch, "differential entry (e0,e1) from a foreign algebra"),
     "chain-map-across-algebras": (lambda ext, other: ChainMap(free_module(ext, 1),
                                                               free_module(other, 1), 0, {}),
-                                  OwnerMismatch, "chain map across different algebras"),
+                                  OwnerMismatch,
+                                  "chain map across different algebras: source over "
+                                  "k<y:1> (A = first 0 vars), target over k<y:1> (A = first 0 vars)"),
     "compose-unmatched": (lambda ext, other: ChainMap.identity(free_module(ext, 1)).compose(
         ChainMap.identity(free_module(ext, 1))), OwnerMismatch,
         "composition targets do not match"),

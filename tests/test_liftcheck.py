@@ -197,15 +197,20 @@ def test_battery_contractible(ext, ext_diag):
     assert r.verdicts["i"] is True
 
 
-def test_battery_refuses_a_lift_bound_below_one(ext):
-    """With no power of chi to test, verdict iii could not be found and the
-    verdicts read off an empty range would disagree on a free module; the
-    battery refuses the bound instead, naming it."""
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_the_battery_bound_is_max_tensor(ext, cap):
+    """The battery reads chi^n and gamma^n for n up to max_tensor, its bound;
+    with a cap of 0 there is no power to test, and Diagonal.T refuses the
+    first one, T^1, rather than the verdicts disagreeing on a free module."""
     diag = Diagonal(build_algebra(BaseRing(), [("y", 1, "0")], 0,
-                                  ext.config.with_limits(lift_bound=0)))
-    with pytest.raises(CapExceeded, match="^lift bound 1 exceeds configured cap 0"):
-        naive_lift_battery(free_module(diag.algebra, 3), diag)
-    assert naive_lift_battery(free_module(ext, 3), Diagonal(ext)).agreement
+                                  ext.config.with_limits(max_tensor=cap)))
+    N = free_module(diag.algebra, 3)
+    if cap == 0:
+        with pytest.raises(CapExceeded, match="^tensor degree 1 exceeds configured cap 0;"):
+            naive_lift_battery(N, diag)
+        return
+    r = naive_lift_battery(N, diag)
+    assert (r.bound, sorted(r.gamma), r.agreement) == (cap, list(range(cap + 1)), True)
 
 
 def test_battery_koszul_trivial_extension(config):

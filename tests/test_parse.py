@@ -155,6 +155,29 @@ def test_a_non_decimal_digit_is_a_syntax_error_at_its_line(tmp_path, capsys, lin
     assert capsys.readouterr().err == f"syntax error: line {lineno}: {message}\n"
 
 
+@pytest.mark.parametrize("lines, lineno, message", [
+    ("[algebra]\nvar y : 1_0 = 0\n", 4, "expected: var NAME : DEGREE = EXPR"),
+    ("[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : +0\n", 6, "expected: gen NAME : DEGREE"),
+    ("[algebra]\nvar y : 1 = 0\n[module N]\ngen e0 : 0\n[limits]\nmax_degree = 1_2\n", 8,
+     "max_degree must be an integer"),
+    ("[algebra]\nA = +0\nvar y : 1 = 0\n", 4, "A must be an integer prefix length"),
+    ("[algebra]\nvar y : 1 = 0\nvar z : 2 = y^1_0\n", 5, "d(z): trailing input at '_0'"),
+], ids=["var-degree-underscore", "gen-degree-plus", "limit-underscore", "A-plus",
+        "power-underscore"])
+def test_an_integer_is_written_as_the_grammar_writes_one(tmp_path, capsys, lines, lineno,
+                                                         message):
+    """A degree, A or a limit is an optional '-' and a run of decimal digits,
+    the int of the expression grammar, which refuses y^1_0: '1_0' and '+0',
+    which int() would take as 10 and 0, are syntax errors at their line."""
+    p = tmp_path / "integer.dg"
+    p.write_text("[base]\nring = k\n" + lines)
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p), CONFIG)
+    assert (exc.value.lineno, str(exc.value)) == (lineno, f"line {lineno}: {message}")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"syntax error: line {lineno}: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("X*", "expected a term, found the end of the line"),
     ("-", "expected a term, found the end of the line"),
