@@ -218,10 +218,6 @@ class DGAlgebra:
             if elem.degree() != want:
                 raise IllFormedPresentation(
                     f"d({name}) has degree {elem.degree()}, expected {want}")
-            for u in elem.terms:
-                if any(u[1 + j] for j in range(i, self.nvars)):
-                    raise IllFormedPresentation(
-                        f"d({name}) involves {name} or a later variable")
         self.var_diffs[i] = elem
 
     def _validate(self) -> None:

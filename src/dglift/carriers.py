@@ -35,6 +35,12 @@ from .memo import memo
 
 
 class Carrier:
+    """A DG module over the algebra, degree by degree.  Each concrete
+    carrier defines min_degree() (a degree below which every piece is zero,
+    max_degree + 1 for a zero carrier), dim(d), labels(d), diff(d) and
+    right_act(mono, d), and left_act(mono, d) when it can set has_left;
+    action and element_act read the two actions through one memo."""
+
     has_left = False
     has_right = False
 
@@ -50,11 +56,6 @@ class Carrier:
         if abs(d) > self.config.max_degree:
             raise CapExceeded(d, self.config.max_degree, what=f"{self!r}: DG degree")
 
-    def min_degree(self) -> int:
-        """A degree below which every piece is zero; max_degree + 1 for a
-        carrier that is zero (see is_zero)."""
-        raise NotImplementedError
-
     def is_zero(self) -> bool:
         """Whether the carrier is zero: a kernel with no nonzero piece
         within the cap, or a tensor product or shift built on one.  A zero
@@ -62,21 +63,6 @@ class Carrier:
         min_degree is max_degree + 1, so no degree past the cap leaks into
         a sum of minima or a shift."""
         return False
-
-    def dim(self, d: int) -> int:
-        raise NotImplementedError
-
-    def labels(self, d: int):
-        raise NotImplementedError
-
-    def diff(self, d: int) -> SparseMatrix:
-        raise NotImplementedError
-
-    def right_act(self, mono, d: int) -> SparseMatrix:
-        raise NotImplementedError
-
-    def left_act(self, mono, d: int) -> SparseMatrix:
-        raise NotImplementedError
 
     @memo
     def action(self, side: str, mono, d: int) -> SparseMatrix:
@@ -330,7 +316,7 @@ class KernelSubCarrier(Carrier):
     violations fail loudly.
     """
 
-    def __init__(self, parent: Carrier, proj_matrix_fn, name="kernel"):
+    def __init__(self, parent: Carrier, proj_matrix_fn, name: str):
         """proj_matrix_fn(d) is the projection in degree d, with at most one
         entry in each column: basis_vectors raises DimensionMismatch on a
         column with two."""

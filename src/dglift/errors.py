@@ -40,14 +40,10 @@ class DSquaredNonzero(DGLiftError):
     """d ∘ d != 0; carries the offending basis column."""
 
 
-class TriangularityUnrepairable(DGLiftError):
-    """No basis reordering makes the differential strictly lower triangular."""
-
-
 class CapExceeded(DGLiftError):
     """A computation needs a DG degree or tensor degree beyond the configured cap."""
 
-    def __init__(self, needed, cap, what="DG degree"):
+    def __init__(self, needed, cap, what: str):
         self.needed = needed
         self.cap = cap
         super().__init__(f"{what} {needed} exceeds configured cap {cap}; raise the limit")

@@ -183,8 +183,7 @@ class CarrierMap:
     shift: int
     cols: dict  # lam -> coordinate vector in target_{deg(lam)-shift}
 
-    def flat(self, layout: MapLayout | None = None) -> dict:
-        layout = layout or MapLayout(self.source, self.target, self.shift)
+    def flat(self, layout: MapLayout) -> dict:
         return layout.to_flat(self.cols)
 
     def is_zero(self) -> bool:

@@ -15,7 +15,8 @@ several spellings of one question normalizes them before calling its memo.
 A method of no arguments keeps its value in that attribute itself; a method
 of one argument keys its table by the argument, so its hit path builds no
 tuple; a method of several arguments keys its table by their tuple.  A
-memoized build must not return None, which marks a key not built yet.
+memoized build must not return None, which marks a key not built yet: a
+call whose build returns None raises TypeError and stores nothing.
 
 peek(owner, name) is the one way to read a memo without filling it.
 Nothing guards a memo against concurrent filling; the engine is
@@ -42,7 +43,7 @@ def memo(build):
         def memoized(owner):
             value = getattr(owner, slot, None)
             if value is None:
-                value = build(owner)
+                value = _built(build, build(owner))
                 setattr(owner, slot, value)
             return value
     elif nargs == 2:
@@ -53,7 +54,7 @@ def memo(build):
                 setattr(owner, slot, table)
             value = table.get(key)
             if value is None:
-                value = table[key] = build(owner, key)
+                value = table[key] = _built(build, build(owner, key))
             return value
     else:
         def memoized(owner, *key):
@@ -63,9 +64,17 @@ def memo(build):
                 setattr(owner, slot, table)
             value = table.get(key)
             if value is None:
-                value = table[key] = build(owner, *key)
+                value = table[key] = _built(build, build(owner, *key))
             return value
     return wraps(build)(memoized)
+
+
+def _built(build, value):
+    """value, which build just returned; None is refused, as the memo would
+    read it as a key not built yet and build it again on every call."""
+    if value is None:
+        raise TypeError(f"memoized {build.__qualname__} returned None")
+    return value
 
 
 def peek(owner, name: str):

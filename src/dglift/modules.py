@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .algebra import AlgebraElement, DGAlgebra, _repeated
 from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
-                     NotTriangular, OwnerMismatch, TriangularityUnrepairable)
+                     NotTriangular, OwnerMismatch)
 from .memo import memo
 
 if TYPE_CHECKING:  # homotopy imports this module
@@ -267,8 +267,9 @@ def cone(f: ChainMap) -> SemifreeModule:
     """Mapping cone of a shift-0 chain map f: N -> M.
 
     Basis is the shifted source followed by the target, stably re-sorted by
-    degree to restore strict lower triangularity (always possible over a
-    non-negatively graded algebra; checked anyway).
+    degree.  That restores strict lower triangularity: over a non-negatively
+    graded algebra an entry of a differential or chain map has degree >= 0,
+    so its row generator has lower degree than its column generator.
     """
     if f.shift != 0:
         raise DegreeMismatch(f"cone needs a shift-0 chain map, got shift {f.shift}")
@@ -284,24 +285,14 @@ def cone(f: ChainMap) -> SemifreeModule:
     names = tuple(gens[k][3] for k in order)
     degrees = tuple(gens[k][0] for k in order)
     diff: dict = {}
-
-    def put(row_old, col_old, el):
-        if el.is_zero():
-            return
-        r, c = pos[row_old], pos[col_old]
-        if r >= c:
-            raise TriangularityUnrepairable(
-                f"cone differential entry ({names[r]},{names[c]}) not strictly triangular")
-        key = (r, c)
-        diff[key] = diff[key] + el if key in diff else el
-
-    # d(s.n) = -s(dn) + f(n); d(c.m) = dm
+    # d(s.n) = -s(dn) + f(n); d(c.m) = dm: the three groups of entries land
+    # on disjoint keys
     for (mu, lam), el in N.diff.items():
-        put(mu, lam, el.neg())
+        diff[pos[mu], pos[lam]] = el.neg()
     for (mu, lam), el in f.entries.items():
-        put(mu + N.n_gens, lam, el)
+        diff[pos[mu + N.n_gens], pos[lam]] = el
     for (mu, lam), el in M.diff.items():
-        put(mu + N.n_gens, lam + N.n_gens, el)
+        diff[pos[mu + N.n_gens], pos[lam + N.n_gens]] = el
     return SemifreeModule(alg, names, degrees, diff)
 
 

@@ -36,7 +36,7 @@ class DegreewiseMap:
     degree is materialized.
     """
 
-    def __init__(self, source: Carrier, target: Carrier, build, name="op",
+    def __init__(self, source: Carrier, target: Carrier, build, name: str,
                  validate: bool = True):
         self.source = source
         self.target = target

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dglift.algebra import BaseRing, build_algebra, parse_element
 from dglift.config import EngineConfig
-from dglift.errors import IllFormedPresentation
+from dglift.errors import BadExpression, IllFormedPresentation
 from dglift.scalars import RATIONALS
 
 
@@ -120,7 +120,7 @@ def test_wrong_degree_rejected(config):
 
 
 def test_later_variable_rejected(config):
-    with pytest.raises(IllFormedPresentation):
+    with pytest.raises(BadExpression, match=r"^d\(y\): name 'z' not allowed here$"):
         build_algebra(BaseRing(), [("y", 2, "z"), ("z", 1, "0")], 0, config)
 
 

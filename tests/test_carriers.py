@@ -15,7 +15,10 @@ products over A have no carrier: their closed-form dimensions must be
 those of the all-rows quotient over A.
 """
 
+import ast
+import inspect
 import random
+import textwrap
 from functools import cache
 
 import pytest
@@ -535,3 +538,44 @@ def test_sigma_J_refuses_a_degree_past_the_cap(backend):
             with pytest.raises(CapExceeded,
                                match=rf"^Sigma\^1 J: DG degree {d} exceeds configured cap {cap};"):
                 SJ.dim(d)
+
+
+def engine_carriers(cls=Carrier) -> list:
+    """The carrier classes that the engine defines, below cls."""
+    out = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("dglift."):
+            out.append(sub)
+        out += engine_carriers(sub)
+    return out
+
+
+def sets_has_left(cls) -> bool:
+    """Whether cls or a base below Carrier assigns has_left, in its class
+    body or on an instance; a carrier none of them assigns never has a left
+    action."""
+    for base in cls.__mro__[:cls.__mro__.index(Carrier)]:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(base)))
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "has_left" for t in targets):
+                return True
+    return False
+
+
+def test_every_carrier_defines_its_interface():
+    """Carrier declares no stub: each engine carrier defines min_degree, dim,
+    labels, diff and right_act, and left_act unless it can never have
+    has_left, which leaves SemifreeCarrier, whose right factor needs a left
+    action, with no left action of its own."""
+    classes = engine_carriers()
+    assert {c.__name__ for c in classes} == {
+        "AlgebraCarrier", "SemifreeCarrier", "ShiftedCarrier", "KernelSubCarrier",
+        "TensorCarrier", "EnvelopingCarrier"}
+    for cls in classes:
+        for name in ("min_degree", "dim", "labels", "diff", "right_act"):
+            assert callable(getattr(cls, name, None)), (cls.__name__, name)
+        assert callable(getattr(cls, "left_act", None)) or not sets_has_left(cls), cls.__name__
+    assert [c.__name__ for c in classes if not hasattr(c, "left_act")] == ["SemifreeCarrier"]
+    assert not any(hasattr(Carrier, name) for name in (
+        "min_degree", "dim", "labels", "diff", "right_act", "left_act"))

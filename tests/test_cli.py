@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -228,13 +229,18 @@ MOD = ALG + "[module N]\ngen e0 : 0\ngen e1 : 2\n"
     (MOD + "d e1 = (e0) * y\n", 9, "term must start with a generator, got '('"),
     (MOD + "d e1 = e0 y\n", 9, "expected '*' or a sign after 'e0', found 'y'"),
     (MOD + "d e1 = e0 * y (y)\n", 9, "bad coefficient expression: trailing input at '('"),
+    (BASE + "[algebra]\nvar x : 2 = y\nvar y : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+     "d(x): name 'y' not allowed here"),
+    (BASE + "[algebra]\nvar y : 3 = y*z\nvar z : 1 = 0\n[module N]\ngen e0 : 0\n", 5,
+     "d(y): name 'y' not allowed here"),
 ], ids=["var-unnamed", "var-not-identifier", "gen-unnamed", "modules-header",
         "module-unspaced", "module-two-words", "before-any-section", "base-no-equals",
         "limits-no-equals", "unknown-base-key", "unknown-algebra-key", "unknown-limit",
         "module-unnamed", "A-not-an-integer", "algebra-line", "module-line", "gen-line",
         "d-line", "limit-not-an-integer", "d-unknown-generator", "term-not-a-generator",
         "sign-after-a-coefficient-factor", "d-empty", "d-sign-only", "d-dangling-sign",
-        "d-parenthesized-generator", "d-missing-star", "d-juxtaposed-coefficient"])
+        "d-parenthesized-generator", "d-missing-star", "d-juxtaposed-coefficient",
+        "var-d-later-variable", "var-d-itself-and-later"])
 def test_a_malformed_name_or_header_is_a_syntax_error_at_its_line(tmp_path, lines, lineno,
                                                                    message):
     """Variable, generator and module names are identifiers, and a module
@@ -344,6 +350,38 @@ def test_run_corpus_runs_without_pythonpath(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rows"]
+
+
+SIGN = {True: "+", False: "-", None: "?"}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp"])
+def test_run_corpus_prints_the_json_verdicts_as_a_table(field):
+    """The text table holds one row per corpus module, in the order of the
+    --json rows, whose +, - and ? signs are the --json AR1, AR2, verdicts
+    and kernel-sequence result, and a footer naming the backend."""
+    def run(*flags):
+        proc = subprocess.run(
+            [sys.executable, str(DATA.parent.parent / "scripts" / "run_corpus.py"),
+             "--field", field, *flags], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout
+
+    report = json.loads(run("--json"))
+    head, rule, *lines = run().splitlines()
+    conditions = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"]
+    assert head.split() == ["instance", "AR1", "AR2", *conditions]
+    assert set(rule) == {"-"} and len(rule) == len(head)
+    *rows, blank, footer = lines
+    assert blank == "" and len(rows) == len(report["rows"]) == 18
+    assert re.fullmatch(rf"18 modules, backend {re.escape(report['backend'])}, \d+\.\d\ds",
+                        footer), footer
+    for text, row in zip(rows, report["rows"]):
+        want = [row["instance"], SIGN[row["AR1"]], SIGN[row["AR2"]],
+                *(SIGN[row["verdicts"][c]] for c in conditions)]
+        if "kernel_sequence_ok" in row:
+            want.append("ks=" + SIGN[row["kernel_sequence_ok"]])
+        assert text.split() == want
 
 
 def test_battery_exit_codes_and_verdicts():

@@ -553,3 +553,35 @@ def test_a_battery_leaves_nothing_alive_after_a_collection(backend):
     refs = run()
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+class Nothing:
+    """An owner whose builds return None and count their calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    @memo
+    def none0(self):
+        self.calls += 1
+
+    @memo
+    def none1(self, a):
+        self.calls += 1
+
+    @memo
+    def none2(self, a, b):
+        self.calls += 1
+
+
+@pytest.mark.parametrize("name, args", [("none0", ()), ("none1", (1,)), ("none2", (1, 2))])
+def test_a_build_that_returns_none_is_refused(name, args):
+    """None marks a key not built yet, so a build that returns it is refused
+    by name on every call instead of being rebuilt silently, and nothing is
+    stored."""
+    owner = Nothing()
+    for calls in (1, 2):
+        with pytest.raises(TypeError, match=f"^memoized Nothing.{name} returned None$"):
+            getattr(owner, name)(*args)
+        assert owner.calls == calls
+    assert not peek(owner, name)
