@@ -13,27 +13,33 @@ peak resident set read right after the rung; sha256 hashes the rung's
 canonical result, computed after both are read, so equal digests on two
 commits mean equal results.
 
-The rungs, all with default caps (max_degree 16, max_tensor 4), most of
-them over the exterior algebra on odd generators y0, y1, ... with zero
-differential:
-  ladder_ext5_d12, ladder_ext5_d13   on 5 generators, dim, labels and diff
-                                     of T^n in every degree 2n..12 (..13),
-                                     n = 1..4; the digest hashes the three
-  chain_ext5_len5, chain_ext5_len6,  the nine-verdict battery on the chain
-  chain_ext5_len7, chain_ext6_len5   e0..e_{L-1}, e_j in degree 2j and
-                                     d e_{j+1} = e_j y0, over 5 or 6
-                                     generators; the digest hashes the report
+Each rung reads its inputs from an instance file in scripts/rung_inputs/,
+parsed with the default caps (max_degree 16, max_tensor 4), so any of its
+chains runs on the command line too:
+
+    dglift battery scripts/rung_inputs/ext5.dg --module len5
+
+The files: ext5.dg and ext6.dg, the exterior algebra on 5 or 6 odd
+generators y0, y1, ... with zero differential, and tate_ext4.dg and
+tate_ext5.dg, the Tate-ext algebra k[q]/(q^2) on 4 or 5 odd X0, X1, ...
+with d X_i = q, whose differential is not zero.  Their modules lenL are
+the chains e0..e_{L-1}, e_j in degree 2j, with d e_{j+1} = e_j y0 over
+the exterior algebras (L = 5, 6, 7 in ext5.dg, L = 5 in ext6.dg) and
+d e_{j+1} = e_j (X0 - X1) over the Tate-ext ones (L = 5).  The rungs:
+  ladder_ext5_d12, ladder_ext5_d13   on ext5.dg's algebra, dim, labels and
+                                     diff of T^n in every degree 2n..12
+                                     (..13), n = 1..4; the digest hashes
+                                     the three
+  chain_ext5_len5, chain_ext5_len6,  the nine-verdict battery on len5, len6
+  chain_ext5_len7, chain_ext6_len5   and len7 of ext5.dg and on len5 of
+                                     ext6.dg; the digest hashes the report
   cone_ext5_len5, cone_ext6_len5     the battery on the cone of the identity
-                                     of the first two chains
-  kernel_ext5_len5                   kernel_sequence_check alone on the
-                                     chain of chain_ext5_len5; the digest
-                                     hashes its result
-and two over the Tate-ext algebra k[q]/(q^2) with odd X0, X1, ... and
-d X_i = q, whose differential is not zero:
-  tate_ext4_len5, tate_ext5_len5     the battery on the chain e0..e4, e_j in
-                                     degree 2j and d e_{j+1} = e_j (X0 - X1),
-                                     over 4 or 5 generators X_i; the digest
-                                     hashes the report
+                                     of the two len5 chains
+  kernel_ext5_len5                   kernel_sequence_check alone on len5 of
+                                     ext5.dg; the digest hashes its result
+  tate_ext4_len5, tate_ext5_len5     the battery on len5 of tate_ext4.dg and
+                                     tate_ext5.dg; the digest hashes the
+                                     report
 The Tate-ext chain of length 6 over 5 generators (tate_ext5_len6) is left
 out: its battery took about 7 GB.
 """
@@ -52,40 +58,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dglift.algebra import BaseRing, build_algebra  # noqa: E402
+from dglift.cli import parse_instance  # noqa: E402
 from dglift.config import EngineConfig  # noqa: E402
 from dglift.diagonal import Diagonal  # noqa: E402
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery  # noqa: E402
-from dglift.modules import ChainMap, cone, make_module  # noqa: E402
+from dglift.modules import ChainMap, cone  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
 FIELDS = ("Q", "Fp")
+INPUTS = ROOT / "scripts" / "rung_inputs"
 
 
-def exterior(ngens: int, field: str):
-    return build_algebra(BaseRing(), [(f"y{i}", 1, "0") for i in range(ngens)], 0,
-                         EngineConfig(field=field_from_spec(field)))
-
-
-def tate_ext(ngens: int, field: str):
-    return build_algebra(BaseRing("q", 2), [(f"X{i}", 1, "q") for i in range(ngens)], 0,
-                         EngineConfig(field=field_from_spec(field)))
-
-
-def chain(alg, length: int, coefficient=None):
-    """e0..e_{length-1}, e_j in degree 2j, with d e_{j+1} = e_j * coefficient,
-    y0 by default."""
-    b = alg.gen("y0") if coefficient is None else coefficient
-    return make_module(alg, [(f"e{j}", 2 * j) for j in range(length)],
-                       {(f"e{j}", f"e{j + 1}"): b for j in range(length - 1)})
+def read(algebra: str, field: str):
+    """scripts/rung_inputs/<algebra>.dg, parsed on the field with the
+    default caps."""
+    return parse_instance(str(INPUTS / f"{algebra}.dg"),
+                          EngineConfig(field=field_from_spec(field)))
 
 
 def ladder(top: int):
     """dim, labels and diff of T^n in every degree 2n..top, n = 1..4, on the
-    exterior algebra on 5 generators; returns the Diagonal, whose memos
-    keep every diff."""
+    exterior algebra on 5 generators (ext5.dg); returns the Diagonal, whose
+    memos keep every diff."""
     def rung(field):
-        diag = Diagonal(exterior(5, field))
+        diag = Diagonal(read("ext5", field).algebra)
         for n in range(1, 5):
             car = diag.T(n)
             for d in range(2 * n, top + 1):
@@ -103,17 +99,11 @@ def ladder(top: int):
     return rung, digest
 
 
-def battery(ngens: int, length: int, of_cone: bool = False, tate: bool = False):
-    """The battery on the chain of this length over the exterior algebra on
-    ngens generators, or on the cone of its identity; with tate, on the
-    chain over the Tate-ext algebra on ngens generators, with coefficient
-    X0 - X1."""
+def battery(algebra: str, module: str, of_cone: bool = False):
+    """The battery on the module of this name in <algebra>.dg, or on the
+    cone of its identity."""
     def rung(field):
-        if tate:
-            alg = tate_ext(ngens, field)
-            M = chain(alg, length, alg.gen("X0") - alg.gen("X1"))
-        else:
-            M = chain(exterior(ngens, field), length)
+        M = read(algebra, field).modules[module]
         if of_cone:
             M = cone(ChainMap.identity(M))
         return naive_lift_battery(M, Diagonal(M.algebra), name="rung")
@@ -123,11 +113,11 @@ def battery(ngens: int, length: int, of_cone: bool = False, tate: bool = False):
     return rung, digest
 
 
-def kernel_sequence(ngens: int, length: int):
-    """kernel_sequence_check on the chain of this length over the exterior
-    algebra on ngens generators, with no battery before it."""
+def kernel_sequence(algebra: str, module: str):
+    """kernel_sequence_check on the module of this name in <algebra>.dg,
+    with no battery before it."""
     def rung(field):
-        M = chain(exterior(ngens, field), length)
+        M = read(algebra, field).modules[module]
         return kernel_sequence_check(M, Diagonal(M.algebra))
 
     def digest(result, h):
@@ -138,15 +128,15 @@ def kernel_sequence(ngens: int, length: int):
 RUNGS = {
     "ladder_ext5_d12": ladder(12),
     "ladder_ext5_d13": ladder(13),
-    "chain_ext5_len5": battery(5, 5),
-    "chain_ext5_len6": battery(5, 6),
-    "chain_ext5_len7": battery(5, 7),
-    "chain_ext6_len5": battery(6, 5),
-    "cone_ext5_len5": battery(5, 5, of_cone=True),
-    "cone_ext6_len5": battery(6, 5, of_cone=True),
-    "kernel_ext5_len5": kernel_sequence(5, 5),
-    "tate_ext4_len5": battery(4, 5, tate=True),
-    "tate_ext5_len5": battery(5, 5, tate=True),
+    "chain_ext5_len5": battery("ext5", "len5"),
+    "chain_ext5_len6": battery("ext5", "len6"),
+    "chain_ext5_len7": battery("ext5", "len7"),
+    "chain_ext6_len5": battery("ext6", "len5"),
+    "cone_ext5_len5": battery("ext5", "len5", of_cone=True),
+    "cone_ext6_len5": battery("ext6", "len5", of_cone=True),
+    "kernel_ext5_len5": kernel_sequence("ext5", "len5"),
+    "tate_ext4_len5": battery("tate_ext4", "len5"),
+    "tate_ext5_len5": battery("tate_ext5", "len5"),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import algebra_oracle as oracle
 from dglift.algebra import AlgebraElement
 from dglift.config import EngineConfig
-from dglift.instances import BUILDERS, build_corpus
+from dglift.instances import CORPUS, build_corpus
 from dglift.scalars import DEFAULT_PRIME_FIELD, RATIONALS
 
 BACKENDS = {"Q": RATIONALS, "Fp": DEFAULT_PRIME_FIELD}
@@ -52,7 +52,7 @@ def shown(terms: dict) -> str:
 @given(st.data())
 def test_element_arithmetic_is_the_op_by_op_definition(data):
     backend = data.draw(st.sampled_from(sorted(BACKENDS)))
-    alg = corpus_algebras(backend)[data.draw(st.sampled_from(sorted(BUILDERS)))]
+    alg = corpus_algebras(backend)[data.draw(st.sampled_from(sorted(CORPUS)))]
     f = alg.field
     x, y = element(data, alg), element(data, alg)
     c = data.draw(coefficients(f))

@@ -264,6 +264,6 @@ def test_a_summand_witness_with_a_corrupted_homotopy_is_refused(monkeypatch):
     monkeypatch.setattr(liftcheck, "SummandWitness", lambda m, g, h, homotopy: real(
         m, g, h, {k: v.scale(2) for k, v in homotopy.items()}))
     with pytest.raises(DimensionMismatch, match="^" + re.escape(
-            "summand witness of SemifreeModule([c.b0:0, s.b0:1]) failed its homotopy "
+            "summand witness of SemifreeModule([c_b0:0, s_b0:1]) failed its homotopy "
             "recheck") + "$"):
         summand_witness(N, sigma, G, pi, inst.diag.minimal(N))
