@@ -98,29 +98,21 @@ class EnvelopingCarrier(Carrier):
         return d, out
 
     def multiply(self, d1: int, vec1: dict, d2: int, vec2: dict) -> dict:
-        """Product in the enveloping algebra, in degree d1 + d2 coordinates."""
+        """Product in the enveloping algebra, in degree d1 + d2 coordinates,
+        through the carrier's own actions: for a basis pair u (x) m and v of
+        degree d2, (u (x) m) v = (-1)^{|m| d2} R(m) L(u) v, with L(u) the left
+        action of u on degree d2 and R(m) the right action of m on degree
+        d2 + |u|.  B being graded commutative, this is the sign
+        (-1)^{|u2||m1|} of (u1 (x) m1)(u2 (x) m2) = u1 u2 (x) m1 m2."""
         alg = self.algebra
         f = self.field
         out: dict = {}
-        lab1, lab2 = self.labels(d1), self.labels(d2)
-        for k1, c1 in vec1.items():
-            u1, m1 = lab1[k1]
-            dm1 = alg.mono_degree(m1)
-            for k2, c2 in vec2.items():
-                u2, m2 = lab2[k2]
-                # (u1 (x) m1)(u2 (x) m2) = (-1)^{|u2||m1|} u1 u2 (x) m1 m2
-                s1, uu = alg.mono_mul(u1, u2)
-                if uu is None:
-                    continue
-                s2, mm = alg.mono_mul(m1, m2)
-                if mm is None:
-                    continue
-                sgn = s1 * s2 * ((-1) ** (alg.mono_degree(u2) * dm1))
-                c = f.mul(c1, c2)
-                if sgn < 0:
-                    c = f.neg(c)
-                dd, vec = self.pair_vector(uu, mm, c)
-                vec_axpy(f, out, f.one, vec)
+        labels = self.labels(d1)
+        for k, c in vec1.items():
+            u, m = labels[k]
+            left = self.action("l", u, d2).mat_vec(vec2)
+            prod = self.action("r", m, d2 + alg.mono_degree(u)).mat_vec(left)
+            vec_axpy(f, out, f.neg(c) if alg.mono_degree(m) * d2 % 2 else c, prod)
         return out
 
     def _operator(self, d: int, e: int, s: int, xside=None, yside=None) -> SparseMatrix:

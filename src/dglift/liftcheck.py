@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace,
+from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace, MapLayout,
                        carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
                        cols_to_entries, entries_to_cols, hom_k_dim, space_name)
 from .linalg import SparseMatrix
@@ -35,14 +35,16 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     Decided on N's minimal model N' = diag.minimal(N).module, with
     (f, g, h) its retraction: one solve of the chain-and-section system
     pi tau = g for a chain map tau: N' -> G, on Hom(N', G), the space that
-    p_ideal_dims reads too.  Then sigma = tau f + delta(s0 h), s0 sending
+    p_ideal_dims reads too: the system is [delta_1; pi o -] tau = [0; g],
+    delta_1 tau = 0 making tau a chain map and pi o tau = g making it a
+    lift of g through pi.  Then sigma = tau f + delta(s0 h), s0 sending
     e_lam to e_lam (x) 1, has pi sigma = g f + delta h = id, since pi s0 is
-    the identity and pi commutes with delta.  Conversely a section sigma
-    would make tau = sigma g a solution, so the solve's None, whose absence
-    certificate it has rechecked on N', means that no sigma exists.  When N'
-    is N the system is the one on Hom(N, G) and sigma = tau; when N' = 0
-    nothing is solved and sigma = delta(s0 h).  sigma is rechecked on N as a
-    chain map and as a strict section."""
+    the identity and pi commutes with delta.  Conversely a section sigma would make
+    tau = sigma g a solution, so the solve's None, whose absence
+    certificate it has rechecked on N', means that no sigma exists.  When
+    N' is N the system is the one on Hom(N, G) and sigma = tau; when N' = 0
+    nothing is solved and sigma = delta(s0 h).  sigma is rechecked on N as
+    a chain map and as a strict section."""
     G, pi = diag.base_change(N)
     model = diag.minimal(N)
     M, f = model.module, N.algebra.field
@@ -51,16 +53,15 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
     if M.n_gens:
         hs = diag.hom(M, G)
         pi_op = chain_map_operator(pi)
-        g_cols = entries_to_cols(model.g.entries, M, N.carrier(), 0)
-        rows = hs.chain_matrix().rows()
-        rhs = {}
-        for kappa in range(M.n_gens):
-            off, d, n = hs.layout.block(kappa)
-            for i, c in g_cols.get(kappa, {}).items():
-                rhs[len(rows) + i] = c
-            for prow in pi_op.mat(d).rows():
-                rows.append({off + j: c for j, c in prow.items()})
-        sol = SparseMatrix.from_rows(f, hs.layout.total, rows).solve(rhs)
+        images = MapLayout(M, N.carrier(), 0)
+        post_pi = SparseMatrix.from_blocks(f, images.offsets, hs.layout.offsets, (
+            (k, k, f.one, pi_op.mat(hs.layout.block(k)[1])) for k in range(M.n_gens)))
+        d1 = hs.chain_matrix()
+        system = SparseMatrix.from_blocks(
+            f, [0, d1.nrows, d1.nrows + images.total], [0, hs.layout.total],
+            ((0, 0, f.one, d1), (1, 0, f.one, post_pi)))
+        g_flat = images.to_flat(entries_to_cols(model.g.entries, M, N.carrier(), 0))
+        sol = system.solve({d1.nrows + i: c for i, c in g_flat.items()})
         if sol is None:
             return None
         sigma = CarrierMap(M, gcar, 0, hs.layout.from_flat(sol))

@@ -337,9 +337,11 @@ def cone_component_dims(N: SemifreeModule, diag: Diagonal, n: int, d: int):
 
 def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int):
     """For each basis element of N (x) T^i in the generator-degree window,
-    the least power killing it; asserts the degree bound."""
+    the least power killing it; asserts the degree bound.  A power that
+    needs a tensor degree past max_tensor reaches Diagonal.T, which raises
+    CapExceeded; one past the bound raises DimensionMismatch naming the
+    degree and the basis element."""
     tower = ObstructionTower(N, diag)
-    cap = diag.config.max_tensor
     src = diag.NT(N, i)
     f = N.algebra.field
     out = []
@@ -350,7 +352,7 @@ def local_nilpotency(N: SemifreeModule, diag: Diagonal, i: int):
             n_x = None
             j = i
             cur = {k: f.one}
-            while j - i < bound and j + 1 <= cap:
+            while j - i < bound:
                 if j - i == len(components):
                     components.append(tower.component(j))
                 cur = components[j - i].mat(d).mat_vec(cur)
@@ -408,14 +410,11 @@ def functoriality_defect_is_null(N, Nprime, fmap: ChainMap, diag: Diagonal) -> b
     return diag.hom(N, rhs.target).null_homotopy(lhs.sub(rhs)) is not None
 
 
-def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap,
-                         window=None) -> bool:
+def conjugation_commutes(N: SemifreeModule, diag: Diagonal, u: ChainMap, window) -> bool:
     """Strict conjugation identity for a triangular chain automorphism:
-    (u (x) id) w = w (u (x) id), entrywise per degree of the window (by
-    default min..max+1 of N), on tensor components 0 and 1."""
+    (u (x) id) w = w (u (x) id), entrywise per degree of the window, on
+    tensor components 0 and 1."""
     tower = ObstructionTower(N, diag)
-    if window is None:
-        window = range(N.min_degree, N.max_degree + 2)
     for i in (0, 1):
         w = tower.component(i)
         phi_i = map_tensor_id(u, diag, i)

@@ -241,12 +241,14 @@ def test_relation_quotient_is_the_dense_quotient(backend):
 
 def large_carriers(backend):
     """(where, cap, TensorCarrier): T^2, T^3 and B (x)_B T^n for n <= 2 over
-    the exterior algebra on five odd generators to degree 6 and over tate2
-    to degree 8."""
+    the exterior algebra on five odd generators to degree 6, over tate2 to
+    degree 8, and over k<z> with |z| = 2 to degree 11, whose B_1 = 0 leaves
+    pieces of T^n empty between nonzero ones."""
     out = []
     for name, base, gens, cap in (
             ("ext5", BaseRing(), [(f"y{i}", 1, "0") for i in range(5)], 6),
-            ("tate2", BaseRing("q", 2), [("X", 1, "q"), ("Y", 2, "q*X")], 8)):
+            ("tate2", BaseRing("q", 2), [("X", 1, "q"), ("Y", 2, "q*X")], 8),
+            ("even", BaseRing(), [("z", 2, "0")], 11)):
         diag = Diagonal(build_algebra(base, gens, 0,
                                       CONFIGS[backend].with_limits(max_degree=cap)))
         out += [((name, f"T{n}"), cap, diag.T(n)) for n in (2, 3)]

@@ -11,8 +11,10 @@ import pytest
 from dglift.algebra import AlgebraElement, DGAlgebra
 from dglift.cli import main, parse_instance, ParseError
 from dglift.config import EngineConfig
+from dglift.diagonal import Diagonal
 from dglift.errors import DSquaredNonzero, IllFormedPresentation
 from dglift.modules import make_module
+from dglift.obstruction import EnvelopingRouteTower
 from dglift.scalars import RATIONALS
 
 from conftest import DATA
@@ -422,6 +424,26 @@ def test_omega_command_on_free():
     assert report["construction_routes_agree"] is True
 
 
+def test_omega_reports_routes_that_disagree(monkeypatch):
+    """With the enveloping route's core doubled, its tower no longer equals
+    the direct one entrywise: omega says so and exits 1."""
+    honest = EnvelopingRouteTower.core_matrix
+    monkeypatch.setattr(EnvelopingRouteTower, "core_matrix", lambda self, d: honest(
+        self, d).scale(self.N.algebra.field.from_int(2)))
+    code, out, _ = run_cli(["omega", str(DATA / "two_step.dg"), "--json"])
+    assert (code, json.loads(out)["construction_routes_agree"]) == (1, False)
+
+
+def test_python_m_dglift_is_the_cli():
+    """python -m dglift runs cli.main: the same report, byte for byte, and
+    the same exit code."""
+    args = ["check", str(DATA / "two_step.dg"), "--json"]
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "dglift", *args],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(args)
+
+
 def test_hom_command_negative_shift():
     code, out, _ = run_cli(["hom", str(DATA / "koszul.dg"), "--shift=-1", "--json"])
     assert code == 0
@@ -452,12 +474,19 @@ def unsigned_mono_mul(alg, u, v, signed=DGAlgebra.mono_mul):
     return (0 if w is None else 1), w
 
 
+def unbalanced_in_degree_one(diag, d, honest=Diagonal.check_basic_sequence):
+    """check_basic_sequence reporting degree 1 alone as unbalanced."""
+    return {**honest(diag, d), "balanced": d != 1}
+
+
 @pytest.mark.parametrize("owner, name, fake, failures", [
     # d = id: d(dx) = x and d(xy) = xy against dx y +- x dy = (1 +- 1) xy
     (AlgebraElement, "differentiate", lambda self: self, ["d_squared", "leibniz"]),
     # two odd variables that commute, so yu = uy and not -uy
     (DGAlgebra, "mono_mul", unsigned_mono_mul, ["graded_commutativity"]),
-], ids=["identity-differential", "unsigned-product"])
+    # dim J_1 + dim B_1 != dim (B^e)_1
+    (Diagonal, "check_basic_sequence", unbalanced_in_degree_one, ["diagonal_balance"]),
+], ids=["identity-differential", "unsigned-product", "unbalanced-diagonal"])
 def test_check_names_each_identity_that_fails(monkeypatch, owner, name, fake, failures):
     """Broken after the file is read, the algebra fails exactly the
     identities that the break violates, and check reports them and exits 1."""

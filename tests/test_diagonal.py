@@ -1,10 +1,11 @@
 """Enveloping algebra, diagonal ideal, derivation, tensor algebra."""
 
 import random
+from itertools import product
 
 import pytest
 
-from dglift.algebra import BaseRing, build_algebra
+from dglift.algebra import AlgebraElement, BaseRing, build_algebra
 from dglift.carriers import validate_carrier_squares
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
@@ -97,6 +98,65 @@ def test_pi_is_algebra_map_on_random_elements(tate):
                 k = alg.mono_index(d1 + d2, w)
                 vec_axpy(f, rhs, f.one, {k: coef})
         assert lhs == rhs
+
+
+def random_vectors(env, rng, top, count):
+    """count pairs (degree, vector) of B (x)_A B, each degree at most top
+    with a nonzero piece, each vector of one to three terms."""
+    f = env.field
+    degrees = [d for d in range(top + 1) if env.dim(d)]
+    out = []
+    for _ in range(count):
+        d = rng.choice(degrees)
+        out.append((d, {k: f.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for k in rng.sample(range(env.dim(d)), min(3, env.dim(d)))}))
+    return out
+
+
+def test_multiply_laws_on_random_vectors(corpus_algebras):
+    """On multi-term vectors of every corpus algebra, of degrees up to 3 a
+    factor: the product is associative, 1 (x) 1 is a two-sided unit, pi
+    is multiplicative (products in B taken as AlgebraElements), and on
+    basis pairs (u1 (x) m1)(u2 (x) m2) = (-1)^{|u2||m1|} u1 u2 (x) m1 m2.
+    A factor's degree is also kept to a third of the cap, so that a triple
+    product stays within it."""
+    rng = random.Random(5)
+    checked = 0
+    for alg in corpus_algebras:
+        env, f = Diagonal(alg).env, alg.field
+        top = min(3, alg.config.max_degree // 3)
+        unit = env.pair_vector(alg.unit_mono(), alg.unit_mono())[1]
+
+        def element(d, vec):
+            monos = alg.monomials(d)
+            return AlgebraElement(alg, {monos[i]: c for i, c in vec.items()})
+
+        def coords(d, el):
+            return {alg.mono_index(d, u): c for u, c in el.terms.items()}
+
+        vecs = random_vectors(env, rng, top, 75)
+        for (d1, a), (d2, b), (d3, c) in zip(vecs[::3], vecs[1::3], vecs[2::3]):
+            ab = env.multiply(d1, a, d2, b)
+            assert env.multiply(d1 + d2, ab, d3, c) == \
+                env.multiply(d1, a, d2 + d3, env.multiply(d2, b, d3, c))
+            assert env.multiply(0, unit, d1, a) == a == env.multiply(d1, a, 0, unit)
+            pi = env.pi_matrix
+            assert pi(d1 + d2).mat_vec(ab) == coords(d1 + d2, element(
+                d1, pi(d1).mat_vec(a)) * element(d2, pi(d2).mat_vec(b)))
+            checked += 1
+        for d1 in range(top + 1):
+            for d2 in range(top + 1):
+                for (k1, (u1, m1)), (k2, (u2, m2)) in product(enumerate(env.labels(d1)),
+                                                              enumerate(env.labels(d2))):
+                    sign = -1 if alg.mono_degree(u2) * alg.mono_degree(m1) % 2 else 1
+                    uu = alg.from_mono(u1) * alg.from_mono(u2)
+                    mm = alg.from_mono(m1) * alg.from_mono(m2)
+                    want: dict = {}
+                    for (u, cu), (m, cm) in product(uu.terms.items(), mm.terms.items()):
+                        c = f.mul(f.from_int(sign), f.mul(cu, cm))
+                        vec_axpy(f, want, f.one, env.pair_vector(u, m, c)[1])
+                    assert env.multiply(d1, {k1: f.one}, d2, {k2: f.one}) == want
+    assert checked == 25 * len(corpus_algebras)
 
 
 def test_pi_commutes_with_differential(tate):

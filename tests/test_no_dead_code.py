@@ -4,11 +4,15 @@ or scripts/ is referenced somewhere there besides its own definition.
 The scan is by name, with ast.  A definition counts as used when its name
 is loaded anywhere in those trees, as a bare name or as an attribute, other
 than inside a definition of the same name (so recursion alone does not
-count).  A method whose name is also a data attribute there (cols is a
-CarrierMap field as well as a SparseMatrix method) counts only where it is
-called, as .name(...); a property, read without a call, counts on any
-attribute load.  Dunder methods are called by Python itself and are not
-checked.
+count).  A module-level function is reached only by its bare name or by a
+from-import of it, so for it an attribute load does not count: a call of
+the method _Tokens.peek does not use the function memo.peek.  A from-import
+counts for module-level functions only: it does not keep a class, a method
+or a nested function of the same name alive.  A method
+whose name is also a data attribute there (cols is a CarrierMap field as
+well as a SparseMatrix method) counts only where it is called, as
+.name(...); a property, read without a call, counts on any attribute load.
+Dunder methods are called by Python itself and are not checked.
 
 A definition nothing references may stay only for one of three reasons:
 perfbench/probes.py wraps it (read from its SPAN_TABLE, as in
@@ -28,6 +32,8 @@ PROBES = ROOT / "perfbench" / "probes.py"
 TEST_VIEWS = {
     "dglift.linalg.Echelon.pivots": "test_linalg, test_scalars and test_carriers: "
                                     "the pivot columns, against the oracles'",
+    "dglift.memo.peek": "test_homotopy and test_memo: what a memo holds, without "
+                        "building it",
 }
 
 
@@ -37,9 +43,9 @@ def qualname(path: Path, *names: str) -> str:
 
 
 class Scan(ast.NodeVisitor):
-    """Definitions (qualified name, bare name, is a property), loads (name,
-    how: "name", "attr" or "call") and data-attribute names of one tree of
-    files."""
+    """Definitions (qualified name, bare name, is a property, is a
+    module-level function), loads (name, how: "name", "attr", "call" or
+    "import") and data-attribute names of one tree of files."""
 
     def __init__(self):
         self.defs: list = []
@@ -55,7 +61,9 @@ class Scan(ast.NodeVisitor):
     def _define(self, node) -> None:
         prop = any(getattr(d, "id", None) in ("property", "cached_property")
                    for d in node.decorator_list)
-        self.defs.append((qualname(self._path, *self._scope, node.name), node.name, prop))
+        toplevel = not self._scope and not isinstance(node, ast.ClassDef)
+        self.defs.append((qualname(self._path, *self._scope, node.name), node.name, prop,
+                          toplevel))
         self._scope.append(node.name)
         self.generic_visit(node)
         self._scope.pop()
@@ -95,6 +103,10 @@ class Scan(ast.NodeVisitor):
         if isinstance(node.ctx, ast.Load):
             self._load(node.id, "name")
 
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            self._load(alias.name, "import")
+
 
 def scan() -> Scan:
     s = Scan()
@@ -127,9 +139,12 @@ def exported() -> set:
 
 def unreferenced(s: Scan) -> list:
     read = {name for name, how in s.loads if how == "attr"}
-    used = {name for name, how in s.loads if how != "attr" or name not in s.data}
-    return sorted(q for q, name, prop in s.defs
-                  if name not in used and not (prop and name in read)
+    used = {name for name, how in s.loads
+            if how != "import" and (how != "attr" or name not in s.data)}
+    by_name = {name for name, how in s.loads if how in ("name", "import")}
+    return sorted(q for q, name, prop, toplevel in s.defs
+                  if name not in (by_name if toplevel else used)
+                  and not (prop and name in read)
                   and not (name.startswith("__") and name.endswith("__")))
 
 
@@ -141,7 +156,7 @@ def test_every_definition_is_referenced_or_allowed():
 
 def test_the_allowlist_of_test_views_is_current():
     s = scan()
-    defined = {q for q, _, _ in s.defs}
+    defined = {q for q, *_ in s.defs}
     assert set(TEST_VIEWS) <= defined, set(TEST_VIEWS) - defined
     live = set(TEST_VIEWS) - set(unreferenced(s))
     assert not live, f"referenced now, so no longer an exception: {sorted(live)}"
@@ -149,8 +164,11 @@ def test_the_allowlist_of_test_views_is_current():
 
 def test_the_scan_sees_a_helper_lose_its_only_caller(tmp_path):
     """A helper whose one call is removed is reported, one that is only
-    called by itself is reported, and a method sharing a data attribute's
-    name is reported unless something calls it."""
+    called by itself is reported, a method sharing a data attribute's
+    name is reported unless something calls it, a module-level function
+    shadowed by a method's name is reported until it is imported, however
+    often the method is called, and a class or a method named like an
+    imported function is still reported while nothing else uses it."""
     pkg = tmp_path / "dglift"
     pkg.mkdir()
     src = pkg / "m.py"
@@ -166,12 +184,23 @@ def test_the_scan_sees_a_helper_lose_its_only_caller(tmp_path):
         "    return 1\n"
         "def rec(n):\n"
         "    return rec(n - 1) if n else 0\n"
-        "C().used()\n")
+        "class T:\n"
+        "    def peek(self):\n"
+        "        return 0\n"
+        "def peek():\n"
+        "    return 1\n"
+        "class Field:\n"
+        "    pass\n"
+        "C().used(); T().peek()\n")
     s = Scan()
     s.scan(src)
-    assert unreferenced(s) == ["dglift.m.C.cols", "dglift.m.rec"]
+    assert unreferenced(s) == ["dglift.m.C.cols", "dglift.m.Field", "dglift.m.peek",
+                               "dglift.m.rec"]
     src.write_text(src.read_text().replace("return helper()", "return 1")
-                   .replace("C().used()", "C().used(); C().cols()"))
+                   .replace("C().used()", "C().used(); C().cols()")
+                   .replace("T().peek()", "T()")
+                   + "from dglift.m import peek\nfrom dglift.scalars import Field\n")
     s = Scan()
     s.scan(src)
-    assert unreferenced(s) == ["dglift.m.helper", "dglift.m.rec"]
+    assert unreferenced(s) == ["dglift.m.Field", "dglift.m.T.peek", "dglift.m.helper",
+                               "dglift.m.rec"]

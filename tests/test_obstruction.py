@@ -4,9 +4,11 @@ functoriality, basis-change conjugation, and f (x) id against independent
 routes."""
 
 import random
+import re
 
 import pytest
 
+import dglift.obstruction as obstruction
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import TensorCarrier
 from dglift.diagonal import Diagonal
@@ -228,6 +230,32 @@ def test_local_nilpotency(ext, ext_diag):
         assert 1 <= c["power"] <= c["bound"]
 
 
+def test_local_nilpotency_is_refused_past_the_tensor_cap(config):
+    """At max_tensor 2 the power 3 that e2 needs reaches T^3, and
+    Diagonal.T, the one place a tensor degree is refused, names it."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0")], 0, config.with_limits(max_tensor=2))
+    with pytest.raises(CapExceeded, match="^" + re.escape(
+            "tensor degree 3 exceeds configured cap 2; raise the limit") + "$"):
+        local_nilpotency(three_step(alg), Diagonal(alg), 0)
+
+
+def test_local_nilpotency_names_an_element_no_power_kills(monkeypatch, ext, ext_diag):
+    """With every component made to keep its vector, the first basis
+    element outlives the bound, and the refusal names its degree."""
+
+    class Keeps:
+        def mat(self, d):
+            return self
+
+        def mat_vec(self, vec):
+            return vec
+
+    monkeypatch.setattr(ObstructionTower, "component", lambda self, i: Keeps())
+    with pytest.raises(DimensionMismatch, match="^no nilpotency within bound 5 for basis "
+                                                "element 0 at degree 0$"):
+        local_nilpotency(three_step(ext), ext_diag, 0)
+
+
 def test_functoriality_random_maps(ext, ext_diag):
     M = two_step(ext)
     B = free_module(ext, 1)
@@ -279,6 +307,26 @@ def test_conjugation_by_triangular_automorphisms(config):
                 entries[k] = entries[k] + v if k in entries else v
         u = ChainMap(M, M, 0, entries)
         assert conjugation_commutes(M, diag, u, window=range(0, 5))
+
+
+def test_conjugation_fails_for_a_corrupted_u_tensor_id(monkeypatch, ext, ext_diag):
+    """u = id commutes with w; with u (x) id doubled on T^1 alone, w[0]
+    meets 2 on its target side and 1 on its source side, and the identity
+    fails."""
+    M = two_step(ext)
+    u = ChainMap.identity(M)
+    window = range(M.min_degree, M.max_degree + 2)
+    assert conjugation_commutes(M, ext_diag, u, window)
+    honest = obstruction.map_tensor_id
+    two = ext.field.from_int(2)
+
+    def doubled_on_T1(fmap, diag, n):
+        op = honest(fmap, diag, n)
+        return op if n != 1 else DegreewiseMap(op.source, op.target,
+                                               lambda d: op.mat(d).scale(two), op.name)
+
+    monkeypatch.setattr(obstruction, "map_tensor_id", doubled_on_T1)
+    assert not conjugation_commutes(M, ext_diag, u, window)
 
 
 def test_map_tensor_id_is_chain_operator(ext, ext_diag):
