@@ -228,33 +228,34 @@ class DGAlgebra:
 
     @memo
     def diff_mono(self, u: Monomial) -> "AlgebraElement":
-        """d(u) by the Leibniz rule across the ordered factors of u."""
+        """d(u) by the Leibniz rule across the ordered factors of u: the
+        factor x_i^e adds (-1)^{|prefix|} e prefix dx_i x_i^{e-1} suffix
+        (e = 1 for odd x_i), each term of dx_i multiplied through by
+        mono_mul, and each factor's terms added by one axpy.  x_i^{e-1} is
+        1 or a power of an even variable, so it joins the suffix as one
+        monomial rest and adds no sign."""
         f = self.field
-        total = self.zero()
+        out: dict = {}
         prefix_deg = 0  # base generator has degree 0
         for i in range(self.nvars):
             e = u[1 + i]
             if e == 0:
                 continue
             dxi = self.var_diffs[i]
-            deg_i = self.var_degrees[i]
             if not dxi.is_zero():
-                # d(x^e) = e x^{e-1} dx (even x); dx for odd x (e = 1)
-                prefix = list(u[:1 + i]) + [0] * (self.nvars - i)
-                suffix = [0] * (1 + i) + list(u[1 + i:])
-                suffix[1 + i] = 0
-                mid_exp = list(self.unit_mono())
-                mid_exp[1 + i] = e - 1
-                scale = f.from_int(e)
-                piece = self.from_mono(tuple(prefix)) * dxi
-                if e > 1:
-                    piece = piece * self.from_mono(tuple(mid_exp))
-                piece = piece * self.from_mono(tuple(suffix))
-                sign = -1 if prefix_deg % 2 else 1
-                coeff = f.mul(f.from_int(sign), scale)
-                total = total + piece.scale(coeff)
-            prefix_deg += e * deg_i
-        return total
+                prefix = u[:1 + i] + (0,) * (self.nvars - i)
+                rest = (0,) * (1 + i) + (e - 1,) + u[2 + i:]
+                row = {}
+                for v, c in dxi.terms.items():
+                    s1, w = self.mono_mul(prefix, v)
+                    if w is not None:
+                        # dx_i has only variables before x_i, rest only x_i
+                        # and later ones, so w * rest is never zero
+                        s2, w = self.mono_mul(w, rest)
+                        row[w] = c if s1 * s2 > 0 else f.neg(c)
+                f.axpy(out, f.from_int(-e if prefix_deg % 2 else e), row)
+            prefix_deg += e * self.var_degrees[i]
+        return _element(self, out)
 
     @memo
     def carrier(self):

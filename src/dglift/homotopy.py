@@ -47,7 +47,7 @@ from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import SparseMatrix, vec_axpy
 from .memo import memo
-from .modules import ChainMap, SemifreeModule, chain_failure, regular_module
+from .modules import ChainMap, SemifreeModule, chain_failure
 
 if TYPE_CHECKING:  # diagonal imports this module
     from .diagonal import Diagonal
@@ -441,7 +441,7 @@ def check_AR1(N: SemifreeModule, diag: Diagonal) -> ConditionReport:
     N's minimal model N' = diag.minimal(N).module.
     """
     alg = N.algebra
-    B = regular_module(alg)
+    B = alg.carrier()
     cond_i = all(d >= 0 for d in N.degrees)
     # (ii): when A is the base ring, N|_A has A-basis {e * m}; finite iff all
     # non-A variables are odd.

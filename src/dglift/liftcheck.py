@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .carriers import Carrier
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
 from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace, MapLayout,
@@ -20,7 +21,7 @@ from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace, M
                        cols_to_entries, entries_to_cols, hom_k_dim, space_name)
 from .linalg import SparseMatrix
 from .modules import (ChainMap, MinimalModel, SemifreeModule, differ_by_boundary, free_module,
-                      graded_map_boundary, homology_dim, matrix_product, regular_module)
+                      graded_map_boundary, homology_dim, matrix_product)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
 
@@ -108,6 +109,13 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
     base-change module, correcting by null-homotopies of the components into
     each shifted-free layer, until it lands in the degree-zero layer.
 
+    One loop runs the level k from the top down to 0.  At each level the
+    layer's generators are renumbered by a position map into the free
+    module Quot on as many generators of degree k, and the component is
+    sigma's rows restricted through that map; an empty positive layer is
+    skipped.  At k = 0 the component is g: N -> F0 and pi restricted
+    through the same map is h: F0 -> N.
+
     Each null-homotopy is decided on N's minimal model (model, from
     diag.minimal(N)) by MinimalModel.null_homotopy: on the layer's space
     of maps out of N', none when N' = 0, and carried back to N, where it is
@@ -124,19 +132,18 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
     if g is not None and levels[g] < 0:
         raise FiltrationStuck(f"sigma has a row on generator {G.names[g]} of negative "
                               f"degree {levels[g]}, below the degree-0 layer")
-    top = max(levels, default=0)
     sigma_cur = sigma
     h_total: dict = {}  # every layer's null-homotopy, as G rows
-    for k in range(top, 0, -1):
+    for k in range(max(0, max(levels, default=0)), -1, -1):
         layer = [g for g in range(G.n_gens) if levels[g] == k]
-        if not layer:
+        if k and not layer:
             continue
-        comp_entries = {}
-        for (g, lam), el in sigma_cur.entries.items():
-            if levels[g] == k:
-                comp_entries[(layer.index(g), lam)] = el
+        pos = {g: i for i, g in enumerate(layer)}
         Quot = free_module(alg, len(layer), k, prefix=f"q{k}.")
-        comp = ChainMap(N, Quot, 0, comp_entries)
+        comp = ChainMap(N, Quot, 0, {(pos[g], lam): el for (g, lam), el
+                                     in sigma_cur.entries.items() if g in pos})
+        if not k:
+            break
         wit = model.null_homotopy(chain_map_to_carrier(comp), HomSpace)
         if wit is None:
             lam = min(lam for _, lam in comp.entries)
@@ -156,19 +163,10 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
             if levels[g] >= k:
                 raise FiltrationStuck(f"correction left a row at level {levels[g]}")
         h_total.update(h_entries)  # layers own disjoint rows
-    layer0 = [g for g in range(G.n_gens) if levels[g] == 0]
-    F0 = free_module(alg, len(layer0), prefix="q0.")
-    g_entries = {}
-    for (g, lam), el in sigma_cur.entries.items():
-        g_entries[(layer0.index(g), lam)] = el
-    gmap = ChainMap(N, F0, 0, g_entries)
-    h_entries = {}
-    for (kappa, g), el in pi.entries.items():
-        if g in layer0:
-            h_entries[(kappa, layer0.index(g))] = el
-    hmap = ChainMap(F0, N, 0, h_entries)
+    hmap = ChainMap(Quot, N, 0, {(kappa, pos[g]): el for (kappa, g), el in pi.entries.items()
+                                 if g in pos})
     homotopy = {k: v.neg() for k, v in matrix_product(pi.entries, h_total).items()}
-    wit = SummandWitness(len(layer0), gmap, hmap, homotopy)
+    wit = SummandWitness(len(layer), comp, hmap, homotopy)
     if not wit.recheck():
         raise DimensionMismatch(f"summand witness of {N!r} failed its homotopy recheck")
     return wit
@@ -182,6 +180,9 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
     frees, computed two independent ways: as the image of composition with
     the counit, and as the kernel of the obstruction action on tensor-degree
     zero.  Returns (via factorization, via kernel, rank identity holds).
+    With s = gamma^0 and t = gamma^1 the source and target dimensions of
+    the action and r its rank, the kernel is s - r, and the rank identity
+    (s - r) + t = s holds exactly when r = t.
 
     Both are homotopy invariants, read on N's minimal model N' =
     diag.minimal(N).module: the first is the rank of pi o - : [N', G] ->
@@ -196,9 +197,8 @@ def p_ideal_dims(N: SemifreeModule, diag: Diagonal):
         via_factorization = induced_matrix(diag.hom(M, G), diag.hom(M, N),
                                            chain_map_operator(pi)).rank()
     mat, s_dim, t_dim = omega_action_matrix(M, diag, 0, 0)
-    via_kernel = s_dim - mat.rank()
-    identity_ok = via_kernel + gamma_dim(N, diag, 1) == gamma_dim(N, diag, 0)
-    return via_factorization, via_kernel, identity_ok
+    rank = mat.rank()
+    return via_factorization, s_dim - rank, rank == t_dim
 
 
 def kernel_sequence_check(N: SemifreeModule, diag: Diagonal):
@@ -375,7 +375,11 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 # ----- appendix battery ------------------------------------------------------
 
 
-def homology_profile(M: SemifreeModule, lo: int | None = None, hi: int | None = None):
+def homology_profile(M: SemifreeModule | Carrier, lo: int | None = None,
+                     hi: int | None = None):
+    """dim_k H_d of M for d in lo..hi; the default window, from one below
+    M's lowest generator degree to two above its highest, needs M semifree,
+    so a carrier comes with explicit bounds."""
     lo = M.min_degree - 1 if lo is None else lo
     hi = M.max_degree + 2 if hi is None else hi
     return {d: homology_dim(M, d) for d in range(lo, hi + 1)}
@@ -395,7 +399,7 @@ def appendix_battery(instances):
     results = []
     for name, N in instances:
         alg = N.algebra
-        B = regular_module(alg)
+        B = alg.carrier()
         span = max(1, N.max_degree - N.min_degree)
         prof_N = homology_profile(N)
         prof_B = homology_profile(B, 0, N.max_degree + 2)

@@ -130,13 +130,6 @@ def free_module(algebra, n: int, degree: int = 0, prefix: str = "f") -> Semifree
                           (degree,) * n, {})
 
 
-@memo
-def regular_module(algebra) -> SemifreeModule:
-    """B as a right module over itself, one per algebra (the memo lives on
-    the algebra)."""
-    return free_module(algebra, 1, prefix="b")
-
-
 def shift(M: SemifreeModule, i: int) -> SemifreeModule:
     """Degrees raised by i, differential entries scaled by (-1)^i."""
     if i == 0:
@@ -180,6 +173,11 @@ class ChainMap:
             self.validate()
 
     def validate(self):
+        """Check the owners, the entry degrees and the chain condition; the
+        condition is read once, as the chain defect of the map in the
+        target carrier's coordinates, and the message names its least
+        generator."""
+        from .homotopy import chain_map_to_carrier
         src, tgt, s = self.source, self.target, self.shift
         alg = src.algebra
         if tgt.algebra is not alg:
@@ -190,9 +188,9 @@ class ChainMap:
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
                     f"chain map entry ({mu},{lam}) must have degree {want}, got {el}")
-        defect = graded_map_boundary(self.entries, src, tgt, s + 1)
+        defect = chain_map_to_carrier(self).chain_defect()
         if defect:
-            raise DegreeMismatch(chain_failure(src, s, min(lam for _, lam in defect)))
+            raise DegreeMismatch(chain_failure(src, s, min(defect)))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other (other: M -> N, self: N -> ...)."""
@@ -324,33 +322,27 @@ def base_change(N: SemifreeModule):
     names = tuple(f"{N.names[lam]}(x){alg.mono_str(m)}" for _, lam, m in gens)
     degrees = tuple(t[0] for t in gens)
 
-    def a_decompose(lam: int, el: AlgebraElement):
-        """e_lam * el as a combination of A-basis elements (kappa, m) with
-        A-coefficients: e*(a*m) = (-1)^{|a||m|} (e*m)*a."""
+    def a_decompose(lam: int, el: AlgebraElement, out: dict):
+        """Add e_lam * el into out, keyed by A-basis element (kappa, m),
+        as A-coefficients: e*(a*m) = (-1)^{|a||m|} (e*m)*a.  Within one
+        call each (key, a) occurs once, so adding piece by piece adds what
+        adding the call's sum would, in the same order."""
         f = alg.field
-        out: dict = {}
         for u, c in el.terms.items():
             a, m = alg.mono_split_A(u)
             sgn = (-1) ** (alg.mono_degree(a) * alg.mono_degree(m))
-            coef = c if sgn > 0 else f.neg(c)
+            piece = alg.from_mono(a, c if sgn > 0 else f.neg(c))
             key = (lam, m)
-            cur = out.get(key, alg.zero())
-            out[key] = cur + alg.from_mono(a, coef)
-        return out
+            out[key] = out[key] + piece if key in out else piece
 
     diff: dict = {}
     for col, (deg, lam, m) in enumerate(gens):
         # d(e_lam * m) in N, re-expressed over the A-basis
         total: dict = {}
         for mu, b in N.diff_column(lam):
-            for key, a_el in a_decompose(mu, b * alg.from_mono(m)).items():
-                total[key] = total.get(key, alg.zero()) + a_el
+            a_decompose(mu, b * alg.from_mono(m), total)
         dm = alg.diff_mono(m)
-        if not dm.is_zero():
-            sgn = -1 if N.degrees[lam] % 2 else 1
-            part = a_decompose(lam, dm if sgn > 0 else dm.neg())
-            for key, a_el in part.items():
-                total[key] = total.get(key, alg.zero()) + a_el
+        a_decompose(lam, dm.neg() if N.degrees[lam] % 2 else dm, total)
         for key, a_el in total.items():
             diff[(index[key], col)] = a_el
     G = SemifreeModule(alg, names, degrees, diff)

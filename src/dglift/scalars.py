@@ -234,7 +234,6 @@ class PrimeField:
 RATIONALS = Rationals()
 
 DEFAULT_PRIME = 2147483629
-FALLBACK_PRIME = 2147483647
 
 # built, and its primality checked, once: a field holds no state its use changes
 DEFAULT_PRIME_FIELD = PrimeField(DEFAULT_PRIME)
@@ -242,15 +241,13 @@ DEFAULT_PRIME_FIELD = PrimeField(DEFAULT_PRIME)
 
 def field_from_spec(spec: str):
     """Parse a backend spec: "Q", "Fp" (DEFAULT_PRIME) or "Fp:<prime>"; an
-    explicit prime is checked on every call."""
+    explicit prime is a run of str.isdecimal() digits, as the instance
+    grammar writes an integer (no sign, space or underscore), and is
+    checked on every call."""
     if spec == "Q":
         return RATIONALS
     if spec == "Fp":
         return DEFAULT_PRIME_FIELD
-    if spec.startswith("Fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise ValueError(f"unknown field spec {spec!r}") from None
-        return PrimeField(p)
+    if spec.startswith("Fp:") and spec[3:].isdecimal():
+        return PrimeField(int(spec[3:]))
     raise ValueError(f"unknown field spec {spec!r}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dglift.algebra import BaseRing, build_algebra, parse_element
 from dglift.config import EngineConfig
 from dglift.errors import BadExpression, IllFormedPresentation
-from dglift.scalars import RATIONALS
+from dglift.scalars import RATIONALS, field_from_spec
 
 
 def ext_algebra(config):
@@ -106,6 +106,30 @@ def test_differential_XY_symbolic(config):
     alg = tate2_algebra(config)
     q, X, Y = alg.gen("q"), alg.gen("X"), alg.gen("Y")
     assert (X * Y).differentiate() == q * Y
+
+
+@pytest.mark.parametrize("spec, two", [("Q", 2), ("Fp:2", 0)])
+def test_differential_of_an_even_square(spec, two):
+    """d(Y^2) = 2 Y dY = 2 qXY for the even Y with dY = qX: the factor's
+    coefficient e = 2 is 0 over F_2, where the square is a cycle."""
+    alg = tate2_algebra(EngineConfig(field=field_from_spec(spec), max_degree=10))
+    q, X, Y = alg.gen("q"), alg.gen("X"), alg.gen("Y")
+    assert (Y * Y).differentiate() == (q * X * Y).scale(alg.field.from_int(two))
+
+
+def test_element_equality_hash_repr_and_degree(config):
+    """Equal elements built two ways hash equal and collapse in a set; the
+    repr prints a scaled monomial as c*m and zero as 0, whose degree is
+    None; a zero coefficient makes the zero element."""
+    alg = ext_algebra(config)
+    f, y = alg.field, alg.gen("y")
+    (u,) = y.terms
+    two, scaled = y + y, y.scale(f.from_int(2))
+    assert two == scaled == alg.from_mono(u, f.from_int(2))
+    assert hash(two) == hash(scaled) and len({two, scaled}) == 1
+    assert repr(two) == "2*y" and repr(alg.zero()) == "0" and repr(y + alg.one()) == "1 + y"
+    assert alg.from_mono(u, f.from_int(0)) == alg.zero()
+    assert alg.zero().degree() is None and two.degree() == 1
 
 
 def test_d_squared_validation_rejects(config):

@@ -18,7 +18,7 @@ from dglift.liftcheck import splitting_search
 from dglift.linalg import SparseMatrix
 from dglift.memo import peek
 from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
-                            make_module, regular_module, shift)
+                            make_module, shift)
 from dglift.obstruction import chi_power, omega_is_zero
 
 SHIFTS = range(-1, 3)
@@ -191,6 +191,14 @@ def test_chain_condition_failures_name_the_generator_and_degree(ext):
     assert str(by_carrier.value) == msg
 
 
+def test_a_chain_map_passes_both_validators(ext):
+    """ChainMap reads its chain condition through its carrier map, and
+    CarrierMap.validate returns the map itself when the defect is empty."""
+    M = two_step(ext)
+    cmap = chain_map_to_carrier(ChainMap(M, M, 0, {(0, 0): ext.one(), (1, 1): ext.one()}))
+    assert cmap.chain_defect() == {} and cmap.validate() is cmap
+
+
 def test_null_homotopy_recheck_catches_a_perturbed_solve(ext, monkeypatch):
     M = two_step(ext)
     B = free_module(ext, 1)
@@ -356,7 +364,7 @@ def test_appendix_negative_shift_vanishing_for_resolutions(config):
     # over the two-variable extension the algebra resolves the base field, so
     # negative self-shifts of B vanish
     alg = build_algebra(BaseRing("q", 2), [("X", 1, "q"), ("Y", 2, "q*X")], 0, config)
-    B = regular_module(alg)
+    B = free_module(alg, 1, prefix="b")
     for ell in (-1, -2, -3):
         assert hom_k_dim(B, B, ell) == 0
 
@@ -392,7 +400,7 @@ def test_from_flat_inverts_to_flat_around_empty_blocks(config):
     one does, and every vector of the layout comes back as it went in."""
     alg = build_algebra(BaseRing(), [("y", 1, "0"), ("z", 1, "0")], 0, config)
     N = make_module(alg, [("a", 4), ("b", 1), ("c", 4), ("d", 2), ("e", 1), ("g", 4)])
-    layout = MapLayout(N, regular_module(alg).carrier(), 0)
+    layout = MapLayout(N, alg.carrier(), 0)
     assert layout.offsets == [0, 0, 2, 2, 3, 5, 5] and layout.total == 5
     assert [layout.block(lam) for lam in range(6)] == \
         [(0, 4, 0), (0, 1, 2), (2, 4, 0), (2, 2, 1), (3, 1, 2), (5, 4, 0)]
@@ -421,7 +429,7 @@ class EntriesOnly(dict):
 
 def test_from_flat_reads_only_the_entries_of_the_vector(ext):
     F = free_module(ext, 10**4)
-    layout = MapLayout(F, regular_module(ext).carrier(), 0)
+    layout = MapLayout(F, ext.carrier(), 0)
     assert layout.total == 10**4
     one, two = ext.field.one, ext.field.from_int(2)
     flat = EntriesOnly({9999: one, 0: two, 4321: one})
@@ -431,7 +439,7 @@ def test_from_flat_reads_only_the_entries_of_the_vector(ext):
 def test_a_map_of_another_space_names_both_spaces(ext):
     """express and null_homotopy answer for maps of their own space only:
     another target, shift or source is refused, naming both spaces."""
-    B, F2 = regular_module(ext), free_module(ext, 2)
+    B, F2 = free_module(ext, 1, prefix="b"), free_module(ext, 2)
     hs = HomSpace(B, F2, 0)
     one = ext.field.one
     mine = CarrierMap(B, hs.target, 0, {0: {0: one}})

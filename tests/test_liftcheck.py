@@ -108,6 +108,27 @@ def test_summand_witness_idempotent_cut(ext, ext_diag):
     assert not replace(wit, homotopy=bad).recheck()
 
 
+@pytest.mark.parametrize("with_free, m", [(False, 0), (True, 1)])
+def test_summand_witness_skips_an_empty_positive_layer(config, with_free, m):
+    """Over k<Z> with |Z| = 2, every non-A variable is even, so a module with
+    no generator of degree 1 has an empty level-1 layer below the top one:
+    the descent skips it.  The cone of the identity of Sigma^2 B is
+    contractible, so its witness factors through the zero module (an empty
+    degree-0 layer); beside B it factors through one free copy."""
+    alg = build_algebra(BaseRing(), [("Z", 2, "0")], 0, config)
+    diag = Diagonal(alg)
+    N = cone(ChainMap.identity(make_module(alg, [("a", 2)])))
+    if with_free:
+        N = direct_sum(free_module(alg, 1), N)
+    G, pi = diag.base_change(N)
+    assert 1 not in G.degrees and max(G.degrees) == 4
+    sigma = splitting_search(N, diag)
+    assert sigma is not None
+    wit = summand_witness(N, sigma, G, pi, diag.minimal(N))
+    assert wit.m == m and wit.g.target.degrees == (0,) * m
+    assert wit.recheck()
+
+
 def test_summand_witness_stuck_on_the_shifted_free(config):
     """Sigma B splits strictly, but Hom(Sigma B, Sigma B) != 0 in positive
     shift (AR1 fails), so the descent cannot clear the level-1 layer."""

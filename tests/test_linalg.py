@@ -496,6 +496,7 @@ def test_stored_entries_never_zero(field):
     # a column left empty by its zero values, and an empty one, are not kept
     m = SparseMatrix(field, 2, 3, {0: {0: field.one}, 1: {1: field.zero}, 2: {}})
     assert m.columns() == {0: {0: field.one}}
+    assert repr(m) == "SparseMatrix(2x3, nnz=1)"
 
 
 def test_out_of_bounds_entry_rejected(field):

@@ -24,7 +24,7 @@ from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.memo import memo, peek
-from dglift.modules import ChainMap, MinimalModel, SemifreeModule, regular_module
+from dglift.modules import ChainMap, MinimalModel, SemifreeModule
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
                                 chain_map_operator, chi_power, gamma_dim, induced_matrix)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
@@ -274,7 +274,7 @@ def test_battery_reads_the_AR_tables_off_the_hom_memo(backend, mname):
     report = naive_lift_battery(M, diag)
     Mp = diag.minimal(M).module
     assert (Mp is M) == (mname != "cone_id")
-    B = regular_module(inst.algebra).carrier()
+    B = inst.algebra.carrier()
     span = M.max_degree - M.min_degree
     ar1 = [(Mp, B, n) for n in range(1, max(0, M.max_degree) + 1)]
     ar2 = [(Mp, Mp.carrier(), n) for n in range(1, span + 1)]
@@ -340,8 +340,7 @@ def memo_calls(inst):
     hs = diag.hom(M, diag.NT(M, 1))
     tower = ObstructionTower(M, diag)
     route = EnvelopingRouteTower(M, diag)
-    rows = [(inst, "diag", (), lambda: inst.diag),
-            (alg, "regular_module", (), lambda: regular_module(alg))]
+    rows = [(inst, "diag", (), lambda: inst.diag)]
 
     def method(owner, name, *args):
         rows.append((owner, name, args, lambda: getattr(owner, name)(*args)))
@@ -547,7 +546,7 @@ def test_a_battery_leaves_nothing_alive_after_a_collection(backend):
         inst = build_corpus(CONFIGS[backend], ["exterior"])["exterior"]
         M = inst.modules["cone_id"]
         naive_lift_battery(M, inst.diag)
-        assert peek(inst.diag, "_hom") and peek(inst.algebra, "regular_module")
+        assert peek(inst.diag, "_hom") and peek(inst.algebra, "carrier")
         return [weakref.ref(inst.algebra), weakref.ref(M), weakref.ref(inst.diag)]
 
     refs = run()

@@ -4,6 +4,7 @@ The prime-field backend against the `% p` definitions, on canonical residues.
 The fused vector kernels axpy, scale and normalize of both against their
 op-by-op definitions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dglift.linalg import Echelon
-from dglift.scalars import DEFAULT_PRIME, FALLBACK_PRIME, RATIONALS, PrimeField
+from dglift.scalars import DEFAULT_PRIME, RATIONALS, PrimeField
 
 Q = RATIONALS
+MERSENNE_31 = 2**31 - 1  # a second prime near DEFAULT_PRIME
 
 
 def canonical(x):
@@ -77,6 +79,12 @@ def test_constructors_are_canonical(n, d):
 def test_constants_are_ints():
     assert type(Q.zero) is int and Q.zero == 0
     assert type(Q.one) is int and Q.one == 1
+
+
+def test_fields_print_as_their_constructors():
+    assert repr(Q) == "Rationals()"
+    assert repr(PrimeField(7)) == "PrimeField(7)"
+    assert repr(PrimeField(DEFAULT_PRIME)) == f"PrimeField({DEFAULT_PRIME})"
 
 
 def test_units_are_their_own_inverses():
@@ -171,19 +179,28 @@ def test_prime_field_constructors_reduce(F, n, d):
 
 
 def test_default_prime_field_is_built_once_and_explicit_primes_are_checked():
+    """4 has a factor among the Miller-Rabin bases, 0 and 1 are below 2, and
+    1681 = 41^2 and 3215031751 = 151 * 751 * 28351 have none, so a
+    Miller-Rabin witness must refuse them (3215031751 is a strong
+    pseudoprime to the bases 2, 3, 5 and 7)."""
     from dglift.scalars import field_from_spec
     F = field_from_spec("Fp")
     assert F is field_from_spec("Fp")
     assert F.p == DEFAULT_PRIME
-    assert field_from_spec(f"Fp:{FALLBACK_PRIME}").p == FALLBACK_PRIME
-    with pytest.raises(ValueError, match="4 is not prime"):
-        field_from_spec("Fp:4")
+    assert field_from_spec(f"Fp:{MERSENNE_31}").p == MERSENNE_31
+    for n in (4, 0, 1, 1681, 3215031751):
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            field_from_spec(f"Fp:{n}")
 
 
-@pytest.mark.parametrize("spec", ["Fp:7x", "Fp:", "Fp:seven", "R"])
+@pytest.mark.parametrize("spec", ["Fp:7x", "Fp:", "Fp:seven", "R",
+                                  "Fp:+101", "Fp: 101", "Fp:1_01", "Fp:-7"])
 def test_a_malformed_field_spec_names_the_spec(spec):
+    """The prime is read as the instance grammar reads an integer: a run of
+    decimal digits, so a sign, a space or an underscore that int() would
+    take makes the spec unknown."""
     from dglift.scalars import field_from_spec
-    with pytest.raises(ValueError, match=f"^unknown field spec '{spec}'$"):
+    with pytest.raises(ValueError, match=f"^unknown field spec {re.escape(repr(spec))}$"):
         field_from_spec(spec)
 
 
