@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass
 from operator import add, mul
 
+from .carriers import AlgebraCarrier
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import BadExpression, IllFormedPresentation, OwnerMismatch
 from .memo import memo
@@ -260,7 +261,6 @@ class DGAlgebra:
     @memo
     def carrier(self):
         """B as a DG bimodule over itself, shared by every carrier over B."""
-        from .carriers import AlgebraCarrier
         return AlgebraCarrier(self)
 
     def describe(self) -> str:

@@ -82,8 +82,11 @@ def parse_instance(path: str, config: EngineConfig,
     start with a word (_FORMS), whose NAME : DEGREE heads are read alike.
     A declared name, of a variable, generator, module or base generator,
     must be one name token of the expression grammar (is_name), so that
-    every name the file declares can be written in its expressions."""
-    with open(path) as fh:
+    every name the file declares can be written in its expressions.
+
+    The file is UTF-8 text on every locale, its lines split at universal
+    newlines; a byte that is not UTF-8 is a ParseError on its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.readlines()
 
     section = mname = None
@@ -93,6 +96,11 @@ def parse_instance(path: str, config: EngineConfig,
     seen = set()              # every name and key given so far
 
     for lineno, raw in enumerate(lines, 1):
+        try:
+            raw.encode()
+        except UnicodeEncodeError as exc:  # a byte surrogateescape kept as U+DC80..U+DCFF
+            raise ParseError(lineno, f"byte {ord(raw[exc.start]) - 0xDC00:#04x} is not "
+                                     "UTF-8 text") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -481,6 +489,9 @@ def main(argv=None) -> int:
         inst = parse_instance(args.instance, config, flag_limits)
     except FileNotFoundError:
         print(f"error: no such file {args.instance!r}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read {args.instance!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -168,16 +168,15 @@ class EnvelopingCarrier(Carrier):
                               yside=lambda q: B.action("r", mono, q))
 
     def pi_matrix(self, d: int) -> SparseMatrix:
-        """Multiplication map (B^e)_d -> B_d on the pair basis."""
+        """Multiplication map (B^e)_d -> B_d on the pair basis, into B's own
+        monomial positions with the sign of the product, as B's actions."""
         alg, f = self.algebra, self.field
-        at = {w: i for i, w in enumerate(alg.monomials(d))}
-        sign = {1: f.one, -1: f.neg(f.one)}
         cols = {}
         for j, (u, m) in enumerate(self.labels(d)):
             sgn, w = alg.mono_mul(u, m)
             if w is not None:
-                cols[j] = {at[w]: sign[sgn]}
-        return SparseMatrix._trusted(f, len(at), self.dim(d), cols)
+                cols[j] = {alg.mono_index(d, w): f.from_int(sgn)}
+        return SparseMatrix._trusted(f, len(alg.monomials(d)), self.dim(d), cols)
 
 
 class Diagonal:

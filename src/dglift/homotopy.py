@@ -254,19 +254,13 @@ def space_name(source: SemifreeModule, target: Carrier, shift: int) -> str:
     return f"Hom space from generators {source.describe()} into {target!r} at shift {shift}"
 
 
-@dataclass
-class HomotopyWitness:
-    """A graded map h with f - g = d h + h d, stored as generator images
-    one degree up; rechecked exactly at construction time."""
-
-    source: SemifreeModule
-    target: Carrier
-    shift: int
-    cols: dict
+class HomotopyWitness(CarrierMap):
+    """A graded map h with f - g = d h + h d: a map of its own shift, one
+    below that of f and g; rechecked exactly at construction time."""
 
     def boundary(self) -> CarrierMap:
-        return CarrierMap(self.source, self.target, self.shift,
-                          delta_cols(self.source, self.target, self.shift, self.cols))
+        """delta h, the map of shift one above h's that h bounds."""
+        return CarrierMap(self.source, self.target, self.shift + 1, self.chain_defect())
 
 
 class HomSpace:
@@ -386,8 +380,9 @@ class HomSpace:
         return {j - n: f.neg(c) for j, c in sorted(red.items())}
 
     def null_homotopy(self, cmap: CarrierMap) -> HomotopyWitness | None:
-        """An exact witness h with f = d h + h d, or None (certified absence:
-        cmap is not a cycle, or its class is nonzero).
+        """An exact witness h with f = d h + h d, a map of shift s - 1, or
+        None (certified absence: cmap is not a cycle, or its class is
+        nonzero).
 
         One solve of delta_s h = f decides, with free coordinates zero, so
         witnesses are reproducible; its None has passed the absence
@@ -400,7 +395,7 @@ class HomSpace:
             raise DimensionMismatch(f"{exc} in the {self._where()}") from exc
         if sol is None:
             return None
-        w = HomotopyWitness(self.source, self.target, self.shift, self.h_layout.from_flat(sol))
+        w = HomotopyWitness(self.source, self.target, self.shift - 1, self.h_layout.from_flat(sol))
         # recheck by substitution
         if not w.boundary().sub(cmap).is_zero():
             raise DimensionMismatch(f"homotopy witness failed substitution recheck in the "

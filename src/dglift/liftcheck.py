@@ -16,12 +16,12 @@ from dataclasses import dataclass, field as dc_field
 from .carriers import Carrier
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomotopyWitness, HomSpace, MapLayout,
-                       carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
-                       cols_to_entries, entries_to_cols, hom_k_dim, space_name)
+from .homotopy import (CarrierMap, ConditionReport, HomSpace, MapLayout, carrier_map_to_chain,
+                       chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries, hom_k_dim,
+                       space_name)
 from .linalg import SparseMatrix
-from .modules import (ChainMap, MinimalModel, SemifreeModule, differ_by_boundary, free_module,
-                      graded_map_boundary, homology_dim, matrix_product)
+from .modules import (ChainMap, MinimalModel, SemifreeModule, composite_is_identity,
+                      free_module, graded_map_boundary, homology_dim, matrix_product)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
 
@@ -61,7 +61,7 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
         system = SparseMatrix.from_blocks(
             f, [0, d1.nrows, d1.nrows + images.total], [0, hs.layout.total],
             ((0, 0, f.one, d1), (1, 0, f.one, post_pi)))
-        g_flat = images.to_flat(entries_to_cols(model.g.entries, M, N.carrier(), 0))
+        g_flat = chain_map_to_carrier(model.g).flat(images)
         sol = system.solve({d1.nrows + i: c for i, c in g_flat.items()})
         if sol is None:
             return None
@@ -72,12 +72,10 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
         # e_lam (x) 1 is the generator of G over e_lam of e_lam's own degree
         s0 = CarrierMap(N, gcar, 0, {lam: gcar.gen_vector(k)[1] for lam, k in pi.entries
                                      if G.degrees[k] == N.degrees[lam]})
-        s0h = HomotopyWitness(N, gcar, 0, s0.precompose(N, model.h, -1).cols)
-        sigma = sigma.add(s0h.boundary())
+        sigma = sigma.add(CarrierMap(N, gcar, 0, s0.precompose(N, model.h, -1).chain_defect()))
     # carrier_map_to_chain's ChainMap checks sigma's chain condition over B
     sigma = carrier_map_to_chain(sigma)
-    if not differ_by_boundary(N, matrix_product(pi.entries, sigma.entries),
-                              ChainMap.identity(N).entries, {}):
+    if not composite_is_identity(pi, sigma, {}):
         raise DimensionMismatch(f"splitting failed the strict section recheck in the "
                                 f"{space_name(N, gcar, 0)}")
     return sigma
@@ -89,7 +87,8 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
 @dataclass
 class SummandWitness:
     """Maps g: N -> B^m and h: B^m -> N with h.g homotopic to the identity,
-    plus the homotopy; rechecked exactly at construction."""
+    plus the homotopy H, with h g = id + d H + H d; rechecked exactly at
+    construction."""
 
     m: int
     g: ChainMap
@@ -97,10 +96,9 @@ class SummandWitness:
     homotopy: dict  # graded-map entries N -> Sigma^{-1} N
 
     def recheck(self) -> bool:
-        """Whether h g - id = d(homotopy) + (homotopy) d, by substitution."""
-        N = self.g.source
-        return differ_by_boundary(N, matrix_product(self.h.entries, self.g.entries),
-                                  ChainMap.identity(N).entries, self.homotopy)
+        """Whether h g - id = d(homotopy) + (homotopy) d, by substitution
+        (composite_is_identity)."""
+        return composite_is_identity(self.h, self.g, self.homotopy)
 
 
 def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: ChainMap,
@@ -119,7 +117,10 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
     Each null-homotopy is decided on N's minimal model (model, from
     diag.minimal(N)) by MinimalModel.null_homotopy: on the layer's space
     of maps out of N', none when N' = 0, and carried back to N, where it is
-    rechecked by substitution.
+    rechecked by substitution.  Minus the witness, lifted to G's rows of
+    the layer, is the correcting homotopy: sigma gains its boundary through
+    ChainMap.add, which rechecks the sum as a chain map, and the summand's
+    homotopy is pi after the sum of the correcting homotopies.
 
     Raises FiltrationStuck when a layer component is not null-homotopic,
     which can only happen if the positive-shift Hom vanishing was not
@@ -150,23 +151,18 @@ def summand_witness(N: SemifreeModule, sigma: ChainMap, G: SemifreeModule, pi: C
             raise FiltrationStuck(
                 f"component into the level-{k} layer is not null-homotopic; "
                 f"its first nonzero image is that of generator {N.names[lam]}")
-        # lift the witness to G rows and correct sigma by its boundary
-        h_entries = {(layer[qi], lam): el for (qi, lam), el
+        # lift minus the witness to G rows and correct sigma by its boundary
+        h_entries = {(layer[qi], lam): el.neg() for (qi, lam), el
                      in cols_to_entries(wit.cols, N, Quot.carrier(), -1).items()}
-        bnd = graded_map_boundary(h_entries, N, G, 0)
-        new_entries = dict(sigma_cur.entries)
-        for key, el in bnd.items():
-            cur = new_entries.get(key)
-            new_entries[key] = el.neg() if cur is None else cur - el
-        sigma_cur = ChainMap(N, G, 0, new_entries)
+        sigma_cur = sigma_cur.add(ChainMap(N, G, 0, graded_map_boundary(h_entries, N, G, 0),
+                                           _validate=False))
         for (g, lam) in sigma_cur.entries:
             if levels[g] >= k:
                 raise FiltrationStuck(f"correction left a row at level {levels[g]}")
         h_total.update(h_entries)  # layers own disjoint rows
     hmap = ChainMap(Quot, N, 0, {(kappa, pos[g]): el for (kappa, g), el in pi.entries.items()
                                  if g in pos})
-    homotopy = {k: v.neg() for k, v in matrix_product(pi.entries, h_total).items()}
-    wit = SummandWitness(len(layer), comp, hmap, homotopy)
+    wit = SummandWitness(len(layer), comp, hmap, matrix_product(pi.entries, h_total))
     if not wit.recheck():
         raise DimensionMismatch(f"summand witness of {N!r} failed its homotopy recheck")
     return wit

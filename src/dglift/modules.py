@@ -17,6 +17,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from .algebra import AlgebraElement, DGAlgebra, _repeated
+from .carriers import SemifreeCarrier
 from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
                      NotTriangular, OwnerMismatch)
 from .memo import memo
@@ -97,7 +98,6 @@ class SemifreeModule:
 
     @memo
     def carrier(self):
-        from .carriers import SemifreeCarrier
         return SemifreeCarrier(self)
 
     def describe(self) -> str:
@@ -251,12 +251,15 @@ def graded_map_boundary(h_entries: dict, src: SemifreeModule, tgt: SemifreeModul
     return cols_to_entries(delta_cols(src, car, s, cols), src, car, s)
 
 
-def differ_by_boundary(M: SemifreeModule, a: dict, b: dict, h: dict) -> bool:
-    """Whether a - b = d h + h d, for matrices over B of maps M -> M and a
-    graded map h: M -> Sigma^{-1} M (h = {} decides a = b): every entry of
-    a - b - (d h + h d) must vanish, so zero entries count on neither side."""
-    rest = dict(a)
-    for k, v in chain(b.items(), graded_map_boundary(h, M, M, 0).items()):
+def composite_is_identity(x: ChainMap, y: ChainMap, h: dict) -> bool:
+    """Whether x y = id + d h + h d on the source M of y, for chain maps
+    y: M -> P and x: P -> M and a graded map h: M -> Sigma^{-1} M as a
+    matrix over B (h = {} decides x y = id): every entry of
+    x y - id - (d h + h d) must vanish, so zero entries count on neither side."""
+    M = y.source
+    rest = matrix_product(x.entries, y.entries)
+    for k, v in chain(ChainMap.identity(M).entries.items(),
+                      graded_map_boundary(h, M, M, 0).items()):
         rest[k] = rest[k] - v if k in rest else v.neg()
     return all(v.is_zero() for v in rest.values())
 
@@ -372,14 +375,14 @@ class MinimalModel:
 
     def recheck(self) -> "MinimalModel":
         """Check by substitution that f and g are chain maps, f g = id and
-        id - g f = delta_0 h; raise DimensionMismatch otherwise."""
-        N, Np = self.source, self.module
-        f, g = self.f.entries, self.g.entries
+        id - g f = delta_0 h, that is g f = id + delta_0 (-h); raise
+        DimensionMismatch otherwise."""
+        N = self.source
         self.f.validate()
         self.g.validate()
-        if not differ_by_boundary(Np, matrix_product(f, g), ChainMap.identity(Np).entries, {}):
+        if not composite_is_identity(self.f, self.g, {}):
             raise DimensionMismatch(f"minimal model of {N!r}: f g is not the identity of N'")
-        if not differ_by_boundary(N, ChainMap.identity(N).entries, matrix_product(g, f), self.h):
+        if not composite_is_identity(self.g, self.f, {k: v.neg() for k, v in self.h.items()}):
             raise DimensionMismatch(f"minimal model of {N!r}: id - g f is not d h + h d")
         return self
 
@@ -407,8 +410,8 @@ class MinimalModel:
             wit = hom(Np, X).null_homotopy(phi.precompose(Np, self.g.entries))
             if wit is None:
                 return None
-            carried = CarrierMap(Np, X, -1, wit.cols).precompose(N, self.f.entries)
-        H = HomotopyWitness(N, X, 0, carried.add(phi.precompose(N, self.h, -1)).cols)
+            carried = wit.precompose(N, self.f.entries)
+        H = HomotopyWitness(N, X, -1, carried.add(phi.precompose(N, self.h, -1)).cols)
         if not H.boundary().sub(phi).is_zero():
             raise DimensionMismatch(f"a homotopy witness carried from the minimal model "
                                     f"failed its substitution recheck in the "

@@ -5,8 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dglift.algebra import BaseRing, build_algebra
 from dglift.config import EngineConfig
+from dglift.diagonal import Diagonal
 from dglift.linalg import SparseMatrix
+from dglift.modules import make_module
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 
@@ -27,7 +30,44 @@ def qconfig():
     return EngineConfig(field=RATIONALS, max_degree=10)
 
 
+@pytest.fixture()
+def ext(config):
+    """The exterior algebra k<y> on one generator of degree 1."""
+    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
+
+
+@pytest.fixture()
+def quot(config):
+    """The base ring k[a]/(a^2) as an algebra with no variables."""
+    return build_algebra(BaseRing("a", 2), [], 0, config)
+
+
+@pytest.fixture()
+def ext_diag(ext):
+    return Diagonal(ext)
+
+
 DATA = Path(__file__).parent / "data"
+
+
+def two_step(ext):
+    """e0, e1 in degrees 0, 2 over k<y> with d e1 = e0 y."""
+    return make_module(ext, [("e0", 0), ("e1", 2)], {("e0", "e1"): ext.gen("y")})
+
+
+def koszul(quot):
+    """e0, e1 in degrees 0, 1 over k[a]/(a^2) with d e1 = e0 a."""
+    return make_module(quot, [("e0", 0), ("e1", 1)], {("e0", "e1"): quot.gen("a")})
+
+
+def _random_homogeneous(alg, rng, d):
+    """A random element of degree d, coefficients in -3..3."""
+    el = alg.zero()
+    for u in alg.monomials(d):
+        c = rng.randint(-3, 3)
+        if c:
+            el = el + alg.from_mono(u, alg.field.from_int(c))
+    return el
 
 
 def entry_matrix(field, nrows, ncols, entries: dict) -> SparseMatrix:

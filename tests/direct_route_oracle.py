@@ -14,7 +14,7 @@ from dglift.errors import DimensionMismatch, FiltrationStuck
 from dglift.homotopy import CarrierMap, carrier_map_to_chain
 from dglift.liftcheck import summand_witness
 from dglift.linalg import SparseMatrix
-from dglift.modules import ChainMap, MinimalModel, differ_by_boundary, matrix_product
+from dglift.modules import ChainMap, MinimalModel, composite_is_identity
 from dglift.obstruction import chain_map_operator, chi_power
 
 
@@ -43,8 +43,7 @@ def direct_splitting(N, diag) -> ChainMap | None:
     if sol is None:
         return None
     sigma = carrier_map_to_chain(CarrierMap(N, G.carrier(), 0, hs.layout.from_flat(sol)))
-    if not differ_by_boundary(N, matrix_product(pi.entries, sigma.entries),
-                              ChainMap.identity(N).entries, {}):
+    if not composite_is_identity(pi, sigma, {}):
         raise DimensionMismatch("direct splitting failed the strict section recheck")
     return sigma
 

@@ -111,7 +111,7 @@ class OracleHomSpace:
         sol = self._bmat.solve(cmap.flat(self.layout))
         if sol is None:
             return None
-        w = HomotopyWitness(self.source, self.target, self.shift, self.h_layout.from_flat(sol))
+        w = HomotopyWitness(self.source, self.target, self.shift - 1, self.h_layout.from_flat(sol))
         if not w.boundary().sub(cmap).is_zero():
             raise DimensionMismatch("homotopy witness failed substitution recheck")
         return w

@@ -21,6 +21,7 @@ from dglift.obstruction import (EnvelopingRouteTower, ObstructionTower,
                                 omega_action_matrix, omega_is_zero, towers_agree)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
+from conftest import _random_homogeneous
 from hom_space_oracle import strict_triangular_cycles
 
 Q_CONFIG = EngineConfig(field=RATIONALS, max_degree=8)
@@ -43,15 +44,6 @@ def ar1_pairs(config):
         for mname in inst.ar1_expected:
             out.append((inst, mname, inst.modules[mname]))
     return out
-
-
-def _random_homogeneous(alg, rng, d):
-    el = alg.zero()
-    for u in alg.monomials(d):
-        c = rng.randint(-3, 3)
-        if c:
-            el = el + alg.from_mono(u, alg.field.from_int(c))
-    return el
 
 
 def _passed(n, text):

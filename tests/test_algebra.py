@@ -12,6 +12,8 @@ from dglift.config import EngineConfig
 from dglift.errors import BadExpression, IllFormedPresentation
 from dglift.scalars import RATIONALS, field_from_spec
 
+from conftest import _random_homogeneous
+
 
 def ext_algebra(config):
     return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
@@ -146,15 +148,6 @@ def test_wrong_degree_rejected(config):
 def test_later_variable_rejected(config):
     with pytest.raises(BadExpression, match=r"^d\(y\): name 'z' not allowed here$"):
         build_algebra(BaseRing(), [("y", 2, "z"), ("z", 1, "0")], 0, config)
-
-
-def _random_homogeneous(alg, rng, d):
-    el = alg.zero()
-    for u in alg.monomials(d):
-        c = rng.randint(-3, 3)
-        if c:
-            el = el + alg.from_mono(u, alg.field.from_int(c))
-    return el
 
 
 @pytest.mark.parametrize("builder", [ext_algebra, tate2_algebra])

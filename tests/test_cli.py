@@ -532,6 +532,36 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
 
 
+def test_a_path_that_cannot_be_read_is_a_usage_error(tmp_path):
+    """A directory is no instance file: exit 2, naming the path and why."""
+    code, out, err = run_cli(["check", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+
+
+def test_a_byte_that_is_not_utf8_is_a_syntax_error_on_its_line(tmp_path):
+    """Lines are counted at universal newlines, a lone CR among them."""
+    p = tmp_path / "latin1.dg"
+    p.write_bytes(b"[base]\r\nring = k\r# caf\xe9\n[algebra]\n")
+    assert run_cli(["check", str(p)]) == \
+        (2, "", "syntax error: line 3: byte 0xe9 is not UTF-8 text\n")
+
+
+def test_an_instance_file_is_utf8_on_every_locale(tmp_path):
+    """Under the C locale with no UTF-8 mode, a UTF-8 comment and a name
+    outside ASCII read as on a UTF-8 locale: the same report, byte for byte."""
+    p = tmp_path / "utf8.dg"
+    p.write_text("[base]\nring = k  # café\n[algebra]\nvar y² : 1 = 0\n"
+                 "[module M]\ngen e : 0\n", encoding="utf-8")
+    args = ["check", str(p), "--json"]
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src"), "LC_ALL": "C",
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-m", "dglift", *args],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(args)
+    assert proc.returncode == 0
+
+
 def test_reports_are_deterministic():
     runs = [run_cli(["battery", str(DATA / "two_step.dg"), "--json"])[1]
             for _ in range(2)]

@@ -17,11 +17,6 @@ from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 
 @pytest.fixture()
-def ext(config):
-    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
-
-
-@pytest.fixture()
 def tate(config):
     return build_algebra(BaseRing("q", 2), [("X", 1, "q")], 0, config)
 

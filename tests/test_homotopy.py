@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from conftest import entry_matrix, forge_an_absence
+from conftest import entry_matrix, forge_an_absence, koszul, two_step
 from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
@@ -22,24 +22,6 @@ from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_
 from dglift.obstruction import chi_power, omega_is_zero
 
 SHIFTS = range(-1, 3)
-
-
-@pytest.fixture()
-def ext(config):
-    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
-
-
-@pytest.fixture()
-def quot(config):
-    return build_algebra(BaseRing("a", 2), [], 0, config)
-
-
-def two_step(ext):
-    return make_module(ext, [("e0", 0), ("e1", 2)], {("e0", "e1"): ext.gen("y")})
-
-
-def koszul(quot):
-    return make_module(quot, [("e0", 0), ("e1", 1)], {("e0", "e1"): quot.gen("a")})
 
 
 def test_hom_into_positive_shift_of_free_is_zero(ext):

@@ -14,19 +14,7 @@ from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
 from dglift.linalg import SparseMatrix
 from dglift.modules import ChainMap, cone, direct_sum, free_module, make_module, shift
 
-
-@pytest.fixture()
-def ext(config):
-    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
-
-
-@pytest.fixture()
-def ext_diag(ext):
-    return Diagonal(ext)
-
-
-def two_step(ext):
-    return make_module(ext, [("e0", 0), ("e1", 2)], {("e0", "e1"): ext.gen("y")})
+from conftest import two_step
 
 
 def summand_module(ext):

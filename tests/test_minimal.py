@@ -201,3 +201,19 @@ def test_a_cancelled_pair_can_cancel_another_coefficient(backend):
     assert model.module.names == ("r", "k") and model.module.degrees == (0, 2)
     assert model.module.diff == {}
     assert model.recheck() is model
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_product_that_vanishes_is_no_new_coefficient(backend):
+    """Over k<y> with |y| = 1, d b = a + r*y and d c = a*y: cancelling
+    (a, b) would give r a coefficient -y*y on c, but y*y = 0, so no entry
+    is made, and N' is r, c with no differential."""
+    alg = build_algebra(BaseRing(), [("y", 1, "0")], 0,
+                        CONFIGS[backend].with_limits(max_degree=6, max_tensor=2))
+    y, one = alg.gen("y"), alg.one()
+    M = make_module(alg, [("r", 0), ("a", 1), ("b", 2), ("c", 3)],
+                    {("a", "b"): one, ("r", "b"): y, ("a", "c"): y})
+    model = minimal_model(M)
+    assert model.module.names == ("r", "c") and model.module.degrees == (0, 3)
+    assert model.module.diff == {}
+    assert model.recheck() is model

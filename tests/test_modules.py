@@ -7,23 +7,7 @@ from dglift.errors import CapExceeded, DegreeMismatch, DSquaredNonzero, NotTrian
 from dglift.modules import (ChainMap, base_change, cone, direct_sum, free_module,
                             homology_dim, make_module, shift, zero_module)
 
-
-@pytest.fixture()
-def ext(config):
-    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
-
-
-@pytest.fixture()
-def quot(config):
-    return build_algebra(BaseRing("a", 2), [], 0, config)
-
-
-def two_step(ext):
-    return make_module(ext, [("e0", 0), ("e1", 2)], {("e0", "e1"): ext.gen("y")})
-
-
-def koszul(quot):
-    return make_module(quot, [("e0", 0), ("e1", 1)], {("e0", "e1"): quot.gen("a")})
+from conftest import koszul, two_step
 
 
 def test_single_generator_is_valid(ext):

@@ -24,23 +24,9 @@ from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, Obstruction
                                 gamma_dim, local_nilpotency, map_tensor_id,
                                 omega_action_matrix, omega_is_zero, towers_agree)
 
-from conftest import entry_matrix
+from conftest import entry_matrix, two_step
 from hom_space_oracle import strict_triangular_cycles
 from test_carriers import corpus, phi, same
-
-
-@pytest.fixture()
-def ext(config):
-    return build_algebra(BaseRing(), [("y", 1, "0")], 0, config)
-
-
-@pytest.fixture()
-def ext_diag(ext):
-    return Diagonal(ext)
-
-
-def two_step(ext):
-    return make_module(ext, [("e0", 0), ("e1", 2)], {("e0", "e1"): ext.gen("y")})
 
 
 def three_step(ext):
