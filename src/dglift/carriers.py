@@ -6,8 +6,11 @@ k-basis, the differential as a sparse matrix, built once per degree, and
 algebra monomials, each built once per (side, monomial, degree).  A tensor
 product N (x)_B Y with N semifree is written down in closed form, one copy
 of Y per generator of N; every operator on it (its differential, its right
-action, f (x) id and the obstruction components) is a matrix of generator
-blocks, put together by SemifreeCarrier.assemble.  A tensor product over
+action, f (x) id and the obstruction components) is a sum of generator
+blocks, each one of Y's memoized matrices.  SemifreeCarrier.assemble puts
+the blocks together where a matrix is read, and SemifreeCarrier.apply
+applies the differential and the right action to a vector block by block,
+building no matrix of the carrier.  A tensor product over
 B with a non-free left factor, as in the tensor powers of the diagonal
 ideal, is an explicit relation-quotient of the degreewise k-tensor space,
 its coordinates the free columns of the RREF of the relations.  That
@@ -26,7 +29,6 @@ by (-1)^{i|b|}, which is the whole sign content of suspension.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import CapExceeded, DimensionMismatch
@@ -39,7 +41,11 @@ class Carrier:
     carrier defines min_degree() (a degree below which every piece is zero,
     max_degree + 1 for a zero carrier), dim(d), labels(d), diff(d) and
     right_act(mono, d), and left_act(mono, d) when it can set has_left;
-    action and element_act read the two actions through one memo."""
+    action reads the two actions through one memo.  An operator out of
+    degree d is named by op: "d" for the differential, (side, mono) for an
+    action.  matrix(op, d) is its memoized matrix, and apply(op, d, vec)
+    its value on a vector, by default that matrix's; a carrier that can
+    apply an operator without its matrix overrides apply."""
 
     has_left = False
     has_right = False
@@ -70,13 +76,24 @@ class Carrier:
         left_act/right_act on first use and shared afterwards."""
         return self.left_act(mono, d) if side == "l" else self.right_act(mono, d)
 
+    def matrix(self, op, d: int) -> SparseMatrix:
+        """The memoized matrix of the operator op out of degree d."""
+        return self.diff(d) if op == "d" else self.action(*op, d)
+
+    def apply(self, op, d: int, vec: dict) -> dict:
+        """The operator op applied to vec in degree d: here the mat_vec of
+        its memoized matrix."""
+        return self.matrix(op, d).mat_vec(vec)
+
     def element_act(self, side: str, el, d: int, vec: dict) -> dict:
         """el * vec ("l") or vec * el ("r") for an algebra element el and vec
-        in degree d, expanding el monomial by monomial."""
+        in degree d, expanding el monomial by monomial, each monomial's
+        action through apply, so that no matrix is built where apply needs
+        none."""
         f = self.field
         out: dict = {}
         for u, c in el.terms.items():
-            vec_axpy(f, out, c, self.action(side, u, d).mat_vec(vec))
+            vec_axpy(f, out, c, self.apply((side, u), d, vec))
         return out
 
     def element_act_right(self, el, d: int, vec: dict) -> dict:
@@ -139,6 +156,18 @@ class SemifreeCarrier(Carrier):
     needed.  The basis in degree d is (lam, y) for y a basis vector of
     Y_{d-|e_lam|}, lam-major.  Y defaults to B itself; then the basis is
     (generator, monomial) and the carrier is N's own graded pieces.
+
+    Each operator has one block rule, _blocks(op, lam, q), which lists the
+    blocks that read generator lam's piece Y_q: for the differential,
+    (-1)^{|e_lam|} d_Y into lam's own piece and, for each term c_u u of
+    each coefficient b_{mu lam} of N's differential, c_u times Y's left
+    action of u into mu's piece; for the right action of u, Y's right
+    action of u into lam's own piece.  Every block is one of Y's memoized
+    matrices.  Two consumers read the rule: diff and right_act assemble
+    the matrix from every generator's blocks (SparseMatrix.from_blocks),
+    and apply cuts a vector into generator pieces and multiplies each
+    piece by its blocks (SparseMatrix.apply_blocks), reading only the
+    generators the vector touches and building no matrix of this carrier.
     """
 
     def __init__(self, module, Y: Carrier | None = None):
@@ -198,11 +227,16 @@ class SemifreeCarrier(Carrier):
         as column(lam) = ((mu, b_{mu lam}), ...): e_lam (x) y goes to the sum
         over mu of e_mu (x) b_{mu lam} y, one block (mu, lam, c_u, left
         action of u on Y) per term c_u u of b_{mu lam}."""
-        Y = self.Y
         for lam, q in self.pieces(d):
-            for mu, b in column(lam):
-                for u, c in b.terms.items():
-                    yield mu, lam, c, Y.action("l", u, q)
+            for mu, c, m in self._left(column(lam), q):
+                yield mu, lam, c, m
+
+    def _left(self, entries, q: int) -> list:
+        """The blocks (mu, c_u, left action of u on Y_q) of one column
+        ((mu, b_{mu lam}), ...) of a matrix over B, one per term c_u u of
+        b_{mu lam}."""
+        act = self.Y.action
+        return [(mu, c, act("l", u, q)) for mu, b in entries for u, c in b.terms.items()]
 
     def labels(self, d: int):
         return [(lam, y) for lam, q in self.pieces(d) for y in self.Y.labels(q)]
@@ -224,21 +258,60 @@ class SemifreeCarrier(Carrier):
         return (self.offsets(d)[lam]
                 + self.algebra.mono_index(d - self.module.degrees[lam], mono))
 
+    def _op_degree(self, op) -> int:
+        """The degree that the operator op adds; a left action, which this
+        carrier does not have, raises DimensionMismatch."""
+        if op == "d":
+            return -1
+        side, mono = op
+        if side != "r":
+            raise DimensionMismatch(f"{self!r} has no left action")
+        return self.algebra.mono_degree(mono)
+
+    def _blocks(self, op, lam: int, q: int) -> list:
+        """The blocks (r, c, M) of op that read generator lam's piece Y_q:
+        generator r's piece of the image gains c * M applied to it.  The one
+        block rule of each operator (see the class docstring)."""
+        Y = self.Y
+        if op == "d":
+            # d(e_lam y) = (-1)^{|e_lam|} e_lam dy + sum_mu e_mu (b_{mu lam} y)
+            f = self.field
+            sign = f.neg(f.one) if self.module.degrees[lam] % 2 else f.one
+            return [(lam, sign, Y.diff(q)), *self._left(self.module.diff_column(lam), q)]
+        return [(lam, self.field.one, Y.action("r", op[1], q))]
+
+    def _assemble(self, op, d: int) -> SparseMatrix:
+        """op out of degree d as a matrix, every generator's blocks."""
+        return self.assemble(self, d, self._op_degree(op),
+                             ((r, lam, c, m) for lam, q in self.pieces(d)
+                              for r, c, m in self._blocks(op, lam, q)))
+
     @memo
     def diff(self, d: int) -> SparseMatrix:
-        # d(e_lam y) = (-1)^{|e_lam|} e_lam dy + sum_mu e_mu (b_{mu lam} y)
-        f, degrees = self.field, self.module.degrees
-        signs = (f.one, f.neg(f.one))
-        own = ((lam, lam, signs[degrees[lam] % 2], self.Y.diff(q))
-               for lam, q in self.pieces(d))
-        return self.assemble(self, d, -1,
-                             chain(own, self.left_blocks(self.module.diff_column, d)))
+        return self._assemble("d", d)
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        e = self.algebra.mono_degree(mono)
-        one = self.field.one
-        return self.assemble(self, d, e, ((lam, lam, one, self.Y.action("r", mono, q))
-                                          for lam, q in self.pieces(d)))
+        return self._assemble(("r", mono), d)
+
+    def apply(self, op, d: int, vec: dict) -> dict:
+        """op applied to vec in degree d through the block rule, with no
+        matrix of this carrier: vec is cut into generator pieces, and only
+        the blocks of the generators it touches are read.  A vector or a
+        piece that is empty gives the zero vector, without reading blocks;
+        an entry outside the piece is passed over, as mat_vec does."""
+        e = self._op_degree(op)
+        if not (vec and self.dim(d) and self.dim(d + e)):
+            return {}
+        offs, degrees = self.offsets(d), self.module.degrees
+        total = offs[-1]
+        parts: dict = {}
+        for j, c in vec.items():
+            if 0 <= j < total:
+                lam = bisect_right(offs, j) - 1
+                parts.setdefault(lam, {})[j - offs[lam]] = c
+        return SparseMatrix.apply_blocks(
+            self.field, self.offsets(d + e), offs,
+            lambda lam: self._blocks(op, lam, d - degrees[lam]), parts)
 
     def place(self, lam: int, q: int, yvec: dict) -> dict:
         """Coordinates of e_lam (x) y for y in Y_q: y in generator lam's

@@ -506,7 +506,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"command": args.command, "instance": inst.path, "backend": field.name, **body}
-    sys.stdout.write(emit(report, args.json))
+    text = emit(report, args.json)
+    enc = getattr(sys.stdout, "encoding", None)
+    if enc:  # a name stdout cannot encode is escaped, as on stderr
+        text = text.encode(enc, "backslashreplace").decode(enc)
+    sys.stdout.write(text)
     return 0 if ok else 1
 
 

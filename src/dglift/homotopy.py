@@ -9,7 +9,10 @@ Y_{deg(lam) - s}.  The Hom complex differential
 
 is written once, in _delta_blocks.  Its block from generator mu to generator
 lam is (-1)^s D_Y on the diagonal, plus c_u times the right action of u for
-each term c_u u of the coefficient b_{mu lam} of e_mu in d(e_lam).
+each term c_u u of the coefficient b_{mu lam} of e_mu in d(e_lam).  Each
+block names an operator of Y: delta_matrix builds the blocks into a matrix
+from Y's matrices, and delta_cols applies them to generator images through
+Y's apply, which for a closed-form N (x)_B Y builds no matrix of it.
 
 A shift-s map f is a chain map exactly when delta_{s+1} f = 0.  The chain
 defect (-1)^s D_Y f - f d_N equals -delta_{s+1} f, and the chain-condition
@@ -114,38 +117,44 @@ class MapLayout:
 
 
 def _delta_blocks(source: SemifreeModule, target: Carrier, s: int, cols=None):
-    """The blocks (lam, mu, c, M) of delta_s: output block lam gains c * M
-    applied to input block mu.  With cols, only the blocks that read a
-    generator in cols, so no matrix is built for a zero image.  A block whose
-    input or output piece of the target is zero-dimensional is skipped, so
-    no matrix is built for it either."""
+    """The blocks (lam, mu, c, op, d) of delta_s: output block lam gains c
+    times the target's operator op out of degree d (Carrier.apply) applied
+    to input block mu.  With cols, only the blocks that read a generator in
+    cols.  A block whose input or output piece of the target is
+    zero-dimensional is skipped, so no operator is read for it."""
     f = target.field
     sgn = f.neg(f.one) if s % 2 else f.one
     dim = target.dim
     for lam in range(source.n_gens):
         out = source.degrees[lam] - s
         if (cols is None or lam in cols) and dim(out + 1) and dim(out):
-            yield lam, lam, sgn, target.diff(out + 1)
+            yield lam, lam, sgn, "d", out + 1
         for mu, b in source.diff_column(lam):
             d = source.degrees[mu] - s + 1
             if (cols is None or mu in cols) and dim(d) and dim(out):
                 for u, c in b.terms.items():
-                    yield lam, mu, c, target.action("r", u, d)
+                    yield lam, mu, c, ("r", u), d
 
 
 def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> dict:
-    """delta_s of a map given by generator images, without a matrix."""
-    f = target.field
+    """delta_s of a map given by generator images: each block of
+    _delta_blocks goes through target.apply, so no matrix of delta_s is
+    formed, and none of the target where its apply needs none."""
+    f, apply = target.field, target.apply
     out: dict = {}
-    for lam, mu, c, m in _delta_blocks(source, target, s, cols):
-        vec_axpy(f, out.setdefault(lam, {}), c, m.mat_vec(cols[mu]))
+    for lam, mu, c, op, d in _delta_blocks(source, target, s, cols):
+        vec_axpy(f, out.setdefault(lam, {}), c, apply(op, d, cols[mu]))
     return {lam: v for lam, v in out.items() if v}
 
 
 def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
-    """delta_s as a matrix from cols = layout(s-1) to rows = layout(s)."""
-    return SparseMatrix.from_blocks(rows.target.field, rows.offsets, cols.offsets,
-                                    _delta_blocks(rows.source, rows.target, rows.shift))
+    """delta_s as a matrix from cols = layout(s-1) to rows = layout(s), each
+    block of _delta_blocks the target's matrix of its operator."""
+    target = rows.target
+    return SparseMatrix.from_blocks(
+        target.field, rows.offsets, cols.offsets,
+        ((lam, mu, c, target.matrix(op, d))
+         for lam, mu, c, op, d in _delta_blocks(rows.source, target, rows.shift)))
 
 
 def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,

@@ -174,6 +174,17 @@ class Sweep(NamedTuple):
     zero: bytearray
 
 
+def _slot(row_offsets, col_offsets, r: int, k: int, m) -> tuple[int, int]:
+    """Where block (r, k) starts, (row_offsets[r], col_offsets[k]), once m is
+    checked to have the shape of its slot; DimensionMismatch if not."""
+    o, p = row_offsets[r], col_offsets[k]
+    if (m.nrows, m.ncols) != (row_offsets[r + 1] - o, col_offsets[k + 1] - p):
+        raise DimensionMismatch(
+            f"block ({r},{k}) is {m.nrows}x{m.ncols}, its slot "
+            f"{row_offsets[r + 1] - o}x{col_offsets[k + 1] - p}")
+    return o, p
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field, stored as
     its nonzero columns {j: {i: c}}: no column is empty and no value zero,
@@ -231,11 +242,7 @@ class SparseMatrix:
         out: dict = {}
         axpy, mul, one = field.axpy, field.mul, field.one
         for r, k, c, m in blocks:
-            o, p = row_offsets[r], col_offsets[k]
-            if (m.nrows, m.ncols) != (row_offsets[r + 1] - o, col_offsets[k + 1] - p):
-                raise DimensionMismatch(
-                    f"block ({r},{k}) is {m.nrows}x{m.ncols}, its slot "
-                    f"{row_offsets[r + 1] - o}x{col_offsets[k + 1] - p}")
+            o, p = _slot(row_offsets, col_offsets, r, k, m)
             if field.is_zero(c):
                 continue
             for j, col in m._columns.items():
@@ -249,6 +256,22 @@ class SparseMatrix:
                     if not got:  # blocks in one slot may cancel
                         del out[p + j]
         return cls._trusted(field, row_offsets[-1], col_offsets[-1], out)
+
+    @staticmethod
+    def apply_blocks(field, row_offsets, col_offsets, blocks_of, parts: dict) -> dict:
+        """from_blocks applied to a vector without the matrix: the vector is
+        given by its pieces, parts[k] in the coordinates of generator k's
+        slot, and blocks_of(k) lists the blocks (r, c, M) that read piece
+        k, each adding c * M parts[k] at row_offsets[r].  Every block read
+        is checked against its slot as from_blocks checks it."""
+        out: dict = {}
+        axpy = field.axpy
+        for k, part in parts.items():
+            for r, c, m in blocks_of(k):
+                o, _ = _slot(row_offsets, col_offsets, r, k, m)
+                y = m.mat_vec(part)
+                axpy(out, c, {o + i: x for i, x in y.items()} if o else y)
+        return out
 
     @property
     def entries(self) -> dict:

@@ -292,10 +292,14 @@ def gamma_dim(N: SemifreeModule, diag: Diagonal, n: int) -> int:
     """dim of the tensor-degree-n graded endomorphism piece: by adjunction the
     homotopy classes N -> N (x) T^n; zero in negative degrees structurally.
     A homotopy invariant of N, so it reads N's minimal model N' =
-    diag.minimal(N).module: the space N' -> N' (x) T^n."""
+    diag.minimal(N).module: the space N' -> N' (x) T^n, and 0 with no
+    carrier or space built when N' = 0; Diagonal.T refuses n either way."""
     if n < 0:
         return 0
     M = diag.minimal(N).module
+    if not M.n_gens:
+        diag.T(n)
+        return 0
     return diag.hom(M, diag.NT(M, n)).dim_K
 
 
@@ -303,7 +307,12 @@ def omega_action_matrix(N: SemifreeModule, diag: Diagonal, n: int, m: int):
     """Matrix of left composition with the obstruction on homotopy classes
     Hom(N, Sigma^m(N (x) T^n)) -> Hom(N, Sigma^m(N (x) T^{n+1})).
 
-    Returns (matrix, dim source, dim target)."""
+    Returns (matrix, dim source, dim target): the 0 x 0 matrix, 0 and 0,
+    with no carrier or space built, when N = 0, once Diagonal.T has taken
+    n and n + 1."""
+    if not N.n_gens:
+        diag.T(n), diag.T(n + 1)
+        return SparseMatrix(N.algebra.field, 0, 0), 0, 0
     S = diag.hom(N, diag.NT(N, n), m)
     T = diag.hom(N, diag.NT(N, n + 1), m)
     mat = induced_matrix(S, T, ObstructionTower(N, diag).component(n))

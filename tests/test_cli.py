@@ -1,10 +1,12 @@
 """Instance parsing, command dispatch, exit codes, report determinism."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -21,8 +23,6 @@ from conftest import DATA
 
 
 def run_cli(args):
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -560,6 +560,28 @@ def test_an_instance_file_is_utf8_on_every_locale(tmp_path):
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(args)
     assert proc.returncode == 0
+
+
+def test_a_text_report_escapes_what_stdout_cannot_encode(tmp_path):
+    """On an ASCII stdout the text report escapes a name outside ASCII, as
+    the messages on stderr do, and exits 0; the JSON report is unchanged."""
+    p = tmp_path / "utf8.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y² : 1 = 0\n"
+                 "[module M]\ngen e : 0\n", encoding="utf-8")
+
+    def on_ascii_stdout(args):
+        raw = io.BytesIO()
+        out = io.TextIOWrapper(raw, encoding="ascii")
+        with redirect_stdout(out):
+            code = main(args)
+        out.flush()
+        return code, raw.getvalue().decode("ascii")
+
+    text, wide = on_ascii_stdout(["check", str(p)]), run_cli(["check", str(p)])
+    assert "k<y²:1>" in wide[1]
+    assert text == (0, wide[1].replace("²", "\\xb2"))
+    args = ["check", str(p), "--json"]
+    assert on_ascii_stdout(args) == run_cli(args)[:2]
 
 
 def test_reports_are_deterministic():

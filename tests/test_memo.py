@@ -19,14 +19,16 @@ from dglift.carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, Quotient
                              SemifreeCarrier, TensorCarrier)
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal, EnvelopingCarrier
+from dglift.errors import CapExceeded
 from dglift.homotopy import HomSpace, hom_k_dim
 from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.memo import memo, peek
-from dglift.modules import ChainMap, MinimalModel, SemifreeModule
+from dglift.modules import ChainMap, MinimalModel, SemifreeModule, cone
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
-                                chain_map_operator, chi_power, gamma_dim, induced_matrix)
+                                chain_map_operator, chi_power, gamma_dim, induced_matrix,
+                                omega_action_matrix)
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 from conftest import assert_column_index_consistent, entry_matrix
@@ -193,7 +195,7 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
     and the splitting search and the factorization ideal share one Hom space
     N' -> G out of the minimal model N', whose chain matrix delta_1 is built
     once.  cone_id's N' is the zero module: no Hom space out of it, or into
-    G, is built at all."""
+    G, is built, so the Hom memo stays empty."""
     import dglift.diagonal as diagonal_module
     import dglift.homotopy as homotopy_module
     inst = build_corpus(CONFIGS[backend])["exterior"]
@@ -227,11 +229,13 @@ def test_base_change_and_its_hom_space_are_built_once_per_diagonal(backend, monk
         Mp = diag.minimal(M).module
         own = mname != "cone_id"
         assert (Mp is M) == own
-        assert [k for k in peek(diag, "_hom") if k[1] is G.carrier()] == \
+        homs = peek(diag, "_hom") or {}
+        assert [k for k in homs if k[1] is G.carrier()] == \
             ([(M, G.carrier(), 0)] if own else [])
         assert chain_targets.count((M, G.carrier())) == own
         if not own:
-            assert not [k for k in peek(diag, "_hom") if k[0] is M]
+            # nor out of N' = 0 (gamma_dim and omega_action_matrix), so none
+            assert not homs
         built.clear()
 
 
@@ -257,6 +261,50 @@ def test_a_lone_kernel_sequence_check_on_a_contractible_module_builds_no_base_ch
     assert induced_matrix(other.hom(M, G), other.hom(M, N), chain_map_operator(pi)).rank() == 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_no_hom_space_or_carrier_is_built_out_of_the_zero_module(backend):
+    """gamma_dim and omega_action_matrix on the zero module answer 0 and the
+    0 x 0 matrix with no N' (x) T^n carrier and no Hom space: after a cone
+    battery and a kernel-sequence check, whose minimal model is zero, no
+    memo key has a source with no generators.  Diagonal.T still refuses a
+    tensor degree past the cap there."""
+    inst = build_corpus(CONFIGS[backend])["exterior"]
+    for mname in ("two_step", "cone_id"):
+        N = cone(ChainMap.identity(inst.modules[mname]))
+        diag = Diagonal(inst.algebra)
+        naive_lift_battery(N, diag)
+        kernel_sequence_check(N, diag)
+        zero = diag.minimal(N).module
+        assert zero.n_gens == 0
+        for _ in range(2):  # after the battery, and after asking N' = 0 directly
+            assert not [k for k in peek(diag, "_hom") or {} if not k[0].n_gens]
+            assert not [k for k in peek(diag, "NT") or {} if not k[0].n_gens]
+            assert gamma_dim(zero, diag, 2) == 0
+            mat, s, t = omega_action_matrix(zero, diag, 1, 0)
+            assert (mat.nrows, mat.ncols, mat.entries, s, t) == (0, 0, {}, 0, 0)
+        top = inst.algebra.config.max_tensor
+        with pytest.raises(CapExceeded, match="tensor degree"):
+            gamma_dim(zero, diag, top + 1)
+        with pytest.raises(CapExceeded, match="tensor degree"):
+            omega_action_matrix(zero, diag, top, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_cone_battery_builds_no_matrix_of_the_base_change_carrier(backend):
+    """The chain defects and witness rechecks of a battery on a cone of an
+    identity apply G's differential and right actions to vectors block by
+    block (SemifreeCarrier.apply), so no matrix of G's carrier is kept."""
+    corpus = build_corpus(CONFIGS[backend])
+    for inst in corpus.values():
+        for M in inst.modules.values():
+            N = cone(ChainMap.identity(M))
+            diag = Diagonal(N.algebra)
+            naive_lift_battery(N, diag)
+            G, _ = diag.base_change(N)
+            assert peek(G.carrier(), "diff") is None
+            assert peek(G.carrier(), "action") is None
+
+
 BATTERY_MODULES = ("two_step", "cone_id", "B2")
 
 
@@ -278,7 +326,7 @@ def test_battery_reads_the_AR_tables_off_the_hom_memo(backend, mname):
     span = M.max_degree - M.min_degree
     ar1 = [(Mp, B, n) for n in range(1, max(0, M.max_degree) + 1)]
     ar2 = [(Mp, Mp.carrier(), n) for n in range(1, span + 1)]
-    assert not set(ar1 + ar2) & peek(diag, "_hom").keys()
+    assert not set(ar1 + ar2) & (peek(diag, "_hom") or {}).keys()
     assert report.ar1.detail["iii_dims"] == {k[2]: hom_k_dim(*k) for k in ar1}
     assert report.ar2.detail["dims"] == {k[2]: hom_k_dim(*k) for k in ar2}
 
@@ -546,7 +594,7 @@ def test_a_battery_leaves_nothing_alive_after_a_collection(backend):
         inst = build_corpus(CONFIGS[backend], ["exterior"])["exterior"]
         M = inst.modules["cone_id"]
         naive_lift_battery(M, inst.diag)
-        assert peek(inst.diag, "_hom") and peek(inst.algebra, "carrier")
+        assert peek(inst.diag, "base_change") and peek(inst.algebra, "carrier")
         return [weakref.ref(inst.algebra), weakref.ref(M), weakref.ref(inst.diag)]
 
     refs = run()

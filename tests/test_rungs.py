@@ -52,6 +52,17 @@ def test_the_smallest_rung_prints_one_measured_json_line_per_field():
     assert {r["sha256"] for r in lines} == {CONE_EXT5_LEN5_SHA256}
 
 
+def test_the_larger_cone_rung_keeps_its_digest_on_both_fields():
+    """The battery on the cone of the identity of len5 over the 6-generator
+    exterior algebra prints the digest of the 5-generator cone: each cone
+    is contractible, and its report names neither algebra."""
+    proc = run("cone_ext6_len5")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["field"] for r in lines] == ["Q", "Fp"]
+    assert {r["sha256"] for r in lines} == {CONE_EXT5_LEN5_SHA256}
+
+
 def test_the_tensor_ladder_rung_keeps_its_digest():
     """dim, labels and diff of T^n over the 5-generator exterior algebra in
     every degree up to 12, n = 1..4, on Q: J and every T^n past the degree
