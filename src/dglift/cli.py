@@ -314,6 +314,8 @@ def emit(report: dict, as_json: bool) -> str:
 
 def _module_arg(inst: InstanceFile, name: str | None) -> tuple[str, SemifreeModule]:
     if name is None:
+        if not inst.modules:
+            raise DGLiftError(f"instance {inst.path} declares no module")
         if len(inst.modules) != 1:
             raise DGLiftError("instance has several modules; pass --module")
         name = next(iter(inst.modules))

@@ -5,6 +5,12 @@ triangular differential matrix over the algebra: the coefficient of e_mu in
 d(e_lambda) is stored at (mu, lambda) and must vanish unless mu < lambda.
 Construction validates triangularity, entry degrees, and d^2 = 0 exactly.
 
+Every product of matrices over B goes through one outer-product loop,
+_add_outer: matrix_product feeds it each entry of its left factor against
+the matching row of its right one, the d^2 check squares the differential
+through matrix_product, and the minimal model's elimination adds its
+updates through it.
+
 A chain map of shift s is a degree-preserving map into the s-fold shift of
 the target; the shift negates the target differential s times but leaves the
 right action alone, so matrices over the algebra capture everything.
@@ -67,23 +73,18 @@ class SemifreeModule:
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
                     f"entry ({self.names[mu]},{self.names[lam]}) must have degree {want}, got {el}")
-        # d^2 = 0, column by column, over the rows that receive a term
-        for lam in range(self.n_gens):
-            acc: dict = {}
-            for mu, b in self.diff_column(lam):
-                for nu, b2 in self.diff_column(mu):
-                    term = b2 * b
-                    acc[nu] = acc[nu] + term if nu in acc else term
-                dcoef = b.differentiate()
-                if self.degrees[mu] % 2:
-                    dcoef = dcoef.neg()
-                acc[mu] = acc[mu] + dcoef if mu in acc else dcoef
-            # ascending rows, so the first nonzero row is the one named
-            for nu in sorted(acc):
-                el = acc[nu]
-                if not el.is_zero():
-                    raise DSquaredNonzero(
-                        f"d² != 0 on column {self.names[lam]} (row {self.names[nu]}): {el}")
+        # d^2 = 0: the square of the matrix plus the signed d(b) terms,
+        # named at the least column, then the least row, that does not vanish
+        sq = matrix_product(self.diff, self.diff)
+        for (mu, lam), b in self.diff.items():
+            db = b.differentiate()
+            term = db.neg() if self.degrees[mu] % 2 else db
+            sq[mu, lam] = sq[mu, lam] + term if (mu, lam) in sq else term
+        bad = [(lam, nu) for (nu, lam), el in sq.items() if not el.is_zero()]
+        if bad:
+            lam, nu = min(bad)
+            raise DSquaredNonzero(
+                f"d² != 0 on column {self.names[lam]} (row {self.names[nu]}): {sq[nu, lam]}")
 
     # ----- queries -----
 
@@ -215,17 +216,14 @@ class ChainMap:
 
 
 def matrix_product(a: dict, b: dict) -> dict:
-    """The product a b of two matrices over B given as {(row, col): element}."""
+    """The product a b of two matrices over B given as {(row, col): element},
+    with b grouped by row once and each entry of a fed to _add_outer."""
+    rows: dict = {}
+    for (k, lam), y in b.items():
+        rows.setdefault(k, []).append((lam, y))
     out: dict = {}
     for (mu, k), x in a.items():
-        for (kk, lam), y in b.items():
-            if kk != k:
-                continue
-            prod = x * y
-            if prod.is_zero():
-                continue
-            cur = out.get((mu, lam))
-            out[(mu, lam)] = prod if cur is None else cur + prod
+        _add_outer(out, [(mu, x)], rows.get(k, ()))
     return out
 
 
@@ -428,13 +426,15 @@ def _unit_pair(diff: dict, degrees, unit):
 
 def _unit_inverse(u: AlgebraElement) -> AlgebraElement:
     """The inverse of a degree-0 element with constant term c != 0.  B_0 is
-    the base ring, so u = c (1 - x) with x a multiple of the nilpotent base
-    generator, and u^{-1} = c^{-1} (1 + x + x^2 + ...) is a finite sum."""
+    the base ring k[a]/(a^r) (r = 1 for k), so u = c (1 - x) with x a
+    multiple of a, x^r = 0, and u^{-1} = c^{-1} (1 + x + ... + x^{r-1}).
+    The sum stops at r terms whatever x is, so a wrong c^{-1} gives a wrong
+    sum, which the recheck refuses, rather than a series that never ends."""
     alg = u.algebra
     cinv = alg.field.inv(u.terms[alg.unit_mono()])
     x = alg.one() - u.scale(cinv)
     inv, power = alg.zero(), alg.one()
-    while not power.is_zero():
+    for _ in range(alg.base.rank):
         inv = inv + power
         power = power * x
     inv = inv.scale(cinv)
@@ -443,8 +443,10 @@ def _unit_inverse(u: AlgebraElement) -> AlgebraElement:
     return inv
 
 
-def _subtract_outer(out: dict, left, right) -> None:
-    """out[(i, j)] -= x * y for each (i, x) in left and (j, y) in right."""
+def _add_outer(out: dict, left, right) -> None:
+    """out[(i, j)] += x * y for each (i, x) in left and (j, y) in right: a
+    zero product is skipped and a sum that cancels is deleted.  Every product
+    of matrices over B goes through this loop."""
     for i, x in left:
         for j, y in right:
             prod = x * y
@@ -452,7 +454,7 @@ def _subtract_outer(out: dict, left, right) -> None:
                 continue
             key = (i, j)
             cur = out.get(key)
-            new = prod.neg() if cur is None else cur - prod
+            new = prod if cur is None else cur + prod
             if new.is_zero():
                 del out[key]
             else:
@@ -493,18 +495,19 @@ def minimal_model(N: SemifreeModule) -> MinimalModel:
         mu, nu = pair
         alive -= {mu, nu}
         v = _unit_inverse(D[pair])
-        # a_rho = b_{rho nu} u^{-1} and b_kappa = b_{mu kappa}; degree-0 v commutes
-        a = [(r, x * v) for (r, c), x in D.items() if c == nu and r != mu]
+        # a_rho = -b_{rho nu} u^{-1} and b_kappa = b_{mu kappa}, so each
+        # update below is one outer product added; degree-0 v commutes
+        a = [(r, (x * v).neg()) for (r, c), x in D.items() if c == nu and r != mu]
         b = [(c, x) for (r, c), x in D.items() if r == mu and c != nu]
         f_mu = [(c, x) for (r, c), x in F.items() if r == mu]
-        g_nu = [(r, x * v) for (r, c), x in G.items() if c == nu]
+        g_nu = [(r, (x * v).neg()) for (r, c), x in G.items() if c == nu]
         D = {k: x for k, x in D.items() if k[0] in alive and k[1] in alive}
-        _subtract_outer(D, a, b)
+        _add_outer(D, a, b)
         F = {k: x for k, x in F.items() if k[0] in alive}
-        _subtract_outer(F, a, f_mu)
+        _add_outer(F, a, f_mu)
         G = {k: x for k, x in G.items() if k[1] in alive}
-        _subtract_outer(G, g_nu, b)
-        _subtract_outer(H, g_nu, [(c, x.neg()) for c, x in f_mu])
+        _add_outer(G, g_nu, b)
+        _add_outer(H, g_nu, [(c, x.neg()) for c, x in f_mu])
         pair = _unit_pair(D, degrees, unit)
     order = sorted(alive, key=lambda i: (degrees[i], i))
     pos = {old: new for new, old in enumerate(order)}

@@ -12,9 +12,11 @@ the left action of f's entries on one copy of T^n per generator.  A
 DegreewiseMap builds such an operator one degree at a time, and validates
 each tensor component as an exact degree-0 chain operator.  An independent
 construction through the enveloping algebra (section/retraction conjugation
-of the differential of N (x) B^e, built column by column) must reproduce it
-entrywise, and the closed-form power expansion over strictly decreasing
-generator chains must equal the iterated composition.
+of the differential of N (x) B^e: the retraction places each basis vector,
+the carrier's differential is applied to it, and the section only to the
+basis vectors that the result reaches) must reproduce it entrywise, and the
+closed-form power, which sums the strictly decreasing generator chains by
+their head, must equal the iterated composition of the components.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ class EnvelopingRouteTower:
     """The same operator built as (section . d . retraction) (x) id.
 
     The retraction sends a generator-monomial pair to e (x) (1 (x) w); the
-    section subtracts 1 (x) (image under multiplication).  Composing with the
-    differential of N (x) B^e through exact matrices gives the tensor-degree
-    0 piece; tensoring with the identity of T^i gives the rest.  Used as an
-    entrywise cross-check of the direct formula.
+    section subtracts 1 (x) (image under multiplication).  Applying the
+    differential of N (x) B^e between them, vector by vector, gives the
+    tensor-degree 0 piece; tensoring with the identity of T^i gives the
+    rest.  Used as an entrywise cross-check of the direct formula.
     """
 
     def __init__(self, N: SemifreeModule, diag: Diagonal):
@@ -143,23 +145,20 @@ class EnvelopingRouteTower:
 
     @memo
     def core_matrix(self, d: int) -> SparseMatrix:
-        """sigma . d^{N (x) B^e} . rho : N_d -> (N (x) J)_{d-1}."""
+        """sigma . d^{N (x) B^e} . rho : N_d -> (N (x) J)_{d-1}, applied to
+        vectors: rho places each basis vector e_lam w of N_d as e_lam (x)
+        (1 (x) w), the carrier's own differential applies d to it, and
+        sigma is applied only to the basis vectors e_lam (x) (u (x) m) that
+        the result reaches, each once, as u (x) m - 1 (x) um read through
+        J.coords and its recheck."""
         N = self.N
         alg = N.algebra
         f = alg.field
-        ncar = N.carrier()
         env = self.diag.env
         J = self.diag.J
         NBe, NJ = self._carriers()
-
-        labels = ncar.labels(d)
-
-        def rho_col(k):
-            lam, w = labels[k]
-            return NBe.place(lam, *env.pair_vector(alg.unit_mono(), w))
-
-        rho = SparseMatrix.from_cols(f, NBe.dim(d), [rho_col(k) for k in range(ncar.dim(d))])
-        dmat = NBe.diff(d)
+        unit = alg.unit_mono()
+        sigma: dict = {}  # basis vector of (N (x) B^e)_{d-1} -> its image
 
         def sigma_col(k):
             # basis vector k is e_lam (x) (u (x) m); subtract 1 (x) um
@@ -169,13 +168,18 @@ class EnvelopingRouteTower:
             out = {j: f.one}
             s2, prod = alg.mono_mul(u, m)
             if prod is not None:
-                _, v2 = env.pair_vector(alg.unit_mono(), prod, f.from_int(-s2))
-                vec_axpy(f, out, f.one, v2)
+                vec_axpy(f, out, f.one, env.pair_vector(unit, prod, f.from_int(-s2))[1])
             return NJ.place(lam, bd, J.coords(bd, out))
 
-        sigma = SparseMatrix.from_cols(f, NJ.dim(d - 1),
-                                       [sigma_col(k) for k in range(NBe.dim(d - 1))])
-        return sigma @ (dmat @ rho)
+        cols = []
+        for lam, w in N.carrier().labels(d):
+            out: dict = {}
+            for k, c in NBe.apply("d", d, NBe.place(lam, *env.pair_vector(unit, w))).items():
+                if k not in sigma:
+                    sigma[k] = sigma_col(k)
+                vec_axpy(f, out, c, sigma[k])
+            cols.append(out)
+        return SparseMatrix.from_cols(f, NJ.dim(d - 1), cols)
 
     def component(self, i: int) -> DegreewiseMap:
         """Tensor component i, built on each call (asked once per tower)."""
@@ -222,42 +226,34 @@ def towers_agree(a, b, i: int, degrees) -> bool:
 def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     """Closed-form l-fold obstruction power N -> N (x) T^l: the sum over
     strictly decreasing generator chains of the tensor of derivation values,
-    signed by the suspension cost of every intermediate generator."""
+    signed by the suspension cost of every intermediate generator.
+
+    The chains out of e_lam are summed by head: after k steps heads[mu] is
+    the sum of the T^k vectors of every chain lam > ... > mu, of degree
+    |e_lam| - |e_mu|, and one step adds (-1)^{|e_nu|} delta(b_{nu mu}) (x)
+    heads[mu] into heads[nu].  With no step, the one head is e_lam at the
+    unit of T^0 = B: chi^0 is the identity of N."""
     f = N.algebra.field
-    ncar = N.carrier()
-    if ell == 0:
-        return CarrierMap(N, ncar, 0, {lam: ncar.gen_vector(lam)[1] for lam in range(N.n_gens)})
     tgt = diag.NT(N, ell)
+    signs = (f.one, f.neg(f.one))
+    degrees = N.degrees
+    unit = {N.algebra.mono_index(0, N.algebra.unit_mono()): f.one}
     cols: dict = {}
-
-    def chains(lam: int, k: int):
-        """For each chain lam > mu_1 > ... > mu_k of nonzero coefficients,
-        yield the generators [mu_k, ..., mu_1] and the coefficients
-        [b_{mu_k mu_(k-1)}, ..., b_{mu_1 lam}]."""
-        for mu, b in N.diff_column(lam):
-            if k == 1:
-                yield [mu], [b]
-            else:
-                for gens, tail in chains(mu, k - 1):
-                    yield gens + [mu], tail + [b]
-
     for lam in range(N.n_gens):
-        acc: dict = {}
-        for gens, entries in chains(lam, ell):
-            tvec, tdeg = None, 0
-            for step, b in enumerate(reversed(entries)):
-                bd, dvec = diag.delta(b)
-                # delta(b) prepended to the T^step vector built so far
-                tvec = diag.t_prepend(bd + 1, dvec, step, tdeg, tvec) if step else dvec
-                tdeg += bd + 1
-                if not tvec:
-                    break
-            else:
-                sgn = sum(N.degrees[g] for g in gens) % 2
-                vec_axpy(f, acc, f.neg(f.one) if sgn else f.one,
-                         tgt.place(gens[0], tdeg, tvec))
-        if acc:
-            cols[lam] = acc
+        heads: dict = {lam: unit}
+        for k in range(ell):
+            step: dict = {}
+            for mu, tvec in heads.items():
+                for nu, b in N.diff_column(mu):
+                    bd, dvec = diag.delta(b)
+                    # delta(b) (x) the unit of T^0 is delta(b) itself
+                    vec = diag.t_prepend(bd + 1, dvec, k, degrees[lam] - degrees[mu],
+                                         tvec) if k else dvec
+                    vec_axpy(f, step.setdefault(nu, {}), signs[degrees[nu] % 2], vec)
+            heads = {nu: vec for nu, vec in step.items() if vec}
+        if heads:  # the heads sit in disjoint generator blocks
+            cols[lam] = {i: c for mu, tvec in heads.items()
+                         for i, c in tgt.place(mu, degrees[lam] - degrees[mu], tvec).items()}
     return CarrierMap(N, tgt, 0, cols)
 
 

@@ -7,6 +7,12 @@ by pair_vector.  This oracle builds each operator the way that assumes
 nothing of that: for every pair (u, m) of the degree, each half of the
 tensor rule is written from monomial arithmetic (diff_mono and mono_mul)
 and both halves are reduced by pair_vector.
+
+core_product builds the enveloping route's core the same way, as a product
+of full matrices: rho over all of N_d, the assembled differential of
+N (x) B^e, and sigma over all of (N (x) B^e)_{d-1}.  The engine's
+core_matrix instead applies the differential to each placed vector and
+sigma only to the basis vectors that the result reaches.
 """
 
 from __future__ import annotations
@@ -48,3 +54,28 @@ def enveloping_right_act(env, mono, d: int) -> SparseMatrix:
         sgn, w = alg.mono_mul(m, mono)
         cols.append({} if w is None else env.pair_vector(u, w, f.from_int(sgn))[1])
     return SparseMatrix.from_cols(f, env.dim(d + alg.mono_degree(mono)), cols)
+
+
+def core_product(route, d: int) -> SparseMatrix:
+    """sigma . (d^{N (x) B^e} . rho) : N_d -> (N (x) J)_{d-1} for an
+    EnvelopingRouteTower: rho places e_lam w as e_lam (x) (1 (x) w), and
+    sigma sends every basis vector e_lam (x) (u (x) m) of degree d - 1 to
+    u (x) m - 1 (x) um, read through J.coords."""
+    N, env, J = route.N, route.diag.env, route.diag.J
+    alg, f = N.algebra, N.algebra.field
+    NBe, NJ = route._carriers()
+    unit = alg.unit_mono()
+    rho = SparseMatrix.from_cols(f, NBe.dim(d), [
+        NBe.place(lam, *env.pair_vector(unit, w)) for lam, w in N.carrier().labels(d)])
+    sigma_cols = []
+    for k in range(NBe.dim(d - 1)):
+        lam, j = NBe.block(d - 1, k)
+        bd = d - 1 - N.degrees[lam]
+        u, m = env.labels(bd)[j]
+        out = {j: f.one}
+        sgn, prod = alg.mono_mul(u, m)
+        if prod is not None:
+            vec_axpy(f, out, f.from_int(-sgn), env.pair_vector(unit, prod)[1])
+        sigma_cols.append(NJ.place(lam, bd, J.coords(bd, out)))
+    sigma = SparseMatrix.from_cols(f, NJ.dim(d - 1), sigma_cols)
+    return sigma @ (NBe.diff(d) @ rho)

@@ -615,6 +615,16 @@ def test_prefix_instance_two_modules():
     assert code == 1 and "module" in err
 
 
+@pytest.mark.parametrize("command", ["battery", "hom", "omega", "gamma"])
+def test_an_instance_with_no_module_says_so(tmp_path, command):
+    """A file with no [module ...] section is refused by every command that
+    reads a module, with exit 1 and a message naming what is missing, not
+    the one for several modules."""
+    p = tmp_path / "nomodule.dg"
+    p.write_text("[base]\nring = k\n[algebra]\nvar y : 1 = 0\n")
+    assert run_cli([command, str(p)]) == (1, "", f"error: instance {p} declares no module\n")
+
+
 def test_flag_overrides_file_limits():
     code, out, _ = run_cli(["gamma", str(DATA / "mixed.dg"), "--json",
                             "--max-tensor", "2"])

@@ -7,16 +7,20 @@ odd generators at the default cap, and on tate2 over its prefix A =
 k[q]/(q^2)<X> (a nonzero differential that crosses from B/A into A), on
 both fields, each must equal enveloping_oracle's matrix in every degree
 within the cap, the actions for every monomial of B whose image degree is
-within the cap too.
+within the cap too.  The enveloping route's core, which applies the
+differential and sigma to vectors, must equal core_product's product of
+full matrices for every corpus module.
 """
 
 import pytest
-from enveloping_oracle import enveloping_diff, enveloping_left_act, enveloping_right_act
+from enveloping_oracle import (core_product, enveloping_diff, enveloping_left_act,
+                               enveloping_right_act)
 
 from dglift.algebra import BaseRing, build_algebra
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.instances import build_corpus
+from dglift.obstruction import EnvelopingRouteTower
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 FIELDS = {"Q": RATIONALS, "Fp": PrimeField(DEFAULT_PRIME)}
@@ -75,3 +79,19 @@ def test_a_zero_differential_visits_no_pair(backend, monkeypatch):
     for d in range(5):
         got = env.diff(d)
         assert got.is_zero() and (got.nrows, got.ncols) == (env.dim(d - 1), env.dim(d))
+
+
+@pytest.mark.parametrize("backend", list(FIELDS))
+def test_the_enveloping_core_is_the_product_of_full_matrices(backend):
+    """core_matrix(d) equals sigma . d . rho as full matrices, for every
+    corpus module and every degree from its lowest generator degree to one
+    past its highest."""
+    nonzero = 0
+    for name, inst in build_corpus(EngineConfig(field=FIELDS[backend])).items():
+        for mname, N in inst.modules.items():
+            route = EnvelopingRouteTower(N, inst.diag)
+            for d in range(N.min_degree, N.max_degree + 2):
+                got = route.core_matrix(d)
+                assert same(got, core_product(route, d)), (name, mname, d)
+                nonzero += not got.is_zero()
+    assert nonzero > 10, nonzero

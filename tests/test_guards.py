@@ -16,12 +16,12 @@ from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import (DegreeMismatch, DimensionMismatch, IllFormedPresentation,
                            NotTriangular, OwnerMismatch)
-from dglift.homotopy import carrier_map_to_chain
+from dglift.homotopy import HomSpace, carrier_map_to_chain, space_name
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.liftcheck import splitting_search, summand_witness
 from dglift.modules import (ChainMap, SemifreeModule, cone, direct_sum, free_module,
-                             make_module)
+                             make_module, minimal_model)
 from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power
 from dglift.scalars import RATIONALS
 
@@ -246,6 +246,36 @@ def test_a_minimal_model_recheck_catches_a_corrupted_g(ext):
         replace(model, g=doubled).recheck()
     with pytest.raises(DimensionMismatch, match=f"^{named}id - g f is not d h \\+ h d$"):
         replace(model, h={}).recheck()
+
+
+def test_the_class_count_catches_a_boundary_that_is_no_cycle(ext, monkeypatch):
+    """With one column of delta_s replaced by a map that is not a chain map,
+    the boundaries are not all cycles: the class count refuses the space,
+    naming it."""
+    N = two_step(ext)
+    honest = HomSpace(N, N.carrier(), 0)
+    chain_cols = honest.chain_matrix().columns()
+    j = min(chain_cols)  # a unit vector that delta_{s+1} does not kill
+    delta = honest.boundary_matrix()
+    cols = delta.columns()
+    forged = SparseMatrix.from_cols(ext.field, delta.nrows, [
+        {j: ext.field.one} if k == 0 else cols.get(k, {}) for k in range(delta.ncols)])
+    monkeypatch.setattr(HomSpace, "boundary_matrix", lambda self: forged)
+    space = re.escape(space_name(N, N.carrier(), 0))
+    with pytest.raises(DimensionMismatch, match=f"in the {space}: the boundaries are not "
+                                                f"all cycles$"):
+        HomSpace(N, N.carrier(), 0).class_reps()
+
+
+def test_a_wrong_unit_inverse_is_refused(ext, monkeypatch):
+    """A unit coefficient 2 is cancelled through its inverse; with the
+    field's inverse wrong, the sum stops at its bound and the recheck
+    refuses it, naming both elements."""
+    N = make_module(ext, [("a", 0), ("b", 1)], {("a", "b"): ext.one().scale(2)})
+    assert minimal_model(N).module.n_gens == 0
+    monkeypatch.setattr(ext.field, "inv", lambda c: ext.field.one)
+    with pytest.raises(DimensionMismatch, match="^1 is not the inverse of 2$"):
+        minimal_model(N)
 
 
 def test_a_summand_witness_with_a_corrupted_homotopy_is_refused(monkeypatch):

@@ -151,6 +151,23 @@ def test_chi_powers_match_iterated_composition(ext, ext_diag):
     assert chi_power(M3, ext_diag, 3).is_zero()
 
 
+def test_chi_powers_sum_the_chains_that_meet(config):
+    """The Koszul module over k<y0, y1> (odd): d e0 = e y0, d e1 = e y1 and
+    d e01 = e0 y1 + e1 y0, so the chains e01 > e0 > e and e01 > e1 > e meet
+    at the head e.  The powers summed by head equal the iterated
+    composition, chi^2 has one entry on e01 per chain, and chi^3 = 0."""
+    alg = build_algebra(BaseRing(), [("y0", 1, "0"), ("y1", 1, "0")], 0, config)
+    y0, y1 = alg.gen("y0"), alg.gen("y1")
+    N = make_module(alg, [("e", 0), ("e0", 2), ("e1", 2), ("e01", 4)],
+                    {("e", "e0"): y0, ("e", "e1"): y1, ("e0", "e01"): y1, ("e1", "e01"): y0})
+    diag = Diagonal(alg)
+    for ell in range(4):
+        assert carrier_maps_equal(chi_power(N, diag, ell), chi_power_iterated(N, diag, ell))
+    chi2 = chi_power(N, diag, 2)
+    assert len(chi2.cols[N.names.index("e01")]) == 2
+    assert chi_power(N, diag, 3).is_zero()
+
+
 def test_gamma_dims(ext, ext_diag):
     B = free_module(ext, 1)
     assert gamma_dim(B, ext_diag, 0) == 1
