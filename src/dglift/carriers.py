@@ -7,10 +7,11 @@ algebra monomials, each built once per (side, monomial, degree).  A tensor
 product N (x)_B Y with N semifree is written down in closed form, one copy
 of Y per generator of N; every operator on it (its differential, its right
 action, f (x) id and the obstruction components) is a sum of generator
-blocks, each one of Y's memoized matrices.  SemifreeCarrier.assemble puts
-the blocks together where a matrix is read, and SemifreeCarrier.apply
-applies the differential and the right action to a vector block by block,
-building no matrix of the carrier.  A tensor product over
+blocks, given by a block rule rule(lam, q) that lists the blocks reading
+generator lam's piece Y_q.  SemifreeCarrier.assemble is the one place
+where such a rule becomes a matrix, and SemifreeCarrier.apply applies the
+differential and the right action to a vector block by block, building no
+matrix of the carrier.  A tensor product over
 B with a non-free left factor, as in the tensor powers of the diagonal
 ideal, is an explicit relation-quotient of the degreewise k-tensor space,
 its coordinates the free columns of the RREF of the relations.  That
@@ -29,6 +30,7 @@ by (-1)^{i|b|}, which is the whole sign content of suspension.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from functools import partial
 from typing import NamedTuple
 
 from .errors import CapExceeded, DimensionMismatch
@@ -163,11 +165,16 @@ class SemifreeCarrier(Carrier):
     each coefficient b_{mu lam} of N's differential, c_u times Y's left
     action of u into mu's piece; for the right action of u, Y's right
     action of u into lam's own piece.  Every block is one of Y's memoized
-    matrices.  Two consumers read the rule: diff and right_act assemble
-    the matrix from every generator's blocks (SparseMatrix.from_blocks),
-    and apply cuts a vector into generator pieces and multiplies each
-    piece by its blocks (SparseMatrix.apply_blocks), reading only the
-    generators the vector touches and building no matrix of this carrier.
+    matrices.  Two consumers read the rule: diff and right_act pass it to
+    assemble, which puts every generator's blocks together
+    (SparseMatrix.from_blocks), and apply cuts a vector into generator
+    pieces and multiplies each piece by its blocks
+    (SparseMatrix.apply_blocks), reading only the generators the vector
+    touches and building no matrix of this carrier.  assemble reads any
+    rule of the same form into another closed-form carrier: f (x) id
+    lists the blocks of _left for f's columns, and both
+    obstruction towers list blocks (Sigma J vector) (x) - on T^i
+    (Diagonal.prepend_matrix).
     """
 
     def __init__(self, module, Y: Carrier | None = None):
@@ -210,31 +217,25 @@ class SemifreeCarrier(Carrier):
             if offs[lam + 1] > offs[lam]:
                 yield lam, d - deg
 
-    def assemble(self, target: "SemifreeCarrier", d: int, e: int, blocks) -> SparseMatrix:
+    def assemble(self, target: "SemifreeCarrier", d: int, e: int, rule) -> SparseMatrix:
         """The matrix from degree d of this carrier to degree d + e of target,
-        another closed-form carrier, that adds c * M at generator k's columns
-        and generator r's rows for each block (r, k, c, M).  If either piece
-        is empty, the zero matrix, without reading blocks."""
+        another closed-form carrier, put together from a block rule:
+        rule(lam, q) lists the blocks (r, c, M) that read generator lam's
+        piece Y_q, each adding c * M at lam's columns and r's rows.  If
+        either piece is empty, the zero matrix, without reading the rule."""
         ncols = self.dim(d)
         nrows = target.dim(d + e)
         if not (ncols and nrows):
             return SparseMatrix(self.field, nrows, ncols)
         return SparseMatrix.from_blocks(self.field, target.offsets(d + e), self.offsets(d),
-                                        blocks)
-
-    def left_blocks(self, column, d: int):
-        """The blocks in degree d of a matrix over B, given column by column
-        as column(lam) = ((mu, b_{mu lam}), ...): e_lam (x) y goes to the sum
-        over mu of e_mu (x) b_{mu lam} y, one block (mu, lam, c_u, left
-        action of u on Y) per term c_u u of b_{mu lam}."""
-        for lam, q in self.pieces(d):
-            for mu, c, m in self._left(column(lam), q):
-                yield mu, lam, c, m
+                                        ((r, lam, c, m) for lam, q in self.pieces(d)
+                                         for r, c, m in rule(lam, q)))
 
     def _left(self, entries, q: int) -> list:
         """The blocks (mu, c_u, left action of u on Y_q) of one column
         ((mu, b_{mu lam}), ...) of a matrix over B, one per term c_u u of
-        b_{mu lam}."""
+        b_{mu lam}: e_lam (x) y goes to the sum over mu of e_mu (x)
+        b_{mu lam} y."""
         act = self.Y.action
         return [(mu, c, act("l", u, q)) for mu, b in entries for u, c in b.terms.items()]
 
@@ -280,18 +281,13 @@ class SemifreeCarrier(Carrier):
             return [(lam, sign, Y.diff(q)), *self._left(self.module.diff_column(lam), q)]
         return [(lam, self.field.one, Y.action("r", op[1], q))]
 
-    def _assemble(self, op, d: int) -> SparseMatrix:
-        """op out of degree d as a matrix, every generator's blocks."""
-        return self.assemble(self, d, self._op_degree(op),
-                             ((r, lam, c, m) for lam, q in self.pieces(d)
-                              for r, c, m in self._blocks(op, lam, q)))
-
     @memo
     def diff(self, d: int) -> SparseMatrix:
-        return self._assemble("d", d)
+        return self.assemble(self, d, -1, partial(self._blocks, "d"))
 
     def right_act(self, mono, d: int) -> SparseMatrix:
-        return self._assemble(("r", mono), d)
+        return self.assemble(self, d, self.algebra.mono_degree(mono),
+                             partial(self._blocks, ("r", mono)))
 
     def apply(self, op, d: int, vec: dict) -> dict:
         """op applied to vec in degree d through the block rule, with no

@@ -235,6 +235,15 @@ class Diagonal:
             return self.SJ.element_act_right(el, jdeg, jvec)
         return self.T(n2 + 1).pair_project(jdeg, jvec, tdeg, tvec)
 
+    def prepend_matrix(self, jdeg: int, jvec: dict, n: int, tdeg: int) -> SparseMatrix:
+        """The matrix of (Sigma J vector) (x) - : T^n_tdeg -> T^{n+1}, for
+        jvec a vector of J_jdeg as delta returns it: t_prepend of jvec's
+        shift onto each basis vector of T^n_tdeg, column by column."""
+        one = self.field.one
+        return SparseMatrix.from_cols(self.field, self.T(n + 1).dim(tdeg + jdeg + 1),
+                                      [self.t_prepend(jdeg + 1, jvec, n, tdeg, {j: one})
+                                       for j in range(self.T(n).dim(tdeg))])
+
     @memo
     def NT(self, module, n: int) -> SemifreeCarrier:
         """N (x)_B T^n in closed form, one block of T^n per generator of N;

@@ -8,15 +8,20 @@ tensor-degree-raising operator sends e_lam (x) t to
 the sign being the cost of writing the suspended slot in unshifted J
 coordinates.  So component i is a matrix of generator blocks: block
 (mu, lam) is (-1)^{|e_mu|} delta(b_{mu lam}) (x) - on T^i, as f (x) id is
-the left action of f's entries on one copy of T^n per generator.  A
-DegreewiseMap builds such an operator one degree at a time, and validates
-each tensor component as an exact degree-0 chain operator.  An independent
-construction through the enveloping algebra (section/retraction conjugation
-of the differential of N (x) B^e: the retraction places each basis vector,
+the left action of f's entries on one copy of T^n per generator.  Each is
+a block rule that SemifreeCarrier.assemble puts together one degree at a
+time for a DegreewiseMap, which validates each tensor component as an
+exact degree-0 chain operator.  An independent
+construction through the enveloping algebra must reproduce it entrywise.
+Its independent part is its core, the section/retraction conjugation of
+the differential of N (x) B^e (the retraction places each basis vector,
 the carrier's differential is applied to it, and the section only to the
-basis vectors that the result reaches) must reproduce it entrywise, and the
+basis vectors that the result reaches), which never calls
+Diagonal.delta; both towers prepend their J vectors to T^i through
+Diagonal.prepend_matrix.  That shared placement is checked by the
 closed-form power, which sums the strictly decreasing generator chains by
-their head, must equal the iterated composition of the components.
+their head through t_prepend and place, and must equal the iterated
+composition of the assembled components.
 """
 
 from __future__ import annotations
@@ -99,22 +104,14 @@ class ObstructionTower:
         f = N.algebra.field
         src = diag.NT(N, i)
         tgt = diag.NT(N, i + 1)
-        Ti, Ti1 = diag.T(i), diag.T(i + 1)
         signs = (f.one, f.neg(f.one))
 
-        def delta_block(b, q: int) -> SparseMatrix:
-            # delta(b) (x) - : T^i_q -> T^{i+1}_{q+|b|+1}, column by column
-            bd, dvec = diag.delta(b)
-            cols = [diag.t_prepend(bd + 1, dvec, i, q, {j: f.one}) for j in range(Ti.dim(q))]
-            return SparseMatrix.from_cols(f, Ti1.dim(q + bd + 1), cols)
+        def rule(lam: int, q: int) -> list:
+            # block (mu, lam) is (-1)^{|e_mu|} delta(b_{mu lam}) (x) - on T^i_q
+            return [(mu, signs[N.degrees[mu] % 2], diag.prepend_matrix(*diag.delta(b), i, q))
+                    for mu, b in N.diff_column(lam)]
 
-        def build(d: int) -> SparseMatrix:
-            # block (mu, lam) is (-1)^{|e_mu|} delta(b_{mu lam}) (x) - on T^i
-            return src.assemble(tgt, d, 0, (
-                (mu, lam, signs[N.degrees[mu] % 2], delta_block(b, q))
-                for lam, q in src.pieces(d) for mu, b in N.diff_column(lam)))
-
-        return DegreewiseMap(src, tgt, build, name=f"w[{i}]")
+        return DegreewiseMap(src, tgt, lambda d: src.assemble(tgt, d, 0, rule), name=f"w[{i}]")
 
     def restriction(self) -> CarrierMap:
         """Tensor-degree-0 restriction as a map N -> N (x) T^1."""
@@ -189,30 +186,22 @@ class EnvelopingRouteTower:
         src = diag.NT(N, i)
         tgt = diag.NT(N, i + 1)
         ncar = N.carrier()
-        NBe, NJ = self._carriers()
+        NJ = self._carriers()[1]
 
-        def column(d: int, k: int) -> dict:
-            # basis vector k is e_lam (x) t: apply the core to e_lam
-            lam, j = src.block(d, k)
+        def rule(lam: int, q: int) -> list:
+            # apply the core to e_lam; each J basis vector jj it reaches in
+            # mu's block gives the block c * (e_jj's shift (x) -) on T^i_q,
+            # negated for odd e_mu: the cost of moving the suspension past it
             p, gvec = ncar.gen_vector(lam)
-            val = self.core_matrix(p).mat_vec(gvec)
-            out: dict = {}
-            # reinterpret the J slot as its shift and prepend to the T^i part
-            for nj, c in val.items():
+            blocks = []
+            for nj, c in self.core_matrix(p).mat_vec(gvec).items():
                 mu, jj = NJ.block(p - 1, nj)
                 pp = N.degrees[mu]
-                # sign of moving the suspension past the module part
-                sgn = f.neg(c) if pp % 2 else c
-                r = p - 1 - pp
-                mid = diag.t_prepend(r + 1, {jj: f.one}, i, d - p, {j: f.one})
-                vec_axpy(f, out, sgn, tgt.place(mu, r + 1 + d - p, mid))
-            return out
+                blocks.append((mu, f.neg(c) if pp % 2 else c,
+                               diag.prepend_matrix(p - 1 - pp, {jj: f.one}, i, q)))
+            return blocks
 
-        def build(d: int) -> SparseMatrix:
-            cols = [column(d, k) for k in range(src.dim(d))]
-            return SparseMatrix.from_cols(f, tgt.dim(d), cols)
-
-        return DegreewiseMap(src, tgt, build, name=f"w+[{i}]")
+        return DegreewiseMap(src, tgt, lambda d: src.assemble(tgt, d, 0, rule), name=f"w+[{i}]")
 
 
 def towers_agree(a, b, i: int, degrees) -> bool:
@@ -232,12 +221,17 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
     the sum of the T^k vectors of every chain lam > ... > mu, of degree
     |e_lam| - |e_mu|, and one step adds (-1)^{|e_nu|} delta(b_{nu mu}) (x)
     heads[mu] into heads[nu].  With no step, the one head is e_lam at the
-    unit of T^0 = B: chi^0 is the identity of N."""
+    unit of T^0 = B: chi^0 is the identity of N.  depth[nu], the length of
+    the longest chain down from e_nu, spares every step into a head that
+    cannot reach ell steps."""
     f = N.algebra.field
     tgt = diag.NT(N, ell)
     signs = (f.one, f.neg(f.one))
     degrees = N.degrees
     unit = {N.algebra.mono_index(0, N.algebra.unit_mono()): f.one}
+    depth: list = []  # d e_mu reads only generators below mu
+    for mu in range(N.n_gens):
+        depth.append(max((depth[nu] + 1 for nu, _ in N.diff_column(mu)), default=0))
     cols: dict = {}
     for lam in range(N.n_gens):
         heads: dict = {lam: unit}
@@ -245,6 +239,8 @@ def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
             step: dict = {}
             for mu, tvec in heads.items():
                 for nu, b in N.diff_column(mu):
+                    if depth[nu] < ell - k - 1:
+                        continue
                     bd, dvec = diag.delta(b)
                     # delta(b) (x) the unit of T^0 is delta(b) itself
                     vec = diag.t_prepend(bd + 1, dvec, k, degrees[lam] - degrees[mu],
@@ -384,7 +380,7 @@ def _tensor_id(fmap: ChainMap, src: SemifreeCarrier, tgt: SemifreeCarrier,
         columns.setdefault(lam, []).append((mu, el))
 
     def build(d: int) -> SparseMatrix:
-        return src.assemble(tgt, d, 0, src.left_blocks(lambda lam: columns.get(lam, ()), d))
+        return src.assemble(tgt, d, 0, lambda lam, q: src._left(columns.get(lam, ()), q))
 
     return DegreewiseMap(src, tgt, build, name=name, validate=False)
 

@@ -206,14 +206,19 @@ def test_criterion_09_kernel_sequence():
 def test_criterion_10_construction_cross_checks():
     config = Q_CONFIG
     rng = random.Random(31)
+    nonzero = [0] * config.max_tensor
     for inst, mname, M in battery_pairs(corpus(config)):
         diag = inst.diag
         tower = ObstructionTower(M, diag)
         route = EnvelopingRouteTower(M, diag)
-        window = range(M.min_degree, M.max_degree + 2)
-        for i in (0, 1):
+        # every component within max_tensor, in every degree up to the cap:
+        # past min..max+1 and tensor degree 0 is where most entries lie
+        caps = inst.algebra.config
+        window = range(M.min_degree, caps.max_degree + 1)
+        for i in range(caps.max_tensor):
             assert towers_agree(tower, route, i, window), (inst.name, mname, i)
-        top = min(inst.algebra.config.max_tensor, M.max_degree - M.min_degree + 1)
+            nonzero[i] += sum(len(tower.component(i).mat(d).entries) for d in window)
+        top = min(caps.max_tensor, M.max_degree - M.min_degree + 1)
         for ell in range(1, top + 1):
             closed = chi_power(M, diag, ell)
             iterated = chi_power_iterated(M, diag, ell)
@@ -233,6 +238,7 @@ def test_criterion_10_construction_cross_checks():
             u = ChainMap(M, M, 0, entries)
             assert conjugation_commutes(
                 M, diag, u, window=range(M.min_degree, M.max_degree + 2)), (inst.name, mname)
+    assert min(nonzero) > 0, nonzero
     _passed(10, "formula = enveloping route entrywise; powers = iterated "
                 "composition; conjugation by 5 random triangular automorphisms "
                 "per instance")

@@ -5,16 +5,20 @@ routes."""
 
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import dglift.obstruction as obstruction
+from dglift import cli
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import TensorCarrier
+from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch
 from dglift.homotopy import HomSpace, carrier_map_to_chain, hom_k_dim
-from dglift.instances import battery_pairs
+from dglift.instances import battery_pairs, build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.modules import ChainMap, cone, free_module, make_module, shift
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
@@ -23,10 +27,13 @@ from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, Obstruction
                                 conjugation_commutes, functoriality_defect_is_null,
                                 gamma_dim, local_nilpotency, map_tensor_id,
                                 omega_action_matrix, omega_is_zero, towers_agree)
+from dglift.scalars import RATIONALS
 
 from conftest import entry_matrix, two_step
 from hom_space_oracle import strict_triangular_cycles
 from test_carriers import corpus, phi, same
+
+RUNG_INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "rung_inputs"
 
 
 def three_step(ext):
@@ -107,11 +114,12 @@ def test_the_tower_refuses_a_component_past_max_tensor(ext, ext_diag):
 
 
 def test_enveloping_route_reproduces_formula(ext, ext_diag):
+    caps = ext.config
     for M in (two_step(ext), three_step(ext), free_module(ext, 2)):
         tower = ObstructionTower(M, ext_diag)
         route = EnvelopingRouteTower(M, ext_diag)
-        for i in (0, 1):
-            assert towers_agree(tower, route, i, range(0, 7))
+        for i in range(caps.max_tensor):
+            assert towers_agree(tower, route, i, range(M.min_degree, caps.max_degree + 1))
 
 
 def test_enveloping_route_reproduces_formula_tate(config):
@@ -123,8 +131,8 @@ def test_enveloping_route_reproduces_formula_tate(config):
                      ("g0", "g2"): alg.gen("X")})
     tower = ObstructionTower(M, diag)
     route = EnvelopingRouteTower(M, diag)
-    for i in (0, 1):
-        assert towers_agree(tower, route, i, range(0, 6))
+    for i in range(config.max_tensor):
+        assert towers_agree(tower, route, i, range(M.min_degree, config.max_degree + 1))
 
 
 def test_chi_power_zero_is_identity_shape(ext, ext_diag):
@@ -166,6 +174,69 @@ def test_chi_powers_sum_the_chains_that_meet(config):
     chi2 = chi_power(N, diag, 2)
     assert len(chi2.cols[N.names.index("e01")]) == 2
     assert chi_power(N, diag, 3).is_zero()
+
+
+@pytest.mark.parametrize("name, length", [("len5", 5), ("len7", 7)])
+def test_chi_power_takes_only_the_steps_of_chains_that_reach_ell(monkeypatch, name, length):
+    """On a linear chain of L generators, chi^ell has one chain of ell steps
+    out of each of the L - ell generators at least ell above the bottom:
+    ell delta calls each, and ell - 1 prepends (the first step needs none).
+    A head whose chain cannot reach ell steps is never stepped."""
+    inst = cli.parse_instance(str(RUNG_INPUTS / "ext5.dg"), EngineConfig(field=RATIONALS))
+    N, diag = inst.modules[name], Diagonal(inst.algebra)
+    calls = Counter()
+    for method in ("delta", "t_prepend"):
+        def counted(*args, _honest=getattr(diag, method), _method=method):
+            calls[_method] += 1
+            return _honest(*args)
+        monkeypatch.setattr(diag, method, counted)
+    ells = range(1, diag.config.max_tensor + 1)
+    for ell in ells:
+        chi_power(N, diag, ell)
+    assert calls["delta"] == sum((length - ell) * ell for ell in ells)
+    assert calls["t_prepend"] == sum((length - ell) * (ell - 1) for ell in ells)
+
+
+def test_a_wrong_prepend_matrix_passes_the_towers_but_not_the_powers(monkeypatch):
+    """Both towers place their blocks through Diagonal.prepend_matrix, so a
+    wrong one (here doubled) leaves them agreeing; closed-form chi^1 writes
+    through t_prepend and place instead, so the iterated power, which reads
+    the assembled component 0, differs from it on every battery module with
+    chi^1 != 0."""
+    honest = Diagonal.prepend_matrix
+    monkeypatch.setattr(Diagonal, "prepend_matrix", lambda self, *args: honest(
+        self, *args).scale(self.field.from_int(2)))
+    caught = 0
+    for inst, mname, M in battery_pairs(build_corpus(EngineConfig(field=RATIONALS,
+                                                                  max_degree=8))):
+        diag, caps = inst.diag, inst.algebra.config
+        tower, route = ObstructionTower(M, diag), EnvelopingRouteTower(M, diag)
+        for i in range(caps.max_tensor):
+            assert towers_agree(tower, route, i, range(M.min_degree, caps.max_degree + 1))
+        closed = chi_power(M, diag, 1)
+        if not closed.is_zero():
+            assert not carrier_maps_equal(closed, chi_power_iterated(M, diag, 1)), (
+                inst.name, mname)
+            caught += 1
+    assert caught > 0
+
+
+def test_the_enveloping_route_never_calls_delta(monkeypatch):
+    """The enveloping route's independent part is its core, sigma . d .
+    rho, so it builds every component within max_tensor, on every battery
+    module up to the cap, with Diagonal.delta refusing every call."""
+    def refused(self, el):
+        raise AssertionError(f"the enveloping route called delta({el})")
+
+    monkeypatch.setattr(Diagonal, "delta", refused)
+    for inst, mname, M in battery_pairs(build_corpus(EngineConfig(field=RATIONALS,
+                                                                  max_degree=8))):
+        caps = inst.algebra.config
+        route = EnvelopingRouteTower(M, inst.diag)
+        for i in range(caps.max_tensor):
+            component = route.component(i)
+            for d in range(M.min_degree, caps.max_degree + 1):
+                component.mat(d)
 
 
 def test_gamma_dims(ext, ext_diag):
