@@ -19,10 +19,10 @@ from .algebra import AlgebraElement
 from .carriers import (Carrier, KernelSubCarrier, SemifreeCarrier, ShiftedCarrier,
                        SparseMatrix, TensorCarrier)
 from .errors import CapExceeded, DimensionMismatch
-from .homotopy import HomSpace, _as_carrier
+from .homotopy import HomSpace, MinimalModel, _as_carrier, minimal_model
 from .linalg import vec_axpy
 from .memo import memo
-from .modules import MinimalModel, base_change, minimal_model
+from .modules import base_change
 
 
 class EnvelopingCarrier(Carrier):
@@ -270,7 +270,7 @@ class Diagonal:
 
     @memo
     def minimal(self, module) -> MinimalModel:
-        """modules.minimal_model(module), built and rechecked once per
+        """homotopy.minimal_model(module), built and rechecked once per
         module.  Its module N' is module itself (f = g = id, h = 0) when no
         unit pair is left to cancel, so an already minimal module shares
         every Hom space with the queries on it.  The homotopy-invariant

@@ -1,4 +1,4 @@
-"""Chain-map spaces and homotopy-category Hom computations.
+"""Chain-map spaces, homotopy-category Hom computations, and minimal models.
 
 A degree-s map h: N -> Sigma^s Y out of a semifree module is determined by
 the images of the finitely many generators, so right-linearity is built into
@@ -7,12 +7,10 @@ Y_{deg(lam) - s}.  The Hom complex differential
 
     delta_s(h) = (-1)^s D_Y h + h d_N,    layout(s-1) -> layout(s),
 
-is written once, in _delta_blocks.  Its block from generator mu to generator
-lam is (-1)^s D_Y on the diagonal, plus c_u times the right action of u for
-each term c_u u of the coefficient b_{mu lam} of e_mu in d(e_lam).  Each
-block names an operator of Y: delta_matrix builds the blocks into a matrix
-from Y's matrices, and delta_cols applies them to generator images through
-Y's apply, which for a closed-form N (x)_B Y builds no matrix of it.
+takes its rule from modules, where it is written once, in _delta_blocks:
+delta_matrix builds those blocks into a matrix from Y's matrices, and
+CarrierMap reads the chain defect through modules.delta_cols, which applies
+them to generator images.
 
 A shift-s map f is a chain map exactly when delta_{s+1} f = 0.  The chain
 defect (-1)^s D_Y f - f d_N equals -delta_{s+1} f, and the chain-condition
@@ -37,20 +35,26 @@ cycle that is new modulo the rows before it goes in tagged, as a class
 representative.  The representatives depend only on the span of the
 boundaries and the order of the cycles, and the witness only on delta_s and
 f, so neither depends on how a span is reduced.
+
+A minimal model is a strong deformation retract of N onto a semifree N'
+with no unit coefficient left, found by Gaussian elimination of unit
+pairs; every homotopy-invariant verdict reads N', and a null-homotopy on
+N is decided by one solve on a Hom space out of N' (MinimalModel).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .algebra import AlgebraElement
 from .carriers import AlgebraCarrier, Carrier, SemifreeCarrier
 from .errors import DimensionMismatch
 from .linalg import SparseMatrix, vec_axpy
 from .memo import memo
-from .modules import ChainMap, SemifreeModule, chain_failure
+from .modules import (ChainMap, SemifreeModule, _add_outer, _delta_blocks, chain_failure,
+                      cols_to_entries, composite_is_identity, delta_cols, entries_to_cols)
 
 if TYPE_CHECKING:  # diagonal imports this module
     from .diagonal import Diagonal
@@ -113,40 +117,6 @@ class MapLayout:
         return cols
 
 
-# ----- the Hom complex differential -----------------------------------------
-
-
-def _delta_blocks(source: SemifreeModule, target: Carrier, s: int, cols=None):
-    """The blocks (lam, mu, c, op, d) of delta_s: output block lam gains c
-    times the target's operator op out of degree d (Carrier.apply) applied
-    to input block mu.  With cols, only the blocks that read a generator in
-    cols.  A block whose input or output piece of the target is
-    zero-dimensional is skipped, so no operator is read for it."""
-    f = target.field
-    sgn = f.neg(f.one) if s % 2 else f.one
-    dim = target.dim
-    for lam in range(source.n_gens):
-        out = source.degrees[lam] - s
-        if (cols is None or lam in cols) and dim(out + 1) and dim(out):
-            yield lam, lam, sgn, "d", out + 1
-        for mu, b in source.diff_column(lam):
-            d = source.degrees[mu] - s + 1
-            if (cols is None or mu in cols) and dim(d) and dim(out):
-                for u, c in b.terms.items():
-                    yield lam, mu, c, ("r", u), d
-
-
-def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> dict:
-    """delta_s of a map given by generator images: each block of
-    _delta_blocks goes through target.apply, so no matrix of delta_s is
-    formed, and none of the target where its apply needs none."""
-    f, apply = target.field, target.apply
-    out: dict = {}
-    for lam, mu, c, op, d in _delta_blocks(source, target, s, cols):
-        vec_axpy(f, out.setdefault(lam, {}), c, apply(op, d, cols[mu]))
-    return {lam: v for lam, v in out.items() if v}
-
-
 def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
     """delta_s as a matrix from cols = layout(s-1) to rows = layout(s), each
     block of _delta_blocks the target's matrix of its operator."""
@@ -155,32 +125,6 @@ def delta_matrix(rows: MapLayout, cols: MapLayout) -> SparseMatrix:
         target.field, rows.offsets, cols.offsets,
         ((lam, mu, c, target.matrix(op, d))
          for lam, mu, c, op, d in _delta_blocks(rows.source, target, rows.shift)))
-
-
-def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,
-                    shift: int) -> dict:
-    """Generator images of a shift-s matrix over B, in the coordinates of the
-    target module's carrier car."""
-    cols: dict = {}
-    for (mu, lam), el in entries.items():
-        d = source.degrees[lam] - shift
-        vec = cols.setdefault(lam, {})
-        for u, c in el.terms.items():
-            vec[car.index(d, mu, u)] = c
-    return cols
-
-
-def cols_to_entries(cols: dict, source: SemifreeModule, car: SemifreeCarrier,
-                    shift: int) -> dict:
-    """The matrix over B of generator images in the coordinates of car."""
-    degrees = car.module.degrees
-    terms: dict = {}
-    for lam, vec in cols.items():
-        d = source.degrees[lam] - shift
-        for i, c in vec.items():
-            mu, j = car.block(d, i)
-            terms.setdefault((mu, lam), {})[car.Y.labels(d - degrees[mu])[j]] = c
-    return {k: AlgebraElement(source.algebra, t) for k, t in terms.items()}
 
 
 @dataclass
@@ -421,6 +365,152 @@ def is_null_homotopic(f: ChainMap | CarrierMap) -> HomotopyWitness | None:
     cmap = chain_map_to_carrier(f) if isinstance(f, ChainMap) else f
     hs = HomSpace(cmap.source, cmap.target, cmap.shift)
     return hs.null_homotopy(cmap)
+
+
+# ----- minimal models -----------------------------------------------------
+
+
+@dataclass
+class MinimalModel:
+    """A strong deformation retract of a semifree module N (source) onto a
+    semifree N' (module): chain maps f: N -> N' and g: N' -> N, and a graded
+    map h: N -> Sigma^{-1} N as a matrix over B, with f g = id and
+    id - g f = d h + h d.  N' is homotopy equivalent to N, so every
+    dimension of a Hom space out of N, or out of N (x)_B T^n, may be read
+    off N' instead."""
+
+    source: SemifreeModule
+    module: SemifreeModule
+    f: ChainMap
+    g: ChainMap
+    h: dict
+
+    def recheck(self) -> "MinimalModel":
+        """Check by substitution that f and g are chain maps, f g = id and
+        id - g f = delta_0 h, that is g f = id + delta_0 (-h); raise
+        DimensionMismatch otherwise."""
+        N = self.source
+        self.f.validate()
+        self.g.validate()
+        if not composite_is_identity(self.f, self.g, {}):
+            raise DimensionMismatch(f"minimal model of {N!r}: f g is not the identity of N'")
+        if not composite_is_identity(self.g, self.f, {k: v.neg() for k, v in self.h.items()}):
+            raise DimensionMismatch(f"minimal model of {N!r}: id - g f is not d h + h d")
+        return self
+
+    def null_homotopy(self, phi: CarrierMap,
+                      hom: Callable[..., HomSpace]) -> HomotopyWitness | None:
+        """A null-homotopy of the shift-0 chain map phi: N -> X, decided on N'.
+
+        The rule: phi is null-homotopic exactly when phi g: N' -> X is.  If
+        phi = delta H, then phi g = delta(H g).  If phi g = delta H', then
+        H = H' f + phi h has delta H = phi g f + phi (d h + h d) = phi,
+        because phi = phi (g f + d h + h d) and precomposing with a chain map
+        commutes with delta.  So one solve on hom(N', X) decides (hom is
+        Diagonal.hom, or HomSpace for a space no memo keeps), and its None,
+        whose absence certificate that solve has rechecked on N', answers
+        for N too.  H is rechecked by substitution on N; a failed recheck
+        raises DimensionMismatch naming N and the space.  When N' is N
+        nothing is composed: the solve is on hom(N, X) itself.  When N' = 0
+        nothing is solved: H = phi h."""
+        N, Np, X = self.source, self.module, phi.target
+        if Np is N:
+            return hom(N, X).null_homotopy(phi)
+        carried = CarrierMap(N, X, -1, {})
+        if Np.n_gens:
+            wit = hom(Np, X).null_homotopy(phi.precompose(Np, self.g.entries))
+            if wit is None:
+                return None
+            carried = wit.precompose(N, self.f.entries)
+        H = HomotopyWitness(N, X, -1, carried.add(phi.precompose(N, self.h, -1)).cols)
+        if not H.boundary().sub(phi).is_zero():
+            raise DimensionMismatch(f"a homotopy witness carried from the minimal model "
+                                    f"failed its substitution recheck in the "
+                                    f"{space_name(N, X, 0)}")
+        return H
+
+
+def _unit_pair(diff: dict, degrees, unit):
+    """The least (mu, nu) whose coefficient b_{mu nu} has degree 0 and a
+    nonzero constant term, so is a unit of B_0; None when there is none."""
+    return min((k for k, el in diff.items()
+                if degrees[k[1]] == degrees[k[0]] + 1 and unit in el.terms), default=None)
+
+
+def _unit_inverse(u: AlgebraElement) -> AlgebraElement:
+    """The inverse of a degree-0 element with constant term c != 0.  B_0 is
+    the base ring k[a]/(a^r) (r = 1 for k), so u = c (1 - x) with x a
+    multiple of a, x^r = 0, and u^{-1} = c^{-1} (1 + x + ... + x^{r-1}).
+    The sum stops at r terms whatever x is, so a wrong c^{-1} gives a wrong
+    sum, which the recheck refuses, rather than a series that never ends."""
+    alg = u.algebra
+    cinv = alg.field.inv(u.terms[alg.unit_mono()])
+    x = alg.one() - u.scale(cinv)
+    inv, power = alg.zero(), alg.one()
+    for _ in range(alg.base.rank):
+        inv = inv + power
+        power = power * x
+    inv = inv.scale(cinv)
+    if u * inv != alg.one():
+        raise DimensionMismatch(f"{inv} is not the inverse of {u}")
+    return inv
+
+
+def minimal_model(N: SemifreeModule) -> MinimalModel:
+    """The minimal model of N by Gaussian elimination of unit pairs
+    (Skoldberg, Morse theory from an algebraic viewpoint, 2006).
+
+    While some coefficient u = b_{mu nu} is a unit of B_0, the pair
+    (e_mu, e_nu) spans, with e'_mu = d e_nu, a contractible summand, and is
+    cancelled: every other coefficient becomes
+    b_{rho kappa} - b_{rho nu} u^{-1} b_{mu kappa}; f sends e_mu to
+    -sum_rho e_rho b_{rho nu} u^{-1} and e_nu to 0, g sends e_kappa to
+    e_kappa - e_nu u^{-1} b_{mu kappa}, and h sends e_mu to e_nu u^{-1}.
+    One step's maps compose with the ones before: f <- f1 f, g <- g g1 and
+    h <- h + g h1 f.  The survivors keep their names and are ordered by
+    (degree, position); a new coefficient joins generators of strictly
+    increasing degree, so N' is strictly lower triangular.  N' is
+    validated like any module, and the maps are rechecked by substitution.
+    With no unit coefficient, N itself, f = g = id and h = 0: nothing is
+    built."""
+    alg = N.algebra
+    unit = alg.unit_mono()
+    degrees = N.degrees
+    pair = _unit_pair(N.diff, degrees, unit)
+    if pair is None:
+        ident = ChainMap.identity(N)
+        return MinimalModel(N, N, ident, ident, {})
+    one = alg.one()
+    D = dict(N.diff)
+    F = {(i, i): one for i in range(N.n_gens)}  # N -> the survivors
+    G = dict(F)                                 # the survivors -> N
+    H: dict = {}
+    alive = set(range(N.n_gens))
+    while pair is not None:
+        mu, nu = pair
+        alive -= {mu, nu}
+        v = _unit_inverse(D[pair])
+        # a_rho = -b_{rho nu} u^{-1} and b_kappa = b_{mu kappa}, so each
+        # update below is one outer product added; degree-0 v commutes
+        a = [(r, (x * v).neg()) for (r, c), x in D.items() if c == nu and r != mu]
+        b = [(c, x) for (r, c), x in D.items() if r == mu and c != nu]
+        f_mu = [(c, x) for (r, c), x in F.items() if r == mu]
+        g_nu = [(r, (x * v).neg()) for (r, c), x in G.items() if c == nu]
+        D = {k: x for k, x in D.items() if k[0] in alive and k[1] in alive}
+        _add_outer(D, a, b)
+        F = {k: x for k, x in F.items() if k[0] in alive}
+        _add_outer(F, a, f_mu)
+        G = {k: x for k, x in G.items() if k[1] in alive}
+        _add_outer(G, g_nu, b)
+        _add_outer(H, g_nu, [(c, x.neg()) for c, x in f_mu])
+        pair = _unit_pair(D, degrees, unit)
+    order = sorted(alive, key=lambda i: (degrees[i], i))
+    pos = {old: new for new, old in enumerate(order)}
+    Np = SemifreeModule(alg, [N.names[i] for i in order], [degrees[i] for i in order],
+                        dict(sorted(((pos[r], pos[c]), x) for (r, c), x in D.items())))
+    f = ChainMap(N, Np, 0, {(pos[r], c): x for (r, c), x in F.items()}, _validate=False)
+    g = ChainMap(Np, N, 0, {(r, pos[c]): x for (r, c), x in G.items()}, _validate=False)
+    return MinimalModel(N, Np, f, g, H).recheck()
 
 
 # ----- AR condition checkers ----------------------------------------------

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from .carriers import Carrier
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomSpace, MapLayout, carrier_map_to_chain,
-                       chain_map_to_carrier, check_AR1, check_AR2, cols_to_entries, hom_k_dim,
-                       space_name)
+from .homotopy import (CarrierMap, ConditionReport, HomSpace, MapLayout, MinimalModel,
+                       carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
+                       hom_k_dim, space_name)
 from .linalg import SparseMatrix
-from .modules import (ChainMap, MinimalModel, SemifreeModule, composite_is_identity,
+from .modules import (ChainMap, SemifreeModule, cols_to_entries, composite_is_identity,
                       free_module, graded_map_boundary, homology_dim, matrix_product)
 from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
                           omega_action_matrix, omega_is_zero)
@@ -62,7 +62,11 @@ def splitting_search(N: SemifreeModule, diag: Diagonal) -> ChainMap | None:
             f, [0, d1.nrows, d1.nrows + images.total], [0, hs.layout.total],
             ((0, 0, f.one, d1), (1, 0, f.one, post_pi)))
         g_flat = chain_map_to_carrier(model.g).flat(images)
-        sol = system.solve({d1.nrows + i: c for i, c in g_flat.items()})
+        try:
+            sol = system.solve({d1.nrows + i: c for i, c in g_flat.items()})
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(f"{exc} in the section system on the "
+                                    f"{space_name(M, gcar, 0)}") from exc
         if sol is None:
             return None
         sigma = CarrierMap(M, gcar, 0, hs.layout.from_flat(sol))

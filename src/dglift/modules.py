@@ -1,4 +1,5 @@
-"""Semifree right DG modules with finite ordered bases, and chain maps.
+"""Semifree right DG modules with finite ordered bases, chain maps, and the
+Hom complex differential on generator images.
 
 A module is a finite ordered basis with degrees and a strictly lower
 triangular differential matrix over the algebra: the coefficient of e_mu in
@@ -8,28 +9,40 @@ Construction validates triangularity, entry degrees, and d^2 = 0 exactly.
 Every product of matrices over B goes through one outer-product loop,
 _add_outer: matrix_product feeds it each entry of its left factor against
 the matching row of its right one, the d^2 check squares the differential
-through matrix_product, and the minimal model's elimination adds its
-updates through it.
+through matrix_product, and the minimal model's elimination
+(homotopy.minimal_model) adds its updates through it.
 
 A chain map of shift s is a degree-preserving map into the s-fold shift of
 the target; the shift negates the target differential s times but leaves the
 right action alone, so matrices over the algebra capture everything.
+
+A degree-s map h: N -> Sigma^s Y out of a semifree module is determined by
+the images of its generators.  The Hom complex differential, from maps of
+shift s-1 to maps of shift s,
+
+    delta_s(h) = (-1)^s D_Y h + h d_N,
+
+is written once, in _delta_blocks.  Its block from generator mu to generator
+lam is (-1)^s D_Y on the diagonal, plus c_u times the right action of u for
+each term c_u u of the coefficient b_{mu lam} of e_mu in d(e_lam).  Each
+block names an operator of Y: delta_cols applies the blocks to generator
+images through Y's apply, which for a closed-form N (x)_B Y builds no
+matrix of it, and homotopy.delta_matrix builds them into a matrix from Y's
+matrices.  graded_map_boundary reads delta_s on matrices over B, and a
+ChainMap is validated by it: a shift-s map is a chain map exactly when its
+boundary at s + 1 is empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
 
 from .algebra import AlgebraElement, DGAlgebra, _repeated
-from .carriers import SemifreeCarrier
-from .errors import (CapExceeded, DegreeMismatch, DimensionMismatch, DSquaredNonzero,
-                     NotTriangular, OwnerMismatch)
+from .carriers import Carrier, SemifreeCarrier
+from .errors import (CapExceeded, DegreeMismatch, DSquaredNonzero, NotTriangular,
+                     OwnerMismatch)
+from .linalg import vec_axpy
 from .memo import memo
-
-if TYPE_CHECKING:  # homotopy imports this module
-    from .homotopy import CarrierMap, HomotopyWitness, HomSpace
 
 
 class SemifreeModule:
@@ -175,10 +188,8 @@ class ChainMap:
 
     def validate(self):
         """Check the owners, the entry degrees and the chain condition; the
-        condition is read once, as the chain defect of the map in the
-        target carrier's coordinates, and the message names its least
-        generator."""
-        from .homotopy import chain_map_to_carrier
+        condition is read once, as the boundary of the map at s + 1, which
+        must be empty, and the message names its least generator."""
         src, tgt, s = self.source, self.target, self.shift
         alg = src.algebra
         if tgt.algebra is not alg:
@@ -189,9 +200,9 @@ class ChainMap:
             if not el.is_homogeneous() or el.degree() != want:
                 raise DegreeMismatch(
                     f"chain map entry ({mu},{lam}) must have degree {want}, got {el}")
-        defect = chain_map_to_carrier(self).chain_defect()
+        defect = graded_map_boundary(self.entries, src, tgt, s + 1)
         if defect:
-            raise DegreeMismatch(chain_failure(src, s, min(defect)))
+            raise DegreeMismatch(chain_failure(src, s, min(lam for _, lam in defect)))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other (other: M -> N, self: N -> ...)."""
@@ -234,16 +245,75 @@ def chain_failure(source: SemifreeModule, shift_: int, lam: int) -> str:
             f"D f and f d differ in target degree {source.degrees[lam] - shift_ - 1}")
 
 
+# ----- the Hom complex differential -----------------------------------------
+
+
+def _delta_blocks(source: SemifreeModule, target: Carrier, s: int, cols=None):
+    """The blocks (lam, mu, c, op, d) of delta_s: output block lam gains c
+    times the target's operator op out of degree d (Carrier.apply) applied
+    to input block mu.  With cols, only the blocks that read a generator in
+    cols.  A block whose input or output piece of the target is
+    zero-dimensional is skipped, so no operator is read for it."""
+    f = target.field
+    sgn = f.neg(f.one) if s % 2 else f.one
+    dim = target.dim
+    for lam in range(source.n_gens):
+        out = source.degrees[lam] - s
+        if (cols is None or lam in cols) and dim(out + 1) and dim(out):
+            yield lam, lam, sgn, "d", out + 1
+        for mu, b in source.diff_column(lam):
+            d = source.degrees[mu] - s + 1
+            if (cols is None or mu in cols) and dim(d) and dim(out):
+                for u, c in b.terms.items():
+                    yield lam, mu, c, ("r", u), d
+
+
+def delta_cols(source: SemifreeModule, target: Carrier, s: int, cols: dict) -> dict:
+    """delta_s of a map given by generator images: each block of
+    _delta_blocks goes through target.apply, so no matrix of delta_s is
+    formed, and none of the target where its apply needs none."""
+    f, apply = target.field, target.apply
+    out: dict = {}
+    for lam, mu, c, op, d in _delta_blocks(source, target, s, cols):
+        vec_axpy(f, out.setdefault(lam, {}), c, apply(op, d, cols[mu]))
+    return {lam: v for lam, v in out.items() if v}
+
+
+def entries_to_cols(entries: dict, source: SemifreeModule, car: SemifreeCarrier,
+                    shift: int) -> dict:
+    """Generator images of a shift-s matrix over B, in the coordinates of the
+    target module's carrier car."""
+    cols: dict = {}
+    for (mu, lam), el in entries.items():
+        d = source.degrees[lam] - shift
+        vec = cols.setdefault(lam, {})
+        for u, c in el.terms.items():
+            vec[car.index(d, mu, u)] = c
+    return cols
+
+
+def cols_to_entries(cols: dict, source: SemifreeModule, car: SemifreeCarrier,
+                    shift: int) -> dict:
+    """The matrix over B of generator images in the coordinates of car."""
+    degrees = car.module.degrees
+    terms: dict = {}
+    for lam, vec in cols.items():
+        d = source.degrees[lam] - shift
+        for i, c in vec.items():
+            mu, j = car.block(d, i)
+            terms.setdefault((mu, lam), {})[car.Y.labels(d - degrees[mu])[j]] = c
+    return {k: AlgebraElement(source.algebra, t) for k, t in terms.items()}
+
+
 def graded_map_boundary(h_entries: dict, src: SemifreeModule, tgt: SemifreeModule,
                         s: int) -> dict:
     """delta_s h = d^{Sigma^s tgt} h + h d^src for a graded map h:
     src -> Sigma^{s-1} tgt given as a matrix over B.
 
-    This is the Hom complex differential of homotopy.py, applied in the
+    This is the Hom complex differential of _delta_blocks, applied in the
     coordinates of tgt's carrier and read back as a shift-s map matrix.  A
     shift-s map f is a chain map exactly when its boundary at s + 1 is empty.
     """
-    from .homotopy import cols_to_entries, delta_cols, entries_to_cols
     car = tgt.carrier()
     cols = entries_to_cols(h_entries, src, car, s - 1)
     return cols_to_entries(delta_cols(src, car, s, cols), src, car, s)
@@ -353,96 +423,6 @@ def base_change(N: SemifreeModule):
     return G, ChainMap(G, N, 0, pi_entries)
 
 
-# ----- minimal models -----------------------------------------------------
-
-
-@dataclass
-class MinimalModel:
-    """A strong deformation retract of a semifree module N (source) onto a
-    semifree N' (module): chain maps f: N -> N' and g: N' -> N, and a graded
-    map h: N -> Sigma^{-1} N as a matrix over B, with f g = id and
-    id - g f = d h + h d.  N' is homotopy equivalent to N, so every
-    dimension of a Hom space out of N, or out of N (x)_B T^n, may be read
-    off N' instead."""
-
-    source: SemifreeModule
-    module: SemifreeModule
-    f: ChainMap
-    g: ChainMap
-    h: dict
-
-    def recheck(self) -> "MinimalModel":
-        """Check by substitution that f and g are chain maps, f g = id and
-        id - g f = delta_0 h, that is g f = id + delta_0 (-h); raise
-        DimensionMismatch otherwise."""
-        N = self.source
-        self.f.validate()
-        self.g.validate()
-        if not composite_is_identity(self.f, self.g, {}):
-            raise DimensionMismatch(f"minimal model of {N!r}: f g is not the identity of N'")
-        if not composite_is_identity(self.g, self.f, {k: v.neg() for k, v in self.h.items()}):
-            raise DimensionMismatch(f"minimal model of {N!r}: id - g f is not d h + h d")
-        return self
-
-    def null_homotopy(self, phi: CarrierMap,
-                      hom: Callable[..., HomSpace]) -> HomotopyWitness | None:
-        """A null-homotopy of the shift-0 chain map phi: N -> X, decided on N'.
-
-        The rule: phi is null-homotopic exactly when phi g: N' -> X is.  If
-        phi = delta H, then phi g = delta(H g).  If phi g = delta H', then
-        H = H' f + phi h has delta H = phi g f + phi (d h + h d) = phi,
-        because phi = phi (g f + d h + h d) and precomposing with a chain map
-        commutes with delta.  So one solve on hom(N', X) decides (hom is
-        Diagonal.hom, or HomSpace for a space no memo keeps), and its None,
-        whose absence certificate that solve has rechecked on N', answers
-        for N too.  H is rechecked by substitution on N; a failed recheck
-        raises DimensionMismatch naming N and the space.  When N' is N
-        nothing is composed: the solve is on hom(N, X) itself.  When N' = 0
-        nothing is solved: H = phi h."""
-        from .homotopy import CarrierMap, HomotopyWitness, space_name
-        N, Np, X = self.source, self.module, phi.target
-        if Np is N:
-            return hom(N, X).null_homotopy(phi)
-        carried = CarrierMap(N, X, -1, {})
-        if Np.n_gens:
-            wit = hom(Np, X).null_homotopy(phi.precompose(Np, self.g.entries))
-            if wit is None:
-                return None
-            carried = wit.precompose(N, self.f.entries)
-        H = HomotopyWitness(N, X, -1, carried.add(phi.precompose(N, self.h, -1)).cols)
-        if not H.boundary().sub(phi).is_zero():
-            raise DimensionMismatch(f"a homotopy witness carried from the minimal model "
-                                    f"failed its substitution recheck in the "
-                                    f"{space_name(N, X, 0)}")
-        return H
-
-
-def _unit_pair(diff: dict, degrees, unit):
-    """The least (mu, nu) whose coefficient b_{mu nu} has degree 0 and a
-    nonzero constant term, so is a unit of B_0; None when there is none."""
-    return min((k for k, el in diff.items()
-                if degrees[k[1]] == degrees[k[0]] + 1 and unit in el.terms), default=None)
-
-
-def _unit_inverse(u: AlgebraElement) -> AlgebraElement:
-    """The inverse of a degree-0 element with constant term c != 0.  B_0 is
-    the base ring k[a]/(a^r) (r = 1 for k), so u = c (1 - x) with x a
-    multiple of a, x^r = 0, and u^{-1} = c^{-1} (1 + x + ... + x^{r-1}).
-    The sum stops at r terms whatever x is, so a wrong c^{-1} gives a wrong
-    sum, which the recheck refuses, rather than a series that never ends."""
-    alg = u.algebra
-    cinv = alg.field.inv(u.terms[alg.unit_mono()])
-    x = alg.one() - u.scale(cinv)
-    inv, power = alg.zero(), alg.one()
-    for _ in range(alg.base.rank):
-        inv = inv + power
-        power = power * x
-    inv = inv.scale(cinv)
-    if u * inv != alg.one():
-        raise DimensionMismatch(f"{inv} is not the inverse of {u}")
-    return inv
-
-
 def _add_outer(out: dict, left, right) -> None:
     """out[(i, j)] += x * y for each (i, x) in left and (j, y) in right: a
     zero product is skipped and a sum that cancels is deleted.  Every product
@@ -459,63 +439,6 @@ def _add_outer(out: dict, left, right) -> None:
                 del out[key]
             else:
                 out[key] = new
-
-
-def minimal_model(N: SemifreeModule) -> MinimalModel:
-    """The minimal model of N by Gaussian elimination of unit pairs
-    (Skoldberg, Morse theory from an algebraic viewpoint, 2006).
-
-    While some coefficient u = b_{mu nu} is a unit of B_0, the pair
-    (e_mu, e_nu) spans, with e'_mu = d e_nu, a contractible summand, and is
-    cancelled: every other coefficient becomes
-    b_{rho kappa} - b_{rho nu} u^{-1} b_{mu kappa}; f sends e_mu to
-    -sum_rho e_rho b_{rho nu} u^{-1} and e_nu to 0, g sends e_kappa to
-    e_kappa - e_nu u^{-1} b_{mu kappa}, and h sends e_mu to e_nu u^{-1}.
-    One step's maps compose with the ones before: f <- f1 f, g <- g g1 and
-    h <- h + g h1 f.  The survivors keep their names and are ordered by
-    (degree, position); a new coefficient joins generators of strictly
-    increasing degree, so N' is strictly lower triangular.  N' is
-    validated like any module, and the maps are rechecked by substitution.
-    With no unit coefficient, N itself, f = g = id and h = 0: nothing is
-    built."""
-    alg = N.algebra
-    unit = alg.unit_mono()
-    degrees = N.degrees
-    pair = _unit_pair(N.diff, degrees, unit)
-    if pair is None:
-        ident = ChainMap.identity(N)
-        return MinimalModel(N, N, ident, ident, {})
-    one = alg.one()
-    D = dict(N.diff)
-    F = {(i, i): one for i in range(N.n_gens)}  # N -> the survivors
-    G = dict(F)                                 # the survivors -> N
-    H: dict = {}
-    alive = set(range(N.n_gens))
-    while pair is not None:
-        mu, nu = pair
-        alive -= {mu, nu}
-        v = _unit_inverse(D[pair])
-        # a_rho = -b_{rho nu} u^{-1} and b_kappa = b_{mu kappa}, so each
-        # update below is one outer product added; degree-0 v commutes
-        a = [(r, (x * v).neg()) for (r, c), x in D.items() if c == nu and r != mu]
-        b = [(c, x) for (r, c), x in D.items() if r == mu and c != nu]
-        f_mu = [(c, x) for (r, c), x in F.items() if r == mu]
-        g_nu = [(r, (x * v).neg()) for (r, c), x in G.items() if c == nu]
-        D = {k: x for k, x in D.items() if k[0] in alive and k[1] in alive}
-        _add_outer(D, a, b)
-        F = {k: x for k, x in F.items() if k[0] in alive}
-        _add_outer(F, a, f_mu)
-        G = {k: x for k, x in G.items() if k[1] in alive}
-        _add_outer(G, g_nu, b)
-        _add_outer(H, g_nu, [(c, x.neg()) for c, x in f_mu])
-        pair = _unit_pair(D, degrees, unit)
-    order = sorted(alive, key=lambda i: (degrees[i], i))
-    pos = {old: new for new, old in enumerate(order)}
-    Np = SemifreeModule(alg, [N.names[i] for i in order], [degrees[i] for i in order],
-                        dict(sorted(((pos[r], pos[c]), x) for (r, c), x in D.items())))
-    f = ChainMap(N, Np, 0, {(pos[r], c): x for (r, c), x in F.items()}, _validate=False)
-    g = ChainMap(Np, N, 0, {(r, pos[c]): x for (r, c), x in G.items()}, _validate=False)
-    return MinimalModel(N, Np, f, g, H).recheck()
 
 
 def homology_dim(M, d: int) -> int:

@@ -11,10 +11,10 @@ N onto itself, which solves each layer on HomSpace(N, layer).
 from __future__ import annotations
 
 from dglift.errors import DimensionMismatch, FiltrationStuck
-from dglift.homotopy import CarrierMap, carrier_map_to_chain
+from dglift.homotopy import CarrierMap, MinimalModel, carrier_map_to_chain
 from dglift.liftcheck import summand_witness
 from dglift.linalg import SparseMatrix
-from dglift.modules import ChainMap, MinimalModel, composite_is_identity
+from dglift.modules import ChainMap, composite_is_identity
 from dglift.obstruction import chain_map_operator, chi_power
 
 

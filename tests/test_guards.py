@@ -16,12 +16,12 @@ from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
 from dglift.errors import (DegreeMismatch, DimensionMismatch, IllFormedPresentation,
                            NotTriangular, OwnerMismatch)
-from dglift.homotopy import HomSpace, carrier_map_to_chain, space_name
+from dglift.homotopy import HomSpace, carrier_map_to_chain, minimal_model, space_name
 from dglift.instances import build_corpus
 from dglift.linalg import SparseMatrix
 from dglift.liftcheck import splitting_search, summand_witness
 from dglift.modules import (ChainMap, SemifreeModule, cone, direct_sum, free_module,
-                             make_module, minimal_model)
+                             make_module)
 from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power
 from dglift.scalars import RATIONALS
 

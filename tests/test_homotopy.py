@@ -11,14 +11,13 @@ from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
 from dglift.errors import DegreeMismatch, DimensionMismatch
 from dglift.homotopy import (CarrierMap, HomSpace, MapLayout, chain_map_to_carrier,
-                             check_AR1, check_AR2, delta_cols, delta_matrix, hom_k_dim,
-                             is_null_homotopic)
+                             check_AR1, check_AR2, delta_matrix, hom_k_dim, is_null_homotopic)
 from dglift.instances import build_corpus
 from dglift.liftcheck import splitting_search
 from dglift.linalg import SparseMatrix
 from dglift.memo import peek
-from dglift.modules import (ChainMap, cone, direct_sum, free_module, graded_map_boundary,
-                            make_module, shift)
+from dglift.modules import (ChainMap, cone, delta_cols, direct_sum, free_module,
+                            graded_map_boundary, make_module, shift)
 from dglift.obstruction import chi_power, omega_is_zero
 
 SHIFTS = range(-1, 3)

@@ -60,6 +60,24 @@ def test_splitting_recheck_catches_a_doubled_solve(ext, ext_diag, monkeypatch):
         splitting_search(summand_module(ext), ext_diag)
 
 
+def test_a_failed_section_solve_names_its_space(config, monkeypatch):
+    """A solve that fails its substitution recheck names the Hom space out
+    of the minimal model N' = [g1:0] that the section system is on."""
+    inst = build_corpus(config, ["exterior"])["exterior"]
+
+    def failing(self, b):
+        raise DimensionMismatch(f"{self.nrows}x{self.ncols} system: "
+                                f"solution failed the substitution recheck")
+
+    monkeypatch.setattr(SparseMatrix, "solve", failing)
+    with pytest.raises(DimensionMismatch) as exc:
+        splitting_search(inst.modules["summand"], inst.diag)
+    assert str(exc.value).endswith(
+        "system: solution failed the substitution recheck in the section system on the "
+        "Hom space from generators [g1:0] into SemifreeCarrier([g1(x)1:0, g2(x)1:0, "
+        "g1(x)y:1, g2(x)y:1, g3(x)1:1, g3(x)y:2] (x)_B AlgebraCarrier) at shift 0")
+
+
 def test_summand_witness_free(ext, ext_diag):
     B = free_module(ext, 1)
     G, pi = ext_diag.base_change(B)

@@ -20,12 +20,12 @@ from dglift.carriers import (AlgebraCarrier, Carrier, KernelSubCarrier, Quotient
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal, EnvelopingCarrier
 from dglift.errors import CapExceeded
-from dglift.homotopy import HomSpace, hom_k_dim
+from dglift.homotopy import HomSpace, MinimalModel, hom_k_dim
 from dglift.instances import build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery
 from dglift.linalg import Echelon, SparseMatrix
 from dglift.memo import memo, peek
-from dglift.modules import ChainMap, MinimalModel, SemifreeModule, cone
+from dglift.modules import ChainMap, SemifreeModule, cone
 from dglift.obstruction import (DegreewiseMap, EnvelopingRouteTower, ObstructionTower,
                                 chain_map_operator, chi_power, gamma_dim, induced_matrix,
                                 omega_action_matrix)
