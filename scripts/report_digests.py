@@ -68,7 +68,7 @@ from dglift.config import EngineConfig  # noqa: E402
 from dglift.instances import build_corpus  # noqa: E402
 from dglift.homotopy import HomSpace, chain_map_to_carrier, check_AR1, check_AR2  # noqa: E402
 from dglift.liftcheck import kernel_sequence_check, p_ideal_dims, splitting_search  # noqa: E402
-from dglift.obstruction import ObstructionTower, chain_map_operator, chi_power  # noqa: E402
+from dglift.obstruction import ObstructionTower, chain_map_operator, chi_powers  # noqa: E402
 from dglift.scalars import field_from_spec  # noqa: E402
 
 BACKENDS = ("Q", "Fp")
@@ -158,8 +158,8 @@ def hom_digests(backend: str):
                 for s in range(-1, 3):
                     hs = HomSpace(N, Y, s)
                     dims.append((hs.cycle_dim, hs.boundary_dim, hs.dim_K))
-            null = [HomSpace(N, diag.NT(N, n)).null_homotopy(chi_power(N, diag, n)) is None
-                    for n in (1, 2)]
+            null = [HomSpace(N, diag.NT(N, n)).null_homotopy(chi) is None
+                    for n, chi in enumerate(chi_powers(N, diag, 2)) if n]
             yield name, mname, sha(repr((dims, null)))
 
 
@@ -171,8 +171,8 @@ def solve_digests(backend: str):
         diag = inst.diag
         for mname, N in inst.modules.items():
             sigma = splitting_search(N, diag)
-            witnesses = [diag.hom(N, diag.NT(N, n)).null_homotopy(chi_power(N, diag, n))
-                         for n in (1, 2)]
+            witnesses = [diag.hom(N, diag.NT(N, n)).null_homotopy(chi)
+                         for n, chi in enumerate(chi_powers(N, diag, 2)) if n]
             yield name, mname, sha(repr((sigma and chain_map_to_carrier(sigma).cols,
                                          [w and w.cols for w in witnesses])))
 

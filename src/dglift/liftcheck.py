@@ -22,8 +22,8 @@ from .homotopy import (CarrierMap, ConditionReport, HomSpace, MapLayout, Minimal
 from .linalg import SparseMatrix
 from .modules import (ChainMap, SemifreeModule, cols_to_entries, composite_is_identity,
                       free_module, graded_map_boundary, homology_dim, matrix_product)
-from .obstruction import (chain_map_operator, chi_power, gamma_dim, induced_matrix,
-                          omega_action_matrix, omega_is_zero)
+from .obstruction import (chain_map_operator, chi_powers, gamma_dim, induced_matrix,
+                          omega_action_matrix)
 
 
 # ----- strict splitting -----------------------------------------------------
@@ -276,7 +276,10 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 
     The bound L is max_tensor of diag's config: the powers chi^n and the
     pieces gamma^n are read for n <= L, and Diagonal.T refuses the rest,
-    so an L below 1 raises CapExceeded at the first power chi^1.  The
+    so an L below 1 raises CapExceeded at the first power chi^1.  Verdicts
+    ii and iii read one search for the least null-homotopic power over one
+    walk of chi_powers, which stops there: ii holds when it is chi^1, iii
+    when there is one.  The
     bound-limited conditions carry notes; under verified AR1 the
     surjectivity of the obstruction action propagates vanishing beyond the
     bound, so the finite data is a complete certificate there.  Verdict
@@ -303,19 +306,13 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     report.verdicts["i"] = sigma is not None
     report.notes["i"] = "strict section found" if sigma else "section system inconsistent"
 
-    wit = omega_is_zero(N, diag)
-    report.verdicts["ii"] = wit is not None
-    report.notes["ii"] = "null-homotopy witness stored" if wit else "no homotopy exists (exact certificate)"
-
-    # whether chi^1 is null-homotopic is verdict ii's question, so the search
-    # for a null-homotopic power starts at 2 when ii failed
-    nil_power = 1 if wit is not None else None
-    if wit is None:
-        model = diag.minimal(N)
-        for ell in range(2, L + 1):
-            if model.null_homotopy(chi_power(N, diag, ell), diag.hom) is not None:
-                nil_power = ell
-                break
+    # ii asks whether chi^1 is null-homotopic, iii whether some chi^l is
+    model = diag.minimal(N)
+    nil_power = next((ell for ell, chi in enumerate(chi_powers(N, diag, max(L, 1)))
+                      if ell and model.null_homotopy(chi, diag.hom) is not None), None)
+    report.verdicts["ii"] = nil_power == 1
+    report.notes["ii"] = ("null-homotopy witness stored" if nil_power == 1
+                          else "no homotopy exists (exact certificate)")
     report.verdicts["iii"] = nil_power is not None
     report.notes["iii"] = (f"power {nil_power} null-homotopic" if nil_power
                            else f"no nilpotency up to bound {L}")

@@ -19,8 +19,9 @@ the carrier's differential is applied to it, and the section only to the
 basis vectors that the result reaches), which never calls
 Diagonal.delta; both towers prepend their J vectors to T^i through
 Diagonal.prepend_matrix.  That shared placement is checked by the
-closed-form power, which sums the strictly decreasing generator chains by
-their head through t_prepend and place, and must equal the iterated
+closed-form powers, which one walk yields in turn, each one step past the
+last: it sums the strictly decreasing generator chains by their head
+through t_prepend and place, and each power must equal the iterated
 composition of the assembled components.
 """
 
@@ -212,45 +213,49 @@ def towers_agree(a, b, i: int, degrees) -> bool:
 # ----- powers ---------------------------------------------------------------
 
 
-def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
-    """Closed-form l-fold obstruction power N -> N (x) T^l: the sum over
-    strictly decreasing generator chains of the tensor of derivation values,
-    signed by the suspension cost of every intermediate generator.
+def chi_powers(N: SemifreeModule, diag: Diagonal, top: int):
+    """The closed-form obstruction powers chi^0, chi^1, ..., chi^top: N ->
+    N (x) T^l, in one walk: chi^l is the sum over strictly decreasing
+    generator chains of l steps of the tensor of derivation values, signed
+    by the suspension cost of every intermediate generator.
 
-    The chains out of e_lam are summed by head: after k steps heads[mu] is
-    the sum of the T^k vectors of every chain lam > ... > mu, of degree
-    |e_lam| - |e_mu|, and one step adds (-1)^{|e_nu|} delta(b_{nu mu}) (x)
-    heads[mu] into heads[nu].  With no step, the one head is e_lam at the
-    unit of T^0 = B: chi^0 is the identity of N.  depth[nu], the length of
-    the longest chain down from e_nu, spares every step into a head that
-    cannot reach ell steps."""
+    The chains out of each e_lam are summed by head: when chi^l is placed,
+    heads[lam][mu] is the sum of the T^l vectors of every chain lam > ...
+    > mu, of degree |e_lam| - |e_mu|, and the step to chi^{l+1} adds
+    (-1)^{|e_nu|} delta(b_{nu mu}) (x) heads[lam][mu] into heads[lam][nu].
+    Each delta(b_{nu mu}) is derived once, before the walk, and each step is
+    taken just before the power it makes, so no T^{top+1} is asked for.
+    chi^0 has the one head e_lam at the unit of T^0 = B: it is the identity
+    of N."""
     f = N.algebra.field
-    tgt = diag.NT(N, ell)
     signs = (f.one, f.neg(f.one))
     degrees = N.degrees
+    deltas = {mu: [(nu, *diag.delta(b)) for nu, b in N.diff_column(mu)]
+              for mu in range(N.n_gens)}
     unit = {N.algebra.mono_index(0, N.algebra.unit_mono()): f.one}
-    depth: list = []  # d e_mu reads only generators below mu
-    for mu in range(N.n_gens):
-        depth.append(max((depth[nu] + 1 for nu, _ in N.diff_column(mu)), default=0))
-    cols: dict = {}
-    for lam in range(N.n_gens):
-        heads: dict = {lam: unit}
-        for k in range(ell):
+    heads = [{lam: unit} for lam in range(N.n_gens)]
+    for ell in range(top + 1):
+        for lam in range(N.n_gens if ell else 0):
             step: dict = {}
-            for mu, tvec in heads.items():
-                for nu, b in N.diff_column(mu):
-                    if depth[nu] < ell - k - 1:
-                        continue
-                    bd, dvec = diag.delta(b)
+            for mu, tvec in heads[lam].items():
+                for nu, bd, dvec in deltas[mu]:
                     # delta(b) (x) the unit of T^0 is delta(b) itself
-                    vec = diag.t_prepend(bd + 1, dvec, k, degrees[lam] - degrees[mu],
-                                         tvec) if k else dvec
+                    vec = diag.t_prepend(bd + 1, dvec, ell - 1, degrees[lam] - degrees[mu],
+                                         tvec) if ell > 1 else dvec
                     vec_axpy(f, step.setdefault(nu, {}), signs[degrees[nu] % 2], vec)
-            heads = {nu: vec for nu, vec in step.items() if vec}
-        if heads:  # the heads sit in disjoint generator blocks
-            cols[lam] = {i: c for mu, tvec in heads.items()
-                         for i, c in tgt.place(mu, degrees[lam] - degrees[mu], tvec).items()}
-    return CarrierMap(N, tgt, 0, cols)
+            heads[lam] = {nu: vec for nu, vec in step.items() if vec}
+        tgt = diag.NT(N, ell)
+        # the heads of one lam sit in disjoint generator blocks
+        yield CarrierMap(N, tgt, 0, {
+            lam: {i: c for mu, tvec in heads[lam].items()
+                  for i, c in tgt.place(mu, degrees[lam] - degrees[mu], tvec).items()}
+            for lam in range(N.n_gens) if heads[lam]})
+
+
+def chi_power(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:
+    """The l-fold obstruction power N -> N (x) T^l: the last of chi_powers."""
+    *_, last = chi_powers(N, diag, ell)
+    return last
 
 
 def chi_power_iterated(N: SemifreeModule, diag: Diagonal, ell: int) -> CarrierMap:

@@ -50,17 +50,17 @@ def two_step(alg):
 
 
 @pytest.mark.parametrize("path, forged, flag", [
-    # two_step: no strict section and no AR1; a forged "ii holds" leaves
+    # two_step: no strict section and no AR1; a forged "i holds" leaves
     # only the bound-free equivalence broken
     (DATA / "two_step.dg", object(), LIFT_FLAG),
-    # free3: a section and AR1; a forged "ii fails" breaks the equivalence
+    # free3: a section and AR1; a forged "i fails" breaks the equivalence
     # and the agreement under AR1, whose flag is the one reported
     (DATA / "free3.dg", None, AGREEMENT_FLAG),
 ], ids=["bound-free-equivalence", "agreement-under-AR1"])
 def test_the_battery_raises_its_fatal_flags(monkeypatch, path, forged, flag):
     """With verdicts i and ii made to disagree, the battery sets its FATAL
     flag and `dglift battery` exits 1 with the flag in its report."""
-    monkeypatch.setattr(liftcheck, "omega_is_zero", lambda N, diag: forged)
+    monkeypatch.setattr(liftcheck, "splitting_search", lambda N, diag: forged)
     code, out, err = run_cli(["battery", str(path), "--json"])
     assert (code, err) == (1, "")
     report = json.loads(out)

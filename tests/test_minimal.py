@@ -28,7 +28,7 @@ from dglift.homotopy import MinimalModel, check_AR1, check_AR2, minimal_model
 from dglift.instances import battery_pairs, build_corpus
 from dglift.liftcheck import kernel_sequence_check, naive_lift_battery, p_ideal_dims
 from dglift.modules import ChainMap, cone, direct_sum, make_module, shift
-from dglift.obstruction import gamma_dim
+from dglift.obstruction import chi_power_iterated, chi_powers, gamma_dim
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
 from conftest import DATA
@@ -255,12 +255,19 @@ def random_block(alg, kind, length, start, r, t):
 def test_random_sums_agree_with_the_unreduced_and_direct_routes(backend, blocks):
     """A direct sum of 1-3 random blocks: the invariants read off N' equal
     the unreduced route's, and verdicts i, ii, iii and ix, decided on N' and
-    carried back to N, equal those decided on N itself."""
+    carried back to N, equal those decided on N itself, as does the least
+    null-homotopic power that iii's note names.  The powers of one walk
+    equal the iterated compositions of the tower components."""
     alg = exterior3(backend)
     N = direct_sum(*(random_block(alg, *b) for b in blocks))
     diag = Diagonal(alg)
     assert invariants(N, diag) == invariants(N, Unreduced(alg))
+    for ell, chi in enumerate(chi_powers(N, diag, 2)):
+        assert chi.cols == chi_power_iterated(N, Diagonal(alg), ell).cols, ell
     report = naive_lift_battery(N, diag)
     direct = direct_verdicts(N, Diagonal(alg), report.ar1.detail["iii_holds"], report.bound)
     for k in ("i", "ii", "iii", "ix"):
         assert report.verdicts[k] == direct[k], k
+    nil = direct["nil_power"]
+    assert report.notes["iii"] == (f"power {nil} null-homotopic" if nil
+                                   else "no nilpotency up to bound 2")
