@@ -25,7 +25,10 @@ tate_ext5.dg, the Tate-ext algebra k[q]/(q^2) on 4 or 5 odd X0, X1, ...
 with d X_i = q, whose differential is not zero.  Their modules lenL are
 the chains e0..e_{L-1}, e_j in degree 2j, with d e_{j+1} = e_j y0 over
 the exterior algebras (L = 5, 6, 7 in ext5.dg, L = 5 in ext6.dg) and
-d e_{j+1} = e_j (X0 - X1) over the Tate-ext ones (L = 5).  The rungs:
+d e_{j+1} = e_j (X0 - X1) over the Tate-ext ones (L = 5); ext5.dg's sum5
+is len5 plus a contractible summand, generators c in degree 3 and s in
+degree 4 with d s = c, so its minimal model is neither the module nor 0.
+The rungs:
   ladder_ext5_d12, ladder_ext5_d13   on ext5.dg's algebra, dim, labels and
                                      diff of T^n in every degree 2n..12
                                      (..13), n = 1..4; the digest hashes
@@ -35,6 +38,8 @@ d e_{j+1} = e_j (X0 - X1) over the Tate-ext ones (L = 5).  The rungs:
                                      ext6.dg; the digest hashes the report
   cone_ext5_len5, cone_ext6_len5     the battery on the cone of the identity
                                      of the two len5 chains
+  sum_ext5_len5                      the battery on sum5 of ext5.dg, whose
+                                     report is chain_ext5_len5's
   kernel_ext5_len5                   kernel_sequence_check alone on len5 of
                                      ext5.dg; the digest hashes its result
   tate_ext4_len5, tate_ext5_len5     the battery on len5 of tate_ext4.dg and
@@ -134,6 +139,7 @@ RUNGS = {
     "chain_ext6_len5": battery("ext6", "len5"),
     "cone_ext5_len5": battery("ext5", "len5", of_cone=True),
     "cone_ext6_len5": battery("ext6", "len5", of_cone=True),
+    "sum_ext5_len5": battery("ext5", "sum5"),
     "kernel_ext5_len5": kernel_sequence("ext5", "len5"),
     "tate_ext4_len5": battery("tate_ext4", "len5"),
     "tate_ext5_len5": battery("tate_ext5", "len5"),

@@ -600,8 +600,10 @@ class TensorCarrier(Carrier):
         """(S_q, E_q, free) for degree q of Y.  S_q lists (e, g, m) for the
         generators g of degree e of B: walking e ascending, then m
         descending, the products g*y_m that enlarge the span of the ones
-        before them.  E_q is their RREF on columns 0..dim Y_q - 1; the row
-        that element s of S_q entered carries a tag 1 in column dim Y_q + s,
+        before them.  E_q is their RREF on columns 0..dim Y_q - 1; each
+        candidate goes in with one add_row, carrying a tag 1 in column
+        dim Y_q + s for the next element s of S_q, and it is that element
+        when add_row keeps it (one that reduces to tags alone is refused),
         so every row's tags give its combination of S_q.  free maps each
         non-pivot column of E_q to its position among them.  Building S_q
         also checks the freeness certificate in degree q, which reads
@@ -621,11 +623,8 @@ class TensorCarrier(Carrier):
                         continue
                     cols = Y.action("l", g, q - e).columns()
                     for m in range(Y.dim(q - e) - 1, -1, -1):
-                        red = ech.reduce(cols[m]) if m in cols else None
-                        # g*y_m is new when it leaves something on Y_q
-                        if red and min(red) < wy:
-                            red[wy + len(span)] = f.one
-                            ech.add_row(red)
+                        # g*y_m is kept when it leaves something on Y_q
+                        if m in cols and ech.add_row({**cols[m], wy + len(span): f.one}):
                             span.append((e, g, m))
         # every later query of E_q reduces or reads its free columns
         ech.release_index()

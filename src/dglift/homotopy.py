@@ -233,9 +233,10 @@ class HomSpace:
     kernel basis of delta_{s+1}, read off that matrix's own echelon (the
     kept rows of its sweep) and not kept here.  The echelon starts as the
     RREF of the image of delta_s (column_space_echelon: its columns at the
-    pivots of its one sweep), untagged; then each cycle that leaves
-    something on layout(s) goes in with a 1 in tag column
-    layout(s).total + k, as representative k.
+    pivots of its one sweep), untagged; then each cycle goes in by one
+    add_row with a 1 in tag column layout(s).total + k, and add_row keeps
+    it, as representative k, when it leaves something on layout(s): a
+    cycle that reduces to tags alone is refused.
     Tags are never pivots, so each row minus the representatives its tags
     name is a boundary.  A map reduces to nothing when it is a boundary, to
     tags only when it is a cycle of nonzero class (minus the tags are its
@@ -288,10 +289,7 @@ class HomSpace:
         brank = ech.rank
         reps = []
         for z in cycles:
-            red = ech.reduce(z)
-            if red and min(red) < n:  # a new class: tag it
-                red[n + len(reps)] = f.one
-                ech.add_row(red)
+            if ech.add_row({**z, n + len(reps): f.one}):  # a new class
                 reps.append(z)
         if len(reps) != len(cycles) - brank:
             raise DimensionMismatch(

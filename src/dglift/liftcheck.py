@@ -16,9 +16,9 @@ from dataclasses import dataclass, field as dc_field
 from .carriers import Carrier
 from .diagonal import Diagonal
 from .errors import DimensionMismatch, FiltrationStuck
-from .homotopy import (CarrierMap, ConditionReport, HomSpace, MapLayout, MinimalModel,
-                       carrier_map_to_chain, chain_map_to_carrier, check_AR1, check_AR2,
-                       hom_k_dim, space_name)
+from .homotopy import (CarrierMap, ConditionReport, HomSpace, HomotopyWitness, MapLayout,
+                       MinimalModel, carrier_map_to_chain, chain_map_to_carrier, check_AR1,
+                       check_AR2, hom_k_dim, space_name)
 from .linalg import SparseMatrix
 from .modules import (ChainMap, SemifreeModule, cols_to_entries, composite_is_identity,
                       free_module, graded_map_boundary, homology_dim, matrix_product)
@@ -252,6 +252,9 @@ class LiftReport:
     agreement: bool = True
     lemma_free_equivalence: bool = True
     flag: str | None = None
+    # the null-homotopy of the least null-homotopic power chi^l, if any;
+    # kept out of to_dict, so the canonical report does not show it
+    witness: HomotopyWitness | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -279,7 +282,8 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
     so an L below 1 raises CapExceeded at the first power chi^1.  Verdicts
     ii and iii read one search for the least null-homotopic power over one
     walk of chi_powers, which stops there: ii holds when it is chi^1, iii
-    when there is one.  The
+    when there is one, and report.witness keeps that power's null-homotopy
+    (None when there is none).  The
     bound-limited conditions carry notes; under verified AR1 the
     surjectivity of the obstruction action propagates vanishing beyond the
     bound, so the finite data is a complete certificate there.  Verdict
@@ -308,8 +312,11 @@ def naive_lift_battery(N: SemifreeModule, diag: Diagonal, name: str = "N") -> Li
 
     # ii asks whether chi^1 is null-homotopic, iii whether some chi^l is
     model = diag.minimal(N)
-    nil_power = next((ell for ell, chi in enumerate(chi_powers(N, diag, max(L, 1)))
-                      if ell and model.null_homotopy(chi, diag.hom) is not None), None)
+    nil_power = None
+    for ell, chi in enumerate(chi_powers(N, diag, max(L, 1))):
+        if ell and (wit := model.null_homotopy(chi, diag.hom)) is not None:
+            nil_power, report.witness = ell, wit
+            break
     report.verdicts["ii"] = nil_power == 1
     report.notes["ii"] = ("null-homotopy witness stored" if nil_power == 1
                           else "no homotopy exists (exact certificate)")

@@ -13,7 +13,9 @@ a "no", whose absence certificate replays the operations backwards from the
 earliest such row.  Echelon keeps a reduced row echelon form incrementally:
 it holds kernels, and the tagged reductions of the Hom spaces and the
 tensor carriers; its column index covers the non-pivot columns below ncols
-only, never the tags beyond them.
+only, never the tags beyond them.  add_row refuses a row that reduces to
+tags alone, so no tag leads a row, and a caller puts a tagged vector in
+with one call, which reduces it once and says whether it was kept.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ class Echelon:
     ``pivots`` and ``rows`` are views sorted by pivot, built on each read, so
     an insertion costs nothing for keeping a sorted list.
 
-    Tags: columns from ``ncols`` on ride along in rows and reductions, never
-    lead a row, and are never indexed, so a caller can record in them the
-    combination that made each row.
+    Tags: columns from ``ncols`` on ride along in rows and reductions and
+    are never indexed, so a caller can record in them the combination that
+    made each row.  ``add_row`` refuses a row that reduces to tags alone, so
+    a tag never leads a row: a caller writes the tag into the vector and
+    inserts it in one call, whose answer says whether the vector was new
+    below ``ncols``.
     """
 
     def __init__(self, field, ncols: int):
@@ -94,15 +99,17 @@ class Echelon:
         return out
 
     def add_row(self, vec: dict) -> bool:
-        """Insert a row; returns True if it enlarged the row space."""
+        """Insert vec reduced, and return True, when the reduction leaves an
+        entry below ncols; otherwise store nothing and return False, so a row
+        that reduces to nothing or to tags alone is refused."""
         by_col = self._by_col
         if by_col is None:
             raise RuntimeError("add_row after release_index")
         f = self.field
         row = self.reduce(vec)  # a fresh dict: it becomes the row, normalized in place
-        if not row:
+        p = min(row, default=self.ncols)
+        if p >= self.ncols:
             return False
-        p = min(row)
         f.normalize(row, p)
         tail = [j for j in row if j != p and j < self.ncols]
         row_of = self._row_of

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dglift.algebra import BaseRing, build_algebra
 from dglift.config import EngineConfig
 from dglift.diagonal import Diagonal
-from dglift.linalg import SparseMatrix
+from dglift.linalg import Echelon, SparseMatrix
 from dglift.modules import make_module
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
@@ -104,3 +105,15 @@ def assert_column_index_consistent(ech):
     assert all(0 <= j < ech.ncols for j in ech._by_col), sorted(ech._by_col)
     assert not set(ech._by_col) & set(ech.pivots)
     assert {j: ps for j, ps in ech._by_col.items() if ps} == holders
+
+
+def count_echelon_calls(monkeypatch) -> Counter:
+    """Wrap Echelon.reduce and Echelon.add_row to count their calls; an
+    add_row's own reduction counts as a reduce call."""
+    calls = Counter()
+    for name in ("reduce", "add_row"):
+        def counted(self, vec, _name=name, _orig=getattr(Echelon, name)):
+            calls[_name] += 1
+            return _orig(self, vec)
+        monkeypatch.setattr(Echelon, name, counted)
+    return calls

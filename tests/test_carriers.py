@@ -20,9 +20,11 @@ import inspect
 import random
 import textwrap
 from functools import cache
+from pathlib import Path
 
 import pytest
 
+from dglift import cli
 from dglift.algebra import BaseRing, build_algebra
 from dglift.carriers import Carrier, SemifreeCarrier, TensorCarrier
 from dglift.config import EngineConfig
@@ -35,10 +37,11 @@ from dglift.memo import peek
 from dglift.obstruction import chi_power
 from dglift.scalars import DEFAULT_PRIME, PrimeField, RATIONALS
 
-from conftest import entry_matrix
+from conftest import count_echelon_calls, entry_matrix
 from dense_oracle import dense_echelon
 from quotient_oracle import all_rows_echelon, block_starts
 
+RUNG_INPUTS = Path(__file__).resolve().parent.parent / "scripts" / "rung_inputs"
 # each corpus algebra keeps its own degree cap under the default config
 CONFIGS = {"Q": EngineConfig(field=RATIONALS),
            "Fp": EngineConfig(field=PrimeField(DEFAULT_PRIME))}
@@ -581,3 +584,13 @@ def test_every_carrier_defines_its_interface():
     assert [c.__name__ for c in classes if not hasattr(c, "left_act")] == ["SemifreeCarrier"]
     assert not any(hasattr(Carrier, name) for name in (
         "min_degree", "dim", "labels", "diff", "right_act", "left_act"))
+
+
+def test_each_spanning_candidate_is_reduced_once(monkeypatch):
+    """_spanning puts every candidate g*y_m into E_q with one add_row, kept
+    or refused, and that call reduces it once: T^2 in degree 7 over the
+    5-generator exterior algebra takes as many reductions as inserts."""
+    inst = cli.parse_instance(str(RUNG_INPUTS / "ext5.dg"), CONFIGS["Q"])
+    calls = count_echelon_calls(monkeypatch)
+    Diagonal(inst.algebra).T(2).dim(7)
+    assert calls["reduce"] == calls["add_row"] > 0

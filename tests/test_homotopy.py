@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from conftest import entry_matrix, forge_an_absence, koszul, two_step
+from conftest import count_echelon_calls, entry_matrix, forge_an_absence, koszul, two_step
 from hom_oracle import delta_by_elements
 
 from dglift.algebra import BaseRing, build_algebra
@@ -306,6 +306,18 @@ def test_express_roundtrip(ext):
     hs = HomSpace(M, M, 0)
     reps = hs.class_reps()
     assert hs.express(reps[0]) == {0: ext.field.one}
+
+
+def test_the_class_build_reduces_each_cycle_once(config, monkeypatch):
+    """_build puts every cycle into the class echelon with one add_row,
+    which keeps it as a representative or refuses it, and that call reduces
+    it once: every reduction of the build is an insert's."""
+    inst = build_corpus(config)["exterior"]
+    diag = Diagonal(inst.algebra)
+    calls = count_echelon_calls(monkeypatch)
+    for N in inst.modules.values():
+        HomSpace(N, diag.NT(N, 1), 0).class_reps()
+    assert calls["reduce"] == calls["add_row"] > 0
 
 
 def test_AR1_free_modules(ext):

@@ -1,5 +1,6 @@
 """Liftability: splitting search, battery, summand witness, kernel sequence."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from dglift.algebra import BaseRing, build_algebra
 from dglift.diagonal import Diagonal
 from dglift.errors import CapExceeded, DimensionMismatch, FiltrationStuck
-from dglift.instances import build_corpus
+from dglift.instances import battery_pairs, build_corpus
 from dglift.liftcheck import (appendix_battery, kernel_sequence_check,
                               naive_lift_battery, p_ideal_dims, splitting_search,
                               summand_witness)
 from dglift.linalg import SparseMatrix
 from dglift.modules import ChainMap, cone, direct_sum, free_module, make_module, shift
+from dglift.obstruction import chi_power
 
 from conftest import two_step
 
@@ -215,6 +217,30 @@ def test_battery_two_step(ext, ext_diag):
     assert r.lemma_free_equivalence
     assert not r.ar1.holds
     assert r.flag is None
+
+
+def test_the_battery_keeps_the_witness_of_the_least_null_power(config):
+    """report.witness is the null-homotopy of chi^l, l the least
+    null-homotopic power that the iii note names, on every corpus battery
+    module, and None when no power up to the bound is null-homotopic: l is
+    2 on exterior's two_step and 3 on its three_step, and at max_tensor 1
+    two_step keeps no witness."""
+    pairs = battery_pairs(build_corpus(config))
+    assert len(pairs) == 18
+    least = {}
+    for inst, mname, M in pairs:
+        r = naive_lift_battery(M, inst.diag, name=mname)
+        if not r.verdicts["iii"]:
+            assert r.witness is None, (inst.name, mname)
+            continue
+        ell = int(re.fullmatch(r"power (\d+) null-homotopic", r.notes["iii"])[1])
+        least[inst.name, mname] = ell
+        assert r.witness.shift == -1, (inst.name, mname)
+        assert r.witness.boundary().sub(chi_power(M, inst.diag, ell)).is_zero(), (inst.name, mname)
+    assert least["exterior", "two_step"] == 2 and least["exterior", "three_step"] == 3
+    ext = build_corpus(config.with_limits(max_tensor=1))["exterior"]
+    r = naive_lift_battery(ext.modules["two_step"], ext.diag, name="two_step")
+    assert (r.verdicts["iii"], r.witness) == (False, None)
 
 
 def test_battery_contractible(ext, ext_diag):

@@ -469,6 +469,21 @@ def test_echelon_reduce_idempotent():
     assert all(c not in ech.pivots for c in r1)
 
 
+def test_a_row_that_reduces_to_tags_alone_is_refused(field):
+    """add_row keeps a row only when its reduction leaves an entry below
+    ncols, so a tag never leads a row: a tag alone, or a vector that the
+    rows reduce to tags, is refused and stores nothing."""
+    one = field.one
+    ech = Echelon(field, 2)
+    assert ech.add_row({2: one}) is False
+    assert (ech.rank, ech.rows) == (0, [])
+    assert ech.add_row({0: one, 2: one}) is True
+    assert ech.add_row({0: field.from_int(3), 3: one}) is False  # tags 2 and 3 left
+    assert ech.add_row({}) is False
+    assert (ech.rank, ech.rows) == (1, [{0: one, 2: one}])
+    assert_column_index_consistent(ech)
+
+
 def test_a_released_echelon_reduces_and_refuses_inserts(field):
     """release_index frees the column index: the rows, rank, free columns
     and reductions stay, and add_row and kernel_basis raise."""

@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ROOT / "scripts" / "rungs.py"
 INPUTS = ROOT / "scripts" / "rung_inputs"
 # the modules that the rungs read from each file
-RUNG_MODULES = {"ext5": ["len5", "len6", "len7"], "ext6": ["len5"],
+RUNG_MODULES = {"ext5": ["len5", "len6", "len7", "sum5"], "ext6": ["len5"],
                 "tate_ext4": ["len5"], "tate_ext5": ["len5"]}
+CHAIN_EXT5_LEN5_SHA256 = "c857621199fa89bda858033a6c2e00d9087d100b5c36d96e8e208cbb7bf0e915"
 CONE_EXT5_LEN5_SHA256 = "76ba248317f9042f24e748866693e8161bd9dadbc9733ba667d3f3080a815831"
 LADDER_EXT5_D12_SHA256 = "c9d27912d7554eacc5cd8bea112770b020a567a034893de809eb72dc7477f388"
 TATE_EXT4_LEN5_SHA256 = "e4f942a2e72d535e00ad9e9f775211af93805c4fdd57e7b69c7ae245cca19b16"
@@ -36,7 +37,7 @@ def run(*args):
 
 def test_the_smallest_rung_prints_one_measured_json_line_per_field():
     names = run("--list").stdout.split()
-    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 11
+    assert "cone_ext5_len5" in names and len(names) == len(set(names)) == 12
     proc = run("cone_ext5_len5")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -61,6 +62,19 @@ def test_the_larger_cone_rung_keeps_its_digest_on_both_fields():
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["field"] for r in lines] == ["Q", "Fp"]
     assert {r["sha256"] for r in lines} == {CONE_EXT5_LEN5_SHA256}
+
+
+def test_a_contractible_summand_leaves_the_chain_rung_digest_on_both_fields():
+    """The battery on sum5, len5 plus the contractible pair d s = c, prints
+    chain_ext5_len5's digest on both fields: its minimal model drops the
+    pair and is neither the module nor 0, and the battery is invariant
+    under a contractible summand."""
+    proc = run("chain_ext5_len5", "sum_ext5_len5")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["rung"], r["field"]) for r in lines] == [
+        (rung, field) for rung in ("chain_ext5_len5", "sum_ext5_len5") for field in ("Q", "Fp")]
+    assert {r["sha256"] for r in lines} == {CHAIN_EXT5_LEN5_SHA256}
 
 
 def test_the_tensor_ladder_rung_keeps_its_digest():
